@@ -1,9 +1,13 @@
-"""Two routes to the same number: bisection and linear programming.
+"""Two routes to the same number: the dual closed form and bisection.
 
 For the gain-loss ratio the induced risk is coherent, and the dual set at
 level z is cut out by the ratio constraints q_i/p_i <= (1+z) q_j/p_j inside
-each atom.  Agreement between the LP and the bisection is the check that the
-polytope is right; sampled densities and the penalty bound probe it further.
+each atom.  The supremum of E^Q[-X] over that set has a closed form: the best
+density takes two values with ratio 1+z, the high one on the largest losses,
+so one sort per atom finds it.  Bisection on the measure is the independent
+route that checks it here; the test suite also checks it against a linear
+program over the polytope.  Sampled densities (vertices picked by that linear
+program) and the penalty bound probe the polytope further.
 """
 import numpy as np
 
@@ -15,9 +19,9 @@ from perflat import (GainLossRatio, XVar, binomial_tree, coin2,
 # -- the textbook instance ------------------------------------------------------
 space = coin2()
 x = XVar(space, [1.0, -1.0])
-lp = glr_dual_risk(0, 1.0, x).values.values[0]
+dual = glr_dual_risk(0, 1.0, x).values.values[0]
 bi = induce_risk(GainLossRatio(), 0, 1.0, x).values.values[0]
-print(f"X = (1, -1), z = 1: LP {lp:.12f}, bisection {bi:.12f}")
+print(f"X = (1, -1), z = 1: closed form {dual:.12f}, bisection {bi:.12f}")
 
 # -- random agreement -------------------------------------------------------------
 tree = binomial_tree(2)
@@ -30,7 +34,7 @@ for k in range(60):
     a = glr_dual_risk(t, z, x).values.values
     b = induce_risk(GainLossRatio(), t, z, x).values.values
     worst = max(worst, float(np.max(np.abs(a - b))))
-print(f"60 random draws: worst |LP - bisection| = {worst:.3e}")
+print(f"60 random draws: worst |closed form - bisection| = {worst:.3e}")
 
 # -- densities from the dual set ---------------------------------------------------
 q = sample_glr_density(tree, 1, 2.0, rng)

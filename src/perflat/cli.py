@@ -25,7 +25,6 @@ from .measures import (GainLossRatio, check_axioms, check_scale_invariance,
                        evaluate, lpm_ratio, measure_from_json)
 from .risk_family import (entropic_closed_form, glr_dual_risk, induce_risk,
                           induced_family, reconstruct, risk_curve)
-from .simplex import SimplexError
 
 
 class CliError(Exception):
@@ -72,7 +71,7 @@ def _load_var(path: str, space: FilteredSpace) -> XVar:
 
 
 def _check_tols(args) -> None:
-    for name in ("tol_c", "tol_z", "eps_strict"):
+    for name in ("tol_c", "tol_z"):
         if hasattr(args, name) and getattr(args, name) <= 0.0:
             raise CliError({"error": "tolerance misconfiguration",
                             "message": f"{name.replace('_', '-')} must be positive"})
@@ -81,7 +80,7 @@ def _check_tols(args) -> None:
 def _config(args, **extra) -> dict:
     out = {"command": args.command}
     for name in ("space", "measure", "var", "dividend", "t", "z", "seed",
-                 "trials", "tol_c", "tol_z", "eps_strict"):
+                 "trials", "tol_c", "tol_z"):
         if hasattr(args, name) and getattr(args, name) is not None:
             out[name] = getattr(args, name)
     out.update(extra)
@@ -230,7 +229,7 @@ def cmd_dual(args) -> int:
     x = _load_var(args.var, space)
     try:
         dual = glr_dual_risk(args.t, args.z, x)
-    except (ValueError, RuntimeError, SimplexError) as e:
+    except ValueError as e:
         raise CliError({"error": "dual solve failed", "message": str(e)})
     primal = induce_risk(GainLossRatio(), args.t, args.z, x, tol=args.tol_c)
     gap = float(np.max(np.abs(dual.values.values - primal.values.values)))
@@ -384,8 +383,6 @@ def _add_common(p, *, measure=True, var=False, stage=False, level=False,
                    help="bisection tolerance for induced risks")
     p.add_argument("--tol-z", dest="tol_z", type=float, default=1e-8,
                    help="level tolerance for reconstruction")
-    p.add_argument("--eps-strict", dest="eps_strict", type=float, default=1e-12,
-                   help="strictness margin recorded in the config")
     p.add_argument("--out", help="write a JSON artifact here")
 
 
@@ -425,7 +422,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p, var=True, stage=True)
     p.set_defaults(fn=cmd_reconstruct)
 
-    p = sub.add_parser("dual", help="gain-loss risk through the dual program")
+    p = sub.add_parser("dual", help="gain-loss risk through the dual closed form")
     _add_common(p, measure=False, var=True, stage=True, level=True)
     p.set_defaults(fn=cmd_dual)
 

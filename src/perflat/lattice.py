@@ -304,7 +304,10 @@ class XVar:
             return XVar(self.space, ext_add(self.values, other.values), validate=False)
         if isinstance(other, TVar):
             return self + other.promote()
-        return XVar(self.space, ext_add(self.values, float(other)), validate=False)
+        c = float(other)
+        if math.isnan(c) or c == -INF:  # valid leaves plus a real or +inf stay valid
+            _validate_leaf_values(np.array([c]))
+        return XVar(self.space, ext_add(self.values, c), validate=False)
 
     __radd__ = __add__
 

@@ -20,9 +20,11 @@ standard family regenerates a performance measure through
 
 and the induced family is the unique standard family doing so; ``reconstruct``
 implements that supremum by bisection over levels with a tan/atan change of variables
-for unbounded intervals.  Duality helpers cover the gain-loss ratio (a per-atom linear
-program over conditional densities), truncation limits, closure diagnostics, and a
-weak-duality penalty probe.
+for unbounded intervals.  Duality helpers cover the gain-loss ratio (an exact closed
+form over each atom's leaves sorted by loss; a linear program over the same polytope of
+conditional densities is the independent route that checks it, and picks polytope
+vertices for sampling), truncation limits, closure diagnostics, and a weak-duality
+penalty probe.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .lattice import (INF, FilteredSpace, TVar, XVar, atom_expect, num_to_json,
 from .measures import PerformanceMeasure, _resolve_stage_param
 from .report import CheckResult, Report
 from .simplex import solve_lp
-from .solvers import group_logsumexp, vector_monotone_inf
+from .solvers import BracketError, group_logsumexp, vector_monotone_inf
 from .util import derived_rng
 
 TOL_C = 1e-10   # capital tolerance for the per-atom bisection
@@ -86,7 +88,7 @@ def _induce_raw(m: PerformanceMeasure, t: int, z, x: XVar, tol: float = TOL_C):
 
     try:
         res = vector_monotone_inf(g, lo0, hi0, target, tol=tol)
-    except RuntimeError as e:
+    except BracketError as e:
         raise RuntimeError(
             "shift bracket never reached the level from below; the measure's upper "
             "threshold looks misdeclared") from e
@@ -593,13 +595,20 @@ def validate_standard_family(f: StandardFamily, space: FilteredSpace, t: int,
 # gain-loss duality
 
 
-def glr_dual_risk(t: int, z: float, x: XVar, tol: float = 1e-11) -> RiskPoint:
-    """Gain-loss risk as a per-atom linear program over conditional densities.
+def glr_dual_risk(t: int, z: float, x: XVar) -> RiskPoint:
+    """Gain-loss risk as the supremum of E_t[-X] over the level-z dual set, in closed form.
 
-    Maximizes the conditional expectation of -X over probability weights w >= 0 on the
-    atom's leaves with w_i pbar_j <= (1+z) w_j pbar_i for every leaf pair (densities
-    whose ratios stay within 1+z).  Agreement with the bisection route is the
-    correctness oracle for this dual-set shape.
+    The dual set holds the conditional densities whose ratios stay within 1+z on each
+    atom.  With L = -X and S_k the k largest-loss leaves of an atom (k = 0..m),
+
+        rho_t^z(X) = max_k (E_t[L] + z E_t[L 1_{S_k}]) / (1 + z P_t(S_k))
+                   = E_t[L] + max_k z E_t[(L - E_t[L]) 1_{S_k}] / (1 + z P_t(S_k)),
+
+    because the optimal density takes two values with ratio 1+z, the high one on a
+    loss prefix (Bernardo and Ledoit 2000).  One sort and prefix sums per atom give
+    every candidate at once.  The centered form keeps each atom's running sums at its
+    own scale.  The dense linear program over the same polytope (``_glr_polytope``)
+    and the bisection route are the independent checks of this formula.
     """
     space = x.space
     t = space.check_stage(t)
@@ -608,35 +617,23 @@ def glr_dual_risk(t: int, z: float, x: XVar, tol: float = 1e-11) -> RiskPoint:
         raise ValueError("the dual form needs a finite level z > 0")
     if not np.all(np.isfinite(x.values)):
         raise ValueError("the dual form needs a finite-valued claim")
+    idx = space.atom_index[t]
     n = space.n_atoms(t)
-    out = np.empty(n)
-    for k in range(n):
-        idx = np.fromiter(space.atoms[t][k], dtype=np.intp)
-        if idx.size == 1:
-            out[k] = -float(x.values[idx[0]])
-            continue
-        pb = space.probs[idx] / space.atom_mass[t][k]
-        c = x.values[idx].astype(float)
-        m_leaves = idx.size
-        rows = []
-        for i in range(m_leaves):
-            for j in range(m_leaves):
-                if i == j:
-                    continue
-                row = np.zeros(m_leaves)
-                row[i] += pb[j]
-                row[j] -= (1.0 + z) * pb[i]
-                rows.append(row)
-        a_ub = np.vstack(rows)
-        b_ub = np.zeros(a_ub.shape[0])
-        a_eq = np.ones((1, m_leaves))
-        b_eq = np.ones(1)
-        try:
-            sol = solve_lp(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, tol=tol)
-        except Exception as e:
-            raise RuntimeError(
-                f"density polytope solve failed on atom {space.atom_id(t, k)}") from e
-        out[k] = -sol.value
+    loss = -x.values
+    mean = atom_expect(space, t, loss)
+    order = np.lexsort((-loss, idx))  # by atom, then by descending loss
+    atom = idx[order]
+    pbar = space.probs[order] / space.atom_mass[t][atom]
+    starts = np.searchsorted(atom, np.arange(n))  # every atom has a leaf
+
+    def within_atom_cumsum(v):
+        run = np.cumsum(v)
+        return run - np.r_[0.0, run][starts][atom]
+
+    excess = within_atom_cumsum(pbar * (loss[order] - mean[atom]))
+    mass = within_atom_cumsum(pbar)
+    premium = np.maximum.reduceat(z * excess / (1.0 + z * mass), starts)
+    out = mean + np.maximum(premium, 0.0)  # k = 0 contributes a zero premium
     return RiskPoint(stage=t, level=z, values=TVar(space, t, out, kind="ba"),
                      near_zero=np.abs(out) <= TOL_C, capped=np.zeros(n, dtype=bool))
 
@@ -685,6 +682,21 @@ class DualMeasure:
         return cls(space, int(d["stage"]), dens)
 
 
+def _glr_polytope(pbar: np.ndarray, z: float) -> np.ndarray:
+    """Rows A of the level-z ratio polytope {A w <= 0} over one atom's leaf weights.
+
+    One row per ordered leaf pair i != j, in row-major order:
+    w_i pbar_j - (1+z) w_j pbar_i <= 0, so the densities w / pbar stay within 1+z.
+    """
+    m = pbar.size
+    i, j = np.nonzero(~np.eye(m, dtype=bool))
+    rows = np.zeros((i.size, m))
+    r = np.arange(i.size)
+    rows[r, i] = pbar[j]
+    rows[r, j] = -(1.0 + z) * pbar[i]
+    return rows
+
+
 def sample_glr_density(space: FilteredSpace, t: int, z: float,
                        rng: np.random.Generator) -> DualMeasure:
     """A vertex of the gain-loss dual polytope picked by a random objective."""
@@ -698,15 +710,8 @@ def sample_glr_density(space: FilteredSpace, t: int, z: float,
             continue
         m_leaves = idx.size
         c = rng.normal(size=m_leaves)
-        rows = []
-        for i in range(m_leaves):
-            for j in range(m_leaves):
-                if i != j:
-                    row = np.zeros(m_leaves)
-                    row[i] += pb[j]
-                    row[j] -= (1.0 + z) * pb[i]
-                    rows.append(row)
-        sol = solve_lp(c, A_ub=np.vstack(rows), b_ub=np.zeros(len(rows)),
+        rows = _glr_polytope(pb, z)
+        sol = solve_lp(c, A_ub=rows, b_ub=np.zeros(rows.shape[0]),
                        A_eq=np.ones((1, m_leaves)), b_eq=np.ones(1))
         w = np.clip(sol.x, 0.0, None)
         w = w / w.sum()  # scrub solver roundoff; rescaling preserves the ratio bounds

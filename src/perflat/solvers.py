@@ -13,6 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 BRACKET_CAP = 2.0 ** 60
+# From a width of 2^61 down to the smallest subnormal spacing is about 1140 halvings,
+# so a loop that runs past this cap is a defect, not slow convergence.
+BISECT_CAP = 2000
+
+
+class BracketError(RuntimeError):
+    """g stays below target at +cap: the caller's monotone function is inconsistent."""
 
 
 @dataclass
@@ -30,10 +37,13 @@ def vector_monotone_inf(g, lo0: np.ndarray, hi0: np.ndarray, target: np.ndarray,
     Brackets are seeded with [lo0, hi0] and expanded by doubling steps.  If a component
     stays at/above target all the way down to -cap the infimum is reported as -inf; a
     component that never reaches target by +cap is an inconsistency in the caller's
-    monotone function and raises.
+    monotone function and raises BracketError.
 
     Returns the lower bracket endpoint: within ``tol`` of the infimum and strictly on
     the g < target side, so an exactly-probed threshold such as 0.0 survives intact.
+    Where the float spacing at the infimum exceeds ``tol`` the bracket closes on two
+    adjacent floats instead and the lower one is returned.  More than ``BISECT_CAP``
+    halvings raise RuntimeError.
     """
     lo = np.array(lo0, dtype=float)
     hi = np.array(hi0, dtype=float)
@@ -54,7 +64,7 @@ def vector_monotone_inf(g, lo0: np.ndarray, hi0: np.ndarray, target: np.ndarray,
             over = need & (hi > cap)
             probe = np.where(over, cap, hi)
             if np.any(g(probe)[over] < target[over]):
-                raise RuntimeError(
+                raise BracketError(
                     "upper bracket never closed: value below target at the cap "
                     "(monotone target unreachable)")
             hi[over] = cap
@@ -78,12 +88,23 @@ def vector_monotone_inf(g, lo0: np.ndarray, hi0: np.ndarray, target: np.ndarray,
         need &= ~capped_below
 
     active = ~capped_below
+    # Halving reaches tol within `free` steps unless the float spacing at the root
+    # exceeds tol; only past that point does a component need the stall test, so the
+    # common path does no extra numpy work per step.
+    widest = float(np.max(hi - lo, where=active, initial=0.0))
+    free = math.ceil(math.log2(widest) - math.log2(tol)) if widest > tol > 0.0 else 0
+    steps = 0
     while True:
-        width = hi - lo
-        run = active & (width > tol)
+        mid = 0.5 * (lo + hi)
+        run = active & (hi - lo > tol)
+        if steps >= free:
+            run &= (lo < mid) & (mid < hi)  # adjacent floats: lo is the answer
         if not np.any(run):
             break
-        mid = np.where(run, 0.5 * (lo + hi), lo)
+        steps += 1
+        if steps > BISECT_CAP:
+            raise RuntimeError(f"bisection did not close after {BISECT_CAP} halvings")
+        mid = np.where(run, mid, lo)
         gm = g(mid)
         go_down = run & (gm >= target)
         hi[go_down] = mid[go_down]
@@ -93,15 +114,6 @@ def vector_monotone_inf(g, lo0: np.ndarray, hi0: np.ndarray, target: np.ndarray,
     out = np.where(capped_below, -math.inf, lo)
     near_zero = np.abs(out) <= tol
     return InfShiftResult(values=out, hit_lower_cap=capped_below, near_zero=near_zero)
-
-
-def scalar_monotone_inf(g, lo0: float = -1.0, hi0: float = 1.0, target: float = 0.0,
-                        tol: float = 1e-10, cap: float = BRACKET_CAP) -> float:
-    """Scalar wrapper around vector_monotone_inf."""
-    res = vector_monotone_inf(lambda c: np.asarray([g(float(c[0]))]),
-                              np.array([lo0]), np.array([hi0]),
-                              np.array([target]), tol=tol, cap=cap)
-    return float(res.values[0])
 
 
 def logsumexp(values: np.ndarray) -> float:

@@ -142,6 +142,21 @@ def test_xvar_arithmetic(space2):
     assert x.truncate(2.0).values.tolist() == [2.0, -1.0]
 
 
+@pytest.mark.parametrize("bad", [-INF, math.nan])
+def test_xvar_scalar_addition_rejects_minus_inf_and_nan(space2, bad):
+    x = XVar(space2, [3.0, -1.0])
+    with pytest.raises(ValueError):
+        x + bad
+    with pytest.raises(ValueError):
+        bad + x
+
+
+def test_xvar_scalar_addition_allows_plus_inf(space2):
+    x = XVar(space2, [INF, -1.0])
+    assert (x + INF).values.tolist() == [INF, INF]
+    assert (INF + x).values.tolist() == [INF, INF]
+
+
 def test_tvar_kinds(space2):
     with pytest.raises(ValueError):
         TVar(space2, 0, [-INF], kind="bb")

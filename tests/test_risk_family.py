@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -13,7 +14,11 @@ from perflat import (INF, DualMeasure, ExponentialUtilityMeasure,
                      reconstruct, risk_curve, sample_glr_density, sample_xvar,
                      truncation_limit_check, validate_standard_family,
                      weak_duality_probe)
-from perflat.lattice import cond_expect
+from perflat import solvers
+from perflat.lattice import FilteredSpace, cond_expect
+from perflat.risk_family import TOL_C, _glr_polytope
+from perflat.simplex import solve_lp
+from perflat.solvers import vector_monotone_inf
 from perflat.util import derived_rng
 
 
@@ -50,6 +55,52 @@ def test_induce_reports_minus_inf_when_already_acceptable(space2):
     rp = induce_risk(m, 0, 0.5, x)
     assert np.all(np.isneginf(rp.values.values))
     assert np.all(rp.capped)
+
+
+# ---------------------------------------------------------------------------
+# bisection termination
+
+
+# The float spacing at rho exceeds tol: 7e-12 at rho = -33333.3 against tol = 1e-12,
+# and 1.2e-10 at rho = 1e6 against the default tol = 1e-10.
+@pytest.mark.parametrize("payoff, tol", [([3e5, -1e5], 1e-12), ([3e6, -3e6], TOL_C)])
+def test_induce_terminates_where_float_spacing_exceeds_tol(space2, payoff, tol):
+    glr = GainLossRatio()
+    x = XVar(space2, payoff)
+    start = time.perf_counter()
+    rho = induce_risk(glr, 0, 1.0, x, tol=tol).values.values[0]
+    assert time.perf_counter() - start < 1.0
+    want = glr_dual_risk(0, 1.0, x).values.values[0]
+    assert abs(rho - want) <= 2.0 * np.spacing(abs(want))
+    assert evaluate(glr, 0, x + rho).values[0] < 1.0  # lower endpoint, g < target
+
+
+def test_bisection_reaches_the_smallest_spacing_under_the_cap():
+    # about 1075 halvings from [-1, 1] down to a width of one subnormal step
+    res = vector_monotone_inf(lambda c: c, np.array([-1.0]), np.array([1.0]),
+                              np.array([0.0]), tol=5e-324)
+    assert res.values[0] == -5e-324
+
+
+def test_bisection_cap_raises(monkeypatch, space2):
+    monkeypatch.setattr(solvers, "BISECT_CAP", 8)
+    with pytest.raises(RuntimeError, match="halvings"):
+        vector_monotone_inf(lambda c: c, np.array([-1.0]), np.array([1.0]),
+                            np.array([0.3]), tol=1e-12)
+    # induce_risk passes the cap's message on, not the misdeclared-threshold one
+    with pytest.raises(RuntimeError, match="halvings"):
+        induce_risk(GainLossRatio(), 0, 1.0, XVar(space2, [3.0, -1.0]))
+
+
+def test_induce_names_an_unreachable_level(space2):
+    class Flat:  # declares z_u = inf but never rises above 0
+        z_d, z_u = -INF, INF
+
+        def values(self, space, t, x):
+            return np.zeros(space.n_atoms(t))
+
+    with pytest.raises(RuntimeError, match="misdeclared"):
+        induce_risk(Flat(), 0, 1.0, XVar(space2, [3.0, -1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -209,17 +260,57 @@ def test_dual_constant_payoff(space2):
         assert abs(got - (-c)) <= 1e-9
 
 
-@given(seed=st.integers(0, 300))
-@settings(max_examples=50, deadline=None)
-def test_dual_matches_bisection(seed):
+def _lp_dual(t, z, x):
+    """The dual by the dense simplex over each atom's ratio polytope."""
+    space = x.space
+    out = []
+    for k in range(space.n_atoms(t)):
+        idx = np.fromiter(space.atoms[t][k], dtype=np.intp)
+        rows = _glr_polytope(space.probs[idx] / space.atom_mass[t][k], z)
+        sol = solve_lp(x.values[idx], A_ub=rows, b_ub=np.zeros(rows.shape[0]),
+                       A_eq=np.ones((1, idx.size)), b_eq=np.ones(1))
+        out.append(-sol.value)
+    return np.array(out)
+
+
+def _one_period(rng, n):
+    probs = rng.uniform(0.5, 1.5, n)
+    leaves = [f"w{j}" for j in range(n)]
+    return FilteredSpace.from_json({
+        "times": [0, 1],
+        "leaves": [{"id": s, "p": float(p)} for s, p in zip(leaves, probs / probs.sum())],
+        "atoms": {"0": [leaves], "1": [[s] for s in leaves]},
+    })
+
+
+def test_dual_matches_lp(tree3):
+    rng = np.random.default_rng(7)
+    cases = [(_one_period(rng, n), 0) for n in (2, 3, 5, 8, 13, 21, 32)]
+    cases += [(tree3, t) for t in tree3.times]
+    for space, t in cases:
+        for z in (0.5, 1.0, 2.0, 5.0):
+            x = XVar(space, rng.uniform(-4.0, 4.0, space.n_leaves))
+            got = glr_dual_risk(t, z, x).values.values
+            assert np.allclose(got, _lp_dual(t, z, x), rtol=0.0, atol=1e-9), \
+                (space.n_leaves, t, z)
+
+
+# Bisection stops within TOL_C of its root, or on adjacent floats where their spacing
+# exceeds TOL_C; the measure's own rounding adds a few ulps of the payoff scale.
+# Hence |dual - bisection| <= TOL_C + 1e-14 max|X|: the absolute part binds below
+# payoffs of about 1e4, the relative part above.
+@given(seed=st.integers(0, 10_000), log_scale=st.floats(-8.0, 8.0))
+@settings(max_examples=80, deadline=None)
+def test_dual_matches_bisection(seed, log_scale):
     space = binomial_tree(2)
     rng = np.random.default_rng(seed)
     t = int(rng.integers(0, 3))
     z = float(rng.choice([0.5, 1.0, 2.0, 5.0]))
-    x = XVar(space, rng.uniform(-4, 4, space.n_leaves))
-    via_lp = glr_dual_risk(t, z, x).values.values
+    x = XVar(space, 10.0 ** log_scale * rng.uniform(-4, 4, space.n_leaves))
+    via_dual = glr_dual_risk(t, z, x).values.values
     via_bisect = induce_risk(GainLossRatio(), t, z, x).values.values
-    assert np.allclose(via_lp, via_bisect, atol=1e-6)
+    tol = TOL_C + 1e-14 * float(np.max(np.abs(x.values)))
+    assert np.all(np.abs(via_dual - via_bisect) <= tol)
 
 
 def test_sampled_density_is_feasible(tree2):
