@@ -20,7 +20,7 @@ import numpy as np
 from .dividends import DividendProcess, check_lift_axioms, lift_evaluate
 from .dynamics import DynamicMeasure, check_time_consistency, verify_witness
 from .lattice import (FilteredSpace, XVar, binomial_tree, coin2, dump_json,
-                      num_to_json)
+                      jsonable, num_to_json)
 from .measures import (GainLossRatio, check_axioms, check_scale_invariance,
                        evaluate, lpm_ratio, measure_from_json)
 from .risk_family import (entropic_closed_form, glr_dual_risk, induce_risk,
@@ -87,26 +87,9 @@ def _config(args, **extra) -> dict:
     return out
 
 
-def _scrub(obj):
-    """Encode infinities recursively so any artifact survives serialization."""
-    if isinstance(obj, dict):
-        return {str(k): _scrub(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_scrub(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_scrub(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return num_to_json(float(obj))
-    return obj
-
-
 def _emit(obj: dict, out: str | None) -> None:
     if out:
-        dump_json(_scrub(obj), out)
+        dump_json(jsonable(obj), out)
 
 
 def _print_stage_values(space: FilteredSpace, t: int, values) -> None:
@@ -135,7 +118,6 @@ def cmd_validate_space(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    _check_tols(args)
     space = _load_space(args.space)
     m = _load_measure(args.measure, space)
     x = _load_var(args.var, space)
@@ -197,7 +179,7 @@ def cmd_curve(args) -> int:
         if args.out:
             _emit(artifact, args.out)
         else:
-            print(dump_json(_scrub(artifact)))
+            print(dump_json(jsonable(artifact)))
     if curve.limit_note:
         print(f"note: {curve.limit_note}", file=sys.stderr)
     return 0
@@ -244,7 +226,6 @@ def cmd_dual(args) -> int:
 
 
 def cmd_check_axioms(args) -> int:
-    _check_tols(args)
     space = _load_space(args.space)
     m = _load_measure(args.measure, space)
     rep = check_axioms(m, space, args.t, trials=args.trials, rng_seed=args.seed)
@@ -290,7 +271,6 @@ def cmd_check_consistency(args) -> int:
 
 
 def cmd_lift(args) -> int:
-    _check_tols(args)
     space = _load_space(args.space)
     m = _load_measure(args.measure, space)
     try:
@@ -366,7 +346,7 @@ def cmd_paper_demo(args) -> int:
 
 
 def _add_common(p, *, measure=True, var=False, stage=False, level=False,
-                randomized=False):
+                randomized=False, tol_c=False):
     p.add_argument("--space", required=True, help="space JSON file")
     if measure:
         p.add_argument("--measure", required=True, help="measure JSON file")
@@ -379,10 +359,9 @@ def _add_common(p, *, measure=True, var=False, stage=False, level=False,
     if randomized:
         p.add_argument("--trials", type=int, default=200)
         p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol-c", dest="tol_c", type=float, default=1e-10,
-                   help="bisection tolerance for induced risks")
-    p.add_argument("--tol-z", dest="tol_z", type=float, default=1e-8,
-                   help="level tolerance for reconstruction")
+    if tol_c:
+        p.add_argument("--tol-c", dest="tol_c", type=float, default=1e-10,
+                       help="bisection tolerance for induced risks")
     p.add_argument("--out", help="write a JSON artifact here")
 
 
@@ -402,11 +381,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("induce", help="induced risk at a level")
-    _add_common(p, var=True, stage=True, level=True)
+    _add_common(p, var=True, stage=True, level=True, tol_c=True)
     p.set_defaults(fn=cmd_induce)
 
     p = sub.add_parser("curve", help="induced risk across a grid of levels")
-    _add_common(p, var=True, stage=True)
+    _add_common(p, var=True, stage=True, tol_c=True)
     p.add_argument("--z-min", dest="z_min", type=float)
     p.add_argument("--z-max", dest="z_max", type=float)
     p.add_argument("--z-steps", dest="z_steps", type=int, default=50)
@@ -419,11 +398,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reconstruct",
                        help="recover measure values from the induced risks")
-    _add_common(p, var=True, stage=True)
+    _add_common(p, var=True, stage=True, tol_c=True)
+    p.add_argument("--tol-z", dest="tol_z", type=float, default=1e-8,
+                   help="level tolerance for reconstruction")
     p.set_defaults(fn=cmd_reconstruct)
 
     p = sub.add_parser("dual", help="gain-loss risk through the dual closed form")
-    _add_common(p, measure=False, var=True, stage=True, level=True)
+    _add_common(p, measure=False, var=True, stage=True, level=True, tol_c=True)
     p.set_defaults(fn=cmd_dual)
 
     p = sub.add_parser("check-axioms", help="property tests for a measure")
@@ -434,7 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-consistency",
                        help="time-consistency verdict for a measure family")
-    _add_common(p, randomized=True)
+    _add_common(p, randomized=True, tol_c=True)
     p.add_argument("--z-grid", dest="z_grid",
                    help="comma-separated levels (default: spread over the "
                         "measure's interval)")
@@ -469,7 +450,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except CliError as e:
-        print(dump_json(_scrub({"error": e.payload})))
+        print(dump_json(jsonable({"error": e.payload})))
         return 1
     except (ValueError, OSError, KeyError) as e:
         print(dump_json({"error": {"type": type(e).__name__, "message": str(e)}}))

@@ -24,14 +24,15 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from .dynamics import DynamicMeasure, check_time_consistency, verify_witness
+from .dynamics import (TIE_BETA, DynamicMeasure, _stage_pairs, _sub_table,
+                       _verify_localized, check_time_consistency, verify_witness)
 from .lattice import (INF, FilteredSpace, TVar, XVar, close_or_both_inf,
                       ext_add, ext_mul, num_from_json, num_to_json,
                       sample_event, sample_tvar, sample_xvar)
-from .measures import (DEFAULT_TOL, EPS_STRICT, PerformanceMeasure, _above_zd,
-                       _below_zu, evaluate)
-from .report import CheckResult, Report
-from .risk_family import TOL_C, induce_risk
+from .measures import (DEFAULT_TOL, PerformanceMeasure, _below_mix_floor,
+                       _no_strict_gain, evaluate)
+from .report import CheckResult, Report, run_trials
+from .risk_family import TOL_C
 from .util import derived_rng
 
 
@@ -195,9 +196,7 @@ def check_lift_axioms(m: PerformanceMeasure, space: FilteredSpace,
     times = list(space.times)
     last = times[-1]
 
-    res = CheckResult("independence_of_past_and_locality", True, trials)
-    for k in range(trials):
-        rng = derived_rng(rng_seed, 61, k)
+    def independence_of_past_and_locality(rng, k):
         t = int(rng.choice(times))
         b = sample_event(space, t, rng)
         on = b.leaf_values()
@@ -217,60 +216,47 @@ def check_lift_axioms(m: PerformanceMeasure, space: FilteredSpace,
         v1 = lift_evaluate(m, t, d1).values
         v2 = lift_evaluate(m, t, d2).values
         if not np.all(v1[b.flags] == v2[b.flags]):
-            res.passed, res.failures = False, res.failures + 1
-            if res.witness is None:
-                res.witness = {"note": "value moved on the unchanged event",
-                               "stage": t, "D": d1.to_json(), "D2": d2.to_json()}
-    rep.add(res)
+            return {"note": "value moved on the unchanged event",
+                    "stage": t, "D": d1.to_json(), "D2": d2.to_json()}
 
-    res = CheckResult("bounds_interval", True, trials)
-    for k in range(trials):
-        rng = derived_rng(rng_seed, 62, k)
+    run_trials(rep, "independence_of_past_and_locality", trials, rng_seed, 61,
+               independence_of_past_and_locality)
+
+    def bounds_interval(rng, k):
         t = int(rng.choice(times))
         dp = sample_dividend(space, rng, nonnegative_interim=False)
         vals = lift_evaluate(m, t, dp).values
         if np.any(vals < m.z_d - 1e-12) or np.any(vals > m.z_u + 1e-12):
-            res.passed, res.failures = False, res.failures + 1
-            if res.witness is None:
-                res.witness = {"note": "value left the bounds", "stage": t,
-                               "D": dp.to_json()}
-    rep.add(res)
+            return {"note": "value left the bounds", "stage": t, "D": dp.to_json()}
 
-    res = CheckResult("upper_bound_attained", True, len(times))
+    run_trials(rep, "bounds_interval", trials, rng_seed, 62, bounds_interval)
+
     top = DividendProcess.terminal_only(XVar.constant(space, INF))
-    for t in times:
-        if not np.all(lift_evaluate(m, t, top).values == m.z_u):
-            res.passed, res.failures = False, res.failures + 1
-    rep.add(res)
+    missed = [t for t in times if not np.all(lift_evaluate(m, t, top).values == m.z_u)]
+    rep.add(CheckResult("upper_bound_attained", not missed, len(times), len(missed)))
 
-    res = CheckResult("lower_bound_approached", True, len(times))
-    for t in times:
-        reached = False
+    def approaches_lower_bound(t) -> bool:
         for k in range(9):
             try:
                 vals = lift_evaluate(m, t,
                                      DividendProcess(space, {last: -10.0 ** k})).values
             except OverflowError:
                 # the value underflowed past float range, diverged for sure
-                reached = not math.isfinite(m.z_d)
-                break
+                return not math.isfinite(m.z_d)
             if math.isfinite(m.z_d):
                 if np.all(np.abs(vals - m.z_d) <= 1e-6):
-                    reached = True
-                    break
+                    return True
             elif np.all(vals <= -1e6):
-                reached = True
-                break
-        if not reached:
-            res.passed, res.failures = False, res.failures + 1
-            if res.witness is None:
-                res.witness = {"note": "deep negative payments never pushed the "
-                                       "value toward the lower bound", "stage": t}
-    rep.add(res)
+                return True
+        return False
 
-    res = CheckResult("monotonicity", True, trials)
-    for k in range(trials):
-        rng = derived_rng(rng_seed, 63, k)
+    missed = [t for t in times if not approaches_lower_bound(t)]
+    rep.add(CheckResult("lower_bound_approached", not missed, len(times), len(missed),
+                        witness={"note": "deep negative payments never pushed the "
+                                         "value toward the lower bound",
+                                 "stage": missed[0]} if missed else None))
+
+    def monotonicity(rng, k):
         t = int(rng.choice(times))
         d1 = sample_dividend(space, rng, nonnegative_interim=False)
         d2 = d1
@@ -282,35 +268,27 @@ def check_lift_axioms(m: PerformanceMeasure, space: FilteredSpace,
         v1 = lift_evaluate(m, t, d1).values
         v2 = lift_evaluate(m, t, d2).values
         if np.any(v2 < v1 - tol):
-            res.passed, res.failures = False, res.failures + 1
-            if res.witness is None:
-                res.witness = {"note": "larger payments lowered the value",
-                               "stage": t, "D": d1.to_json(), "D2": d2.to_json()}
-    rep.add(res)
+            return {"note": "larger payments lowered the value",
+                    "stage": t, "D": d1.to_json(), "D2": d2.to_json()}
 
-    res = CheckResult("strict_shift", True, trials)
-    for k in range(trials):
-        rng = derived_rng(rng_seed, 64, k)
+    run_trials(rep, "monotonicity", trials, rng_seed, 63, monotonicity)
+
+    def strict_shift(rng, k):
         t = int(rng.choice(times))
         r_star = int(rng.choice([r for r in times if r >= t]))
         c = float(rng.uniform(0.05, 2.0))
         dp = sample_dividend(space, rng, nonnegative_interim=False)
         before = lift_evaluate(m, t, dp).values
         after = lift_evaluate(m, t, dp.with_payment_added(r_star, c)).values
-        live = _below_zu(before, m.z_u) & _above_zd(after, m.z_d)
-        bad = live & (after <= before + EPS_STRICT)
+        bad = _no_strict_gain(m, before, after)
         if np.any(bad):
-            res.passed, res.failures = False, res.failures + 1
-            if res.witness is None:
-                res.witness = {"note": "no strict gain from a positive payment",
-                               "stage": t, "paid_at": r_star, "shift": c,
-                               "D": dp.to_json(),
-                               "atom": space.atom_id(t, int(np.argmax(bad)))}
-    rep.add(res)
+            return {"note": "no strict gain from a positive payment",
+                    "stage": t, "paid_at": r_star, "shift": c, "D": dp.to_json(),
+                    "atom": space.atom_id(t, int(np.argmax(bad)))}
 
-    res = CheckResult("quasi_concavity", True, trials)
-    for k in range(trials):
-        rng = derived_rng(rng_seed, 65, k)
+    run_trials(rep, "strict_shift", trials, rng_seed, 64, strict_shift)
+
+    def quasi_concavity(rng, k):
         t = int(rng.choice(times))
         lam = float(rng.uniform(0.001, 0.999))  # keep 0 * inf out of the mix
         d1 = sample_dividend(space, rng, nonnegative_interim=False)
@@ -318,20 +296,13 @@ def check_lift_axioms(m: PerformanceMeasure, space: FilteredSpace,
         v1 = lift_evaluate(m, t, d1).values
         v2 = lift_evaluate(m, t, d2).values
         got = lift_evaluate(m, t, d1.mixed_with(d2, lam)).values
-        floor = np.minimum(v1, v2)
-        bad = got < floor - tol
-        bad &= ~((got == 0.0) & (floor <= 1e-6))
-        if np.any(bad):
-            res.passed, res.failures = False, res.failures + 1
-            if res.witness is None:
-                res.witness = {"note": "mix fell below both endpoints",
-                               "stage": t, "lam": lam,
-                               "D": d1.to_json(), "D2": d2.to_json()}
-    rep.add(res)
+        if np.any(_below_mix_floor(got, np.minimum(v1, v2), tol)):
+            return {"note": "mix fell below both endpoints", "stage": t, "lam": lam,
+                    "D": d1.to_json(), "D2": d2.to_json()}
 
-    res = CheckResult("timing_invariance", True, trials)
-    for k in range(trials):
-        rng = derived_rng(rng_seed, 66, k)
+    run_trials(rep, "quasi_concavity", trials, rng_seed, 65, quasi_concavity)
+
+    def timing_invariance(rng, k):
         t = int(rng.choice(times))
         later = [r for r in times if r >= t]
         r1, r2 = int(rng.choice(later)), int(rng.choice(later))
@@ -340,60 +311,49 @@ def check_lift_axioms(m: PerformanceMeasure, space: FilteredSpace,
         v1 = lift_evaluate(m, t, dp.with_payment_added(r1, xi)).values
         v2 = lift_evaluate(m, t, dp.with_payment_added(r2, xi)).values
         if not np.all(close_or_both_inf(v1, v2, tol)):
-            res.passed, res.failures = False, res.failures + 1
-            if res.witness is None:
-                res.witness = {"note": "payment date of a known transfer mattered",
-                               "stage": t, "dates": [r1, r2], "D": dp.to_json()}
-    rep.add(res)
+            return {"note": "payment date of a known transfer mattered",
+                    "stage": t, "dates": [r1, r2], "D": dp.to_json()}
+
+    run_trials(rep, "timing_invariance", trials, rng_seed, 66, timing_invariance)
+
+    def scale_invariance(rng, k):
+        t = int(rng.choice(times))
+        c = float(np.exp(rng.uniform(np.log(0.01), np.log(100.0))))
+        dp = sample_dividend(space, rng, nonnegative_interim=False)
+        v1 = lift_evaluate(m, t, dp).values
+        v2 = lift_evaluate(m, t, dp.scaled(c)).values
+        if not np.all(close_or_both_inf(v1, v2, tol)):
+            return {"note": "scaling the stream moved the value",
+                    "stage": t, "scale": c, "D": dp.to_json()}
 
     if m.scale_invariant:
-        res = CheckResult("scale_invariance", True, trials)
-        for k in range(trials):
-            rng = derived_rng(rng_seed, 67, k)
-            t = int(rng.choice(times))
-            c = float(np.exp(rng.uniform(np.log(0.01), np.log(100.0))))
-            dp = sample_dividend(space, rng, nonnegative_interim=False)
-            v1 = lift_evaluate(m, t, dp).values
-            v2 = lift_evaluate(m, t, dp.scaled(c)).values
-            if not np.all(close_or_both_inf(v1, v2, tol)):
-                res.passed, res.failures = False, res.failures + 1
-                if res.witness is None:
-                    res.witness = {"note": "scaling the stream moved the value",
-                                   "stage": t, "scale": c, "D": dp.to_json()}
+        run_trials(rep, "scale_invariance", trials, rng_seed, 67, scale_invariance)
     else:
-        res = CheckResult("scale_invariance", None,
-                          note="measure is not scale invariant; skipped")
-    rep.add(res)
+        rep.add(CheckResult("scale_invariance", None,
+                            note="measure is not scale invariant; skipped"))
 
-    res = CheckResult("aggregation_identity", True, trials)
-    for k in range(trials):
-        rng = derived_rng(rng_seed, 68, k)
+    def aggregation_identity(rng, k):
         t = int(rng.choice(times))
         dp = sample_dividend(space, rng, nonnegative_interim=False)
         direct = lift_evaluate(m, t, dp).values
         bundled = lift_evaluate(
             m, t, DividendProcess.terminal_only(dp.aggregate_from(t))).values
         if not np.array_equal(direct, bundled):
-            res.passed, res.failures = False, res.failures + 1
-            if res.witness is None:
-                res.witness = {"note": "bundling the payments at the final date "
-                                       "changed the value", "stage": t,
-                               "D": dp.to_json()}
-    rep.add(res)
+            return {"note": "bundling the payments at the final date changed the "
+                            "value", "stage": t, "D": dp.to_json()}
 
-    res = CheckResult("terminal_round_trip", True, trials)
-    for k in range(trials):
-        rng = derived_rng(rng_seed, 69, k)
+    run_trials(rep, "aggregation_identity", trials, rng_seed, 68, aggregation_identity)
+
+    def terminal_round_trip(rng, k):
         t = int(rng.choice(times))
         x = sample_xvar(space, rng)
         lifted = lift_evaluate(m, t, DividendProcess.terminal_only(x)).values
         plain = evaluate(m, t, x).values
         if not np.array_equal(lifted, plain):
-            res.passed, res.failures = False, res.failures + 1
-            if res.witness is None:
-                res.witness = {"note": "single terminal payment did not recover "
-                                       "the measure", "stage": t, "X": x.to_json()}
-    rep.add(res)
+            return {"note": "single terminal payment did not recover the measure",
+                    "stage": t, "X": x.to_json()}
+
+    run_trials(rep, "terminal_round_trip", trials, rng_seed, 69, terminal_round_trip)
     return rep
 
 
@@ -435,10 +395,8 @@ def check_lift_time_consistency(d: DynamicMeasure, space: FilteredSpace, *,
             var_witness, var_verdict, injected = witness, "counterexample", True
     levels = var_rep.meta["z_grid"]
     times = list(space.times)
-    pairs = [(s, t) for i, s in enumerate(times) for t in times[i + 1:]]
-    subs_of = {(s, t): [np.asarray(space.subatoms(s, t, k), dtype=np.intp)
-                        for k in range(space.n_atoms(s))]
-               for s, t in pairs}
+    pairs = _stage_pairs(space)
+    subs_of = _sub_table(space, pairs)
 
     proc_witness = None
     proc_candidates = 0
@@ -453,17 +411,10 @@ def check_lift_time_consistency(d: DynamicMeasure, space: FilteredSpace, *,
                 for a, sub in enumerate(subs_of[(s, t)]):
                     bt_min = float(betas[t][sub].min())
                     bs = float(betas[s][a])
-                    if not (bt_min > z >= bs and min(bt_min - z, z - bs) >= 1e-6):
+                    if not (bt_min > z >= bs and min(bt_min - z, z - bs) >= TIE_BETA):
                         continue
                     proc_candidates += 1
-                    ok = (bool(np.all(betas[t][sub] > z + 1e-9))
-                          and bs <= z - 1e-9)
-                    if ok:
-                        rt = induce_risk(d.measure, t, z, aggs[t],
-                                         tol=1e-12).values.values[sub]
-                        rs = float(induce_risk(d.measure, s, z, aggs[s],
-                                               tol=1e-12).values.values[a])
-                        ok = bool(np.all(rt < 0.0)) and rs > 0.0
+                    ok, _ = _verify_localized(d, space, s, t, z, a, aggs[s], aggs[t])
                     if ok:
                         proc_verified += 1
                         if proc_witness is None:

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import (INF, FilteredSpace, TVar, XVar, num_to_json, paste,
-                      EventMask, sample_xvar)
+from .lattice import (INF, FilteredSpace, TVar, XVar, jsonable, paste, EventMask,
+                      sample_xvar)
 from .measures import (ExponentialUtilityMeasure, GainLossRatio,
                        PerformanceMeasure, evaluate)
 from .report import CheckResult, Report
@@ -109,9 +109,9 @@ class ConsistencyReport:
         return {"verdict": self.verdict,
                 "criteria": list(self.criteria_checked),
                 "trials": self.trials, "samples": self.samples,
-                "seed": self.seed, "witness": _jsonify(self.witness),
+                "seed": self.seed, "witness": jsonable(self.witness),
                 "checks": [r.to_json() for r in self.checks],
-                "meta": _jsonify(self.meta)}
+                "meta": jsonable(self.meta)}
 
     def summary_lines(self) -> list[str]:
         lines = [f"verdict: {self.verdict} (trials={self.trials}, "
@@ -127,21 +127,9 @@ class ConsistencyReport:
         return lines
 
 
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, np.generic):
-        obj = obj.item()
-    if isinstance(obj, float):
-        return num_to_json(obj)
-    return obj
-
-
 def _witness_key(w: dict) -> str:
     """Canonical encoding, used to break ties deterministically."""
-    return json.dumps(_jsonify(w), sort_keys=True)
+    return json.dumps(jsonable(w), sort_keys=True)
 
 
 def _level_grid(z_d: float, z_u: float, n: int = 5) -> list[float]:
@@ -202,14 +190,27 @@ def verify_witness(d: DynamicMeasure, space: FilteredSpace, witness: dict,
     if x is None:
         x = XVar.from_json(witness["x"], space)
     k = space.atom_by_id(s, witness["atom"])
+    return _verify_localized(d, space, s, t, z, k, x, x, beta_margin=beta_margin,
+                             risk_tol=risk_tol)
+
+
+def _verify_localized(d: DynamicMeasure, space: FilteredSpace, s: int, t: int,
+                      z: float, k: int, x_s: XVar, x_t: XVar, *,
+                      beta_margin: float = 1e-9,
+                      risk_tol: float = 1e-12) -> tuple[bool, dict]:
+    """verify_witness on F_s-atom k, with the stage-s and stage-t payoffs apart.
+
+    A stream is valued at each stage through the aggregate of its payments from that
+    stage on, so the two stages may see different payoffs.
+    """
     subs = np.asarray(space.subatoms(s, t, k), dtype=np.intp)
-    bt = d.beta(t, x).values[subs]
-    bs = float(d.beta(s, x).values[k])
+    bt = d.beta(t, x_t).values[subs]
+    bs = float(d.beta(s, x_s).values[k])
     detail = {"beta_t_min": float(bt.min()), "beta_s": bs}
     ok = bool(np.all(bt > z + beta_margin)) and bs <= z - beta_margin
     if ok:
-        rt = d.risk(t, z, x, tol=risk_tol).values[subs]
-        rs = float(d.risk(s, z, x, tol=risk_tol).values[k])
+        rt = d.risk(t, z, x_t, tol=risk_tol).values[subs]
+        rs = float(d.risk(s, z, x_s, tol=risk_tol).values[k])
         detail["rho_t_max"] = float(rt.max())
         detail["rho_s"] = rs
         ok = bool(np.all(rt < 0.0)) and rs > 0.0

@@ -77,6 +77,24 @@ def num_to_json(v: float):
     return v
 
 
+def jsonable(obj):
+    """Encode numbers recursively, infinities as strings and numpy values as Python
+    ones, so any artifact or witness survives serialization."""
+    if isinstance(obj, dict):
+        return {str(k): jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        return num_to_json(float(obj))
+    return obj
+
+
 def num_from_json(v) -> float:
     if isinstance(v, str):
         s = v.strip().lower()
@@ -303,6 +321,8 @@ class XVar:
             _check_same_space(self.space, other.space)
             return XVar(self.space, ext_add(self.values, other.values), validate=False)
         if isinstance(other, TVar):
+            # promote skips validation, and a risk value (kind "ba") may hold -inf
+            _validate_leaf_values(other.values)
             return self + other.promote()
         c = float(other)
         if math.isnan(c) or c == -INF:  # valid leaves plus a real or +inf stay valid

@@ -23,9 +23,8 @@ import numpy as np
 from .lattice import (INF, FilteredSpace, TVar, XVar, atom_expect,
                       close_or_both_inf, num_from_json, num_to_json, sample_event,
                       sample_tvar, sample_xvar)
-from .report import CheckResult, Report
+from .report import CheckResult, Report, run_trials
 from .solvers import vector_monotone_inf
-from .util import derived_rng
 
 EPS_STRICT = 1e-12
 DEFAULT_TOL = 1e-9
@@ -641,6 +640,21 @@ def _above_zd(vals: np.ndarray, z_d: float, gap: float = DEFAULT_TOL) -> np.ndar
     return vals > z_d + gap if math.isfinite(z_d) else vals > -INF
 
 
+def _below_mix_floor(got: np.ndarray, floor: np.ndarray, tol: float) -> np.ndarray:
+    """Atoms where a convex mix falls below the smaller endpoint value.
+
+    A mix valued exactly 0 against a floor of at most 1e-6 counts as a tie, not a drop.
+    """
+    return (got < floor - tol) & ~((got == 0.0) & (floor <= 1e-6))
+
+
+def _no_strict_gain(m: PerformanceMeasure, before: np.ndarray,
+                    after: np.ndarray) -> np.ndarray:
+    """Live atoms (below z_u before, above z_d after) where a positive shift gained nothing."""
+    return (_below_zu(before, m.z_u) & _above_zd(after, m.z_d)
+            & (after <= before + EPS_STRICT))
+
+
 def _interior_levels(z_d: float, z_u: float, qs=(0.25, 0.5, 0.75)) -> list[float]:
     u_lo = math.atan(max(z_d, -1e12))
     u_hi = math.atan(min(z_u, 1e12))
@@ -670,33 +684,26 @@ def check_axioms(m: PerformanceMeasure, space: FilteredSpace, t: int,
                  meta={"space": space.name or "", "trials": trials})
 
     # 1. quasi concavity
-    res = CheckResult("quasi_concavity", True, trials=trials)
-    for k in range(trials):
-        rng = derived_rng(rng_seed, 1, k)
+    def quasi_concavity(rng, k):
         x, y = sampler(rng), sampler(rng)
         lam = float(rng.uniform(0.001, 0.999))  # keep 0 * inf out of the mix
         mix = XVar(space, lam * x.values + (1.0 - lam) * y.values, validate=False)
         floor = np.minimum(raw(x), raw(y))
-        got = raw(mix)
-        bad = (got < floor - tol) & ~((got == 0.0) & (floor <= 1e-6))
+        bad = _below_mix_floor(raw(mix), floor, tol)
         if np.any(bad):
-            res.passed, res.failures = False, res.failures + 1
-            if res.witness is None:
-                res.witness = _witness(x, "beta(mix) below min", Y=y.to_json(),
-                                       lam=lam, atom=space.atom_id(t, int(np.argmax(bad))))
-    rep.add(res)
+            return _witness(x, "beta(mix) below min", Y=y.to_json(),
+                            lam=lam, atom=space.atom_id(t, int(np.argmax(bad))))
+
+    run_trials(rep, "quasi_concavity", trials, rng_seed, 1, quasi_concavity)
 
     # 2. non-random bounds: values inside [z_d, z_u], attained at +inf, approached below
-    res = CheckResult("bounds_interval", True, trials=trials)
-    for k in range(trials):
-        rng = derived_rng(rng_seed, 2, k)
+    def bounds_interval(rng, k):
         x = sampler(rng)
         vals = raw(x)
         if np.any(vals < m.z_d - tol) or np.any(vals > m.z_u + tol):
-            res.passed, res.failures = False, res.failures + 1
-            if res.witness is None:
-                res.witness = _witness(x, "value escapes [z_d, z_u]")
-    rep.add(res)
+            return _witness(x, "value escapes [z_d, z_u]")
+
+    run_trials(rep, "bounds_interval", trials, rng_seed, 2, bounds_interval)
 
     vals = raw(XVar.constant(space, INF))
     ok = bool(np.all(close_or_both_inf(vals, m.z_u, tol)))
@@ -704,28 +711,24 @@ def check_axioms(m: PerformanceMeasure, space: FilteredSpace, t: int,
                         failures=0 if ok else 1,
                         witness=None if ok else {"values": vals.tolist()}))
 
-    res = CheckResult("lower_bound_approached", True, trials=1)
-    last = None
     for k in range(9):
         last = raw(XVar.constant(space, -float(10 ** k)))
-        if math.isfinite(m.z_d):
-            if np.all(np.abs(last - m.z_d) <= 1e-6):
-                break
-        elif np.all(last <= -1e6):
+        if (np.all(np.abs(last - m.z_d) <= 1e-6) if math.isfinite(m.z_d)
+                else np.all(last <= -1e6)):
+            rep.add(CheckResult("lower_bound_approached", True, trials=1))
             break
     else:
         if math.isfinite(m.z_d):
-            res.passed = False
-            res.witness = {"values": last.tolist(), "z_d": num_to_json(m.z_d)}
+            rep.add(CheckResult("lower_bound_approached", False, trials=1,
+                                witness={"values": last.tolist(),
+                                         "z_d": num_to_json(m.z_d)}))
         else:
-            res.passed = None
-            res.note = "still descending at x = -1e8; divergence not confirmed"
-    rep.add(res)
+            rep.add(CheckResult("lower_bound_approached", None, trials=1,
+                                note="still descending at x = -1e8; "
+                                     "divergence not confirmed"))
 
     # 3. monotone, and strictly so along constant positive shifts on the live event
-    res = CheckResult("monotonicity", True, trials=trials)
-    for k in range(trials):
-        rng = derived_rng(rng_seed, 3, k)
+    def monotonicity(rng, k):
         x = sampler(rng)
         style = rng.integers(3)
         if style == 0:
@@ -738,33 +741,27 @@ def check_axioms(m: PerformanceMeasure, space: FilteredSpace, t: int,
         before = raw(x)
         after = raw(XVar(space, x.values + bump, validate=False))
         if np.any(after < before - tol):
-            res.passed, res.failures = False, res.failures + 1
-            if res.witness is None:
-                res.witness = _witness(x, "value dropped under a nonnegative bump",
-                                       bump=bump.tolist())
-    rep.add(res)
+            return _witness(x, "value dropped under a nonnegative bump",
+                            bump=bump.tolist())
 
-    res = CheckResult("strict_shift", True, trials=trials)
-    for k in range(trials):
-        rng = derived_rng(rng_seed, 4, k)
+    run_trials(rep, "monotonicity", trials, rng_seed, 3, monotonicity)
+
+    def strict_shift(rng, k):
         x = sampler(rng)
         c = float(rng.uniform(0.05, 2.0))
         before = raw(x)
         after = raw(XVar(space, x.values + c, validate=False))
-        live = _below_zu(before, m.z_u) & _above_zd(after, m.z_d)
-        bad = live & (after <= before + EPS_STRICT)
+        bad = _no_strict_gain(m, before, after)
         if np.any(bad):
-            res.passed, res.failures = False, res.failures + 1
-            if res.witness is None:
-                res.witness = _witness(x, "no strict gain from a positive constant shift",
-                                       shift=c, atom=space.atom_id(t, int(np.argmax(bad))))
-    rep.add(res)
+            return _witness(x, "no strict gain from a positive constant shift",
+                            shift=c, atom=space.atom_id(t, int(np.argmax(bad))))
+
+    run_trials(rep, "strict_shift", trials, rng_seed, 4, strict_shift)
 
     # 4. continuity from below along increasing sequences
-    res = CheckResult("continuity_from_below", True, trials=trials)
     deltas = [2.0 ** -e for e in (0, 5, 10, 20, 30, 40, 45)]
-    for k in range(trials):
-        rng = derived_rng(rng_seed, 5, k)
+
+    def continuity_from_below(rng, k):
         x = sampler(rng)
         direction = np.ones(space.n_leaves) if k % 2 == 0 else rng.uniform(
             0.5, 2.0, size=space.n_leaves)
@@ -773,73 +770,61 @@ def check_axioms(m: PerformanceMeasure, space: FilteredSpace, t: int,
                for d in deltas]
         for a, b in zip(seq, seq[1:]):
             if np.any(b < a - tol):
-                res.passed, res.failures = False, res.failures + 1
-                if res.witness is None:
-                    res.witness = _witness(x, "sequence not monotone along X_n up")
-                break
-        else:
-            last = seq[-1]
-            with np.errstate(invalid="ignore"):
-                near = np.abs(last - target) <= 1e-6
-            ok = np.where(np.isfinite(target), near,
-                          np.where(np.isposinf(target),
-                                   (last >= 1e6) | np.isposinf(last),
-                                   (last <= -1e6) | np.isneginf(last)))
-            if not np.all(ok):
-                res.passed, res.failures = False, res.failures + 1
-                if res.witness is None:
-                    res.witness = _witness(x, "limit misses beta(X)",
-                                           got=last.tolist(), want=target.tolist())
-    rep.add(res)
+                return _witness(x, "sequence not monotone along X_n up")
+        last = seq[-1]
+        with np.errstate(invalid="ignore"):
+            near = np.abs(last - target) <= 1e-6
+        ok = np.where(np.isfinite(target), near,
+                      np.where(np.isposinf(target),
+                               (last >= 1e6) | np.isposinf(last),
+                               (last <= -1e6) | np.isneginf(last)))
+        if not np.all(ok):
+            return _witness(x, "limit misses beta(X)",
+                            got=last.tolist(), want=target.tolist())
+
+    run_trials(rep, "continuity_from_below", trials, rng_seed, 5, continuity_from_below)
 
     # 5. locality: 1_B beta(X) = 1_B beta(X 1_B)
-    res = CheckResult("locality", True, trials=trials)
-    for k in range(trials):
-        rng = derived_rng(rng_seed, 6, k)
+    def locality(rng, k):
         x = sampler(rng)
         mask = sample_event(space, t, rng)
         lhs = raw(x)
         rhs = raw(x.restrict(mask))
         bad = mask.flags & ~close_or_both_inf(lhs, rhs, tol)
         if np.any(bad):
-            res.passed, res.failures = False, res.failures + 1
-            if res.witness is None:
-                res.witness = _witness(x, "value on B depends on payoffs off B",
-                                       atoms=[space.atom_id(t, int(i))
-                                              for i in np.flatnonzero(bad)])
-    rep.add(res)
+            return _witness(x, "value on B depends on payoffs off B",
+                            atoms=[space.atom_id(t, int(i)) for i in np.flatnonzero(bad)])
+
+    run_trials(rep, "locality", trials, rng_seed, 6, locality)
 
     # 6. stage-measurable acceptance sets are uniformly bounded below
-    res = CheckResult("acceptance_lower_bound", True, trials=trials)
     thresholds = {}
     n_atoms = space.n_atoms(t)
+
+    def scalar_beta(c):
+        return m.values(space, t, c[space.atom_index[t]])
+
+    def acceptance_lower_bound(rng, k):
+        xi = sample_tvar(space, t, rng, low=-6.0, high=6.0)
+        beta_xi = raw(xi.promote())
+        for z, floor in thresholds.items():
+            if np.any((beta_xi >= z) & (xi.values < floor - 1e-8)):
+                return {"note": "accepted stage claim below the floor",
+                        "z": num_to_json(z), "xi": xi.to_json()}
+
     for z in _interior_levels(m.z_d, m.z_u):
-        def scalar_beta(c):
-            return m.values(space, t, c[space.atom_index[t]])
         sol = vector_monotone_inf(scalar_beta, np.full(n_atoms, -1.0),
                                   np.full(n_atoms, 1.0), np.full(n_atoms, z))
         if np.any(sol.hit_lower_cap):
-            res.passed = False
-            res.witness = {"note": "no uniform floor for stage claims at this level",
-                           "z": num_to_json(z)}
+            rep.add(CheckResult("acceptance_lower_bound", False, trials=trials,
+                                witness={"note": "no uniform floor for stage claims "
+                                                 "at this level",
+                                         "z": num_to_json(z)}))
             break
         thresholds[z] = sol.values
-    if res.passed:
-        zs = list(thresholds)
-        for k in range(trials):
-            rng = derived_rng(rng_seed, 7, k)
-            xi = sample_tvar(space, t, rng, low=-6.0, high=6.0)
-            beta_xi = raw(xi.promote())
-            for z in zs:
-                accepted = beta_xi >= z
-                bad = accepted & (xi.values < thresholds[z] - 1e-8)
-                if np.any(bad):
-                    res.passed, res.failures = False, res.failures + 1
-                    if res.witness is None:
-                        res.witness = {"note": "accepted stage claim below the floor",
-                                       "z": num_to_json(z), "xi": xi.to_json()}
-                    break
-    rep.add(res)
+    else:
+        run_trials(rep, "acceptance_lower_bound", trials, rng_seed, 7,
+                   acceptance_lower_bound)
     return rep
 
 
@@ -857,25 +842,21 @@ def check_scale_invariance(m: PerformanceMeasure, space: FilteredSpace, t: int,
     rep = Report(title=f"scale_invariance[{m.label()}] t={t}", seed=rng_seed,
                  meta={"space": space.name or "", "declared": m.scale_invariant})
 
-    res = CheckResult("positive_scaling", True, trials=trials)
-    for k in range(trials):
-        rng = derived_rng(rng_seed, 11, k)
+    def positive_scaling(rng, k):
         x = sample_xvar(space, rng)
         c = float(np.exp(rng.uniform(np.log(0.01), np.log(100.0))))
         a, b = raw(x), raw(XVar(space, c * x.values, validate=False))
         if not np.all(close_or_both_inf(a, b, tol)):
-            res.passed, res.failures = False, res.failures + 1
-            if res.witness is None:
-                res.witness = _witness(x, "beta(cX) differs from beta(X)", c=c,
-                                       beta_x=[num_to_json(v) for v in a],
-                                       beta_cx=[num_to_json(v) for v in b])
-    rep.add(res)
+            return _witness(x, "beta(cX) differs from beta(X)", c=c,
+                            beta_x=[num_to_json(v) for v in a],
+                            beta_cx=[num_to_json(v) for v in b])
 
-    res = CheckResult("two_level_structure", True, trials=trials)
+    run_trials(rep, "positive_scaling", trials, rng_seed, 11, positive_scaling)
+
     beta_one = raw(XVar.constant(space, 1.0))
     beta_zero = raw(XVar.constant(space, 0.0))
-    for k in range(trials):
-        rng = derived_rng(rng_seed, 12, k)
+
+    def two_level_structure(rng, k):
         xi = sample_tvar(space, t, rng, low=-3.0, high=3.0)
         vals = xi.values.copy()
         if rng.random() < 0.3:  # pin an exact zero to exercise the xi <= 0 branch
@@ -883,10 +864,9 @@ def check_scale_invariance(m: PerformanceMeasure, space: FilteredSpace, t: int,
         got = raw(TVar(space, t, vals).promote())
         want = np.where(vals > 0.0, beta_one, beta_zero)
         if not np.all(close_or_both_inf(got, want, tol)):
-            res.passed, res.failures = False, res.failures + 1
-            if res.witness is None:
-                res.witness = {"note": "stage claim value escapes {beta(1), beta(0)}",
-                               "xi": [num_to_json(v) for v in vals],
-                               "got": [num_to_json(v) for v in got]}
-    rep.add(res)
+            return {"note": "stage claim value escapes {beta(1), beta(0)}",
+                    "xi": [num_to_json(v) for v in vals],
+                    "got": [num_to_json(v) for v in got]}
+
+    run_trials(rep, "two_level_structure", trials, rng_seed, 12, two_level_structure)
     return rep

@@ -1,8 +1,14 @@
-"""Check results and reports shared by the axiom, family, and consistency checkers."""
+"""Check results and reports shared by the axiom, family, and consistency checkers,
+and the seeded trial runner behind the randomized ones."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
+
+import numpy as np
+
+from .util import derived_rng
 
 
 @dataclass
@@ -69,3 +75,21 @@ class Report:
             extra = f" ({r.note})" if r.note else ""
             lines.append(f"[{status}] {self.title}: {r.name}{extra}")
         return lines
+
+
+def run_trials(rep: Report, name: str, n: int, seed: int, key: int,
+               probe: Callable[[np.random.Generator, int], dict | None]) -> CheckResult:
+    """Run n seeded trials of one property and add the outcome to rep.
+
+    Trial k calls probe(derived_rng(seed, key, k), k), so a shorter run checks a prefix
+    of a longer one.  The probe returns None when the trial passes and a witness dict
+    when it fails; the result counts the failures and keeps the first witness.
+    """
+    res = CheckResult(name, True, trials=n)
+    for k in range(n):
+        witness = probe(derived_rng(seed, key, k), k)
+        if witness is not None:
+            res.passed, res.failures = False, res.failures + 1
+            if res.witness is None:
+                res.witness = witness
+    return rep.add(res)

@@ -38,10 +38,9 @@ import numpy as np
 from .lattice import (INF, FilteredSpace, TVar, XVar, atom_expect, num_to_json,
                       sample_event, sample_tvar, sample_xvar)
 from .measures import PerformanceMeasure, _resolve_stage_param
-from .report import CheckResult, Report
+from .report import CheckResult, Report, run_trials
 from .simplex import solve_lp
 from .solvers import BracketError, group_logsumexp, vector_monotone_inf
-from .util import derived_rng
 
 TOL_C = 1e-10   # capital tolerance for the per-atom bisection
 TOL_Z = 1e-8    # level tolerance (in atan coordinates) for reconstruction
@@ -426,21 +425,17 @@ def validate_standard_family(f: StandardFamily, space: FilteredSpace, t: int,
         return float(zs[rng.integers(zs.size)])
 
     # a.1 finite values on bounded claims
-    res = CheckResult("finite_on_bounded_claims", True, trials=trials)
-    for k in range(trials):
-        rng = derived_rng(rng_seed, 21, k)
+    def finite_on_bounded_claims(rng, k):
         xv = sample_xvar(space, rng)
         vals = np.asarray(f.raw(rand_z(rng), t, xv), dtype=float)
         if not np.all(np.isfinite(vals)):
-            res.passed, res.failures = False, res.failures + 1
-            if res.witness is None:
-                res.witness = {"X": xv.to_json(), "rho": [num_to_json(v) for v in vals]}
-    rep.add(res)
+            return {"X": xv.to_json(), "rho": [num_to_json(v) for v in vals]}
+
+    run_trials(rep, "finite_on_bounded_claims", trials, rng_seed, 21,
+               finite_on_bounded_claims)
 
     # a.2 convexity
-    res = CheckResult("convexity", True, trials=trials)
-    for k in range(trials):
-        rng = derived_rng(rng_seed, 22, k)
+    def convexity(rng, k):
         xv, yv = sample_xvar(space, rng), sample_xvar(space, rng)
         c = float(rng.uniform())
         z = rand_z(rng)
@@ -449,16 +444,12 @@ def validate_standard_family(f: StandardFamily, space: FilteredSpace, t: int,
         rhs = c * np.asarray(f.raw(z, t, xv), dtype=float) + \
             (1.0 - c) * np.asarray(f.raw(z, t, yv), dtype=float)
         if np.any(lhs > rhs + 1e-8):
-            res.passed, res.failures = False, res.failures + 1
-            if res.witness is None:
-                res.witness = {"X": xv.to_json(), "Y": yv.to_json(), "c": c,
-                               "z": num_to_json(z)}
-    rep.add(res)
+            return {"X": xv.to_json(), "Y": yv.to_json(), "c": c, "z": num_to_json(z)}
+
+    run_trials(rep, "convexity", trials, rng_seed, 22, convexity)
 
     # a.3 monotone nonincreasing
-    res = CheckResult("monotone_nonincreasing", True, trials=trials)
-    for k in range(trials):
-        rng = derived_rng(rng_seed, 23, k)
+    def monotone_nonincreasing(rng, k):
         xv = sample_xvar(space, rng)
         bump = rng.uniform(0.0, 2.0, size=space.n_leaves)
         z = rand_z(rng)
@@ -466,48 +457,40 @@ def validate_standard_family(f: StandardFamily, space: FilteredSpace, t: int,
         hi = np.asarray(f.raw(z, t, XVar(space, xv.values + bump, validate=False)),
                         dtype=float)
         if np.any(hi > lo + tol):
-            res.passed, res.failures = False, res.failures + 1
-            if res.witness is None:
-                res.witness = {"X": xv.to_json(), "z": num_to_json(z)}
-    rep.add(res)
+            return {"X": xv.to_json(), "z": num_to_json(z)}
+
+    run_trials(rep, "monotone_nonincreasing", trials, rng_seed, 23,
+               monotone_nonincreasing)
 
     # a.4 translation invariance
-    res = CheckResult("translation_invariance", True, trials=trials)
-    for k in range(trials):
-        rng = derived_rng(rng_seed, 24, k)
+    def translation_invariance(rng, k):
         xv = sample_xvar(space, rng)
         xi = sample_tvar(space, t, rng)
         z = rand_z(rng)
         base = np.asarray(f.raw(z, t, xv), dtype=float)
         shifted = np.asarray(f.raw(z, t, xv + xi), dtype=float)
         if np.any(np.abs(shifted - (base - xi.values)) > tol):
-            res.passed, res.failures = False, res.failures + 1
-            if res.witness is None:
-                res.witness = {"X": xv.to_json(), "xi": xi.to_json(),
-                               "z": num_to_json(z)}
-    rep.add(res)
+            return {"X": xv.to_json(), "xi": xi.to_json(), "z": num_to_json(z)}
+
+    run_trials(rep, "translation_invariance", trials, rng_seed, 24,
+               translation_invariance)
 
     # a.5 locality
-    res = CheckResult("locality", True, trials=trials)
-    for k in range(trials):
-        rng = derived_rng(rng_seed, 25, k)
+    def locality(rng, k):
         xv = sample_xvar(space, rng)
         mask = sample_event(space, t, rng)
         z = rand_z(rng)
         lhs = np.asarray(f.raw(z, t, xv), dtype=float)
         rhs = np.asarray(f.raw(z, t, xv.restrict(mask)), dtype=float)
-        bad = mask.flags & (np.abs(lhs - rhs) > tol)
-        if np.any(bad):
-            res.passed, res.failures = False, res.failures + 1
-            if res.witness is None:
-                res.witness = {"X": xv.to_json(), "z": num_to_json(z)}
-    rep.add(res)
+        if np.any(mask.flags & (np.abs(lhs - rhs) > tol)):
+            return {"X": xv.to_json(), "z": num_to_json(z)}
+
+    run_trials(rep, "locality", trials, rng_seed, 25, locality)
 
     # a.6 continuity from below: rho(X - delta) decreases to rho(X)
-    res = CheckResult("continuity_from_below", True, trials=max(10, trials // 2))
     deltas = [2.0 ** -e for e in (0, 4, 8, 16, 24, 32, 40)]
-    for k in range(res.trials):
-        rng = derived_rng(rng_seed, 26, k)
+
+    def continuity_from_below(rng, k):
         xv = sample_xvar(space, rng, inf_prob=0.05 if k % 3 == 0 else 0.0)
         z = rand_z(rng)
         target = np.asarray(f.raw(z, t, xv), dtype=float)
@@ -519,32 +502,31 @@ def validate_standard_family(f: StandardFamily, space: FilteredSpace, t: int,
         lim_ok = np.all(np.where(np.isfinite(target), close,
                                  seq[-1] <= -1e6))
         if not (mono_ok and lim_ok):
-            res.passed, res.failures = False, res.failures + 1
-            if res.witness is None:
-                res.witness = {"X": xv.to_json(), "z": num_to_json(z)}
-    rep.add(res)
+            return {"X": xv.to_json(), "z": num_to_json(z)}
+
+    run_trials(rep, "continuity_from_below", max(10, trials // 2), rng_seed, 26,
+               continuity_from_below)
 
     # b) per-atom paths nondecreasing and continuous in the level
-    res = CheckResult("z_paths_monotone", True, trials=max(10, trials // 2))
-    worst = None
-    for k in range(res.trials):
-        rng = derived_rng(rng_seed, 27, k)
+    worst = None  # (gap, z_lo, z_hi, X, atom) of the widest sampled increment
+
+    def z_paths_monotone(rng, k):
+        nonlocal worst
         xv = sample_xvar(space, rng)
         mat = np.vstack([np.asarray(f.raw(float(z), t, xv), dtype=float) for z in zs])
-        if np.any(np.diff(mat, axis=0) < -tol):
-            res.passed, res.failures = False, res.failures + 1
-            if res.witness is None:
-                j, a = map(int, np.argwhere(np.diff(mat, axis=0) < -tol)[0])
-                res.witness = {"X": xv.to_json(), "z_lo": num_to_json(float(zs[j])),
-                               "z_hi": num_to_json(float(zs[j + 1])),
-                               "atom": space.atom_id(t, a)}
         gaps = np.abs(np.diff(mat, axis=0))
         j, a = np.unravel_index(int(np.argmax(gaps)), gaps.shape)
         if worst is None or gaps[j, a] > worst[0]:
             worst = (float(gaps[j, a]), float(zs[j]), float(zs[j + 1]), xv, int(a))
-    rep.add(res)
+        drops = np.argwhere(np.diff(mat, axis=0) < -tol)
+        if drops.size:
+            j, a = map(int, drops[0])
+            return {"X": xv.to_json(), "z_lo": num_to_json(float(zs[j])),
+                    "z_hi": num_to_json(float(zs[j + 1])), "atom": space.atom_id(t, a)}
 
-    res = CheckResult("z_paths_continuous", True, trials=1)
+    run_trials(rep, "z_paths_monotone", max(10, trials // 2), rng_seed, 27,
+               z_paths_monotone)
+
     if worst is not None and worst[0] > 1e-6:
         gap0, lo, hi, xv, a = worst
         for _ in range(2):  # refine the worst interval; a genuine jump will not shrink
@@ -557,14 +539,14 @@ def validate_standard_family(f: StandardFamily, space: FilteredSpace, t: int,
             else:
                 lo = mid
         sub = max(abs(v_mid - v_lo), abs(v_hi - v_mid))
-        if sub > 0.7 * gap0 + 1e-7:
-            res.passed = False
-            res.witness = {"X": xv.to_json(), "atom": space.atom_id(t, a),
-                           "bracket": [num_to_json(lo), num_to_json(hi)],
-                           "jump": num_to_json(sub)}
+        jump = sub > 0.7 * gap0 + 1e-7
+        rep.add(CheckResult("z_paths_continuous", not jump, trials=1, witness={
+            "X": xv.to_json(), "atom": space.atom_id(t, a),
+            "bracket": [num_to_json(lo), num_to_json(hi)],
+            "jump": num_to_json(sub)} if jump else None))
     else:
-        res.note = "all sampled increments already below 1e-6"
-    rep.add(res)
+        rep.add(CheckResult("z_paths_continuous", True, trials=1,
+                            note="all sampled increments already below 1e-6"))
 
     # c) divergence of rho(0) when the interval is unbounded below
     ok, note = _lower_divergence(space, t, f.interval, f.raw, f.zero_log_level)
@@ -572,22 +554,23 @@ def validate_standard_family(f: StandardFamily, space: FilteredSpace, t: int,
                         trials=1, failures=0 if ok in (True, None) else 1, note=note))
 
     # coherence detection (informational): rho(kX) = k rho(X)
-    res = CheckResult("coherence", True, trials=min(trials, 30))
     homogeneous = True
-    for k in range(res.trials):
-        rng = derived_rng(rng_seed, 28, k)
+
+    def coherence(rng, k):
+        nonlocal homogeneous
+        if not homogeneous:  # one counterexample settles it
+            return
         xv = sample_xvar(space, rng)
         c = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
         z = rand_z(rng)
         a = np.asarray(f.raw(z, t, XVar(space, c * xv.values, validate=False)),
                        dtype=float)
         b = c * np.asarray(f.raw(z, t, xv), dtype=float)
-        if np.any(np.abs(a - b) > 1e-7 * max(1.0, c)):
-            homogeneous = False
-            break
+        homogeneous = not np.any(np.abs(a - b) > 1e-7 * max(1.0, c))
+
+    res = run_trials(rep, "coherence", min(trials, 30), rng_seed, 28, coherence)
     res.note = ("positive homogeneity detected: coherent levels"
                 if homogeneous else "convex but not positively homogeneous")
-    rep.add(res)
     return rep
 
 
@@ -815,43 +798,37 @@ def closure_check(m: PerformanceMeasure, t: int, z: float, trials: int = 40,
     if sampler is None:
         sampler = lambda rng: sample_xvar(space, rng)
 
-    res = CheckResult("interior_shift", True, trials=trials)
     inv_ns = [1.0 / n for n in (1, 4, 16, 64, 256)]
-    for k in range(trials):
-        rng = derived_rng(rng_seed, 31, k)
+
+    def interior_shift(rng, k):
         xv = sampler(rng)
         rho = _induce_raw(m, t, z, xv)[0]
         if np.any(np.isneginf(rho)):
-            continue
+            return
         y = xv + TVar(space, t, rho)  # boundary claim: rho(Y) = 0
         rho_y = _induce_raw(m, t, z, y)[0]
         shifted = [_induce_raw(m, t, z, y + inv)[0] for inv in inv_ns]
         strict = all(np.all(s < 0.0) for s in shifted)
         back = np.all(np.abs(shifted[-1] - rho_y) <= 1e-6 + inv_ns[-1])
         if not (strict and back and np.all(np.abs(rho_y) <= 1e-8)):
-            res.passed, res.failures = False, res.failures + 1
-            if res.witness is None:
-                res.witness = {"X": xv.to_json(),
-                               "rho_y": [num_to_json(v) for v in rho_y]}
-    rep.add(res)
+            return {"X": xv.to_json(), "rho_y": [num_to_json(v) for v in rho_y]}
 
-    res = CheckResult("limits_stay_in_closed_set", True, trials=trials)
-    for k in range(trials):
-        rng = derived_rng(rng_seed, 32, k)
+    run_trials(rep, "interior_shift", trials, rng_seed, 31, interior_shift)
+
+    def limits_stay_in_closed_set(rng, k):
         xv = sampler(rng)
         rho = _induce_raw(m, t, z, xv)[0]
         if np.any(np.isneginf(rho)):
-            continue
+            return
         y = xv + TVar(space, t, rho)  # limit of the interior sequence y + 1/n
         seq_ok = all(np.all(_induce_raw(m, t, z, y + 1.0 / n)[0] < 0.0)
                      for n in (2, 8, 32))
         lim = _induce_raw(m, t, z, y)[0]
         if not (seq_ok and np.all(lim <= 1e-9)):
-            res.passed, res.failures = False, res.failures + 1
-            if res.witness is None:
-                res.witness = {"X": xv.to_json(), "rho_limit": [num_to_json(v)
-                                                                for v in lim]}
-    rep.add(res)
+            return {"X": xv.to_json(), "rho_limit": [num_to_json(v) for v in lim]}
+
+    run_trials(rep, "limits_stay_in_closed_set", trials, rng_seed, 32,
+               limits_stay_in_closed_set)
 
     zero = XVar.constant(space, 0.0)
     rho0 = _induce_raw(m, t, z, zero)[0]

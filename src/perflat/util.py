@@ -1,9 +1,6 @@
-"""Deterministic seeding and optional worker-pool parallelism."""
+"""Deterministic seeding and the serial task map."""
 
 from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -11,29 +8,17 @@ import numpy as np
 def derived_rng(seed: int, *keys: int) -> np.random.Generator:
     """Generator derived from a root seed and integer keys.
 
-    Stable across runs and independent of scheduling order, so per-trial streams can be
-    fanned out to workers without losing reproducibility.
+    Stable across runs and independent of evaluation order, so trial k of a property
+    draws the same stream however many trials run.
     """
     return np.random.default_rng([int(seed)] + [int(k) for k in keys])
 
 
-def thread_budget() -> int:
-    raw = os.environ.get("PERFLAT_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def task_map(fn, items):
-    """Map fn over items, in a thread pool when PERFLAT_THREADS > 1.
+    """Map fn over items, in order.
 
-    Results keep the order of ``items``; callers pass pre-derived seeds so output is
-    identical either way.
+    A plain loop, kept as a named function because ``benchmarks/tracer.py`` hooks
+    ``perflat.util.task_map`` by name to time the search restarts; its ``--trace 1``
+    run raises AttributeError without it.
     """
-    n = thread_budget()
-    items = list(items)
-    if n <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+    return [fn(it) for it in items]

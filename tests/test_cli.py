@@ -93,6 +93,13 @@ def test_bad_tolerance_rejected(files, capsys):
     assert "tolerance" in capsys.readouterr().out
 
 
+def test_unread_tolerance_flags_are_usage_errors(files, capsys):
+    # check-axioms reads no tolerance, so the flag does not exist there
+    assert main(["check-axioms", "--measure", files["glr"], "--space",
+                 files["space"], "--t", "0", "--tol-z", "1e-8"]) == 2
+    capsys.readouterr()
+
+
 def test_artifacts_are_byte_identical(files, capsys):
     out1 = files["dir"] / "a1.json"
     out2 = files["dir"] / "a2.json"

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from perflat import (INF, DividendProcess, DynamicMeasure,
+from perflat import (INF, CustomMeasure, DividendProcess, DynamicMeasure,
                      ExponentialUtilityMeasure, GainLossRatio, TVar, XVar,
-                     binomial_tree, check_lift_axioms,
+                     atom_expect, binomial_tree, check_lift_axioms,
                      check_lift_time_consistency, evaluate, lift_evaluate,
                      lpm_ratio, sample_dividend)
 from perflat.util import derived_rng
@@ -100,6 +100,27 @@ def test_lift_axiom_entry_names(tree2):
             "monotonicity", "strict_shift", "quasi_concavity",
             "timing_invariance", "aggregation_identity",
             "terminal_round_trip"} <= names
+
+
+def test_lift_axioms_flag_a_broken_measure(tree2):
+    # decreasing in the payoff, so it sits at the wrong end of its bounds too
+    falling = CustomMeasure(lambda space, t, v: -np.arctan(atom_expect(space, t, v)),
+                            z_d=-np.pi / 2, z_u=np.pi / 2, kind="falling")
+    rep = check_lift_axioms(falling, tree2, trials=30, rng_seed=10)
+    failed = {r.name: r for r in rep.results if r.passed is False}
+    assert set(failed) == {"upper_bound_attained", "lower_bound_approached",
+                           "monotonicity", "strict_shift"}
+    assert (failed["upper_bound_attained"].failures,
+            failed["lower_bound_approached"].failures) == (3, 3)
+    mono = failed["monotonicity"]
+    assert mono.trials == 30 and 0 < mono.failures < 30
+    assert mono.witness["note"] == "larger payments lowered the value"
+    t = mono.witness["stage"]
+    d1 = DividendProcess.from_json(mono.witness["D"], tree2)
+    d2 = DividendProcess.from_json(mono.witness["D2"], tree2)
+    assert np.any(lift_evaluate(falling, t, d2).values
+                  < lift_evaluate(falling, t, d1).values)
+    assert failed["strict_shift"].failures == 30
 
 
 def test_scale_invariance_skipped_for_exp(tree2):

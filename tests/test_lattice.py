@@ -157,6 +157,17 @@ def test_xvar_scalar_addition_allows_plus_inf(space2):
     assert (INF + x).values.tolist() == [INF, INF]
 
 
+def test_xvar_plus_stage_variable_rejects_minus_inf(space2, tree2):
+    # risk values (kind "ba") may hold -inf; adding one back must not leave a claim
+    # unbounded below
+    with pytest.raises(ValueError, match="bounded below"):
+        XVar(space2, [1.0, -1.0]) + TVar(space2, 0, [-INF], kind="ba")
+    with pytest.raises(ValueError, match="bounded below"):
+        XVar.constant(tree2, 0.0) + TVar(tree2, 1, [2.0, -INF], kind="ba")
+    x = XVar(space2, [INF, -1.0]) + TVar(space2, 0, [2.0], kind="ba")
+    assert x.values.tolist() == [INF, 1.0]
+
+
 def test_tvar_kinds(space2):
     with pytest.raises(ValueError):
         TVar(space2, 0, [-INF], kind="bb")
