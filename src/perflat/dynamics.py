@@ -533,12 +533,12 @@ def _ratio_feasible(space: FilteredSpace, r: int, z: float,
     measure does not charge at all is feasible by convention (it never
     enters a conditional expectation under that measure).
     """
-    out = np.zeros(space.n_atoms(r), dtype=bool)
-    for k in range(space.n_atoms(r)):
-        g = density[space.atom_index[r] == k]
-        hi, lo = float(g.max()), float(g.min())
-        out[k] = hi <= 0.0 or hi <= (1.0 + z) * lo * (1.0 + 1e-9) + 1e-12
-    return out
+    idx = space.atom_index[r]
+    hi = np.full(space.n_atoms(r), -INF)
+    lo = np.full(space.n_atoms(r), INF)
+    np.maximum.at(hi, idx, density)
+    np.minimum.at(lo, idx, density)
+    return (hi <= 0.0) | (hi <= (1.0 + z) * lo * (1.0 + 1e-9) + 1e-12)
 
 
 def check_penalty_inequality_coherent(d: DynamicMeasure | PerformanceMeasure | None = None,

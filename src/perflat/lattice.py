@@ -155,16 +155,17 @@ class FilteredSpace:
         self.atoms = []
         self.atom_index = []
         for t, stage_atoms in enumerate(atoms_by_stage):
-            atoms_t = [tuple(sorted(int(i) for i in a)) for a in stage_atoms]
+            atoms_t = [tuple(sorted(map(int, a))) for a in stage_atoms]
             seen = [i for a in atoms_t for i in a]
             if sorted(seen) != list(range(n)):
                 raise ValueError(f"stage {t} atoms are not a partition of the leaves")
-            idx = np.empty(n, dtype=np.intp)
+            index = [0] * n
             for k, a in enumerate(atoms_t):
                 if not a:
                     raise ValueError(f"stage {t} has an empty atom")
                 for i in a:
-                    idx[i] = k
+                    index[i] = k
+            idx = np.array(index, dtype=np.intp)
             idx.setflags(write=False)
             self.atoms.append(tuple(atoms_t))
             self.atom_index.append(idx)
@@ -176,7 +177,7 @@ class FilteredSpace:
             raise ValueError("terminal partition must consist of singletons")
         for t in range(1, len(self.times)):
             # refinement: every stage-t atom sits inside one stage-(t-1) atom
-            coarse = self.atom_index[t - 1]
+            coarse = self.atom_index[t - 1].tolist()  # Python ints, not numpy scalars
             for a in self.atoms[t]:
                 if len({coarse[i] for i in a}) != 1:
                     raise ValueError(f"stage {t} does not refine stage {t - 1}")
@@ -339,6 +340,11 @@ class XVar:
             return self - other.promote()
         return XVar(self.space, ext_sub(self.values, float(other)))
 
+    def __rsub__(self, other):
+        if isinstance(other, TVar):
+            return other.promote() - self  # the XVar constructor rejects -inf
+        return NotImplemented
+
     def __mul__(self, c):
         c = float(c)
         if c < 0 and np.any(np.isposinf(self.values)):
@@ -441,6 +447,8 @@ class TVar:
                 raise ValueError("stage mismatch")
             return TVar(self.space, self.stage, ext_add(self.values, other.values),
                         kind=None)
+        if isinstance(other, XVar):
+            return NotImplemented  # XVar.__radd__ adds leafwise and checks -inf
         return TVar(self.space, self.stage, ext_add(self.values, float(other)),
                     kind=None)
 
@@ -451,6 +459,8 @@ class TVar:
                 raise ValueError("stage mismatch")
             return TVar(self.space, self.stage, ext_sub(self.values, other.values),
                         kind=None)
+        if isinstance(other, XVar):
+            return NotImplemented  # XVar.__rsub__
         return TVar(self.space, self.stage, ext_sub(self.values, float(other)),
                     kind=None)
 
@@ -532,6 +542,18 @@ def atom_expect(space: FilteredSpace, t: int, leaf_values: np.ndarray,
     return tot / mass
 
 
+def loss_order(space: FilteredSpace, t: int, loss: np.ndarray):
+    """Leaves by stage-t atom, each atom's leaves by descending loss.
+
+    Returns the leaf order, the atom of each sorted leaf and the position where each
+    atom's run of leaves starts (every atom has a leaf).
+    """
+    idx = space.atom_index[t]
+    order = np.lexsort((-loss, idx))
+    atom = idx[order]
+    return order, atom, np.searchsorted(atom, np.arange(space.n_atoms(t)))
+
+
 def cond_expect(x: XVar, t: int, weights: np.ndarray | None = None) -> TVar:
     """E[X | F_t], optionally under another measure given by per-leaf weights.
 
@@ -586,21 +608,16 @@ def binomial_tree(steps: int, p: float = 0.5, name: str | None = None) -> Filter
     """Recombining-label binomial tree with 2**steps leaves (paths, not nodes)."""
     if steps < 1:
         raise ValueError("need at least one step")
+    # Each doubling appends one move, u before d, so a leaf's probability is the
+    # product of its moves taken in path order and a stage-t atom is a block of
+    # 2**(steps - t) consecutive leaves.
+    leaf_ids, probs = [""], [1.0]
+    for _ in range(steps):
+        leaf_ids = [s + ch for s in leaf_ids for ch in "ud"]
+        probs = [q * w for q in probs for w in (p, 1.0 - p)]
     n = 2 ** steps
-    leaf_ids = ["".join("ud"[(i >> (steps - 1 - b)) & 1] for b in range(steps))
-                for i in range(n)]
-    probs = []
-    for s in leaf_ids:
-        q = 1.0
-        for ch in s:
-            q *= p if ch == "u" else (1.0 - p)
-        probs.append(q)
-    atoms_by_stage = []
-    for t in range(steps + 1):
-        groups: dict[str, list[int]] = {}
-        for i, s in enumerate(leaf_ids):
-            groups.setdefault(s[:t], []).append(i)
-        atoms_by_stage.append(list(groups.values()))
+    atoms_by_stage = [[range(k, k + (n >> t)) for k in range(0, n, n >> t)]
+                      for t in range(steps + 1)]
     return FilteredSpace(list(range(steps + 1)), leaf_ids, probs, atoms_by_stage,
                          name=name or f"binomial{steps}")
 

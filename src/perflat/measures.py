@@ -21,8 +21,8 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .lattice import (INF, FilteredSpace, TVar, XVar, atom_expect,
-                      close_or_both_inf, num_from_json, num_to_json, sample_event,
-                      sample_tvar, sample_xvar)
+                      close_or_both_inf, loss_order, num_from_json, num_to_json,
+                      sample_event, sample_tvar, sample_xvar)
 from .report import CheckResult, Report, run_trials
 from .solvers import vector_monotone_inf
 
@@ -445,6 +445,14 @@ class AVaRTruncDenominator:
 
     AVaR at level a is the largest E^Q[-X | F_t] over densities capped at 1/a that
     agree with P on F_t; on an atom that is the mean of the worst a-tail of losses.
+    With the atom's losses L_1 >= L_2 >= ... , their conditional weights w_j and
+    W_j = w_1 + ... + w_(j-1) the weight of the larger losses,
+
+        AVaR_a = (1/a) sum_j L_j min(w_j, (a - W_j)^+)
+
+    (Acerbi and Tasche 2002), so one sort and one prefix sum serve every atom.
+    A level left at or below 1e-15 takes nothing more, and a leaf outside the tail
+    contributes 0 even when its loss is -inf (a +inf gain).
     """
 
     level: object = 0.5  # scalar, TVar, or {stage: per-atom array}
@@ -460,24 +468,20 @@ class AVaRTruncDenominator:
     def risk_values(self, space, t, leaf_values):
         lv = self.level_at(space, t)
         losses = -leaf_values  # +inf gains become -inf losses and sort to the tail end
-        out = np.empty(space.n_atoms(t))
-        for k, atom in enumerate(space.atoms[t]):
-            idx = np.fromiter(atom, dtype=np.intp)
-            pbar = space.probs[idx] / space.atom_mass[t][k]
-            order = np.argsort(-losses[idx])
-            lo = losses[idx][order]
-            w = pbar[order]
-            remaining = float(lv[k])
-            acc = 0.0
-            for li, wi in zip(lo, w):
-                take = min(wi, remaining)
-                if take > 0.0:
-                    acc += li * take
-                remaining -= take
-                if remaining <= 1e-15:
-                    break
-            out[k] = acc / lv[k]
-        return out
+        order, atom, starts = loss_order(space, t, losses)
+        w = space.probs[order] / space.atom_mass[t][atom]
+        # Each atom's weights sum to one, so taking one off at its last leaf brings the
+        # running sum back to about zero: an atom's prefix sums keep its own scale
+        # however many atoms come before it.
+        step = w.copy()
+        step[starts[1:] - 1] -= 1.0
+        run = np.concatenate(([0.0], np.cumsum(step)))
+        rest = (lv + run[starts])[atom] - run[:-1]  # level left for each leaf
+        live = rest > 1e-15
+        live[starts] = True  # the largest loss is in the tail at any level
+        take = np.where(live, np.minimum(w, rest), 0.0)
+        tail = np.where(live, losses[order], 0.0) * take
+        return np.bincount(atom, weights=tail, minlength=len(lv)) / lv
 
     def values(self, space, t, leaf_values):
         return np.maximum(self.risk_values(space, t, leaf_values), 0.0)

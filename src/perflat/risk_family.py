@@ -35,8 +35,8 @@ from typing import Callable
 
 import numpy as np
 
-from .lattice import (INF, FilteredSpace, TVar, XVar, atom_expect, num_to_json,
-                      sample_event, sample_tvar, sample_xvar)
+from .lattice import (INF, FilteredSpace, TVar, XVar, atom_expect, loss_order,
+                      num_to_json, sample_event, sample_tvar, sample_xvar)
 from .measures import PerformanceMeasure, _resolve_stage_param
 from .report import CheckResult, Report, run_trials
 from .simplex import solve_lp
@@ -600,14 +600,11 @@ def glr_dual_risk(t: int, z: float, x: XVar) -> RiskPoint:
         raise ValueError("the dual form needs a finite level z > 0")
     if not np.all(np.isfinite(x.values)):
         raise ValueError("the dual form needs a finite-valued claim")
-    idx = space.atom_index[t]
     n = space.n_atoms(t)
     loss = -x.values
     mean = atom_expect(space, t, loss)
-    order = np.lexsort((-loss, idx))  # by atom, then by descending loss
-    atom = idx[order]
+    order, atom, starts = loss_order(space, t, loss)
     pbar = space.probs[order] / space.atom_mass[t][atom]
-    starts = np.searchsorted(atom, np.arange(n))  # every atom has a leaf
 
     def within_atom_cumsum(v):
         run = np.cumsum(v)

@@ -1,4 +1,4 @@
-"""Monotone inversion by bracket expansion and bisection, plus small numeric helpers.
+"""Monotone inversion by bracket expansion and bisection, plus a grouped logsumexp.
 
 The main entry point works on vectors: each component has its own bracket and all
 components share one function evaluation per iteration, which is what makes atomwise
@@ -116,21 +116,16 @@ def vector_monotone_inf(g, lo0: np.ndarray, hi0: np.ndarray, target: np.ndarray,
     return InfShiftResult(values=out, hit_lower_cap=capped_below, near_zero=near_zero)
 
 
-def logsumexp(values: np.ndarray) -> float:
-    """log(sum(exp(values))) without overflow; handles -inf entries, empty is -inf."""
-    v = np.asarray(values, dtype=float)
-    if v.size == 0:
-        return -math.inf
-    m = v.max()
-    if not np.isfinite(m):
-        return float(m)
-    with np.errstate(under="ignore"):
-        return float(m + np.log(np.exp(v - m).sum()))
-
-
 def group_logsumexp(values: np.ndarray, index: np.ndarray, n_groups: int) -> np.ndarray:
-    """Per-group logsumexp for grouped leaf terms."""
-    out = np.empty(n_groups)
-    for k in range(n_groups):
-        out[k] = logsumexp(values[index == k])
-    return out
+    """Per-group log(sum(exp(values))) without overflow.
+
+    Each group is shifted by its own finite maximum.  A group that is empty or holds
+    only -inf sums to 0 and gives -inf; a group holding +inf sums to +inf.
+    """
+    top = np.full(n_groups, -math.inf)
+    np.maximum.at(top, index, values)
+    shift = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        total = np.bincount(index, weights=np.exp(values - shift[index]),
+                            minlength=n_groups)
+        return shift + np.log(total)

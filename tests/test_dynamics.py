@@ -8,7 +8,8 @@ from perflat import (DynamicMeasure, ExponentialUtilityMeasure, GainLossRatio,
                      TVar, XVar, binomial_tree, check_penalty_inequality_coherent,
                      check_riskaversion_monotone_consistency,
                      check_time_consistency, evaluate, globalize_witness,
-                     lpm_ratio, search_counterexample, verify_witness)
+                     lpm_ratio, random_tree, search_counterexample,
+                     verify_witness)
 from perflat.dynamics import _ratio_feasible
 
 
@@ -155,6 +156,28 @@ def test_symmetric_vertex_is_globally_feasible(tree2):
     symmetric = np.array([2.0 / 3.0, 4.0 / 3.0, 2.0 / 3.0, 4.0 / 3.0])
     assert _ratio_feasible(tree2, 1, 1.0, symmetric).all()
     assert _ratio_feasible(tree2, 0, 1.0, symmetric).all()
+
+
+def _feasible_by_masks(space, r, z, density):
+    """Reference: one boolean mask per F_r-atom."""
+    out = np.zeros(space.n_atoms(r), dtype=bool)
+    for k in range(space.n_atoms(r)):
+        g = density[space.atom_index[r] == k]
+        hi, lo = float(g.max()), float(g.min())
+        out[k] = hi <= 0.0 or hi <= (1.0 + z) * lo * (1.0 + 1e-9) + 1e-12
+    return out
+
+
+def test_ratio_feasible_matches_the_mask_loop():
+    rng = np.random.default_rng(2)
+    for _ in range(100):
+        space = random_tree(rng, periods=int(rng.integers(1, 4)), max_leaves=16)
+        z = float(rng.uniform(0.1, 3.0))
+        density = rng.uniform(0.0, 2.0, space.n_leaves)
+        density[rng.random(space.n_leaves) < 0.3] = 0.0  # uncharged leaves and atoms
+        for r in space.times:
+            assert np.array_equal(_ratio_feasible(space, r, z, density),
+                                  _feasible_by_masks(space, r, z, density))
 
 
 def test_penalty_checker_rejects_other_kinds(tree2):

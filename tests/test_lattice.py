@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -57,6 +59,102 @@ def test_space_rejects_coarse_terminal_stage():
     d["atoms"]["2"] = [["uu", "ud"], ["du"], ["dd"]]
     with pytest.raises(ValueError):
         FilteredSpace.from_json(d)
+
+
+def _tree3_args():
+    """binomial_tree(3) as constructor arguments: times, ids, probs, atoms."""
+    return ([0, 1, 2, 3], ["uuu", "uud", "udu", "udd", "duu", "dud", "ddu", "ddd"],
+            [0.125] * 8,
+            [[list(range(8))], [[0, 1, 2, 3], [4, 5, 6, 7]],
+             [[0, 1], [2, 3], [4, 5], [6, 7]], [[i] for i in range(8)]])
+
+
+def _edit_atoms(t, atoms):
+    def edit(args):
+        args[3][t] = atoms
+    return edit
+
+
+def _edit(pos, value):
+    def edit(args):
+        args[pos] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_edit_atoms(1, [[0, 1, 2, 3], [3, 4, 5, 6, 7]]),
+     "stage 1 atoms are not a partition of the leaves"),  # a leaf in two atoms
+    (_edit_atoms(1, [[0, 1, 2, 3], [4, 5, 6]]),
+     "stage 1 atoms are not a partition of the leaves"),  # a missing leaf
+    (_edit_atoms(1, [[0, 1, 2, 3], [4, 5, 6, 7, 8]]),
+     "stage 1 atoms are not a partition of the leaves"),  # an out-of-range index
+    (_edit_atoms(1, [[0, 1, 2, 3], [], [4, 5, 6, 7]]),
+     "stage 1 has an empty atom"),
+    (_edit_atoms(2, [[0, 1], [2, 4], [3, 5], [6, 7]]),
+     "stage 2 does not refine stage 1"),
+    (_edit_atoms(0, [[0, 1, 2, 3], [4, 5, 6, 7]]),
+     "time-0 partition must be trivial"),
+    (_edit_atoms(3, [[0, 1]] + [[i] for i in range(2, 8)]),
+     "terminal partition must consist of singletons"),
+    (_edit(0, [0, 1, 3, 4]), "times must be 0..T with T >= 1"),
+    (_edit(0, [0, 1, 2]), "need one partition per stage"),
+    (_edit(1, ["a"] * 8), "duplicate leaf ids"),
+    (_edit(2, [0.25] * 4), "probs shape mismatch"),
+], ids=["leaf_in_two_atoms", "missing_leaf", "index_out_of_range", "empty_atom",
+        "not_refining", "nontrivial_start", "coarse_terminal", "bad_times",
+        "partition_count", "duplicate_ids", "probs_shape"])
+def test_space_constructor_rejections(edit, message):
+    args = list(_tree3_args())
+    FilteredSpace(*args)
+    edit(args)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        FilteredSpace(*args)
+
+
+def _binomial_by_paths(steps, p):
+    """binomial_tree by brute force: each leaf probability is the product of its moves
+    taken in order, and a stage-t atom holds the leaves that share a t-move prefix."""
+    ids = ["".join("ud"[(i >> (steps - 1 - b)) & 1] for b in range(steps))
+           for i in range(2 ** steps)]
+    probs = []
+    for s in ids:
+        q = 1.0
+        for ch in s:
+            q *= p if ch == "u" else (1.0 - p)
+        probs.append(q)
+    atoms = []
+    for t in range(steps + 1):
+        groups = {}
+        for i, s in enumerate(ids):
+            groups.setdefault(s[:t], []).append(i)
+        atoms.append(tuple(tuple(a) for a in groups.values()))
+    return ids, probs, atoms
+
+
+# sha256 over to_json and the atom_mass bytes of every tree below
+BINOMIAL_DIGEST = "d36495a3de4b5d3aaa992960b9bcb8db6903ad85421e63dbf0d0f9ae9245938c"
+
+
+def test_binomial_tree_is_pinned():
+    h = hashlib.sha256()
+    for steps in range(1, 13):
+        for p in (0.5, 0.3, 0.61):
+            space = binomial_tree(steps, p)
+            ids, probs, atoms = _binomial_by_paths(steps, p)
+            assert space.leaf_ids == tuple(ids)
+            assert space.probs.tolist() == probs  # bit for bit
+            assert space.atoms == tuple(atoms)
+            for t, stage_atoms in enumerate(atoms):
+                index = np.empty(len(ids), dtype=np.intp)
+                for k, a in enumerate(stage_atoms):
+                    index[list(a)] = k
+                assert np.array_equal(space.atom_index[t], index)
+                mass = np.bincount(index, weights=np.array(probs))
+                assert space.atom_mass[t].tobytes() == mass.tobytes()
+            h.update(dump_json(space.to_json()).encode())
+            for m in space.atom_mass:
+                h.update(m.tobytes())
+    assert h.hexdigest() == BINOMIAL_DIGEST
 
 
 def test_space_json_round_trip():
@@ -166,6 +264,23 @@ def test_xvar_plus_stage_variable_rejects_minus_inf(space2, tree2):
         XVar.constant(tree2, 0.0) + TVar(tree2, 1, [2.0, -INF], kind="ba")
     x = XVar(space2, [INF, -1.0]) + TVar(space2, 0, [2.0], kind="ba")
     assert x.values.tolist() == [INF, 1.0]
+
+
+def test_stage_variable_plus_claim(space2, tree2):
+    xi, x = TVar(space2, 0, [1.0]), XVar(space2, [1.0, 2.0])
+    assert isinstance(xi + x, XVar)
+    assert (xi + x).values.tolist() == (x + xi).values.tolist() == [2.0, 3.0]
+    assert isinstance(xi - x, XVar)
+    assert (xi - x).values.tolist() == [0.0, -1.0]
+    eta = TVar(tree2, 1, [5.0, -2.0])
+    y = XVar(tree2, [1.0, INF, 3.0, -1.0])
+    assert (eta + y).values.tolist() == [6.0, INF, 1.0, -3.0]
+    with pytest.raises(ValueError, match="bounded below"):
+        eta - y  # 5 - inf
+    with pytest.raises(ValueError, match="bounded below"):
+        TVar(space2, 0, [-INF], kind="ba") + x
+    with pytest.raises(ValueError, match="bounded below"):
+        TVar(space2, 0, [-INF], kind="ba") - x
 
 
 def test_tvar_kinds(space2):

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from perflat import (INF, CertaintyEquivalentMeasure, ConditionalExpectation,
                      CustomMeasure, EventMask, ExpectedUtilityMeasure,
-                     ExponentialUtilityMeasure, GainLossRatio, TVar,
-                     UtilitySpec, XVar, binomial_tree, check_axioms,
-                     check_scale_invariance, coin2, evaluate, lpm_ratio,
-                     measure_from_json, paste, raroc, sample_xvar)
+                     ExponentialUtilityMeasure, GainLossRatio,
+                     RewardRiskRatio, TVar, UtilitySpec, XVar, binomial_tree,
+                     check_axioms, check_scale_invariance, coin2, evaluate,
+                     lpm_ratio, measure_from_json, paste, random_tree, raroc,
+                     sample_xvar)
+from perflat.measures import AVaRTruncDenominator
 
 AXIOM_TRIALS = 120
 
@@ -86,6 +88,94 @@ def test_raroc_value(space2):
     x = XVar(space2, [3.0, -1.0])
     # AVaR_0.5 doubles the worst half: E^Q[-X] = 1 at the vertex q=(0,1)
     assert abs(evaluate(m, 0, x).values[0] - 1.0) < 1e-9
+
+
+def _avar_walk(space, t, leaf_values, lv):
+    """Reference AVaR: on each atom, spend the level on the largest losses first."""
+    losses = -leaf_values
+    out = np.empty(space.n_atoms(t))
+    for k, atom in enumerate(space.atoms[t]):
+        idx = np.fromiter(atom, dtype=np.intp)
+        pbar = space.probs[idx] / space.atom_mass[t][k]
+        order = np.argsort(-losses[idx])
+        remaining = float(lv[k])
+        acc = 0.0
+        for li, wi in zip(losses[idx][order], pbar[order]):
+            take = min(wi, remaining)
+            if take > 0.0:
+                acc += li * take
+            remaining -= take
+            if remaining <= 1e-15:
+                break
+        out[k] = acc / lv[k]
+    return out
+
+
+class _WalkAVaR(AVaRTruncDenominator):
+    def risk_values(self, space, t, leaf_values):
+        return _avar_walk(space, t, leaf_values, self.level_at(space, t))
+
+
+def _avar_levels(space, t, x, rng):
+    """A scalar level, random per-atom levels as a TVar and as a dict, and levels
+    that end exactly on a leaf's cumulative weight in its atom's loss order."""
+    n = space.n_atoms(t)
+    on_leaf = rng.uniform(0.02, 0.98, n)
+    for k, atom in enumerate(space.atoms[t]):
+        if len(atom) > 1:
+            idx = np.array(atom)
+            pbar = space.probs[idx] / space.atom_mass[t][k]
+            w = pbar[np.argsort(x.values[idx])]  # largest loss first
+            on_leaf[k] = sum(w[:int(rng.integers(1, len(atom)))].tolist())
+    return [float(rng.uniform(0.02, 0.98)),
+            TVar(space, t, rng.uniform(0.02, 0.98, n)),
+            {t: rng.uniform(0.02, 0.98, n)},
+            {t: on_leaf}]
+
+
+def test_avar_matches_the_tail_walk():
+    rng = np.random.default_rng(11)
+    spaces = [random_tree(rng, periods=int(rng.integers(1, 4)), max_leaves=16)
+              for _ in range(60)] + [binomial_tree(5, 0.3), binomial_tree(3)]
+    for i, space in enumerate(spaces):
+        x = sample_xvar(space, rng, inf_prob=0.25 if i % 2 else 0.0)
+        scale = float(np.max(np.abs(x.values[np.isfinite(x.values)]), initial=1.0))
+        for t in space.times:
+            for level in _avar_levels(space, t, x, rng):
+                got = AVaRTruncDenominator(level).risk_values(space, t, x.values)
+                want = _WalkAVaR(level).risk_values(space, t, x.values)
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+                for flag in (False, True):
+                    m = raroc(level, infinite_when_risk_nonpositive=flag)
+                    ref = RewardRiskRatio(UtilitySpec("linear"), _WalkAVaR(level),
+                                          infinite_when_risk_nonpositive=flag)
+                    np.testing.assert_allclose(evaluate(m, t, x).values,
+                                               evaluate(ref, t, x).values,
+                                               rtol=1e-12, atol=1e-12)
+
+
+def test_avar_precision_does_not_depend_on_the_atom_count():
+    # 16384 atoms of 4 leaves: prefix sums carried across atoms would reach 16384
+    # and lose about 1e-11 here
+    space = binomial_tree(16, 0.3)
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-4.0, 4.0, space.n_leaves)
+    level = rng.uniform(0.05, 0.95, space.n_atoms(14))
+    got = AVaRTruncDenominator({14: level}).risk_values(space, 14, x)
+    np.testing.assert_allclose(got, _avar_walk(space, 14, x, level), rtol=0, atol=4e-14)
+
+
+def test_avar_hand_values(space2):
+    x = XVar(space2, [INF, -1.0]).values
+    # the level fits inside the finite loss: AVaR_0.5 = 1
+    assert AVaRTruncDenominator(0.5).risk_values(space2, 0, x).tolist() == [1.0]
+    # past it the level reaches the +inf gain: the loss mean is -inf
+    assert AVaRTruncDenominator(0.7).risk_values(space2, 0, x).tolist() == [-INF]
+    assert AVaRTruncDenominator(0.7).values(space2, 0, x).tolist() == [0.0]
+    # a level below the 1e-15 cutoff still takes the largest loss
+    assert AVaRTruncDenominator(1e-16).risk_values(space2, 0, x).tolist() == [1.0]
+    m = raroc(0.7, infinite_when_risk_nonpositive=True)
+    assert evaluate(m, 0, XVar(space2, [INF, -1.0])).values.tolist() == [INF]
 
 
 # ---------------------------------------------------------------------------
