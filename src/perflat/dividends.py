@@ -24,8 +24,8 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from .dynamics import (TIE_BETA, DynamicMeasure, _stage_pairs, _sub_table,
-                       _verify_localized, check_time_consistency, verify_witness)
+from .dynamics import (BETA_MARGIN, DynamicMeasure, _child_min, _make_witness, _scan,
+                       _stage_pairs, check_time_consistency, verify_witness)
 from .lattice import (INF, FilteredSpace, TVar, XVar, close_or_both_inf,
                       ext_add, ext_mul, num_from_json, num_to_json,
                       sample_event, sample_tvar, sample_xvar)
@@ -396,7 +396,6 @@ def check_lift_time_consistency(d: DynamicMeasure, space: FilteredSpace, *,
     levels = var_rep.meta["z_grid"]
     times = list(space.times)
     pairs = _stage_pairs(space)
-    subs_of = _sub_table(space, pairs)
 
     proc_witness = None
     proc_candidates = 0
@@ -406,24 +405,16 @@ def check_lift_time_consistency(d: DynamicMeasure, space: FilteredSpace, *,
         dp = sample_dividend(space, rng, nonnegative_interim=nonnegative_interim)
         aggs = {t: dp.aggregate_from(t) for t in times}
         betas = {t: evaluate(d.measure, t, aggs[t]).values for t in times}
-        for s, t in pairs:
-            for z in levels:
-                for a, sub in enumerate(subs_of[(s, t)]):
-                    bt_min = float(betas[t][sub].min())
-                    bs = float(betas[s][a])
-                    if not (bt_min > z >= bs and min(bt_min - z, z - bs) >= TIE_BETA):
-                        continue
-                    proc_candidates += 1
-                    ok, _ = _verify_localized(d, space, s, t, z, a, aggs[s], aggs[t])
-                    if ok:
-                        proc_verified += 1
-                        if proc_witness is None:
-                            proc_witness = {"D": dp.to_json(), "s": s, "t": t,
-                                            "z": float(z),
-                                            "atom": space.atom_id(s, a),
-                                            "beta_s": bs, "beta_t_min": bt_min,
-                                            "margin": float(min(bt_min - z,
-                                                                z - bs))}
+        for s, t, z, a, bs, bt_min, verdict in _scan(d, space, pairs, levels,
+                                                     aggs, betas):
+            if verdict is None:  # ties carry no verdict
+                continue
+            proc_candidates += 1
+            if verdict[0]:
+                proc_verified += 1
+                if proc_witness is None:
+                    proc_witness = _make_witness(space, s, t, z, a, bs, bt_min,
+                                                 D=dp.to_json())
     proc_verdict = "counterexample" if proc_witness else "consistent-on-sample"
 
     rep.add(CheckResult("variable_level", None, var_rep.samples,
@@ -441,10 +432,9 @@ def check_lift_time_consistency(d: DynamicMeasure, space: FilteredSpace, *,
         dp = DividendProcess.terminal_only(x)
         s, t, z = w["s"], w["t"], w["z"]
         a = space.atom_by_id(s, w["atom"])
-        sub = subs_of[(s, t)][a]
-        bh_t = lift_evaluate(d.measure, t, dp).values
-        bh_s = float(lift_evaluate(d.measure, s, dp).values[a])
-        to_process_ok = bool(np.all(bh_t[sub] > z + 1e-9)) and bh_s <= z - 1e-9
+        bh_t_min = _child_min(space, s, t, lift_evaluate(d.measure, t, dp).values)[a]
+        bh_s = lift_evaluate(d.measure, s, dp).values[a]
+        to_process_ok = bool(bh_t_min > z + BETA_MARGIN and bh_s <= z - BETA_MARGIN)
         rep.add(CheckResult("transport_to_process", to_process_ok, 1,
                             0 if to_process_ok else 1,
                             note="payoff witness re-checked as a single "

@@ -15,13 +15,19 @@ all of its F_t-children sit strictly above.  The checkers here sample
 payoffs, track all three readings, and certify counterexamples by
 re-verification with explicit margins at tightened bisection tolerance.
 "consistent-on-sample" is a sampling verdict, never a proof.
+
+One localized scan (``_scan``) serves payoffs here and dividend streams in
+``dividends``: per stage pair, level and F_s-atom it compares the atom's
+value with the smallest value over its F_t-children (``_child_min``) and
+hands each candidate away from a tie to one verification core, which takes
+the stage values the scan already holds.  A certified violation clears the
+level by BETA_MARGIN on both sides.
 """
 from __future__ import annotations
 
 import json
 import math
-from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,6 +45,8 @@ CRITERIA = ("measure-level", "strict-risk", "weak-risk")
 # of zero (the bisection cannot attest a sign that close to its tolerance)
 TIE_BETA = 1e-6
 TIE_RHO = 10.0 * TOL_C
+# a certified violation keeps the level this far from beta on both sides
+BETA_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -51,7 +59,6 @@ class DynamicMeasure:
     """
 
     measure: PerformanceMeasure
-    label: str = ""
 
     @property
     def interval(self) -> tuple[float, float]:
@@ -64,53 +71,44 @@ class DynamicMeasure:
         return induce_risk(self.measure, t, z, x, tol=tol).values
 
     def name(self) -> str:
-        return self.label or self.measure.label()
+        return self.measure.label()
 
 
 @dataclass
-class ConsistencyReport:
+class ConsistencyReport(Report):
     """Outcome of a sampling-based time-consistency check.
 
     The verdict is "consistent-on-sample" or "counterexample"; only the
     latter is a certificate.  A witness, when present, has re-verified with
-    margins: beta_t > z + 1e-9 on every F_t-child of the named F_s-atom
-    while beta_s <= z - 1e-9 on the atom itself, and the induced risks
+    margins: beta_t > z + BETA_MARGIN on every F_t-child of the named F_s-atom
+    while beta_s <= z - BETA_MARGIN on the atom itself, and the induced risks
     confirm the signs (rho_t < 0 on the children, rho_s > 0 on the atom) at
     bisection tolerance 1e-12.
     """
 
-    verdict: str
-    criteria_checked: tuple = CRITERIA
+    title: str = "time consistency"
+    verdict: str = "consistent-on-sample"
     trials: int = 0
     samples: int = 0
-    seed: int | None = None
     witness: dict | None = None
-    checks: list[CheckResult] = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
 
     @property
     def consistent(self) -> bool:
         return self.verdict == "consistent-on-sample"
 
-    def add(self, result: CheckResult) -> CheckResult:
-        self.checks.append(result)
-        return result
-
+    # older names of result and passed, still called by the benchmark workloads
     def check(self, name: str) -> CheckResult:
-        for r in self.checks:
-            if r.name == name:
-                return r
-        raise KeyError(f"no check named {name!r}")
+        return self.result(name)
 
     def checks_pass(self) -> bool:
-        return all(r.passed is not False for r in self.checks)
+        return self.passed
 
     def to_json(self) -> dict:
         return {"verdict": self.verdict,
-                "criteria": list(self.criteria_checked),
+                "criteria": list(CRITERIA),
                 "trials": self.trials, "samples": self.samples,
                 "seed": self.seed, "witness": jsonable(self.witness),
-                "checks": [r.to_json() for r in self.checks],
+                "checks": [r.to_json() for r in self.results],
                 "meta": jsonable(self.meta)}
 
     def summary_lines(self) -> list[str]:
@@ -120,7 +118,7 @@ class ConsistencyReport:
             w = self.witness
             lines.append(f"witness: s={w['s']} t={w['t']} z={w['z']:.6g} "
                          f"atom={w['atom']} margin={w['margin']:.4g}")
-        for r in self.checks:
+        for r in self.results:
             status = "PASS" if r.passed else "INFO" if r.passed is None else "FAIL"
             extra = f" ({r.note})" if r.note else ""
             lines.append(f"[{status}] {r.name}: {r.failures}/{r.trials}{extra}")
@@ -159,29 +157,29 @@ def _stage_pairs(space: FilteredSpace) -> list[tuple[int, int]]:
     return [(s, t) for i, s in enumerate(ts) for t in ts[i + 1:]]
 
 
-def _sub_table(space: FilteredSpace, pairs) -> dict:
-    table = {}
-    for s, t in pairs:
-        table[(s, t)] = [np.asarray(space.subatoms(s, t, k), dtype=np.intp)
-                         for k in range(space.n_atoms(s))]
-    return table
+def _child_min(space: FilteredSpace, s: int, t: int, values: np.ndarray) -> np.ndarray:
+    """Per F_s-atom, the smallest of the stage-t values over its F_t-children."""
+    out = np.full(space.n_atoms(s), INF)
+    np.minimum.at(out, space.atom_index[s], values[space.atom_index[t]])
+    return out
 
 
-def _make_witness(space: FilteredSpace, x: XVar, s: int, t: int, z: float,
-                  k: int, beta_s: float, beta_t_min: float) -> dict:
-    return {"x": x.to_json(), "s": int(s), "t": int(t), "z": float(z),
+def _make_witness(space: FilteredSpace, s: int, t: int, z: float, k: int,
+                  beta_s: float, beta_t_min: float, **payoff) -> dict:
+    """A localized violation on F_s-atom k; payoff names the claim (x= or D=)."""
+    return {**payoff, "s": int(s), "t": int(t), "z": float(z),
             "atom": space.atom_id(s, k),
             "beta_s": float(beta_s), "beta_t_min": float(beta_t_min),
             "margin": float(min(beta_t_min - z, z - beta_s))}
 
 
 def verify_witness(d: DynamicMeasure, space: FilteredSpace, witness: dict,
-                   x: XVar | None = None, *, beta_margin: float = 1e-9,
+                   x: XVar | None = None, *,
                    risk_tol: float = 1e-12) -> tuple[bool, dict]:
     """Recompute a localized violation with margins and tight bisection.
 
-    Confirms beta_t > z + beta_margin on every F_t-child of the named
-    F_s-atom and beta_s <= z - beta_margin on the atom itself, then checks
+    Confirms beta_t > z + BETA_MARGIN on every F_t-child of the named
+    F_s-atom and beta_s <= z - BETA_MARGIN on the atom itself, then checks
     the matching risk signs (rho_t < 0 on the children, rho_s > 0 on the
     atom) with the bisection tolerance lowered to risk_tol.  Returns the
     pass flag and the recomputed numbers.
@@ -190,31 +188,53 @@ def verify_witness(d: DynamicMeasure, space: FilteredSpace, witness: dict,
     if x is None:
         x = XVar.from_json(witness["x"], space)
     k = space.atom_by_id(s, witness["atom"])
-    return _verify_localized(d, space, s, t, z, k, x, x, beta_margin=beta_margin,
+    bt_min = float(_child_min(space, s, t, d.beta(t, x).values)[k])
+    bs = float(d.beta(s, x).values[k])
+    return _verify_localized(d, space, s, t, z, k, x, x, bs, bt_min,
                              risk_tol=risk_tol)
 
 
 def _verify_localized(d: DynamicMeasure, space: FilteredSpace, s: int, t: int,
-                      z: float, k: int, x_s: XVar, x_t: XVar, *,
-                      beta_margin: float = 1e-9,
+                      z: float, k: int, x_s: XVar, x_t: XVar, beta_s: float,
+                      beta_t_min: float, *,
                       risk_tol: float = 1e-12) -> tuple[bool, dict]:
-    """verify_witness on F_s-atom k, with the stage-s and stage-t payoffs apart.
+    """verify_witness on F_s-atom k, given beta_s on the atom and the smallest
+    beta_t over its children.
 
     A stream is valued at each stage through the aggregate of its payments from that
-    stage on, so the two stages may see different payoffs.
+    stage on, so the two stages may see different payoffs x_s and x_t.
     """
-    subs = np.asarray(space.subatoms(s, t, k), dtype=np.intp)
-    bt = d.beta(t, x_t).values[subs]
-    bs = float(d.beta(s, x_s).values[k])
-    detail = {"beta_t_min": float(bt.min()), "beta_s": bs}
-    ok = bool(np.all(bt > z + beta_margin)) and bs <= z - beta_margin
+    detail = {"beta_t_min": beta_t_min, "beta_s": beta_s}
+    ok = beta_t_min > z + BETA_MARGIN and beta_s <= z - BETA_MARGIN
     if ok:
-        rt = d.risk(t, z, x_t, tol=risk_tol).values[subs]
+        # the largest child risk, as minus the smallest negated one
+        rt_max = -float(_child_min(space, s, t,
+                                   -d.risk(t, z, x_t, tol=risk_tol).values)[k])
         rs = float(d.risk(s, z, x_s, tol=risk_tol).values[k])
-        detail["rho_t_max"] = float(rt.max())
+        detail["rho_t_max"] = rt_max
         detail["rho_s"] = rs
-        ok = bool(np.all(rt < 0.0)) and rs > 0.0
+        ok = rt_max < 0.0 and rs > 0.0
     return ok, detail
+
+
+def _scan(d: DynamicMeasure, space: FilteredSpace, pairs, levels, xs: dict,
+          betas: dict):
+    """The localized candidates of one sample, by stage pair, level and F_s-atom.
+
+    A candidate is an F_s-atom at or below the level whose F_t-children all sit
+    strictly above it.  Yields (s, t, z, k, beta_s, beta_t_min, verdict), where
+    verdict is None for a tie (a gap under TIE_BETA) and otherwise the (ok, detail)
+    of the verification core.  xs maps each stage to the payoff valued there and
+    betas to its values.
+    """
+    for s, t in pairs:
+        bs, bt_min = betas[s], _child_min(space, s, t, betas[t])
+        for z in levels:
+            for k in np.flatnonzero((bt_min > z) & (z >= bs)).tolist():
+                bs_k, bt_k = float(bs[k]), float(bt_min[k])
+                tie = min(bt_k - z, z - bs_k) < TIE_BETA
+                yield s, t, z, k, bs_k, bt_k, None if tie else _verify_localized(
+                    d, space, s, t, z, k, xs[s], xs[t], bs_k, bt_k)
 
 
 def globalize_witness(d: DynamicMeasure, space: FilteredSpace,
@@ -254,10 +274,9 @@ def check_time_consistency(d: DynamicMeasure, space: FilteredSpace,
     (adjacent and transitive alike) and z from the grid.  All three readings
     run on every sample; ties (level gap under 1e-6 or risk within 10*tol_c
     of zero) carry no verdict and are skipped.  Away from ties the readings
-    must agree, and disagreement fails the criteria_agreement entry.  A
-    localized scan per F_s-atom supplies counterexample candidates, accepted
-    only after re-verification; the first accepted witness (in scan order)
-    is reported.
+    must agree, and disagreement fails the criteria_agreement entry.  The
+    localized scan supplies counterexample candidates, accepted only after
+    re-verification; the first accepted witness (in scan order) is reported.
     """
     if space.horizon < 1:
         raise ValueError("need at least two stages")
@@ -269,9 +288,8 @@ def check_time_consistency(d: DynamicMeasure, space: FilteredSpace,
         if not z_d < z < z_u:
             raise ValueError(f"level {z:g} is outside ({z_d:g}, {z_u:g})")
     pairs = _stage_pairs(space)
-    subs_of = _sub_table(space, pairs)
 
-    rep = ConsistencyReport("consistent-on-sample", CRITERIA, trials, 0, rng_seed)
+    rep = ConsistencyReport(seed=rng_seed, trials=trials)
     viol = dict.fromkeys(CRITERIA, 0)
     ties_skipped = 0
     agree_checked = 0
@@ -313,26 +331,19 @@ def check_time_consistency(d: DynamicMeasure, space: FilteredSpace,
                             == (prem[2], concl[2])):
                         agree_failed += 1
 
-                # localized scan: an F_s-atom at or below the level whose
-                # F_t-children all sit strictly above it
-                for k, sub in enumerate(subs_of[(s, t)]):
-                    bt_min = float(bt_all[sub].min())
-                    bs_k = float(bs_all[k])
-                    if not bt_min > z >= bs_k:
-                        continue
-                    cand_total += 1
-                    if min(bt_min - z, z - bs_k) < TIE_BETA:
-                        cand_ties += 1
-                        continue
-                    w = _make_witness(space, x, s, t, z, k, bs_k, bt_min)
-                    ok, detail = verify_witness(d, space, w, x=x)
-                    if ok:
-                        cand_verified += 1
-                        w.update(detail)
-                        if rep.witness is None:
-                            rep.witness = w
-                    else:
-                        cand_rejected += 1
+        for s, t, z, k, bs_k, bt_min, verdict in _scan(
+                d, space, pairs, z_grid, dict.fromkeys(space.times, x), betas):
+            cand_total += 1
+            if verdict is None:
+                cand_ties += 1
+            elif verdict[0]:
+                cand_verified += 1
+                if rep.witness is None:
+                    rep.witness = _make_witness(space, s, t, z, k, bs_k, bt_min,
+                                                x=x.to_json())
+                    rep.witness.update(verdict[1])
+            else:
+                cand_rejected += 1
 
     for c in CRITERIA:
         rep.add(CheckResult(f"eq_tc[{c}]", viol[c] == 0, rep.samples, viol[c]))
@@ -353,31 +364,30 @@ def check_time_consistency(d: DynamicMeasure, space: FilteredSpace,
 
 def search_counterexample(d: DynamicMeasure, space: FilteredSpace,
                           budget: int = 100_000, rng_seed: int = 0, *,
-                          low: float = -4.0, high: float = 4.0,
                           per_restart: int = 300) -> ConsistencyReport:
     """Randomized restarts with coordinate refinement over leaf payoffs.
 
-    Each candidate payoff is scored by the best localized separation it
-    achieves: over all stage pairs and F_s-atoms, place the level at the
-    arctan midpoint between beta_s on the atom and the smallest beta_t over
-    the atom's F_t-children, and take the smaller of the two gaps.  budget
-    counts scored candidates.  Margins under 1e-6 are numerical ties and
-    never accepted; a candidate becomes a counterexample only after
-    re-verification with 1e-9 level margins and risk signs at bisection
-    tolerance 1e-12.  Deterministic for fixed (budget, rng_seed): restarts
-    draw derived seeds, and the best witness wins by (margin, canonical
-    encoding) order regardless of evaluation scheduling.
+    Each restart draws leaf payoffs uniformly from [-4, 4].  Each candidate
+    payoff is scored by the best localized separation it achieves: over all
+    stage pairs and F_s-atoms, place the level at the arctan midpoint between
+    beta_s on the atom and the smallest beta_t over the atom's F_t-children,
+    and take the smaller of the two gaps.  budget counts scored candidates.
+    Margins under 1e-6 are numerical ties and never accepted; a candidate
+    becomes a counterexample only after re-verification with BETA_MARGIN
+    level margins and risk signs at bisection tolerance 1e-12.  Deterministic
+    for fixed (budget, rng_seed): restarts draw derived seeds, and the best
+    witness wins by (margin, canonical encoding) order regardless of
+    evaluation scheduling.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    rep = ConsistencyReport("consistent-on-sample", CRITERIA, 0, 0, rng_seed)
+    rep = ConsistencyReport(seed=rng_seed)
     rep.meta = {"measure": d.name(), "budget": budget}
     if space.horizon < 1:
         rep.meta["note"] = "single stage: nothing to compare"
         return rep
     z_d, z_u = d.interval
     pairs = _stage_pairs(space)
-    subs_of = _sub_table(space, pairs)
     n = space.n_leaves
 
     def score(leaf_values):
@@ -385,27 +395,25 @@ def search_counterexample(d: DynamicMeasure, space: FilteredSpace,
         betas = {r: d.beta(r, x).values for r in space.times}
         best = (-INF, None)
         for s, t in pairs:
-            bs_all, bt_all = betas[s], betas[t]
-            for k, sub in enumerate(subs_of[(s, t)]):
-                bs_k = float(bs_all[k])
+            bt_mins = _child_min(space, s, t, betas[t]).tolist()
+            for k, (bs_k, bt_min) in enumerate(zip(betas[s].tolist(), bt_mins)):
                 if not math.isfinite(bs_k):
                     continue
-                bt_min = float(bt_all[sub].min())
                 z = _mid_level(bs_k, bt_min, z_d, z_u)
                 if z is None:
                     continue
                 m = min(bt_min - z, z - bs_k)
                 if m > best[0]:
-                    best = (m, (s, t, k, z, bs_k, bt_min))
+                    best = (m, (s, t, z, k, bs_k, bt_min))
         return best
 
     def one_restart(r):
         rng = derived_rng(rng_seed, 42, r)
-        xv = rng.uniform(low, high, n)
+        xv = rng.uniform(-4.0, 4.0, n)
         best_m, best_info = score(xv)
         best_x = xv.copy()
         used = 1
-        step = 0.5 * (high - low)
+        step = 4.0  # half the width of the draws
         while step > 1e-4 and used < per_restart:
             improved = False
             for i in range(n):
@@ -426,9 +434,7 @@ def search_counterexample(d: DynamicMeasure, space: FilteredSpace,
                 step *= 0.5
         if best_info is None:
             return None, used
-        s, t, k, z, bs_k, bt_min = best_info
-        w = _make_witness(space, XVar(space, best_x), s, t, z, k, bs_k, bt_min)
-        return w, used
+        return _make_witness(space, *best_info, x=XVar(space, best_x).to_json()), used
 
     n_restarts = max(1, budget // per_restart)
     results = task_map(one_restart, range(n_restarts))
@@ -454,9 +460,9 @@ def search_counterexample(d: DynamicMeasure, space: FilteredSpace,
     return rep
 
 
-def check_riskaversion_monotone_consistency(lam_process, space: FilteredSpace | None = None,
-                                            *, trials: int = 80, rng_seed: int = 0,
-                                            z_positive=None, z_negative=None) -> Report:
+def check_riskaversion_monotone_consistency(lam_process, space: FilteredSpace, *,
+                                            trials: int = 80,
+                                            rng_seed: int = 0) -> Report:
     """Exponential-utility families: consistency verdicts next to the
     pathwise monotonicity of the risk-aversion profile.
 
@@ -466,17 +472,6 @@ def check_riskaversion_monotone_consistency(lam_process, space: FilteredSpace | 
     single orientation.  A constant profile reduces to one deterministic
     utility and is asserted consistent outright.
     """
-    if space is None:
-        if isinstance(lam_process, TVar):
-            space = lam_process.space
-        elif isinstance(lam_process, Mapping):
-            for v in lam_process.values():
-                if isinstance(v, TVar):
-                    space = v.space
-                    break
-    if space is None:
-        raise ValueError("pass the space explicitly unless the profile "
-                         "contains stage variables")
     m = ExponentialUtilityMeasure(risk_aversion=lam_process)
     d = DynamicMeasure(m)
 
@@ -498,8 +493,8 @@ def check_riskaversion_monotone_consistency(lam_process, space: FilteredSpace | 
                  meta={"profile": profile})
     rep.add(CheckResult("lambda_profile", None, note=profile))
 
-    grids = {"negative-levels": z_negative or [-10.0, -2.0, -0.5],
-             "positive-levels": z_positive or [0.1, 0.4, 0.8]}
+    grids = {"negative-levels": [-10.0, -2.0, -0.5],
+             "positive-levels": [0.1, 0.4, 0.8]}
     grids["all-levels"] = grids["negative-levels"] + grids["positive-levels"]
     verdicts = {}
     for name, grid in grids.items():
@@ -543,7 +538,7 @@ def _ratio_feasible(space: FilteredSpace, r: int, z: float,
 
 def check_penalty_inequality_coherent(d: DynamicMeasure | PerformanceMeasure | None = None,
                                       z: float = 1.0, s: int = 0, t: int = 1,
-                                      q_samples=(), *, space: FilteredSpace | None = None,
+                                      q_samples=(), *, space: FilteredSpace,
                                       rng_seed: int = 0, n_random: int = 8) -> Report:
     """Penalty aggregation for the coherent gain-loss family.
 
@@ -566,10 +561,6 @@ def check_penalty_inequality_coherent(d: DynamicMeasure | PerformanceMeasure | N
         raise ValueError("the two-valued penalty needs the coherent gain-loss "
                          f"family, not {getattr(measure, 'kind', type(measure))!r}")
     qs = list(q_samples)
-    if space is None:
-        if not qs:
-            raise ValueError("pass a space or at least one test measure")
-        space = qs[0].space
     s = space.check_stage(s)
     t = space.check_stage(t)
     if not s < t:
@@ -595,27 +586,23 @@ def check_penalty_inequality_coherent(d: DynamicMeasure | PerformanceMeasure | N
     n_checked = n_viol = 0
     nest_checked = nest_viol = 0
     reverse_fail = []
-    idx_t = space.atom_index[t]
     for name, g in densities:
         if np.any(g < -1e-12):
             raise ValueError(f"test measure {name} has a negative density")
         g = np.maximum(g, 0.0)
         feas_t = _ratio_feasible(space, t, z, g)
         feas_s = _ratio_feasible(space, s, z, g)
-        w = g * space.probs
-        for k in range(space.n_atoms(s)):
-            children = space.subatoms(s, t, k)
-            # E^Q_s[alpha_t]: infinite exactly when Q charges an infeasible child
-            charged_bad = any((not feas_t[j]) and w[idx_t == j].sum() > 0.0
-                              for j in children)
-            lhs = INF if charged_bad else 0.0
-            rhs = 0.0 if feas_s[k] else INF
-            n_checked += 1
-            if lhs > rhs:
-                n_viol += 1
-            nest_checked += 1
-            if feas_s[k] and not all(feas_t[j] for j in children):
-                nest_viol += 1
+        charged = np.bincount(space.atom_index[t], weights=g * space.probs,
+                              minlength=space.n_atoms(t)) > 0.0
+        # per F_s-atom, a child minimum of a 0/1 flag is 1 when every child has it;
+        # E^Q_s[alpha_t] is infinite exactly when Q charges an infeasible child,
+        # and exceeds alpha_s only where that is zero, on the feasible atoms
+        lhs_finite = _child_min(space, s, t, (feas_t | ~charged).astype(float)) > 0.0
+        children_feasible = _child_min(space, s, t, feas_t.astype(float)) > 0.0
+        n_checked += space.n_atoms(s)
+        n_viol += int(np.sum(feas_s & ~lhs_finite))
+        nest_checked += space.n_atoms(s)
+        nest_viol += int(np.sum(feas_s & ~children_feasible))
         if np.all(feas_t) and not np.all(feas_s):
             reverse_fail.append(name)
 

@@ -151,7 +151,8 @@ class StandardFamily:
     ``raw(z, t, x)`` returns the per-atom values; z may be a scalar or a per-atom
     array (each atom evaluated at its own level) — locality makes that well defined.
     ``zero_log_level(space, t, L)`` optionally evaluates rho^z(0) at z = -e^L, for
-    probing the lower divergence far beyond float range.
+    probing the lower divergence far beyond float range; where it returns None the
+    divergence check probes a ladder of levels instead.
     """
 
     interval: tuple[float, float]
@@ -206,12 +207,15 @@ def _lower_divergence(space: FilteredSpace, t: int, interval, raw,
     if zero_log_level is not None:
         level = 64.0
         while level <= 1e12:
-            vals = np.asarray(zero_log_level(space, t, level), dtype=float)
+            vals = zero_log_level(space, t, level)
+            if vals is None:  # the measure has no closed form: take the ladder below
+                break
             top = float(np.max(vals))
             if top < -1e6:
                 return True, f"esssup rho(0) = {top:.4g} at z = -e^{level:g}"
             level *= 8.0
-        return False, "closed form never fell below -1e6"
+        else:
+            return False, "closed form never fell below -1e6"
     zero = XVar.constant(space, 0.0)
     for k in (6, 8, 10, 12, 14, 16, 18, 24, 32, 48, 64, 96, 128, 192, 256, 300):
         z = -(10.0 ** k)
@@ -611,7 +615,14 @@ def glr_dual_risk(t: int, z: float, x: XVar) -> RiskPoint:
         return run - np.r_[0.0, run][starts][atom]
 
     excess = within_atom_cumsum(pbar * (loss[order] - mean[atom]))
-    mass = within_atom_cumsum(pbar)
+    # each atom's conditional weights sum to one: taking one off at its last leaf keeps
+    # the running sum near zero, so later atoms' masses keep their own digits; that
+    # leaf gets the one back, its mass being the whole atom
+    last = starts[1:] - 1
+    step = pbar.copy()
+    step[last] -= 1.0
+    mass = within_atom_cumsum(step)
+    mass[last] += 1.0
     premium = np.maximum.reduceat(z * excess / (1.0 + z * mass), starts)
     out = mean + np.maximum(premium, 0.0)  # k = 0 contributes a zero premium
     return RiskPoint(stage=t, level=z, values=TVar(space, t, out, kind="ba"),

@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from perflat import GainLossRatio, XVar, coin2, lpm_ratio, random_tree
+from perflat import (DividendProcess, GainLossRatio, TVar, XVar, coin2, lpm_ratio,
+                     random_tree)
 from perflat.cli import main
 from perflat.lattice import dump_json
 
@@ -49,6 +50,17 @@ def test_space_filename_is_not_its_identity(files, tmp_path, capsys):
                  str(renamed), "--var", files["x"], "--t", "0"])
     assert code == 0
     assert capsys.readouterr().out.strip() == "2"
+
+
+def test_validate_space_success(files, capsys):
+    outs = [files["dir"] / f"space{i}.json" for i in (1, 2)]
+    for out in outs:
+        assert main(["validate-space", files["space"], "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "ok: 2 leaves, stages [0, 1]"
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    artifact = json.loads(outs[0].read_text())
+    assert artifact["ok"] is True
+    assert artifact["atoms"] == {"0": 1, "1": 2}
 
 
 def test_validate_space_failure_names_invariant(files, tmp_path, capsys):
@@ -123,6 +135,21 @@ def test_curve_csv_and_artifact(files, capsys):
     capsys.readouterr()
 
 
+def test_curve_json_artifact(files, capsys):
+    outs = [files["dir"] / f"curve{i}.json" for i in (1, 2)]
+    for out in outs:
+        assert main(["curve", "--measure", files["glr"], "--space", files["space"],
+                     "--var", files["x"], "--t", "0", "--z-list", "0.5,1,2",
+                     "--format", "json", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    artifact = json.loads(outs[0].read_text())
+    assert set(artifact) == {"config", "stage", "z", "rho", "limit_note",
+                             "suspect_jumps"}
+    assert artifact["z"] == [0.5, 1.0, 2.0]
+    assert len(artifact["rho"]["u"]) == 3
+
+
 def test_curve_without_grid_fails(files, capsys):
     code = main(["curve", "--measure", files["glr"], "--space", files["space"],
                  "--var", files["x"], "--t", "0"])
@@ -146,6 +173,30 @@ def test_dual_agrees_with_bisection(files, capsys):
     assert capsys.readouterr().out.splitlines()[0] == "0"
     artifact = json.loads(out.read_text())
     assert float(artifact["max_gap"]) <= 1e-6
+
+
+@pytest.mark.parametrize("check", [None, "20"])
+def test_lift_values_a_stream(files, check, capsys):
+    stream = files["dir"] / "stream.json"
+    space = coin2()
+    dump_json(DividendProcess(space, {0: 1.0, 1: TVar(space, 1, [2.0, -2.0])})
+              .to_json(), stream)
+    outs = [files["dir"] / f"lift{i}.json" for i in (1, 2)]
+    extra = ["--check", check] if check else []
+    for out in outs:
+        assert main(["lift", "--measure", files["glr"], "--space", files["space"],
+                     "--dividend", str(stream), "--t", "0", "--out", str(out),
+                     *extra]) == 0
+    # gain-loss ratio of the aggregate 1 + (2, -2) = (3, -1) at stage 0
+    assert capsys.readouterr().out.splitlines()[0] == "2"
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    artifact = json.loads(outs[0].read_text())
+    assert artifact["values"] == {"u": 2.0}
+    if check:
+        assert artifact["lift_axioms"]["passed"] is True
+        assert artifact["lift_axioms"]["meta"]["trials"] == 20
+    else:
+        assert "lift_axioms" not in artifact
 
 
 def test_consistency_writes_witness(tmp_path, capsys):

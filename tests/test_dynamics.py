@@ -10,7 +10,7 @@ from perflat import (DynamicMeasure, ExponentialUtilityMeasure, GainLossRatio,
                      check_time_consistency, evaluate, globalize_witness,
                      lpm_ratio, random_tree, search_counterexample,
                      verify_witness)
-from perflat.dynamics import _ratio_feasible
+from perflat.dynamics import _child_min, _ratio_feasible
 
 
 def _load_pinned_witness():
@@ -99,6 +99,51 @@ def test_globalized_witness_violates_everywhere(tree2):
     assert np.any(beta_s <= z)           # yet the earlier stage drops below
 
 
+def _embedded_witness(tree3):
+    """The pinned witness moved one stage down: its payoff on the u subtree of the
+    three-step tree, -3 on the d subtree, localized at F_1-atom uuu against F_2."""
+    w = _load_pinned_witness()
+    x = XVar(tree3, [w["x"]["values"][lid[1:]] if lid[0] == "u" else -3.0
+                     for lid in tree3.leaf_ids])
+    return dict(w, x=x.to_json(), s=1, t=2, atom="uuu"), x
+
+
+def test_witness_below_the_root_verifies(tree3):
+    w, _ = _embedded_witness(tree3)
+    ok, detail = verify_witness(DynamicMeasure(lpm_ratio(2.0)), tree3, w)
+    assert ok, detail
+    assert detail["beta_s"] == w["beta_s"]
+    assert detail["beta_t_min"] == w["beta_t_min"]
+
+
+def test_sampling_check_localizes_below_the_root(tree3):
+    w, x = _embedded_witness(tree3)
+    d = DynamicMeasure(lpm_ratio(2.0))
+    rep = check_time_consistency(d, tree3, z_grid=[w["z"]], trials=5,
+                                 rng_seed=0, sampler=lambda space, rng: x)
+    assert rep.verdict == "counterexample"
+    found = rep.witness
+    assert (found["s"], found["t"], found["atom"]) == (1, 2, "uuu")
+    assert abs(found["margin"] - 101.7425) <= 1e-4
+    # the sampler returns the same payoff, so each sample verifies one candidate
+    assert rep.check("localized_violations").failures == 5
+
+
+def test_globalized_witness_below_the_root(tree3):
+    w, _ = _embedded_witness(tree3)
+    d = DynamicMeasure(lpm_ratio(2.0))
+    x_glob = globalize_witness(d, tree3, w)
+    for lid, v in zip(tree3.leaf_ids, x_glob.values):
+        if lid[0] == "d":
+            assert v == 1.0       # the first filler already lifts the d subtree
+        else:
+            assert v == w["x"]["values"][lid]
+    beta_2 = evaluate(d.measure, 2, x_glob).values
+    beta_1 = evaluate(d.measure, 1, x_glob).values
+    assert np.all(beta_2 > w["z"])
+    assert beta_1[tree3.atom_by_id(1, "uuu")] <= w["z"]
+
+
 def test_verify_witness_rejects_tampering(tree2):
     w = dict(_load_pinned_witness())
     d = DynamicMeasure(lpm_ratio(2.0))
@@ -178,6 +223,19 @@ def test_ratio_feasible_matches_the_mask_loop():
         for r in space.times:
             assert np.array_equal(_ratio_feasible(space, r, z, density),
                                   _feasible_by_masks(space, r, z, density))
+
+
+def test_child_min_matches_the_subatom_lists():
+    rng = np.random.default_rng(3)
+    for _ in range(100):
+        space = random_tree(rng, periods=int(rng.integers(1, 4)), max_leaves=16)
+        for s in space.times:
+            for t in space.times[s:]:
+                values = rng.uniform(-4.0, 4.0, space.n_atoms(t))
+                values[rng.random(space.n_atoms(t)) < 0.2] = np.inf
+                want = [min(values[j] for j in space.subatoms(s, t, k))
+                        for k in range(space.n_atoms(s))]
+                assert np.array_equal(_child_min(space, s, t, values), want)
 
 
 def test_penalty_checker_rejects_other_kinds(tree2):

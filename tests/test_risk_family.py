@@ -6,16 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perflat import (INF, DualMeasure, ExponentialUtilityMeasure,
-                     GainLossRatio, StandardFamily, TVar, XVar, binomial_tree,
-                     closure_check, coin2, entropic_closed_form,
+from perflat import (INF, ConditionalExpectation, DualMeasure,
+                     ExpectedUtilityMeasure, ExponentialUtilityMeasure,
+                     GainLossRatio, StandardFamily, TVar, UtilitySpec, XVar,
+                     binomial_tree, closure_check, coin2, entropic_closed_form,
                      entropic_family, evaluate, glr_dual_risk, induce_risk,
                      induced_family, lpm_ratio, penalty_lower_bound,
                      reconstruct, risk_curve, sample_glr_density, sample_xvar,
                      truncation_limit_check, validate_standard_family,
                      weak_duality_probe)
 from perflat import solvers
-from perflat.lattice import FilteredSpace, cond_expect
+from perflat.lattice import FilteredSpace, atom_expect, cond_expect, loss_order
 from perflat.risk_family import TOL_C, _glr_polytope
 from perflat.simplex import solve_lp
 from perflat.solvers import vector_monotone_inf
@@ -176,6 +177,18 @@ def test_risk_curve_rejects_bad_grids(space2):
         risk_curve(GainLossRatio(), 0, x, [-1.0, 1.0])  # leaves the interval
 
 
+@pytest.mark.parametrize("m", [ConditionalExpectation(),
+                               ExpectedUtilityMeasure(UtilitySpec("linear")),
+                               ExpectedUtilityMeasure(UtilitySpec("power", eta=0.5))],
+                         ids=lambda m: m.label())
+def test_lower_divergence_without_closed_form(m, space2):
+    # no closed form for rho^z(0): the level ladder confirms the divergence
+    curve = risk_curve(m, 0, XVar(space2, [1.0, -1.0]), [-1.0, 0.0, 0.5])
+    assert curve.limit_note.startswith("esssup rho(0) = ")
+    rep = validate_standard_family(induced_family(m), space2, 0, trials=20)
+    assert rep.result("lower_divergence").passed
+
+
 def test_entropic_divergence_beyond_float_range():
     fam = entropic_family(1.0)
     space = coin2()
@@ -252,6 +265,33 @@ def test_family_validator_flags_wrong_z_direction(space2):
 def test_dual_hand_value(space2):
     got = glr_dual_risk(0, 1.0, XVar(space2, [1.0, -1.0])).values.values[0]
     assert abs(got - 1.0 / 3.0) <= 1e-9
+
+
+def _dual_by_atoms(t, z, x):
+    """Reference: the dual closed form one atom at a time, prefix sums from zero."""
+    space = x.space
+    loss = -x.values
+    mean = atom_expect(space, t, loss)
+    order, _, starts = loss_order(space, t, loss)
+    ends = np.r_[starts[1:], len(order)]
+    out = np.empty(space.n_atoms(t))
+    for k in range(space.n_atoms(t)):
+        leaves = order[starts[k]:ends[k]]
+        pbar = space.probs[leaves] / space.atom_mass[t][k]
+        excess = np.cumsum(pbar * (loss[leaves] - mean[k]))
+        mass = np.cumsum(pbar)
+        out[k] = mean[k] + max(float(np.max(z * excess / (1.0 + z * mass))), 0.0)
+    return out
+
+
+def test_dual_keeps_digits_across_many_atoms():
+    # one running sum over all atoms would climb to their count and cost each
+    # later atom's conditional masses their last digits (about 1e-12 here)
+    space = binomial_tree(16, 0.3)
+    x = XVar(space, np.random.default_rng(0).uniform(-4.0, 4.0, space.n_leaves))
+    for t in (10, 14):
+        got = glr_dual_risk(t, 2.0, x).values.values
+        assert np.max(np.abs(got - _dual_by_atoms(t, 2.0, x))) <= 2e-15
 
 
 def test_dual_constant_payoff(space2):
