@@ -46,28 +46,26 @@ def _load_json(path: str):
                         "line": e.lineno, "column": e.colno, "message": e.msg})
 
 
-def _load_space(path: str) -> FilteredSpace:
-    try:
-        return FilteredSpace.from_json(_load_json(path), name=Path(path).stem)
-    except ValueError as e:
-        raise CliError({"error": "invalid space", "path": str(path),
-                        "message": str(e)})
+# input flag -> (what its file holds, parser of the file's JSON on the space)
+_INPUTS = {"measure": ("measure", measure_from_json),
+           "var": ("variable", XVar.from_json),
+           "dividend": ("dividend stream", DividendProcess.from_json)}
 
 
-def _load_measure(path: str, space: FilteredSpace):
-    try:
-        return measure_from_json(_load_json(path), space=space)
-    except ValueError as e:
-        raise CliError({"error": "invalid measure", "path": str(path),
-                        "message": str(e)})
+def _inputs(args, *names) -> tuple:
+    """The space of --space, then the file of each named flag parsed on that space.
 
+    A ValueError from a parser becomes an "invalid <what>" report naming the file.
+    """
+    def load(path, what, parse, *extra, **kwargs):
+        try:
+            return parse(_load_json(path), *extra, **kwargs)
+        except ValueError as e:
+            raise CliError({"error": f"invalid {what}", "path": str(path),
+                            "message": str(e)})
 
-def _load_var(path: str, space: FilteredSpace) -> XVar:
-    try:
-        return XVar.from_json(_load_json(path), space)
-    except ValueError as e:
-        raise CliError({"error": "invalid variable", "path": str(path),
-                        "message": str(e)})
+    space = load(args.space, "space", FilteredSpace.from_json, name=Path(args.space).stem)
+    return (space, *(load(getattr(args, n), *_INPUTS[n], space) for n in names))
 
 
 def _check_tols(args) -> None:
@@ -109,7 +107,7 @@ def _values_json(space: FilteredSpace, t: int, values) -> dict:
 
 
 def cmd_validate_space(args) -> int:
-    space = _load_space(args.space)
+    space = _inputs(args)[0]
     print(f"ok: {space.n_leaves} leaves, stages {list(space.times)}")
     _emit({"config": _config(args), "ok": True, "leaves": space.n_leaves,
            "stages": list(space.times),
@@ -118,9 +116,7 @@ def cmd_validate_space(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    space = _load_space(args.space)
-    m = _load_measure(args.measure, space)
-    x = _load_var(args.var, space)
+    space, m, x = _inputs(args, "measure", "var")
     try:
         v = evaluate(m, args.t, x)
     except (ValueError, OverflowError) as e:
@@ -133,9 +129,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_induce(args) -> int:
     _check_tols(args)
-    space = _load_space(args.space)
-    m = _load_measure(args.measure, space)
-    x = _load_var(args.var, space)
+    space, m, x = _inputs(args, "measure", "var")
     try:
         rp = induce_risk(m, args.t, args.z, x, tol=args.tol_c)
     except (ValueError, RuntimeError) as e:
@@ -150,9 +144,7 @@ def cmd_induce(args) -> int:
 
 def cmd_curve(args) -> int:
     _check_tols(args)
-    space = _load_space(args.space)
-    m = _load_measure(args.measure, space)
-    x = _load_var(args.var, space)
+    space, m, x = _inputs(args, "measure", "var")
     if args.z_list:
         grid = [float(s) for s in args.z_list.split(",") if s.strip()]
     elif args.z_min is not None and args.z_max is not None:
@@ -187,9 +179,7 @@ def cmd_curve(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     _check_tols(args)
-    space = _load_space(args.space)
-    m = _load_measure(args.measure, space)
-    x = _load_var(args.var, space)
+    space, m, x = _inputs(args, "measure", "var")
     fam = induced_family(m, tol=args.tol_c)
     back = reconstruct(fam, args.t, x, tol_z=args.tol_z, tol_c=args.tol_c)
     direct = evaluate(m, args.t, x)
@@ -207,8 +197,7 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_dual(args) -> int:
     _check_tols(args)
-    space = _load_space(args.space)
-    x = _load_var(args.var, space)
+    space, x = _inputs(args, "var")
     try:
         dual = glr_dual_risk(args.t, args.z, x)
     except ValueError as e:
@@ -226,8 +215,7 @@ def cmd_dual(args) -> int:
 
 
 def cmd_check_axioms(args) -> int:
-    space = _load_space(args.space)
-    m = _load_measure(args.measure, space)
+    space, m = _inputs(args, "measure")
     rep = check_axioms(m, space, args.t, trials=args.trials, rng_seed=args.seed)
     for line in rep.summary_lines():
         print(line)
@@ -247,8 +235,7 @@ def cmd_check_axioms(args) -> int:
 
 def cmd_check_consistency(args) -> int:
     _check_tols(args)
-    space = _load_space(args.space)
-    m = _load_measure(args.measure, space)
+    space, m = _inputs(args, "measure")
     d = DynamicMeasure(m)
     grid = None
     if args.z_grid:
@@ -267,17 +254,11 @@ def cmd_check_consistency(args) -> int:
         print(f"witness payoff written to {wpath}")
     # a counterexample is a finding, not a failure; only the internal
     # cross-validation of the three readings gates the exit code
-    return 0 if rep.check("criteria_agreement").passed else 1
+    return 0 if rep.result("criteria_agreement").passed else 1
 
 
 def cmd_lift(args) -> int:
-    space = _load_space(args.space)
-    m = _load_measure(args.measure, space)
-    try:
-        dp = DividendProcess.from_json(_load_json(args.dividend), space)
-    except ValueError as e:
-        raise CliError({"error": "invalid dividend stream", "path": args.dividend,
-                        "message": str(e)})
+    space, m, dp = _inputs(args, "measure", "dividend")
     v = lift_evaluate(m, args.t, dp)
     _print_stage_values(space, args.t, v.values)
     artifact = {"config": _config(args), "stage": args.t,

@@ -32,7 +32,6 @@ from .lattice import (INF, FilteredSpace, TVar, XVar, close_or_both_inf,
 from .measures import (DEFAULT_TOL, PerformanceMeasure, _below_mix_floor,
                        _no_strict_gain, evaluate)
 from .report import CheckResult, Report, run_trials
-from .risk_family import TOL_C
 from .util import derived_rng
 
 
@@ -158,8 +157,7 @@ class DividendProcess:
 
 
 def sample_dividend(space: FilteredSpace, rng: np.random.Generator, *,
-                    nonnegative_interim: bool = True, low: float = -4.0,
-                    high: float = 4.0, skip_prob: float = 0.35) -> DividendProcess:
+                    nonnegative_interim: bool = True) -> DividendProcess:
     """Random stream with a terminal payment and occasional interim ones.
 
     Aggregation is monotone in the evaluation stage exactly when nothing
@@ -169,10 +167,10 @@ def sample_dividend(space: FilteredSpace, rng: np.random.Generator, *,
     last = space.times[-1]
     pays = {}
     for t in space.times:
-        if t != last and rng.uniform() < skip_prob:
+        if t != last and rng.uniform() < 0.35:
             continue
-        lo = 0.0 if (nonnegative_interim and t != last) else low
-        pays[t] = TVar(space, t, rng.uniform(lo, high, space.n_atoms(t)),
+        lo = 0.0 if (nonnegative_interim and t != last) else -4.0
+        pays[t] = TVar(space, t, rng.uniform(lo, 4.0, space.n_atoms(t)),
                        kind="bb")
     return DividendProcess(space, pays)
 
@@ -183,14 +181,14 @@ def lift_evaluate(m: PerformanceMeasure, t: int, dp: DividendProcess) -> TVar:
 
 
 def check_lift_axioms(m: PerformanceMeasure, space: FilteredSpace,
-                      trials: int = 200, rng_seed: int = 0, *,
-                      tol: float = DEFAULT_TOL) -> Report:
+                      trials: int = 200, rng_seed: int = 0) -> Report:
     """Property tests for the lifted measure on random payment streams.
 
     Alongside the structural properties this verifies the bundling identity
     (paying the aggregate at the final date changes nothing, bit for bit)
     and the exact round trip through single terminal payments.
     """
+    tol = DEFAULT_TOL
     rep = Report(f"lift axioms for {m.label()}", seed=rng_seed,
                  meta={"trials": trials, "space": space.name or ""})
     times = list(space.times)
@@ -360,8 +358,7 @@ def check_lift_axioms(m: PerformanceMeasure, space: FilteredSpace,
 def check_lift_time_consistency(d: DynamicMeasure, space: FilteredSpace, *,
                                 z_grid=None, trials: int = 120, rng_seed: int = 0,
                                 nonnegative_interim: bool = True,
-                                witness: dict | None = None,
-                                tol: float = TOL_C) -> Report:
+                                witness: dict | None = None) -> Report:
     """Compare consistency-over-time verdicts for payoffs and for streams.
 
     Runs the payoff-level checker, then scans random streams for localized
@@ -385,7 +382,7 @@ def check_lift_time_consistency(d: DynamicMeasure, space: FilteredSpace, *,
                  meta={"trials": trials,
                        "nonnegative_interim": nonnegative_interim})
     var_rep = check_time_consistency(d, space, z_grid=z_grid, trials=trials,
-                                     rng_seed=rng_seed, tol=tol)
+                                     rng_seed=rng_seed)
     var_witness = var_rep.witness
     var_verdict = var_rep.verdict
     injected = False

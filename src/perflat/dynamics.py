@@ -96,10 +96,7 @@ class ConsistencyReport(Report):
     def consistent(self) -> bool:
         return self.verdict == "consistent-on-sample"
 
-    # older names of result and passed, still called by the benchmark workloads
-    def check(self, name: str) -> CheckResult:
-        return self.result(name)
-
+    # older name of passed, still called by the benchmark workloads
     def checks_pass(self) -> bool:
         return self.passed
 

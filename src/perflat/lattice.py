@@ -521,25 +521,17 @@ class EventMask:
 # conditional operations
 
 
-def atom_expect(space: FilteredSpace, t: int, leaf_values: np.ndarray,
-                weights: np.ndarray | None = None) -> np.ndarray:
+def atom_expect(space: FilteredSpace, t: int, leaf_values: np.ndarray) -> np.ndarray:
     """Per-atom conditional expectation of raw leaf values (array-in, array-out).
 
     +inf leaves carry positive weight, so they propagate to +inf atom values.
     """
-    idx = space.atom_index[t]
-    if weights is None:
-        w, mass = space.probs, space.atom_mass[t]
-    else:
-        w = np.asarray(weights, dtype=float)
-        mass = np.bincount(idx, weights=w, minlength=space.n_atoms(t))
-        if np.any(mass <= 0.0):
-            raise ValueError("weights give an atom zero conditional mass")
     with np.errstate(invalid="ignore"):
-        tot = np.bincount(idx, weights=w * leaf_values, minlength=space.n_atoms(t))
-    # w * inf is inf (w > 0); nan can only come from inf - inf across leaves,
+        tot = np.bincount(space.atom_index[t], weights=space.probs * leaf_values,
+                          minlength=space.n_atoms(t))
+    # p * inf is inf (p > 0); nan can only come from inf - inf across leaves,
     # which XVar excludes, but guard bincount pairs of +inf anyway
-    return tot / mass
+    return tot / space.atom_mass[t]
 
 
 def loss_order(space: FilteredSpace, t: int, loss: np.ndarray):
@@ -554,22 +546,10 @@ def loss_order(space: FilteredSpace, t: int, loss: np.ndarray):
     return order, atom, np.searchsorted(atom, np.arange(space.n_atoms(t)))
 
 
-def cond_expect(x: XVar, t: int, weights: np.ndarray | None = None) -> TVar:
-    """E[X | F_t], optionally under another measure given by per-leaf weights.
-
-    Weights must be nonnegative and sum to one; every stage-t atom needs strictly
-    positive conditional mass.
-    """
+def cond_expect(x: XVar, t: int) -> TVar:
+    """E[X | F_t]."""
     t = x.space.check_stage(t)
-    if weights is not None:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (x.space.n_leaves,):
-            raise ValueError("weights shape mismatch")
-        if np.any(w < 0.0):
-            raise ValueError("weights must be nonnegative")
-        if abs(w.sum() - 1.0) > 1e-9:
-            raise ValueError("weights must sum to one")
-    return TVar(x.space, t, atom_expect(x.space, t, x.values, weights), kind="bb")
+    return TVar(x.space, t, atom_expect(x.space, t, x.values), kind="bb")
 
 
 def ess_inf(x: XVar, t: int) -> TVar:
@@ -669,14 +649,10 @@ def random_tree(rng: np.random.Generator, periods: int = 2, max_leaves: int = 16
                          name=name)
 
 
-def sample_xvar(space: FilteredSpace, rng: np.random.Generator, low: float = -4.0,
-                high: float = 4.0, min_abs: float = 0.0, inf_prob: float = 0.0) -> XVar:
-    """Random terminal variable; min_abs keeps values away from 0, inf_prob adds +inf legs."""
-    v = rng.uniform(low, high, size=space.n_leaves)
-    if min_abs > 0.0:
-        small = np.abs(v) < min_abs
-        v[small] = np.sign(v[small] + (v[small] == 0.0)) * rng.uniform(
-            min_abs, max(abs(low), abs(high)), size=int(small.sum()))
+def sample_xvar(space: FilteredSpace, rng: np.random.Generator,
+                inf_prob: float = 0.0) -> XVar:
+    """Random terminal variable, uniform on [-4, 4); inf_prob adds +inf legs."""
+    v = rng.uniform(-4.0, 4.0, size=space.n_leaves)
     if inf_prob > 0.0:
         v[rng.random(space.n_leaves) < inf_prob] = INF
     return XVar(space, v)
@@ -687,12 +663,11 @@ def sample_tvar(space: FilteredSpace, t: int, rng: np.random.Generator,
     return TVar(space, t, rng.uniform(low, high, size=space.n_atoms(t)))
 
 
-def sample_event(space: FilteredSpace, t: int, rng: np.random.Generator,
-                 allow_trivial: bool = False) -> EventMask:
+def sample_event(space: FilteredSpace, t: int, rng: np.random.Generator) -> EventMask:
     """Random F_t-event; proper (neither empty nor full) whenever the stage allows."""
     n = space.n_atoms(t)
     flags = rng.random(n) < 0.5
-    if not allow_trivial and n > 1:
+    if n > 1:
         if flags.all():
             flags[int(rng.integers(n))] = False
         if not flags.any():

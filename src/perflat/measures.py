@@ -6,9 +6,9 @@ strict increase along constant positive shifts, continuity from below, locality,
 uniform lower bound on the stage-measurable part of each acceptance set.  Acceptability
 indexes additionally satisfy beta_t(cX) = beta_t(X) for c > 0.
 
-Shipped measures: conditional expectation (optionally under an equivalent measure),
-expected utility with optional stage endowment, exponential utility with a possibly
-random risk-aversion profile, conditional certainty equivalent, gain-loss ratio, and
+Shipped measures: conditional expectation, expected utility under a linear,
+exponential or power utility, exponential utility with a possibly random
+risk-aversion profile, conditional certainty equivalent, gain-loss ratio, and
 reward-risk ratios with lower-partial-moment or truncated-AVaR denominators.
 """
 
@@ -35,56 +35,28 @@ DEFAULT_TOL = 1e-9
 
 
 class UtilitySpec:
-    """Concave nondecreasing utility, finite on R, with a usable inverse when strict.
+    """Concave strictly increasing utility, finite on R, with an inverse on its range.
 
-    Tags: linear U(x) = x; exp U(x) = 1 - e^(-lam x); power = shifted CRRA on gains
-    with a linear extension below 0 (keeps the function finite on all of R); piecewise
-    from concave nondecreasing knots, extended by the end slopes.
+    Tags: linear U(x) = x; exp U(x) = 1 - e^(-lam x); power = shifted CRRA on gains,
+    ((1+x)^(1-eta) - 1)/(1-eta) or log(1+x) at eta = 1, with a linear extension
+    below 0 (keeps the function finite on all of R).
     """
 
-    def __init__(self, tag: str, *, lam: float | None = None, eta: float | None = None,
-                 knots=None, endowment: TVar | None = None):
+    def __init__(self, tag: str, *, lam: float | None = None, eta: float | None = None):
         self.tag = tag
-        self.endowment = endowment
+        self.positively_homogeneous = tag == "linear"
         if tag == "linear":
-            self.at_inf, self.at_neg_inf = INF, -INF
-            self.strictly_increasing = True
-            self.positively_homogeneous = True
+            self.at_inf = INF
         elif tag == "exp":
             self.lam = float(lam if lam is not None else 1.0)
             if self.lam <= 0:
                 raise ValueError("exp utility needs lam > 0")
-            self.at_inf, self.at_neg_inf = 1.0, -INF
-            self.strictly_increasing = True
-            self.positively_homogeneous = False
+            self.at_inf = 1.0
         elif tag == "power":
             self.eta = float(eta if eta is not None else 0.5)
             if self.eta <= 0:
                 raise ValueError("power utility needs eta > 0")
             self.at_inf = INF if self.eta <= 1.0 else 1.0 / (self.eta - 1.0)
-            self.at_neg_inf = -INF
-            self.strictly_increasing = True
-            self.positively_homogeneous = False
-        elif tag == "piecewise":
-            pts = [(float(a), float(b)) for a, b in knots]
-            if len(pts) < 2:
-                raise ValueError("piecewise utility needs at least two knots")
-            self.kx = np.array([a for a, _ in pts])
-            self.ky = np.array([b for _, b in pts])
-            if np.any(np.diff(self.kx) <= 0):
-                raise ValueError("knot abscissae must be strictly increasing")
-            slopes = np.diff(self.ky) / np.diff(self.kx)
-            if np.any(slopes < -1e-12):
-                raise ValueError("piecewise utility must be nondecreasing")
-            if np.any(np.diff(slopes) > 1e-12):
-                raise ValueError("piecewise utility must be concave")
-            self.slopes = np.maximum(slopes, 0.0)
-            if self.slopes[0] <= 0:
-                raise ValueError("constant utility is not allowed")
-            self.at_inf = self.ky[-1] if self.slopes[-1] == 0.0 else INF
-            self.at_neg_inf = -INF
-            self.strictly_increasing = bool(np.all(self.slopes > 0))
-            self.positively_homogeneous = False
         else:
             raise ValueError(f"unknown utility tag {tag!r}")
         self._validate_shape()
@@ -107,28 +79,20 @@ class UtilitySpec:
             with np.errstate(over="ignore"):
                 out = 1.0 - np.exp(-self.lam * x)
             return np.where(pos_inf, 1.0, out)
-        if self.tag == "power":
-            xp = np.maximum(x, 0.0)
-            if self.eta == 1.0:
-                upper = np.log1p(xp)
-            else:
-                with np.errstate(over="ignore"):
-                    upper = (np.power(1.0 + xp, 1.0 - self.eta) - 1.0) / (1.0 - self.eta)
-            upper = np.where(np.isposinf(x), self.at_inf, upper)
-            return np.where(x >= 0.0, upper, x)
-        # piecewise: interpolate then extend by end slopes
-        out = np.interp(x, self.kx, self.ky)
-        left = x < self.kx[0]
-        right = x > self.kx[-1]
-        out = np.where(left, self.ky[0] + self.slopes[0] * (x - self.kx[0]), out)
-        out = np.where(right, self.ky[-1] + self.slopes[-1] * (x - self.kx[-1]), out)
-        out = np.where(np.isposinf(x), self.at_inf, out)
-        return out
+        # power: CRRA on gains, identity below 0
+        xp = np.maximum(x, 0.0)
+        if self.eta == 1.0:
+            upper = np.log1p(xp)
+        else:
+            # expm1/log1p keep full precision as eta approaches 1
+            a = 1.0 - self.eta
+            with np.errstate(over="ignore"):
+                upper = np.expm1(a * np.log1p(xp)) / a
+        upper = np.where(np.isposinf(x), self.at_inf, upper)
+        return np.where(x >= 0.0, upper, x)
 
     def inverse(self, y):
-        """Inverse on the range; y at/above U(+inf) maps to +inf.  Strict tags only."""
-        if not self.strictly_increasing:
-            raise ValueError("inverse needs a strictly increasing utility")
+        """Inverse on the range; y at/above U(+inf) maps to +inf."""
         y = np.asarray(y, dtype=float)
         if self.tag == "linear":
             return y.copy()
@@ -137,22 +101,15 @@ class UtilitySpec:
             safe = np.where(top, 0.0, y)
             out = -np.log1p(-safe) / self.lam
             return np.where(top, INF, out)
-        if self.tag == "power":
-            top = y >= self.at_inf
-            yp = np.maximum(np.where(top, 0.0, y), 0.0)
-            if self.eta == 1.0:
-                upper = np.expm1(yp)
-            else:
-                upper = np.power(1.0 + (1.0 - self.eta) * yp, 1.0 / (1.0 - self.eta)) - 1.0
-            out = np.where(y >= 0.0, upper, y)
-            return np.where(top, INF, out)
+        # power
         top = y >= self.at_inf
-        safe = np.where(top, self.ky[0], y)
-        out = np.interp(safe, self.ky, self.kx)
-        left = safe < self.ky[0]
-        right = safe > self.ky[-1]
-        out = np.where(left, self.kx[0] + (safe - self.ky[0]) / self.slopes[0], out)
-        out = np.where(right, self.kx[-1] + (safe - self.ky[-1]) / self.slopes[-1], out)
+        yp = np.maximum(np.where(top, 0.0, y), 0.0)
+        if self.eta == 1.0:
+            upper = np.expm1(yp)
+        else:
+            a = 1.0 - self.eta
+            upper = np.expm1(np.log1p(a * yp) / a)
+        out = np.where(y >= 0.0, upper, y)
         return np.where(top, INF, out)
 
     def to_json(self) -> dict:
@@ -161,17 +118,13 @@ class UtilitySpec:
             out["lam"] = num_to_json(self.lam)
         elif self.tag == "power":
             out["eta"] = num_to_json(self.eta)
-        elif self.tag == "piecewise":
-            out["knots"] = [[num_to_json(a), num_to_json(b)]
-                            for a, b in zip(self.kx, self.ky)]
         return out
 
     @classmethod
     def from_json(cls, d: Mapping) -> "UtilitySpec":
         tag = d["tag"]
         return cls(tag, lam=d.get("lam") and num_from_json(d["lam"]),
-                   eta=d.get("eta") and num_from_json(d["eta"]),
-                   knots=d.get("knots"))
+                   eta=d.get("eta") and num_from_json(d["eta"]))
 
     def label(self) -> str:
         if self.tag == "exp":
@@ -249,69 +202,34 @@ def evaluate(m: PerformanceMeasure, t: int, x: XVar) -> TVar:
 
 
 class ConditionalExpectation(PerformanceMeasure):
-    """E^Q[X | F_t]; Q defaults to the reference measure and must be equivalent."""
+    """E[X | F_t] under the reference measure."""
 
     kind = "cond_expectation"
 
-    def __init__(self, q: np.ndarray | None = None):
-        if q is not None:
-            q = np.asarray(q, dtype=float)
-            if np.any(q <= 0.0):
-                raise ValueError("Q must be equivalent: strictly positive leaf weights")
-            if abs(q.sum() - 1.0) > 1e-9:
-                raise ValueError("Q weights must sum to one")
-        self.q = q
-
     def values(self, space, t, leaf_values):
-        if self.q is not None and self.q.shape != (space.n_leaves,):
-            raise ValueError("Q weights shape mismatch")
-        return atom_expect(space, t, leaf_values, weights=self.q)
-
-    def params_json(self, space=None):
-        if self.q is None:
-            return {}
-        if space is None:
-            raise ValueError("space needed to serialize leaf weights")
-        return {"q": {s: num_to_json(v) for s, v in zip(space.leaf_ids, self.q)}}
-
-    def label(self):
-        return "cond_expectation" if self.q is None else "cond_expectation(Q)"
+        return atom_expect(space, t, leaf_values)
 
 
 class ExpectedUtilityMeasure(PerformanceMeasure):
-    """E[U(X + W) | F_t] for a concave nondecreasing U and optional endowment W."""
+    """E[U(X) | F_t] for a concave strictly increasing U."""
 
     kind = "expected_utility"
 
     def __init__(self, utility: UtilitySpec):
         self.utility = utility
         self.z_u = utility.at_inf
-        self.z_d = utility.at_neg_inf
-        if not (self.z_d < self.z_u):
-            raise ValueError("degenerate utility: z_d must stay below z_u")
-
-    def _shifted(self, space, t, leaf_values):
-        w = self.utility.endowment
-        if w is None:
-            return leaf_values
-        if w.stage > t:
-            raise ValueError("endowment must be measurable at the evaluation stage")
-        return leaf_values + w.values[space.atom_index[w.stage]]
 
     def values(self, space, t, leaf_values):
-        return atom_expect(space, t, self.utility(self._shifted(space, t, leaf_values)))
+        return atom_expect(space, t, self.utility(leaf_values))
 
     def risk_at_zero_log_level(self, space, t, log_level):
-        if self.utility.tag != "exp" or self.utility.endowment is not None:
+        if self.utility.tag != "exp":
             return None
         lam = self.utility.lam
         return np.full(space.n_atoms(t), -np.logaddexp(0.0, log_level) / lam)
 
     def params_json(self, space=None):
-        out = {"utility": self.utility.to_json()}
-        if self.utility.endowment is not None:
-            out["endowment"] = self.utility.endowment.to_json()
-        return out
+        return {"utility": self.utility.to_json()}
 
     def label(self):
         return f"expected_utility[{self.utility.label()}]"
@@ -352,14 +270,11 @@ class ExponentialUtilityMeasure(PerformanceMeasure):
         if isinstance(ra, (Mapping, TVar)):
             if space is None:
                 raise ValueError("space needed to serialize a random profile")
-            if isinstance(ra, TVar):
-                ra = {ra.stage: ra.values}
-            out = {}
-            for t, arr in ra.items():
-                arr = np.asarray(arr, dtype=float)
-                out[str(t)] = {space.atom_id(int(t), k): num_to_json(v)
-                               for k, v in enumerate(arr)}
-            return {"risk_aversion": out}
+            stages = [ra.stage] if isinstance(ra, TVar) else list(ra)
+            return {"risk_aversion": {
+                str(t): {space.atom_id(t, k): num_to_json(v)
+                         for k, v in enumerate(self.lam_at(space, t))}
+                for t in stages}}
         return {"risk_aversion": num_to_json(float(ra))}
 
     def label(self):
@@ -369,17 +284,13 @@ class ExponentialUtilityMeasure(PerformanceMeasure):
 
 
 class CertaintyEquivalentMeasure(PerformanceMeasure):
-    """C_t(X) = U^{-1}(E[U(X) | F_t]) for strictly increasing U."""
+    """C_t(X) = U^{-1}(E[U(X) | F_t])."""
 
     kind = "certainty_equivalent"
     z_d = -INF
     z_u = INF
 
     def __init__(self, utility: UtilitySpec):
-        if not utility.strictly_increasing:
-            raise ValueError("certainty equivalent needs a strictly increasing utility")
-        if utility.endowment is not None:
-            raise ValueError("certainty equivalent takes no endowment")
         self.utility = utility
 
     def values(self, space, t, leaf_values):
@@ -570,30 +481,23 @@ def raroc(level: float = 0.5, utility: UtilitySpec | None = None,
                            infinite_when_risk_nonpositive=infinite_when_risk_nonpositive)
 
 
+# the params each kind reads: any other key is an error, never silently dropped
+_PARAM_KEYS = {"cond_expectation": set(), "expected_utility": {"utility"},
+               "exp_utility": {"risk_aversion"}, "certainty_equivalent": {"utility"},
+               "glr": set(),
+               "reward_risk": {"utility", "denominator", "infinite_when_risk_nonpositive"}}
+
+
 def measure_from_json(d: Mapping, space: FilteredSpace | None = None) -> PerformanceMeasure:
     kind = d["kind"]
     params = d.get("params", {})
+    unknown = sorted(set(params) - _PARAM_KEYS.get(kind, set(params)))
+    if unknown:
+        raise ValueError(f"{kind} takes no parameters {unknown}")
     if kind == "cond_expectation":
-        q = None
-        if "q" in params:
-            if space is None:
-                raise ValueError("space needed to parse leaf weights")
-            q = np.zeros(space.n_leaves)
-            for key, v in params["q"].items():
-                q[space.leaf_pos(str(key))] = num_from_json(v)
-        m: PerformanceMeasure = ConditionalExpectation(q)
+        m: PerformanceMeasure = ConditionalExpectation()
     elif kind == "expected_utility":
-        util = UtilitySpec.from_json(params["utility"])
-        if "endowment" in params and params["endowment"]:
-            if space is None:
-                raise ValueError("space needed to parse the endowment")
-            raw = params["endowment"]
-            stage = int(raw["stage"])
-            vals = np.zeros(space.n_atoms(stage))
-            for key, v in raw["values"].items():
-                vals[space.atom_by_id(stage, str(key))] = num_from_json(v)
-            util.endowment = TVar(space, stage, vals)
-        m = ExpectedUtilityMeasure(util)
+        m = ExpectedUtilityMeasure(UtilitySpec.from_json(params["utility"]))
     elif kind == "exp_utility":
         ra = params.get("risk_aversion", 1.0)
         if isinstance(ra, Mapping):
@@ -672,17 +576,18 @@ def _witness(x: XVar, note: str, **extra) -> dict:
 
 
 def check_axioms(m: PerformanceMeasure, space: FilteredSpace, t: int,
-                 trials: int = 200, rng_seed: int = 0, tol: float = DEFAULT_TOL,
-                 sampler: Callable | None = None) -> Report:
+                 trials: int = 200, rng_seed: int = 0) -> Report:
     """Randomized verification of the six defining properties at stage t.
 
     Each property gets its own trial loop with seeds derived from rng_seed, so verdicts
     do not depend on scheduling.  The report carries the first witness per failure.
     """
     t = space.check_stage(t)
-    if sampler is None:
-        def sampler(rng):
-            return sample_xvar(space, rng, inf_prob=0.02 if rng.random() < 0.25 else 0.0)
+    tol = DEFAULT_TOL
+
+    def sampler(rng):
+        return sample_xvar(space, rng, inf_prob=0.02 if rng.random() < 0.25 else 0.0)
+
     raw = lambda x: m.values(space, t, x.values)
     rep = Report(title=f"axioms[{m.label()}] t={t}", seed=rng_seed,
                  meta={"space": space.name or "", "trials": trials})
@@ -833,8 +738,7 @@ def check_axioms(m: PerformanceMeasure, space: FilteredSpace, t: int,
 
 
 def check_scale_invariance(m: PerformanceMeasure, space: FilteredSpace, t: int,
-                           trials: int = 200, rng_seed: int = 0,
-                           tol: float = DEFAULT_TOL) -> Report:
+                           trials: int = 200, rng_seed: int = 0) -> Report:
     """beta(cX) = beta(X) for c > 0, plus the two-level structure on stage claims.
 
     For a scale-invariant measure the value of a stage-measurable claim xi can only be
@@ -842,6 +746,7 @@ def check_scale_invariance(m: PerformanceMeasure, space: FilteredSpace, t: int,
     first counterexample is reported (expected for utility-based measures).
     """
     t = space.check_stage(t)
+    tol = DEFAULT_TOL
     raw = lambda x: m.values(space, t, x.values)
     rep = Report(title=f"scale_invariance[{m.label()}] t={t}", seed=rng_seed,
                  meta={"space": space.name or "", "declared": m.scale_invariant})

@@ -30,14 +30,14 @@ class InfShiftResult:
 
 
 def vector_monotone_inf(g, lo0: np.ndarray, hi0: np.ndarray, target: np.ndarray,
-                        tol: float = 1e-10, cap: float = BRACKET_CAP) -> InfShiftResult:
+                        tol: float = 1e-10) -> InfShiftResult:
     """Componentwise inf{c : g(c)_k >= target_k} for g nondecreasing in c.
 
     ``g`` maps a vector of candidate shifts (one per component) to a vector of values.
-    Brackets are seeded with [lo0, hi0] and expanded by doubling steps.  If a component
-    stays at/above target all the way down to -cap the infimum is reported as -inf; a
-    component that never reaches target by +cap is an inconsistency in the caller's
-    monotone function and raises BracketError.
+    Brackets are seeded with [lo0, hi0] and expanded by doubling steps up to
+    cap = BRACKET_CAP.  If a component stays at/above target all the way down to -cap
+    the infimum is reported as -inf; a component that never reaches target by +cap is
+    an inconsistency in the caller's monotone function and raises BracketError.
 
     Returns the lower bracket endpoint: within ``tol`` of the infimum and strictly on
     the g < target side, so an exactly-probed threshold such as 0.0 survives intact.
@@ -45,6 +45,7 @@ def vector_monotone_inf(g, lo0: np.ndarray, hi0: np.ndarray, target: np.ndarray,
     adjacent floats instead and the lower one is returned.  More than ``BISECT_CAP``
     halvings raise RuntimeError.
     """
+    cap = BRACKET_CAP
     lo = np.array(lo0, dtype=float)
     hi = np.array(hi0, dtype=float)
     target = np.asarray(target, dtype=float)

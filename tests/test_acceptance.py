@@ -171,7 +171,7 @@ def test_c05_dynamic_glr_consistency(capsys):
         tree_idx += 1
         rep = check_time_consistency(d, tree, trials=10, rng_seed=tree_idx)
         samples += rep.samples
-        agree_checked += rep.check("criteria_agreement").trials
+        agree_checked += rep.result("criteria_agreement").trials
         all_pass = all_pass and rep.consistent and rep.checks_pass()
     ok = all_pass and samples >= 1000
     _line(capsys, 5, ok, f"dynamic gain-loss consistency: {samples} (X, s, t, z) "

@@ -97,6 +97,26 @@ def test_missing_file_exit_one(files, capsys):
     assert "file not found" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command, flag, content, want", [
+    ("evaluate", "--measure", {"kind": "nope"},
+     {"error": "invalid measure", "message": "unknown measure kind 'nope'"}),
+    ("evaluate", "--var", {"values": {"u": 1.0}},
+     {"error": "invalid variable", "message": "values missing for leaves ['d']"}),
+    ("lift", "--dividend", {"space": "elsewhere", "payments": {}},
+     {"error": "invalid dividend stream",
+      "message": "stream references space 'elsewhere', got 'coin2'"}),
+], ids=["measure", "variable", "dividend"])
+def test_invalid_input_file_exit_one(files, command, flag, content, want, capsys):
+    bad = files["dir"] / "bad.json"
+    dump_json(content, bad)
+    other = "--var" if command == "evaluate" else "--dividend"
+    inputs = {"--measure": files["glr"], "--space": files["space"], "--t": "0",
+              other: files["x"], flag: str(bad)}
+    code = main([command, *(s for item in inputs.items() for s in item)])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out) == {"error": {**want, "path": str(bad)}}
+
+
 def test_bad_tolerance_rejected(files, capsys):
     code = main(["induce", "--measure", files["glr"], "--space", files["space"],
                  "--var", files["x"], "--t", "0", "--z", "2",

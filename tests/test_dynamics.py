@@ -29,7 +29,7 @@ def test_glr_is_consistent_on_sample(tree2):
     assert rep.verdict == "consistent-on-sample"
     assert rep.checks_pass()
     assert rep.witness is None
-    assert rep.check("criteria_agreement").passed
+    assert rep.result("criteria_agreement").passed
 
 
 def test_constant_lambda_exp_utility_is_consistent(tree2):
@@ -38,7 +38,7 @@ def test_constant_lambda_exp_utility_is_consistent(tree2):
     assert rep.consistent
     for name in ("eq_tc[measure-level]", "eq_tc[strict-risk]",
                  "eq_tc[weak-risk]"):
-        assert rep.check(name).passed
+        assert rep.result(name).passed
 
 
 def test_sample_count_accounting(tree2):
@@ -126,7 +126,7 @@ def test_sampling_check_localizes_below_the_root(tree3):
     assert (found["s"], found["t"], found["atom"]) == (1, 2, "uuu")
     assert abs(found["margin"] - 101.7425) <= 1e-4
     # the sampler returns the same payoff, so each sample verifies one candidate
-    assert rep.check("localized_violations").failures == 5
+    assert rep.result("localized_violations").failures == 5
 
 
 def test_globalized_witness_below_the_root(tree3):

@@ -70,6 +70,16 @@ def test_certainty_equivalent_of_constant(space2):
         assert abs(got - c) < 1e-9
 
 
+@pytest.mark.parametrize("eta", [1.0 - 1e-9, 1.0 + 1e-9, 1.0 - 1e-13, 1.0 + 1e-13,
+                                 0.5, 2.0])
+def test_power_utility_inverts_near_log(eta):
+    # the shape guard accepts eta next to 1, and the inverse undoes U to 1e-12 relative
+    u = UtilitySpec("power", eta=eta)
+    x = np.linspace(-5.0, 40.0, 901)
+    err = np.abs(u.inverse(u(x)) - x)
+    assert np.all(err <= 1e-12 * np.maximum(1.0, np.abs(x)))
+
+
 def test_conditional_expectation_measure(tree2):
     m = ConditionalExpectation()
     x = XVar(tree2, [1.0, 2.0, 3.0, 5.0])
@@ -266,13 +276,30 @@ def test_strictness_fails_without_headroom(space2):
     ExpectedUtilityMeasure(UtilitySpec("linear")),
     lpm_ratio(3.0),
     raroc(0.25),
+    ExponentialUtilityMeasure(risk_aversion={0: 0.7, 1: [0.4, 1.9]}),
+    CertaintyEquivalentMeasure(UtilitySpec("power", eta=0.5)),
+    CertaintyEquivalentMeasure(UtilitySpec("power", eta=2.0)),
+    ExpectedUtilityMeasure(UtilitySpec("power", eta=0.5)),
+    raroc(0.5, infinite_when_risk_nonpositive=True),
 ], ids=lambda m: m.label())
 def test_measure_json_round_trip(m, space2):
-    back = measure_from_json(m.to_json(), space=space2)
+    back = measure_from_json(m.to_json(space2), space=space2)
     assert back.kind == m.kind
     assert (back.z_d, back.z_u) == (m.z_d, m.z_u)
     x = XVar(space2, [2.0, -0.5])
-    assert np.allclose(evaluate(back, 0, x).values, evaluate(m, 0, x).values)
+    for t in space2.times:
+        assert np.allclose(evaluate(back, t, x).values, evaluate(m, t, x).values)
+
+
+@pytest.mark.parametrize("d", [
+    {"kind": "cond_expectation", "params": {"q": {"u": 0.9, "d": 0.1}}},
+    {"kind": "expected_utility",
+     "params": {"utility": {"tag": "linear"}, "endowment": {"stage": 0}}},
+    {"kind": "exp_utility", "params": {"lamda": 2.0}},
+], ids=["q", "endowment", "typo"])
+def test_measure_json_rejects_unknown_params(d, space2):
+    with pytest.raises(ValueError, match="takes no parameters"):
+        measure_from_json(d, space=space2)
 
 
 def test_evaluate_rejects_bad_stage(space2):
