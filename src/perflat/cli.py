@@ -55,14 +55,19 @@ _INPUTS = {"measure": ("measure", measure_from_json),
 def _inputs(args, *names) -> tuple:
     """The space of --space, then the file of each named flag parsed on that space.
 
-    A ValueError from a parser becomes an "invalid <what>" report naming the file.
+    A parser's ValueError becomes an "invalid <what>" report naming the file.  So does
+    the KeyError, TypeError or AttributeError of a file that lacks an entry or holds
+    the wrong JSON type; the report then adds the error's type, since a KeyError's
+    message is only the missing key.
     """
     def load(path, what, parse, *extra, **kwargs):
         try:
             return parse(_load_json(path), *extra, **kwargs)
-        except ValueError as e:
-            raise CliError({"error": f"invalid {what}", "path": str(path),
-                            "message": str(e)})
+        except (ValueError, KeyError, TypeError, AttributeError) as e:
+            payload = {"error": f"invalid {what}", "path": str(path), "message": str(e)}
+            if not isinstance(e, ValueError):
+                payload["type"] = type(e).__name__
+            raise CliError(payload)
 
     space = load(args.space, "space", FilteredSpace.from_json, name=Path(args.space).stem)
     return (space, *(load(getattr(args, n), *_INPUTS[n], space) for n in names))

@@ -521,17 +521,50 @@ class EventMask:
 # conditional operations
 
 
+def bin_sums(index: np.ndarray, n_bins: int):
+    """Per-bin sums of weight rows: ``np.bincount(index, w)`` for w of shape (m,) or (B, m).
+
+    Every row is summed cell by cell in index order, as a one-row call sums it, so a
+    batched row equals its one-row result bit for bit.
+    """
+    row_bins = {}  # batch size -> the bin of each (row, cell)
+
+    def sums(w):
+        if w.ndim == 1:
+            return np.bincount(index, weights=w, minlength=n_bins)
+        rows = w.shape[0]
+        bins = row_bins.get(rows)
+        if bins is None:
+            bins = row_bins[rows] = (index + n_bins * np.arange(rows)[:, None]).ravel()
+        tot = np.bincount(bins, weights=w.ravel(), minlength=rows * n_bins)
+        return tot.reshape(rows, n_bins)
+
+    return sums
+
+
+def atom_expector(space: FilteredSpace, t: int):
+    """``atom_expect(space, t, .)`` with the stage's index, weights and masses bound once.
+
+    Takes leaf rows of shape (n_leaves,) or (B, n_leaves) and returns (n_atoms,) or
+    (B, n_atoms), each row equal to its one-row result bit for bit (see ``bin_sums``).
+    """
+    probs = space.probs
+    mass = space.atom_mass[t]
+    sums = bin_sums(space.atom_index[t], space.n_atoms(t))
+    return lambda leaf_values: sums(probs * leaf_values) / mass
+
+
 def atom_expect(space: FilteredSpace, t: int, leaf_values: np.ndarray) -> np.ndarray:
     """Per-atom conditional expectation of raw leaf values (array-in, array-out).
 
-    +inf leaves carry positive weight, so they propagate to +inf atom values.
+    Takes one row of leaf values or a (B, n_leaves) batch of rows; see
+    ``atom_expector``.  +inf leaves carry positive weight, so they propagate to +inf
+    atom values.
     """
-    with np.errstate(invalid="ignore"):
-        tot = np.bincount(space.atom_index[t], weights=space.probs * leaf_values,
-                          minlength=space.n_atoms(t))
     # p * inf is inf (p > 0); nan can only come from inf - inf across leaves,
     # which XVar excludes, but guard bincount pairs of +inf anyway
-    return tot / space.atom_mass[t]
+    with np.errstate(invalid="ignore"):
+        return atom_expector(space, t)(leaf_values)
 
 
 def loss_order(space: FilteredSpace, t: int, loss: np.ndarray):

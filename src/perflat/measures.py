@@ -20,7 +20,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .lattice import (INF, FilteredSpace, TVar, XVar, atom_expect,
+from .lattice import (INF, FilteredSpace, TVar, XVar, atom_expector, bin_sums,
                       close_or_both_inf, loss_order, num_from_json, num_to_json,
                       sample_event, sample_tvar, sample_xvar)
 from .report import CheckResult, Report, run_trials
@@ -74,11 +74,9 @@ class UtilitySpec:
         x = np.asarray(x, dtype=float)
         if self.tag == "linear":
             return x.copy()
-        if self.tag == "exp":
-            pos_inf = np.isposinf(x)
+        if self.tag == "exp":  # U(+inf) = 1 - e^(-inf) = 1 exactly
             with np.errstate(over="ignore"):
-                out = 1.0 - np.exp(-self.lam * x)
-            return np.where(pos_inf, 1.0, out)
+                return 1.0 - np.exp(-self.lam * x)
         # power: CRRA on gains, identity below 0
         xp = np.maximum(x, 0.0)
         if self.eta == 1.0:
@@ -159,8 +157,66 @@ def _resolve_stage_param(param, space: FilteredSpace, t: int, name: str) -> np.n
 # measures
 
 
+def _unshifted(kernel, space: FilteredSpace, t: int, leaf_values) -> np.ndarray:
+    """A kernel on its own claim: the values of the leaf rows themselves.
+
+    One row (n_leaves,) gives (n_atoms,); a batch (B, n_leaves) gives (B, n_atoms),
+    one kernel per row, so each row equals its one-row call bit for bit.
+    """
+    leaf_values = np.asarray(leaf_values, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if leaf_values.ndim == 2:
+            return np.array([kernel(space, t, row)(row) for row in leaf_values])
+        return kernel(space, t, leaf_values)(leaf_values)
+
+
+def shifted(f, space: FilteredSpace, t: int, leaf_values: np.ndarray):
+    """The prepared evaluator g(c) = f(leaf_values + c[..., atom_index[t]]) of a kernel."""
+    idx = space.atom_index[t]
+    return lambda c: f(leaf_values + c.take(idx, axis=-1))
+
+
+def values_kernel(m, space: FilteredSpace, t: int):
+    """The kernel of a measure that defines only ``values``: one call per leaf row."""
+    def f(y):
+        if y.ndim == 1:
+            return m.values(space, t, y)
+        return np.array([m.values(space, t, row) for row in y], dtype=float)
+
+    return f
+
+
+def _ratio(num: np.ndarray, den: np.ndarray, eps: float) -> np.ndarray:
+    """num / den on {num > eps}, zero elsewhere; xi / 0 = +inf (den <= eps)."""
+    den_ok = den > eps
+    ratio = num / np.where(den_ok, den, 1.0)
+    return np.where(num > eps, np.where(den_ok, ratio, INF), 0.0)
+
+
 class PerformanceMeasure:
-    """Base class: concrete measures implement raw per-atom values."""
+    """Base class: per-atom values of leaf rows, and their prepared shift evaluator.
+
+    Batch contract.  ``values(space, t, leaf_values)`` maps one row of leaf values,
+    shape (n_leaves,), to (n_atoms,) and a batch (B, n_leaves) to (B, n_atoms); each
+    row of a batch equals its one-row call bit for bit.  ``prepare(space, t, x)``
+    fixes one claim x (one row) and returns g with
+
+        g(c) = values(space, t, x + c[..., atom_index[t]])   bit for bit
+
+    for per-atom shifts c of shape (n_atoms,) or (B, n_atoms).  g leaves numpy's
+    overflow and invalid-value warnings to its caller: ``values`` and the
+    induced-risk search run it under ``np.errstate``.
+
+    Both come from one formula, ``kernel(space, t, x)``: it computes once what a
+    per-atom shift of x cannot change (stage parameters, index and mass lookups,
+    raroc's within-atom loss order) and returns f with f(y) = values(space, t, y) for
+    leaf rows y that differ from x by such a shift.  ``values`` is f(x) and
+    ``prepare`` is f(x + c[..., idx]).  The shipped measures define ``kernel``.  A
+    class that redefines ``values`` below the class that defines its ``kernel`` (a
+    ``CustomMeasure``, or a subclass of a shipped measure that overrides only
+    ``values``) is prepared through ``values_kernel``, which calls its ``values`` one
+    row at a time, so the inherited formula never stands in for the new one.
+    """
 
     kind = "abstract"
     z_d = -INF
@@ -169,7 +225,19 @@ class PerformanceMeasure:
     eps_strict = EPS_STRICT
 
     def values(self, space: FilteredSpace, t: int, leaf_values: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return _unshifted(self.kernel, space, t, leaf_values)
+
+    def prepare(self, space: FilteredSpace, t: int, leaf_values: np.ndarray):
+        mro = type(self).__mro__
+        owner = [next(i for i, c in enumerate(mro) if name in c.__dict__)
+                 for name in ("values", "kernel")]
+        f = (values_kernel(self, space, t) if owner[0] < owner[1]
+             else self.kernel(space, t, leaf_values))
+        return shifted(f, space, t, leaf_values)
+
+    def kernel(self, space: FilteredSpace, t: int, leaf_values: np.ndarray):
+        raise NotImplementedError(f"{type(self).__name__} defines neither values nor "
+                                  "kernel")
 
     def evaluate(self, t: int, x: XVar) -> TVar:
         t = x.space.check_stage(t)
@@ -201,26 +269,35 @@ def evaluate(m: PerformanceMeasure, t: int, x: XVar) -> TVar:
     return m.evaluate(t, x)
 
 
+# The shipped classes list ``values`` in their own bodies only because per-class
+# wrappers such as benchmarks/tracer.py look it up in the class dict; they can go once
+# the tracer counts at the kernels (ROADMAP item 0).
+
+
 class ConditionalExpectation(PerformanceMeasure):
     """E[X | F_t] under the reference measure."""
 
     kind = "cond_expectation"
+    values = PerformanceMeasure.values
 
-    def values(self, space, t, leaf_values):
-        return atom_expect(space, t, leaf_values)
+    def kernel(self, space, t, leaf_values):
+        return atom_expector(space, t)
 
 
 class ExpectedUtilityMeasure(PerformanceMeasure):
     """E[U(X) | F_t] for a concave strictly increasing U."""
 
     kind = "expected_utility"
+    values = PerformanceMeasure.values
 
     def __init__(self, utility: UtilitySpec):
         self.utility = utility
         self.z_u = utility.at_inf
 
-    def values(self, space, t, leaf_values):
-        return atom_expect(space, t, self.utility(leaf_values))
+    def kernel(self, space, t, leaf_values):
+        expect = atom_expector(space, t)
+        u = self.utility
+        return lambda y: expect(u(y))
 
     def risk_at_zero_log_level(self, space, t, log_level):
         if self.utility.tag != "exp":
@@ -241,6 +318,7 @@ class ExponentialUtilityMeasure(PerformanceMeasure):
     kind = "exp_utility"
     z_d = -INF
     z_u = 1.0
+    values = PerformanceMeasure.values
 
     def __init__(self, risk_aversion=1.0):
         self.risk_aversion = risk_aversion
@@ -254,13 +332,11 @@ class ExponentialUtilityMeasure(PerformanceMeasure):
             raise ValueError("risk aversion must be positive")
         return lam
 
-    def values(self, space, t, leaf_values):
-        lam_leaf = self.lam_at(space, t)[space.atom_index[t]]
-        pos_inf = np.isposinf(leaf_values)
-        with np.errstate(over="ignore"):
-            w = np.exp(-lam_leaf * leaf_values)
-        w = np.where(pos_inf, 0.0, w)
-        return 1.0 - atom_expect(space, t, w)
+    def kernel(self, space, t, leaf_values):
+        neg_lam = -self.lam_at(space, t)[space.atom_index[t]]
+        expect = atom_expector(space, t)
+        # a +inf leaf weighs e^(-inf) = 0 exactly, so it needs no mask
+        return lambda y: 1.0 - expect(np.exp(neg_lam * y))
 
     def risk_at_zero_log_level(self, space, t, log_level):
         return -np.logaddexp(0.0, log_level) / self.lam_at(space, t)
@@ -289,13 +365,15 @@ class CertaintyEquivalentMeasure(PerformanceMeasure):
     kind = "certainty_equivalent"
     z_d = -INF
     z_u = INF
+    values = PerformanceMeasure.values
 
     def __init__(self, utility: UtilitySpec):
         self.utility = utility
 
-    def values(self, space, t, leaf_values):
-        y = atom_expect(space, t, self.utility(leaf_values))
-        return self.utility.inverse(y)
+    def kernel(self, space, t, leaf_values):
+        expect = atom_expector(space, t)
+        u = self.utility
+        return lambda y: u.inverse(expect(u(y)))
 
     def risk_at_zero_log_level(self, space, t, log_level):
         # C_t(xi) = xi on stage variables, so the cash threshold at level z is z itself
@@ -315,16 +393,12 @@ class GainLossRatio(PerformanceMeasure):
     z_d = 0.0
     z_u = INF
     scale_invariant = True
+    values = PerformanceMeasure.values
 
-    def values(self, space, t, leaf_values):
-        num = atom_expect(space, t, leaf_values)
-        den = atom_expect(space, t, np.maximum(-leaf_values, 0.0))
-        pos = num > self.eps_strict
-        safe = np.where(den > self.eps_strict, den, 1.0)
-        with np.errstate(invalid="ignore"):
-            ratio = num / safe
-        out = np.where(den > self.eps_strict, ratio, INF)
-        return np.where(pos, out, 0.0)
+    def kernel(self, space, t, leaf_values):
+        expect = atom_expector(space, t)
+        eps = self.eps_strict
+        return lambda y: _ratio(expect(y), expect(np.maximum(-y, 0.0)), eps)
 
 
 @dataclass
@@ -339,9 +413,10 @@ class LPMDenominator:
 
     positively_homogeneous = True
 
-    def values(self, space, t, leaf_values):
-        neg = np.maximum(-leaf_values, 0.0)
-        return np.power(atom_expect(space, t, np.power(neg, self.p)), 1.0 / self.p)
+    def kernel(self, space, t, leaf_values):
+        expect = atom_expector(space, t)
+        p, inv_p = self.p, 1.0 / self.p
+        return lambda y: np.power(expect(np.power(np.maximum(-y, 0.0), p)), inv_p)
 
     def to_json(self, space=None):
         return {"kind": "lpm", "p": num_to_json(self.p)}
@@ -364,6 +439,11 @@ class AVaRTruncDenominator:
     (Acerbi and Tasche 2002), so one sort and one prefix sum serve every atom.
     A level left at or below 1e-15 takes nothing more, and a leaf outside the tail
     contributes 0 even when its loss is -inf (a +inf gain).
+
+    A shift constant on each atom keeps the atom's loss order, so ``risk_kernel``
+    sorts the claim once and reuses the order and the tail weights for every shift.
+    Only where a shift rounds two different leaves into a tie can the sum differ from
+    a fresh sort's, in the order of its terms (a few ulps).
     """
 
     level: object = 0.5  # scalar, TVar, or {stage: per-atom array}
@@ -376,10 +456,11 @@ class AVaRTruncDenominator:
             raise ValueError("avar level must lie in (0, 1)")
         return lv
 
-    def risk_values(self, space, t, leaf_values):
+    def risk_kernel(self, space, t, leaf_values):
+        """The signed AVaR of leaf rows that differ from the claim by per-atom shifts."""
         lv = self.level_at(space, t)
-        losses = -leaf_values  # +inf gains become -inf losses and sort to the tail end
-        order, atom, starts = loss_order(space, t, losses)
+        # +inf gains become -inf losses and sort to the tail end
+        order, atom, starts = loss_order(space, t, -leaf_values)
         w = space.probs[order] / space.atom_mass[t][atom]
         # Each atom's weights sum to one, so taking one off at its last leaf brings the
         # running sum back to about zero: an atom's prefix sums keep its own scale
@@ -391,11 +472,16 @@ class AVaRTruncDenominator:
         live = rest > 1e-15
         live[starts] = True  # the largest loss is in the tail at any level
         take = np.where(live, np.minimum(w, rest), 0.0)
-        tail = np.where(live, losses[order], 0.0) * take
-        return np.bincount(atom, weights=tail, minlength=len(lv)) / lv
+        per_atom = bin_sums(atom, len(lv))
+        return lambda y: per_atom(np.where(live, -y.take(order, axis=-1), 0.0)
+                                  * take) / lv
 
-    def values(self, space, t, leaf_values):
-        return np.maximum(self.risk_values(space, t, leaf_values), 0.0)
+    def kernel(self, space, t, leaf_values):
+        risk = self.risk_kernel(space, t, leaf_values)
+        return lambda y: np.maximum(risk(y), 0.0)
+
+    def risk_values(self, space, t, leaf_values):
+        return _unshifted(self.risk_kernel, space, t, leaf_values)
 
     def to_json(self, space=None):
         if isinstance(self.level, (Mapping, TVar)):
@@ -414,11 +500,14 @@ class RewardRiskRatio(PerformanceMeasure):
     With the AVaR denominator the default convention sets the value to +inf only where
     the reward is positive and the truncated risk vanishes; the alternative flag
     reproduces the variant that returns +inf on {AVaR <= 0} regardless of reward.
+    A denominator provides ``kernel(space, t, x)`` with a measure's contract, and
+    ``risk_kernel`` for the sign of the untruncated risk if it has one.
     """
 
     kind = "reward_risk"
     z_d = 0.0
     z_u = INF
+    values = PerformanceMeasure.values
 
     def __init__(self, utility: UtilitySpec, denominator,
                  infinite_when_risk_nonpositive: bool = False):
@@ -432,19 +521,22 @@ class RewardRiskRatio(PerformanceMeasure):
         self.scale_invariant = bool(utility.positively_homogeneous
                                     and denominator.positively_homogeneous)
 
-    def values(self, space, t, leaf_values):
-        num = atom_expect(space, t, self.utility(leaf_values))
-        den = self.denominator.values(space, t, leaf_values)
-        pos = num > self.eps_strict
-        safe = np.where(den > self.eps_strict, den, 1.0)
-        with np.errstate(invalid="ignore"):
-            ratio = num / safe
-        out = np.where(den > self.eps_strict, ratio, INF)
-        out = np.where(pos, out, 0.0)
-        if self.infinite_when_risk_nonpositive and hasattr(self.denominator, "risk_values"):
-            risk = self.denominator.risk_values(space, t, leaf_values)
-            out = np.where(risk <= self.eps_strict, INF, out)
-        return out
+    def kernel(self, space, t, leaf_values):
+        expect = atom_expector(space, t)
+        u = self.utility
+        eps = self.eps_strict
+        if self.infinite_when_risk_nonpositive and hasattr(self.denominator,
+                                                           "risk_kernel"):
+            risk = self.denominator.risk_kernel(space, t, leaf_values)
+
+            def f(y):
+                r = risk(y)
+                out = _ratio(expect(u(y)), np.maximum(r, 0.0), eps)
+                return np.where(r <= eps, INF, out)
+
+            return f
+        den = self.denominator.kernel(space, t, leaf_values)
+        return lambda y: _ratio(expect(u(y)), den(y), eps)
 
     def params_json(self, space=None):
         return {"utility": self.utility.to_json(),

@@ -37,7 +37,7 @@ import numpy as np
 
 from .lattice import (INF, FilteredSpace, TVar, XVar, atom_expect, loss_order,
                       num_to_json, sample_event, sample_tvar, sample_xvar)
-from .measures import PerformanceMeasure, _resolve_stage_param
+from .measures import PerformanceMeasure, _resolve_stage_param, shifted, values_kernel
 from .report import CheckResult, Report, run_trials
 from .simplex import solve_lp
 from .solvers import BracketError, group_logsumexp, vector_monotone_inf
@@ -71,27 +71,38 @@ class RiskPoint:
 
 
 def _induce_raw(m: PerformanceMeasure, t: int, z, x: XVar, tol: float = TOL_C):
-    """Per-atom inf{c : beta_t(X + c) >= z}; z may be scalar or per-atom array."""
+    """Per-atom inf{c : beta_t(X + c) >= z}.
+
+    z may be a scalar, a per-atom array or a (B, n_atoms) array of level rows; each
+    (row, atom) is one independent component of the search, so a row equals the call
+    made with that row alone, bit for bit.  The measure is prepared once per call.
+    """
     space = x.space
-    idx = space.atom_index[t]
     n = space.n_atoms(t)
-    target = np.broadcast_to(np.asarray(z, dtype=float), (n,)).astype(float).copy()
+    z = np.asarray(z, dtype=float)
+    shape = (n,) if z.ndim < 2 else (z.shape[0], n)
+    target = np.broadcast_to(z, shape).ravel().copy()
     fmin, fmax = x.finite_min(), x.finite_max()
     if not math.isfinite(fmin):  # no finite leaf at all
         fmin, fmax = 0.0, 0.0
-    lo0 = np.full(n, -fmax - 1.0)
-    hi0 = np.full(n, -fmin + 1.0)
-
-    def g(c):
-        return m.values(space, t, x.values + c[idx])
+    lo0 = np.full(target.size, -fmax - 1.0)
+    hi0 = np.full(target.size, -fmin + 1.0)
+    prepare = getattr(m, "prepare", None)
+    g = (prepare(space, t, x.values) if prepare is not None
+         else shifted(values_kernel(m, space, t), space, t, x.values))
+    if len(shape) == 2:  # the search sees one flat vector of (row, atom) components
+        rows = g
+        g = lambda c: rows(c.reshape(shape)).ravel()
 
     try:
-        res = vector_monotone_inf(g, lo0, hi0, target, tol=tol)
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = vector_monotone_inf(g, lo0, hi0, target, tol=tol)
     except BracketError as e:
         raise RuntimeError(
             "shift bracket never reached the level from below; the measure's upper "
             "threshold looks misdeclared") from e
-    return res.values, res.hit_lower_cap, res.near_zero
+    return (res.values.reshape(shape), res.hit_lower_cap.reshape(shape),
+            res.near_zero.reshape(shape))
 
 
 def induce_risk(m: PerformanceMeasure, t: int, z: float, x: XVar,
@@ -148,8 +159,13 @@ def entropic_closed_form(lam, t: int, z: float, x: XVar) -> RiskPoint:
 class StandardFamily:
     """One conditional convex risk measure per level z in an open interval.
 
-    ``raw(z, t, x)`` returns the per-atom values; z may be a scalar or a per-atom
-    array (each atom evaluated at its own level) — locality makes that well defined.
+    ``raw(z, t, x)`` returns the per-atom values; z may be a scalar, a per-atom
+    array (each atom evaluated at its own level) — locality makes that well defined —
+    or a (B, n_atoms) array of level rows, which returns (B, n_atoms) with each row
+    equal to its one-row call bit for bit.  ``reconstruct`` relies on that: it asks
+    for a tree of levels per call, and refuses a family whose answer has another
+    shape.  A family written for scalar or per-atom levels only must be extended to
+    level rows before ``reconstruct`` can use it.
     ``zero_log_level(space, t, L)`` optionally evaluates rho^z(0) at z = -e^L, for
     probing the lower divergence far beyond float range; where it returns None the
     divergence check probes a ladder of levels instead.
@@ -298,6 +314,69 @@ def risk_curve(m: PerformanceMeasure, t: int, x: XVar, z_grid,
 # reconstruction
 
 
+# Leaf-rows one speculative level probe may hold: ``reconstruct`` decides d halvings per
+# family call, d being the deepest tree whose 2^d - 1 midpoint rows times the leaf
+# count fit.  Set on criterion 1's trees of at most 16 leaves, the only ``reconstruct``
+# traffic the benchmark measures: there a call costs its overhead, not its rows, d = 5
+# on 16 leaves, and 1024 measured about 12% slower (a deeper tree doubles the rows to
+# save about one call of six).  Above 16 leaves the rule is unmeasured: it gives d = 1,
+# one call per halving, from 256 leaves, where a single timing found d = 3 faster
+# (ROADMAP item 0 asks for a large-tree workload before this is set from both sides).
+PROBE_LEAF_ROWS = 512
+
+
+def _bisect_levels(is_neg, lo, hi, is_open, level, z_fill, depth, cap, what):
+    """Componentwise bisection of [lo, hi], deciding ``depth`` halvings per probe call.
+
+    It makes the decisions of the sequential loop
+
+        while True:
+            mid = 0.5 * (lo + hi)
+            open = is_open(lo, hi) & (lo < mid) & (mid < hi)
+            if not open.any(): break
+            neg = is_neg(np.where(open, level(mid), z_fill))
+            lo = np.where(open & neg, mid, lo)
+            hi = np.where(open & ~neg, mid, hi)
+
+    with the same arithmetic: each call of ``is_neg`` takes the 2^depth - 1 midpoints
+    of the bracket tree below [lo, hi] as rows of levels, and the halvings are replayed
+    from its answers.  That needs each component's answer to depend on its own level
+    only, which locality gives a standard family.  A component stops once the
+    midpoint equals an endpoint (adjacent floats), so the loop ends at any tolerance;
+    one still open after ``cap`` halvings raises.
+    """
+    n = lo.size
+    cols = np.arange(n)
+    steps = 0
+    while True:
+        a, b = lo[None, :], hi[None, :]  # the brackets of one tree level, in order
+        mids, opens = [], []
+        for k in range(depth):
+            mid = 0.5 * (a + b)
+            mids.append(mid)
+            opens.append(is_open(a, b) & (a < mid) & (mid < b))
+            if k + 1 < depth:  # node j halves into 2j (lower half) and 2j + 1 (upper)
+                a = np.stack((a, mid), axis=1).reshape(-1, n)
+                b = np.stack((mid, b), axis=1).reshape(-1, n)
+        if not opens[0].any():
+            return lo, hi
+        mid, is_open_at = np.concatenate(mids), np.concatenate(opens)
+        neg = is_neg(np.where(is_open_at, level(mid), z_fill))
+        node = np.zeros(n, dtype=np.intp)  # row of each component's current bracket
+        live = np.ones(n, dtype=bool)      # a closed bracket stays closed
+        for k in range(depth):
+            live &= is_open_at[node, cols]
+            if not live.any():
+                return lo, hi
+            if steps == cap:
+                raise RuntimeError(f"{what} bisection still open after {cap} halvings")
+            steps += 1
+            up = live & neg[node, cols]
+            lo = np.where(up, mid[node, cols], lo)
+            hi = np.where(live & ~up, mid[node, cols], hi)
+            node = 2 * node + 1 + up  # heap order: level k starts at row 2^k - 1
+
+
 def reconstruct(f: StandardFamily, t: int, x: XVar, tol_z: float = TOL_Z,
                 tol_c: float = TOL_C) -> TVar:
     """Regenerate the measure value from a standard family, per atom.
@@ -307,6 +386,11 @@ def reconstruct(f: StandardFamily, t: int, x: XVar, tol_z: float = TOL_Z,
     risk stays negative at the far top, and otherwise sup{z : rho^z < 0} by bisection:
     first in u = atan(z) to tolerance tol_z, then a plain-z polish for absolute
     accuracy on moderate levels.  Strict negativity is decided as rho < -tol_c.
+
+    Each bisection step probes every atom at once, and one family call answers the
+    next d steps for all of them (``_bisect_levels``), with d set by the leaf count
+    through ``PROBE_LEAF_ROWS``.  A bracket that closes on adjacent floats stops; one
+    still open after 200 atan or 80 polish halvings raises RuntimeError.
     """
     space = x.space
     t = space.check_stage(t)
@@ -317,11 +401,19 @@ def reconstruct(f: StandardFamily, t: int, x: XVar, tol_z: float = TOL_Z,
     out = np.full(n, np.nan)
     done = np.zeros(n, dtype=bool)
     z_fill = math.tan(0.5 * (math.atan(max(z_d, -1e12)) + math.atan(min(z_u, 1e12))))
+    depth = max(1, int(math.log2(PROBE_LEAF_ROWS / space.n_leaves + 1)))
+
+    def is_neg(z) -> np.ndarray:
+        # strictly negative risk: the level sits below beta
+        rho = np.asarray(f.raw(z, t, x), dtype=float)
+        if rho.shape != z.shape:
+            raise ValueError(
+                f"family {f.label!r} answered levels of shape {z.shape} with shape "
+                f"{rho.shape}; raw must map (B, n_atoms) level rows to (B, n_atoms)")
+        return rho < -tol_c
 
     def probe(z_per_atom: np.ndarray, active: np.ndarray) -> np.ndarray:
-        z_vec = np.where(active, z_per_atom, z_fill)
-        vals = np.asarray(f.raw(z_vec, t, x), dtype=float)
-        return vals < -tol_c  # strictly negative risk: the level sits below beta
+        return is_neg(np.where(active, z_per_atom, z_fill))
 
     # top side: escalate until the risk stops being negative
     if math.isfinite(z_u):
@@ -360,30 +452,22 @@ def reconstruct(f: StandardFamily, t: int, x: XVar, tol_z: float = TOL_Z,
     done |= pending
 
     # bisection in atan coordinates
-    for _ in range(200):
-        open_mask = ~done & ((u_hi - u_lo) > tol_z)
-        if not open_mask.any():
-            break
-        mid = 0.5 * (u_lo + u_hi)
-        neg = probe(np.where(open_mask, np.tan(mid), z_fill), open_mask)
-        u_lo = np.where(open_mask & neg, mid, u_lo)
-        u_hi = np.where(open_mask & ~neg, mid, u_hi)
+    u_lo, u_hi = _bisect_levels(
+        is_neg, u_lo, u_hi, lambda lo, hi: ~done & ((hi - lo) > tol_z), np.tan,
+        z_fill, depth, 200, "atan")
 
     # plain-z polish where the tangent map stretched the tolerance
     todo = ~done
     if todo.any():
         z_lo = np.where(todo, np.tan(u_lo), 0.0)
         z_hi = np.where(todo, np.tan(u_hi), 0.0)
-        for _ in range(80):
-            width = z_hi - z_lo
-            scale = np.maximum(1.0, np.minimum(np.abs(z_lo), 1e9) * 1e-3)
-            active = todo & (width > 1e-7 * scale) & (np.abs(z_lo) < 1e9)
-            if not active.any():
-                break
-            mid = 0.5 * (z_lo + z_hi)
-            neg = probe(np.where(active, mid, z_fill), active)
-            z_lo = np.where(active & neg, mid, z_lo)
-            z_hi = np.where(active & ~neg, mid, z_hi)
+
+        def polishing(lo, hi):
+            scale = np.maximum(1.0, np.minimum(np.abs(lo), 1e9) * 1e-3)
+            return todo & (hi - lo > 1e-7 * scale) & (np.abs(lo) < 1e9)
+
+        z_lo, z_hi = _bisect_levels(is_neg, z_lo, z_hi, polishing, lambda z: z,
+                                    z_fill, depth, 80, "polish")
         out = np.where(todo, 0.5 * (z_lo + z_hi), out)
 
     kind = None if np.any(np.isneginf(out)) else "bb"

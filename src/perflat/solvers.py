@@ -58,7 +58,7 @@ def vector_monotone_inf(g, lo0: np.ndarray, hi0: np.ndarray, target: np.ndarray,
     # expand the upper side until g(hi) >= target
     need = g(hi) < target
     step = np.ones(n)
-    while np.any(need):
+    while need.any():
         hi[need] = hi[need] + step[need]
         step[need] *= 2.0
         if np.any(hi[need] > cap):
@@ -75,12 +75,12 @@ def vector_monotone_inf(g, lo0: np.ndarray, hi0: np.ndarray, target: np.ndarray,
     vals = g(lo)
     need = vals >= target
     step = np.ones(n)
-    while np.any(need):
+    while need.any():
         at_floor = need & (lo <= -cap)
-        if np.any(at_floor):
+        if at_floor.any():
             capped_below |= at_floor
             need &= ~at_floor
-            if not np.any(need):
+            if not need.any():
                 break
         lo[need] = np.maximum(lo[need] - step[need], -cap)
         step[need] *= 2.0
@@ -100,17 +100,15 @@ def vector_monotone_inf(g, lo0: np.ndarray, hi0: np.ndarray, target: np.ndarray,
         run = active & (hi - lo > tol)
         if steps >= free:
             run &= (lo < mid) & (mid < hi)  # adjacent floats: lo is the answer
-        if not np.any(run):
+        if not run.any():
             break
         steps += 1
         if steps > BISECT_CAP:
             raise RuntimeError(f"bisection did not close after {BISECT_CAP} halvings")
-        mid = np.where(run, mid, lo)
-        gm = g(mid)
-        go_down = run & (gm >= target)
-        hi[go_down] = mid[go_down]
-        go_up = run & ~go_down
-        lo[go_up] = mid[go_up]
+        mid = np.where(run, mid, lo)  # a stopped component keeps its bracket
+        down = run & (g(mid) >= target)
+        hi = np.where(down, mid, hi)
+        lo = np.where(down, lo, mid)
 
     out = np.where(capped_below, -math.inf, lo)
     near_zero = np.abs(out) <= tol

@@ -105,7 +105,23 @@ def test_missing_file_exit_one(files, capsys):
     ("lift", "--dividend", {"space": "elsewhere", "payments": {}},
      {"error": "invalid dividend stream",
       "message": "stream references space 'elsewhere', got 'coin2'"}),
-], ids=["measure", "variable", "dividend"])
+    # a file that lacks an entry or holds the wrong JSON type names itself too
+    ("lift", "--dividend", {"space": "coin2", "values": {"u": 1.0, "d": -1.0}},
+     {"error": "invalid dividend stream", "type": "KeyError",
+      "message": "'payments'"}),
+    ("evaluate", "--measure", {"params": {}},
+     {"error": "invalid measure", "type": "KeyError", "message": "'kind'"}),
+    ("evaluate", "--var", {"space": "coin2"},
+     {"error": "invalid variable", "type": "KeyError", "message": "'values'"}),
+    ("evaluate", "--measure", ["glr"],
+     {"error": "invalid measure", "type": "TypeError",
+      "message": "list indices must be integers or slices, not str"}),
+    ("evaluate", "--var", [3.0, -1.0],
+     {"error": "invalid variable", "type": "AttributeError",
+      "message": "'list' object has no attribute 'get'"}),
+], ids=["measure", "variable", "dividend", "dividend-without-payments",
+        "measure-without-kind", "variable-without-values", "measure-as-list",
+        "variable-as-list"])
 def test_invalid_input_file_exit_one(files, command, flag, content, want, capsys):
     bad = files["dir"] / "bad.json"
     dump_json(content, bad)

@@ -10,8 +10,9 @@ from perflat import (INF, CertaintyEquivalentMeasure, ConditionalExpectation,
                      ExponentialUtilityMeasure, GainLossRatio,
                      RewardRiskRatio, TVar, UtilitySpec, XVar, binomial_tree,
                      check_axioms, check_scale_invariance, coin2, evaluate,
-                     lpm_ratio, measure_from_json, paste, random_tree, raroc,
-                     sample_xvar)
+                     induce_risk, induced_family, lpm_ratio, measure_from_json,
+                     paste, random_tree, raroc, reconstruct, sample_xvar)
+from perflat.lattice import atom_expect
 from perflat.measures import AVaRTruncDenominator
 
 AXIOM_TRIALS = 120
@@ -122,8 +123,10 @@ def _avar_walk(space, t, leaf_values, lv):
 
 
 class _WalkAVaR(AVaRTruncDenominator):
-    def risk_values(self, space, t, leaf_values):
-        return _avar_walk(space, t, leaf_values, self.level_at(space, t))
+    # the walk behind the kernel, so risk_values and raroc both go through it
+    def risk_kernel(self, space, t, leaf_values):
+        lv = self.level_at(space, t)
+        return lambda y: _avar_walk(space, t, y, lv)
 
 
 def _avar_levels(space, t, x, rng):
@@ -181,7 +184,7 @@ def test_avar_hand_values(space2):
     assert AVaRTruncDenominator(0.5).risk_values(space2, 0, x).tolist() == [1.0]
     # past it the level reaches the +inf gain: the loss mean is -inf
     assert AVaRTruncDenominator(0.7).risk_values(space2, 0, x).tolist() == [-INF]
-    assert AVaRTruncDenominator(0.7).values(space2, 0, x).tolist() == [0.0]
+    assert AVaRTruncDenominator(0.7).kernel(space2, 0, x)(x).tolist() == [0.0]
     # a level below the 1e-15 cutoff still takes the largest loss
     assert AVaRTruncDenominator(1e-16).risk_values(space2, 0, x).tolist() == [1.0]
     m = raroc(0.7, infinite_when_risk_nonpositive=True)
@@ -189,18 +192,127 @@ def test_avar_hand_values(space2):
 
 
 # ---------------------------------------------------------------------------
+# prepared shift evaluators
+
+
+SHIPPED = [GainLossRatio(),
+           ExponentialUtilityMeasure(risk_aversion=1.0),
+           CertaintyEquivalentMeasure(UtilitySpec("exp", lam=1.0)),
+           ExpectedUtilityMeasure(UtilitySpec("power", eta=0.5)),
+           ConditionalExpectation(),
+           lpm_ratio(2.0),
+           raroc(0.5)]
+
+
+def _shift_cases(seed):
+    """Random trees with +inf legs at payoff scales 1e-8 to 1e8, with one stage, one
+    per-atom shift and a (5, n_atoms) batch of them, all at the payoff's scale."""
+    rng = np.random.default_rng(seed)
+    for scale in (1e-8, 1e-4, 1.0, 1e4, 1e8):
+        space = random_tree(rng, periods=int(rng.integers(1, 3)), max_leaves=16)
+        x = sample_xvar(space, rng, inf_prob=0.2).values * scale
+        t = int(rng.integers(0, len(space.times)))
+        n = space.n_atoms(t)
+        yield (space, t, x, rng.uniform(-4.0, 4.0, n) * scale,
+               rng.uniform(-4.0, 4.0, (5, n)) * scale)
+
+
+@pytest.mark.parametrize("m", SHIPPED + [
+    ExponentialUtilityMeasure({0: 0.7, 1: 1.9, 2: 0.4}),
+    raroc(0.3, infinite_when_risk_nonpositive=True)], ids=lambda m: m.label())
+def test_prepare_matches_values_bit_for_bit(m):
+    for seed in range(8):
+        for space, t, x, c, rows in _shift_cases(seed):
+            idx = space.atom_index[t]
+            g = m.prepare(space, t, x)
+            with np.errstate(over="ignore", invalid="ignore"):
+                one, batch = g(c), g(rows)
+            assert np.array_equal(one, m.values(space, t, x + c[idx]))
+            assert np.array_equal(batch, m.values(space, t, x + rows[:, idx]))
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert all(np.array_equal(g(r), b) for r, b in zip(rows, batch))
+
+
+def test_values_only_measures_share_the_row_closure(space2):
+    seen = []
+
+    def fn(space, t, leaf_values):
+        seen.append(leaf_values.shape)
+        return np.array([float(np.min(leaf_values))])
+
+    g = CustomMeasure(fn, z_d=-INF, z_u=INF).prepare(space2, 0, np.array([1.0, 3.0]))
+    assert g(np.array([[0.5], [-2.0]])).tolist() == [[1.5], [-1.0]]
+    assert seen == [(2,), (2,)]  # one values call per shift row
+
+
+def test_values_override_of_a_shipped_class_is_prepared_through_it(space2):
+    # the subclass inherits ConditionalExpectation's kernel, which must not stand in
+    # for its own values in prepare, induce_risk or reconstruct
+    class Doubled(ConditionalExpectation):
+        def values(self, space, t, leaf_values):
+            return 2.0 * super().values(space, t, leaf_values)
+
+    m = Doubled()
+    x = np.array([1.0, 3.0])
+    g = m.prepare(space2, 0, x)
+    assert g(np.array([0.5])).tolist() == [5.0]
+    assert g(np.array([[0.5], [-1.0]])).tolist() == [[5.0], [2.0]]
+    xv = XVar(space2, x)
+    assert induce_risk(m, 0, 5.0, xv).values.values[0] == pytest.approx(0.5, abs=1e-9)
+    assert reconstruct(induced_family(m), 0, xv).values[0] == pytest.approx(4.0,
+                                                                            abs=1e-6)
+
+
+def test_atom_expect_rows_match_one_row_calls():
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        space = random_tree(rng, periods=int(rng.integers(1, 4)), max_leaves=16)
+        rows = rng.uniform(-4.0, 4.0, (7, space.n_leaves)) * 10.0 ** rng.integers(-8, 9)
+        rows[rng.random(rows.shape) < 0.1] = INF
+        for t in space.times:
+            got = atom_expect(space, t, rows)
+            assert got.shape == (7, space.n_atoms(t))
+            assert all(np.array_equal(g, atom_expect(space, t, r))
+                       for g, r in zip(got, rows))
+
+
+def test_raroc_cached_order_is_a_fresh_sort_on_pinned_inputs():
+    # the claim is sorted once per (stage, claim); a per-atom shift keeps the order
+    space = binomial_tree(10, 0.3)
+    x = np.random.default_rng(14).uniform(-4.0, 4.0, space.n_leaves)
+    rng = np.random.default_rng(16)
+    for t in (0, 4, 9):
+        for level in (0.5, {t: rng.uniform(0.05, 0.95, space.n_atoms(t))}):
+            den = AVaRTruncDenominator(level)
+            risk = den.risk_kernel(space, t, x)
+            for c in rng.uniform(-5.0, 5.0, (4, space.n_atoms(t))):
+                y = x + c[space.atom_index[t]]
+                assert np.array_equal(risk(y), den.risk_values(space, t, y))
+
+
+@given(seed=st.integers(0, 10 ** 6))
+@settings(max_examples=40, deadline=None)
+def test_raroc_cached_order_matches_a_fresh_sort(seed):
+    # they differ only where a shift rounds two leaves into a tie, which large
+    # shifts of tightly spaced leaves provoke; the sum then changes its term order
+    rng = np.random.default_rng(seed)
+    space = random_tree(rng, periods=2, max_leaves=16)
+    x = rng.uniform(-4.0, 4.0, space.n_leaves)
+    if seed % 2:
+        x = 1.0 + rng.integers(0, 4, space.n_leaves) * 2.0 ** -52
+    t = int(rng.integers(0, 2))
+    den = AVaRTruncDenominator(float(rng.uniform(0.05, 0.95)))
+    c = rng.uniform(-1.0, 1.0, space.n_atoms(t)) * 10.0 ** rng.integers(0, 9)
+    y = x + c[space.atom_index[t]]
+    got = den.risk_kernel(space, t, x)(y)
+    np.testing.assert_allclose(got, den.risk_values(space, t, y), rtol=1e-15, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
 # axioms on shipped measures
 
 
-@pytest.mark.parametrize("m", [
-    GainLossRatio(),
-    ExponentialUtilityMeasure(risk_aversion=1.0),
-    CertaintyEquivalentMeasure(UtilitySpec("exp", lam=1.0)),
-    ExpectedUtilityMeasure(UtilitySpec("power", eta=0.5)),
-    ConditionalExpectation(),
-    lpm_ratio(2.0),
-    raroc(0.5),
-], ids=lambda m: m.label())
+@pytest.mark.parametrize("m", SHIPPED, ids=lambda m: m.label())
 def test_axioms_hold_on_small_trees(m):
     for space, t in ((coin2(), 0), (binomial_tree(2), 1)):
         rep = check_axioms(m, space, t, trials=AXIOM_TRIALS, rng_seed=7)

@@ -6,15 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perflat import (INF, ConditionalExpectation, DualMeasure,
-                     ExpectedUtilityMeasure, ExponentialUtilityMeasure,
+from perflat import (INF, CertaintyEquivalentMeasure, ConditionalExpectation,
+                     DualMeasure, ExpectedUtilityMeasure, ExponentialUtilityMeasure,
                      GainLossRatio, StandardFamily, TVar, UtilitySpec, XVar,
                      binomial_tree, closure_check, coin2, entropic_closed_form,
                      entropic_family, evaluate, glr_dual_risk, induce_risk,
                      induced_family, lpm_ratio, penalty_lower_bound,
-                     reconstruct, risk_curve, sample_glr_density, sample_xvar,
-                     truncation_limit_check, validate_standard_family,
-                     weak_duality_probe)
+                     random_tree, raroc, reconstruct, risk_curve,
+                     sample_glr_density, sample_xvar, truncation_limit_check,
+                     validate_standard_family, weak_duality_probe)
 from perflat import solvers
 from perflat.lattice import FilteredSpace, atom_expect, cond_expect, loss_order
 from perflat.risk_family import TOL_C, _glr_polytope
@@ -229,6 +229,202 @@ def test_reconstruct_upper_branch(space2):
     glr = GainLossRatio()
     back = reconstruct(induced_family(glr), 0, XVar.constant(space2, 0.1))
     assert back.values[0] == INF
+
+
+@pytest.mark.parametrize("m", [
+    GainLossRatio(), ExponentialUtilityMeasure(risk_aversion=1.0),
+    CertaintyEquivalentMeasure(UtilitySpec("exp", lam=1.0)),
+    ExpectedUtilityMeasure(UtilitySpec("power", eta=0.5)), ConditionalExpectation(),
+    lpm_ratio(2.0), raroc(0.5)], ids=lambda m: m.label())
+def test_induce_on_level_rows_matches_one_row_calls(m):
+    # each (row, atom) of a level array is its own component of the search
+    rng = np.random.default_rng(21)
+    lo = 0.05 if m.z_d == 0.0 else -3.0
+    hi = 0.9 if m.z_u == 1.0 else 5.0
+    fam = induced_family(m)
+    for scale in (1e-8, 1.0, 1e8):
+        space = random_tree(rng, periods=2, max_leaves=16)
+        x = XVar(space, sample_xvar(space, rng, inf_prob=0.15).values * scale)
+        for t in (0, 1):
+            levels = rng.uniform(lo, hi, (6, space.n_atoms(t)))
+            got = fam.raw(levels, t, x)
+            assert got.shape == levels.shape
+            assert all(np.array_equal(g, fam.raw(z, t, x)) for g, z in zip(got, levels))
+    ent = entropic_family(0.8)
+    levels = rng.uniform(-3.0, 0.9, (6, space.n_atoms(1)))
+    assert all(np.array_equal(g, ent.raw(z, 1, x))
+               for g, z in zip(ent.raw(levels, 1, x), levels))
+
+
+def _reconstruct_sequential(f, t, x, tol_z=1e-8, tol_c=TOL_C):
+    """Reference: ``reconstruct`` with one family call per bisection step.
+
+    The loops stop a component on adjacent floats and raise at their caps, as the
+    library does; the library answers d steps per call and must decide alike.
+    """
+    space = x.space
+    z_d, z_u = f.interval
+    n = space.n_atoms(t)
+    u_lo = np.full(n, np.nan)
+    u_hi = np.full(n, np.nan)
+    out = np.full(n, np.nan)
+    done = np.zeros(n, dtype=bool)
+    z_fill = math.tan(0.5 * (math.atan(max(z_d, -1e12)) + math.atan(min(z_u, 1e12))))
+
+    def probe(z_per_atom, active):
+        vals = np.asarray(f.raw(np.where(active, z_per_atom, z_fill), t, x))
+        return vals < -tol_c
+
+    top = ([math.tan(math.atan(z_u) - max(tol_z, 1e-12))] if math.isfinite(z_u)
+           else [1e8, 1e12, 1e16])
+    pending = np.ones(n, dtype=bool)
+    for lvl in top:
+        if not pending.any():
+            break
+        neg = probe(np.full(n, lvl), pending)
+        u_hi[pending & ~neg] = math.atan(lvl)
+        u_lo[pending & neg] = math.atan(lvl)
+        pending &= neg
+    out[pending] = z_u
+    done |= pending
+    bottom = ([math.tan(math.atan(z_d) + max(tol_z, 1e-12))] if math.isfinite(z_d)
+              else [-1e8, -1e12, -1e16])
+    pending = ~done & np.isnan(u_lo)
+    for lvl in bottom:
+        if not pending.any():
+            break
+        neg = probe(np.full(n, lvl), pending)
+        u_lo[pending & neg] = math.atan(lvl)
+        hit = pending & ~neg
+        u_hi[hit] = np.minimum(np.where(np.isnan(u_hi[hit]), INF, u_hi[hit]),
+                               math.atan(lvl))
+        pending &= ~neg
+    out[pending] = z_d
+    done |= pending
+
+    def bisect(lo, hi, is_open, level, cap):
+        for _ in range(cap):
+            mid = 0.5 * (lo + hi)
+            live = is_open(lo, hi) & (lo < mid) & (mid < hi)
+            if not live.any():
+                return lo, hi
+            neg = probe(np.where(live, level(mid), z_fill), live)
+            lo = np.where(live & neg, mid, lo)
+            hi = np.where(live & ~neg, mid, hi)
+        mid = 0.5 * (lo + hi)
+        if (is_open(lo, hi) & (lo < mid) & (mid < hi)).any():
+            raise RuntimeError("still open at the cap")
+        return lo, hi
+
+    u_lo, u_hi = bisect(u_lo, u_hi, lambda lo, hi: ~done & (hi - lo > tol_z),
+                        np.tan, 200)
+    todo = ~done
+    if todo.any():
+        def polishing(lo, hi):
+            scale = np.maximum(1.0, np.minimum(np.abs(lo), 1e9) * 1e-3)
+            return todo & (hi - lo > 1e-7 * scale) & (np.abs(lo) < 1e9)
+
+        z_lo, z_hi = bisect(np.where(todo, np.tan(u_lo), 0.0),
+                            np.where(todo, np.tan(u_hi), 0.0), polishing,
+                            lambda z: z, 80)
+        out = np.where(todo, 0.5 * (z_lo + z_hi), out)
+    return out
+
+
+def _criterion1_instances():
+    """The 200 trees, payoffs, stages and measures of acceptance criterion 1."""
+    rng = np.random.default_rng(101)
+    for i in range(200):
+        tree = random_tree(np.random.default_rng(1000 + i), periods=1 + i % 2,
+                           max_leaves=16)
+        lam_t = {t: rng.uniform(0.5, 2.0, tree.n_atoms(t)) for t in tree.times}
+        measures = [GainLossRatio(),
+                    ExponentialUtilityMeasure(risk_aversion=1.0),
+                    ExponentialUtilityMeasure(risk_aversion=lam_t),
+                    CertaintyEquivalentMeasure(UtilitySpec("exp", lam=1.0)),
+                    lpm_ratio(2.0)]
+        x = XVar(tree, rng.uniform(-4.0, 4.0, tree.n_leaves))
+        t = int(rng.integers(0, len(tree.times)))
+        yield measures, t, x
+
+
+def test_reconstruct_matches_the_sequential_loop_on_criterion1():
+    for measures, t, x in _criterion1_instances():
+        for m in measures:
+            fam = induced_family(m)
+            got = reconstruct(fam, t, x).values
+            assert np.array_equal(got, _reconstruct_sequential(fam, t, x)), m.label()
+
+
+@pytest.mark.parametrize("fam", [
+    induced_family(GainLossRatio()), induced_family(lpm_ratio(2.0)),
+    induced_family(ExponentialUtilityMeasure(risk_aversion=0.7)),
+    induced_family(ConditionalExpectation()), entropic_family(1.3),
+], ids=lambda f: f.label)
+def test_reconstruct_matches_the_sequential_loop_on_every_branch(fam, tree2):
+    # upper (+inf leg, positive constant), lower (all loss) and constant claims,
+    # and mixed ones where atoms take different branches
+    claims = [[0.1] * 4, [-1.0] * 4, [0.0] * 4, [2.5] * 4, [INF, 1.0, 0.5, 2.0],
+              [INF, -1.0, 3.0, -2.0], [-1.0, -2.0, 1.0, 3.0], [1e-9, -1e-9, 5.0, 0.0]]
+    for values in claims:
+        x = XVar(tree2, values)
+        for t in (0, 1):
+            for tol_z in (1e-8, 1e-3, 1e-17):
+                want = _reconstruct_sequential(fam, t, x, tol_z=tol_z)
+                assert np.array_equal(reconstruct(fam, t, x, tol_z=tol_z).values, want)
+
+
+def test_reconstruct_stops_on_adjacent_floats(tree2):
+    # below the float spacing of the atan bracket the loop ends where the floats do,
+    # after about 55 sequential probes instead of running on to its cap of 200
+    m = ExponentialUtilityMeasure(risk_aversion=1.0)
+    x = XVar(tree2, np.random.default_rng(3).uniform(-4.0, 4.0, 4))
+    fam = induced_family(m)
+    calls = []
+
+    def counted(z, t, xv):
+        calls.append(np.shape(z))
+        return fam.raw(z, t, xv)
+
+    tiny = StandardFamily(interval=fam.interval, raw=counted)
+    for tol_z in (1e-17, 1e-20):
+        calls.clear()
+        want = _reconstruct_sequential(tiny, 0, x, tol_z=tol_z)
+        assert 40 <= len(calls) <= 70
+        calls.clear()
+        assert np.array_equal(reconstruct(tiny, 0, x, tol_z=tol_z).values, want)
+        assert len(calls) <= 12  # end probes plus a few level trees
+
+
+def test_reconstruct_refuses_a_family_written_for_one_level_per_atom(tree2):
+    # evaluating atom k at level z[k] reads row k of a (B, n_atoms) level tree and
+    # answers (n_atoms,): the shape check names the contract instead of reading it
+    fam = entropic_family(1.0)
+
+    def per_atom(z, t, xv):
+        z = np.broadcast_to(np.asarray(z, dtype=float), (xv.space.n_atoms(t),))
+        return np.array([fam.raw(z[k], t, xv)[k] for k in range(len(z))])
+
+    def row_by_atom(z, t, xv):
+        z = np.asarray(z, dtype=float)
+        return np.array([fam.raw(z[k], t, xv)[k] for k in range(xv.space.n_atoms(t))])
+
+    x = XVar(tree2, [2.0, -1.0, 4.0, -2.0])
+    for raw in (per_atom, row_by_atom):
+        assert np.array_equal(raw(np.array([0.3, -0.2]), 1, x),
+                              fam.raw(np.array([0.3, -0.2]), 1, x))
+        with pytest.raises(ValueError):
+            reconstruct(StandardFamily(interval=fam.interval, raw=raw), 1, x)
+    with pytest.raises(ValueError, match=r"raw must map \(B, n_atoms\) level rows"):
+        reconstruct(StandardFamily(interval=fam.interval, raw=row_by_atom), 1, x)
+
+
+def test_reconstruct_raises_when_a_bracket_outlasts_its_cap(space2):
+    # with tol_c = 0 the value of the zero claim is exactly 0, where floats are dense:
+    # at tol_z = 1e-300 the atan bracket needs about 1000 halvings, past the cap of 200
+    zero = XVar.constant(space2, 0.0)
+    with pytest.raises(RuntimeError, match="after 200 halvings"):
+        reconstruct(entropic_family(1.0), 0, zero, tol_z=1e-300, tol_c=0.0)
 
 
 # ---------------------------------------------------------------------------
