@@ -70,12 +70,15 @@ class RiskPoint:
                         for k, v in enumerate(self.values.values)}}
 
 
-def _induce_raw(m: PerformanceMeasure, t: int, z, x: XVar, tol: float = TOL_C):
+def _induce_raw(m: PerformanceMeasure, t: int, z, x: XVar, tol: float = TOL_C,
+                stop_at=None):
     """Per-atom inf{c : beta_t(X + c) >= z}.
 
     z may be a scalar, a per-atom array or a (B, n_atoms) array of level rows; each
     (row, atom) is one independent component of the search, so a row equals the call
     made with that row alone, bit for bit.  The measure is prepared once per call.
+    With ``stop_at`` each component stops once its bracket excludes that threshold
+    (``vector_monotone_inf``): only ``values < stop_at`` is then exact.
     """
     space = x.space
     n = space.n_atoms(t)
@@ -85,6 +88,8 @@ def _induce_raw(m: PerformanceMeasure, t: int, z, x: XVar, tol: float = TOL_C):
     fmin, fmax = x.finite_min(), x.finite_max()
     if not math.isfinite(fmin):  # no finite leaf at all
         fmin, fmax = 0.0, 0.0
+    if stop_at is not None:
+        stop_at = np.broadcast_to(np.asarray(stop_at, dtype=float), shape).ravel()
     lo0 = np.full(target.size, -fmax - 1.0)
     hi0 = np.full(target.size, -fmin + 1.0)
     prepare = getattr(m, "prepare", None)
@@ -96,7 +101,7 @@ def _induce_raw(m: PerformanceMeasure, t: int, z, x: XVar, tol: float = TOL_C):
 
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            res = vector_monotone_inf(g, lo0, hi0, target, tol=tol)
+            res = vector_monotone_inf(g, lo0, hi0, target, tol=tol, stop_at=stop_at)
     except BracketError as e:
         raise RuntimeError(
             "shift bracket never reached the level from below; the measure's upper "
@@ -166,6 +171,13 @@ class StandardFamily:
     for a tree of levels per call, and refuses a family whose answer has another
     shape.  A family written for scalar or per-atom levels only must be extended to
     level rows before ``reconstruct`` can use it.
+    ``is_below(z, t, x, c)`` is an optional sign query: over the same level arrays it
+    returns exactly ``raw(z, t, x) < c``, element for element, but may stop each
+    search once the answer is known.  ``reconstruct`` asks it where it is set and
+    compares ``raw`` otherwise, so it never checks the two against each other
+    (``validate_standard_family`` does).  A copy made with a new ``raw``, say by
+    ``dataclasses.replace(f, raw=...)``, keeps the old ``is_below``: give it a
+    matching one or ``is_below=None``, or ``reconstruct`` answers from the old one.
     ``zero_log_level(space, t, L)`` optionally evaluates rho^z(0) at z = -e^L, for
     probing the lower divergence far beyond float range; where it returns None the
     divergence check probes a ladder of levels instead.
@@ -177,18 +189,27 @@ class StandardFamily:
     label: str = "family"
     zero_log_level: Callable | None = None
     measure: PerformanceMeasure | None = None
+    is_below: Callable | None = None
 
 
 def induced_family(m: PerformanceMeasure, tol: float = TOL_C) -> StandardFamily:
-    """The family inf{c : beta_t(X+c) >= z} for z in (z_d, z_u)."""
+    """The family inf{c : beta_t(X+c) >= z} for z in (z_d, z_u).
+
+    Its sign query runs the same search over c and stops each component once the
+    bracket excludes the threshold.
+    """
 
     def raw(z, t, x):
         return _induce_raw(m, t, z, x, tol=tol)[0]
 
+    def is_below(z, t, x, c):
+        return _induce_raw(m, t, z, x, tol=tol, stop_at=c)[0] < c
+
     return StandardFamily(interval=(m.z_d, m.z_u), raw=raw,
                           provenance="induced-from-measure",
                           label=f"induced[{m.label()}]",
-                          zero_log_level=m.risk_at_zero_log_level, measure=m)
+                          zero_log_level=m.risk_at_zero_log_level, measure=m,
+                          is_below=is_below)
 
 
 def entropic_family(lam) -> StandardFamily:
@@ -318,10 +339,13 @@ def risk_curve(m: PerformanceMeasure, t: int, x: XVar, z_grid,
 # family call, d being the deepest tree whose 2^d - 1 midpoint rows times the leaf
 # count fit.  Set on criterion 1's trees of at most 16 leaves, the only ``reconstruct``
 # traffic the benchmark measures: there a call costs its overhead, not its rows, d = 5
-# on 16 leaves, and 1024 measured about 12% slower (a deeper tree doubles the rows to
-# save about one call of six).  Above 16 leaves the rule is unmeasured: it gives d = 1,
-# one call per halving, from 256 leaves, where a single timing found d = 3 faster
-# (ROADMAP item 0 asks for a large-tree workload before this is set from both sides).
+# on 16 leaves.  Re-measured with sign queries (criterion 1's 1000 reconstructs on a
+# 2-core x86-64 machine): 256 and 512 tie at 8.2-8.6 s, 1024 takes 9.4-10.1 s and
+# 2048 11.8-11.9 s, since a deeper tree doubles the rows and each sign query runs
+# until its slowest row is decided.  Above 16 leaves the rule is unmeasured: it
+# gives d = 1, one call per halving, from 256 leaves, where a single timing without
+# sign queries found d = 3 faster (ROADMAP item 0 asks for a large-tree workload
+# before this is set from both sides).
 PROBE_LEAF_ROWS = 512
 
 
@@ -385,7 +409,10 @@ def reconstruct(f: StandardFamily, t: int, x: XVar, tol_z: float = TOL_Z,
     the far bottom of an unbounded interval), the exact upper endpoint on atoms whose
     risk stays negative at the far top, and otherwise sup{z : rho^z < 0} by bisection:
     first in u = atan(z) to tolerance tol_z, then a plain-z polish for absolute
-    accuracy on moderate levels.  Strict negativity is decided as rho < -tol_c.
+    accuracy on moderate levels.  Strict negativity is decided as rho < -tol_c, by
+    the family's sign query ``is_below`` where it has one (for an induced family the
+    search over c stops once its bracket excludes -tol_c, its ``stop_at``) and by
+    comparing ``raw`` otherwise; both give the same answer bit for bit.
 
     Each bisection step probes every atom at once, and one family call answers the
     next d steps for all of them (``_bisect_levels``), with d set by the leaf count
@@ -405,12 +432,15 @@ def reconstruct(f: StandardFamily, t: int, x: XVar, tol_z: float = TOL_Z,
 
     def is_neg(z) -> np.ndarray:
         # strictly negative risk: the level sits below beta
-        rho = np.asarray(f.raw(z, t, x), dtype=float)
-        if rho.shape != z.shape:
+        if f.is_below is not None:
+            neg, name = np.asarray(f.is_below(z, t, x, -tol_c)), "is_below"
+        else:
+            neg, name = np.asarray(f.raw(z, t, x), dtype=float) < -tol_c, "raw"
+        if neg.shape != z.shape:
             raise ValueError(
                 f"family {f.label!r} answered levels of shape {z.shape} with shape "
-                f"{rho.shape}; raw must map (B, n_atoms) level rows to (B, n_atoms)")
-        return rho < -tol_c
+                f"{neg.shape}; {name} must map (B, n_atoms) level rows to (B, n_atoms)")
+        return neg
 
     def probe(z_per_atom: np.ndarray, active: np.ndarray) -> np.ndarray:
         return is_neg(np.where(active, z_per_atom, z_fill))
@@ -485,7 +515,9 @@ def validate_standard_family(f: StandardFamily, space: FilteredSpace, t: int,
     Per level: finite on bounded claims, convex, monotone nonincreasing, translation
     invariant, local, continuous from below.  Across levels: per-atom paths
     nondecreasing and continuous, with rho^z(0) diverging when the interval is
-    unbounded below.  Positive homogeneity (coherence) is detected and reported.
+    unbounded below.  A family with a sign query ``is_below`` must answer exactly
+    ``raw < c`` on level rows.  Positive homogeneity (coherence) is detected and
+    reported.
     """
     t = space.check_stage(t)
     tol = 1e-8
@@ -629,6 +661,20 @@ def validate_standard_family(f: StandardFamily, space: FilteredSpace, t: int,
     ok, note = _lower_divergence(space, t, f.interval, f.raw, f.zero_log_level)
     rep.add(CheckResult("lower_divergence", ok if ok is not None else None,
                         trials=1, failures=0 if ok in (True, None) else 1, note=note))
+
+    # the sign query, where the family has one, answers exactly raw < c
+    def sign_query_matches_raw(rng, k):
+        xv = sample_xvar(space, rng)
+        z = np.repeat(zs[:, None], space.n_atoms(t), axis=1)
+        rho = np.asarray(f.raw(z, t, xv), dtype=float)
+        for c in (-TOL_C, 0.0, rho, np.nextafter(rho, INF)):
+            if not np.array_equal(np.asarray(f.is_below(z, t, xv, c)), rho < c):
+                return {"X": xv.to_json(), "c": [num_to_json(v) for v in
+                                                 np.broadcast_to(c, rho.shape).ravel()]}
+
+    if f.is_below is not None:
+        run_trials(rep, "sign_query_matches_raw", max(10, trials // 2), rng_seed, 29,
+                   sign_query_matches_raw)
 
     # coherence detection (informational): rho(kX) = k rho(X)
     homogeneous = True

@@ -30,7 +30,7 @@ class InfShiftResult:
 
 
 def vector_monotone_inf(g, lo0: np.ndarray, hi0: np.ndarray, target: np.ndarray,
-                        tol: float = 1e-10) -> InfShiftResult:
+                        tol: float = 1e-10, stop_at=None) -> InfShiftResult:
     """Componentwise inf{c : g(c)_k >= target_k} for g nondecreasing in c.
 
     ``g`` maps a vector of candidate shifts (one per component) to a vector of values.
@@ -44,6 +44,15 @@ def vector_monotone_inf(g, lo0: np.ndarray, hi0: np.ndarray, target: np.ndarray,
     Where the float spacing at the infimum exceeds ``tol`` the bracket closes on two
     adjacent floats instead and the lower one is returned.  More than ``BISECT_CAP``
     halvings raise RuntimeError.
+
+    ``stop_at`` (a scalar or one threshold per component) turns the search into a sign
+    query: a component stops halving as soon as its bracket excludes the threshold,
+    ``hi < stop_at`` or ``lo >= stop_at``.  The full search's final lower endpoint lies
+    in every bracket it passes through, so ``values < stop_at`` is the full search's
+    answer bit for bit, while ``values`` itself is only the lower endpoint of a wider
+    bracket.  A component whose bracket already lies below the threshold skips the
+    downward expansion: it reports its seed ``lo0`` where the full search may report
+    -inf, and ``hit_lower_cap`` and ``near_zero`` describe the stopped bracket.
     """
     cap = BRACKET_CAP
     lo = np.array(lo0, dtype=float)
@@ -54,6 +63,8 @@ def vector_monotone_inf(g, lo0: np.ndarray, hi0: np.ndarray, target: np.ndarray,
         raise ValueError("need lo0 < hi0")
 
     capped_below = np.zeros(n, dtype=bool)
+    if stop_at is not None:
+        stop_at = np.broadcast_to(np.asarray(stop_at, dtype=float), (n,))
 
     # expand the upper side until g(hi) >= target
     need = g(hi) < target
@@ -74,6 +85,8 @@ def vector_monotone_inf(g, lo0: np.ndarray, hi0: np.ndarray, target: np.ndarray,
     # expand the lower side until g(lo) < target; a floor at -cap means -inf
     vals = g(lo)
     need = vals >= target
+    if stop_at is not None:  # a bracket already below the threshold needs no lower end
+        need &= hi >= stop_at
     step = np.ones(n)
     while need.any():
         at_floor = need & (lo <= -cap)
@@ -85,8 +98,7 @@ def vector_monotone_inf(g, lo0: np.ndarray, hi0: np.ndarray, target: np.ndarray,
         lo[need] = np.maximum(lo[need] - step[need], -cap)
         step[need] *= 2.0
         vals = g(lo)
-        need = vals >= target
-        need &= ~capped_below
+        need &= vals >= target
 
     active = ~capped_below
     # Halving reaches tol within `free` steps unless the float spacing at the root
@@ -98,6 +110,8 @@ def vector_monotone_inf(g, lo0: np.ndarray, hi0: np.ndarray, target: np.ndarray,
     while True:
         mid = 0.5 * (lo + hi)
         run = active & (hi - lo > tol)
+        if stop_at is not None:  # the bracket still straddles the threshold
+            run &= (lo < stop_at) & (stop_at <= hi)
         if steps >= free:
             run &= (lo < mid) & (mid < hi)  # adjacent floats: lo is the answer
         if not run.any():

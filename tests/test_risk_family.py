@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 import time
 
@@ -17,7 +19,7 @@ from perflat import (INF, CertaintyEquivalentMeasure, ConditionalExpectation,
                      validate_standard_family, weak_duality_probe)
 from perflat import solvers
 from perflat.lattice import FilteredSpace, atom_expect, cond_expect, loss_order
-from perflat.risk_family import TOL_C, _glr_polytope
+from perflat.risk_family import TOL_C, _glr_polytope, _induce_raw
 from perflat.simplex import solve_lp
 from perflat.solvers import vector_monotone_inf
 from perflat.util import derived_rng
@@ -256,6 +258,53 @@ def test_induce_on_level_rows_matches_one_row_calls(m):
                for g, z in zip(ent.raw(levels, 1, x), levels))
 
 
+# the shipped measures; ``lam`` is a per-atom risk aversion for the tree at hand
+_SIGN_QUERY_MEASURES = {
+    "gain-loss": lambda lam: GainLossRatio(),
+    "exp-utility": lambda lam: ExponentialUtilityMeasure(risk_aversion=1.0),
+    "exp-utility-per-atom": lambda lam: ExponentialUtilityMeasure(risk_aversion=lam),
+    "certainty-equivalent":
+        lambda lam: CertaintyEquivalentMeasure(UtilitySpec("exp", lam=1.0)),
+    "power-utility": lambda lam: ExpectedUtilityMeasure(UtilitySpec("power", eta=0.5)),
+    "cond-expectation": lambda lam: ConditionalExpectation(),
+    "lpm": lambda lam: lpm_ratio(2.0),
+    "raroc": lambda lam: raroc(0.5),
+}
+
+
+@pytest.mark.parametrize("name", list(_SIGN_QUERY_MEASURES))
+def test_sign_query_matches_the_full_search(name):
+    # stopping once the c-bracket excludes the threshold answers "rho < c" exactly as
+    # the search run to its close, at every payoff scale, +inf legs and -inf answers
+    # included, for thresholds at the probe's -tol_c, at 0, at random and at the
+    # full search's own values and their float neighbours
+    rng = np.random.default_rng(29)
+    capped_seen = False
+    for scale in (1e-8, 1e-4, 1.0, 1e4, 1e8):
+        for _ in range(2):
+            space = random_tree(rng, periods=2, max_leaves=16)
+            lam = {t: rng.uniform(0.5, 2.0, space.n_atoms(t)) for t in space.times}
+            m = _SIGN_QUERY_MEASURES[name](lam)
+            fam = induced_family(m)
+            lo = 0.05 if m.z_d == 0.0 else -3.0
+            hi = 0.9 if m.z_u == 1.0 else 5.0
+            x = XVar(space, sample_xvar(space, rng, inf_prob=0.15).values * scale)
+            for t in space.times:
+                levels = rng.uniform(lo, hi, (4, space.n_atoms(t)))
+                full, capped, _ = _induce_raw(m, t, levels, x)
+                capped_seen |= bool(capped.any())
+                finite = np.where(capped, 0.0, full)
+                picked = float(rng.choice(finite.ravel()))
+                for c in (-TOL_C, 0.0, rng.normal(0.0, scale), picked,
+                          np.nextafter(picked, INF), finite,
+                          np.nextafter(finite, INF), np.nextafter(finite, -INF)):
+                    below = _induce_raw(m, t, levels, x, stop_at=c)[0] < c
+                    assert np.array_equal(below, full < c)
+                    if np.ndim(c) == 0:
+                        assert np.array_equal(fam.is_below(levels, t, x, c), below)
+    assert capped_seen
+
+
 def _reconstruct_sequential(f, t, x, tol_z=1e-8, tol_c=TOL_C):
     """Reference: ``reconstruct`` with one family call per bisection step.
 
@@ -356,22 +405,87 @@ def test_reconstruct_matches_the_sequential_loop_on_criterion1():
             assert np.array_equal(got, _reconstruct_sequential(fam, t, x)), m.label()
 
 
+# upper (+inf leg, positive constant), lower (all loss) and constant claims on tree2,
+# and mixed ones where atoms take different branches
+_BRANCH_CLAIMS = [[0.1] * 4, [-1.0] * 4, [0.0] * 4, [2.5] * 4, [INF, 1.0, 0.5, 2.0],
+                  [INF, -1.0, 3.0, -2.0], [-1.0, -2.0, 1.0, 3.0],
+                  [1e-9, -1e-9, 5.0, 0.0]]
+
+
 @pytest.mark.parametrize("fam", [
     induced_family(GainLossRatio()), induced_family(lpm_ratio(2.0)),
     induced_family(ExponentialUtilityMeasure(risk_aversion=0.7)),
     induced_family(ConditionalExpectation()), entropic_family(1.3),
 ], ids=lambda f: f.label)
 def test_reconstruct_matches_the_sequential_loop_on_every_branch(fam, tree2):
-    # upper (+inf leg, positive constant), lower (all loss) and constant claims,
-    # and mixed ones where atoms take different branches
-    claims = [[0.1] * 4, [-1.0] * 4, [0.0] * 4, [2.5] * 4, [INF, 1.0, 0.5, 2.0],
-              [INF, -1.0, 3.0, -2.0], [-1.0, -2.0, 1.0, 3.0], [1e-9, -1e-9, 5.0, 0.0]]
-    for values in claims:
+    for values in _BRANCH_CLAIMS:
         x = XVar(tree2, values)
         for t in (0, 1):
             for tol_z in (1e-8, 1e-3, 1e-17):
                 want = _reconstruct_sequential(fam, t, x, tol_z=tol_z)
                 assert np.array_equal(reconstruct(fam, t, x, tol_z=tol_z).values, want)
+
+
+def _same_by_both_routes(fam, t, x, **kw):
+    got = reconstruct(fam, t, x, **kw).values
+    want = reconstruct(dataclasses.replace(fam, is_below=None), t, x, **kw).values
+    assert np.array_equal(got, want), fam.label
+
+
+def test_reconstruct_by_sign_query_matches_the_raw_route():
+    for measures, t, x in itertools.islice(_criterion1_instances(), 40):
+        for m in measures:
+            _same_by_both_routes(induced_family(m), t, x)
+    rng = np.random.default_rng(12)
+    for steps in (6, 8):  # 64 and 256 leaves: shallower level trees per call
+        space = binomial_tree(steps)
+        x = XVar(space, rng.uniform(-4.0, 4.0, space.n_leaves))
+        for m in (GainLossRatio(), ExponentialUtilityMeasure(risk_aversion=1.0)):
+            _same_by_both_routes(induced_family(m), steps // 2, x)
+
+
+@pytest.mark.parametrize("m", [
+    GainLossRatio(), lpm_ratio(2.0), ExponentialUtilityMeasure(risk_aversion=0.7),
+    ConditionalExpectation()], ids=lambda m: m.label())
+def test_reconstruct_by_sign_query_matches_the_raw_route_on_every_branch(m, tree2):
+    for values in _BRANCH_CLAIMS:
+        for t in (0, 1):
+            for tol_z in (1e-8, 1e-3):
+                _same_by_both_routes(induced_family(m), t, XVar(tree2, values),
+                                     tol_z=tol_z)
+
+
+def _counting(cls):
+    """``cls`` with a ``prepare`` whose evaluator counts its calls in ``evals``."""
+
+    class Counted(cls):
+        evals = 0
+
+        def prepare(self, space, t, leaf_values):
+            g = super().prepare(space, t, leaf_values)
+
+            def counted(c):
+                Counted.evals += 1
+                return g(c)
+            return counted
+
+    return Counted
+
+
+@pytest.mark.parametrize("cls", [GainLossRatio, ExponentialUtilityMeasure],
+                         ids=lambda c: c.__name__)
+def test_sign_query_cuts_measure_evaluations(cls):
+    # a count, so it holds on any machine: the sign query ends the searches early
+    # (here exp-utility makes 46% of the full searches' evaluations, gain-loss 8%)
+    space = binomial_tree(3)
+    x = XVar(space, np.random.default_rng(5).uniform(-4.0, 4.0, space.n_leaves))
+    counted = _counting(cls)
+    fam = induced_family(counted())
+    got = reconstruct(fam, 0, x).values
+    by_sign, counted.evals = counted.evals, 0
+    assert np.array_equal(
+        reconstruct(dataclasses.replace(fam, is_below=None), 0, x).values, got)
+    assert 0 < by_sign <= 0.6 * counted.evals
 
 
 def test_reconstruct_stops_on_adjacent_floats(tree2):
@@ -417,6 +531,11 @@ def test_reconstruct_refuses_a_family_written_for_one_level_per_atom(tree2):
             reconstruct(StandardFamily(interval=fam.interval, raw=raw), 1, x)
     with pytest.raises(ValueError, match=r"raw must map \(B, n_atoms\) level rows"):
         reconstruct(StandardFamily(interval=fam.interval, raw=row_by_atom), 1, x)
+    # the sign query route checks the same contract
+    below = StandardFamily(interval=fam.interval, raw=fam.raw,
+                           is_below=lambda z, t, xv, c: row_by_atom(z, t, xv) < c)
+    with pytest.raises(ValueError, match=r"is_below must map \(B, n_atoms\) level"):
+        reconstruct(below, 1, x)
 
 
 def test_reconstruct_raises_when_a_bracket_outlasts_its_cap(space2):
@@ -438,6 +557,17 @@ def test_induced_glr_family_validates(space2):
     assert not failed, failed
     # positive homogeneity is detected on the way
     assert rep.result("coherence").passed
+    assert rep.result("sign_query_matches_raw").trials == 20
+
+
+def test_family_validator_flags_a_sign_query_left_behind_by_a_new_raw(space2):
+    fam = induced_family(GainLossRatio())
+    moved = dataclasses.replace(fam, raw=lambda z, t, x: fam.raw(z, t, x) + 1.0)
+    rep = validate_standard_family(moved, space2, 0, trials=20)
+    assert rep.result("sign_query_matches_raw").passed is False
+    cleared = dataclasses.replace(moved, is_below=None)
+    assert "sign_query_matches_raw" not in [
+        r.name for r in validate_standard_family(cleared, space2, 0, trials=20).results]
 
 
 def test_entropic_family_validates(tree2):

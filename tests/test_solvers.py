@@ -2,7 +2,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from perflat.lattice import INF
-from perflat.solvers import group_logsumexp
+from perflat.solvers import group_logsumexp, vector_monotone_inf
 
 
 def _per_group(values, index, n_groups):
@@ -32,3 +32,28 @@ def test_group_logsumexp_edge_groups():
     assert got[[1, 3, 4, 5, 6]].tolist() == [-INF, INF, -INF, -INF, -INF]
     np.testing.assert_allclose(got, _per_group(values, index, 7), rtol=1e-15)
     assert np.all(np.isfinite(got[[0, 2]]))
+
+
+def test_stop_at_gives_the_full_search_sign_in_fewer_evaluations():
+    rng = np.random.default_rng(8)
+    n = 64
+    target = rng.uniform(-50.0, 50.0, n)
+    flat = np.arange(n) < 4  # stays above target everywhere: capped, -inf
+    calls = []
+
+    def g(c):
+        calls.append(1)
+        return np.where(flat, np.inf, c ** 3 + c)
+
+    full = vector_monotone_inf(g, np.full(n, -1.0), np.full(n, 1.0), target)
+    assert np.all(np.isneginf(full.values[flat]))
+    n_full = len(calls)
+    finite = np.where(flat, 0.0, full.values)
+    for c in (0.0, -1e-10, rng.normal(0.0, 3.0), rng.normal(0.0, 3.0, n), finite,
+              np.nextafter(finite, np.inf), np.nextafter(finite, -np.inf)):
+        got = vector_monotone_inf(g, np.full(n, -1.0), np.full(n, 1.0), target,
+                                  stop_at=c)
+        assert np.array_equal(got.values < c, full.values < c)
+    calls.clear()  # above every root: no halving and no downward expansion
+    vector_monotone_inf(g, np.full(n, -1.0), np.full(n, 1.0), target, stop_at=10.0)
+    assert len(calls) < n_full / 4
