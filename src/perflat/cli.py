@@ -20,7 +20,7 @@ import numpy as np
 from .dividends import DividendProcess, check_lift_axioms, lift_evaluate
 from .dynamics import DynamicMeasure, check_time_consistency, verify_witness
 from .lattice import (FilteredSpace, XVar, binomial_tree, coin2, dump_json,
-                      jsonable, num_to_json)
+                      ext_gap, jsonable, num_to_json)
 from .measures import (GainLossRatio, check_axioms, check_scale_invariance,
                        evaluate, lpm_ratio, measure_from_json)
 from .risk_family import (entropic_closed_form, glr_dual_risk, induce_risk,
@@ -188,9 +188,7 @@ def cmd_reconstruct(args) -> int:
     fam = induced_family(m, tol=args.tol_c)
     back = reconstruct(fam, args.t, x, tol_z=args.tol_z, tol_c=args.tol_c)
     direct = evaluate(m, args.t, x)
-    diff = np.abs(back.values - direct.values)
-    both_inf = np.isinf(back.values) & np.isinf(direct.values)
-    gap = float(np.max(np.where(both_inf, 0.0, diff)))
+    gap = float(np.max(ext_gap(back.values, direct.values)))
     _print_stage_values(space, args.t, back.values)
     print(f"max gap to direct evaluation: {gap:.3g}")
     _emit({"config": _config(args), "stage": args.t,

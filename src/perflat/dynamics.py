@@ -33,8 +33,7 @@ import numpy as np
 
 from .lattice import (INF, FilteredSpace, TVar, XVar, jsonable, paste, EventMask,
                       sample_xvar)
-from .measures import (ExponentialUtilityMeasure, GainLossRatio,
-                       PerformanceMeasure, evaluate)
+from .measures import ExponentialUtilityMeasure, PerformanceMeasure, evaluate
 from .report import CheckResult, Report
 from .risk_family import TOL_C, DualMeasure, induce_risk, sample_glr_density
 from .util import derived_rng, task_map
@@ -533,8 +532,7 @@ def _ratio_feasible(space: FilteredSpace, r: int, z: float,
     return (hi <= 0.0) | (hi <= (1.0 + z) * lo * (1.0 + 1e-9) + 1e-12)
 
 
-def check_penalty_inequality_coherent(d: DynamicMeasure | PerformanceMeasure | None = None,
-                                      z: float = 1.0, s: int = 0, t: int = 1,
+def check_penalty_inequality_coherent(z: float = 1.0, s: int = 0, t: int = 1,
                                       q_samples=(), *, space: FilteredSpace,
                                       rng_seed: int = 0, n_random: int = 8) -> Report:
     """Penalty aggregation for the coherent gain-loss family.
@@ -551,12 +549,6 @@ def check_penalty_inequality_coherent(d: DynamicMeasure | PerformanceMeasure | N
     on the parent) is genuinely false; observed failures of it are collected
     as an informational entry rather than a defect.
     """
-    if d is None:
-        d = DynamicMeasure(GainLossRatio())
-    measure = d.measure if isinstance(d, DynamicMeasure) else d
-    if getattr(measure, "kind", "") != "glr":
-        raise ValueError("the two-valued penalty needs the coherent gain-loss "
-                         f"family, not {getattr(measure, 'kind', type(measure))!r}")
     qs = list(q_samples)
     s = space.check_stage(s)
     t = space.check_stage(t)

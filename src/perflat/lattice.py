@@ -54,14 +54,15 @@ def ext_mul(a, b):
     return out if out.ndim else float(out)
 
 
+def ext_gap(a, b) -> np.ndarray:
+    """Elementwise |a - b|, 0 where a equals b (equal infinities included)."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    return np.abs(np.subtract(a, b, out=np.zeros(a.shape), where=a != b))
+
+
 def close_or_both_inf(a, b, tol=DEFAULT_TOL):
     """Elementwise |a - b| <= tol, with equal infinities compared symbolically."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    both_inf = np.isinf(a) & np.isinf(b) & (np.sign(a) == np.sign(b))
-    with np.errstate(invalid="ignore"):
-        near = np.abs(a - b) <= tol
-    return np.where(both_inf, True, near)
+    return ext_gap(a, b) <= tol
 
 
 # ---------------------------------------------------------------------------

@@ -35,9 +35,11 @@ from typing import Callable
 
 import numpy as np
 
-from .lattice import (INF, FilteredSpace, TVar, XVar, atom_expect, loss_order,
-                      num_to_json, sample_event, sample_tvar, sample_xvar)
-from .measures import PerformanceMeasure, _resolve_stage_param, shifted, values_kernel
+from .lattice import (INF, FilteredSpace, TVar, XVar, atom_expect, close_or_both_inf,
+                      ext_gap, loss_order, num_to_json, sample_event, sample_tvar,
+                      sample_xvar)
+from .measures import (ExponentialUtilityMeasure, PerformanceMeasure, shifted,
+                       values_kernel)
 from .report import CheckResult, Report, run_trials
 from .simplex import solve_lp
 from .solvers import BracketError, group_logsumexp, vector_monotone_inf
@@ -127,11 +129,9 @@ def induce_risk(m: PerformanceMeasure, t: int, z: float, x: XVar,
                      near_zero=near, capped=capped)
 
 
-def _entropic_raw(lam, t: int, z, x: XVar) -> np.ndarray:
+def _entropic_raw(m: ExponentialUtilityMeasure, t: int, z, x: XVar) -> np.ndarray:
     space = x.space
-    lam_atom = _resolve_stage_param(lam, space, t, "risk_aversion")
-    if np.any(lam_atom <= 0.0):
-        raise ValueError("risk aversion must be positive")
+    lam_atom = m.lam_at(space, t)
     idx = space.atom_index[t]
     lam_leaf = lam_atom[idx]
     mass_leaf = space.atom_mass[t][idx]
@@ -150,7 +150,7 @@ def entropic_closed_form(lam, t: int, z: float, x: XVar) -> RiskPoint:
     t = x.space.check_stage(t)
     if not np.all(np.asarray(z, dtype=float) < 1.0):
         raise ValueError("the exponential-utility interval is (-inf, 1): need z < 1")
-    vals = _entropic_raw(lam, t, z, x)
+    vals = _entropic_raw(ExponentialUtilityMeasure(lam), t, z, x)
     near = np.abs(vals) <= TOL_C
     return RiskPoint(stage=t, level=z, values=TVar(x.space, t, vals, kind="ba"),
                      near_zero=near, capped=np.isneginf(vals))
@@ -164,20 +164,18 @@ def entropic_closed_form(lam, t: int, z: float, x: XVar) -> RiskPoint:
 class StandardFamily:
     """One conditional convex risk measure per level z in an open interval.
 
-    ``raw(z, t, x)`` returns the per-atom values; z may be a scalar, a per-atom
-    array (each atom evaluated at its own level) — locality makes that well defined —
-    or a (B, n_atoms) array of level rows, which returns (B, n_atoms) with each row
-    equal to its one-row call bit for bit.  ``reconstruct`` relies on that: it asks
-    for a tree of levels per call, and refuses a family whose answer has another
-    shape.  A family written for scalar or per-atom levels only must be extended to
-    level rows before ``reconstruct`` can use it.
-    ``is_below(z, t, x, c)`` is an optional sign query: over the same level arrays it
-    returns exactly ``raw(z, t, x) < c``, element for element, but may stop each
-    search once the answer is known.  ``reconstruct`` asks it where it is set and
-    compares ``raw`` otherwise, so it never checks the two against each other
-    (``validate_standard_family`` does).  A copy made with a new ``raw``, say by
-    ``dataclasses.replace(f, raw=...)``, keeps the old ``is_below``: give it a
-    matching one or ``is_below=None``, or ``reconstruct`` answers from the old one.
+    ``raw(z, t, x, stop_at=None)`` returns the per-atom values; z may be a scalar, a
+    per-atom array (each atom evaluated at its own level) — locality makes that well
+    defined — or a (B, n_atoms) array of level rows, which returns (B, n_atoms) with
+    each row equal to its one-row call bit for bit.  ``reconstruct`` relies on that:
+    it asks for a tree of levels per call, and refuses a family whose answer has
+    another shape.  A family written for scalar or per-atom levels only must be
+    extended to level rows before ``reconstruct`` can use it.
+    ``stop_at=c`` (a scalar, or one threshold per value) lets a family stop each
+    search once ``< c`` is decided: only ``raw(z, t, x, stop_at=c) < c`` is then
+    exact, and it must equal ``raw(z, t, x) < c`` element for element.
+    ``reconstruct`` reads only that sign; a family with nothing to stop early takes
+    the keyword and ignores it.  ``validate_standard_family`` checks the two agree.
     ``zero_log_level(space, t, L)`` optionally evaluates rho^z(0) at z = -e^L, for
     probing the lower divergence far beyond float range; where it returns None the
     divergence check probes a ladder of levels instead.
@@ -188,54 +186,45 @@ class StandardFamily:
     provenance: str = "user-supplied"
     label: str = "family"
     zero_log_level: Callable | None = None
-    measure: PerformanceMeasure | None = None
-    is_below: Callable | None = None
 
 
 def induced_family(m: PerformanceMeasure, tol: float = TOL_C) -> StandardFamily:
     """The family inf{c : beta_t(X+c) >= z} for z in (z_d, z_u).
 
-    Its sign query runs the same search over c and stops each component once the
-    bracket excludes the threshold.
+    With ``stop_at`` the search over c stops each component once its bracket
+    excludes the threshold.
     """
 
-    def raw(z, t, x):
-        return _induce_raw(m, t, z, x, tol=tol)[0]
-
-    def is_below(z, t, x, c):
-        return _induce_raw(m, t, z, x, tol=tol, stop_at=c)[0] < c
+    def raw(z, t, x, stop_at=None):
+        return _induce_raw(m, t, z, x, tol=tol, stop_at=stop_at)[0]
 
     return StandardFamily(interval=(m.z_d, m.z_u), raw=raw,
                           provenance="induced-from-measure",
                           label=f"induced[{m.label()}]",
-                          zero_log_level=m.risk_at_zero_log_level, measure=m,
-                          is_below=is_below)
+                          zero_log_level=m.risk_at_zero_log_level)
 
 
 def entropic_family(lam) -> StandardFamily:
     """Closed-form exponential-utility family on (-inf, 1)."""
+    m = ExponentialUtilityMeasure(lam)
 
-    def raw(z, t, x):
-        return _entropic_raw(lam, t, z, x)
+    def raw(z, t, x, stop_at=None):
+        return _entropic_raw(m, t, z, x)
 
-    def zero_log_level(space, t, log_level):
-        lam_atom = _resolve_stage_param(lam, space, t, "risk_aversion")
-        return -np.logaddexp(0.0, log_level) / lam_atom
-
-    return StandardFamily(interval=(-INF, 1.0), raw=raw, provenance="closed-form",
-                          label="entropic", zero_log_level=zero_log_level)
+    return StandardFamily(interval=(m.z_d, m.z_u), raw=raw, provenance="closed-form",
+                          label="entropic", zero_log_level=m.risk_at_zero_log_level)
 
 
-def _lower_divergence(space: FilteredSpace, t: int, interval, raw,
-                      zero_log_level) -> tuple[bool | None, str]:
+def _lower_divergence(space: FilteredSpace, t: int,
+                      f: StandardFamily) -> tuple[bool | None, str]:
     """Confirm esssup rho^z(0) < -1e6 for z far enough down (unbounded intervals)."""
-    z_d, z_u = interval
+    z_d, z_u = f.interval
     if math.isfinite(z_d):
         return None, "interval bounded below; divergence condition is vacuous"
-    if zero_log_level is not None:
+    if f.zero_log_level is not None:
         level = 64.0
         while level <= 1e12:
-            vals = zero_log_level(space, t, level)
+            vals = f.zero_log_level(space, t, level)
             if vals is None:  # the measure has no closed form: take the ladder below
                 break
             top = float(np.max(vals))
@@ -249,7 +238,7 @@ def _lower_divergence(space: FilteredSpace, t: int, interval, raw,
         z = -(10.0 ** k)
         if z <= z_d or z >= z_u:
             continue
-        vals = np.asarray(raw(z, t, zero), dtype=float)
+        vals = np.asarray(f.raw(z, t, zero), dtype=float)
         top = float(np.max(vals))
         if top < -1e6:
             return True, f"esssup rho(0) = {top:.4g} at z = -1e{k}"
@@ -308,23 +297,22 @@ def risk_curve(m: PerformanceMeasure, t: int, x: XVar, z_grid,
     points = [induce_risk(m, t, float(z), x, tol=tol) for z in zs]
     curve = RiskCurve(stage=t, zs=zs, points=points, x=x)
     mat = curve.matrix()
-    drops = np.diff(mat, axis=0) < -(3.0 * tol + 1e-9)
+    gaps = ext_gap(mat[1:], mat[:-1])  # an atom at -inf on two levels moves by 0
+    drops = (mat[1:] < mat[:-1]) & (gaps > 3.0 * tol + 1e-9)
     if np.any(drops):
         j, k = map(int, np.argwhere(drops)[0])
         raise AssertionError(
             f"risk not nondecreasing in the level: atom {x.space.atom_id(t, k)} "
             f"drops between z={zs[j]:g} and z={zs[j + 1]:g}")
     if zs.size >= 3:
-        gaps = np.abs(np.diff(mat, axis=0))
-        med = float(np.median(gaps)) if gaps.size else 0.0
+        finite = gaps[np.isfinite(gaps)]
+        med = float(np.median(finite)) if finite.size else 0.0
         big = np.argwhere(gaps > 50.0 * (med + 1e-9) + 1e-3)
         curve.suspect_jumps = [
             {"atom": x.space.atom_id(t, int(k)), "z_lo": float(zs[j]),
              "z_hi": float(zs[j + 1]), "gap": float(gaps[j, k])} for j, k in big]
     if check_limit and not math.isfinite(m.z_d):
-        fam = induced_family(m, tol=tol)
-        ok, note = _lower_divergence(x.space, t, fam.interval, fam.raw,
-                                     fam.zero_log_level)
+        ok, note = _lower_divergence(x.space, t, induced_family(m, tol=tol))
         if ok is False:
             raise RuntimeError(f"lower divergence of rho(0) not confirmed: {note}")
         curve.limit_note = note
@@ -409,10 +397,9 @@ def reconstruct(f: StandardFamily, t: int, x: XVar, tol_z: float = TOL_Z,
     the far bottom of an unbounded interval), the exact upper endpoint on atoms whose
     risk stays negative at the far top, and otherwise sup{z : rho^z < 0} by bisection:
     first in u = atan(z) to tolerance tol_z, then a plain-z polish for absolute
-    accuracy on moderate levels.  Strict negativity is decided as rho < -tol_c, by
-    the family's sign query ``is_below`` where it has one (for an induced family the
-    search over c stops once its bracket excludes -tol_c, its ``stop_at``) and by
-    comparing ``raw`` otherwise; both give the same answer bit for bit.
+    accuracy on moderate levels.  Strict negativity is decided as rho < -tol_c from
+    ``raw(..., stop_at=-tol_c)``: an induced family's search over c stops once its
+    bracket excludes -tol_c, with the full search's answer bit for bit.
 
     Each bisection step probes every atom at once, and one family call answers the
     next d steps for all of them (``_bisect_levels``), with d set by the leaf count
@@ -432,53 +419,39 @@ def reconstruct(f: StandardFamily, t: int, x: XVar, tol_z: float = TOL_Z,
 
     def is_neg(z) -> np.ndarray:
         # strictly negative risk: the level sits below beta
-        if f.is_below is not None:
-            neg, name = np.asarray(f.is_below(z, t, x, -tol_c)), "is_below"
-        else:
-            neg, name = np.asarray(f.raw(z, t, x), dtype=float) < -tol_c, "raw"
+        neg = np.asarray(f.raw(z, t, x, stop_at=-tol_c), dtype=float) < -tol_c
         if neg.shape != z.shape:
             raise ValueError(
                 f"family {f.label!r} answered levels of shape {z.shape} with shape "
-                f"{neg.shape}; {name} must map (B, n_atoms) level rows to (B, n_atoms)")
+                f"{neg.shape}; raw must map (B, n_atoms) level rows to (B, n_atoms)")
         return neg
 
-    def probe(z_per_atom: np.ndarray, active: np.ndarray) -> np.ndarray:
-        return is_neg(np.where(active, z_per_atom, z_fill))
+    def escalate(end, sign, pending):
+        # probe toward the interval's end (sign +1 the top, -1 the bottom); an atom
+        # stays pending while the end may still be its value: while rho < -tol_c on
+        # the way up, while rho >= -tol_c on the way down
+        if math.isfinite(end):
+            levels = [math.tan(math.atan(end) - sign * max(tol_z, 1e-12))]
+        else:
+            levels = [sign * lvl for lvl in (1e8, 1e12, 1e16)]
+        for lvl in levels:
+            if not pending.any():
+                break
+            neg = is_neg(np.where(pending, lvl, z_fill))
+            u = math.atan(lvl)
+            u_lo[pending & neg] = u
+            u_hi[pending & ~neg] = np.fmin(u_hi[pending & ~neg], u)
+            pending = pending & (neg == (sign > 0))
+        return pending
 
-    # top side: escalate until the risk stops being negative
-    if math.isfinite(z_u):
-        top_levels = [math.tan(math.atan(z_u) - max(tol_z, 1e-12))]
-    else:
-        top_levels = [1e8, 1e12, 1e16]
-    pending = np.ones(n, dtype=bool)
-    for lvl in top_levels:
-        if not pending.any():
-            break
-        neg = probe(np.full(n, lvl), pending)
-        u = math.atan(lvl)
-        fresh_hi = pending & ~neg
-        u_hi[fresh_hi] = u
-        u_lo[pending & neg] = u
-        pending = pending & neg
-    out[pending] = z_u  # negative all the way up: the value is the upper endpoint
+    # top side: atoms whose risk stays negative all the way up take the upper endpoint
+    pending = escalate(z_u, 1.0, np.ones(n, dtype=bool))
+    out[pending] = z_u
     done |= pending
-
-    # bottom side: atoms that never showed a negative risk may sit at the lower end
-    if math.isfinite(z_d):
-        bottom_levels = [math.tan(math.atan(z_d) + max(tol_z, 1e-12))]
-    else:
-        bottom_levels = [-1e8, -1e12, -1e16]
-    pending = ~done & np.isnan(u_lo)
-    for lvl in bottom_levels:
-        if not pending.any():
-            break
-        neg = probe(np.full(n, lvl), pending)
-        u = math.atan(lvl)
-        u_lo[pending & neg] = u
-        u_hi[pending & ~neg] = np.minimum(
-            np.where(np.isnan(u_hi[pending & ~neg]), INF, u_hi[pending & ~neg]), u)
-        pending = pending & ~neg
-    out[pending] = z_d  # rho >= 0 at every probed level: the B_X branch
+    # bottom side: atoms that never showed a negative risk may sit at the lower end;
+    # rho >= 0 at every probed level is the B_X branch
+    pending = escalate(z_d, -1.0, ~done & np.isnan(u_lo))
+    out[pending] = z_d
     done |= pending
 
     # bisection in atan coordinates
@@ -515,9 +488,8 @@ def validate_standard_family(f: StandardFamily, space: FilteredSpace, t: int,
     Per level: finite on bounded claims, convex, monotone nonincreasing, translation
     invariant, local, continuous from below.  Across levels: per-atom paths
     nondecreasing and continuous, with rho^z(0) diverging when the interval is
-    unbounded below.  A family with a sign query ``is_below`` must answer exactly
-    ``raw < c`` on level rows.  Positive homogeneity (coherence) is detected and
-    reported.
+    unbounded below.  On level rows, ``raw(..., stop_at=c) < c`` must equal
+    ``raw < c`` exactly.  Positive homogeneity (coherence) is detected and reported.
     """
     t = space.check_stage(t)
     tol = 1e-8
@@ -606,9 +578,7 @@ def validate_standard_family(f: StandardFamily, space: FilteredSpace, t: int,
         seq = [np.asarray(f.raw(z, t, XVar(space, xv.values - d, validate=False)),
                           dtype=float) for d in deltas]
         mono_ok = all(np.all(b <= a + tol) for a, b in zip(seq, seq[1:]))
-        with np.errstate(invalid="ignore"):  # -inf minus -inf off the finite branch
-            close = np.abs(seq[-1] - target) <= 1e-6
-        lim_ok = np.all(np.where(np.isfinite(target), close,
+        lim_ok = np.all(np.where(np.isfinite(target), ext_gap(seq[-1], target) <= 1e-6,
                                  seq[-1] <= -1e6))
         if not (mono_ok and lim_ok):
             return {"X": xv.to_json(), "z": num_to_json(z)}
@@ -658,23 +628,23 @@ def validate_standard_family(f: StandardFamily, space: FilteredSpace, t: int,
                             note="all sampled increments already below 1e-6"))
 
     # c) divergence of rho(0) when the interval is unbounded below
-    ok, note = _lower_divergence(space, t, f.interval, f.raw, f.zero_log_level)
+    ok, note = _lower_divergence(space, t, f)
     rep.add(CheckResult("lower_divergence", ok if ok is not None else None,
                         trials=1, failures=0 if ok in (True, None) else 1, note=note))
 
-    # the sign query, where the family has one, answers exactly raw < c
+    # a search stopped at c answers exactly raw < c
     def sign_query_matches_raw(rng, k):
         xv = sample_xvar(space, rng)
         z = np.repeat(zs[:, None], space.n_atoms(t), axis=1)
         rho = np.asarray(f.raw(z, t, xv), dtype=float)
         for c in (-TOL_C, 0.0, rho, np.nextafter(rho, INF)):
-            if not np.array_equal(np.asarray(f.is_below(z, t, xv, c)), rho < c):
+            stopped = np.asarray(f.raw(z, t, xv, stop_at=c), dtype=float)
+            if not np.array_equal(stopped < c, rho < c):
                 return {"X": xv.to_json(), "c": [num_to_json(v) for v in
                                                  np.broadcast_to(c, rho.shape).ravel()]}
 
-    if f.is_below is not None:
-        run_trials(rep, "sign_query_matches_raw", max(10, trials // 2), rng_seed, 29,
-                   sign_query_matches_raw)
+    run_trials(rep, "sign_query_matches_raw", max(10, trials // 2), rng_seed, 29,
+               sign_query_matches_raw)
 
     # coherence detection (informational): rho(kX) = k rho(X)
     homogeneous = True
@@ -889,9 +859,7 @@ def truncation_limit_check(m: PerformanceMeasure, t: int, z: float, x: XVar) -> 
     mono = all(np.all(b <= a + 1e-9) for a, b in zip(seq, seq[1:]))
     rep.add(CheckResult("nonincreasing_in_cap", mono, trials=len(caps),
                         failures=0 if mono else 1))
-    tail = np.abs(seq[-1] - rho_full) <= 1e-6
-    both_neg_inf = np.isneginf(seq[-1]) & np.isneginf(rho_full)
-    conv = bool(np.all(tail | both_neg_inf))
+    conv = bool(np.all(close_or_both_inf(seq[-1], rho_full, 1e-6)))
     rep.add(CheckResult("limit_matches_untruncated", conv, trials=1,
                         failures=0 if conv else 1,
                         witness=None if conv else {

@@ -1,12 +1,13 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from perflat import (DividendProcess, GainLossRatio, TVar, XVar, coin2, lpm_ratio,
-                     random_tree)
+from perflat import (DividendProcess, GainLossRatio, TVar, XVar, binomial_tree, coin2,
+                     lpm_ratio, random_tree)
 from perflat.cli import main
 from perflat.lattice import dump_json
 
@@ -199,6 +200,25 @@ def test_reconstruct_reports_small_gap(files, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "2"
+
+
+def test_reconstruct_compares_infinite_values_without_warning(tmp_path, capsys):
+    # gain-loss is +inf on a stage-2 atom with no loss: both routes give +inf there
+    space = binomial_tree(3)
+    paths = [tmp_path / name for name in ("space.json", "glr.json", "x.json")]
+    dump_json(space.to_json(), paths[0])
+    dump_json(GainLossRatio().to_json(), paths[1])
+    dump_json(XVar(space, [1.0, 2.0, -1.0, 3.0, 4.0, 5.0, -2.0, 1.0]).to_json(),
+              paths[2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["reconstruct", "--measure", str(paths[1]), "--space",
+                     str(paths[0]), "--var", str(paths[2]), "--t", "2"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split()[-1] == "inf"
+    assert lines[-1].startswith("max gap to direct evaluation: ")
+    assert float(lines[-1].split()[-1]) <= 1e-6
 
 
 def test_dual_agrees_with_bisection(files, capsys):

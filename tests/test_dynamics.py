@@ -237,8 +237,3 @@ def test_child_min_matches_the_subatom_lists():
                         for k in range(space.n_atoms(s))]
                 assert np.array_equal(_child_min(space, s, t, values), want)
 
-
-def test_penalty_checker_rejects_other_kinds(tree2):
-    with pytest.raises(ValueError):
-        check_penalty_inequality_coherent(DynamicMeasure(lpm_ratio(2.0)),
-                                          space=tree2)

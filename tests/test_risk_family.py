@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -171,6 +172,23 @@ def test_risk_curve_monotone(space2):
     assert curve.to_csv().splitlines()[0] == "atom_id,z,rho"
 
 
+def test_risk_curve_jumps_ignore_an_atom_at_minus_inf(tree2):
+    # a +inf leg keeps atom uu at -inf on every level: its gaps are 0, not NaN, so
+    # the median stays finite and atom du, whose risks match the finite claim's,
+    # is flagged on the same first interval
+    grid = np.linspace(0.5, 40.0, 12)
+    jumps = []
+    for values in ([1.0, 2.0, 5.0, -1e-6], [INF, 2.0, 5.0, -1e-6]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curve = risk_curve(GainLossRatio(), 1, XVar(tree2, values), grid)
+        jumps.append(curve.suspect_jumps)
+    assert np.array_equal(curve.matrix()[:, 1], risk_curve(
+        GainLossRatio(), 1, XVar(tree2, [1.0, 2.0, 5.0, -1e-6]), grid).matrix()[:, 1])
+    assert jumps[0] == jumps[1][:1]
+    assert jumps[1][0]["atom"] == "du" and jumps[1][0]["z_lo"] == 0.5
+
+
 def test_risk_curve_rejects_bad_grids(space2):
     x = XVar(space2, [3.0, -1.0])
     with pytest.raises(ValueError):
@@ -301,7 +319,8 @@ def test_sign_query_matches_the_full_search(name):
                     below = _induce_raw(m, t, levels, x, stop_at=c)[0] < c
                     assert np.array_equal(below, full < c)
                     if np.ndim(c) == 0:
-                        assert np.array_equal(fam.is_below(levels, t, x, c), below)
+                        assert np.array_equal(fam.raw(levels, t, x, stop_at=c) < c,
+                                              below)
     assert capped_seen
 
 
@@ -426,9 +445,14 @@ def test_reconstruct_matches_the_sequential_loop_on_every_branch(fam, tree2):
                 assert np.array_equal(reconstruct(fam, t, x, tol_z=tol_z).values, want)
 
 
+def _full_search(fam):
+    """``fam`` whose ``raw`` ignores ``stop_at``: every search runs to its close."""
+    return dataclasses.replace(fam, raw=lambda z, t, x, stop_at=None: fam.raw(z, t, x))
+
+
 def _same_by_both_routes(fam, t, x, **kw):
     got = reconstruct(fam, t, x, **kw).values
-    want = reconstruct(dataclasses.replace(fam, is_below=None), t, x, **kw).values
+    want = reconstruct(_full_search(fam), t, x, **kw).values
     assert np.array_equal(got, want), fam.label
 
 
@@ -483,8 +507,7 @@ def test_sign_query_cuts_measure_evaluations(cls):
     fam = induced_family(counted())
     got = reconstruct(fam, 0, x).values
     by_sign, counted.evals = counted.evals, 0
-    assert np.array_equal(
-        reconstruct(dataclasses.replace(fam, is_below=None), 0, x).values, got)
+    assert np.array_equal(reconstruct(_full_search(fam), 0, x).values, got)
     assert 0 < by_sign <= 0.6 * counted.evals
 
 
@@ -496,7 +519,7 @@ def test_reconstruct_stops_on_adjacent_floats(tree2):
     fam = induced_family(m)
     calls = []
 
-    def counted(z, t, xv):
+    def counted(z, t, xv, stop_at=None):
         calls.append(np.shape(z))
         return fam.raw(z, t, xv)
 
@@ -515,11 +538,11 @@ def test_reconstruct_refuses_a_family_written_for_one_level_per_atom(tree2):
     # answers (n_atoms,): the shape check names the contract instead of reading it
     fam = entropic_family(1.0)
 
-    def per_atom(z, t, xv):
+    def per_atom(z, t, xv, stop_at=None):
         z = np.broadcast_to(np.asarray(z, dtype=float), (xv.space.n_atoms(t),))
         return np.array([fam.raw(z[k], t, xv)[k] for k in range(len(z))])
 
-    def row_by_atom(z, t, xv):
+    def row_by_atom(z, t, xv, stop_at=None):
         z = np.asarray(z, dtype=float)
         return np.array([fam.raw(z[k], t, xv)[k] for k in range(xv.space.n_atoms(t))])
 
@@ -531,11 +554,6 @@ def test_reconstruct_refuses_a_family_written_for_one_level_per_atom(tree2):
             reconstruct(StandardFamily(interval=fam.interval, raw=raw), 1, x)
     with pytest.raises(ValueError, match=r"raw must map \(B, n_atoms\) level rows"):
         reconstruct(StandardFamily(interval=fam.interval, raw=row_by_atom), 1, x)
-    # the sign query route checks the same contract
-    below = StandardFamily(interval=fam.interval, raw=fam.raw,
-                           is_below=lambda z, t, xv, c: row_by_atom(z, t, xv) < c)
-    with pytest.raises(ValueError, match=r"is_below must map \(B, n_atoms\) level"):
-        reconstruct(below, 1, x)
 
 
 def test_reconstruct_raises_when_a_bracket_outlasts_its_cap(space2):
@@ -560,24 +578,46 @@ def test_induced_glr_family_validates(space2):
     assert rep.result("sign_query_matches_raw").trials == 20
 
 
-def test_family_validator_flags_a_sign_query_left_behind_by_a_new_raw(space2):
+def test_a_replaced_raw_sees_every_reconstruct_probe(tree2):
+    # one probe route: a copy with a wrapped ``raw`` is the family ``reconstruct`` asks
     fam = induced_family(GainLossRatio())
-    moved = dataclasses.replace(fam, raw=lambda z, t, x: fam.raw(z, t, x) + 1.0)
-    rep = validate_standard_family(moved, space2, 0, trials=20)
-    assert rep.result("sign_query_matches_raw").passed is False
-    cleared = dataclasses.replace(moved, is_below=None)
-    assert "sign_query_matches_raw" not in [
-        r.name for r in validate_standard_family(cleared, space2, 0, trials=20).results]
+    calls = []
+
+    def counted(z, t, x, stop_at=None):
+        calls.append(stop_at)
+        return fam.raw(z, t, x, stop_at=stop_at)
+
+    wrapped = dataclasses.replace(fam, raw=counted)
+    for values in _BRANCH_CLAIMS:
+        x = XVar(tree2, values)
+        for t in (0, 1):
+            calls.clear()
+            got = reconstruct(wrapped, t, x).values
+            assert len(calls) > 0 and all(c == -TOL_C for c in calls)
+            assert np.array_equal(got, reconstruct(fam, t, x).values)
 
 
 def test_entropic_family_validates(tree2):
     rep = validate_standard_family(entropic_family(0.8), tree2, 1, trials=40)
     failed = [r.name for r in rep.results if r.passed is False]
     assert not failed, failed
+    assert rep.result("sign_query_matches_raw").trials == 20
+
+
+def test_family_validator_flags_a_stopped_search_that_disagrees_with_raw(space2):
+    fam = induced_family(GainLossRatio())
+
+    def raw(z, t, x, stop_at=None):
+        rho = fam.raw(z, t, x, stop_at=stop_at)
+        return rho if stop_at is None else rho + 1.0
+
+    moved = dataclasses.replace(fam, raw=raw)
+    rep = validate_standard_family(moved, space2, 0, trials=20)
+    assert rep.result("sign_query_matches_raw").passed is False
 
 
 def test_family_validator_flags_wrong_z_direction(space2):
-    def raw(z, t, x):
+    def raw(z, t, x, stop_at=None):
         return -cond_expect(x, t).values - np.asarray(z, dtype=float)
 
     broken = StandardFamily(interval=(0.0, INF), raw=raw, label="wrong-slope")
