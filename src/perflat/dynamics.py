@@ -33,10 +33,12 @@ import numpy as np
 
 from .lattice import (INF, FilteredSpace, TVar, XVar, jsonable, paste, EventMask,
                       sample_xvar)
-from .measures import ExponentialUtilityMeasure, PerformanceMeasure, evaluate
+from .measures import (ExponentialUtilityMeasure, PerformanceMeasure, evaluate,
+                       evaluate_rows)
 from .report import CheckResult, Report
-from .risk_family import TOL_C, DualMeasure, induce_risk, sample_glr_density
-from .util import derived_rng, task_map
+from .risk_family import (TOL_C, DualMeasure, _induce_raw, induce_risk,
+                          sample_glr_density)
+from .util import derived_rng
 
 CRITERIA = ("measure-level", "strict-risk", "weak-risk")
 
@@ -134,29 +136,18 @@ def _level_grid(z_d: float, z_u: float, n: int = 5) -> list[float]:
     return [float(np.tan(u)) for u in us]
 
 
-def _mid_level(lo: float, hi: float, z_d: float, z_u: float) -> float | None:
-    """A level strictly separating lo < hi, strictly inside (z_d, z_u).
-
-    Midpoint in arctan coordinates so infinite endpoints stay usable.
-    """
-    if not lo < hi:
-        return None
-    u = 0.5 * (math.atan(max(lo, z_d)) + math.atan(min(hi, z_u)))
-    z = float(np.tan(u))
-    if not (lo < z < hi and z_d < z < z_u):
-        return None
-    return z
-
-
 def _stage_pairs(space: FilteredSpace) -> list[tuple[int, int]]:
     ts = list(space.times)
     return [(s, t) for i, s in enumerate(ts) for t in ts[i + 1:]]
 
 
 def _child_min(space: FilteredSpace, s: int, t: int, values: np.ndarray) -> np.ndarray:
-    """Per F_s-atom, the smallest of the stage-t values over its F_t-children."""
-    out = np.full(space.n_atoms(s), INF)
-    np.minimum.at(out, space.atom_index[s], values[space.atom_index[t]])
+    """Per F_s-atom, the smallest of the stage-t values over its F_t-children.
+
+    values is one row (n_atoms(t),) or a batch (B, n_atoms(t)), reduced row by row.
+    """
+    out = np.full(values.shape[:-1] + (space.n_atoms(s),), INF)
+    np.minimum.at(out, (..., space.atom_index[s]), values[..., space.atom_index[t]])
     return out
 
 
@@ -261,6 +252,17 @@ def globalize_witness(d: DynamicMeasure, space: FilteredSpace,
                        "the level; the upper bound must sit at the level")
 
 
+def _stage_risks(d: DynamicMeasure, x: XVar, z_grid: list, tol: float) -> dict:
+    """rho_r^z(X) at every stage r and grid level z: row j of stage r holds the risks
+    at z_grid[j].
+
+    One search over c per stage, with one row of per-atom levels per grid level
+    (``_induce_raw``), so each row equals the one-level call bit for bit.
+    """
+    levels = np.array(z_grid, dtype=float)[:, None]
+    return {r: _induce_raw(d.measure, r, levels, x, tol=tol)[0] for r in x.space.times}
+
+
 def check_time_consistency(d: DynamicMeasure, space: FilteredSpace,
                            z_grid=None, trials: int = 200, rng_seed: int = 0,
                            *, tol: float = TOL_C, sampler=None) -> ConsistencyReport:
@@ -273,6 +275,8 @@ def check_time_consistency(d: DynamicMeasure, space: FilteredSpace,
     must agree, and disagreement fails the criteria_agreement entry.  The
     localized scan supplies counterexample candidates, accepted only after
     re-verification; the first accepted witness (in scan order) is reported.
+    A trial's risks come from one search per stage over all grid levels
+    (``_stage_risks``), each level equal to its own search bit for bit.
     """
     if space.horizon < 1:
         raise ValueError("need at least two stages")
@@ -296,18 +300,13 @@ def check_time_consistency(d: DynamicMeasure, space: FilteredSpace,
         rng = derived_rng(rng_seed, 41, trial)
         x = sampler(space, rng) if sampler is not None else sample_xvar(space, rng)
         betas = {r: d.beta(r, x).values for r in space.times}
-        rho_cache: dict = {}
-
-        def rho(r, z, _x=x, _c=rho_cache):
-            if (r, z) not in _c:
-                _c[(r, z)] = induce_risk(d.measure, r, z, _x, tol=tol).values.values
-            return _c[(r, z)]
+        rhos = _stage_risks(d, x, z_grid, tol)
 
         for s, t in pairs:
             bs_all, bt_all = betas[s], betas[t]
-            for z in z_grid:
+            for j, z in enumerate(z_grid):
                 rep.samples += 1
-                rt, rs = rho(t, z), rho(s, z)
+                rt, rs = rhos[t][j], rhos[s][j]
                 prem = (bool(np.all(bt_all > z)), bool(np.all(rt < 0.0)),
                         bool(np.all(rt <= 0.0)))
                 concl = (bool(np.all(bs_all > z)), bool(np.all(rs < 0.0)),
@@ -358,22 +357,124 @@ def check_time_consistency(d: DynamicMeasure, space: FilteredSpace,
     return rep
 
 
+def _best_separations(space: FilteredSpace, pairs, betas: dict, z_d: float,
+                      z_u: float):
+    """Each row's best localized separation, scored over all entries at once.
+
+    betas maps each stage to its (B, n_atoms) values.  Entry (row, stage pair,
+    F_s-atom) puts the level z at the arctan midpoint between lo, beta_s on the atom,
+    and hi, the smallest beta_t over its F_t-children, each clipped to (z_d, z_u),
+    and scores min(hi - z, z - lo).  An entry counts where lo is finite and
+    lo < z < hi lies strictly inside (z_d, z_u).  Returns per row the score of the
+    first strict maximum in (pair, atom) order (-inf where no entry counts), its
+    column, and that entry's (lo, z, hi).
+    """
+    lo = np.concatenate([betas[s] for s, _ in pairs], axis=1)
+    hi = np.concatenate([_child_min(space, s, t, betas[t]) for s, t in pairs], axis=1)
+    ok = np.isfinite(lo) & (lo < hi)
+    lo_k, hi_k = lo[ok], hi[ok]
+    # max(lo, z_d) and min(hi, z_u) as Python's max and min pick them; math.atan on
+    # each entry, because np.arctan differs from it in the last bit on some inputs
+    # and the level is part of the witness
+    a = np.where(z_d > lo_k, z_d, lo_k).tolist()
+    b = np.where(z_u < hi_k, z_u, hi_k).tolist()
+    u = 0.5 * (np.array(list(map(math.atan, a)), dtype=float)
+               + np.array(list(map(math.atan, b)), dtype=float))
+    z_k = np.tan(u)
+    gap_hi, gap_lo = hi_k - z_k, z_k - lo_k
+    inside = (lo_k < z_k) & (z_k < hi_k) & (z_d < z_k) & (z_k < z_u)
+    score = np.full(lo.shape, -INF)
+    score[ok] = np.where(inside, np.where(gap_lo < gap_hi, gap_lo, gap_hi), -INF)
+    z = np.zeros(lo.shape)
+    z[ok] = z_k
+    col = np.argmax(score, axis=1)
+    rows = np.arange(col.size)
+    return (score[rows, col], col,
+            np.stack((lo[rows, col], z[rows, col], hi[rows, col]), axis=1))
+
+
+def _lockstep_restarts(d: DynamicMeasure, space: FilteredSpace, n_restarts: int,
+                       rng_seed: int, per_restart: int) -> list:
+    """The (witness or None, candidates scored) of each restart, all run in lockstep.
+
+    Restart r draws its leaf payoffs from ``derived_rng(rng_seed, 42, r)`` and then
+    refines them coordinate by coordinate: in each sweep over the leaves it tries
+    +step, then -step on each leaf, accepts the first move that beats its best score
+    by more than 1e-12 and goes on to the next leaf; after a sweep with no
+    improvement it halves the step.  It stops once it has scored per_restart
+    candidates or the step is at most 1e-4.  Each round scores the next candidate of
+    every live restart as one batch; a restart sees only its own scores, so its
+    witness and count are those of a run on its own.
+    """
+    z_d, z_u = d.interval
+    pairs = _stage_pairs(space)
+    n = space.n_leaves
+    # the stage pair and F_s-atom of each scored column, in (pair, atom) order
+    cols = [(s, t, k) for s, t in pairs for k in range(space.n_atoms(s))]
+
+    def score(rows):
+        betas = {r: evaluate_rows(d.measure, space, r, rows) for r in space.times}
+        return _best_separations(space, pairs, betas, z_d, z_u)
+
+    best_x = np.array([derived_rng(rng_seed, 42, r).uniform(-4.0, 4.0, n)
+                       for r in range(n_restarts)])
+    best_m, best_col, best_lzh = score(best_x)
+    used = np.ones(n_restarts, dtype=np.intp)
+    step = np.full(n_restarts, 4.0)  # half the width of the draws
+    leaf = np.zeros(n_restarts, dtype=np.intp)  # the leaf of the next move
+    minus = np.zeros(n_restarts, dtype=bool)    # is the next move -step?
+    improved = np.zeros(n_restarts, dtype=bool)
+    live = (step > 1e-4) & (used < per_restart)
+    while live.any():
+        on = np.flatnonzero(live)
+        trial = best_x[on]
+        sign = np.where(minus[on], -1.0, 1.0)
+        trial[np.arange(on.size), leaf[on]] += sign * step[on]
+        m, col, lzh = score(trial)
+        used[on] += 1
+        acc = m > best_m[on] + 1e-12  # false where the row has no entry (m = -inf)
+        won = on[acc]
+        best_x[won], best_m[won] = trial[acc], m[acc]
+        best_col[won], best_lzh[won] = col[acc], lzh[acc]
+        improved[won] = True
+        ahead = acc | minus[on]  # after an acceptance or a -step: the next leaf
+        leaf[on] += ahead
+        minus[on] = ~ahead
+        end = on[leaf[on] == n]  # sweeps that ended this round
+        step[end] = np.where(improved[end], step[end], 0.5 * step[end])
+        improved[end] = False
+        leaf[end] = 0
+        live[on] = (step[on] > 1e-4) & (used[on] < per_restart)
+
+    results = []
+    for r in range(n_restarts):
+        w = None
+        if best_m[r] > -INF:
+            s, t, k = cols[best_col[r]]
+            lo, z, hi = best_lzh[r]
+            w = _make_witness(space, s, t, z, k, lo, hi,
+                              x=XVar(space, best_x[r]).to_json())
+        results.append((w, int(used[r])))
+    return results
+
+
 def search_counterexample(d: DynamicMeasure, space: FilteredSpace,
                           budget: int = 100_000, rng_seed: int = 0, *,
                           per_restart: int = 300) -> ConsistencyReport:
     """Randomized restarts with coordinate refinement over leaf payoffs.
 
-    Each restart draws leaf payoffs uniformly from [-4, 4].  Each candidate
-    payoff is scored by the best localized separation it achieves: over all
-    stage pairs and F_s-atoms, place the level at the arctan midpoint between
-    beta_s on the atom and the smallest beta_t over the atom's F_t-children,
-    and take the smaller of the two gaps.  budget counts scored candidates.
-    Margins under 1e-6 are numerical ties and never accepted; a candidate
-    becomes a counterexample only after re-verification with BETA_MARGIN
-    level margins and risk signs at bisection tolerance 1e-12.  Deterministic
-    for fixed (budget, rng_seed): restarts draw derived seeds, and the best
-    witness wins by (margin, canonical encoding) order regardless of
-    evaluation scheduling.
+    Each restart draws leaf payoffs uniformly from [-4, 4] and refines them by
+    coordinate moves (``_lockstep_restarts``).  Each candidate payoff is scored by
+    the best localized separation it achieves: over all stage pairs and F_s-atoms,
+    place the level at the arctan midpoint between beta_s on the atom and the
+    smallest beta_t over the atom's F_t-children, and take the smaller of the two
+    gaps.  budget counts scored candidates.  Margins under 1e-6 are numerical ties
+    and never accepted; a candidate becomes a counterexample only after
+    re-verification with BETA_MARGIN level margins and risk signs at bisection
+    tolerance 1e-12.  The restarts advance in lockstep, one batch of candidates per
+    round, but each sees only its own scores, so the report is that of running them
+    one after another.  Deterministic for fixed (budget, rng_seed): restarts draw
+    derived seeds, and the best witness wins by (margin, canonical encoding) order.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -382,58 +483,8 @@ def search_counterexample(d: DynamicMeasure, space: FilteredSpace,
     if space.horizon < 1:
         rep.meta["note"] = "single stage: nothing to compare"
         return rep
-    z_d, z_u = d.interval
-    pairs = _stage_pairs(space)
-    n = space.n_leaves
-
-    def score(leaf_values):
-        x = XVar(space, leaf_values, validate=False)
-        betas = {r: d.beta(r, x).values for r in space.times}
-        best = (-INF, None)
-        for s, t in pairs:
-            bt_mins = _child_min(space, s, t, betas[t]).tolist()
-            for k, (bs_k, bt_min) in enumerate(zip(betas[s].tolist(), bt_mins)):
-                if not math.isfinite(bs_k):
-                    continue
-                z = _mid_level(bs_k, bt_min, z_d, z_u)
-                if z is None:
-                    continue
-                m = min(bt_min - z, z - bs_k)
-                if m > best[0]:
-                    best = (m, (s, t, z, k, bs_k, bt_min))
-        return best
-
-    def one_restart(r):
-        rng = derived_rng(rng_seed, 42, r)
-        xv = rng.uniform(-4.0, 4.0, n)
-        best_m, best_info = score(xv)
-        best_x = xv.copy()
-        used = 1
-        step = 4.0  # half the width of the draws
-        while step > 1e-4 and used < per_restart:
-            improved = False
-            for i in range(n):
-                if used >= per_restart:
-                    break
-                for sgn in (1.0, -1.0):
-                    if used >= per_restart:
-                        break
-                    trial_v = best_x.copy()
-                    trial_v[i] += sgn * step
-                    m, info = score(trial_v)
-                    used += 1
-                    if info is not None and m > best_m + 1e-12:
-                        best_m, best_info, best_x = m, info, trial_v
-                        improved = True
-                        break
-            if not improved:
-                step *= 0.5
-        if best_info is None:
-            return None, used
-        return _make_witness(space, *best_info, x=XVar(space, best_x).to_json()), used
-
     n_restarts = max(1, budget // per_restart)
-    results = task_map(one_restart, range(n_restarts))
+    results = _lockstep_restarts(d, space, n_restarts, rng_seed, per_restart)
     rep.trials = n_restarts
     rep.samples = sum(used for _, used in results)
     candidates = [w for w, _ in results if w is not None and w["margin"] >= TIE_BETA]

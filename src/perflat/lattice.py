@@ -572,11 +572,13 @@ def loss_order(space: FilteredSpace, t: int, loss: np.ndarray):
     """Leaves by stage-t atom, each atom's leaves by descending loss.
 
     Returns the leaf order, the atom of each sorted leaf and the position where each
-    atom's run of leaves starts (every atom has a leaf).
+    atom's run of leaves starts (every atom has a leaf).  A batch of loss rows
+    (B, n_leaves) gives one order per row, each the row's one-row order (the sort is
+    stable); the atoms and starts are the same for every row.
     """
     idx = space.atom_index[t]
-    order = np.lexsort((-loss, idx))
-    atom = idx[order]
+    order = np.lexsort((-loss, np.broadcast_to(idx, loss.shape)), axis=-1)
+    atom = idx[order[(0,) * (order.ndim - 1)]]  # the same for every row
     return order, atom, np.searchsorted(atom, np.arange(space.n_atoms(t)))
 
 

@@ -160,13 +160,11 @@ def _resolve_stage_param(param, space: FilteredSpace, t: int, name: str) -> np.n
 def _unshifted(kernel, space: FilteredSpace, t: int, leaf_values) -> np.ndarray:
     """A kernel on its own claim: the values of the leaf rows themselves.
 
-    One row (n_leaves,) gives (n_atoms,); a batch (B, n_leaves) gives (B, n_atoms),
-    one kernel per row, so each row equals its one-row call bit for bit.
+    One row (n_leaves,) gives (n_atoms,); a batch (B, n_leaves) gives (B, n_atoms) from
+    one kernel call on the whole batch, each row equal to its one-row call bit for bit.
     """
     leaf_values = np.asarray(leaf_values, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        if leaf_values.ndim == 2:
-            return np.array([kernel(space, t, row)(row) for row in leaf_values])
         return kernel(space, t, leaf_values)(leaf_values)
 
 
@@ -174,6 +172,19 @@ def shifted(f, space: FilteredSpace, t: int, leaf_values: np.ndarray):
     """The prepared evaluator g(c) = f(leaf_values + c[..., atom_index[t]]) of a kernel."""
     idx = space.atom_index[t]
     return lambda c: f(leaf_values + c.take(idx, axis=-1))
+
+
+def values_only(m) -> bool:
+    """Does m's class redefine ``values`` below the class that defines its ``kernel``?
+
+    Such a measure (a ``CustomMeasure``, or a subclass of a shipped measure that
+    overrides only ``values``) is evaluated through its own ``values``, one leaf row at
+    a time (``values_kernel``), so an inherited kernel never stands in for it.
+    """
+    mro = type(m).__mro__
+    owner = [next((i for i, c in enumerate(mro) if name in c.__dict__), len(mro))
+             for name in ("values", "kernel")]
+    return owner[0] < owner[1]
 
 
 def values_kernel(m, space: FilteredSpace, t: int):
@@ -184,6 +195,26 @@ def values_kernel(m, space: FilteredSpace, t: int):
         return np.array([m.values(space, t, row) for row in y], dtype=float)
 
     return f
+
+
+def evaluate_rows(m, space: FilteredSpace, t: int, rows: np.ndarray) -> np.ndarray:
+    """``evaluate`` on each leaf row of a (B, n_leaves) batch: (B, n_atoms), row for row.
+
+    A measure with a kernel takes the batch in one ``values`` call; a values-only one
+    (``values_only``) is called one row at a time, since its ``values`` may take one
+    row only.
+    """
+    if values_only(m):
+        return _bounded_below(values_kernel(m, space, t)(rows))
+    return _bounded_below(m.values(space, t, rows))
+
+
+def _bounded_below(out: np.ndarray) -> np.ndarray:
+    if np.any(np.isneginf(out)):
+        raise OverflowError(
+            "measure value below float range (the mathematical value is finite "
+            "but not representable); use raw probes for extreme shifts")
+    return out
 
 
 def _ratio(num: np.ndarray, den: np.ndarray, eps: float) -> np.ndarray:
@@ -210,12 +241,15 @@ class PerformanceMeasure:
     Both come from one formula, ``kernel(space, t, x)``: it computes once what a
     per-atom shift of x cannot change (stage parameters, index and mass lookups,
     raroc's within-atom loss order) and returns f with f(y) = values(space, t, y) for
-    leaf rows y that differ from x by such a shift.  ``values`` is f(x) and
-    ``prepare`` is f(x + c[..., idx]).  The shipped measures define ``kernel``.  A
-    class that redefines ``values`` below the class that defines its ``kernel`` (a
-    ``CustomMeasure``, or a subclass of a shipped measure that overrides only
-    ``values``) is prepared through ``values_kernel``, which calls its ``values`` one
-    row at a time, so the inherited formula never stands in for the new one.
+    leaf rows y that differ from x by such a shift.  x is one row or a batch of rows;
+    for a batch, y has its shape and each row is shifted from its own claim.
+    ``values`` is f(x), one kernel call for a whole batch, and ``prepare`` is
+    f(x + c[..., idx]).  The shipped measures define ``kernel``.  A class that
+    redefines ``values`` below the class that defines its ``kernel`` (``values_only``:
+    a ``CustomMeasure``, or a subclass of a shipped measure that overrides only
+    ``values``) is prepared and batched through ``values_kernel``, which calls its
+    ``values`` one row at a time, so the inherited formula never stands in for the new
+    one.
     """
 
     kind = "abstract"
@@ -228,10 +262,7 @@ class PerformanceMeasure:
         return _unshifted(self.kernel, space, t, leaf_values)
 
     def prepare(self, space: FilteredSpace, t: int, leaf_values: np.ndarray):
-        mro = type(self).__mro__
-        owner = [next(i for i, c in enumerate(mro) if name in c.__dict__)
-                 for name in ("values", "kernel")]
-        f = (values_kernel(self, space, t) if owner[0] < owner[1]
+        f = (values_kernel(self, space, t) if values_only(self)
              else self.kernel(space, t, leaf_values))
         return shifted(f, space, t, leaf_values)
 
@@ -241,12 +272,8 @@ class PerformanceMeasure:
 
     def evaluate(self, t: int, x: XVar) -> TVar:
         t = x.space.check_stage(t)
-        out = self.values(x.space, t, x.values)
-        if np.any(np.isneginf(out)):
-            raise OverflowError(
-                "measure value below float range (the mathematical value is finite "
-                "but not representable); use raw probes for extreme shifts")
-        return TVar(x.space, t, out, kind="bb")
+        return TVar(x.space, t, _bounded_below(self.values(x.space, t, x.values)),
+                    kind="bb")
 
     def risk_at_zero_log_level(self, space: FilteredSpace, t: int,
                                log_level: float) -> np.ndarray | None:
@@ -457,7 +484,10 @@ class AVaRTruncDenominator:
         return lv
 
     def risk_kernel(self, space, t, leaf_values):
-        """The signed AVaR of leaf rows that differ from the claim by per-atom shifts."""
+        """The signed AVaR of leaf rows that differ from the claim by per-atom shifts.
+
+        A batch of claims is sorted row by row, each row as its one-row call sorts it.
+        """
         lv = self.level_at(space, t)
         # +inf gains become -inf losses and sort to the tail end
         order, atom, starts = loss_order(space, t, -leaf_values)
@@ -466,15 +496,21 @@ class AVaRTruncDenominator:
         # running sum back to about zero: an atom's prefix sums keep its own scale
         # however many atoms come before it.
         step = w.copy()
-        step[starts[1:] - 1] -= 1.0
-        run = np.concatenate(([0.0], np.cumsum(step)))
-        rest = (lv + run[starts])[atom] - run[:-1]  # level left for each leaf
+        step[..., starts[1:] - 1] -= 1.0
+        run = np.cumsum(step, axis=-1)
+        run = np.concatenate((np.zeros(run.shape[:-1] + (1,)), run), axis=-1)
+        rest = (lv + run[..., starts])[..., atom] - run[..., :-1]  # level left per leaf
         live = rest > 1e-15
-        live[starts] = True  # the largest loss is in the tail at any level
+        live[..., starts] = True  # the largest loss is in the tail at any level
         take = np.where(live, np.minimum(w, rest), 0.0)
         per_atom = bin_sums(atom, len(lv))
-        return lambda y: per_atom(np.where(live, -y.take(order, axis=-1), 0.0)
-                                  * take) / lv
+        if order.ndim == 1:
+            def gather(y):
+                return y.take(order, axis=-1)
+        else:
+            def gather(y):
+                return np.take_along_axis(y, order, axis=-1)
+        return lambda y: per_atom(np.where(live, -gather(y), 0.0) * take) / lv
 
     def kernel(self, space, t, leaf_values):
         risk = self.risk_kernel(space, t, leaf_values)

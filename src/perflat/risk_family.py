@@ -305,8 +305,10 @@ def risk_curve(m: PerformanceMeasure, t: int, x: XVar, z_grid,
             f"risk not nondecreasing in the level: atom {x.space.atom_id(t, k)} "
             f"drops between z={zs[j]:g} and z={zs[j + 1]:g}")
     if zs.size >= 3:
-        finite = gaps[np.isfinite(gaps)]
-        med = float(np.median(finite)) if finite.size else 0.0
+        # each atom's threshold scales with the median of its own finite gaps, so one
+        # atom's verdict does not depend on how the others move
+        med = np.array([np.median(g[np.isfinite(g)]) if np.isfinite(g).any() else 0.0
+                        for g in gaps.T])
         big = np.argwhere(gaps > 50.0 * (med + 1e-9) + 1e-3)
         curve.suspect_jumps = [
             {"atom": x.space.atom_id(t, int(k)), "z_lo": float(zs[j]),

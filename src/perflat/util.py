@@ -1,4 +1,4 @@
-"""Deterministic seeding and the serial task map."""
+"""Deterministic seeding, and a serial map that only the benchmark tracer names."""
 
 from __future__ import annotations
 
@@ -17,8 +17,9 @@ def derived_rng(seed: int, *keys: int) -> np.random.Generator:
 def task_map(fn, items):
     """Map fn over items, in order.
 
-    A plain loop, kept as a named function because ``benchmarks/tracer.py`` hooks
-    ``perflat.util.task_map`` by name to time the search restarts; its ``--trace 1``
-    run raises AttributeError without it.
+    Nothing in perflat calls it: the search runs its restarts in lockstep.  It stays
+    defined only because ``benchmarks/tracer.py`` looks ``perflat.util.task_map`` up
+    by name when it installs its hooks, and its ``--trace 1`` run raises
+    AttributeError without it.
     """
     return [fn(it) for it in items]

@@ -1,16 +1,21 @@
 import json
+import math
 from importlib import resources
 
 import numpy as np
 import pytest
 
-from perflat import (DynamicMeasure, ExponentialUtilityMeasure, GainLossRatio,
-                     TVar, XVar, binomial_tree, check_penalty_inequality_coherent,
+from perflat import (INF, CertaintyEquivalentMeasure, CustomMeasure, DynamicMeasure,
+                     ExponentialUtilityMeasure, GainLossRatio, TVar, UtilitySpec,
+                     XVar, binomial_tree, check_penalty_inequality_coherent,
                      check_riskaversion_monotone_consistency,
                      check_time_consistency, evaluate, globalize_witness,
-                     lpm_ratio, random_tree, search_counterexample,
-                     verify_witness)
-from perflat.dynamics import _child_min, _ratio_feasible
+                     induce_risk, lpm_ratio, random_tree, raroc,
+                     search_counterexample, verify_witness)
+from perflat import dynamics
+from perflat.dynamics import (_best_separations, _child_min, _make_witness,
+                              _ratio_feasible, _stage_pairs)
+from perflat.lattice import dump_json, sample_xvar
 
 
 def _load_pinned_witness():
@@ -237,3 +242,223 @@ def test_child_min_matches_the_subatom_lists():
                         for k in range(space.n_atoms(s))]
                 assert np.array_equal(_child_min(space, s, t, values), want)
 
+
+
+def test_child_min_takes_rows():
+    rng = np.random.default_rng(4)
+    space = binomial_tree(3)
+    rows = rng.uniform(-4.0, 4.0, (9, space.n_atoms(2)))
+    rows[rng.random(rows.shape) < 0.2] = np.inf
+    got = _child_min(space, 1, 2, rows)
+    assert all(np.array_equal(g, _child_min(space, 1, 2, r)) for g, r in zip(got, rows))
+
+
+# ---------------------------------------------------------------------------
+# the batched routes against the sequential ones, byte for byte
+#
+# The references keep the one-candidate, one-level code that the search and the
+# consistency check ran before they were batched: _search_sequential runs the
+# restarts one after another and scores one candidate per call, and
+# _consistency_per_level makes one induce_risk call per (stage, level).
+
+
+def _mid_level(lo, hi, z_d, z_u):
+    """A level strictly separating lo < hi, strictly inside (z_d, z_u), or None."""
+    if not lo < hi:
+        return None
+    u = 0.5 * (math.atan(max(lo, z_d)) + math.atan(min(hi, z_u)))
+    z = float(np.tan(u))
+    if not (lo < z < hi and z_d < z < z_u):
+        return None
+    return z
+
+
+def _best_of(space, pairs, betas, z_d, z_u):
+    """The best localized separation of one candidate, entry by entry."""
+    best = (-INF, None)
+    for s, t in pairs:
+        bt_mins = _child_min(space, s, t, betas[t]).tolist()
+        for k, (bs_k, bt_min) in enumerate(zip(betas[s].tolist(), bt_mins)):
+            if not math.isfinite(bs_k):
+                continue
+            z = _mid_level(bs_k, bt_min, z_d, z_u)
+            if z is None:
+                continue
+            m = min(bt_min - z, z - bs_k)
+            if m > best[0]:
+                best = (m, (s, t, z, k, bs_k, bt_min))
+    return best
+
+
+def _search_sequential(d, space, n_restarts, rng_seed, per_restart):
+    pairs = _stage_pairs(space)
+    n = space.n_leaves
+
+    def score(leaf_values):
+        x = XVar(space, leaf_values, validate=False)
+        betas = {r: d.beta(r, x).values for r in space.times}
+        return _best_of(space, pairs, betas, *d.interval)
+
+    def one_restart(r):
+        rng = dynamics.derived_rng(rng_seed, 42, r)
+        xv = rng.uniform(-4.0, 4.0, n)
+        best_m, best_info = score(xv)
+        best_x = xv.copy()
+        used = 1
+        step = 4.0
+        while step > 1e-4 and used < per_restart:
+            improved = False
+            for i in range(n):
+                if used >= per_restart:
+                    break
+                for sgn in (1.0, -1.0):
+                    if used >= per_restart:
+                        break
+                    trial_v = best_x.copy()
+                    trial_v[i] += sgn * step
+                    m, info = score(trial_v)
+                    used += 1
+                    if info is not None and m > best_m + 1e-12:
+                        best_m, best_info, best_x = m, info, trial_v
+                        improved = True
+                        break
+            if not improved:
+                step *= 0.5
+        if best_info is None:
+            return None, used
+        return _make_witness(space, *best_info, x=XVar(space, best_x).to_json()), used
+
+    return [one_restart(r) for r in range(n_restarts)]
+
+
+def _consistency_per_level(d, x, z_grid, tol):
+    return {r: [induce_risk(d.measure, r, z, x, tol=tol).values.values for z in z_grid]
+            for r in x.space.times}
+
+
+def _one_row_glr():
+    """A values-only measure whose fn refuses a batch of rows."""
+    def fn(space, t, leaf_values):
+        assert leaf_values.ndim == 1, "one row at a time"
+        return GainLossRatio().values(space, t, leaf_values)
+
+    return CustomMeasure(fn, z_d=0.0, z_u=INF, kind="one_row_glr")
+
+
+_MEASURES = {"lpm": lambda: lpm_ratio(2.0), "glr": GainLossRatio,
+             "exp": lambda: ExponentialUtilityMeasure(0.7),
+             "ce": lambda: CertaintyEquivalentMeasure(UtilitySpec("exp", lam=1.0)),
+             "raroc": lambda: raroc(0.5), "one_row_glr": _one_row_glr}
+_SPACES = {"tree2": lambda: binomial_tree(2), "tree3": lambda: binomial_tree(3),
+           "random1": lambda: random_tree(np.random.default_rng(1), periods=2,
+                                          max_leaves=8),
+           "random2": lambda: random_tree(np.random.default_rng(2), periods=2,
+                                          max_leaves=8)}
+# (per_restart, budget, rng_seed): one candidate per restart; budgets that end
+# mid-sweep; restarts that stop on the step before their 300; a budget under
+# per_restart.  On tree2 each of these lpm searches certifies a witness.
+_SEARCHES = [(1, 6, 3), (3, 20, 7), (10, 64, 1), (300, 600, 5), (300, 90, 11)]
+
+
+def _both_routes(monkeypatch, seam, reference, run):
+    batched = dump_json(run().to_json())
+    with monkeypatch.context() as mp:
+        mp.setattr(dynamics, seam, reference)
+        sequential = dump_json(run().to_json())
+    return batched, sequential
+
+
+@pytest.mark.parametrize("space_name", list(_SPACES))
+@pytest.mark.parametrize("measure", list(_MEASURES))
+def test_lockstep_search_matches_the_sequential_restarts(measure, space_name,
+                                                         monkeypatch):
+    d, space = DynamicMeasure(_MEASURES[measure]()), _SPACES[space_name]()
+    for per_restart, budget, seed in _SEARCHES:
+        def run():
+            return search_counterexample(d, space, budget=budget, rng_seed=seed,
+                                         per_restart=per_restart)
+
+        batched, sequential = _both_routes(monkeypatch, "_lockstep_restarts",
+                                           _search_sequential, run)
+        assert batched == sequential, (per_restart, budget)
+
+
+def test_search_cases_reach_every_stop():
+    # the cases above include restarts that stop on the step before their budget
+    # and searches whose budget ends mid-sweep, and some that certify a witness
+    d, space = DynamicMeasure(lpm_ratio(2.0)), binomial_tree(2)
+    runs = [_search_sequential(d, space, max(1, b // p), seed, p)
+            for p, b, seed in _SEARCHES]
+    used = [u for run in runs for _, u in run]
+    assert min(used[-3:]) < 300                      # stopped on the step
+    assert any(u % (2 * space.n_leaves) for u in used[:-3])  # mid-sweep
+    assert len(runs[-1]) == 1 and used[-1] > 90     # budget 90 < per_restart
+    assert all(search_counterexample(d, space, budget=b, rng_seed=seed,
+                                     per_restart=p).witness for p, b, seed in _SEARCHES)
+
+
+@pytest.mark.parametrize("space_name", list(_SPACES))
+@pytest.mark.parametrize("measure", list(_MEASURES))
+def test_level_rows_match_the_per_level_consistency_check(measure, space_name,
+                                                          monkeypatch):
+    d, space = DynamicMeasure(_MEASURES[measure]()), _SPACES[space_name]()
+    z_d, z_u = d.interval
+    grid = ([0.3, 1.1, 7.0] if z_d == 0.0 else
+            [-3.0, -0.2, 0.5] if z_u == 1.0 else [-3.0, 0.2, 1.5])
+
+    def with_inf_legs(space, rng):
+        return sample_xvar(space, rng, inf_prob=0.25)
+
+    for kw in ({"trials": 4, "rng_seed": 5}, {"z_grid": grid, "trials": 3},
+               {"trials": 3, "rng_seed": 2, "sampler": with_inf_legs}):
+        batched, sequential = _both_routes(
+            monkeypatch, "_stage_risks", _consistency_per_level,
+            lambda: check_time_consistency(d, space, **kw))
+        assert batched == sequential, kw
+
+
+def test_level_rows_match_the_per_level_profile_check(monkeypatch):
+    space = binomial_tree(3)
+    lam = {t: np.linspace(0.5, 1.5, space.n_atoms(t)) for t in space.times}
+    batched, sequential = _both_routes(
+        monkeypatch, "_stage_risks", _consistency_per_level,
+        lambda: check_riskaversion_monotone_consistency(lam, space, trials=4))
+    assert batched == sequential
+
+
+def _beta_rows(rng, space, rows, kind):
+    """Stage values for the scorer: spread over many scales, or on a coarse grid
+    (ties between entries), with +inf on some atoms."""
+    out = {}
+    for r in space.times:
+        shape = (rows, space.n_atoms(r))
+        if kind == "spread":
+            v = rng.standard_cauchy(shape) * 10.0 ** rng.integers(-3, 4, shape)
+        else:
+            v = rng.integers(-2, 5, shape) * 0.5
+        v[rng.random(shape) < 0.1] = INF
+        out[r] = v
+    return out
+
+
+@pytest.mark.parametrize("interval", [(0.0, INF), (-INF, 1.0), (-INF, INF)])
+@pytest.mark.parametrize("kind", ["spread", "coarse"])
+def test_batched_scores_match_the_scan_of_one_candidate(interval, kind):
+    # every row's best entry, level and margin, bit for bit; "spread" rows put the
+    # arctan midpoint where np.arctan and math.atan disagree, "coarse" rows tie
+    # entries, where the first one in (pair, atom) order must win
+    rng = np.random.default_rng(11)
+    space = binomial_tree(3)
+    pairs = _stage_pairs(space)
+    betas = _beta_rows(rng, space, 3000, kind)
+    m, col, lzh = _best_separations(space, pairs, betas, *interval)
+    cols = [(p, k) for p, (s, _) in enumerate(pairs) for k in range(space.n_atoms(s))]
+    for i in range(m.size):
+        want_m, info = _best_of(space, pairs, {r: b[i] for r, b in betas.items()},
+                                *interval)
+        if info is None:
+            assert m[i] == -INF
+            continue
+        s, t, z, k, lo, hi = info
+        assert (m[i], cols[col[i]], tuple(lzh[i])) == (want_m, (pairs.index((s, t)), k),
+                                                       (lo, z, hi))

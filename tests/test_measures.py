@@ -233,6 +233,31 @@ def test_prepare_matches_values_bit_for_bit(m):
                 assert all(np.array_equal(g(r), b) for r, b in zip(rows, batch))
 
 
+def _row_batches(seed):
+    """Random trees with batches of leaf rows at payoff scales 1e-8 to 1e8: rows with
+    +inf legs, and rows on a coarse grid, which tie leaves inside an atom."""
+    rng = np.random.default_rng(seed)
+    for scale in (1e-8, 1e-4, 1.0, 1e4, 1e8):
+        space = random_tree(rng, periods=int(rng.integers(1, 3)), max_leaves=16)
+        rows = np.array([sample_xvar(space, rng, inf_prob=0.2).values
+                         for _ in range(6)])
+        rows[4:] = rng.integers(-2, 3, (2, space.n_leaves))
+        yield space, rows * scale
+
+
+@pytest.mark.parametrize("m", SHIPPED + [
+    ExponentialUtilityMeasure({0: 0.7, 1: 1.9, 2: 0.4}),
+    raroc(0.3, infinite_when_risk_nonpositive=True)], ids=lambda m: m.label())
+def test_values_on_row_batches_match_one_row_calls(m):
+    for seed in range(6):
+        for space, rows in _row_batches(seed):
+            for t in space.times:
+                got = m.values(space, t, rows)
+                assert got.shape == (len(rows), space.n_atoms(t))
+                assert all(np.array_equal(g, m.values(space, t, r))
+                           for g, r in zip(got, rows))
+
+
 def test_values_only_measures_share_the_row_closure(space2):
     seen = []
 

@@ -172,21 +172,32 @@ def test_risk_curve_monotone(space2):
     assert curve.to_csv().splitlines()[0] == "atom_id,z,rho"
 
 
+def _du_jumps(tree2, values, grid):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        curve = risk_curve(GainLossRatio(), 1, XVar(tree2, values), grid)
+    return curve, [j for j in curve.suspect_jumps if j["atom"] == "du"]
+
+
 def test_risk_curve_jumps_ignore_an_atom_at_minus_inf(tree2):
-    # a +inf leg keeps atom uu at -inf on every level: its gaps are 0, not NaN, so
-    # the median stays finite and atom du, whose risks match the finite claim's,
-    # is flagged on the same first interval
+    # a +inf leg keeps atom uu at -inf on every level: its gaps are 0, not NaN, and
+    # atom du, whose risks match the finite claim's, gets the same verdict; a grid
+    # with one wide step after a run of narrow ones flags du there in both claims
+    for grid in (np.linspace(0.5, 40.0, 12), np.r_[np.linspace(0.5, 0.6, 11), 40.0]):
+        finite, jumps_finite = _du_jumps(tree2, [1.0, 2.0, 5.0, -1e-6], grid)
+        inf_leg, jumps_inf = _du_jumps(tree2, [INF, 2.0, 5.0, -1e-6], grid)
+        assert np.array_equal(inf_leg.matrix()[:, 1], finite.matrix()[:, 1])
+        assert jumps_inf == jumps_finite
+    assert [(j["z_lo"], j["z_hi"]) for j in jumps_inf] == [(0.6, 40.0)]
+
+
+def test_risk_curve_jump_threshold_is_per_atom(tree2):
+    # du's gaps fall smoothly from 1.18 to 0.011 on this grid, so it has no jump of
+    # its own; a threshold scaled by the median over all atoms flagged (0.5, 4.09)
+    # for the finite claim and also (4.09, 7.68) once atom uu sat at -inf (gap 0)
     grid = np.linspace(0.5, 40.0, 12)
-    jumps = []
     for values in ([1.0, 2.0, 5.0, -1e-6], [INF, 2.0, 5.0, -1e-6]):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            curve = risk_curve(GainLossRatio(), 1, XVar(tree2, values), grid)
-        jumps.append(curve.suspect_jumps)
-    assert np.array_equal(curve.matrix()[:, 1], risk_curve(
-        GainLossRatio(), 1, XVar(tree2, [1.0, 2.0, 5.0, -1e-6]), grid).matrix()[:, 1])
-    assert jumps[0] == jumps[1][:1]
-    assert jumps[1][0]["atom"] == "du" and jumps[1][0]["z_lo"] == 0.5
+        assert _du_jumps(tree2, values, grid)[1] == []
 
 
 def test_risk_curve_rejects_bad_grids(space2):
