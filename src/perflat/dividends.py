@@ -30,8 +30,8 @@ from .lattice import (INF, FilteredSpace, TVar, XVar, close_or_both_inf,
                       ext_add, ext_mul, num_from_json, num_to_json,
                       sample_event, sample_tvar, sample_xvar)
 from .measures import (DEFAULT_TOL, PerformanceMeasure, _below_mix_floor,
-                       _no_strict_gain, evaluate)
-from .report import CheckResult, Report, run_trials
+                       _no_strict_gain, evaluate, evaluate_rows)
+from .report import CheckResult, Report, TwoPhase, run_trials
 from .util import derived_rng
 
 
@@ -180,13 +180,21 @@ def lift_evaluate(m: PerformanceMeasure, t: int, dp: DividendProcess) -> TVar:
     return evaluate(m, t, dp.aggregate_from(t))
 
 
+def _aggregates(t: int, *streams: DividendProcess) -> np.ndarray:
+    """The leaf rows of the streams' aggregates from stage t, one row per stream."""
+    return np.stack([dp.aggregate_from(t).values for dp in streams])
+
+
 def check_lift_axioms(m: PerformanceMeasure, space: FilteredSpace,
                       trials: int = 200, rng_seed: int = 0) -> Report:
     """Property tests for the lifted measure on random payment streams.
 
     Alongside the structural properties this verifies the bundling identity
     (paying the aggregate at the final date changes nothing, bit for bit)
-    and the exact round trip through single terminal payments.
+    and the exact round trip through single terminal payments.  Each trial
+    picks its own stage; a property draws all its trials' streams first,
+    values their aggregates with one ``evaluate_rows`` call per stage, and
+    then judges the trials in order.
     """
     tol = DEFAULT_TOL
     rep = Report(f"lift axioms for {m.label()}", seed=rng_seed,
@@ -194,7 +202,11 @@ def check_lift_axioms(m: PerformanceMeasure, space: FilteredSpace,
     times = list(space.times)
     last = times[-1]
 
-    def independence_of_past_and_locality(rng, k):
+    def run(name, key, draw, judge):
+        run_trials(rep, name, trials, rng_seed, key, TwoPhase(
+            draw, lambda t, rows: evaluate_rows(m, space, t, rows), judge))
+
+    def draw_independence_of_past_and_locality(rng, k):
         t = int(rng.choice(times))
         b = sample_event(space, t, rng)
         on = b.leaf_values()
@@ -211,23 +223,28 @@ def check_lift_axioms(m: PerformanceMeasure, space: FilteredSpace,
             pays[r] = TVar(space, r, np.where(flag, d1.payment(r).values, fresh),
                            kind="bb")
         d2 = DividendProcess(space, pays)
-        v1 = lift_evaluate(m, t, d1).values
-        v2 = lift_evaluate(m, t, d2).values
+        return t, _aggregates(t, d1, d2), (t, b, d1, d2)
+
+    def judge_independence_of_past_and_locality(k, ctx, vals):
+        (t, b, d1, d2), (v1, v2) = ctx, vals
         if not np.all(v1[b.flags] == v2[b.flags]):
             return {"note": "value moved on the unchanged event",
                     "stage": t, "D": d1.to_json(), "D2": d2.to_json()}
 
-    run_trials(rep, "independence_of_past_and_locality", trials, rng_seed, 61,
-               independence_of_past_and_locality)
+    run("independence_of_past_and_locality", 61,
+        draw_independence_of_past_and_locality, judge_independence_of_past_and_locality)
 
-    def bounds_interval(rng, k):
+    def draw_bounds_interval(rng, k):
         t = int(rng.choice(times))
         dp = sample_dividend(space, rng, nonnegative_interim=False)
-        vals = lift_evaluate(m, t, dp).values
+        return t, _aggregates(t, dp), (t, dp)
+
+    def judge_bounds_interval(k, ctx, vals):
+        t, dp = ctx
         if np.any(vals < m.z_d - 1e-12) or np.any(vals > m.z_u + 1e-12):
             return {"note": "value left the bounds", "stage": t, "D": dp.to_json()}
 
-    run_trials(rep, "bounds_interval", trials, rng_seed, 62, bounds_interval)
+    run("bounds_interval", 62, draw_bounds_interval, judge_bounds_interval)
 
     top = DividendProcess.terminal_only(XVar.constant(space, INF))
     missed = [t for t in times if not np.all(lift_evaluate(m, t, top).values == m.z_u)]
@@ -254,7 +271,7 @@ def check_lift_axioms(m: PerformanceMeasure, space: FilteredSpace,
                                          "value toward the lower bound",
                                  "stage": missed[0]} if missed else None))
 
-    def monotonicity(rng, k):
+    def draw_monotonicity(rng, k):
         t = int(rng.choice(times))
         d1 = sample_dividend(space, rng, nonnegative_interim=False)
         d2 = d1
@@ -263,95 +280,112 @@ def check_lift_axioms(m: PerformanceMeasure, space: FilteredSpace,
                 bump = TVar(space, r, rng.uniform(0.0, 2.0, space.n_atoms(r)),
                             kind="bb")
                 d2 = d2.with_payment_added(r, bump)
-        v1 = lift_evaluate(m, t, d1).values
-        v2 = lift_evaluate(m, t, d2).values
+        return t, _aggregates(t, d1, d2), (t, d1, d2)
+
+    def judge_monotonicity(k, ctx, vals):
+        (t, d1, d2), (v1, v2) = ctx, vals
         if np.any(v2 < v1 - tol):
             return {"note": "larger payments lowered the value",
                     "stage": t, "D": d1.to_json(), "D2": d2.to_json()}
 
-    run_trials(rep, "monotonicity", trials, rng_seed, 63, monotonicity)
+    run("monotonicity", 63, draw_monotonicity, judge_monotonicity)
 
-    def strict_shift(rng, k):
+    def draw_strict_shift(rng, k):
         t = int(rng.choice(times))
         r_star = int(rng.choice([r for r in times if r >= t]))
         c = float(rng.uniform(0.05, 2.0))
         dp = sample_dividend(space, rng, nonnegative_interim=False)
-        before = lift_evaluate(m, t, dp).values
-        after = lift_evaluate(m, t, dp.with_payment_added(r_star, c)).values
+        return (t, _aggregates(t, dp, dp.with_payment_added(r_star, c)),
+                (t, r_star, c, dp))
+
+    def judge_strict_shift(k, ctx, vals):
+        (t, r_star, c, dp), (before, after) = ctx, vals
         bad = _no_strict_gain(m, before, after)
         if np.any(bad):
             return {"note": "no strict gain from a positive payment",
                     "stage": t, "paid_at": r_star, "shift": c, "D": dp.to_json(),
                     "atom": space.atom_id(t, int(np.argmax(bad)))}
 
-    run_trials(rep, "strict_shift", trials, rng_seed, 64, strict_shift)
+    run("strict_shift", 64, draw_strict_shift, judge_strict_shift)
 
-    def quasi_concavity(rng, k):
+    def draw_quasi_concavity(rng, k):
         t = int(rng.choice(times))
         lam = float(rng.uniform(0.001, 0.999))  # keep 0 * inf out of the mix
         d1 = sample_dividend(space, rng, nonnegative_interim=False)
         d2 = sample_dividend(space, rng, nonnegative_interim=False)
-        v1 = lift_evaluate(m, t, d1).values
-        v2 = lift_evaluate(m, t, d2).values
-        got = lift_evaluate(m, t, d1.mixed_with(d2, lam)).values
+        return t, _aggregates(t, d1, d2, d1.mixed_with(d2, lam)), (t, lam, d1, d2)
+
+    def judge_quasi_concavity(k, ctx, vals):
+        (t, lam, d1, d2), (v1, v2, got) = ctx, vals
         if np.any(_below_mix_floor(got, np.minimum(v1, v2), tol)):
             return {"note": "mix fell below both endpoints", "stage": t, "lam": lam,
                     "D": d1.to_json(), "D2": d2.to_json()}
 
-    run_trials(rep, "quasi_concavity", trials, rng_seed, 65, quasi_concavity)
+    run("quasi_concavity", 65, draw_quasi_concavity, judge_quasi_concavity)
 
-    def timing_invariance(rng, k):
+    def draw_timing_invariance(rng, k):
         t = int(rng.choice(times))
         later = [r for r in times if r >= t]
         r1, r2 = int(rng.choice(later)), int(rng.choice(later))
         xi = sample_tvar(space, t, rng)
         dp = sample_dividend(space, rng, nonnegative_interim=False)
-        v1 = lift_evaluate(m, t, dp.with_payment_added(r1, xi)).values
-        v2 = lift_evaluate(m, t, dp.with_payment_added(r2, xi)).values
+        return (t, _aggregates(t, dp.with_payment_added(r1, xi),
+                               dp.with_payment_added(r2, xi)), (t, r1, r2, dp))
+
+    def judge_timing_invariance(k, ctx, vals):
+        (t, r1, r2, dp), (v1, v2) = ctx, vals
         if not np.all(close_or_both_inf(v1, v2, tol)):
             return {"note": "payment date of a known transfer mattered",
                     "stage": t, "dates": [r1, r2], "D": dp.to_json()}
 
-    run_trials(rep, "timing_invariance", trials, rng_seed, 66, timing_invariance)
+    run("timing_invariance", 66, draw_timing_invariance, judge_timing_invariance)
 
-    def scale_invariance(rng, k):
+    def draw_scale_invariance(rng, k):
         t = int(rng.choice(times))
         c = float(np.exp(rng.uniform(np.log(0.01), np.log(100.0))))
         dp = sample_dividend(space, rng, nonnegative_interim=False)
-        v1 = lift_evaluate(m, t, dp).values
-        v2 = lift_evaluate(m, t, dp.scaled(c)).values
+        return t, _aggregates(t, dp, dp.scaled(c)), (t, c, dp)
+
+    def judge_scale_invariance(k, ctx, vals):
+        (t, c, dp), (v1, v2) = ctx, vals
         if not np.all(close_or_both_inf(v1, v2, tol)):
             return {"note": "scaling the stream moved the value",
                     "stage": t, "scale": c, "D": dp.to_json()}
 
     if m.scale_invariant:
-        run_trials(rep, "scale_invariance", trials, rng_seed, 67, scale_invariance)
+        run("scale_invariance", 67, draw_scale_invariance, judge_scale_invariance)
     else:
         rep.add(CheckResult("scale_invariance", None,
                             note="measure is not scale invariant; skipped"))
 
-    def aggregation_identity(rng, k):
+    def draw_aggregation_identity(rng, k):
         t = int(rng.choice(times))
         dp = sample_dividend(space, rng, nonnegative_interim=False)
-        direct = lift_evaluate(m, t, dp).values
-        bundled = lift_evaluate(
-            m, t, DividendProcess.terminal_only(dp.aggregate_from(t))).values
+        bundled = DividendProcess.terminal_only(dp.aggregate_from(t))
+        return t, _aggregates(t, dp, bundled), (t, dp)
+
+    def judge_aggregation_identity(k, ctx, vals):
+        (t, dp), (direct, bundled) = ctx, vals
         if not np.array_equal(direct, bundled):
             return {"note": "bundling the payments at the final date changed the "
                             "value", "stage": t, "D": dp.to_json()}
 
-    run_trials(rep, "aggregation_identity", trials, rng_seed, 68, aggregation_identity)
+    run("aggregation_identity", 68, draw_aggregation_identity,
+        judge_aggregation_identity)
 
-    def terminal_round_trip(rng, k):
+    def draw_terminal_round_trip(rng, k):
         t = int(rng.choice(times))
         x = sample_xvar(space, rng)
-        lifted = lift_evaluate(m, t, DividendProcess.terminal_only(x)).values
-        plain = evaluate(m, t, x).values
+        lifted = DividendProcess.terminal_only(x).aggregate_from(t).values
+        return t, np.stack((lifted, x.values)), (t, x)
+
+    def judge_terminal_round_trip(k, ctx, vals):
+        (t, x), (lifted, plain) = ctx, vals
         if not np.array_equal(lifted, plain):
             return {"note": "single terminal payment did not recover the measure",
                     "stage": t, "X": x.to_json()}
 
-    run_trials(rep, "terminal_round_trip", trials, rng_seed, 69, terminal_round_trip)
+    run("terminal_round_trip", 69, draw_terminal_round_trip, judge_terminal_round_trip)
     return rep
 
 

@@ -468,7 +468,8 @@ def search_counterexample(d: DynamicMeasure, space: FilteredSpace,
     the best localized separation it achieves: over all stage pairs and F_s-atoms,
     place the level at the arctan midpoint between beta_s on the atom and the
     smallest beta_t over the atom's F_t-children, and take the smaller of the two
-    gaps.  budget counts scored candidates.  Margins under 1e-6 are numerical ties
+    gaps.  budget counts scored candidates: budget // per_restart restarts, or one
+    restart of budget candidates when budget < per_restart.  Margins under 1e-6 are numerical ties
     and never accepted; a candidate becomes a counterexample only after
     re-verification with BETA_MARGIN level margins and risk signs at bisection
     tolerance 1e-12.  The restarts advance in lockstep, one batch of candidates per
@@ -483,7 +484,8 @@ def search_counterexample(d: DynamicMeasure, space: FilteredSpace,
     if space.horizon < 1:
         rep.meta["note"] = "single stage: nothing to compare"
         return rep
-    n_restarts = max(1, budget // per_restart)
+    per_restart = min(per_restart, budget)  # a budget under one restart caps it
+    n_restarts = budget // per_restart
     results = _lockstep_restarts(d, space, n_restarts, rng_seed, per_restart)
     rep.trials = n_restarts
     rep.samples = sum(used for _, used in results)

@@ -23,7 +23,7 @@ import numpy as np
 from .lattice import (INF, FilteredSpace, TVar, XVar, atom_expector, bin_sums,
                       close_or_both_inf, loss_order, num_from_json, num_to_json,
                       sample_event, sample_tvar, sample_xvar)
-from .report import CheckResult, Report, run_trials
+from .report import CheckResult, Report, TwoPhase, run_trials
 from .solvers import vector_monotone_inf
 
 EPS_STRICT = 1e-12
@@ -197,16 +197,22 @@ def values_kernel(m, space: FilteredSpace, t: int):
     return f
 
 
-def evaluate_rows(m, space: FilteredSpace, t: int, rows: np.ndarray) -> np.ndarray:
-    """``evaluate`` on each leaf row of a (B, n_leaves) batch: (B, n_atoms), row for row.
+def values_rows(m, space: FilteredSpace, t: int, rows: np.ndarray) -> np.ndarray:
+    """``m.values`` on each leaf row of a (B, n_leaves) batch: (B, n_atoms), row for row.
 
     A measure with a kernel takes the batch in one ``values`` call; a values-only one
     (``values_only``) is called one row at a time, since its ``values`` may take one
     row only.
     """
     if values_only(m):
-        return _bounded_below(values_kernel(m, space, t)(rows))
-    return _bounded_below(m.values(space, t, rows))
+        return values_kernel(m, space, t)(rows)
+    return m.values(space, t, rows)
+
+
+def evaluate_rows(m, space: FilteredSpace, t: int, rows: np.ndarray) -> np.ndarray:
+    """``evaluate`` on each leaf row of a (B, n_leaves) batch: ``values_rows``, bounded
+    below."""
+    return _bounded_below(values_rows(m, space, t, rows))
 
 
 def _bounded_below(out: np.ndarray) -> np.ndarray:
@@ -703,12 +709,26 @@ def _witness(x: XVar, note: str, **extra) -> dict:
     return out
 
 
+def _staged_probe(m: PerformanceMeasure, space: FilteredSpace, t: int, draw,
+                  judge) -> TwoPhase:
+    """The two-phase probe of draw(rng, k) -> (rows, ctx) and judge(k, ctx, vals), with
+    every row valued at stage t through ``values_rows``: row for row what ``m.values``
+    gives one row at a time, with no ``_bounded_below``."""
+    return TwoPhase(lambda rng, k: (t, *draw(rng, k)),
+                    lambda stage, rows: values_rows(m, space, stage, rows), judge)
+
+
 def check_axioms(m: PerformanceMeasure, space: FilteredSpace, t: int,
                  trials: int = 200, rng_seed: int = 0) -> Report:
     """Randomized verification of the six defining properties at stage t.
 
-    Each property gets its own trial loop with seeds derived from rng_seed, so verdicts
-    do not depend on scheduling.  The report carries the first witness per failure.
+    Each randomized property runs its trials through ``run_trials`` with seeds derived
+    from (rng_seed, property, trial), so verdicts do not depend on scheduling.  A
+    property draws all its trials' claims first, values their leaf rows in one batch
+    (``values_rows``: one ``values`` call, or one per row for a values-only measure),
+    and then judges the trials in order.  The thresholds behind the acceptance floor
+    come from one joint search over the three interior levels.  The report carries
+    the first witness per failure.
     """
     t = space.check_stage(t)
     tol = DEFAULT_TOL
@@ -716,31 +736,40 @@ def check_axioms(m: PerformanceMeasure, space: FilteredSpace, t: int,
     def sampler(rng):
         return sample_xvar(space, rng, inf_prob=0.02 if rng.random() < 0.25 else 0.0)
 
+    def run(name, key, draw, judge):
+        run_trials(rep, name, trials, rng_seed, key,
+                   _staged_probe(m, space, t, draw, judge))
+
     raw = lambda x: m.values(space, t, x.values)
     rep = Report(title=f"axioms[{m.label()}] t={t}", seed=rng_seed,
                  meta={"space": space.name or "", "trials": trials})
 
     # 1. quasi concavity
-    def quasi_concavity(rng, k):
+    def draw_quasi_concavity(rng, k):
         x, y = sampler(rng), sampler(rng)
         lam = float(rng.uniform(0.001, 0.999))  # keep 0 * inf out of the mix
-        mix = XVar(space, lam * x.values + (1.0 - lam) * y.values, validate=False)
-        floor = np.minimum(raw(x), raw(y))
-        bad = _below_mix_floor(raw(mix), floor, tol)
+        mix = lam * x.values + (1.0 - lam) * y.values
+        return np.stack((x.values, y.values, mix)), (x, y, lam)
+
+    def judge_quasi_concavity(k, ctx, vals):
+        (x, y, lam), (bx, by, bmix) = ctx, vals
+        bad = _below_mix_floor(bmix, np.minimum(bx, by), tol)
         if np.any(bad):
             return _witness(x, "beta(mix) below min", Y=y.to_json(),
                             lam=lam, atom=space.atom_id(t, int(np.argmax(bad))))
 
-    run_trials(rep, "quasi_concavity", trials, rng_seed, 1, quasi_concavity)
+    run("quasi_concavity", 1, draw_quasi_concavity, judge_quasi_concavity)
 
     # 2. non-random bounds: values inside [z_d, z_u], attained at +inf, approached below
-    def bounds_interval(rng, k):
+    def draw_bounds_interval(rng, k):
         x = sampler(rng)
-        vals = raw(x)
+        return x.values[None], x
+
+    def judge_bounds_interval(k, x, vals):
         if np.any(vals < m.z_d - tol) or np.any(vals > m.z_u + tol):
             return _witness(x, "value escapes [z_d, z_u]")
 
-    run_trials(rep, "bounds_interval", trials, rng_seed, 2, bounds_interval)
+    run("bounds_interval", 2, draw_bounds_interval, judge_bounds_interval)
 
     vals = raw(XVar.constant(space, INF))
     ok = bool(np.all(close_or_both_inf(vals, m.z_u, tol)))
@@ -765,7 +794,7 @@ def check_axioms(m: PerformanceMeasure, space: FilteredSpace, t: int,
                                      "divergence not confirmed"))
 
     # 3. monotone, and strictly so along constant positive shifts on the live event
-    def monotonicity(rng, k):
+    def draw_monotonicity(rng, k):
         x = sampler(rng)
         style = rng.integers(3)
         if style == 0:
@@ -775,36 +804,41 @@ def check_axioms(m: PerformanceMeasure, space: FilteredSpace, t: int,
             bump[rng.integers(space.n_leaves)] = rng.uniform(0.0, 4.0)
         else:
             bump = np.full(space.n_leaves, rng.uniform(0.0, 2.0))
-        before = raw(x)
-        after = raw(XVar(space, x.values + bump, validate=False))
+        return np.stack((x.values, x.values + bump)), (x, bump)
+
+    def judge_monotonicity(k, ctx, vals):
+        (x, bump), (before, after) = ctx, vals
         if np.any(after < before - tol):
             return _witness(x, "value dropped under a nonnegative bump",
                             bump=bump.tolist())
 
-    run_trials(rep, "monotonicity", trials, rng_seed, 3, monotonicity)
+    run("monotonicity", 3, draw_monotonicity, judge_monotonicity)
 
-    def strict_shift(rng, k):
+    def draw_strict_shift(rng, k):
         x = sampler(rng)
         c = float(rng.uniform(0.05, 2.0))
-        before = raw(x)
-        after = raw(XVar(space, x.values + c, validate=False))
+        return np.stack((x.values, x.values + c)), (x, c)
+
+    def judge_strict_shift(k, ctx, vals):
+        (x, c), (before, after) = ctx, vals
         bad = _no_strict_gain(m, before, after)
         if np.any(bad):
             return _witness(x, "no strict gain from a positive constant shift",
                             shift=c, atom=space.atom_id(t, int(np.argmax(bad))))
 
-    run_trials(rep, "strict_shift", trials, rng_seed, 4, strict_shift)
+    run("strict_shift", 4, draw_strict_shift, judge_strict_shift)
 
     # 4. continuity from below along increasing sequences
     deltas = [2.0 ** -e for e in (0, 5, 10, 20, 30, 40, 45)]
 
-    def continuity_from_below(rng, k):
+    def draw_continuity_from_below(rng, k):
         x = sampler(rng)
         direction = np.ones(space.n_leaves) if k % 2 == 0 else rng.uniform(
             0.5, 2.0, size=space.n_leaves)
-        target = raw(x)
-        seq = [raw(XVar(space, x.values - d * direction, validate=False))
-               for d in deltas]
+        return np.stack([x.values] + [x.values - d * direction for d in deltas]), x
+
+    def judge_continuity_from_below(k, x, vals):
+        target, seq = vals[0], vals[1:]
         for a, b in zip(seq, seq[1:]):
             if np.any(b < a - tol):
                 return _witness(x, "sequence not monotone along X_n up")
@@ -819,49 +853,74 @@ def check_axioms(m: PerformanceMeasure, space: FilteredSpace, t: int,
             return _witness(x, "limit misses beta(X)",
                             got=last.tolist(), want=target.tolist())
 
-    run_trials(rep, "continuity_from_below", trials, rng_seed, 5, continuity_from_below)
+    run("continuity_from_below", 5, draw_continuity_from_below,
+        judge_continuity_from_below)
 
     # 5. locality: 1_B beta(X) = 1_B beta(X 1_B)
-    def locality(rng, k):
+    def draw_locality(rng, k):
         x = sampler(rng)
         mask = sample_event(space, t, rng)
-        lhs = raw(x)
-        rhs = raw(x.restrict(mask))
+        return np.stack((x.values, x.restrict(mask).values)), (x, mask)
+
+    def judge_locality(k, ctx, vals):
+        (x, mask), (lhs, rhs) = ctx, vals
         bad = mask.flags & ~close_or_both_inf(lhs, rhs, tol)
         if np.any(bad):
             return _witness(x, "value on B depends on payoffs off B",
                             atoms=[space.atom_id(t, int(i)) for i in np.flatnonzero(bad)])
 
-    run_trials(rep, "locality", trials, rng_seed, 6, locality)
+    run("locality", 6, draw_locality, judge_locality)
 
     # 6. stage-measurable acceptance sets are uniformly bounded below
-    thresholds = {}
+    levels = _interior_levels(m.z_d, m.z_u)
     n_atoms = space.n_atoms(t)
 
-    def scalar_beta(c):
-        return m.values(space, t, c[space.atom_index[t]])
+    def floors(zs):
+        """Per level in zs, the per-atom floor of its acceptance set, or None where an
+        atom's search hit the lower cap; one search over all levels' atoms at once,
+        each component as its own search would give it."""
+        def g(c):
+            rows = c.reshape(len(zs), n_atoms)[:, space.atom_index[t]]
+            return values_rows(m, space, t, rows).ravel()
 
-    def acceptance_lower_bound(rng, k):
-        xi = sample_tvar(space, t, rng, low=-6.0, high=6.0)
-        beta_xi = raw(xi.promote())
-        for z, floor in thresholds.items():
-            if np.any((beta_xi >= z) & (xi.values < floor - 1e-8)):
-                return {"note": "accepted stage claim below the floor",
-                        "z": num_to_json(z), "xi": xi.to_json()}
+        size = len(zs) * n_atoms
+        sol = vector_monotone_inf(g, np.full(size, -1.0), np.full(size, 1.0),
+                                  np.repeat(zs, n_atoms))
+        return [None if capped.any() else v for v, capped in
+                zip(sol.values.reshape(-1, n_atoms),
+                    sol.hit_lower_cap.reshape(-1, n_atoms))]
 
-    for z in _interior_levels(m.z_d, m.z_u):
-        sol = vector_monotone_inf(scalar_beta, np.full(n_atoms, -1.0),
-                                  np.full(n_atoms, 1.0), np.full(n_atoms, z))
-        if np.any(sol.hit_lower_cap):
-            rep.add(CheckResult("acceptance_lower_bound", False, trials=trials,
-                                witness={"note": "no uniform floor for stage claims "
-                                                 "at this level",
-                                         "z": num_to_json(z)}))
-            break
-        thresholds[z] = sol.values
+    try:
+        found = floors(levels)
+    except RuntimeError:
+        # a level whose search raises (BracketError, say): search level by level, so
+        # that a capped level is still reported before a later level can raise
+        found = []
+        for z in levels:
+            found += floors([z])
+            if found[-1] is None:
+                break
+    capped = [z for z, f in zip(levels, found) if f is None]
+    if capped:
+        rep.add(CheckResult("acceptance_lower_bound", False, trials=trials,
+                            witness={"note": "no uniform floor for stage claims "
+                                             "at this level",
+                                     "z": num_to_json(capped[0])}))
     else:
-        run_trials(rep, "acceptance_lower_bound", trials, rng_seed, 7,
-                   acceptance_lower_bound)
+        thresholds = dict(zip(levels, found))
+
+        def draw_acceptance_lower_bound(rng, k):
+            xi = sample_tvar(space, t, rng, low=-6.0, high=6.0)
+            return xi.promote().values[None], xi
+
+        def judge_acceptance_lower_bound(k, xi, vals):
+            for z, floor in thresholds.items():
+                if np.any((vals[0] >= z) & (xi.values < floor - 1e-8)):
+                    return {"note": "accepted stage claim below the floor",
+                            "z": num_to_json(z), "xi": xi.to_json()}
+
+        run("acceptance_lower_bound", 7, draw_acceptance_lower_bound,
+            judge_acceptance_lower_bound)
     return rep
 
 
@@ -871,7 +930,8 @@ def check_scale_invariance(m: PerformanceMeasure, space: FilteredSpace, t: int,
 
     For a scale-invariant measure the value of a stage-measurable claim xi can only be
     beta(1) where xi > 0 and beta(0) where xi <= 0; both identities are probed and the
-    first counterexample is reported (expected for utility-based measures).
+    first counterexample is reported (expected for utility-based measures).  Both run
+    as two-phase trials, as in ``check_axioms``.
     """
     t = space.check_stage(t)
     tol = DEFAULT_TOL
@@ -879,31 +939,39 @@ def check_scale_invariance(m: PerformanceMeasure, space: FilteredSpace, t: int,
     rep = Report(title=f"scale_invariance[{m.label()}] t={t}", seed=rng_seed,
                  meta={"space": space.name or "", "declared": m.scale_invariant})
 
-    def positive_scaling(rng, k):
+    def draw_positive_scaling(rng, k):
         x = sample_xvar(space, rng)
         c = float(np.exp(rng.uniform(np.log(0.01), np.log(100.0))))
-        a, b = raw(x), raw(XVar(space, c * x.values, validate=False))
+        return np.stack((x.values, c * x.values)), (x, c)
+
+    def judge_positive_scaling(k, ctx, vals):
+        (x, c), (a, b) = ctx, vals
         if not np.all(close_or_both_inf(a, b, tol)):
             return _witness(x, "beta(cX) differs from beta(X)", c=c,
                             beta_x=[num_to_json(v) for v in a],
                             beta_cx=[num_to_json(v) for v in b])
 
-    run_trials(rep, "positive_scaling", trials, rng_seed, 11, positive_scaling)
+    run_trials(rep, "positive_scaling", trials, rng_seed, 11, _staged_probe(
+        m, space, t, draw_positive_scaling, judge_positive_scaling))
 
     beta_one = raw(XVar.constant(space, 1.0))
     beta_zero = raw(XVar.constant(space, 0.0))
 
-    def two_level_structure(rng, k):
+    def draw_two_level_structure(rng, k):
         xi = sample_tvar(space, t, rng, low=-3.0, high=3.0)
         vals = xi.values.copy()
         if rng.random() < 0.3:  # pin an exact zero to exercise the xi <= 0 branch
             vals[rng.integers(vals.shape[0])] = 0.0
-        got = raw(TVar(space, t, vals).promote())
+        return TVar(space, t, vals).promote().values[None], vals
+
+    def judge_two_level_structure(k, vals, got):
+        got = got[0]
         want = np.where(vals > 0.0, beta_one, beta_zero)
         if not np.all(close_or_both_inf(got, want, tol)):
             return {"note": "stage claim value escapes {beta(1), beta(0)}",
                     "xi": [num_to_json(v) for v in vals],
                     "got": [num_to_json(v) for v in got]}
 
-    run_trials(rep, "two_level_structure", trials, rng_seed, 12, two_level_structure)
+    run_trials(rep, "two_level_structure", trials, rng_seed, 12, _staged_probe(
+        m, space, t, draw_two_level_structure, judge_two_level_structure))
     return rep

@@ -335,7 +335,8 @@ def risk_curve(m: PerformanceMeasure, t: int, x: XVar, z_grid,
 # until its slowest row is decided.  Above 16 leaves the rule is unmeasured: it
 # gives d = 1, one call per halving, from 256 leaves, where a single timing without
 # sign queries found d = 3 faster (ROADMAP item 0 asks for a large-tree workload
-# before this is set from both sides).
+# before this is set from both sides).  The randomized checkers bound their batches
+# separately, in leaf values rather than leaf-rows: ``report._TRIAL_LEAF_VALUES``.
 PROBE_LEAF_ROWS = 512
 
 

@@ -387,14 +387,15 @@ def test_search_cases_reach_every_stop():
     # the cases above include restarts that stop on the step before their budget
     # and searches whose budget ends mid-sweep, and some that certify a witness
     d, space = DynamicMeasure(lpm_ratio(2.0)), binomial_tree(2)
-    runs = [_search_sequential(d, space, max(1, b // p), seed, p)
+    runs = [_search_sequential(d, space, b // min(p, b), seed, min(p, b))
             for p, b, seed in _SEARCHES]
     used = [u for run in runs for _, u in run]
-    assert min(used[-3:]) < 300                      # stopped on the step
+    assert min(used[-3:-1]) < 300                    # stopped on the step
     assert any(u % (2 * space.n_leaves) for u in used[:-3])  # mid-sweep
-    assert len(runs[-1]) == 1 and used[-1] > 90     # budget 90 < per_restart
-    assert all(search_counterexample(d, space, budget=b, rng_seed=seed,
-                                     per_restart=p).witness for p, b, seed in _SEARCHES)
+    assert len(runs[-1]) == 1 and used[-1] == 90    # budget 90 < per_restart caps it
+    reps = [search_counterexample(d, space, budget=b, rng_seed=seed, per_restart=p)
+            for p, b, seed in _SEARCHES]
+    assert all(r.witness and r.samples <= b for r, (_, b, _) in zip(reps, _SEARCHES))
 
 
 @pytest.mark.parametrize("space_name", list(_SPACES))

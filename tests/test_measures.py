@@ -13,7 +13,7 @@ from perflat import (INF, CertaintyEquivalentMeasure, ConditionalExpectation,
                      induce_risk, induced_family, lpm_ratio, measure_from_json,
                      paste, random_tree, raroc, reconstruct, sample_xvar)
 from perflat.lattice import atom_expect
-from perflat.measures import AVaRTruncDenominator
+from perflat.measures import AVaRTruncDenominator, _interior_levels
 
 AXIOM_TRIALS = 120
 
@@ -364,6 +364,17 @@ def test_flags_broken_monotonicity(space2):
     rep = check_axioms(squared_mean, space2, 0, trials=AXIOM_TRIALS, rng_seed=1)
     failed = {r.name for r in rep.results if r.passed is False}
     assert "monotonicity" in failed or "quasi_concavity" in failed
+
+
+def test_acceptance_floor_names_the_first_capped_level(space2):
+    # a constant 0: the floor search caps below at the level under 0 and cannot
+    # reach the level above 0 at all (BracketError); the report names the lower
+    # level rather than raising
+    flat = CustomMeasure(lambda space, t, v: np.zeros(space.n_atoms(t)),
+                         z_d=-INF, z_u=INF, kind="flat")
+    res = check_axioms(flat, space2, 0, trials=4, rng_seed=1).result(
+        "acceptance_lower_bound")
+    assert (res.passed, res.witness["z"]) == (False, _interior_levels(-INF, INF)[0])
 
 
 # ---------------------------------------------------------------------------
