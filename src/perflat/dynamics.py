@@ -469,8 +469,8 @@ def search_counterexample(d: DynamicMeasure, space: FilteredSpace,
     place the level at the arctan midpoint between beta_s on the atom and the
     smallest beta_t over the atom's F_t-children, and take the smaller of the two
     gaps.  budget counts scored candidates: budget // per_restart restarts, or one
-    restart of budget candidates when budget < per_restart.  Margins under 1e-6 are numerical ties
-    and never accepted; a candidate becomes a counterexample only after
+    restart of budget candidates when budget < per_restart.  Margins under 1e-6 are
+    numerical ties and never accepted; a candidate becomes a counterexample only after
     re-verification with BETA_MARGIN level margins and risk signs at bisection
     tolerance 1e-12.  The restarts advance in lockstep, one batch of candidates per
     round, but each sees only its own scores, so the report is that of running them

@@ -210,9 +210,19 @@ def values_rows(m, space: FilteredSpace, t: int, rows: np.ndarray) -> np.ndarray
 
 
 def evaluate_rows(m, space: FilteredSpace, t: int, rows: np.ndarray) -> np.ndarray:
-    """``evaluate`` on each leaf row of a (B, n_leaves) batch: ``values_rows``, bounded
-    below."""
-    return _bounded_below(values_rows(m, space, t, rows))
+    """``evaluate`` on each leaf row of a (B, n_leaves) batch: ``values_rows``, with the
+    guards of ``evaluate``.  A value below float range raises OverflowError; a NaN, or
+    an output that is not (B, n_atoms), raises ValueError.  Where rows fail in
+    different ways, the first failing row decides, as a row-by-row loop would."""
+    out = values_rows(m, space, t, rows)
+    if out.shape != (len(rows), space.n_atoms(t)):
+        _bounded_below(out)
+        raise ValueError("values shape mismatch for stage atoms")
+    bad = np.isneginf(out) | np.isnan(out)
+    if bad.any():
+        _bounded_below(out[bad.any(axis=1).argmax()])
+        raise ValueError("nan values are not allowed")
+    return out
 
 
 def _bounded_below(out: np.ndarray) -> np.ndarray:
@@ -709,15 +719,6 @@ def _witness(x: XVar, note: str, **extra) -> dict:
     return out
 
 
-def _staged_probe(m: PerformanceMeasure, space: FilteredSpace, t: int, draw,
-                  judge) -> TwoPhase:
-    """The two-phase probe of draw(rng, k) -> (rows, ctx) and judge(k, ctx, vals), with
-    every row valued at stage t through ``values_rows``: row for row what ``m.values``
-    gives one row at a time, with no ``_bounded_below``."""
-    return TwoPhase(lambda rng, k: (t, *draw(rng, k)),
-                    lambda stage, rows: values_rows(m, space, stage, rows), judge)
-
-
 def check_axioms(m: PerformanceMeasure, space: FilteredSpace, t: int,
                  trials: int = 200, rng_seed: int = 0) -> Report:
     """Randomized verification of the six defining properties at stage t.
@@ -726,9 +727,8 @@ def check_axioms(m: PerformanceMeasure, space: FilteredSpace, t: int,
     from (rng_seed, property, trial), so verdicts do not depend on scheduling.  A
     property draws all its trials' claims first, values their leaf rows in one batch
     (``values_rows``: one ``values`` call, or one per row for a values-only measure),
-    and then judges the trials in order.  The thresholds behind the acceptance floor
-    come from one joint search over the three interior levels.  The report carries
-    the first witness per failure.
+    and then judges the trials in order.  The report carries the first witness per
+    failure.
     """
     t = space.check_stage(t)
     tol = DEFAULT_TOL
@@ -737,8 +737,9 @@ def check_axioms(m: PerformanceMeasure, space: FilteredSpace, t: int,
         return sample_xvar(space, rng, inf_prob=0.02 if rng.random() < 0.25 else 0.0)
 
     def run(name, key, draw, judge):
-        run_trials(rep, name, trials, rng_seed, key,
-                   _staged_probe(m, space, t, draw, judge))
+        # values_rows, not evaluate_rows: these checks judge -inf values, not reject them
+        run_trials(rep, name, trials, rng_seed, key, TwoPhase(
+            draw, lambda stage, rows: values_rows(m, space, stage, rows), judge))
 
     raw = lambda x: m.values(space, t, x.values)
     rep = Report(title=f"axioms[{m.label()}] t={t}", seed=rng_seed,
@@ -749,7 +750,7 @@ def check_axioms(m: PerformanceMeasure, space: FilteredSpace, t: int,
         x, y = sampler(rng), sampler(rng)
         lam = float(rng.uniform(0.001, 0.999))  # keep 0 * inf out of the mix
         mix = lam * x.values + (1.0 - lam) * y.values
-        return np.stack((x.values, y.values, mix)), (x, y, lam)
+        return t, np.stack((x.values, y.values, mix)), (x, y, lam)
 
     def judge_quasi_concavity(k, ctx, vals):
         (x, y, lam), (bx, by, bmix) = ctx, vals
@@ -763,7 +764,7 @@ def check_axioms(m: PerformanceMeasure, space: FilteredSpace, t: int,
     # 2. non-random bounds: values inside [z_d, z_u], attained at +inf, approached below
     def draw_bounds_interval(rng, k):
         x = sampler(rng)
-        return x.values[None], x
+        return t, x.values[None], x
 
     def judge_bounds_interval(k, x, vals):
         if np.any(vals < m.z_d - tol) or np.any(vals > m.z_u + tol):
@@ -804,7 +805,7 @@ def check_axioms(m: PerformanceMeasure, space: FilteredSpace, t: int,
             bump[rng.integers(space.n_leaves)] = rng.uniform(0.0, 4.0)
         else:
             bump = np.full(space.n_leaves, rng.uniform(0.0, 2.0))
-        return np.stack((x.values, x.values + bump)), (x, bump)
+        return t, np.stack((x.values, x.values + bump)), (x, bump)
 
     def judge_monotonicity(k, ctx, vals):
         (x, bump), (before, after) = ctx, vals
@@ -817,7 +818,7 @@ def check_axioms(m: PerformanceMeasure, space: FilteredSpace, t: int,
     def draw_strict_shift(rng, k):
         x = sampler(rng)
         c = float(rng.uniform(0.05, 2.0))
-        return np.stack((x.values, x.values + c)), (x, c)
+        return t, np.stack((x.values, x.values + c)), (x, c)
 
     def judge_strict_shift(k, ctx, vals):
         (x, c), (before, after) = ctx, vals
@@ -835,7 +836,7 @@ def check_axioms(m: PerformanceMeasure, space: FilteredSpace, t: int,
         x = sampler(rng)
         direction = np.ones(space.n_leaves) if k % 2 == 0 else rng.uniform(
             0.5, 2.0, size=space.n_leaves)
-        return np.stack([x.values] + [x.values - d * direction for d in deltas]), x
+        return t, np.stack([x.values] + [x.values - d * direction for d in deltas]), x
 
     def judge_continuity_from_below(k, x, vals):
         target, seq = vals[0], vals[1:]
@@ -860,7 +861,7 @@ def check_axioms(m: PerformanceMeasure, space: FilteredSpace, t: int,
     def draw_locality(rng, k):
         x = sampler(rng)
         mask = sample_event(space, t, rng)
-        return np.stack((x.values, x.restrict(mask).values)), (x, mask)
+        return t, np.stack((x.values, x.restrict(mask).values)), (x, mask)
 
     def judge_locality(k, ctx, vals):
         (x, mask), (lhs, rhs) = ctx, vals
@@ -872,53 +873,33 @@ def check_axioms(m: PerformanceMeasure, space: FilteredSpace, t: int,
     run("locality", 6, draw_locality, judge_locality)
 
     # 6. stage-measurable acceptance sets are uniformly bounded below
-    levels = _interior_levels(m.z_d, m.z_u)
+    thresholds = {}
     n_atoms = space.n_atoms(t)
 
-    def floors(zs):
-        """Per level in zs, the per-atom floor of its acceptance set, or None where an
-        atom's search hit the lower cap; one search over all levels' atoms at once,
-        each component as its own search would give it."""
-        def g(c):
-            rows = c.reshape(len(zs), n_atoms)[:, space.atom_index[t]]
-            return values_rows(m, space, t, rows).ravel()
+    def scalar_beta(c):
+        return m.values(space, t, c[space.atom_index[t]])
 
-        size = len(zs) * n_atoms
-        sol = vector_monotone_inf(g, np.full(size, -1.0), np.full(size, 1.0),
-                                  np.repeat(zs, n_atoms))
-        return [None if capped.any() else v for v, capped in
-                zip(sol.values.reshape(-1, n_atoms),
-                    sol.hit_lower_cap.reshape(-1, n_atoms))]
+    def draw_acceptance_lower_bound(rng, k):
+        xi = sample_tvar(space, t, rng, low=-6.0, high=6.0)
+        return t, xi.promote().values[None], xi
 
-    try:
-        found = floors(levels)
-    except RuntimeError:
-        # a level whose search raises (BracketError, say): search level by level, so
-        # that a capped level is still reported before a later level can raise
-        found = []
-        for z in levels:
-            found += floors([z])
-            if found[-1] is None:
-                break
-    capped = [z for z, f in zip(levels, found) if f is None]
-    if capped:
-        rep.add(CheckResult("acceptance_lower_bound", False, trials=trials,
-                            witness={"note": "no uniform floor for stage claims "
-                                             "at this level",
-                                     "z": num_to_json(capped[0])}))
+    def judge_acceptance_lower_bound(k, xi, vals):
+        for z, floor in thresholds.items():
+            if np.any((vals[0] >= z) & (xi.values < floor - 1e-8)):
+                return {"note": "accepted stage claim below the floor",
+                        "z": num_to_json(z), "xi": xi.to_json()}
+
+    for z in _interior_levels(m.z_d, m.z_u):
+        sol = vector_monotone_inf(scalar_beta, np.full(n_atoms, -1.0),
+                                  np.full(n_atoms, 1.0), np.full(n_atoms, z))
+        if np.any(sol.hit_lower_cap):
+            rep.add(CheckResult("acceptance_lower_bound", False, trials=trials,
+                                witness={"note": "no uniform floor for stage claims "
+                                                 "at this level",
+                                         "z": num_to_json(z)}))
+            break
+        thresholds[z] = sol.values
     else:
-        thresholds = dict(zip(levels, found))
-
-        def draw_acceptance_lower_bound(rng, k):
-            xi = sample_tvar(space, t, rng, low=-6.0, high=6.0)
-            return xi.promote().values[None], xi
-
-        def judge_acceptance_lower_bound(k, xi, vals):
-            for z, floor in thresholds.items():
-                if np.any((vals[0] >= z) & (xi.values < floor - 1e-8)):
-                    return {"note": "accepted stage claim below the floor",
-                            "z": num_to_json(z), "xi": xi.to_json()}
-
         run("acceptance_lower_bound", 7, draw_acceptance_lower_bound,
             judge_acceptance_lower_bound)
     return rep
@@ -939,10 +920,14 @@ def check_scale_invariance(m: PerformanceMeasure, space: FilteredSpace, t: int,
     rep = Report(title=f"scale_invariance[{m.label()}] t={t}", seed=rng_seed,
                  meta={"space": space.name or "", "declared": m.scale_invariant})
 
+    def run(name, key, draw, judge):
+        run_trials(rep, name, trials, rng_seed, key, TwoPhase(
+            draw, lambda stage, rows: values_rows(m, space, stage, rows), judge))
+
     def draw_positive_scaling(rng, k):
         x = sample_xvar(space, rng)
         c = float(np.exp(rng.uniform(np.log(0.01), np.log(100.0))))
-        return np.stack((x.values, c * x.values)), (x, c)
+        return t, np.stack((x.values, c * x.values)), (x, c)
 
     def judge_positive_scaling(k, ctx, vals):
         (x, c), (a, b) = ctx, vals
@@ -951,8 +936,7 @@ def check_scale_invariance(m: PerformanceMeasure, space: FilteredSpace, t: int,
                             beta_x=[num_to_json(v) for v in a],
                             beta_cx=[num_to_json(v) for v in b])
 
-    run_trials(rep, "positive_scaling", trials, rng_seed, 11, _staged_probe(
-        m, space, t, draw_positive_scaling, judge_positive_scaling))
+    run("positive_scaling", 11, draw_positive_scaling, judge_positive_scaling)
 
     beta_one = raw(XVar.constant(space, 1.0))
     beta_zero = raw(XVar.constant(space, 0.0))
@@ -962,7 +946,7 @@ def check_scale_invariance(m: PerformanceMeasure, space: FilteredSpace, t: int,
         vals = xi.values.copy()
         if rng.random() < 0.3:  # pin an exact zero to exercise the xi <= 0 branch
             vals[rng.integers(vals.shape[0])] = 0.0
-        return TVar(space, t, vals).promote().values[None], vals
+        return t, TVar(space, t, vals).promote().values[None], vals
 
     def judge_two_level_structure(k, vals, got):
         got = got[0]
@@ -972,6 +956,5 @@ def check_scale_invariance(m: PerformanceMeasure, space: FilteredSpace, t: int,
                     "xi": [num_to_json(v) for v in vals],
                     "got": [num_to_json(v) for v in got]}
 
-    run_trials(rep, "two_level_structure", trials, rng_seed, 12, _staged_probe(
-        m, space, t, draw_two_level_structure, judge_two_level_structure))
+    run("two_level_structure", 12, draw_two_level_structure, judge_two_level_structure)
     return rep

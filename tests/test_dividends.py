@@ -123,6 +123,21 @@ def test_lift_axioms_flag_a_broken_measure(tree2):
     assert failed["strict_shift"].failures == 30
 
 
+def test_lift_axioms_raise_on_a_nan_value(tree2):
+    # NaN where the aggregate's conditional mean is positive and finite, so only
+    # the randomized trials meet it: the batched lift raises as lift_evaluate
+    # does on such a stream, rather than judging NaN
+    def fn(space, t, v):
+        mean = atom_expect(space, t, v)
+        return np.where((mean > 0.0) & (mean < INF), np.nan, 0.0)
+
+    partial = CustomMeasure(fn, z_d=-INF, z_u=INF, kind="partial")
+    with pytest.raises(ValueError, match="nan"):
+        lift_evaluate(partial, 0, DividendProcess(tree2, {2: 1.0}))
+    with pytest.raises(ValueError, match="nan"):
+        check_lift_axioms(partial, tree2, trials=30, rng_seed=10)
+
+
 def test_scale_invariance_skipped_for_exp(tree2):
     rep = check_lift_axioms(ExponentialUtilityMeasure(risk_aversion=1.0),
                             tree2, trials=30, rng_seed=2)

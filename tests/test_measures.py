@@ -13,7 +13,7 @@ from perflat import (INF, CertaintyEquivalentMeasure, ConditionalExpectation,
                      induce_risk, induced_family, lpm_ratio, measure_from_json,
                      paste, random_tree, raroc, reconstruct, sample_xvar)
 from perflat.lattice import atom_expect
-from perflat.measures import AVaRTruncDenominator, _interior_levels
+from perflat.measures import AVaRTruncDenominator, _interior_levels, evaluate_rows
 
 AXIOM_TRIALS = 120
 
@@ -375,6 +375,26 @@ def test_acceptance_floor_names_the_first_capped_level(space2):
     res = check_axioms(flat, space2, 0, trials=4, rng_seed=1).result(
         "acceptance_lower_bound")
     assert (res.passed, res.witness["z"]) == (False, _interior_levels(-INF, INF)[0])
+
+
+def test_evaluate_rows_rejects_what_evaluate_rejects(space2):
+    # each row's atoms take the row's first leaf value; the first bad row decides
+    first = CustomMeasure(lambda space, t, v: np.full(space.n_atoms(t), v[0]),
+                          z_d=-INF, z_u=INF)
+    fine, nan, low = (np.full(space2.n_leaves, v) for v in (1.0, np.nan, -INF))
+    assert np.array_equal(evaluate_rows(first, space2, 1, np.stack((fine, fine))),
+                          np.ones((2, space2.n_atoms(1))))
+    for rows, error in (((fine, nan, low), ValueError),
+                        ((fine, low, nan), OverflowError)):
+        with pytest.raises(error):
+            evaluate_rows(first, space2, 1, np.stack(rows))
+        with pytest.raises(error):
+            for row in rows:
+                evaluate(first, 1, XVar(space2, row, validate=False))
+    wide = CustomMeasure(lambda space, t, v: np.zeros(space.n_atoms(t) + 1),
+                         z_d=-INF, z_u=INF)
+    with pytest.raises(ValueError, match="shape"):
+        evaluate_rows(wide, space2, 1, np.stack((fine,)))
 
 
 # ---------------------------------------------------------------------------
