@@ -77,11 +77,12 @@ class Report:
         return lines
 
 
-# Leaf values that one batch of two-phase trials may hold: trials are drawn until their
-# rows reach this many, and each ``values`` call gets at most this many (one row at
-# least).  2^18 floats are 2 MB, so a batch on 2^14 leaves is 16 rows, not the
+# Leaf values that one batched kernel call may hold (one row at least).  Two-phase
+# trials are drawn until their rows reach this many and valued in slices of this many;
+# an induced family's capital chain (``risk_family``) is evaluated in blocks of this
+# many.  2^18 floats are 2 MB, so a batch on 2^14 leaves is 16 rows, not the
 # 500 x 8 x 16384 floats of a whole property's trials.
-_TRIAL_LEAF_VALUES = 1 << 18
+LEAF_VALUES_PER_CALL = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -102,12 +103,12 @@ class TwoPhase:
 
 def _staged_values(values, batch: list) -> list:
     """The values of each trial's rows in batch, one ``values`` call per stage and
-    slice of at most ``_TRIAL_LEAF_VALUES`` leaf values."""
+    slice of at most ``LEAF_VALUES_PER_CALL`` leaf values."""
     out = [None] * len(batch)
     for stage in dict.fromkeys(s for s, _, _ in batch):
         mine = [i for i, (s, _, _) in enumerate(batch) if s == stage]
         rows = np.concatenate([batch[i][1] for i in mine])
-        step = max(1, _TRIAL_LEAF_VALUES // rows.shape[1])
+        step = max(1, LEAF_VALUES_PER_CALL // rows.shape[1])
         vals = np.concatenate([values(stage, rows[j:j + step])
                                for j in range(0, len(rows), step)])
         ends = np.cumsum([len(batch[i][1]) for i in mine])
@@ -121,7 +122,7 @@ def _two_phase_witnesses(n: int, seed: int, key: int, probe: TwoPhase):
     for k in range(n):
         batch.append(probe.draw(derived_rng(seed, key, k), k))
         held += batch[-1][1].size
-        if held >= _TRIAL_LEAF_VALUES or k == n - 1:
+        if held >= LEAF_VALUES_PER_CALL or k == n - 1:
             start = k + 1 - len(batch)
             for j, vals in enumerate(_staged_values(probe.values, batch)):
                 yield probe.judge(start + j, batch[j][2], vals)
@@ -135,7 +136,7 @@ def run_trials(rep: Report, name: str, n: int, seed: int, key: int,
 
     Trial k draws from derived_rng(seed, key, k), so a shorter run checks a prefix of
     a longer one.  A plain probe(rng, k) runs each trial whole.  A ``TwoPhase`` probe
-    draws trials until their rows hold ``_TRIAL_LEAF_VALUES`` leaf values (or the
+    draws trials until their rows hold ``LEAF_VALUES_PER_CALL`` leaf values (or the
     last trial is drawn), evaluates the batch, judges its trials in order, and goes
     on with the next batch.  Either way a trial returns None when it passes and a
     witness dict when it fails; the result counts the failures and keeps the first

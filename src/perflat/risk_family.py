@@ -30,6 +30,7 @@ penalty probe.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -40,9 +41,10 @@ from .lattice import (INF, FilteredSpace, TVar, XVar, atom_expect, close_or_both
                       sample_xvar)
 from .measures import (ExponentialUtilityMeasure, PerformanceMeasure, shifted,
                        values_kernel)
-from .report import CheckResult, Report, run_trials
+from .report import LEAF_VALUES_PER_CALL, CheckResult, Report, run_trials
 from .simplex import solve_lp
-from .solvers import BracketError, group_logsumexp, vector_monotone_inf
+from .solvers import (BracketError, InfShiftResult, group_logsumexp,
+                      vector_monotone_inf)
 
 TOL_C = 1e-10   # capital tolerance for the per-atom bisection
 TOL_Z = 1e-8    # level tolerance (in atan coordinates) for reconstruction
@@ -72,6 +74,38 @@ class RiskPoint:
                         for k, v in enumerate(self.values.values)}}
 
 
+def _prepared(m: PerformanceMeasure, space: FilteredSpace, t: int, x: XVar):
+    """The measure's shift evaluator g(c) = beta_t(X + c) on x, per atom."""
+    prepare = getattr(m, "prepare", None)
+    return (prepare(space, t, x.values) if prepare is not None
+            else shifted(values_kernel(m, space, t), space, t, x.values))
+
+
+def _canonical_bracket(x: XVar) -> tuple[float, float]:
+    """The c-bracket every search on x starts from: [-fmax - 1, -fmin + 1]."""
+    fmin, fmax = x.finite_min(), x.finite_max()
+    if not math.isfinite(fmin):  # no finite leaf at all
+        fmin, fmax = 0.0, 0.0
+    return -fmax - 1.0, -fmin + 1.0
+
+
+def _search(g, shape, target, bracket, tol, stop_at) -> InfShiftResult:
+    """``vector_monotone_inf`` of the prepared g from ``bracket`` on the components of
+    one (n_atoms,) row or of (B, n_atoms) rows, with flat ``target`` and ``stop_at``."""
+    if len(shape) == 2:  # the search sees one flat vector of (row, atom) components
+        rows = g
+        g = lambda c: rows(c.reshape(shape)).ravel()
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return vector_monotone_inf(g, np.full(target.size, bracket[0]),
+                                       np.full(target.size, bracket[1]), target,
+                                       tol=tol, stop_at=stop_at)
+    except BracketError as e:
+        raise RuntimeError(
+            "shift bracket never reached the level from below; the measure's upper "
+            "threshold looks misdeclared") from e
+
+
 def _induce_raw(m: PerformanceMeasure, t: int, z, x: XVar, tol: float = TOL_C,
                 stop_at=None):
     """Per-atom inf{c : beta_t(X + c) >= z}.
@@ -80,36 +114,134 @@ def _induce_raw(m: PerformanceMeasure, t: int, z, x: XVar, tol: float = TOL_C,
     (row, atom) is one independent component of the search, so a row equals the call
     made with that row alone, bit for bit.  The measure is prepared once per call.
     With ``stop_at`` each component stops once its bracket excludes that threshold
-    (``vector_monotone_inf``): only ``values < stop_at`` is then exact.
+    (``vector_monotone_inf``): only ``values < stop_at`` is then exact.  This is the
+    search itself; ``induced_family`` answers scalar sign queries from a
+    ``_CapitalChain``, which runs it only for levels whose bracket must expand.
     """
     space = x.space
     n = space.n_atoms(t)
     z = np.asarray(z, dtype=float)
     shape = (n,) if z.ndim < 2 else (z.shape[0], n)
     target = np.broadcast_to(z, shape).ravel().copy()
-    fmin, fmax = x.finite_min(), x.finite_max()
-    if not math.isfinite(fmin):  # no finite leaf at all
-        fmin, fmax = 0.0, 0.0
     if stop_at is not None:
         stop_at = np.broadcast_to(np.asarray(stop_at, dtype=float), shape).ravel()
-    lo0 = np.full(target.size, -fmax - 1.0)
-    hi0 = np.full(target.size, -fmin + 1.0)
-    prepare = getattr(m, "prepare", None)
-    g = (prepare(space, t, x.values) if prepare is not None
-         else shifted(values_kernel(m, space, t), space, t, x.values))
-    if len(shape) == 2:  # the search sees one flat vector of (row, atom) components
-        rows = g
-        g = lambda c: rows(c.reshape(shape)).ravel()
-
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            res = vector_monotone_inf(g, lo0, hi0, target, tol=tol, stop_at=stop_at)
-    except BracketError as e:
-        raise RuntimeError(
-            "shift bracket never reached the level from below; the measure's upper "
-            "threshold looks misdeclared") from e
+    res = _search(_prepared(m, space, t, x), shape, target, _canonical_bracket(x), tol,
+                  stop_at)
     return (res.values.reshape(shape), res.hit_lower_cap.reshape(shape),
             res.near_zero.reshape(shape))
+
+
+class _CapitalChain:
+    """The c-brackets that every search stopped at s walks on one (stage, claim).
+
+    A search stopped at s halves only while its bracket straddles s, lo < s <= hi,
+    and the straddling half of [lo, hi] is [lo, mid] when mid >= s and [mid, hi]
+    otherwise.  From the canonical bracket the search at every level therefore walks
+    one chain of brackets, set by s, ``tol`` and the bracket alone, until it closes
+    (width <= tol, or adjacent floats) or the component's own decision at a node
+    leaves it; by locality g takes one value per (node, atom) for every level.  The
+    chain evaluates g at its nodes once, in blocks of at most ``LEAF_VALUES_PER_CALL``
+    leaf values and only as deep as some undecided component needs, and answers each
+    component by comparing its level with those values, as the search decides:
+
+    - at a node mid >= s where ``not (g >= z)``, lo = mid >= s: the answer is mid;
+    - at a node mid < s where ``g >= z``, hi = mid < s: the answer is the lower end;
+    - past the last node the bracket has closed: the answer is its lower end.
+
+    These are the stopped search's values bit for bit, so ``< s`` is exact.  A
+    component whose canonical bracket must expand (g(hi0) < z, or g(lo0) >= z while
+    hi0 >= s) walks another chain, and one whose g(hi0) is NaN can end on hi0 where
+    its bracket stalls on adjacent floats: both go to the search itself
+    (``_search``), packed one component per atom and row and in rows of at most the
+    same budget.
+    """
+
+    def __init__(self, m: PerformanceMeasure, t: int, x: XVar, s: float, tol: float):
+        self.t, self.x, self.s, self.tol = t, x, s, tol
+        space = x.space
+        self.n = space.n_atoms(t)
+        self.g = _prepared(m, space, t, x)
+        self.bracket = lo, hi = _canonical_bracket(x)
+        self.per_call = max(1, LEAF_VALUES_PER_CALL // space.n_leaves)
+        mids, los = [], []  # node j halves [los[j], hi] at mids[j]
+        if lo < s <= hi:
+            while hi - lo > tol:
+                mid = 0.5 * (lo + hi)
+                if not lo < mid < hi:  # adjacent floats
+                    break
+                mids.append(mid)
+                los.append(lo)
+                if mid >= s:
+                    hi = mid
+                else:
+                    lo = mid
+        self.end = lo
+        self.mids, self.los = np.array(mids), np.array(los)
+        self.up = self.mids >= s  # leaving the chain upward at node j answers mids[j]
+        # g is evaluated at these points in order: the two canonical ends, then nodes
+        self.points = np.concatenate(([self.bracket[1], self.bracket[0]], self.mids))
+        self.g_at = np.empty((0, self.n))
+        while len(self.g_at) < 2:  # every query reads g at both canonical ends
+            self._evaluate_next_block()
+
+    def holds(self, t: int, x: XVar, s: float) -> bool:
+        return t == self.t and x is self.x and s == self.s
+
+    def _evaluate_next_block(self):
+        done = len(self.g_at)
+        c = np.repeat(self.points[done:done + self.per_call, None], self.n, axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.asarray(self.g(c), dtype=float).reshape(c.shape)
+        self.g_at = np.concatenate((self.g_at, vals))
+
+    def values(self, z) -> np.ndarray:
+        """The stopped search's per-atom values at levels z (as ``_induce_raw``)."""
+        n, s = self.n, self.s
+        z = np.asarray(z, dtype=float)
+        shape = (n,) if z.ndim < 2 else (z.shape[0], n)
+        levels = np.broadcast_to(z, shape).reshape(-1, n)
+        g_hi, g_lo = self.g_at[0], self.g_at[1]
+        # a NaN at hi0 goes to the search too: where its bracket stalls on adjacent
+        # floats below hi0, the search reads g(hi0) again and can move lo onto hi0
+        expand = ~(g_hi >= levels) | ((g_lo >= levels) & (self.bracket[1] >= s))
+        out = np.full(levels.shape, self.end)
+        row, atom = np.nonzero(~expand)
+        level = levels[row, atom]
+        j = 2  # next point to compare: node j - 2
+        while row.size and j < len(self.points):
+            if j == len(self.g_at):
+                self._evaluate_next_block()
+            # compare at most LEAF_VALUES_PER_CALL (node, component) pairs at once
+            k = min(len(self.g_at), j + max(1, LEAF_VALUES_PER_CALL // row.size))
+            reach = self.g_at[j:k, atom] >= level
+            leave = np.where(self.up[j - 2:k - 2, None], ~reach, reach)
+            left = leave.any(axis=0)
+            node = leave.argmax(axis=0)[left] + (j - 2)
+            out[row[left], atom[left]] = np.where(self.up[node], self.mids[node],
+                                                  self.los[node])
+            row, atom, level = row[~left], atom[~left], level[~left]
+            j = k
+        if expand.any():
+            self._search_expanding(levels, expand, out)
+        return out.reshape(shape)
+
+    def _search_expanding(self, levels, expand, out):
+        # pack the components one per atom and row; a free slot asks level -inf with
+        # threshold +inf, which neither expands nor halves
+        atom, row = np.nonzero(expand.T)  # by atom, then by level row
+        count = np.bincount(atom, minlength=self.n)
+        slot = np.arange(atom.size) - np.repeat(np.cumsum(count) - count, count)
+        target = np.full((int(count.max()), self.n), -INF)
+        target[slot, atom] = levels[row, atom]
+        stop = np.full(target.shape, INF)
+        stop[slot, atom] = self.s
+        found = np.empty(target.shape)
+        for a in range(0, len(target), self.per_call):
+            b = min(a + self.per_call, len(target))
+            res = _search(self.g, (b - a, self.n), target[a:b].ravel(), self.bracket,
+                          self.tol, stop[a:b].ravel())
+            found[a:b] = res.values.reshape(b - a, self.n)
+        out[row, atom] = found[slot, atom]
 
 
 def induce_risk(m: PerformanceMeasure, t: int, z: float, x: XVar,
@@ -192,11 +324,26 @@ def induced_family(m: PerformanceMeasure, tol: float = TOL_C) -> StandardFamily:
     """The family inf{c : beta_t(X+c) >= z} for z in (z_d, z_u).
 
     With ``stop_at`` the search over c stops each component once its bracket
-    excludes the threshold.
+    excludes the threshold.  A scalar threshold is answered from the claim's
+    ``_CapitalChain``: g is evaluated once along the one chain of brackets that
+    every such search walks, each (row, atom) is decided by comparing its level
+    with those values, and only components whose bracket must expand run the
+    search.  The family keeps the chain of its last (stage, claim, threshold), so
+    the probes of one ``reconstruct`` share it; the answers are the stopped
+    search's bit for bit, kept chain or not.  Per-value thresholds, and no
+    threshold, run the search itself.
     """
+    chain, lock = None, threading.Lock()
 
     def raw(z, t, x, stop_at=None):
-        return _induce_raw(m, t, z, x, tol=tol, stop_at=stop_at)[0]
+        nonlocal chain
+        if stop_at is None or np.ndim(stop_at):
+            return _induce_raw(m, t, z, x, tol=tol, stop_at=stop_at)[0]
+        s = float(stop_at)
+        with lock:  # the kept chain is replaced, and grows, as it answers
+            if chain is None or not chain.holds(t, x, s):
+                chain = _CapitalChain(m, t, x, s, tol)
+            return chain.values(z)
 
     return StandardFamily(interval=(m.z_d, m.z_u), raw=raw,
                           provenance="induced-from-measure",
@@ -327,17 +474,22 @@ def risk_curve(m: PerformanceMeasure, t: int, x: XVar, z_grid,
 
 # Leaf-rows one speculative level probe may hold: ``reconstruct`` decides d halvings per
 # family call, d being the deepest tree whose 2^d - 1 midpoint rows times the leaf
-# count fit.  Set on criterion 1's trees of at most 16 leaves, the only ``reconstruct``
-# traffic the benchmark measures: there a call costs its overhead, not its rows, d = 5
-# on 16 leaves.  Re-measured with sign queries (criterion 1's 1000 reconstructs on a
-# 2-core x86-64 machine): 256 and 512 tie at 8.2-8.6 s, 1024 takes 9.4-10.1 s and
-# 2048 11.8-11.9 s, since a deeper tree doubles the rows and each sign query runs
-# until its slowest row is decided.  Above 16 leaves the rule is unmeasured: it
-# gives d = 1, one call per halving, from 256 leaves, where a single timing without
-# sign queries found d = 3 faster (ROADMAP item 0 asks for a large-tree workload
-# before this is set from both sides).  The randomized checkers bound their batches
-# separately, in leaf values rather than leaf-rows: ``report._TRIAL_LEAF_VALUES``.
-PROBE_LEAF_ROWS = 512
+# count fit; d = 3 on 16 leaves.  For an induced family a level row costs comparisons
+# with the kept capital chain, plus a search for the few levels whose c-bracket must
+# expand, so a deeper tree buys fewer calls with speculative rows that are mostly
+# thrown away.  Set from harness runs on criterion 1's trees of at most 16 leaves,
+# the only ``reconstruct`` traffic the benchmark measures (seven alternating rounds
+# over 32-512 on a 2-core x86-64 machine): ``roundtrip`` medians of 99.2, 101.6,
+# 101.4, 93.8 and 89.3 ops/s at 32, 64, 128, 256 and 512, criterion 1 at
+# 3.3-4.6 s everywhere.  64 and 128 tie; 128 is the deeper of the two.  Above 16
+# leaves the rule is unmeasured: it gives d = 2 up to 42 leaves and d = 1, one call
+# per halving, from 43 leaves.  Single timings on 32- and 64-leaf trees read up to
+# about 20% faster at 512 (d = 3-4), within their noise, and one without the chain
+# found d = 3 faster on 256 leaves (ROADMAP item 0 asks for a large-tree workload
+# before this is set from both sides).
+# The randomized checkers and the capital chain bound their batches in leaf values
+# rather than leaf-rows: ``report.LEAF_VALUES_PER_CALL``.
+PROBE_LEAF_ROWS = 128
 
 
 def _bisect_levels(is_neg, lo, hi, is_open, level, z_fill, depth, cap, what):
@@ -401,8 +553,9 @@ def reconstruct(f: StandardFamily, t: int, x: XVar, tol_z: float = TOL_Z,
     risk stays negative at the far top, and otherwise sup{z : rho^z < 0} by bisection:
     first in u = atan(z) to tolerance tol_z, then a plain-z polish for absolute
     accuracy on moderate levels.  Strict negativity is decided as rho < -tol_c from
-    ``raw(..., stop_at=-tol_c)``: an induced family's search over c stops once its
-    bracket excludes -tol_c, with the full search's answer bit for bit.
+    ``raw(..., stop_at=-tol_c)``.  An induced family answers that from one chain of
+    c-brackets per claim, shared by every probe of the call (``_CapitalChain``),
+    with the full search's sign bit for bit.
 
     Each bisection step probes every atom at once, and one family call answers the
     next d steps for all of them (``_bisect_levels``), with d set by the leaf count

@@ -82,13 +82,13 @@ def test_one_row_route_gives_the_same_reports(monkeypatch):
     # every values call takes one row, and each trial is drawn, evaluated and judged
     # before the next is drawn, as a one-phase probe runs
     monkeypatch.setattr(measures, "values_rows", _one_row_at_a_time)
-    monkeypatch.setattr(report, "_TRIAL_LEAF_VALUES", 1)
+    monkeypatch.setattr(report, "LEAF_VALUES_PER_CALL", 1)
     assert checker_reports() == _pinned()
 
 
 def test_batches_stay_within_the_leaf_value_bound(monkeypatch):
     space = binomial_tree(14)
-    bound = report._TRIAL_LEAF_VALUES
+    bound = report.LEAF_VALUES_PER_CALL
     m = GainLossRatio()
     shapes = []
     values = type(m).values

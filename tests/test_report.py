@@ -89,7 +89,7 @@ def test_one_and_two_phase_properties_share_a_report():
 def test_two_phase_batches_hold_at_most_the_leaf_value_bound(monkeypatch):
     # a bound of 4 leaf values: trials are drawn until their rows reach it, and each
     # values call takes at most two rows of two leaves
-    monkeypatch.setattr(report, "_TRIAL_LEAF_VALUES", 4)
+    monkeypatch.setattr(report, "LEAF_VALUES_PER_CALL", 4)
     log = []
     res = run_trials(Report("runner"), "prop", 5, 5, 9, _two_phase(log, fails={3}))
     assert log == [("draw", 0), ("draw", 1), ("values", 0, 1), ("values", 1, 2),

@@ -1,8 +1,10 @@
 import dataclasses
 import itertools
 import math
+import sys
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,17 +12,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perflat import (INF, CertaintyEquivalentMeasure, ConditionalExpectation,
-                     DualMeasure, ExpectedUtilityMeasure, ExponentialUtilityMeasure,
-                     GainLossRatio, StandardFamily, TVar, UtilitySpec, XVar,
-                     binomial_tree, closure_check, coin2, entropic_closed_form,
-                     entropic_family, evaluate, glr_dual_risk, induce_risk,
+                     CustomMeasure, DualMeasure, ExpectedUtilityMeasure,
+                     ExponentialUtilityMeasure, GainLossRatio, StandardFamily, TVar,
+                     UtilitySpec, XVar, binomial_tree, closure_check, coin2,
+                     entropic_closed_form, entropic_family, evaluate, glr_dual_risk,
+                     induce_risk,
                      induced_family, lpm_ratio, penalty_lower_bound,
                      random_tree, raroc, reconstruct, risk_curve,
                      sample_glr_density, sample_xvar, truncation_limit_check,
                      validate_standard_family, weak_duality_probe)
 from perflat import solvers
 from perflat.lattice import FilteredSpace, atom_expect, cond_expect, loss_order
-from perflat.risk_family import TOL_C, _glr_polytope, _induce_raw
+from perflat.report import LEAF_VALUES_PER_CALL
+from perflat.risk_family import TOL_C, _CapitalChain, _glr_polytope, _induce_raw
 from perflat.simplex import solve_lp
 from perflat.solvers import vector_monotone_inf
 from perflat.util import derived_rng
@@ -335,6 +339,186 @@ def test_sign_query_matches_the_full_search(name):
     assert capped_seen
 
 
+def _wobbly(lam):
+    """A measure that is not monotone in the shift: c -> E_t[X + c] + 2 sin(3 E_t[X + c])
+    falls on part of every period, so a search's decisions are its own, not a
+    monotone shortcut's."""
+    def fn(space, t, y):
+        e = atom_expect(space, t, y)  # +inf on an atom with a +inf leg
+        return e + 2.0 * np.sin(3.0 * np.where(np.isfinite(e), e, 0.0))
+
+    return CustomMeasure(fn, -INF, INF, kind="wobbly")
+
+
+_CHAIN_MEASURES = dict(_SIGN_QUERY_MEASURES, wobbly=_wobbly)
+
+
+def _chain_g(m, t, x, s, tol):
+    """g along the whole capital chain of (t, x, s): canonical ends, then the nodes."""
+    chain = _CapitalChain(m, t, x, s, tol)
+    while len(chain.g_at) < len(chain.points):
+        chain._evaluate_next_block()
+    return chain.g_at
+
+
+def _chain_levels(m, t, x, s, tol, rng):
+    """Level rows: random ones, levels equal to g at chain nodes, and levels that force
+    the canonical bracket to expand upward (above g(hi0)) and downward (g(lo0) and
+    below), each kept where it lies strictly inside the interval."""
+    g_at = _chain_g(m, t, x, s, tol)
+    n = x.space.n_atoms(t)
+    lo = 0.05 if m.z_d == 0.0 else -3.0
+    hi = 0.9 if m.z_u == 1.0 else 5.0
+    at_nodes = [g_at[rng.integers(len(g_at), size=n), np.arange(n)] for _ in range(2)]
+    rows = np.array([rng.uniform(lo, hi, n), *at_nodes,
+                     g_at[0], np.nextafter(g_at[0], INF),
+                     g_at[1], np.nextafter(g_at[1], -INF)])
+    inside = np.isfinite(rows) & (rows > m.z_d) & (rows < m.z_u)
+    return np.where(inside, rows, rng.uniform(lo, hi, rows.shape))
+
+
+def _chain_claims(rng):
+    """(space, claim) pairs on a random tree of 1-3 periods and <= 16 leaves and on a
+    binomial tree of 2-6 steps, at a random payoff scale in 1e-8..1e8, +inf legs
+    included."""
+    for space in (random_tree(rng, periods=int(rng.integers(1, 4)), max_leaves=16),
+                  binomial_tree(int(rng.integers(2, 7)))):
+        scale = 10.0 ** float(rng.choice([-8, -4, 0, 4, 8]))
+        yield space, XVar(space, sample_xvar(space, rng, inf_prob=0.15).values * scale)
+
+
+@pytest.mark.parametrize("name", list(_CHAIN_MEASURES))
+def test_capital_chain_gives_the_stopped_search(name):
+    # a scalar sign query is answered from one chain of capital brackets per (stage,
+    # claim, threshold): the answer must be the stopped search's bit for bit, whose
+    # sign is the full search's, from a fresh family, a warmed one, and one that last
+    # answered another claim, stage or threshold
+    rng = np.random.default_rng(sum(map(ord, name)))
+    for tol in (0.0, 1e-12, 1e-3, 5.0):
+        for space, x in _chain_claims(rng):
+            lam = {t: rng.uniform(0.5, 2.0, space.n_atoms(t)) for t in space.times}
+            m = _CHAIN_MEASURES[name](lam)
+            stages = sorted(rng.choice(space.times, size=min(2, len(space.times)),
+                                       replace=False).tolist())
+            levels = {t: _chain_levels(m, t, x, -TOL_C, tol, rng) for t in stages}
+            full = {t: _induce_raw(m, t, levels[t], x, tol=tol)[0] for t in stages}
+            finite = full[stages[0]][np.isfinite(full[stages[0]])]
+            picked = float(rng.choice(finite)) if finite.size else 1.0
+            thresholds = [0.0, -TOL_C, float(rng.normal(0.0, np.max(np.abs(finite),
+                                                                     initial=1.0))),
+                          picked, float(np.nextafter(picked, INF)),
+                          float(np.nextafter(picked, -INF))]
+            want = {}
+            for t, s in itertools.product(stages, thresholds):
+                want[t, s] = _induce_raw(m, t, levels[t], x, tol=tol, stop_at=s)[0]
+                assert np.array_equal(want[t, s] < s, full[t] < s)
+                fresh = induced_family(m, tol=tol).raw(levels[t], t, x, stop_at=s)
+                assert np.array_equal(fresh, want[t, s]), (tol, t, s)
+            other = XVar(space, np.flip(x.values))
+            shared = induced_family(m, tol=tol)
+            # the threshold changes from one query to the next on one stage, then the
+            # stage on one threshold, with the other claim asked in between
+            for order in ([(t, s) for t in stages for s in thresholds],
+                          [(t, s) for s in thresholds for t in stages]):
+                for t, s in order:
+                    got = shared.raw(levels[t], t, x, stop_at=s)
+                    assert np.array_equal(got, want[t, s])
+                    assert np.array_equal(shared.raw(levels[t], t, x, stop_at=s), got)
+                    one_row = shared.raw(levels[t][3], t, x, stop_at=s)
+                    assert np.array_equal(one_row, want[t, s][3])
+                shared.raw(levels[t][:1], t, other, stop_at=s)  # random levels
+
+
+def _sized(cls, seen):
+    """``cls`` whose prepared evaluator appends the leaf values of each call to seen."""
+
+    class Sized(cls):
+        def prepare(self, space, t, leaf_values):
+            g = super().prepare(space, t, leaf_values)
+
+            def sized(c):
+                seen.append(np.size(c) // space.n_atoms(t) * space.n_leaves)
+                return g(c)
+            return sized
+
+    return Sized
+
+
+def test_capital_chain_keeps_each_kernel_call_within_the_leaf_budget():
+    # on 1024 leaves at tol = 0: a level at rho = 0 rides the whole chain toward s = 0,
+    # about 1075 nodes down to the subnormals, evaluated in blocks of
+    # LEAF_VALUES_PER_CALL leaf values; 260 level rows near exp-utility's upper end
+    # must expand their bracket and are searched in rows of the same budget
+    space = binomial_tree(10)
+    rng = np.random.default_rng(10)
+    t = 3
+    n = space.n_atoms(t)
+    near_top = np.vstack([rng.uniform(-2.0, 0.5, (8, n)),
+                          rng.uniform(0.999, 0.9999, (260, n))])
+    x = XVar(space, rng.uniform(-4.0, 4.0, space.n_leaves))
+    for cls, claim, s, levels in (
+            (ExponentialUtilityMeasure, x, -TOL_C, near_top),
+            (ConditionalExpectation, XVar.constant(space, 0.0), 0.0, np.zeros((1, n)))):
+        seen = []
+        got = induced_family(_sized(cls, seen)(), tol=0.0).raw(levels, t, claim,
+                                                                stop_at=s)
+        assert len(seen) > 4 and max(seen) <= LEAF_VALUES_PER_CALL
+        want = _induce_raw(cls(), t, levels, claim, tol=0.0, stop_at=s)[0]
+        assert np.array_equal(got, want)
+
+
+def test_capital_chain_leaves_a_nan_at_the_upper_end_to_the_search():
+    # a measure that is NaN where the smallest leaf reaches 1, i.e. at the canonical
+    # upper end hi0: where the bracket below hi0 stalls on adjacent floats the search
+    # reads g(hi0) again and can move its lower end onto hi0, so a threshold at hi0
+    # gets the search's answer, not the closed chain's
+    def fn(space, t, y):
+        return np.where(np.min(y) >= 1.0, np.nan, atom_expect(space, t, y))
+
+    m = CustomMeasure(fn, -INF, INF, kind="nan-at-top")
+    moved = 0
+    for a in np.linspace(1e8, 3e8, 21):
+        x = XVar(coin2(), [a, 1.7 * a + 3.0])
+        hi0 = 1.0 - a
+        for z in (0.9e8, 1e9):
+            want = _induce_raw(m, 0, z, x, stop_at=hi0)[0]
+            assert np.array_equal(induced_family(m).raw(z, 0, x, stop_at=hi0), want)
+            assert np.array_equal(want < hi0, _induce_raw(m, 0, z, x)[0] < hi0)
+            moved += int(want[0] == hi0)
+    assert moved > 0
+
+
+def test_capital_chain_answers_threads_that_share_one_family():
+    # threads asking one family about two claims and three thresholds in turn each
+    # get the stopped search's answer, however they interleave on the kept chain
+    space = binomial_tree(4)
+    rng = np.random.default_rng(4)
+    m = ExponentialUtilityMeasure(risk_aversion=1.0)
+    levels = rng.uniform(-2.0, 0.9, (5, space.n_atoms(2)))
+    cases = [(XVar(space, rng.uniform(-4.0, 4.0, space.n_leaves)), s)
+             for _ in range(2) for s in (-TOL_C, 0.0, 0.5)]
+    want = [_induce_raw(m, 2, levels, x, stop_at=s)[0] for x, s in cases]
+    fam = induced_family(m)
+
+    def ask(k):
+        wrong = []
+        for r in range(500):
+            i = (k + r) % len(cases)
+            x, s = cases[i]
+            if not np.array_equal(fam.raw(levels, 2, x, stop_at=s), want[i]):
+                wrong.append(i)
+        return wrong
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            asked = [pool.submit(ask, k) for k in range(6)]
+            assert [f.result(timeout=60.0) for f in asked] == [[]] * 6
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def _reconstruct_sequential(f, t, x, tol_z=1e-8, tol_c=TOL_C):
     """Reference: ``reconstruct`` with one family call per bisection step.
 
@@ -538,10 +722,16 @@ def test_reconstruct_stops_on_adjacent_floats(tree2):
     for tol_z in (1e-17, 1e-20):
         calls.clear()
         want = _reconstruct_sequential(tiny, 0, x, tol_z=tol_z)
-        assert 40 <= len(calls) <= 70
+        sequential = len(calls)
+        assert 40 <= sequential <= 70
         calls.clear()
         assert np.array_equal(reconstruct(tiny, 0, x, tol_z=tol_z).values, want)
-        assert len(calls) <= 12  # end probes plus a few level trees
+        # the same end probes, then one tree of 2^d - 1 levels per d halvings, with
+        # one partial tree at the end of each of the two bisections
+        trees = [shape[0] for shape in calls if len(shape) == 2]
+        depth = int(math.log2(trees[0] + 1))
+        ends = len(calls) - len(trees)
+        assert depth >= 2 and len(trees) <= (sequential - ends) / depth + 2
 
 
 def test_reconstruct_refuses_a_family_written_for_one_level_per_atom(tree2):
