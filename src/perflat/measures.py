@@ -168,53 +168,12 @@ def _unshifted(kernel, space: FilteredSpace, t: int, leaf_values) -> np.ndarray:
         return kernel(space, t, leaf_values)(leaf_values)
 
 
-def shifted(f, space: FilteredSpace, t: int, leaf_values: np.ndarray):
-    """The prepared evaluator g(c) = f(leaf_values + c[..., atom_index[t]]) of a kernel."""
-    idx = space.atom_index[t]
-    return lambda c: f(leaf_values + c.take(idx, axis=-1))
-
-
-def values_only(m) -> bool:
-    """Does m's class redefine ``values`` below the class that defines its ``kernel``?
-
-    Such a measure (a ``CustomMeasure``, or a subclass of a shipped measure that
-    overrides only ``values``) is evaluated through its own ``values``, one leaf row at
-    a time (``values_kernel``), so an inherited kernel never stands in for it.
-    """
-    mro = type(m).__mro__
-    owner = [next((i for i, c in enumerate(mro) if name in c.__dict__), len(mro))
-             for name in ("values", "kernel")]
-    return owner[0] < owner[1]
-
-
-def values_kernel(m, space: FilteredSpace, t: int):
-    """The kernel of a measure that defines only ``values``: one call per leaf row."""
-    def f(y):
-        if y.ndim == 1:
-            return m.values(space, t, y)
-        return np.array([m.values(space, t, row) for row in y], dtype=float)
-
-    return f
-
-
-def values_rows(m, space: FilteredSpace, t: int, rows: np.ndarray) -> np.ndarray:
-    """``m.values`` on each leaf row of a (B, n_leaves) batch: (B, n_atoms), row for row.
-
-    A measure with a kernel takes the batch in one ``values`` call; a values-only one
-    (``values_only``) is called one row at a time, since its ``values`` may take one
-    row only.
-    """
-    if values_only(m):
-        return values_kernel(m, space, t)(rows)
-    return m.values(space, t, rows)
-
-
 def evaluate_rows(m, space: FilteredSpace, t: int, rows: np.ndarray) -> np.ndarray:
-    """``evaluate`` on each leaf row of a (B, n_leaves) batch: ``values_rows``, with the
-    guards of ``evaluate``.  A value below float range raises OverflowError; a NaN, or
-    an output that is not (B, n_atoms), raises ValueError.  Where rows fail in
+    """``evaluate`` on each leaf row of a (B, n_leaves) batch: one ``m.values`` call, with
+    the guards of ``evaluate``.  A value below float range raises OverflowError; a NaN,
+    or an output that is not (B, n_atoms), raises ValueError.  Where rows fail in
     different ways, the first failing row decides, as a row-by-row loop would."""
-    out = values_rows(m, space, t, rows)
+    out = m.values(space, t, rows)
     if out.shape != (len(rows), space.n_atoms(t)):
         _bounded_below(out)
         raise ValueError("values shape mismatch for stage atoms")
@@ -260,12 +219,10 @@ class PerformanceMeasure:
     leaf rows y that differ from x by such a shift.  x is one row or a batch of rows;
     for a batch, y has its shape and each row is shifted from its own claim.
     ``values`` is f(x), one kernel call for a whole batch, and ``prepare`` is
-    f(x + c[..., idx]).  The shipped measures define ``kernel``.  A class that
-    redefines ``values`` below the class that defines its ``kernel`` (``values_only``:
-    a ``CustomMeasure``, or a subclass of a shipped measure that overrides only
-    ``values``) is prepared and batched through ``values_kernel``, which calls its
-    ``values`` one row at a time, so the inherited formula never stands in for the new
-    one.
+    f(x + c[..., idx]).  A measure defines ``kernel`` and nothing else: a subclass
+    that defines its own ``values`` is refused when the class is created, so an
+    inherited kernel can never stand in for it.  A formula that takes one leaf row at
+    a time goes into a ``CustomMeasure``.
     """
 
     kind = "abstract"
@@ -274,17 +231,23 @@ class PerformanceMeasure:
     scale_invariant = False
     eps_strict = EPS_STRICT
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if cls.__dict__.get("values", PerformanceMeasure.values) is not \
+                PerformanceMeasure.values:
+            raise TypeError(f"{cls.__name__} defines values; a measure defines kernel, "
+                            "and values and prepare are built from it")
+
     def values(self, space: FilteredSpace, t: int, leaf_values: np.ndarray) -> np.ndarray:
         return _unshifted(self.kernel, space, t, leaf_values)
 
     def prepare(self, space: FilteredSpace, t: int, leaf_values: np.ndarray):
-        f = (values_kernel(self, space, t) if values_only(self)
-             else self.kernel(space, t, leaf_values))
-        return shifted(f, space, t, leaf_values)
+        f = self.kernel(space, t, leaf_values)
+        idx = space.atom_index[t]
+        return lambda c: f(leaf_values + c.take(idx, axis=-1))
 
     def kernel(self, space: FilteredSpace, t: int, leaf_values: np.ndarray):
-        raise NotImplementedError(f"{type(self).__name__} defines neither values nor "
-                                  "kernel")
+        raise NotImplementedError(f"{type(self).__name__} defines no kernel")
 
     def evaluate(self, t: int, x: XVar) -> TVar:
         t = x.space.check_stage(t)
@@ -312,9 +275,9 @@ def evaluate(m: PerformanceMeasure, t: int, x: XVar) -> TVar:
     return m.evaluate(t, x)
 
 
-# The shipped classes list ``values`` in their own bodies only because per-class
-# wrappers such as benchmarks/tracer.py look it up in the class dict; they can go once
-# the tracer counts at the kernels (ROADMAP item 0).
+# The shipped classes and ``CustomMeasure`` list ``values`` in their own bodies only
+# because per-class wrappers such as benchmarks/tracer.py look it up in the class dict;
+# the lines can go once the tracer counts at the kernels (ROADMAP item 0).
 
 
 class ConditionalExpectation(PerformanceMeasure):
@@ -553,7 +516,8 @@ class RewardRiskRatio(PerformanceMeasure):
     the reward is positive and the truncated risk vanishes; the alternative flag
     reproduces the variant that returns +inf on {AVaR <= 0} regardless of reward.
     A denominator provides ``kernel(space, t, x)`` with a measure's contract, and
-    ``risk_kernel`` for the sign of the untruncated risk if it has one.
+    ``risk_kernel`` for the sign of the untruncated risk if it has one; the flag is
+    refused for a denominator without it.
     """
 
     kind = "reward_risk"
@@ -567,6 +531,9 @@ class RewardRiskRatio(PerformanceMeasure):
             raise ValueError("reward-risk needs U(+inf) > 0")
         if utility(np.array([0.0]))[0] > 0.0:
             raise ValueError("reward-risk needs U(0) <= 0")
+        if infinite_when_risk_nonpositive and not hasattr(denominator, "risk_kernel"):
+            raise ValueError(f"{denominator.label()} has no signed risk for "
+                             "infinite_when_risk_nonpositive")
         self.utility = utility
         self.denominator = denominator
         self.infinite_when_risk_nonpositive = bool(infinite_when_risk_nonpositive)
@@ -577,8 +544,7 @@ class RewardRiskRatio(PerformanceMeasure):
         expect = atom_expector(space, t)
         u = self.utility
         eps = self.eps_strict
-        if self.infinite_when_risk_nonpositive and hasattr(self.denominator,
-                                                           "risk_kernel"):
+        if self.infinite_when_risk_nonpositive:
             risk = self.denominator.risk_kernel(space, t, leaf_values)
 
             def f(y):
@@ -600,7 +566,15 @@ class RewardRiskRatio(PerformanceMeasure):
 
 
 class CustomMeasure(PerformanceMeasure):
-    """Wrap a raw evaluator; used for user extensions and deliberately broken probes."""
+    """Wrap a raw evaluator; used for user extensions and deliberately broken probes.
+
+    ``fn(space, t, leaf_values)`` maps one row of leaf values, shape (n_leaves,), to
+    (n_atoms,).  The kernel calls it on a row directly and once per row on a
+    (B, n_leaves) batch, so ``values``, ``prepare`` and the batched checkers all reach
+    ``fn`` one row at a time.
+    """
+
+    values = PerformanceMeasure.values
 
     def __init__(self, fn: Callable, z_d: float, z_u: float, kind: str = "custom",
                  scale_invariant: bool = False):
@@ -610,8 +584,15 @@ class CustomMeasure(PerformanceMeasure):
         self.kind = kind
         self.scale_invariant = scale_invariant
 
-    def values(self, space, t, leaf_values):
-        return np.asarray(self.fn(space, t, leaf_values), dtype=float)
+    def kernel(self, space, t, leaf_values):
+        fn = self.fn
+
+        def f(y):
+            if y.ndim == 1:
+                return np.asarray(fn(space, t, y), dtype=float)
+            return np.array([fn(space, t, row) for row in y], dtype=float)
+
+        return f
 
 
 def lpm_ratio(p: float = 2.0) -> RewardRiskRatio:
@@ -619,9 +600,9 @@ def lpm_ratio(p: float = 2.0) -> RewardRiskRatio:
     return RewardRiskRatio(UtilitySpec("linear"), LPMDenominator(p))
 
 
-def raroc(level: float = 0.5, utility: UtilitySpec | None = None,
+def raroc(level: float = 0.5,
           infinite_when_risk_nonpositive: bool = False) -> RewardRiskRatio:
-    return RewardRiskRatio(utility or UtilitySpec("linear"), AVaRTruncDenominator(level),
+    return RewardRiskRatio(UtilitySpec("linear"), AVaRTruncDenominator(level),
                            infinite_when_risk_nonpositive=infinite_when_risk_nonpositive)
 
 
@@ -725,10 +706,9 @@ def check_axioms(m: PerformanceMeasure, space: FilteredSpace, t: int,
 
     Each randomized property runs its trials through ``run_trials`` with seeds derived
     from (rng_seed, property, trial), so verdicts do not depend on scheduling.  A
-    property draws all its trials' claims first, values their leaf rows in one batch
-    (``values_rows``: one ``values`` call, or one per row for a values-only measure),
-    and then judges the trials in order.  The report carries the first witness per
-    failure.
+    property draws all its trials' claims first, values their leaf rows with one
+    ``m.values`` call per batch, and then judges the trials in order.  The report
+    carries the first witness per failure.
     """
     t = space.check_stage(t)
     tol = DEFAULT_TOL
@@ -737,9 +717,9 @@ def check_axioms(m: PerformanceMeasure, space: FilteredSpace, t: int,
         return sample_xvar(space, rng, inf_prob=0.02 if rng.random() < 0.25 else 0.0)
 
     def run(name, key, draw, judge):
-        # values_rows, not evaluate_rows: these checks judge -inf values, not reject them
+        # m.values, not evaluate_rows: these checks judge -inf values, not reject them
         run_trials(rep, name, trials, rng_seed, key, TwoPhase(
-            draw, lambda stage, rows: values_rows(m, space, stage, rows), judge))
+            draw, lambda stage, rows: m.values(space, stage, rows), judge))
 
     raw = lambda x: m.values(space, t, x.values)
     rep = Report(title=f"axioms[{m.label()}] t={t}", seed=rng_seed,
@@ -922,7 +902,7 @@ def check_scale_invariance(m: PerformanceMeasure, space: FilteredSpace, t: int,
 
     def run(name, key, draw, judge):
         run_trials(rep, name, trials, rng_seed, key, TwoPhase(
-            draw, lambda stage, rows: values_rows(m, space, stage, rows), judge))
+            draw, lambda stage, rows: m.values(space, stage, rows), judge))
 
     def draw_positive_scaling(rng, k):
         x = sample_xvar(space, rng)

@@ -39,8 +39,7 @@ import numpy as np
 from .lattice import (INF, FilteredSpace, TVar, XVar, atom_expect, close_or_both_inf,
                       ext_gap, loss_order, num_to_json, sample_event, sample_tvar,
                       sample_xvar)
-from .measures import (ExponentialUtilityMeasure, PerformanceMeasure, shifted,
-                       values_kernel)
+from .measures import ExponentialUtilityMeasure, PerformanceMeasure
 from .report import LEAF_VALUES_PER_CALL, CheckResult, Report, run_trials
 from .simplex import solve_lp
 from .solvers import (BracketError, InfShiftResult, group_logsumexp,
@@ -72,13 +71,6 @@ class RiskPoint:
                 "z": lv_json[0] if np.ndim(lv) == 0 else lv_json,
                 "rho": {space.atom_id(self.stage, k): num_to_json(v)
                         for k, v in enumerate(self.values.values)}}
-
-
-def _prepared(m: PerformanceMeasure, space: FilteredSpace, t: int, x: XVar):
-    """The measure's shift evaluator g(c) = beta_t(X + c) on x, per atom."""
-    prepare = getattr(m, "prepare", None)
-    return (prepare(space, t, x.values) if prepare is not None
-            else shifted(values_kernel(m, space, t), space, t, x.values))
 
 
 def _canonical_bracket(x: XVar) -> tuple[float, float]:
@@ -125,8 +117,8 @@ def _induce_raw(m: PerformanceMeasure, t: int, z, x: XVar, tol: float = TOL_C,
     target = np.broadcast_to(z, shape).ravel().copy()
     if stop_at is not None:
         stop_at = np.broadcast_to(np.asarray(stop_at, dtype=float), shape).ravel()
-    res = _search(_prepared(m, space, t, x), shape, target, _canonical_bracket(x), tol,
-                  stop_at)
+    res = _search(m.prepare(space, t, x.values), shape, target, _canonical_bracket(x),
+                  tol, stop_at)
     return (res.values.reshape(shape), res.hit_lower_cap.reshape(shape),
             res.near_zero.reshape(shape))
 
@@ -160,7 +152,7 @@ class _CapitalChain:
         self.t, self.x, self.s, self.tol = t, x, s, tol
         space = x.space
         self.n = space.n_atoms(t)
-        self.g = _prepared(m, space, t, x)
+        self.g = m.prepare(space, t, x.values)
         self.bracket = lo, hi = _canonical_bracket(x)
         self.per_call = max(1, LEAF_VALUES_PER_CALL // space.n_leaves)
         mids, los = [], []  # node j halves [los[j], hi] at mids[j]

@@ -14,7 +14,7 @@ from perflat import (CertaintyEquivalentMeasure, ConditionalExpectation, CustomM
                      ExpectedUtilityMeasure, ExponentialUtilityMeasure, GainLossRatio,
                      UtilitySpec, binomial_tree, check_axioms, check_lift_axioms,
                      check_scale_invariance, lpm_ratio, random_tree, raroc)
-from perflat import measures, report
+from perflat import report
 from perflat.lattice import dump_json, jsonable
 
 FIXTURE = Path(__file__).parent / "fixtures" / "checker_reports.json"
@@ -63,8 +63,18 @@ def checker_reports() -> dict:
     return out
 
 
-def _one_row_at_a_time(m, space, t, rows):
-    return np.array([m.values(space, t, row) for row in rows], dtype=float)
+def _one_row_at_a_time(mp):
+    """Split every batch that a measured class's ``values`` gets into one-row calls."""
+    for cls in {type(m) for m in _measures()}:
+        values = cls.values
+
+        def split(self, space, t, leaf_values, values=values):
+            if np.ndim(leaf_values) == 1:
+                return values(self, space, t, leaf_values)
+            return np.array([values(self, space, t, row) for row in leaf_values],
+                            dtype=float)
+
+        mp.setattr(cls, "values", split)
 
 
 def _pinned() -> dict:
@@ -81,7 +91,7 @@ def test_reports_match_the_fixture():
 def test_one_row_route_gives_the_same_reports(monkeypatch):
     # every values call takes one row, and each trial is drawn, evaluated and judged
     # before the next is drawn, as a one-phase probe runs
-    monkeypatch.setattr(measures, "values_rows", _one_row_at_a_time)
+    _one_row_at_a_time(monkeypatch)
     monkeypatch.setattr(report, "LEAF_VALUES_PER_CALL", 1)
     assert checker_reports() == _pinned()
 
@@ -107,7 +117,7 @@ def test_batches_stay_within_the_leaf_value_bound(monkeypatch):
     assert max(int(np.prod(s)) for s in shapes) <= bound
     assert max(s[0] for s in shapes if len(s) == 2) > 1  # the bound still batches
     with monkeypatch.context() as mp:
-        mp.setattr(measures, "values_rows", _one_row_at_a_time)
+        _one_row_at_a_time(mp)
         assert run() == batched
 
 

@@ -10,10 +10,11 @@ from perflat import (INF, CertaintyEquivalentMeasure, ConditionalExpectation,
                      ExponentialUtilityMeasure, GainLossRatio,
                      RewardRiskRatio, TVar, UtilitySpec, XVar, binomial_tree,
                      check_axioms, check_scale_invariance, coin2, evaluate,
-                     induce_risk, induced_family, lpm_ratio, measure_from_json,
-                     paste, random_tree, raroc, reconstruct, sample_xvar)
+                     lpm_ratio, measure_from_json, paste, random_tree, raroc,
+                     sample_xvar)
 from perflat.lattice import atom_expect
-from perflat.measures import AVaRTruncDenominator, _interior_levels, evaluate_rows
+from perflat.measures import (AVaRTruncDenominator, LPMDenominator, _interior_levels,
+                              evaluate_rows)
 
 AXIOM_TRIALS = 120
 
@@ -191,6 +192,17 @@ def test_avar_hand_values(space2):
     assert evaluate(m, 0, XVar(space2, [INF, -1.0])).values.tolist() == [INF]
 
 
+def test_infinite_when_risk_nonpositive_needs_a_signed_risk(space2):
+    # the lpm root has no signed risk to test, so the flag could only be ignored
+    with pytest.raises(ValueError, match="infinite_when_risk_nonpositive"):
+        RewardRiskRatio(UtilitySpec("linear"), LPMDenominator(2.0),
+                        infinite_when_risk_nonpositive=True)
+    d = lpm_ratio(2.0).to_json(space2)
+    d["params"]["infinite_when_risk_nonpositive"] = True
+    with pytest.raises(ValueError, match="infinite_when_risk_nonpositive"):
+        measure_from_json(d, space=space2)
+
+
 # ---------------------------------------------------------------------------
 # prepared shift evaluators
 
@@ -245,9 +257,17 @@ def _row_batches(seed):
         yield space, rows * scale
 
 
+def _atom_means_squared(space, t, v):
+    """One leaf row's per-atom means, squared: a formula that takes one row only."""
+    assert v.shape == (space.n_leaves,)
+    return np.square(atom_expect(space, t, v))
+
+
 @pytest.mark.parametrize("m", SHIPPED + [
     ExponentialUtilityMeasure({0: 0.7, 1: 1.9, 2: 0.4}),
-    raroc(0.3, infinite_when_risk_nonpositive=True)], ids=lambda m: m.label())
+    raroc(0.3, infinite_when_risk_nonpositive=True),
+    CustomMeasure(_atom_means_squared, z_d=0.0, z_u=INF, kind="one_row")],
+    ids=lambda m: m.label())
 def test_values_on_row_batches_match_one_row_calls(m):
     for seed in range(6):
         for space, rows in _row_batches(seed):
@@ -258,34 +278,30 @@ def test_values_on_row_batches_match_one_row_calls(m):
                            for g, r in zip(got, rows))
 
 
-def test_values_only_measures_share_the_row_closure(space2):
+def test_custom_measures_call_fn_one_row_at_a_time(space2):
     seen = []
 
     def fn(space, t, leaf_values):
         seen.append(leaf_values.shape)
         return np.array([float(np.min(leaf_values))])
 
-    g = CustomMeasure(fn, z_d=-INF, z_u=INF).prepare(space2, 0, np.array([1.0, 3.0]))
+    m = CustomMeasure(fn, z_d=-INF, z_u=INF)
+    g = m.prepare(space2, 0, np.array([1.0, 3.0]))
     assert g(np.array([[0.5], [-2.0]])).tolist() == [[1.5], [-1.0]]
-    assert seen == [(2,), (2,)]  # one values call per shift row
+    assert seen == [(2,), (2,)]  # one fn call per shift row
+    seen.clear()
+    rows = np.array([[1.0, 3.0], [-2.0, 0.5], [4.0, 4.0]])
+    assert m.values(space2, 0, rows).tolist() == [[1.0], [-2.0], [4.0]]
+    assert seen == [(2,), (2,), (2,)]  # one fn call per leaf row of the batch
 
 
-def test_values_override_of_a_shipped_class_is_prepared_through_it(space2):
-    # the subclass inherits ConditionalExpectation's kernel, which must not stand in
-    # for its own values in prepare, induce_risk or reconstruct
-    class Doubled(ConditionalExpectation):
-        def values(self, space, t, leaf_values):
-            return 2.0 * super().values(space, t, leaf_values)
-
-    m = Doubled()
-    x = np.array([1.0, 3.0])
-    g = m.prepare(space2, 0, x)
-    assert g(np.array([0.5])).tolist() == [5.0]
-    assert g(np.array([[0.5], [-1.0]])).tolist() == [[5.0], [2.0]]
-    xv = XVar(space2, x)
-    assert induce_risk(m, 0, 5.0, xv).values.values[0] == pytest.approx(0.5, abs=1e-9)
-    assert reconstruct(induced_family(m), 0, xv).values[0] == pytest.approx(4.0,
-                                                                            abs=1e-6)
+def test_a_measure_that_defines_values_is_refused():
+    # an inherited kernel would stand in for the new values in prepare, induce_risk
+    # and reconstruct, so the class itself is refused
+    with pytest.raises(TypeError, match="kernel"):
+        class Doubled(ConditionalExpectation):
+            def values(self, space, t, leaf_values):
+                return 2.0 * super().values(space, t, leaf_values)
 
 
 def test_atom_expect_rows_match_one_row_calls():

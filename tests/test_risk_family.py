@@ -101,14 +101,11 @@ def test_bisection_cap_raises(monkeypatch, space2):
 
 
 def test_induce_names_an_unreachable_level(space2):
-    class Flat:  # declares z_u = inf but never rises above 0
-        z_d, z_u = -INF, INF
-
-        def values(self, space, t, x):
-            return np.zeros(space.n_atoms(t))
-
+    # declares z_u = inf but never rises above 0
+    flat = CustomMeasure(lambda space, t, x: np.zeros(space.n_atoms(t)), -INF, INF,
+                         kind="flat")
     with pytest.raises(RuntimeError, match="misdeclared"):
-        induce_risk(Flat(), 0, 1.0, XVar(space2, [3.0, -1.0]))
+        induce_risk(flat, 0, 1.0, XVar(space2, [3.0, -1.0]))
 
 
 # ---------------------------------------------------------------------------
