@@ -6,8 +6,9 @@ each atom.  The supremum of E^Q[-X] over that set has a closed form: the best
 density takes two values with ratio 1+z, the high one on the largest losses,
 so one sort per atom finds it.  Bisection on the measure is the independent
 route that checks it here; the test suite also checks it against a linear
-program over the polytope.  Sampled densities (vertices picked by that linear
-program) and the penalty bound probe the polytope further.
+program over the polytope.  Sampled densities (the vertices that minimize a
+random objective, found by the same kind of sort) and the penalty bound probe
+the polytope further.
 """
 import numpy as np
 

@@ -650,9 +650,11 @@ def measure_from_json(d: Mapping, space: FilteredSpace | None = None) -> Perform
             den = AVaRTruncDenominator(num_from_json(den_raw["level"]))
         else:
             raise ValueError(f"unknown denominator kind {den_raw['kind']!r}")
+        flag = params.get("infinite_when_risk_nonpositive", False)
+        if not isinstance(flag, bool):
+            raise ValueError("infinite_when_risk_nonpositive must be a JSON boolean")
         m = RewardRiskRatio(UtilitySpec.from_json(params["utility"]), den,
-                            infinite_when_risk_nonpositive=bool(
-                                params.get("infinite_when_risk_nonpositive", False)))
+                            infinite_when_risk_nonpositive=flag)
     else:
         raise ValueError(f"unknown measure kind {kind!r}")
     for key, attr in (("z_d", m.z_d), ("z_u", m.z_u)):

@@ -21,10 +21,10 @@ standard family regenerates a performance measure through
 and the induced family is the unique standard family doing so; ``reconstruct``
 implements that supremum by bisection over levels with a tan/atan change of variables
 for unbounded intervals.  Duality helpers cover the gain-loss ratio (an exact closed
-form over each atom's leaves sorted by loss; a linear program over the same polytope of
-conditional densities is the independent route that checks it, and picks polytope
-vertices for sampling), truncation limits, closure diagnostics, and a weak-duality
-penalty probe.
+form over each atom's leaves sorted by loss, and the vertices of its polytope of
+conditional densities that random objectives pick, by the same kind of sort; the
+tests check both against a linear program over that polytope), truncation limits,
+closure diagnostics, and a weak-duality penalty probe.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .lattice import (INF, FilteredSpace, TVar, XVar, atom_expect, close_or_both
                       sample_xvar)
 from .measures import ExponentialUtilityMeasure, PerformanceMeasure
 from .report import LEAF_VALUES_PER_CALL, CheckResult, Report, run_trials
-from .simplex import solve_lp
 from .solvers import (BracketError, InfShiftResult, group_logsumexp,
                       vector_monotone_inf)
 
@@ -831,8 +830,8 @@ def glr_dual_risk(t: int, z: float, x: XVar) -> RiskPoint:
     because the optimal density takes two values with ratio 1+z, the high one on a
     loss prefix (Bernardo and Ledoit 2000).  One sort and prefix sums per atom give
     every candidate at once.  The centered form keeps each atom's running sums at its
-    own scale.  The dense linear program over the same polytope (``_glr_polytope``)
-    and the bisection route are the independent checks of this formula.
+    own scale.  A linear program over the same polytope, which lives in the tests, and
+    the bisection route are the independent checks of this formula.
     """
     space = x.space
     t = space.check_stage(t)
@@ -878,8 +877,8 @@ class DualMeasure:
         self.density = np.asarray(self.density, dtype=float)
         if self.density.shape != (self.space.n_leaves,):
             raise ValueError("density must assign one value per leaf")
-        if np.any(self.density < 0.0):
-            raise ValueError("density must be nonnegative")
+        if not np.all(self.density >= 0.0):
+            raise ValueError("density must be nonnegative (and not NaN)")
         mass = atom_expect(self.space, self.stage, self.density)
         if np.any(np.abs(mass - 1.0) > 1e-10):
             raise ValueError("conditional mass per stage atom must equal one")
@@ -910,40 +909,37 @@ class DualMeasure:
         return cls(space, int(d["stage"]), dens)
 
 
-def _glr_polytope(pbar: np.ndarray, z: float) -> np.ndarray:
-    """Rows A of the level-z ratio polytope {A w <= 0} over one atom's leaf weights.
-
-    One row per ordered leaf pair i != j, in row-major order:
-    w_i pbar_j - (1+z) w_j pbar_i <= 0, so the densities w / pbar stay within 1+z.
-    """
-    m = pbar.size
-    i, j = np.nonzero(~np.eye(m, dtype=bool))
-    rows = np.zeros((i.size, m))
-    r = np.arange(i.size)
-    rows[r, i] = pbar[j]
-    rows[r, j] = -(1.0 + z) * pbar[i]
-    return rows
-
-
 def sample_glr_density(space: FilteredSpace, t: int, z: float,
                        rng: np.random.Generator) -> DualMeasure:
-    """A vertex of the gain-loss dual polytope picked by a random objective."""
+    """A vertex of the gain-loss dual polytope picked by a random objective.
+
+    On each atom of m > 1 leaves it draws c = ``rng.normal(size=m)``, one value per
+    leaf, and minimizes E_t[c g] over the level-z densities g, whose ratios stay
+    within 1+z.  The minimizer is two-valued: with S_k the k smallest-c leaves,
+
+        g = (1+z) / (1 + z P_t(S_k))  on S_k,    g = 1 / (1 + z P_t(S_k))  elsewhere,
+
+    at the k = 0..m that minimizes (E_t[c] + z E_t[c 1_{S_k}]) / (1 + z P_t(S_k)), the
+    structure of ``glr_dual_risk``'s maximizer.  One sort and prefix sums per atom
+    give every candidate.  Single-leaf atoms get density 1 and draw nothing.
+    """
     t = space.check_stage(t)
-    density = np.empty(space.n_leaves)
+    z = float(z)
+    if not 0.0 <= z < INF:
+        raise ValueError("the dual polytope needs a finite level z >= 0")
+    density = np.ones(space.n_leaves)
     for k in range(space.n_atoms(t)):
         idx = np.fromiter(space.atoms[t][k], dtype=np.intp)
-        pb = space.probs[idx] / space.atom_mass[t][k]
         if idx.size == 1:
-            density[idx] = 1.0
             continue
-        m_leaves = idx.size
-        c = rng.normal(size=m_leaves)
-        rows = _glr_polytope(pb, z)
-        sol = solve_lp(c, A_ub=rows, b_ub=np.zeros(rows.shape[0]),
-                       A_eq=np.ones((1, m_leaves)), b_eq=np.ones(1))
-        w = np.clip(sol.x, 0.0, None)
-        w = w / w.sum()  # scrub solver roundoff; rescaling preserves the ratio bounds
-        density[idx] = w / pb
+        c = rng.normal(size=idx.size)
+        order = np.argsort(c, kind="stable")
+        pb = space.probs[idx[order]] / space.atom_mass[t][k]
+        mass = np.r_[0.0, np.cumsum(pb)]
+        cost = np.r_[0.0, np.cumsum(c[order] * pb)]
+        best = int(np.argmin((cost[-1] + z * cost) / (1.0 + z * mass)))
+        low = 1.0 / (1.0 + z * mass[best])
+        density[idx[order]] = np.where(np.arange(idx.size) < best, (1.0 + z) * low, low)
     return DualMeasure(space, t, density)
 
 

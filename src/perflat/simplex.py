@@ -1,188 +1,16 @@
-"""Dense two-phase simplex with Bland's rule.
+"""Placeholder for a retired module: perflat has no LP solver.
 
-Solves  min c.x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0.
-
-Problem sizes here are a handful of variables and at most a few hundred rows (pairwise
-ratio constraints on the leaves of one atom), so a dense tableau is plenty.  Bland's
-rule (lowest eligible index enters, ratio ties broken by lowest basis index) makes the
-heavily degenerate ratio polytopes safe from cycling.
+The gain-loss dual is a closed form (``risk_family.glr_dual_risk``) and its polytope
+vertices come from one sort (``risk_family.sample_glr_density``); the test suite
+checks both against scipy's HiGHS.
 """
 
-from __future__ import annotations
 
-from dataclasses import dataclass
+def solve_lp(*args, **kwargs):
+    """Raise NotImplementedError.
 
-import numpy as np
-
-
-class SimplexError(Exception):
-    pass
-
-
-class InfeasibleError(SimplexError):
-    pass
-
-
-class UnboundedError(SimplexError):
-    pass
-
-
-@dataclass
-class LPSolution:
-    x: np.ndarray
-    value: float
-    iterations: int
-
-
-def _price_out(tableau: np.ndarray, basis: list[int], cost: np.ndarray) -> np.ndarray:
-    row = np.append(cost, 0.0)
-    for i, bi in enumerate(basis):
-        if row[bi] != 0.0:
-            row = row - row[bi] * tableau[i]
-    return row
-
-
-def _pivot(tableau: np.ndarray, cost_row: np.ndarray, basis: list[int],
-           row: int, col: int):
-    tableau[row] /= tableau[row, col]
-    for i in range(tableau.shape[0]):
-        if i != row and tableau[i, col] != 0.0:
-            tableau[i] -= tableau[i, col] * tableau[row]
-    if cost_row[col] != 0.0:
-        cost_row -= cost_row[col] * tableau[row]
-    basis[row] = col
-
-
-def _bland_iterate(tableau: np.ndarray, cost_row: np.ndarray, basis: list[int],
-                   allowed: np.ndarray, tol: float, max_iter: int) -> int:
-    m, width = tableau.shape
-    n_cols = width - 1
-    done = 0
-    while True:
-        enter = -1
-        for j in range(n_cols):
-            if allowed[j] and cost_row[j] < -tol:
-                enter = j
-                break
-        if enter < 0:
-            return done
-        leave = -1
-        best_ratio = np.inf
-        best_basis = np.inf
-        for i in range(m):
-            a = tableau[i, enter]
-            if a > tol:
-                ratio = tableau[i, -1] / a
-                if ratio < best_ratio - tol or (
-                        abs(ratio - best_ratio) <= tol and basis[i] < best_basis):
-                    leave, best_ratio, best_basis = i, ratio, basis[i]
-        if leave < 0:
-            raise UnboundedError("objective unbounded below")
-        _pivot(tableau, cost_row, basis, leave, enter)
-        done += 1
-        if done > max_iter:
-            raise SimplexError("iteration limit exceeded")
-
-
-def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
-             tol: float = 1e-11, max_iter: int | None = None) -> LPSolution:
-    c = np.asarray(c, dtype=float)
-    n = c.shape[0]
-    rows = []
-    rhs = []
-    kinds = []  # 'le' keeps a slack, 'ge' a surplus + artificial, 'eq' an artificial
-    if A_ub is not None:
-        A_ub = np.atleast_2d(np.asarray(A_ub, dtype=float))
-        b_ub = np.atleast_1d(np.asarray(b_ub, dtype=float))
-        for row, b in zip(A_ub, b_ub):
-            if b < 0.0:
-                rows.append(-row)
-                rhs.append(-b)
-                kinds.append("ge")
-            else:
-                rows.append(row)
-                rhs.append(b)
-                kinds.append("le")
-    if A_eq is not None:
-        A_eq = np.atleast_2d(np.asarray(A_eq, dtype=float))
-        b_eq = np.atleast_1d(np.asarray(b_eq, dtype=float))
-        for row, b in zip(A_eq, b_eq):
-            if b < 0.0:
-                rows.append(-row)
-                rhs.append(-b)
-            else:
-                rows.append(row)
-                rhs.append(b)
-            kinds.append("eq")
-    if not rows:
-        raise SimplexError("no constraints")
-    m = len(rows)
-    n_slack = sum(k != "eq" for k in kinds)
-    n_art = sum(k != "le" for k in kinds)
-    width = n + n_slack + n_art + 1
-    tableau = np.zeros((m, width))
-    basis: list[int] = [0] * m
-    s_at = n
-    a_at = n + n_slack
-    art_cols = []
-    for i, (row, b, kind) in enumerate(zip(rows, rhs, kinds)):
-        tableau[i, :n] = row
-        tableau[i, -1] = b
-        if kind == "le":
-            tableau[i, s_at] = 1.0
-            basis[i] = s_at
-            s_at += 1
-        elif kind == "ge":
-            tableau[i, s_at] = -1.0
-            s_at += 1
-            tableau[i, a_at] = 1.0
-            basis[i] = a_at
-            art_cols.append(a_at)
-            a_at += 1
-        else:
-            tableau[i, a_at] = 1.0
-            basis[i] = a_at
-            art_cols.append(a_at)
-            a_at += 1
-    if max_iter is None:
-        max_iter = 200 * (m + width)
-    iterations = 0
-    allowed = np.ones(width - 1, dtype=bool)
-
-    if art_cols:
-        phase1_cost = np.zeros(width - 1)
-        phase1_cost[art_cols] = 1.0
-        cost_row = _price_out(tableau, basis, phase1_cost)
-        iterations += _bland_iterate(tableau, cost_row, basis, allowed, tol, max_iter)
-        if cost_row[-1] < -1e-8:  # objective value is -cost_row[-1]
-            raise InfeasibleError("phase 1 left positive infeasibility")
-        # drive remaining artificials out of the basis; an all-zero row is redundant
-        keep = np.ones(m, dtype=bool)
-        for i in range(m):
-            if basis[i] in art_cols:
-                pivot_col = -1
-                for j in range(n + n_slack):
-                    if abs(tableau[i, j]) > tol:
-                        pivot_col = j
-                        break
-                if pivot_col >= 0:
-                    _pivot(tableau, cost_row, basis, i, pivot_col)
-                    iterations += 1
-                else:
-                    keep[i] = False
-        if not keep.all():
-            tableau = tableau[keep]
-            basis = [b for b, k in zip(basis, keep) if k]
-            m = tableau.shape[0]
-        allowed[art_cols] = False
-
-    phase2_cost = np.zeros(width - 1)
-    phase2_cost[:n] = c
-    cost_row = _price_out(tableau, basis, phase2_cost)
-    iterations += _bland_iterate(tableau, cost_row, basis, allowed, tol, max_iter)
-
-    x = np.zeros(n)
-    for i, bi in enumerate(basis):
-        if bi < n:
-            x[bi] = tableau[i, -1]
-    return LPSolution(x=x, value=float(c @ x), iterations=iterations)
+    Nothing in perflat calls it.  The module stays only because
+    ``benchmarks/tracer.py`` looks ``perflat.simplex.solve_lp`` up by name when it
+    installs its hooks, and its ``--trace 1`` run raises KeyError without it.
+    """
+    raise NotImplementedError("perflat has no LP solver; use scipy.optimize.linprog")

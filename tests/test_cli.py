@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from perflat import (DividendProcess, GainLossRatio, TVar, XVar, binomial_tree, coin2,
-                     lpm_ratio, random_tree)
+                     lpm_ratio, random_tree, raroc)
 from perflat.cli import main
 from perflat.lattice import dump_json
 
@@ -120,9 +120,14 @@ def test_missing_file_exit_one(files, capsys):
     ("evaluate", "--var", [3.0, -1.0],
      {"error": "invalid variable", "type": "AttributeError",
       "message": "'list' object has no attribute 'get'"}),
+    ("evaluate", "--measure",
+     {"kind": "reward_risk", "params": {**raroc(0.5).to_json(coin2())["params"],
+                                        "infinite_when_risk_nonpositive": "false"}},
+     {"error": "invalid measure",
+      "message": "infinite_when_risk_nonpositive must be a JSON boolean"}),
 ], ids=["measure", "variable", "dividend", "dividend-without-payments",
         "measure-without-kind", "variable-without-values", "measure-as-list",
-        "variable-as-list"])
+        "variable-as-list", "measure-flag-as-string"])
 def test_invalid_input_file_exit_one(files, command, flag, content, want, capsys):
     bad = files["dir"] / "bad.json"
     dump_json(content, bad)

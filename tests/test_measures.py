@@ -486,6 +486,20 @@ def test_measure_json_rejects_unknown_params(d, space2):
         measure_from_json(d, space=space2)
 
 
+@pytest.mark.parametrize("flag", ["false", 0.0001, 1], ids=repr)
+def test_measure_json_flag_must_be_a_boolean(flag, space2):
+    d = raroc(0.5).to_json(space2)
+    d["params"]["infinite_when_risk_nonpositive"] = flag
+    with pytest.raises(ValueError, match="must be a JSON boolean"):
+        measure_from_json(d, space=space2)
+
+
+def test_measure_json_missing_flag_is_false(space2):
+    d = raroc(0.5, infinite_when_risk_nonpositive=True).to_json(space2)
+    del d["params"]["infinite_when_risk_nonpositive"]
+    assert not measure_from_json(d, space=space2).infinite_when_risk_nonpositive
+
+
 def test_evaluate_rejects_bad_stage(space2):
     with pytest.raises(ValueError):
         evaluate(GainLossRatio(), 5, XVar.constant(space2, 0.0))

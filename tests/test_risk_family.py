@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import itertools
 import math
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from perflat import (INF, CertaintyEquivalentMeasure, ConditionalExpectation,
                      CustomMeasure, DualMeasure, ExpectedUtilityMeasure,
@@ -24,8 +26,7 @@ from perflat import (INF, CertaintyEquivalentMeasure, ConditionalExpectation,
 from perflat import solvers
 from perflat.lattice import FilteredSpace, atom_expect, cond_expect, loss_order
 from perflat.report import LEAF_VALUES_PER_CALL
-from perflat.risk_family import TOL_C, _CapitalChain, _glr_polytope, _induce_raw
-from perflat.simplex import solve_lp
+from perflat.risk_family import TOL_C, _CapitalChain, _induce_raw
 from perflat.solvers import vector_monotone_inf
 from perflat.util import derived_rng
 
@@ -865,27 +866,54 @@ def test_dual_constant_payoff(space2):
         assert abs(got - (-c)) <= 1e-9
 
 
+def _glr_polytope(pbar: np.ndarray, z: float) -> np.ndarray:
+    """Rows A of the level-z ratio polytope {A w <= 0} over one atom's leaf weights.
+
+    One row per ordered leaf pair i != j, in row-major order:
+    w_i pbar_j - (1+z) w_j pbar_i <= 0, so the densities w / pbar stay within 1+z.
+    """
+    m = pbar.size
+    i, j = np.nonzero(~np.eye(m, dtype=bool))
+    rows = np.zeros((i.size, m))
+    r = np.arange(i.size)
+    rows[r, i] = pbar[j]
+    rows[r, j] = -(1.0 + z) * pbar[i]
+    return rows
+
+
+def _lp_min(c, pbar, z):
+    """min c.w over the leaf weights w of one atom's level-z ratio polytope, by HiGHS."""
+    rows = _glr_polytope(pbar, z)
+    sol = linprog(c, A_ub=rows, b_ub=np.zeros(rows.shape[0]),
+                  A_eq=np.ones((1, pbar.size)), b_eq=np.ones(1), bounds=(0, None),
+                  method="highs")
+    assert sol.status == 0, sol.message
+    return sol.fun
+
+
 def _lp_dual(t, z, x):
-    """The dual by the dense simplex over each atom's ratio polytope."""
+    """The dual by a linear program over each atom's ratio polytope."""
     space = x.space
     out = []
     for k in range(space.n_atoms(t)):
         idx = np.fromiter(space.atoms[t][k], dtype=np.intp)
-        rows = _glr_polytope(space.probs[idx] / space.atom_mass[t][k], z)
-        sol = solve_lp(x.values[idx], A_ub=rows, b_ub=np.zeros(rows.shape[0]),
-                       A_eq=np.ones((1, idx.size)), b_eq=np.ones(1))
-        out.append(-sol.value)
+        out.append(-_lp_min(x.values[idx], space.probs[idx] / space.atom_mass[t][k], z))
     return np.array(out)
+
+
+def _one_atom(probs):
+    """A one-period space whose stage-0 atom holds one leaf per probability."""
+    leaves = [f"w{j}" for j in range(len(probs))]
+    return FilteredSpace.from_json({
+        "times": [0, 1],
+        "leaves": [{"id": s, "p": float(p)} for s, p in zip(leaves, probs)],
+        "atoms": {"0": [leaves], "1": [[s] for s in leaves]},
+    })
 
 
 def _one_period(rng, n):
     probs = rng.uniform(0.5, 1.5, n)
-    leaves = [f"w{j}" for j in range(n)]
-    return FilteredSpace.from_json({
-        "times": [0, 1],
-        "leaves": [{"id": s, "p": float(p)} for s, p in zip(leaves, probs / probs.sum())],
-        "atoms": {"0": [leaves], "1": [[s] for s in leaves]},
-    })
+    return _one_atom(probs / probs.sum())
 
 
 def test_dual_matches_lp(tree3):
@@ -928,6 +956,50 @@ def test_sampled_density_is_feasible(tree2):
             sel = tree2.atom_index[1] == k
             mass = np.sum(g[sel] * tree2.probs[sel])
             assert abs(mass - tree2.atom_mass[1][k]) <= 1e-9 or mass <= 1e-12
+
+
+# seeds 130 (m = 12, z = 1) and 197 (m = 16, z = 5) are atoms where a dense Bland
+# simplex stopped at a suboptimal point without raising
+@pytest.mark.parametrize("seed", list(range(12)) + [130, 197])
+def test_sampled_density_is_the_lp_optimum(seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 17))
+    z = float(rng.choice([0.5, 1.0, 2.0, 5.0]))
+    space = _one_atom(rng.dirichlet(np.ones(m)))
+    c = copy.deepcopy(rng).normal(size=m)  # the objective sample_glr_density draws
+    g = sample_glr_density(space, 0, z, rng).density
+    pbar = space.probs / space.atom_mass[0][0]
+    assert abs(c @ (pbar * g) - _lp_min(c, pbar, z)) <= 1e-12
+    assert g.max() <= (1.0 + z) * g.min() * (1.0 + 1e-12)
+    assert abs(pbar @ g - 1.0) <= 1e-12
+
+
+def test_sampled_density_draws_one_normal_per_split_atom():
+    # the penalty check draws from the same generator afterwards, so the number of
+    # draws is part of its reports
+    leaves = ["a", "b", "c", "d", "e", "f"]
+    space = FilteredSpace.from_json({
+        "times": [0, 1, 2],
+        "leaves": [{"id": s, "p": p} for s, p in zip(leaves, [.1, .2, .1, .3, .2, .1])],
+        "atoms": {"0": [leaves], "1": [["a"], ["b", "c", "d"], ["e", "f"]],
+                  "2": [[s] for s in leaves]},
+    })
+    for t, sizes in ((0, [6]), (1, [3, 2]), (2, [])):
+        for z in (0.5, 5.0):
+            rng = np.random.default_rng(11)
+            ref = copy.deepcopy(rng)
+            sample_glr_density(space, t, z, rng)
+            for m in sizes:
+                ref.normal(size=m)
+            assert rng.bit_generator.state == ref.bit_generator.state, (t, z)
+
+
+def test_sampled_density_rejects_levels_outside_the_polytope_range(tree2):
+    for z in (-0.5, INF, float("nan")):
+        with pytest.raises(ValueError, match="finite level"):
+            sample_glr_density(tree2, 1, z, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="nonnegative"):
+        DualMeasure(tree2, 1, np.full(tree2.n_leaves, np.nan))
 
 
 def test_dual_measure_json_round_trip(tree2):
