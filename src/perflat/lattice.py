@@ -293,6 +293,8 @@ def _check_same_space(a: FilteredSpace, b: FilteredSpace):
 
 
 def _validate_leaf_values(values: np.ndarray):
+    if not values.size or values.min() > -INF:  # one reduction: NaN propagates
+        return
     if np.any(np.isnan(values)):
         raise ValueError("nan values are not allowed")
     if np.any(np.isneginf(values)):
@@ -419,12 +421,13 @@ class TVar:
         v = np.array(values, dtype=float)
         if v.shape != (space.n_atoms(stage),):
             raise ValueError("values shape mismatch for stage atoms")
-        if np.any(np.isnan(v)):
-            raise ValueError("nan values are not allowed")
-        if kind == "bb" and np.any(np.isneginf(v)):
-            raise ValueError("-inf not allowed in a bounded-below stage variable")
-        if kind == "ba" and np.any(np.isposinf(v)):
-            raise ValueError("+inf not allowed in a bounded-above stage variable")
+        if v.size and not (v.min() > -INF and v.max() < INF):  # NaN propagates
+            if np.any(np.isnan(v)):
+                raise ValueError("nan values are not allowed")
+            if kind == "bb" and np.any(np.isneginf(v)):
+                raise ValueError("-inf not allowed in a bounded-below stage variable")
+            if kind == "ba" and np.any(np.isposinf(v)):
+                raise ValueError("+inf not allowed in a bounded-above stage variable")
         v.setflags(write=False)
         self.space = space
         self.stage = stage

@@ -29,6 +29,7 @@ closure diagnostics, and a weak-duality penalty probe.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass, field
@@ -41,7 +42,7 @@ from .lattice import (INF, FilteredSpace, TVar, XVar, atom_expect, close_or_both
                       sample_xvar)
 from .measures import ExponentialUtilityMeasure, PerformanceMeasure
 from .report import LEAF_VALUES_PER_CALL, CheckResult, Report, run_trials
-from .solvers import (BracketError, InfShiftResult, group_logsumexp,
+from .solvers import (BRACKET_CAP, BracketError, InfShiftResult, group_logsumexp,
                       vector_monotone_inf)
 
 TOL_C = 1e-10   # capital tolerance for the per-atom bisection
@@ -107,7 +108,8 @@ def _induce_raw(m: PerformanceMeasure, t: int, z, x: XVar, tol: float = TOL_C,
     With ``stop_at`` each component stops once its bracket excludes that threshold
     (``vector_monotone_inf``): only ``values < stop_at`` is then exact.  This is the
     search itself; ``induced_family`` answers scalar sign queries from a
-    ``_CapitalChain``, which runs it only for levels whose bracket must expand.
+    ``_CapitalChain``, which gives the same values by comparison, expanding brackets
+    included, and runs the search only for a level g misses at the cap, to raise.
     """
     space = x.space
     n = space.n_atoms(t)
@@ -122,38 +124,67 @@ def _induce_raw(m: PerformanceMeasure, t: int, z, x: XVar, tol: float = TOL_C,
             res.near_zero.reshape(shape))
 
 
-class _CapitalChain:
-    """The c-brackets that every search stopped at s walks on one (stage, claim).
+class _Points:
+    """g at capital points read in order: one value per (point, atom) by locality,
+    evaluated lazily in blocks of at most ``LEAF_VALUES_PER_CALL`` leaf values."""
+
+    def __init__(self, g, n: int, per_call: int, points):
+        self.g, self.n, self.per_call = g, n, per_call
+        self.points = np.asarray(points, dtype=float)
+        self.g_at = np.empty((0, n))
+
+    def first(self, atom, level, stops, start: int = 0) -> np.ndarray:
+        """Per component (atom, level), the first point from ``start`` where
+        ``stops(g, level, j, k)`` holds on the block of points j:k; len(points) where
+        none does.  g is read only as far as some component needs, and at most
+        ``LEAF_VALUES_PER_CALL`` (point, component) pairs are compared at once."""
+        at = np.full(atom.size, len(self.points))
+        ids = np.arange(atom.size)
+        j = start
+        while ids.size and j < len(self.points):
+            if j == len(self.g_at):
+                _evaluate_next_blocks([self])
+            k = min(len(self.g_at), j + max(1, LEAF_VALUES_PER_CALL // ids.size))
+            hit = stops(self.g_at[j:k, atom], level, j, k)
+            left = hit.any(axis=0)
+            at[ids] = np.where(left, hit.argmax(axis=0) + j, at[ids])
+            if left.all():
+                break
+            ids, atom, level = ids[~left], atom[~left], level[~left]
+            j = k
+        return at
+
+
+def _evaluate_next_blocks(tracks):
+    """g at the next unread points of each track, in one call of at most
+    ``per_call`` points: a track past the budget keeps its points for later."""
+    g, n, room = tracks[0].g, tracks[0].n, tracks[0].per_call
+    parts = []
+    for track in tracks:
+        done = len(track.g_at)
+        parts.append(track.points[done:done + room])
+        room -= len(parts[-1])
+    c = np.repeat(np.concatenate(parts)[:, None], n, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.asarray(g(c), dtype=float).reshape(c.shape)
+    done = 0
+    for track, part in zip(tracks, parts):
+        track.g_at = np.concatenate((track.g_at, vals[done:done + len(part)]))
+        done += len(part)
+
+
+class _Halving(_Points):
+    """The brackets that every search stopped at s walks from one bracket [lo, hi].
 
     A search stopped at s halves only while its bracket straddles s, lo < s <= hi,
     and the straddling half of [lo, hi] is [lo, mid] when mid >= s and [mid, hi]
-    otherwise.  From the canonical bracket the search at every level therefore walks
-    one chain of brackets, set by s, ``tol`` and the bracket alone, until it closes
-    (width <= tol, or adjacent floats) or the component's own decision at a node
-    leaves it; by locality g takes one value per (node, atom) for every level.  The
-    chain evaluates g at its nodes once, in blocks of at most ``LEAF_VALUES_PER_CALL``
-    leaf values and only as deep as some undecided component needs, and answers each
-    component by comparing its level with those values, as the search decides:
-
-    - at a node mid >= s where ``not (g >= z)``, lo = mid >= s: the answer is mid;
-    - at a node mid < s where ``g >= z``, hi = mid < s: the answer is the lower end;
-    - past the last node the bracket has closed: the answer is its lower end.
-
-    These are the stopped search's values bit for bit, so ``< s`` is exact.  A
-    component whose canonical bracket must expand (g(hi0) < z, or g(lo0) >= z while
-    hi0 >= s) walks another chain, and one whose g(hi0) is NaN can end on hi0 where
-    its bracket stalls on adjacent floats: both go to the search itself
-    (``_search``), packed one component per atom and row and in rows of at most the
-    same budget.
+    otherwise, so from one bracket the search at every level walks one chain of
+    nodes, set by s and ``tol``, until it closes (width <= tol, or adjacent floats)
+    or the component's own decision at a node leaves it.  The points are ``head``,
+    then the nodes.
     """
 
-    def __init__(self, m: PerformanceMeasure, t: int, x: XVar, s: float, tol: float):
-        self.t, self.x, self.s, self.tol = t, x, s, tol
-        space = x.space
-        self.n = space.n_atoms(t)
-        self.g = m.prepare(space, t, x.values)
-        self.bracket = lo, hi = _canonical_bracket(x)
-        self.per_call = max(1, LEAF_VALUES_PER_CALL // space.n_leaves)
+    def __init__(self, g, n, per_call, lo, hi, s, tol, head=()):
         mids, los = [], []  # node j halves [los[j], hi] at mids[j]
         if lo < s <= hi:
             while hi - lo > tol:
@@ -166,73 +197,137 @@ class _CapitalChain:
                     hi = mid
                 else:
                     lo = mid
-        self.end = lo
-        self.mids, self.los = np.array(mids), np.array(los)
-        self.up = self.mids >= s  # leaving the chain upward at node j answers mids[j]
-        # g is evaluated at these points in order: the two canonical ends, then nodes
-        self.points = np.concatenate(([self.bracket[1], self.bracket[0]], self.mids))
-        self.g_at = np.empty((0, self.n))
-        while len(self.g_at) < 2:  # every query reads g at both canonical ends
-            self._evaluate_next_block()
+        mids = np.array(mids)
+        self.up = mids >= s
+        # the answer of a component that leaves at node j, then past the last node
+        self.exits = np.append(np.where(self.up, mids, los), lo)
+        self.head = len(head)
+        super().__init__(g, n, per_call, np.concatenate((head, mids)))
+
+    def answer(self, atom, level) -> np.ndarray:
+        """The stopped search's values for components whose bracket is this one's:
+
+        - at a node mid >= s where ``not (g >= z)``, lo = mid >= s: the answer is mid;
+        - at a node mid < s where ``g >= z``, hi = mid < s: the answer is the lower end;
+        - past the last node the bracket has closed: the answer is its lower end.
+        """
+        h = self.head
+        return self.exits[self.first(
+            atom, level, lambda g, z, j, k: (g >= z) != self.up[j - h:k - h, None],
+            start=h) - h]
+
+
+class _CapitalChain:
+    """The brackets that every search stopped at s walks on one (stage, claim).
+
+    The search first expands the canonical bracket [lo0, hi0]: up while g(hi) < z,
+    to hi0 + 1, + 2, + 4, ... capped at ``BRACKET_CAP``, then down while g(lo) >= z
+    and hi >= s, to lo0 - 1, - 2, - 4, ... floored at -cap, where it answers -inf.
+    Both ladders are the same for every level, so the chain reads g along each once,
+    and finds where each component stops by the search's own comparisons.  From the
+    expanded bracket the search halves along that bracket's ``_Halving`` chain,
+    built once per bracket and kept.  Each component is answered by comparing its
+    level with g at those points; g is evaluated once per point, lazily, in blocks
+    of at most ``LEAF_VALUES_PER_CALL`` leaf values.  These are the stopped
+    search's values bit for bit, so ``< s`` is exact.  Only a level that g does not
+    reach at the cap runs the search (``_search``), which raises there.
+    """
+
+    def __init__(self, m: PerformanceMeasure, t: int, x: XVar, s: float, tol: float):
+        self.t, self.x, self.s, self.tol = t, x, s, tol
+        space = x.space
+        self.n = space.n_atoms(t)
+        self.g = m.prepare(space, t, x.values)
+        self.bracket = lo, hi = _canonical_bracket(x)
+        self.per_call = max(1, LEAF_VALUES_PER_CALL // space.n_leaves)
+        # every query reads g at both canonical ends, the head of the canonical chain
+        canonical = self._halving(lo, hi, head=(hi, lo))
+        _evaluate_next_blocks([canonical])
+        self.halvings = {(0, 0): canonical}  # by (rise index, fall index)
 
     def holds(self, t: int, x: XVar, s: float) -> bool:
         return t == self.t and x is self.x and s == self.s
 
-    def _evaluate_next_block(self):
-        done = len(self.g_at)
-        c = np.repeat(self.points[done:done + self.per_call, None], self.n, axis=1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = np.asarray(self.g(c), dtype=float).reshape(c.shape)
-        self.g_at = np.concatenate((self.g_at, vals))
+    def _halving(self, lo, hi, head=()) -> _Halving:
+        return _Halving(self.g, self.n, self.per_call, lo, hi, self.s, self.tol, head)
+
+    @functools.cached_property
+    def rise(self) -> _Points:
+        """hi0, then the upper ends the search tries, summed as it sums them, up to
+        the cap."""
+        ends, hi, step = [self.bracket[1]], self.bracket[1], 1.0
+        while True:
+            hi += step
+            step *= 2.0
+            if hi > BRACKET_CAP:
+                ends.append(BRACKET_CAP)
+                break
+            ends.append(hi)
+        rise = _Points(self.g, self.n, self.per_call, ends)
+        rise.g_at = self.halvings[0, 0].g_at[:1]  # g(hi0) is read already
+        return rise
+
+    @functools.cached_property
+    def fall(self) -> _Points:
+        """lo0, then the lower ends the search tries, down to -cap."""
+        ends, lo, step = [self.bracket[0]], self.bracket[0], 1.0
+        while lo > -BRACKET_CAP:
+            lo = max(lo - step, -BRACKET_CAP)
+            step *= 2.0
+            ends.append(lo)
+        fall = _Points(self.g, self.n, self.per_call, ends)
+        fall.g_at = self.halvings[0, 0].g_at[1:2]  # g(lo0) is read already
+        return fall
 
     def values(self, z) -> np.ndarray:
         """The stopped search's per-atom values at levels z (as ``_induce_raw``)."""
         n, s = self.n, self.s
         z = np.asarray(z, dtype=float)
         shape = (n,) if z.ndim < 2 else (z.shape[0], n)
-        levels = np.broadcast_to(z, shape).reshape(-1, n)
-        g_hi, g_lo = self.g_at[0], self.g_at[1]
-        # a NaN at hi0 goes to the search too: where its bracket stalls on adjacent
-        # floats below hi0, the search reads g(hi0) again and can move lo onto hi0
-        expand = ~(g_hi >= levels) | ((g_lo >= levels) & (self.bracket[1] >= s))
-        out = np.full(levels.shape, self.end)
-        row, atom = np.nonzero(~expand)
-        level = levels[row, atom]
-        j = 2  # next point to compare: node j - 2
-        while row.size and j < len(self.points):
-            if j == len(self.g_at):
-                self._evaluate_next_block()
-            # compare at most LEAF_VALUES_PER_CALL (node, component) pairs at once
-            k = min(len(self.g_at), j + max(1, LEAF_VALUES_PER_CALL // row.size))
-            reach = self.g_at[j:k, atom] >= level
-            leave = np.where(self.up[j - 2:k - 2, None], ~reach, reach)
-            left = leave.any(axis=0)
-            node = leave.argmax(axis=0)[left] + (j - 2)
-            out[row[left], atom[left]] = np.where(self.up[node], self.mids[node],
-                                                  self.los[node])
-            row, atom, level = row[~left], atom[~left], level[~left]
-            j = k
-        if expand.any():
-            self._search_expanding(levels, expand, out)
+        level = (z if z.shape == shape else np.broadcast_to(z, shape)).ravel()
+        atom = np.arange(level.size) % n
+        canonical = self.halvings[0, 0]
+        g_hi, g_lo = canonical.g_at[:2, atom]
+        up, down = g_hi < level, g_lo >= level
+        expands_up = up.any()
+        if not (expands_up or down.any()):  # all halve the canonical bracket
+            return canonical.answer(atom, level).reshape(shape)
+        top = np.zeros(level.size, dtype=np.intp)  # hi is rise.points[top]
+        hi = self.bracket[1]
+        if expands_up:
+            up = np.flatnonzero(up)
+            top[up] = self.rise.first(atom[up], level[up], lambda g, z, j, k: ~(g < z),
+                                      start=1)
+            capped = top == len(self.rise.points)
+            if capped.any():  # g < z at the cap: the search raises there
+                row = level.reshape(-1, n)[np.argmax(capped) // n]
+                _search(self.g, (n,), row.copy(), self.bracket, self.tol,
+                        np.full(n, s))
+            hi = self.rise.points[top]
+        down = np.flatnonzero(down & (hi >= s))
+        bottom = np.zeros(level.size, dtype=np.intp)  # lo is fall.points[bottom]
+        if down.size:
+            bottom[down] = self.fall.first(atom[down], level[down],
+                                           lambda g, z, j, k: ~(g >= z), start=1)
+        out = np.full(level.size, -INF)  # g >= z all the way down to -cap
+        span = len(self.fall.points) + 1
+        key = top * span + bottom
+        keys = sorted(set(key[bottom < span - 1].tolist()))
+        chains = [self._expanded(*divmod(k, span)) for k in keys]
+        fresh = [chain for chain in chains if not len(chain.g_at) and len(chain.points)]
+        if fresh:  # the new chains' first blocks share one kernel call
+            _evaluate_next_blocks(fresh)
+        for k, chain in zip(keys, chains):
+            on = np.flatnonzero(key == k)
+            out[on] = chain.answer(atom[on], level[on])
         return out.reshape(shape)
 
-    def _search_expanding(self, levels, expand, out):
-        # pack the components one per atom and row; a free slot asks level -inf with
-        # threshold +inf, which neither expands nor halves
-        atom, row = np.nonzero(expand.T)  # by atom, then by level row
-        count = np.bincount(atom, minlength=self.n)
-        slot = np.arange(atom.size) - np.repeat(np.cumsum(count) - count, count)
-        target = np.full((int(count.max()), self.n), -INF)
-        target[slot, atom] = levels[row, atom]
-        stop = np.full(target.shape, INF)
-        stop[slot, atom] = self.s
-        found = np.empty(target.shape)
-        for a in range(0, len(target), self.per_call):
-            b = min(a + self.per_call, len(target))
-            res = _search(self.g, (b - a, self.n), target[a:b].ravel(), self.bracket,
-                          self.tol, stop[a:b].ravel())
-            found[a:b] = res.values.reshape(b - a, self.n)
-        out[row, atom] = found[slot, atom]
+    def _expanded(self, top: int, bottom: int) -> _Halving:
+        chain = self.halvings.get((top, bottom))
+        if chain is None:
+            chain = self.halvings[top, bottom] = self._halving(self.fall.points[bottom],
+                                                               self.rise.points[top])
+        return chain
 
 
 def induce_risk(m: PerformanceMeasure, t: int, z: float, x: XVar,
@@ -316,13 +411,13 @@ def induced_family(m: PerformanceMeasure, tol: float = TOL_C) -> StandardFamily:
 
     With ``stop_at`` the search over c stops each component once its bracket
     excludes the threshold.  A scalar threshold is answered from the claim's
-    ``_CapitalChain``: g is evaluated once along the one chain of brackets that
-    every such search walks, each (row, atom) is decided by comparing its level
-    with those values, and only components whose bracket must expand run the
-    search.  The family keeps the chain of its last (stage, claim, threshold), so
-    the probes of one ``reconstruct`` share it; the answers are the stopped
-    search's bit for bit, kept chain or not.  Per-value thresholds, and no
-    threshold, run the search itself.
+    ``_CapitalChain``: g is evaluated once at each point that such searches read
+    (the canonical ends, the expansion ladders and the halving chain of each
+    bracket), and each (row, atom) is decided by comparing its level with those
+    values, brackets that must expand included.  The family keeps the chain of its
+    last (stage, claim, threshold), so the probes of one ``reconstruct`` share it;
+    the answers are the stopped search's bit for bit, kept chain or not.
+    Per-value thresholds, and no threshold, run the search itself.
     """
     chain, lock = None, threading.Lock()
 
@@ -499,26 +594,29 @@ def _bisect_levels(is_neg, lo, hi, is_open, level, z_fill, depth, cap, what):
     with the same arithmetic: each call of ``is_neg`` takes the 2^depth - 1 midpoints
     of the bracket tree below [lo, hi] as rows of levels, and the halvings are replayed
     from its answers.  That needs each component's answer to depend on its own level
-    only, which locality gives a standard family.  A component stops once the
-    midpoint equals an endpoint (adjacent floats), so the loop ends at any tolerance;
-    one still open after ``cap`` halvings raises.
+    only, which locality gives a standard family.  The tree is built in place, in
+    heap order in two (2^depth - 1, n) arrays of lower and upper ends (node j halves
+    into 2j + 1 and 2j + 2), and its midpoints and open flags are computed once per
+    call over the whole tree.  A component stops once the midpoint equals an
+    endpoint (adjacent floats), so the loop ends at any tolerance; one still open
+    after ``cap`` halvings raises.
     """
     n = lo.size
     cols = np.arange(n)
+    a, b = np.empty((2 ** depth - 1, n)), np.empty((2 ** depth - 1, n))  # the tree
     steps = 0
     while True:
-        a, b = lo[None, :], hi[None, :]  # the brackets of one tree level, in order
-        mids, opens = [], []
-        for k in range(depth):
-            mid = 0.5 * (a + b)
-            mids.append(mid)
-            opens.append(is_open(a, b) & (a < mid) & (mid < b))
-            if k + 1 < depth:  # node j halves into 2j (lower half) and 2j + 1 (upper)
-                a = np.stack((a, mid), axis=1).reshape(-1, n)
-                b = np.stack((mid, b), axis=1).reshape(-1, n)
-        if not opens[0].any():
+        a[0], b[0] = lo, hi
+        for k in range(1, depth):  # node j halves into 2j + 1 (lower) and 2j + 2 (upper)
+            first = 2 ** k - 1  # level k is rows first .. 2 * first
+            lo_k, hi_k = a[first // 2:first], b[first // 2:first]
+            mid = 0.5 * (lo_k + hi_k)
+            a[first:2 * first + 1:2], b[first:2 * first + 1:2] = lo_k, mid
+            a[first + 1:2 * first + 2:2], b[first + 1:2 * first + 2:2] = mid, hi_k
+        mid = 0.5 * (a + b)
+        is_open_at = is_open(a, b) & (a < mid) & (mid < b)
+        if not is_open_at[0].any():
             return lo, hi
-        mid, is_open_at = np.concatenate(mids), np.concatenate(opens)
         neg = is_neg(np.where(is_open_at, level(mid), z_fill))
         node = np.zeros(n, dtype=np.intp)  # row of each component's current bracket
         live = np.ones(n, dtype=bool)      # a closed bracket stays closed
@@ -544,9 +642,10 @@ def reconstruct(f: StandardFamily, t: int, x: XVar, tol_z: float = TOL_Z,
     risk stays negative at the far top, and otherwise sup{z : rho^z < 0} by bisection:
     first in u = atan(z) to tolerance tol_z, then a plain-z polish for absolute
     accuracy on moderate levels.  Strict negativity is decided as rho < -tol_c from
-    ``raw(..., stop_at=-tol_c)``.  An induced family answers that from one chain of
-    c-brackets per claim, shared by every probe of the call (``_CapitalChain``),
-    with the full search's sign bit for bit.
+    ``raw(..., stop_at=-tol_c)``.  An induced family answers every such probe,
+    the end probes whose c-brackets must expand included, from one capital chain
+    per claim, shared by every probe of the call (``_CapitalChain``), with the full
+    search's sign bit for bit.
 
     Each bisection step probes every atom at once, and one family call answers the
     next d steps for all of them (``_bisect_levels``), with d set by the leaf count

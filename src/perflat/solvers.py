@@ -67,7 +67,8 @@ def vector_monotone_inf(g, lo0: np.ndarray, hi0: np.ndarray, target: np.ndarray,
         stop_at = np.broadcast_to(np.asarray(stop_at, dtype=float), (n,))
 
     # expand the upper side until g(hi) >= target
-    need = g(hi) < target
+    g_hi = g(hi)
+    need = g_hi < target
     step = np.ones(n)
     while need.any():
         hi[need] = hi[need] + step[need]
@@ -80,7 +81,8 @@ def vector_monotone_inf(g, lo0: np.ndarray, hi0: np.ndarray, target: np.ndarray,
                     "upper bracket never closed: value below target at the cap "
                     "(monotone target unreachable)")
             hi[over] = cap
-        need = g(hi) < target
+        g_hi = g(hi)
+        need = g_hi < target
 
     # expand the lower side until g(lo) < target; a floor at -cap means -inf
     vals = g(lo)
@@ -103,9 +105,13 @@ def vector_monotone_inf(g, lo0: np.ndarray, hi0: np.ndarray, target: np.ndarray,
     active = ~capped_below
     # Halving reaches tol within `free` steps unless the float spacing at the root
     # exceeds tol; only past that point does a component need the stall test, so the
-    # common path does no extra numpy work per step.
+    # common path does no extra numpy work per step.  Where g(hi) is NaN the test runs
+    # from the first step: a stalled midpoint can round onto hi, where g >= target is
+    # False, and would move lo onto hi.
     widest = float(np.max(hi - lo, where=active, initial=0.0))
     free = math.ceil(math.log2(widest) - math.log2(tol)) if widest > tol > 0.0 else 0
+    if np.isnan(g_hi).any():
+        free = 0
     steps = 0
     while True:
         mid = 0.5 * (lo + hi)

@@ -9,9 +9,16 @@ def derived_rng(seed: int, *keys: int) -> np.random.Generator:
     """Generator derived from a root seed and integer keys.
 
     Stable across runs and independent of evaluation order, so trial k of a property
-    draws the same stream however many trials run.
+    draws the same stream however many trials run.  Words below 2^32 go in as one
+    uint32 array, which ``SeedSequence`` reads as the same entropy as the list but
+    without coercing each int; any other word keeps the list and its checks.
     """
-    return np.random.default_rng([int(seed)] + [int(k) for k in keys])
+    words = [int(seed)] + [int(k) for k in keys]
+    try:
+        entropy = np.array(words, dtype=np.uint32)
+    except OverflowError:
+        entropy = words
+    return np.random.default_rng(entropy)
 
 
 def task_map(fn, items):

@@ -230,6 +230,32 @@ def test_xvar_rejects_minus_inf(space2):
     assert x.finite_max() == 1.0
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda s: XVar(s, [math.nan, 1.0]), "nan values are not allowed"),
+    (lambda s: XVar(s, [1.0, -INF]), "-inf is not allowed in a terminal variable"),
+    (lambda s: XVar(s, [-INF, math.nan]), "nan values are not allowed"),
+    (lambda s: TVar(s, 1, [0.0, -INF], kind="bb"),
+     "-inf not allowed in a bounded-below stage variable"),
+    (lambda s: TVar(s, 1, [INF, 0.0], kind="ba"),
+     "+inf not allowed in a bounded-above stage variable"),
+    (lambda s: TVar(s, 1, [-INF, math.nan], kind="bb"), "nan values are not allowed"),
+    (lambda s: TVar(s, 1, [math.nan, INF], kind="ba"), "nan values are not allowed"),
+    (lambda s: TVar(s, 1, [INF, math.nan], kind=None), "nan values are not allowed"),
+], ids=["xvar-nan", "xvar-minus-inf", "xvar-nan-and-minus-inf", "bb-minus-inf",
+        "ba-plus-inf", "bb-nan-and-minus-inf", "ba-nan-and-plus-inf", "free-nan"])
+def test_constructors_reject_each_bad_value_with_its_message(space2, make, message):
+    # the one-reduction screen must leave each rejection and its message as it was
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make(space2)
+
+
+def test_constructors_keep_the_values_they_accept(space2):
+    assert XVar(space2, [INF, 0.0]).values.tolist() == [INF, 0.0]
+    assert TVar(space2, 1, [INF, 0.0], kind="bb").values.tolist() == [INF, 0.0]
+    assert TVar(space2, 1, [-INF, 0.0], kind="ba").values.tolist() == [-INF, 0.0]
+    assert TVar(space2, 1, [-INF, INF], kind=None).values.tolist() == [-INF, INF]
+
+
 def test_xvar_arithmetic(space2):
     x = XVar(space2, [3.0, -1.0])
     y = x + 1.0

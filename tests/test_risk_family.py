@@ -23,10 +23,10 @@ from perflat import (INF, CertaintyEquivalentMeasure, ConditionalExpectation,
                      random_tree, raroc, reconstruct, risk_curve,
                      sample_glr_density, sample_xvar, truncation_limit_check,
                      validate_standard_family, weak_duality_probe)
-from perflat import solvers
+from perflat import risk_family, solvers
 from perflat.lattice import FilteredSpace, atom_expect, cond_expect, loss_order
 from perflat.report import LEAF_VALUES_PER_CALL
-from perflat.risk_family import TOL_C, _CapitalChain, _induce_raw
+from perflat.risk_family import TOL_C, _CapitalChain, _evaluate_next_blocks, _induce_raw
 from perflat.solvers import vector_monotone_inf
 from perflat.util import derived_rng
 
@@ -353,9 +353,9 @@ _CHAIN_MEASURES = dict(_SIGN_QUERY_MEASURES, wobbly=_wobbly)
 
 def _chain_g(m, t, x, s, tol):
     """g along the whole capital chain of (t, x, s): canonical ends, then the nodes."""
-    chain = _CapitalChain(m, t, x, s, tol)
+    chain = _CapitalChain(m, t, x, s, tol).halvings[0, 0]
     while len(chain.g_at) < len(chain.points):
-        chain._evaluate_next_block()
+        _evaluate_next_blocks([chain])
     return chain.g_at
 
 
@@ -444,9 +444,9 @@ def _sized(cls, seen):
 
 def test_capital_chain_keeps_each_kernel_call_within_the_leaf_budget():
     # on 1024 leaves at tol = 0: a level at rho = 0 rides the whole chain toward s = 0,
-    # about 1075 nodes down to the subnormals, evaluated in blocks of
+    # about 1075 nodes down to the subnormals, evaluated in several blocks of
     # LEAF_VALUES_PER_CALL leaf values; 260 level rows near exp-utility's upper end
-    # must expand their bracket and are searched in rows of the same budget
+    # expand their bracket up the ladder and halve on its chains, in the same budget
     space = binomial_tree(10)
     rng = np.random.default_rng(10)
     t = 3
@@ -454,36 +454,144 @@ def test_capital_chain_keeps_each_kernel_call_within_the_leaf_budget():
     near_top = np.vstack([rng.uniform(-2.0, 0.5, (8, n)),
                           rng.uniform(0.999, 0.9999, (260, n))])
     x = XVar(space, rng.uniform(-4.0, 4.0, space.n_leaves))
-    for cls, claim, s, levels in (
-            (ExponentialUtilityMeasure, x, -TOL_C, near_top),
-            (ConditionalExpectation, XVar.constant(space, 0.0), 0.0, np.zeros((1, n)))):
+    for cls, claim, s, levels, blocks in (
+            (ExponentialUtilityMeasure, x, -TOL_C, near_top, 1),
+            (ConditionalExpectation, XVar.constant(space, 0.0), 0.0, np.zeros((1, n)),
+             5)):
         seen = []
         got = induced_family(_sized(cls, seen)(), tol=0.0).raw(levels, t, claim,
                                                                 stop_at=s)
-        assert len(seen) > 4 and max(seen) <= LEAF_VALUES_PER_CALL
+        assert len(seen) >= blocks and max(seen) <= LEAF_VALUES_PER_CALL
         want = _induce_raw(cls(), t, levels, claim, tol=0.0, stop_at=s)[0]
         assert np.array_equal(got, want)
 
 
-def test_capital_chain_leaves_a_nan_at_the_upper_end_to_the_search():
+def test_capital_chain_and_search_never_answer_a_nan_upper_end():
     # a measure that is NaN where the smallest leaf reaches 1, i.e. at the canonical
-    # upper end hi0: where the bracket below hi0 stalls on adjacent floats the search
-    # reads g(hi0) again and can move its lower end onto hi0, so a threshold at hi0
-    # gets the search's answer, not the closed chain's
+    # upper end hi0: where the bracket below hi0 stalls on adjacent floats, a midpoint
+    # can round onto hi0, where g >= z is False; the search stops on the stall as
+    # the chain does, so neither moves its lower end onto hi0
     def fn(space, t, y):
         return np.where(np.min(y) >= 1.0, np.nan, atom_expect(space, t, y))
 
     m = CustomMeasure(fn, -INF, INF, kind="nan-at-top")
-    moved = 0
     for a in np.linspace(1e8, 3e8, 21):
         x = XVar(coin2(), [a, 1.7 * a + 3.0])
         hi0 = 1.0 - a
         for z in (0.9e8, 1e9):
             want = _induce_raw(m, 0, z, x, stop_at=hi0)[0]
+            full = _induce_raw(m, 0, z, x)[0]
+            assert want[0] < hi0 and full[0] < hi0
             assert np.array_equal(induced_family(m).raw(z, 0, x, stop_at=hi0), want)
-            assert np.array_equal(want < hi0, _induce_raw(m, 0, z, x)[0] < hi0)
-            moved += int(want[0] == hi0)
-    assert moved > 0
+            assert np.array_equal(want < hi0, full < hi0)
+
+
+def _on_the_chain(m, t, x, levels, thresholds, tol=TOL_C):
+    """Each threshold's capital chain, after checking that it answers the levels as
+    the stopped search does, bit for bit, without running the search itself."""
+    chains = []
+    for s in thresholds:
+        want = _induce_raw(m, t, levels, x, tol=tol, stop_at=s)[0]
+        chain = _CapitalChain(m, t, x, s, tol)
+        with pytest.MonkeyPatch.context() as patch:  # the chain must not search
+            patch.setattr(risk_family, "vector_monotone_inf", None)
+            got = chain.values(levels)
+        assert np.array_equal(got, want), (s, got, want)
+        chains.append(chain)
+    return chains
+
+
+def _mean(fn=None):
+    """The conditional mean as a CustomMeasure, passed through fn if given."""
+    def mean(space, t, y):
+        e = atom_expect(space, t, y)
+        return e if fn is None else fn(e)
+
+    return CustomMeasure(mean, -INF, INF, kind="mean")
+
+
+@pytest.mark.parametrize("tol", [TOL_C, 0.0])
+def test_capital_chain_climbs_the_upper_ladder_to_the_cap(tol):
+    # levels past g(hi0) stop on the ladder hi0 + 1, + 2, + 4, ...: a few steps up,
+    # deep up, past 2^59, and at BRACKET_CAP itself (claims above 1e3 put hi0 below
+    # -998, so the last sum falls short of the cap and the cap is a point of its
+    # own); a level still above g at the cap raises as the search does
+    space = binomial_tree(3)
+    rng = np.random.default_rng(3)
+    x = XVar(space, rng.uniform(1e3, 2e3, space.n_leaves))
+    m, t = _mean(), 2
+    n = space.n_atoms(t)
+    g = m.prepare(space, t, x.values)
+    at_hi0, at_cap = (g(np.full(n, c))
+                      for c in (1.0 - x.values.min(), solvers.BRACKET_CAP))
+    levels = np.array([at_hi0 + rng.uniform(1.0, 40.0, n), rng.uniform(1e6, 1e12, n),
+                       rng.uniform(2.0 ** 59 + 1e4, 2.0 ** 60 - 1e4, n),
+                       at_cap, np.nextafter(at_cap, -INF), rng.uniform(-4.0, 4.0, n)])
+    chains = _on_the_chain(m, t, x, levels, [-TOL_C, 0.0, 1e9, 2.0 ** 59, 2.0 ** 60],
+                           tol=tol)
+    rise = chains[0].rise.points
+    his = {rise[top] for chain in chains for top, _ in chain.halvings if top}
+    assert rise[-2] < rise[-1] == solvers.BRACKET_CAP
+    assert solvers.BRACKET_CAP in his and len(his) > 3
+    unreachable = levels[:1].copy()
+    unreachable[0, 1] = np.nextafter(at_cap[1], INF)
+    for ask in (lambda: _induce_raw(m, t, unreachable, x, stop_at=0.0),
+                lambda: induced_family(m).raw(unreachable, t, x, stop_at=0.0)):
+        with pytest.raises(RuntimeError, match="never reached the level"):
+            ask()
+
+
+@pytest.mark.parametrize("tol", [TOL_C, 0.0])
+def test_capital_chain_falls_down_the_lower_ladder_to_minus_inf(tol):
+    # levels at or below g(lo0) stop on the ladder lo0 - 1, - 2, - 4, ... floored at
+    # -cap; a level that g stays above at -cap answers -inf
+    space = binomial_tree(3)
+    rng = np.random.default_rng(4)
+    x = XVar(space, rng.uniform(-4.0, 4.0, space.n_leaves))
+    m, t = _mean(), 1
+    n = space.n_atoms(t)
+    levels = np.array([rng.uniform(-40.0, -6.0, n), rng.uniform(-1e12, -1e6, n),
+                       rng.uniform(-2.0 ** 60 + 1e3, -2.0 ** 59 - 1e3, n),
+                       np.full(n, -2e18)])
+    levels[3, 0] = -1e300
+    chains = _on_the_chain(m, t, x, levels, [-TOL_C, 0.0, -1e9, -2.0 ** 59, 10.0],
+                           tol=tol)
+    assert np.all(np.isneginf(chains[0].values(levels)[3]))
+    fall = chains[0].fall.points
+    los = {fall[bottom] for chain in chains for _, bottom in chain.halvings if bottom}
+    assert fall[-1] == -solvers.BRACKET_CAP in los and len(los) > 3
+
+
+def test_capital_chain_stops_a_ladder_at_a_nan():
+    # a mean that is NaN once it leaves [-50, 50]: a ladder stops at its first NaN
+    # point, and the bracket then has a NaN end, upper or lower
+    space = binomial_tree(2)
+    rng = np.random.default_rng(6)
+    x = XVar(space, rng.uniform(-4.0, 4.0, space.n_leaves))
+    m = _mean(lambda e: np.where(np.abs(e) > 50.0, np.nan, e))
+    for t in space.times:
+        n = space.n_atoms(t)
+        levels = np.array([rng.uniform(60.0, 100.0, n), rng.uniform(-100.0, -60.0, n),
+                           rng.uniform(-4.0, 4.0, n)])
+        chain = _CapitalChain(m, t, x, 0.0, TOL_C)
+        ends = [*chain.rise.points[:8], *chain.fall.points[:8]]
+        chains = _on_the_chain(m, t, x, levels, [-TOL_C, 0.0, *ends])
+        assert any(top and bottom == 0 for c in chains for top, bottom in c.halvings)
+        assert any(bottom and top == 0 for c in chains for top, bottom in c.halvings)
+
+
+def test_capital_chain_expands_a_non_monotone_bracket_both_ways():
+    # the wobbly measure on [0, 1]: g(hi0) = 1.5 + 2 sin 4.5 < z <= g(lo0) = -g(hi0)
+    # for z in (-0.45, 0.45], so the search expands up, then down, then halves
+    space = coin2()
+    x = XVar(space, [0.0, 1.0])
+    m = _wobbly(None)
+    g = m.prepare(space, 0, x.values)
+    lo0, hi0 = -2.0, 1.0
+    levels = np.linspace(-0.45, 0.45, 19)[:, None]
+    assert np.all((g(np.array([hi0])) < levels) & (g(np.array([lo0])) >= levels))
+    chains = _on_the_chain(m, 0, x, levels, [-TOL_C, 0.0, 0.5, -1.0, 3.0, -5.0])
+    assert all(any(top and bottom for top, bottom in c.halvings) for c in chains[:3])
 
 
 def test_capital_chain_answers_threads_that_share_one_family():
