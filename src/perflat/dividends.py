@@ -26,12 +26,13 @@ import numpy as np
 
 from .dynamics import (BETA_MARGIN, DynamicMeasure, _child_min, _make_witness, _scan,
                        _stage_pairs, check_time_consistency, verify_witness)
-from .lattice import (INF, FilteredSpace, TVar, XVar, close_or_both_inf,
-                      ext_add, ext_mul, num_from_json, num_to_json,
-                      sample_event, sample_tvar, sample_xvar)
-from .measures import (DEFAULT_TOL, PerformanceMeasure, _below_mix_floor,
-                       _no_strict_gain, evaluate, evaluate_rows)
-from .report import CheckResult, Report, TwoPhase, run_trials
+from .lattice import (INF, FilteredSpace, TVar, XVar, draw_atom_values,
+                      draw_event_flags, draw_leaf_values, ext_add, ext_mul,
+                      num_from_json, num_to_json)
+from .measures import (DEFAULT_TOL, PerformanceMeasure, _drops, _escapes,
+                       _missed_lower_bound, _mix_drops, _moved, _no_strict_gain,
+                       _property_runner, evaluate, evaluate_rows)
+from .report import CheckResult, Report
 from .util import derived_rng
 
 
@@ -43,6 +44,46 @@ def _at_stage(space: FilteredSpace, r: int, xi: TVar) -> TVar:
         return xi if xi.kind == "bb" else TVar(space, r, xi.values, kind="bb")
     firsts = [a[0] for a in space.atoms[r]]
     return TVar(space, r, xi.promote().values[firsts], kind="bb")
+
+
+# A stream as arrays: present flags, one per stage, and pays, one leaf row per stage
+# holding that stage's payment (constant on its atoms, 0 where nothing is paid).  A
+# batch of streams is a (B, n_stages, n_leaves) pays array.
+
+
+def _aggregate(t: int, pays: np.ndarray) -> np.ndarray:
+    """The aggregates from stage t of (..., n_stages, n_leaves) pays, as leaf rows.
+
+    Each stream totals its payments at stages t, t+1, ..., T in that order with
+    ``ext_add``.  A stage that pays nothing adds +0.0, which leaves every partial sum
+    as it is: a partial sum starts at +0.0 and is never -0.0.
+    """
+    out = np.zeros(pays.shape[:-2] + pays.shape[-1:])
+    for r in range(t, pays.shape[-2]):
+        out = ext_add(out, pays[..., r, :])
+    return out
+
+
+def _paid_more(present: np.ndarray, pays: np.ndarray, r: int,
+               amount: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A copy of a stream's arrays with the leaf row amount added at stage r."""
+    present, pays = present.copy(), pays.copy()
+    pays[r] = ext_add(pays[r], amount) if present[r] else amount
+    present[r] = True
+    return present, pays
+
+
+def _mix(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
+    """Stagewise convex mix lam*a + (1-lam)*b of pays."""
+    return ext_add(ext_mul(a, lam), ext_mul(b, 1.0 - lam))
+
+
+def _paid_at_the_end(space: FilteredSpace, leaves: np.ndarray) -> np.ndarray:
+    """The pays of the stream paying leaf values at the final date and nothing before
+    (the final atoms are single leaves, so any leaf values are known there)."""
+    pays = np.zeros((len(space.times), space.n_leaves))
+    pays[-1] = leaves
+    return pays
 
 
 class DividendProcess:
@@ -71,15 +112,25 @@ class DividendProcess:
         self.payments = dict(sorted(store.items()))
 
     @classmethod
+    def of_arrays(cls, space: FilteredSpace, present: np.ndarray,
+                  pays: np.ndarray) -> "DividendProcess":
+        """The stream paying pays[r] at each stage r flagged present."""
+        return cls(space, {r: TVar(space, r, pays[r][[a[0] for a in space.atoms[r]]],
+                                   kind="bb") for r in np.flatnonzero(present).tolist()})
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The stream as present flags and pays."""
+        present = np.zeros(len(self.space.times), dtype=bool)
+        pays = np.zeros((len(self.space.times), self.space.n_leaves))
+        for r, pay in self.payments.items():
+            present[r], pays[r] = True, pay.promote().values
+        return present, pays
+
+    @classmethod
     def terminal_only(cls, x: XVar) -> "DividendProcess":
         """The stream paying x at the final date and nothing before."""
-        space = x.space
-        last = space.times[-1]
-        firsts = [a[0] for a in space.atoms[last]]
-        vals = x.values[firsts]
-        if np.any(x.values != vals[space.atom_index[last]]):
-            raise ValueError("payoff is not measurable at the final date")
-        return cls(space, {last: TVar(space, last, vals, kind="bb")})
+        present = np.arange(len(x.space.times)) == x.space.horizon
+        return cls.of_arrays(x.space, present, _paid_at_the_end(x.space, x.values))
 
     def stages(self) -> list[int]:
         return list(self.payments)
@@ -90,46 +141,31 @@ class DividendProcess:
         return pay if pay is not None else TVar.constant(self.space, t, 0.0)
 
     def aggregate_from(self, t: int) -> XVar:
-        """Total of the payments from t onward, as a terminal payoff."""
+        """Total of the payments from t onward, as a terminal payoff: the one
+        aggregation pass that the lift checker runs on its batches of streams."""
         t = self.space.check_stage(t)
-        out = np.zeros(self.space.n_leaves)
-        for r, pay in self.payments.items():
-            if r >= t:
-                out = ext_add(out, pay.promote().values)
-        return XVar(self.space, out, validate=False)
+        return XVar(self.space, _aggregate(t, self.arrays()[1]), validate=False)
 
     def with_payment_added(self, r: int, amount: TVar | float) -> "DividendProcess":
         """A copy with amount added to the stage-r payment."""
         r = self.space.check_stage(r)
-        if isinstance(amount, TVar):
-            add = _at_stage(self.space, r, amount)
-        else:
-            add = TVar.constant(self.space, r, float(amount))
-        pays = dict(self.payments)
-        base = pays.get(r)
-        vals = add.values if base is None else ext_add(base.values, add.values)
-        pays[r] = TVar(self.space, r, vals, kind="bb")
-        return DividendProcess(self.space, pays)
+        add = (_at_stage(self.space, r, amount) if isinstance(amount, TVar)
+               else TVar.constant(self.space, r, float(amount)))
+        return DividendProcess.of_arrays(
+            self.space, *_paid_more(*self.arrays(), r, add.promote().values))
 
     def scaled(self, c: float) -> "DividendProcess":
         if c < 0.0:
             raise ValueError("negative scaling flips the lower bound")
-        return DividendProcess(
-            self.space, {r: TVar(self.space, r, ext_mul(p.values, c), kind="bb")
-                         for r, p in self.payments.items()})
+        present, pays = self.arrays()
+        return DividendProcess.of_arrays(self.space, present, ext_mul(pays, c))
 
     def mixed_with(self, other: "DividendProcess", lam: float) -> "DividendProcess":
         """Stagewise convex mix lam*self + (1-lam)*other."""
         if not 0.0 <= lam <= 1.0:
             raise ValueError("mixing weight must lie in [0, 1]")
-        pays = {}
-        for r in sorted(set(self.payments) | set(other.payments)):
-            a = self.payment(r).values
-            b = other.payment(r).values
-            pays[r] = TVar(self.space, r,
-                           ext_add(ext_mul(a, lam), ext_mul(b, 1.0 - lam)),
-                           kind="bb")
-        return DividendProcess(self.space, pays)
+        (p1, a), (p2, b) = self.arrays(), other.arrays()
+        return DividendProcess.of_arrays(self.space, p1 | p2, _mix(a, b, lam))
 
     def to_json(self) -> dict:
         return {"space": self.space.name or "",
@@ -156,33 +192,37 @@ class DividendProcess:
         return f"DividendProcess(stages: {stages or 'none'})"
 
 
-def sample_dividend(space: FilteredSpace, rng: np.random.Generator, *,
-                    nonnegative_interim: bool = True) -> DividendProcess:
-    """Random stream with a terminal payment and occasional interim ones.
+def draw_dividend(space: FilteredSpace, rng: np.random.Generator, *,
+                  nonnegative_interim: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Random stream with a terminal payment and occasional interim ones, as present
+    flags and pays.
 
     Aggregation is monotone in the evaluation stage exactly when nothing
     strictly negative is paid in between, and the payoff/stream consistency
     transport relies on that, so negative interim payments are opt-in.
     """
     last = space.times[-1]
-    pays = {}
+    present = np.zeros(len(space.times), dtype=bool)
+    pays = np.zeros((len(space.times), space.n_leaves))
     for t in space.times:
         if t != last and rng.uniform() < 0.35:
             continue
         lo = 0.0 if (nonnegative_interim and t != last) else -4.0
-        pays[t] = TVar(space, t, rng.uniform(lo, 4.0, space.n_atoms(t)),
-                       kind="bb")
-    return DividendProcess(space, pays)
+        present[t] = True
+        pays[t] = draw_atom_values(space, t, rng, lo, 4.0)[space.atom_index[t]]
+    return present, pays
+
+
+def sample_dividend(space: FilteredSpace, rng: np.random.Generator, *,
+                    nonnegative_interim: bool = True) -> DividendProcess:
+    """``draw_dividend``'s stream as a ``DividendProcess``."""
+    return DividendProcess.of_arrays(
+        space, *draw_dividend(space, rng, nonnegative_interim=nonnegative_interim))
 
 
 def lift_evaluate(m: PerformanceMeasure, t: int, dp: DividendProcess) -> TVar:
     """Value of the stream: the measure at the aggregate of payments from t on."""
     return evaluate(m, t, dp.aggregate_from(t))
-
-
-def _aggregates(t: int, *streams: DividendProcess) -> np.ndarray:
-    """The leaf rows of the streams' aggregates from stage t, one row per stream."""
-    return np.stack([dp.aggregate_from(t).values for dp in streams])
 
 
 def check_lift_axioms(m: PerformanceMeasure, space: FilteredSpace,
@@ -192,78 +232,65 @@ def check_lift_axioms(m: PerformanceMeasure, space: FilteredSpace,
     Alongside the structural properties this verifies the bundling identity
     (paying the aggregate at the final date changes nothing, bit for bit)
     and the exact round trip through single terminal payments.  Each trial
-    picks its own stage; a property draws all its trials' streams first,
-    values their aggregates with one ``evaluate_rows`` call per stage, and
-    then judges the trials in order.
+    picks its own stage and draws its streams as arrays (``draw_dividend``); per
+    batch and stage, one pass aggregates them, one ``evaluate_rows`` call values
+    them and one call judges them.  Only the first failing trial's witness
+    builds ``DividendProcess`` objects.
     """
     tol = DEFAULT_TOL
     rep = Report(f"lift axioms for {m.label()}", seed=rng_seed,
                  meta={"trials": trials, "space": space.name or ""})
     times = list(space.times)
-    last = times[-1]
+    run = _property_runner(rep, trials, rng_seed, lambda t, rows: evaluate_rows(
+        m, space, t, _aggregate(t, rows.reshape(len(rows), len(times), -1))))
+    stream = lambda rng: draw_dividend(space, rng, nonnegative_interim=False)
+    promoted = lambda r, vals: vals[space.atom_index[r]]
 
-    def run(name, key, draw, judge):
-        run_trials(rep, name, trials, rng_seed, key, TwoPhase(
-            draw, lambda t, rows: evaluate_rows(m, space, t, rows), judge))
+    def shown(note, t, streams, *presents, **extra):
+        """A witness: note, stage, extra fields, then streams D and D2 given flags."""
+        return {"note": note, "stage": t, **extra,
+                **{key: DividendProcess.of_arrays(space, present, pays).to_json()
+                   for key, present, pays in zip(("D", "D2"), presents, streams)}}
 
     def draw_independence_of_past_and_locality(rng, k):
         t = int(rng.choice(times))
-        b = sample_event(space, t, rng)
-        on = b.leaf_values()
-        d1 = sample_dividend(space, rng, nonnegative_interim=False)
-        pays = {}
+        flags = draw_event_flags(space, t, rng)
+        p1, pays1 = stream(rng)
+        p2, pays2 = np.zeros_like(p1), np.zeros_like(pays1)
         for r in times:
-            fresh = rng.uniform(-4.0, 4.0, space.n_atoms(r))
-            if r < t:
-                # anything may happen before t, payments included
-                if rng.uniform() < 0.5:
-                    pays[r] = TVar(space, r, fresh, kind="bb")
-                continue
-            flag = on[[a[0] for a in space.atoms[r]]]
-            pays[r] = TVar(space, r, np.where(flag, d1.payment(r).values, fresh),
-                           kind="bb")
-        d2 = DividendProcess(space, pays)
-        return t, _aggregates(t, d1, d2), (t, b, d1, d2)
-
-    def judge_independence_of_past_and_locality(k, ctx, vals):
-        (t, b, d1, d2), (v1, v2) = ctx, vals
-        if not np.all(v1[b.flags] == v2[b.flags]):
-            return {"note": "value moved on the unchanged event",
-                    "stage": t, "D": d1.to_json(), "D2": d2.to_json()}
+            fresh = promoted(r, draw_atom_values(space, r, rng, -4.0, 4.0))
+            if r >= t:  # from t on the streams agree on the event
+                p2[r], pays2[r] = True, np.where(promoted(t, flags), pays1[r], fresh)
+            elif rng.uniform() < 0.5:  # anything may happen before t, payments included
+                p2[r], pays2[r] = True, fresh
+        return t, np.array((pays1, pays2)), (t, p1, p2, flags)
 
     run("independence_of_past_and_locality", 61,
-        draw_independence_of_past_and_locality, judge_independence_of_past_and_locality)
+        draw_independence_of_past_and_locality,
+        lambda vals, ctxs: (np.array([c[3] for c in ctxs])
+                            & (vals[..., 0, :] != vals[..., 1, :])),
+        lambda rows, ctx, vals: shown("value moved on the unchanged event", ctx[0],
+                                      rows, ctx[1], ctx[2]))
 
     def draw_bounds_interval(rng, k):
         t = int(rng.choice(times))
-        dp = sample_dividend(space, rng, nonnegative_interim=False)
-        return t, _aggregates(t, dp), (t, dp)
+        present, pays = stream(rng)
+        return t, pays[None], (t, present)
 
-    def judge_bounds_interval(k, ctx, vals):
-        t, dp = ctx
-        if np.any(vals < m.z_d - 1e-12) or np.any(vals > m.z_u + 1e-12):
-            return {"note": "value left the bounds", "stage": t, "D": dp.to_json()}
-
-    run("bounds_interval", 62, draw_bounds_interval, judge_bounds_interval)
+    run("bounds_interval", 62, draw_bounds_interval,
+        lambda vals, _: _escapes(m, vals, 1e-12),
+        lambda rows, ctx, vals: shown("value left the bounds", ctx[0], rows, ctx[1]))
 
     top = DividendProcess.terminal_only(XVar.constant(space, INF))
     missed = [t for t in times if not np.all(lift_evaluate(m, t, top).values == m.z_u)]
     rep.add(CheckResult("upper_bound_attained", not missed, len(times), len(missed)))
 
     def approaches_lower_bound(t) -> bool:
-        for k in range(9):
-            try:
-                vals = lift_evaluate(m, t,
-                                     DividendProcess(space, {last: -10.0 ** k})).values
-            except OverflowError:
-                # the value underflowed past float range, diverged for sure
-                return not math.isfinite(m.z_d)
-            if math.isfinite(m.z_d):
-                if np.all(np.abs(vals - m.z_d) <= 1e-6):
-                    return True
-            elif np.all(vals <= -1e6):
-                return True
-        return False
+        try:
+            return _missed_lower_bound(m, lambda c: lift_evaluate(
+                m, t, DividendProcess(space, {space.horizon: c})).values) is None
+        except OverflowError:  # the value underflowed past float range: it diverged
+            return not math.isfinite(m.z_d)
 
     missed = [t for t in times if not approaches_lower_bound(t)]
     rep.add(CheckResult("lower_bound_approached", not missed, len(times), len(missed),
@@ -273,119 +300,95 @@ def check_lift_axioms(m: PerformanceMeasure, space: FilteredSpace,
 
     def draw_monotonicity(rng, k):
         t = int(rng.choice(times))
-        d1 = sample_dividend(space, rng, nonnegative_interim=False)
-        d2 = d1
-        for r in times:
-            if r >= t and rng.uniform() < 0.7:
-                bump = TVar(space, r, rng.uniform(0.0, 2.0, space.n_atoms(r)),
-                            kind="bb")
-                d2 = d2.with_payment_added(r, bump)
-        return t, _aggregates(t, d1, d2), (t, d1, d2)
+        p1, pays1 = stream(rng)
+        p2, pays2 = p1, pays1
+        for r in times[t:]:
+            if rng.uniform() < 0.7:
+                bump = promoted(r, draw_atom_values(space, r, rng, 0.0, 2.0))
+                p2, pays2 = _paid_more(p2, pays2, r, bump)
+        return t, np.array((pays1, pays2)), (t, p1, p2)
 
-    def judge_monotonicity(k, ctx, vals):
-        (t, d1, d2), (v1, v2) = ctx, vals
-        if np.any(v2 < v1 - tol):
-            return {"note": "larger payments lowered the value",
-                    "stage": t, "D": d1.to_json(), "D2": d2.to_json()}
-
-    run("monotonicity", 63, draw_monotonicity, judge_monotonicity)
+    run("monotonicity", 63, draw_monotonicity, lambda vals, _: _drops(vals, tol),
+        lambda rows, ctx, vals: shown("larger payments lowered the value", ctx[0],
+                                      rows, *ctx[1:]))
 
     def draw_strict_shift(rng, k):
         t = int(rng.choice(times))
-        r_star = int(rng.choice([r for r in times if r >= t]))
+        r_star = int(rng.choice(times[t:]))
         c = float(rng.uniform(0.05, 2.0))
-        dp = sample_dividend(space, rng, nonnegative_interim=False)
-        return (t, _aggregates(t, dp, dp.with_payment_added(r_star, c)),
-                (t, r_star, c, dp))
+        present, pays = stream(rng)
+        paid = _paid_more(present, pays, r_star, np.full(space.n_leaves, c))[1]
+        return t, np.array((pays, paid)), (t, r_star, c, present)
 
-    def judge_strict_shift(k, ctx, vals):
-        (t, r_star, c, dp), (before, after) = ctx, vals
-        bad = _no_strict_gain(m, before, after)
-        if np.any(bad):
-            return {"note": "no strict gain from a positive payment",
-                    "stage": t, "paid_at": r_star, "shift": c, "D": dp.to_json(),
-                    "atom": space.atom_id(t, int(np.argmax(bad)))}
-
-    run("strict_shift", 64, draw_strict_shift, judge_strict_shift)
+    run("strict_shift", 64, draw_strict_shift, lambda vals, _: _no_strict_gain(m, vals),
+        lambda rows, ctx, vals: shown(
+            "no strict gain from a positive payment", ctx[0], rows, ctx[3],
+            paid_at=ctx[1], shift=ctx[2],
+            atom=space.atom_id(ctx[0], int(np.argmax(_no_strict_gain(m, vals))))))
 
     def draw_quasi_concavity(rng, k):
         t = int(rng.choice(times))
         lam = float(rng.uniform(0.001, 0.999))  # keep 0 * inf out of the mix
-        d1 = sample_dividend(space, rng, nonnegative_interim=False)
-        d2 = sample_dividend(space, rng, nonnegative_interim=False)
-        return t, _aggregates(t, d1, d2, d1.mixed_with(d2, lam)), (t, lam, d1, d2)
+        (p1, pays1), (p2, pays2) = stream(rng), stream(rng)
+        return t, np.array((pays1, pays2, _mix(pays1, pays2, lam))), (t, lam, p1, p2)
 
-    def judge_quasi_concavity(k, ctx, vals):
-        (t, lam, d1, d2), (v1, v2, got) = ctx, vals
-        if np.any(_below_mix_floor(got, np.minimum(v1, v2), tol)):
-            return {"note": "mix fell below both endpoints", "stage": t, "lam": lam,
-                    "D": d1.to_json(), "D2": d2.to_json()}
-
-    run("quasi_concavity", 65, draw_quasi_concavity, judge_quasi_concavity)
+    run("quasi_concavity", 65, draw_quasi_concavity,
+        lambda vals, _: _mix_drops(vals, tol),
+        lambda rows, ctx, vals: shown("mix fell below both endpoints", ctx[0], rows,
+                                      *ctx[2:], lam=ctx[1]))
 
     def draw_timing_invariance(rng, k):
         t = int(rng.choice(times))
-        later = [r for r in times if r >= t]
-        r1, r2 = int(rng.choice(later)), int(rng.choice(later))
-        xi = sample_tvar(space, t, rng)
-        dp = sample_dividend(space, rng, nonnegative_interim=False)
-        return (t, _aggregates(t, dp.with_payment_added(r1, xi),
-                               dp.with_payment_added(r2, xi)), (t, r1, r2, dp))
+        r1, r2 = int(rng.choice(times[t:])), int(rng.choice(times[t:]))
+        xi = promoted(t, draw_atom_values(space, t, rng))
+        present, pays = stream(rng)
+        paid = [_paid_more(present, pays, r, xi)[1] for r in (r1, r2)]
+        return t, np.array(paid), (t, r1, r2, present, pays)
 
-    def judge_timing_invariance(k, ctx, vals):
-        (t, r1, r2, dp), (v1, v2) = ctx, vals
-        if not np.all(close_or_both_inf(v1, v2, tol)):
-            return {"note": "payment date of a known transfer mattered",
-                    "stage": t, "dates": [r1, r2], "D": dp.to_json()}
-
-    run("timing_invariance", 66, draw_timing_invariance, judge_timing_invariance)
+    run("timing_invariance", 66, draw_timing_invariance,
+        lambda vals, _: _moved(vals, tol),
+        lambda rows, ctx, vals: shown("payment date of a known transfer mattered",
+                                      ctx[0], ctx[4][None], ctx[3],
+                                      dates=[ctx[1], ctx[2]]))
 
     def draw_scale_invariance(rng, k):
         t = int(rng.choice(times))
         c = float(np.exp(rng.uniform(np.log(0.01), np.log(100.0))))
-        dp = sample_dividend(space, rng, nonnegative_interim=False)
-        return t, _aggregates(t, dp, dp.scaled(c)), (t, c, dp)
-
-    def judge_scale_invariance(k, ctx, vals):
-        (t, c, dp), (v1, v2) = ctx, vals
-        if not np.all(close_or_both_inf(v1, v2, tol)):
-            return {"note": "scaling the stream moved the value",
-                    "stage": t, "scale": c, "D": dp.to_json()}
+        present, pays = stream(rng)
+        return t, np.array((pays, ext_mul(pays, c))), (t, c, present)
 
     if m.scale_invariant:
-        run("scale_invariance", 67, draw_scale_invariance, judge_scale_invariance)
+        run("scale_invariance", 67, draw_scale_invariance,
+            lambda vals, _: _moved(vals, tol),
+            lambda rows, ctx, vals: shown("scaling the stream moved the value", ctx[0],
+                                          rows, ctx[2], scale=ctx[1]))
     else:
         rep.add(CheckResult("scale_invariance", None,
                             note="measure is not scale invariant; skipped"))
 
     def draw_aggregation_identity(rng, k):
         t = int(rng.choice(times))
-        dp = sample_dividend(space, rng, nonnegative_interim=False)
-        bundled = DividendProcess.terminal_only(dp.aggregate_from(t))
-        return t, _aggregates(t, dp, bundled), (t, dp)
-
-    def judge_aggregation_identity(k, ctx, vals):
-        (t, dp), (direct, bundled) = ctx, vals
-        if not np.array_equal(direct, bundled):
-            return {"note": "bundling the payments at the final date changed the "
-                            "value", "stage": t, "D": dp.to_json()}
+        present, pays = stream(rng)
+        bundled = _paid_at_the_end(space, _aggregate(t, pays))
+        return t, np.array((pays, bundled)), (t, present)
 
     run("aggregation_identity", 68, draw_aggregation_identity,
-        judge_aggregation_identity)
+        lambda vals, _: vals[..., 0, :] != vals[..., 1, :],
+        lambda rows, ctx, vals: shown("bundling the payments at the final date changed "
+                                      "the value", ctx[0], rows, ctx[1]))
 
     def draw_terminal_round_trip(rng, k):
         t = int(rng.choice(times))
-        x = sample_xvar(space, rng)
-        lifted = DividendProcess.terminal_only(x).aggregate_from(t).values
-        return t, np.stack((lifted, x.values)), (t, x)
+        x = draw_leaf_values(space, rng)
+        return t, np.array((_aggregate(t, _paid_at_the_end(space, x)), x)), t
 
-    def judge_terminal_round_trip(k, ctx, vals):
-        (t, x), (lifted, plain) = ctx, vals
-        if not np.array_equal(lifted, plain):
-            return {"note": "single terminal payment did not recover the measure",
-                    "stage": t, "X": x.to_json()}
-
-    run("terminal_round_trip", 69, draw_terminal_round_trip, judge_terminal_round_trip)
+    # these rows are leaf rows already: the lifted payoff and the payoff itself
+    _property_runner(rep, trials, rng_seed,
+                     lambda t, rows: evaluate_rows(m, space, t, rows))(
+        "terminal_round_trip", 69, draw_terminal_round_trip,
+        lambda vals, _: vals[..., 0, :] != vals[..., 1, :],
+        lambda rows, t, vals: shown("single terminal payment did not recover the "
+                                    "measure", t, rows, X=XVar(space, rows[1]).to_json()))
     return rep
 
 

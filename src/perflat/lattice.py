@@ -292,13 +292,12 @@ def _check_same_space(a: FilteredSpace, b: FilteredSpace):
 # variables
 
 
-def _validate_leaf_values(values: np.ndarray):
+def _validate_leaf_values(values: np.ndarray) -> np.ndarray:
     if not values.size or values.min() > -INF:  # one reduction: NaN propagates
-        return
+        return values
     if np.any(np.isnan(values)):
         raise ValueError("nan values are not allowed")
-    if np.any(np.isneginf(values)):
-        raise ValueError("-inf is not allowed in a terminal variable (bounded below)")
+    raise ValueError("-inf is not allowed in a terminal variable (bounded below)")
 
 
 class XVar:
@@ -688,29 +687,43 @@ def random_tree(rng: np.random.Generator, periods: int = 2, max_leaves: int = 16
                          name=name)
 
 
-def sample_xvar(space: FilteredSpace, rng: np.random.Generator,
-                inf_prob: float = 0.0) -> XVar:
-    """Random terminal variable, uniform on [-4, 4); inf_prob adds +inf legs."""
+def draw_leaf_values(space: FilteredSpace, rng: np.random.Generator,
+                     inf_prob: float = 0.0) -> np.ndarray:
+    """Random leaf values, uniform on [-4, 4); inf_prob adds +inf legs."""
     v = rng.uniform(-4.0, 4.0, size=space.n_leaves)
     if inf_prob > 0.0:
         v[rng.random(space.n_leaves) < inf_prob] = INF
-    return XVar(space, v)
+    return v
+
+
+def draw_atom_values(space: FilteredSpace, t: int, rng: np.random.Generator,
+                     low: float = -2.0, high: float = 2.0) -> np.ndarray:
+    """Random stage-t atom values, uniform on [low, high)."""
+    return rng.uniform(low, high, size=space.n_atoms(t))
+
+
+def draw_event_flags(space: FilteredSpace, t: int, rng: np.random.Generator) -> np.ndarray:
+    """Random stage-t atom flags, proper (neither none nor all) where the stage allows."""
+    n = space.n_atoms(t)
+    flags = rng.random(n) < 0.5
+    if n == 1:
+        return np.ones(1, dtype=bool)
+    if flags.all() or not flags.any():  # flip one atom to make the event proper
+        flags[int(rng.integers(n))] = not flags[0]
+    return flags
+
+
+def sample_xvar(space: FilteredSpace, rng: np.random.Generator,
+                inf_prob: float = 0.0) -> XVar:
+    """``draw_leaf_values`` as a terminal variable."""
+    return XVar(space, draw_leaf_values(space, rng, inf_prob))
 
 
 def sample_tvar(space: FilteredSpace, t: int, rng: np.random.Generator,
                 low: float = -2.0, high: float = 2.0) -> TVar:
-    return TVar(space, t, rng.uniform(low, high, size=space.n_atoms(t)))
+    return TVar(space, t, draw_atom_values(space, t, rng, low, high))
 
 
 def sample_event(space: FilteredSpace, t: int, rng: np.random.Generator) -> EventMask:
-    """Random F_t-event; proper (neither empty nor full) whenever the stage allows."""
-    n = space.n_atoms(t)
-    flags = rng.random(n) < 0.5
-    if n > 1:
-        if flags.all():
-            flags[int(rng.integers(n))] = False
-        if not flags.any():
-            flags[int(rng.integers(n))] = True
-    elif not flags.any():
-        flags[:] = True
-    return EventMask(space, t, flags)
+    """``draw_event_flags`` as an F_t-event."""
+    return EventMask(space, t, draw_event_flags(space, t, rng))

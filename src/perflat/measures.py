@@ -20,9 +20,10 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .lattice import (INF, FilteredSpace, TVar, XVar, atom_expector, bin_sums,
-                      close_or_both_inf, loss_order, num_from_json, num_to_json,
-                      sample_event, sample_tvar, sample_xvar)
+from .lattice import (INF, FilteredSpace, TVar, XVar, _validate_leaf_values,
+                      atom_expector, bin_sums, close_or_both_inf, draw_atom_values,
+                      draw_event_flags, draw_leaf_values, loss_order, num_from_json,
+                      num_to_json)
 from .report import CheckResult, Report, TwoPhase, run_trials
 from .solvers import vector_monotone_inf
 
@@ -667,27 +668,68 @@ def measure_from_json(d: Mapping, space: FilteredSpace | None = None) -> Perform
 # axiom checker
 
 
-def _below_zu(vals: np.ndarray, z_u: float, gap: float = DEFAULT_TOL) -> np.ndarray:
-    return vals < z_u - gap if math.isfinite(z_u) else vals < INF
+# Predicates over valued trials, shared by the axiom and lift checkers: vals[..., i, :]
+# holds the values of a trial's i-th row, and each predicate returns the failing atoms,
+# (..., n_atoms).
 
 
-def _above_zd(vals: np.ndarray, z_d: float, gap: float = DEFAULT_TOL) -> np.ndarray:
-    return vals > z_d + gap if math.isfinite(z_d) else vals > -INF
-
-
-def _below_mix_floor(got: np.ndarray, floor: np.ndarray, tol: float) -> np.ndarray:
-    """Atoms where a convex mix falls below the smaller endpoint value.
-
-    A mix valued exactly 0 against a floor of at most 1e-6 counts as a tie, not a drop.
-    """
+def _mix_drops(vals: np.ndarray, tol: float) -> np.ndarray:
+    """Rows x, y and a convex mix: atoms where the mix falls below the smaller endpoint
+    value.  A mix valued exactly 0 against a floor of at most 1e-6 counts as a tie."""
+    got, floor = vals[..., 2, :], np.minimum(vals[..., 0, :], vals[..., 1, :])
     return (got < floor - tol) & ~((got == 0.0) & (floor <= 1e-6))
 
 
-def _no_strict_gain(m: PerformanceMeasure, before: np.ndarray,
-                    after: np.ndarray) -> np.ndarray:
-    """Live atoms (below z_u before, above z_d after) where a positive shift gained nothing."""
-    return (_below_zu(before, m.z_u) & _above_zd(after, m.z_d)
+def _escapes(m: PerformanceMeasure, vals: np.ndarray, gap: float) -> np.ndarray:
+    """Atoms where some row's value leaves [z_d - gap, z_u + gap]."""
+    return ((vals < m.z_d - gap) | (vals > m.z_u + gap)).any(axis=-2)
+
+
+def _drops(vals: np.ndarray, tol: float) -> np.ndarray:
+    """Rows before and after a nonnegative change: atoms where the value fell."""
+    return vals[..., 1, :] < vals[..., 0, :] - tol
+
+
+def _no_strict_gain(m: PerformanceMeasure, vals: np.ndarray) -> np.ndarray:
+    """Rows before and after a positive shift: live atoms (below z_u before, above z_d
+    after, by DEFAULT_TOL) where the shift gained nothing."""
+    before, after = vals[..., 0, :], vals[..., 1, :]
+    return ((before < m.z_u - DEFAULT_TOL) & (after > m.z_d + DEFAULT_TOL)
             & (after <= before + EPS_STRICT))
+
+
+def _moved(vals: np.ndarray, tol: float) -> np.ndarray:
+    """Two rows that should value alike: atoms where they differ by more than tol."""
+    return ~close_or_both_inf(vals[..., 0, :], vals[..., 1, :], tol)
+
+
+def _property_runner(rep: Report, trials: int, rng_seed: int, values):
+    """run(name, key, draw, bad, witness) runs one randomized property as a
+    ``TwoPhase`` probe valued by ``values``; bad(vals, ctxs) gives each trial's
+    failing atoms, and a trial fails where it gives any."""
+    def run(name, key, draw, bad, witness):
+        run_trials(rep, name, trials, rng_seed, key, TwoPhase(
+            draw, values, lambda vals, ctxs: bad(vals, ctxs).any(axis=-1), witness))
+    return run
+
+
+def _claims_runner(rep: Report, m: PerformanceMeasure, space: FilteredSpace,
+                   trials: int, rng_seed: int):
+    """``_property_runner`` on leaf rows: a batch gets the NaN/-inf screen of ``XVar``
+    once, and m.values, not evaluate_rows, values it (-inf values get judged)."""
+    return _property_runner(rep, trials, rng_seed, lambda stage, rows: m.values(
+        space, stage, _validate_leaf_values(rows)))
+
+
+def _missed_lower_bound(m: PerformanceMeasure, values_at) -> np.ndarray | None:
+    """values_at(c) at the constant claims c = -1, -10, ..., -1e8 in turn: None once
+    they reach z_d (within 1e-6, or at most -1e6 where z_d = -inf), else the last."""
+    for k in range(9):
+        vals = values_at(-float(10 ** k))
+        if (np.all(np.abs(vals - m.z_d) <= 1e-6) if math.isfinite(m.z_d)
+                else np.all(vals <= -1e6)):
+            return None
+    return vals
 
 
 def _interior_levels(z_d: float, z_u: float, qs=(0.25, 0.5, 0.75)) -> list[float]:
@@ -696,10 +738,8 @@ def _interior_levels(z_d: float, z_u: float, qs=(0.25, 0.5, 0.75)) -> list[float
     return [math.tan(u_lo + q * (u_hi - u_lo)) for q in qs]
 
 
-def _witness(x: XVar, note: str, **extra) -> dict:
-    out = {"note": note, "X": x.to_json()}
-    out.update(extra)
-    return out
+def _witness(space: FilteredSpace, leaves: np.ndarray, note: str, **extra) -> dict:
+    return {"note": note, "X": XVar(space, leaves).to_json(), **extra}
 
 
 def check_axioms(m: PerformanceMeasure, space: FilteredSpace, t: int,
@@ -707,52 +747,38 @@ def check_axioms(m: PerformanceMeasure, space: FilteredSpace, t: int,
     """Randomized verification of the six defining properties at stage t.
 
     Each randomized property runs its trials through ``run_trials`` with seeds derived
-    from (rng_seed, property, trial), so verdicts do not depend on scheduling.  A
-    property draws all its trials' claims first, values their leaf rows with one
-    ``m.values`` call per batch, and then judges the trials in order.  The report
-    carries the first witness per failure.
+    from (rng_seed, property, trial), so verdicts do not depend on scheduling.  Trials
+    draw bare arrays; a batch is screened, valued by one ``m.values`` call and judged
+    by one call, and only the first failing trial's witness builds variables.
     """
     t = space.check_stage(t)
     tol = DEFAULT_TOL
+    at = space.atom_index[t]
 
-    def sampler(rng):
-        return sample_xvar(space, rng, inf_prob=0.02 if rng.random() < 0.25 else 0.0)
-
-    def run(name, key, draw, judge):
-        # m.values, not evaluate_rows: these checks judge -inf values, not reject them
-        run_trials(rep, name, trials, rng_seed, key, TwoPhase(
-            draw, lambda stage, rows: m.values(space, stage, rows), judge))
-
+    leaves = lambda rng: draw_leaf_values(
+        space, rng, inf_prob=0.02 if rng.random() < 0.25 else 0.0)
     raw = lambda x: m.values(space, t, x.values)
     rep = Report(title=f"axioms[{m.label()}] t={t}", seed=rng_seed,
                  meta={"space": space.name or "", "trials": trials})
+    run = _claims_runner(rep, m, space, trials, rng_seed)
+    atom_of = lambda bad: space.atom_id(t, int(np.argmax(bad)))
 
     # 1. quasi concavity
     def draw_quasi_concavity(rng, k):
-        x, y = sampler(rng), sampler(rng)
+        x, y = leaves(rng), leaves(rng)
         lam = float(rng.uniform(0.001, 0.999))  # keep 0 * inf out of the mix
-        mix = lam * x.values + (1.0 - lam) * y.values
-        return t, np.stack((x.values, y.values, mix)), (x, y, lam)
+        return t, np.array((x, y, lam * x + (1.0 - lam) * y)), lam
 
-    def judge_quasi_concavity(k, ctx, vals):
-        (x, y, lam), (bx, by, bmix) = ctx, vals
-        bad = _below_mix_floor(bmix, np.minimum(bx, by), tol)
-        if np.any(bad):
-            return _witness(x, "beta(mix) below min", Y=y.to_json(),
-                            lam=lam, atom=space.atom_id(t, int(np.argmax(bad))))
-
-    run("quasi_concavity", 1, draw_quasi_concavity, judge_quasi_concavity)
+    run("quasi_concavity", 1, draw_quasi_concavity,
+        lambda vals, _: _mix_drops(vals, tol),
+        lambda rows, lam, vals: _witness(
+            space, rows[0], "beta(mix) below min", Y=XVar(space, rows[1]).to_json(),
+            lam=lam, atom=atom_of(_mix_drops(vals, tol))))
 
     # 2. non-random bounds: values inside [z_d, z_u], attained at +inf, approached below
-    def draw_bounds_interval(rng, k):
-        x = sampler(rng)
-        return t, x.values[None], x
-
-    def judge_bounds_interval(k, x, vals):
-        if np.any(vals < m.z_d - tol) or np.any(vals > m.z_u + tol):
-            return _witness(x, "value escapes [z_d, z_u]")
-
-    run("bounds_interval", 2, draw_bounds_interval, judge_bounds_interval)
+    run("bounds_interval", 2, lambda rng, k: (t, leaves(rng)[None], None),
+        lambda vals, _: _escapes(m, vals, tol),
+        lambda rows, _, vals: _witness(space, rows[0], "value escapes [z_d, z_u]"))
 
     vals = raw(XVar.constant(space, INF))
     ok = bool(np.all(close_or_both_inf(vals, m.z_u, tol)))
@@ -760,25 +786,20 @@ def check_axioms(m: PerformanceMeasure, space: FilteredSpace, t: int,
                         failures=0 if ok else 1,
                         witness=None if ok else {"values": vals.tolist()}))
 
-    for k in range(9):
-        last = raw(XVar.constant(space, -float(10 ** k)))
-        if (np.all(np.abs(last - m.z_d) <= 1e-6) if math.isfinite(m.z_d)
-                else np.all(last <= -1e6)):
-            rep.add(CheckResult("lower_bound_approached", True, trials=1))
-            break
+    last = _missed_lower_bound(m, lambda c: raw(XVar.constant(space, c)))
+    if last is None:
+        rep.add(CheckResult("lower_bound_approached", True, trials=1))
+    elif math.isfinite(m.z_d):
+        rep.add(CheckResult("lower_bound_approached", False, trials=1,
+                            witness={"values": last.tolist(), "z_d": num_to_json(m.z_d)}))
     else:
-        if math.isfinite(m.z_d):
-            rep.add(CheckResult("lower_bound_approached", False, trials=1,
-                                witness={"values": last.tolist(),
-                                         "z_d": num_to_json(m.z_d)}))
-        else:
-            rep.add(CheckResult("lower_bound_approached", None, trials=1,
-                                note="still descending at x = -1e8; "
-                                     "divergence not confirmed"))
+        rep.add(CheckResult("lower_bound_approached", None, trials=1,
+                            note="still descending at x = -1e8; "
+                                 "divergence not confirmed"))
 
     # 3. monotone, and strictly so along constant positive shifts on the live event
     def draw_monotonicity(rng, k):
-        x = sampler(rng)
+        x = leaves(rng)
         style = rng.integers(3)
         if style == 0:
             bump = rng.uniform(0.0, 2.0, size=space.n_leaves)
@@ -787,93 +808,87 @@ def check_axioms(m: PerformanceMeasure, space: FilteredSpace, t: int,
             bump[rng.integers(space.n_leaves)] = rng.uniform(0.0, 4.0)
         else:
             bump = np.full(space.n_leaves, rng.uniform(0.0, 2.0))
-        return t, np.stack((x.values, x.values + bump)), (x, bump)
+        return t, np.array((x, x + bump)), bump
 
-    def judge_monotonicity(k, ctx, vals):
-        (x, bump), (before, after) = ctx, vals
-        if np.any(after < before - tol):
-            return _witness(x, "value dropped under a nonnegative bump",
-                            bump=bump.tolist())
-
-    run("monotonicity", 3, draw_monotonicity, judge_monotonicity)
+    run("monotonicity", 3, draw_monotonicity, lambda vals, _: _drops(vals, tol),
+        lambda rows, bump, vals: _witness(
+            space, rows[0], "value dropped under a nonnegative bump", bump=bump.tolist()))
 
     def draw_strict_shift(rng, k):
-        x = sampler(rng)
+        x = leaves(rng)
         c = float(rng.uniform(0.05, 2.0))
-        return t, np.stack((x.values, x.values + c)), (x, c)
+        return t, np.array((x, x + c)), c
 
-    def judge_strict_shift(k, ctx, vals):
-        (x, c), (before, after) = ctx, vals
-        bad = _no_strict_gain(m, before, after)
-        if np.any(bad):
-            return _witness(x, "no strict gain from a positive constant shift",
-                            shift=c, atom=space.atom_id(t, int(np.argmax(bad))))
-
-    run("strict_shift", 4, draw_strict_shift, judge_strict_shift)
+    run("strict_shift", 4, draw_strict_shift, lambda vals, _: _no_strict_gain(m, vals),
+        lambda rows, c, vals: _witness(
+            space, rows[0], "no strict gain from a positive constant shift", shift=c,
+            atom=atom_of(_no_strict_gain(m, vals))))
 
     # 4. continuity from below along increasing sequences
     deltas = [2.0 ** -e for e in (0, 5, 10, 20, 30, 40, 45)]
 
     def draw_continuity_from_below(rng, k):
-        x = sampler(rng)
+        x = leaves(rng)
         direction = np.ones(space.n_leaves) if k % 2 == 0 else rng.uniform(
             0.5, 2.0, size=space.n_leaves)
-        return t, np.stack([x.values] + [x.values - d * direction for d in deltas]), x
+        return t, np.array([x] + [x - d * direction for d in deltas]), None
 
-    def judge_continuity_from_below(k, x, vals):
-        target, seq = vals[0], vals[1:]
-        for a, b in zip(seq, seq[1:]):
-            if np.any(b < a - tol):
-                return _witness(x, "sequence not monotone along X_n up")
-        last = seq[-1]
+    def continuity_misses(vals):
+        """Rows X, then X_n increasing to X: the atoms where the values along X_n
+        fall, and those where the last of them misses beta(X)."""
+        target, seq = vals[..., 0, :], vals[..., 1:, :]
+        falls = (seq[..., 1:, :] < seq[..., :-1, :] - tol).any(axis=-2)
+        last = seq[..., -1, :]
         with np.errstate(invalid="ignore"):
             near = np.abs(last - target) <= 1e-6
         ok = np.where(np.isfinite(target), near,
                       np.where(np.isposinf(target),
                                (last >= 1e6) | np.isposinf(last),
                                (last <= -1e6) | np.isneginf(last)))
-        if not np.all(ok):
-            return _witness(x, "limit misses beta(X)",
-                            got=last.tolist(), want=target.tolist())
+        return falls, ~ok
+
+    def continuity_witness(rows, _, vals):
+        if continuity_misses(vals)[0].any():
+            return _witness(space, rows[0], "sequence not monotone along X_n up")
+        return _witness(space, rows[0], "limit misses beta(X)",
+                        got=vals[-1].tolist(), want=vals[0].tolist())
 
     run("continuity_from_below", 5, draw_continuity_from_below,
-        judge_continuity_from_below)
+        lambda vals, _: np.logical_or(*continuity_misses(vals)), continuity_witness)
 
     # 5. locality: 1_B beta(X) = 1_B beta(X 1_B)
     def draw_locality(rng, k):
-        x = sampler(rng)
-        mask = sample_event(space, t, rng)
-        return t, np.stack((x.values, x.restrict(mask).values)), (x, mask)
+        x = leaves(rng)
+        flags = draw_event_flags(space, t, rng)
+        return t, np.array((x, np.where(flags[at], x, 0.0))), flags
 
-    def judge_locality(k, ctx, vals):
-        (x, mask), (lhs, rhs) = ctx, vals
-        bad = mask.flags & ~close_or_both_inf(lhs, rhs, tol)
-        if np.any(bad):
-            return _witness(x, "value on B depends on payoffs off B",
-                            atoms=[space.atom_id(t, int(i)) for i in np.flatnonzero(bad)])
-
-    run("locality", 6, draw_locality, judge_locality)
+    run("locality", 6, draw_locality,
+        lambda vals, flags: np.array(flags) & _moved(vals, tol),
+        lambda rows, flags, vals: _witness(
+            space, rows[0], "value on B depends on payoffs off B",
+            atoms=[space.atom_id(t, int(i))
+                   for i in np.flatnonzero(flags & _moved(vals, tol))]))
 
     # 6. stage-measurable acceptance sets are uniformly bounded below
     thresholds = {}
-    n_atoms = space.n_atoms(t)
-
-    def scalar_beta(c):
-        return m.values(space, t, c[space.atom_index[t]])
+    ones = np.ones(space.n_atoms(t))
 
     def draw_acceptance_lower_bound(rng, k):
-        xi = sample_tvar(space, t, rng, low=-6.0, high=6.0)
-        return t, xi.promote().values[None], xi
+        xi = draw_atom_values(space, t, rng, low=-6.0, high=6.0)
+        return t, xi[at][None], xi
 
-    def judge_acceptance_lower_bound(k, xi, vals):
-        for z, floor in thresholds.items():
-            if np.any((vals[0] >= z) & (xi.values < floor - 1e-8)):
-                return {"note": "accepted stage claim below the floor",
-                        "z": num_to_json(z), "xi": xi.to_json()}
+    def accepted_below(z, vals, xi):
+        """Atoms where a stage claim reaches level z below its floor."""
+        return (vals[..., 0, :] >= z) & (xi < thresholds[z] - 1e-8)
+
+    def acceptance_witness(rows, xi, vals):
+        z = next(z for z in thresholds if accepted_below(z, vals, xi).any())
+        return {"note": "accepted stage claim below the floor",
+                "z": num_to_json(z), "xi": TVar(space, t, xi).to_json()}
 
     for z in _interior_levels(m.z_d, m.z_u):
-        sol = vector_monotone_inf(scalar_beta, np.full(n_atoms, -1.0),
-                                  np.full(n_atoms, 1.0), np.full(n_atoms, z))
+        sol = vector_monotone_inf(lambda c: m.values(space, t, c[at]), -ones, ones,
+                                  z * ones)
         if np.any(sol.hit_lower_cap):
             rep.add(CheckResult("acceptance_lower_bound", False, trials=trials,
                                 witness={"note": "no uniform floor for stage claims "
@@ -883,7 +898,9 @@ def check_axioms(m: PerformanceMeasure, space: FilteredSpace, t: int,
         thresholds[z] = sol.values
     else:
         run("acceptance_lower_bound", 7, draw_acceptance_lower_bound,
-            judge_acceptance_lower_bound)
+            lambda vals, xis: np.logical_or.reduce(
+                [accepted_below(z, vals, np.array(xis)) for z in thresholds]),
+            acceptance_witness)
     return rep
 
 
@@ -893,50 +910,40 @@ def check_scale_invariance(m: PerformanceMeasure, space: FilteredSpace, t: int,
 
     For a scale-invariant measure the value of a stage-measurable claim xi can only be
     beta(1) where xi > 0 and beta(0) where xi <= 0; both identities are probed and the
-    first counterexample is reported (expected for utility-based measures).  Both run
-    as two-phase trials, as in ``check_axioms``.
+    first counterexample is reported (expected for utility-based measures).  Both draw
+    bare arrays and are valued and judged a batch at a time, as in ``check_axioms``.
     """
     t = space.check_stage(t)
     tol = DEFAULT_TOL
     raw = lambda x: m.values(space, t, x.values)
     rep = Report(title=f"scale_invariance[{m.label()}] t={t}", seed=rng_seed,
                  meta={"space": space.name or "", "declared": m.scale_invariant})
-
-    def run(name, key, draw, judge):
-        run_trials(rep, name, trials, rng_seed, key, TwoPhase(
-            draw, lambda stage, rows: m.values(space, stage, rows), judge))
+    run = _claims_runner(rep, m, space, trials, rng_seed)
 
     def draw_positive_scaling(rng, k):
-        x = sample_xvar(space, rng)
+        x = draw_leaf_values(space, rng)
         c = float(np.exp(rng.uniform(np.log(0.01), np.log(100.0))))
-        return t, np.stack((x.values, c * x.values)), (x, c)
+        return t, np.array((x, c * x)), c
 
-    def judge_positive_scaling(k, ctx, vals):
-        (x, c), (a, b) = ctx, vals
-        if not np.all(close_or_both_inf(a, b, tol)):
-            return _witness(x, "beta(cX) differs from beta(X)", c=c,
-                            beta_x=[num_to_json(v) for v in a],
-                            beta_cx=[num_to_json(v) for v in b])
-
-    run("positive_scaling", 11, draw_positive_scaling, judge_positive_scaling)
+    run("positive_scaling", 11, draw_positive_scaling, lambda vals, _: _moved(vals, tol),
+        lambda rows, c, vals: _witness(
+            space, rows[0], "beta(cX) differs from beta(X)", c=c,
+            beta_x=[num_to_json(v) for v in vals[0]],
+            beta_cx=[num_to_json(v) for v in vals[1]]))
 
     beta_one = raw(XVar.constant(space, 1.0))
     beta_zero = raw(XVar.constant(space, 0.0))
 
     def draw_two_level_structure(rng, k):
-        xi = sample_tvar(space, t, rng, low=-3.0, high=3.0)
-        vals = xi.values.copy()
+        xi = draw_atom_values(space, t, rng, low=-3.0, high=3.0)
         if rng.random() < 0.3:  # pin an exact zero to exercise the xi <= 0 branch
-            vals[rng.integers(vals.shape[0])] = 0.0
-        return t, TVar(space, t, vals).promote().values[None], vals
+            xi[rng.integers(xi.shape[0])] = 0.0
+        return t, xi[space.atom_index[t]][None], xi
 
-    def judge_two_level_structure(k, vals, got):
-        got = got[0]
-        want = np.where(vals > 0.0, beta_one, beta_zero)
-        if not np.all(close_or_both_inf(got, want, tol)):
-            return {"note": "stage claim value escapes {beta(1), beta(0)}",
-                    "xi": [num_to_json(v) for v in vals],
-                    "got": [num_to_json(v) for v in got]}
-
-    run("two_level_structure", 12, draw_two_level_structure, judge_two_level_structure)
+    run("two_level_structure", 12, draw_two_level_structure,
+        lambda vals, xis: ~close_or_both_inf(
+            vals[..., 0, :], np.where(np.array(xis) > 0.0, beta_one, beta_zero), tol),
+        lambda rows, xi, vals: {"note": "stage claim value escapes {beta(1), beta(0)}",
+                                "xi": [num_to_json(v) for v in xi],
+                                "got": [num_to_json(v) for v in vals[0]]})
     return rep

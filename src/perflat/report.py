@@ -87,45 +87,53 @@ LEAF_VALUES_PER_CALL = 1 << 18
 
 @dataclass(frozen=True)
 class TwoPhase:
-    """A trial probe in two phases, so that many trials share one ``values`` call.
+    """A trial probe whose trials share ``values`` and judge calls, a batch at a time.
 
-    draw(rng, k) -> (stage, rows, ctx) draws trial k: the leaf rows to evaluate, as a
-    (r, n_leaves) array, the stage to evaluate them at, and whatever the judge needs.
-    values(stage, rows) maps a (B, n_leaves) batch to its (B, n_atoms) values, row for
-    row.  judge(k, ctx, vals) gets the values of the trial's own rows, in draw order,
-    and returns None when the trial passes or a witness dict when it fails.
+    draw(rng, k) -> (stage, rows, ctx) draws trial k as bare arrays: r rows to value at
+    the stage (r fixed per stage) and the few numbers ctx that judge and witness need.
+    values(stage, rows) maps a batch of rows, each flattened, to (B, n_atoms) values.
+    judge(vals, ctxs) gets one stage's (trials, r, n_atoms) values and ctx list, in
+    draw order, and flags each failing trial; witness(rows, ctx, vals) builds one
+    failing trial's witness dict from its own (r, n_atoms) values.
     """
 
     draw: Callable[[np.random.Generator, int], tuple[int, np.ndarray, Any]]
     values: Callable[[int, np.ndarray], np.ndarray]
-    judge: Callable[[int, Any, np.ndarray], dict | None]
+    judge: Callable[[np.ndarray, list], np.ndarray]
+    witness: Callable[[np.ndarray, Any, np.ndarray], dict]
 
 
-def _staged_values(values, batch: list) -> list:
-    """The values of each trial's rows in batch, one ``values`` call per stage and
-    slice of at most ``LEAF_VALUES_PER_CALL`` leaf values."""
-    out = [None] * len(batch)
+def _judged_batch(probe: TwoPhase, batch: list):
+    """The number of failing trials in a drawn batch, and a thunk for the first one's
+    witness: one ``values`` call per stage and slice, one judge call per stage."""
+    failed = np.zeros(len(batch), dtype=bool)
+    groups = []
     for stage in dict.fromkeys(s for s, _, _ in batch):
         mine = [i for i, (s, _, _) in enumerate(batch) if s == stage]
-        rows = np.concatenate([batch[i][1] for i in mine])
-        step = max(1, LEAF_VALUES_PER_CALL // rows.shape[1])
-        vals = np.concatenate([values(stage, rows[j:j + step])
-                               for j in range(0, len(rows), step)])
-        ends = np.cumsum([len(batch[i][1]) for i in mine])
-        for i, v in zip(mine, np.split(vals, ends[:-1])):
-            out[i] = v
-    return out
+        rows = np.stack([batch[i][1] for i in mine])
+        flat = rows.reshape(len(mine) * rows.shape[1], -1)
+        step = max(1, LEAF_VALUES_PER_CALL // flat.shape[1])
+        vals = np.concatenate([probe.values(stage, flat[j:j + step])
+                               for j in range(0, len(flat), step)])
+        vals = vals.reshape(len(mine), rows.shape[1], -1)
+        failed[mine] = probe.judge(vals, [batch[i][2] for i in mine])
+        groups.append((mine, vals))
+
+    def witness():
+        first = int(failed.argmax())
+        mine, vals = next(g for g in groups if first in g[0])
+        return probe.witness(*batch[first][1:], vals[mine.index(first)])
+
+    return int(failed.sum()), witness
 
 
-def _two_phase_witnesses(n: int, seed: int, key: int, probe: TwoPhase):
+def _two_phase_outcomes(n: int, seed: int, key: int, probe: TwoPhase):
     batch, held = [], 0
     for k in range(n):
         batch.append(probe.draw(derived_rng(seed, key, k), k))
         held += batch[-1][1].size
         if held >= LEAF_VALUES_PER_CALL or k == n - 1:
-            start = k + 1 - len(batch)
-            for j, vals in enumerate(_staged_values(probe.values, batch)):
-                yield probe.judge(start + j, batch[j][2], vals)
+            yield _judged_batch(probe, batch)
             batch, held = [], 0
 
 
@@ -135,21 +143,22 @@ def run_trials(rep: Report, name: str, n: int, seed: int, key: int,
     """Run n seeded trials of one property and add the outcome to rep.
 
     Trial k draws from derived_rng(seed, key, k), so a shorter run checks a prefix of
-    a longer one.  A plain probe(rng, k) runs each trial whole.  A ``TwoPhase`` probe
-    draws trials until their rows hold ``LEAF_VALUES_PER_CALL`` leaf values (or the
-    last trial is drawn), evaluates the batch, judges its trials in order, and goes
-    on with the next batch.  Either way a trial returns None when it passes and a
-    witness dict when it fails; the result counts the failures and keeps the first
-    witness.
+    a longer one.  A plain probe(rng, k) runs each trial whole and returns None or a
+    witness dict.  A ``TwoPhase`` probe draws trials until their rows hold
+    ``LEAF_VALUES_PER_CALL`` values (or the last trial is drawn), values the batch
+    with one call per stage and slice, judges each stage's trials with one call, and
+    asks only the first failing trial for its witness.  Either way the result counts
+    the failures and keeps the first witness, as running the trials one by one would.
     """
     if isinstance(probe, TwoPhase):
-        witnesses = _two_phase_witnesses(n, seed, key, probe)
+        outcomes = _two_phase_outcomes(n, seed, key, probe)
     else:
-        witnesses = (probe(derived_rng(seed, key, k), k) for k in range(n))
+        outcomes = ((int(w is not None), lambda w=w: w)
+                    for w in (probe(derived_rng(seed, key, k), k) for k in range(n)))
     res = CheckResult(name, True, trials=n)
-    for witness in witnesses:
-        if witness is not None:
-            res.passed, res.failures = False, res.failures + 1
+    for failures, witness in outcomes:
+        if failures:
+            res.passed, res.failures = False, res.failures + failures
             if res.witness is None:
-                res.witness = witness
+                res.witness = witness()
     return rep.add(res)

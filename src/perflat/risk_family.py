@@ -74,11 +74,12 @@ class RiskPoint:
 
 
 def _canonical_bracket(x: XVar) -> tuple[float, float]:
-    """The c-bracket every search on x starts from: [-fmax - 1, -fmin + 1]."""
+    """The c-bracket every search on x starts from: [-fmax - 1, -fmin + 1], each pad
+    widened to an ulp of its leaf where that is larger (|f| >= 2^53)."""
     fmin, fmax = x.finite_min(), x.finite_max()
     if not math.isfinite(fmin):  # no finite leaf at all
         fmin, fmax = 0.0, 0.0
-    return -fmax - 1.0, -fmin + 1.0
+    return -fmax - max(1.0, math.ulp(fmax)), -fmin + max(1.0, math.ulp(fmin))
 
 
 def _search(g, shape, target, bracket, tol, stop_at) -> InfShiftResult:

@@ -6,6 +6,9 @@ from perflat import (INF, CustomMeasure, DividendProcess, DynamicMeasure,
                      atom_expect, binomial_tree, check_lift_axioms,
                      check_lift_time_consistency, evaluate, lift_evaluate,
                      lpm_ratio, sample_dividend)
+from perflat.dividends import _aggregate, draw_dividend
+from perflat.lattice import EventMask, ext_add
+from perflat.measures import check_axioms
 from perflat.util import derived_rng
 
 
@@ -203,3 +206,85 @@ def test_sample_dividend_respects_sign_constraint(tree2):
         for r in dp.stages():
             if r < tree2.horizon:
                 assert np.all(dp.payment(r).values >= 0.0)
+
+
+# ---------------------------------------------------------------------------
+# streams as payment arrays
+
+
+def test_sample_dividend_wraps_its_array_draw(tree2):
+    for nonnegative_interim in (True, False):
+        for seed in range(8):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            dp = sample_dividend(tree2, a, nonnegative_interim=nonnegative_interim)
+            present, pays = draw_dividend(tree2, b, nonnegative_interim=nonnegative_interim)
+            assert a.bit_generator.state == b.bit_generator.state
+            assert dp.stages() == np.flatnonzero(present).tolist()
+            assert np.array_equal(dp.arrays()[1], pays)
+            assert DividendProcess.of_arrays(tree2, present, pays).to_json() == dp.to_json()
+
+
+def test_payment_added_to_a_stream(tree2):
+    dp = DividendProcess(tree2, {0: 1.5, 2: TVar(tree2, 2, [1.0, INF, -3.0, 0.5])})
+    xi = TVar(tree2, 1, [2.0, -1.0])  # re-expressed at stage 2 as [2, 2, -1, -1]
+    added = dp.with_payment_added(2, xi)
+    assert added.stages() == [0, 2]
+    assert np.array_equal(added.payment(2).values, [3.0, INF, -4.0, -0.5])
+    fresh = dp.with_payment_added(1, xi)
+    assert fresh.stages() == [0, 1, 2]
+    assert np.array_equal(fresh.payment(1).values, [2.0, -1.0])
+    assert np.array_equal(dp.with_payment_added(0, 0.5).payment(0).values, [2.0])
+    assert dp.stages() == [0, 2]  # the stream itself is unchanged
+    with pytest.raises(ValueError):
+        dp.with_payment_added(0, xi)  # xi is not known at stage 0
+
+
+def test_aggregate_from_is_the_batch_pass_bit_for_bit(tree2):
+    rng = np.random.default_rng(5)
+    streams = [sample_dividend(tree2, rng, nonnegative_interim=False) for _ in range(30)]
+    streams += [
+        DividendProcess(tree2, {}),
+        DividendProcess(tree2, {0: INF, 2: TVar(tree2, 2, [1.0, INF, -3.0, 0.5])}),
+        DividendProcess(tree2, {1: TVar(tree2, 1, [INF, -0.0])}),
+        # partial sums that overflow to -inf and then meet +inf: inf - inf = 0
+        DividendProcess(tree2, {0: -1.7e308, 1: -1.7e308,
+                                2: TVar(tree2, 2, [INF, 1.0, 2.0, 3.0])})]
+    assert any(len(dp.stages()) < len(tree2.times) for dp in streams)
+    pays = np.stack([dp.arrays()[1] for dp in streams])
+    for t in tree2.times:
+        with np.errstate(over="ignore"):
+            batch = _aggregate(t, pays)
+        for dp, agg in zip(streams, batch):
+            want = np.zeros(tree2.n_leaves)  # the payments from t on, in stage order
+            with np.errstate(over="ignore"):
+                for r, pay in dp.payments.items():
+                    if r >= t:
+                        want = ext_add(want, pay.values[tree2.atom_index[r]])
+                got = dp.aggregate_from(t).values
+            assert got.tobytes() == agg.tobytes() == want.tobytes()
+
+
+def _constructions(monkeypatch):
+    """Count the constructions of every variable and stream class."""
+    counts = {}
+    for cls in (XVar, TVar, EventMask, DividendProcess):
+        def counted(self, *args, init=cls.__init__, name=cls.__name__, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    return counts
+
+
+def test_checkers_build_no_variables_per_trial(monkeypatch, tree2):
+    # a passing measure has no witness, so the trials build no XVar, TVar,
+    # EventMask or DividendProcess: the count does not grow with the trial count
+    counts = _constructions(monkeypatch)
+    m = GainLossRatio()
+    for check in (lambda n: check_axioms(m, tree2, 1, trials=n, rng_seed=8),
+                  lambda n: check_lift_axioms(m, tree2, trials=n, rng_seed=10)):
+        built = []
+        for n in (30, 60):
+            counts.clear()
+            assert check(n).passed
+            built.append(dict(counts))
+        assert built[0] == built[1]

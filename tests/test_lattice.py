@@ -12,7 +12,8 @@ from perflat import (INF, EventMask, FilteredSpace, TVar, XVar, atom_expect,
                      binomial_tree, close_or_both_inf, coin2, cond_expect,
                      dump_json, ess_inf, ess_sup, ext_add, ext_mul, ext_sub,
                      num_from_json, num_to_json, paste, random_tree,
-                     sample_xvar)
+                     sample_event, sample_tvar, sample_xvar)
+from perflat.lattice import draw_atom_values, draw_event_flags, draw_leaf_values
 
 
 # ---------------------------------------------------------------------------
@@ -393,3 +394,32 @@ def test_dump_json_is_deterministic(tmp_path):
     assert json.loads(p1.read_text())["a"][0] == "inf"
     with pytest.raises(ValueError):
         dump_json({"raw": INF})  # infinities must be encoded first
+
+
+# ---------------------------------------------------------------------------
+# samplers
+
+
+def _same_draws(sample, draw, seed):
+    """sample and draw give equal values from equal generators and leave them in the
+    same state."""
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    got, want = sample(a), draw(b)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert a.bit_generator.state == b.bit_generator.state
+    return got
+
+
+def test_each_sampler_wraps_its_array_draw():
+    tree = binomial_tree(3)
+    legs = [_same_draws(lambda rng: sample_xvar(tree, rng, inf_prob=0.3).values,
+                        lambda rng: draw_leaf_values(tree, rng, inf_prob=0.3), seed)
+            for seed in range(5)]
+    assert any(np.isposinf(v).any() for v in legs)
+    for t in tree.times:  # stage 0 is one atom: the event must be the whole space
+        for seed in range(5):
+            flags = _same_draws(lambda rng: sample_event(tree, t, rng).flags,
+                                lambda rng: draw_event_flags(tree, t, rng), seed)
+            assert flags.any() and (t == 0 or not flags.all())
+            _same_draws(lambda rng: sample_tvar(tree, t, rng, low=-6.0).values,
+                        lambda rng: draw_atom_values(tree, t, rng, low=-6.0), seed)

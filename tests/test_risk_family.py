@@ -26,7 +26,8 @@ from perflat import (INF, CertaintyEquivalentMeasure, ConditionalExpectation,
 from perflat import risk_family, solvers
 from perflat.lattice import FilteredSpace, atom_expect, cond_expect, loss_order
 from perflat.report import LEAF_VALUES_PER_CALL
-from perflat.risk_family import TOL_C, _CapitalChain, _evaluate_next_blocks, _induce_raw
+from perflat.risk_family import (TOL_C, _canonical_bracket, _CapitalChain,
+                                 _evaluate_next_blocks, _induce_raw)
 from perflat.solvers import vector_monotone_inf
 from perflat.util import derived_rng
 
@@ -82,6 +83,33 @@ def test_induce_terminates_where_float_spacing_exceeds_tol(space2, payoff, tol):
     want = glr_dual_risk(0, 1.0, x).values.values[0]
     assert abs(rho - want) <= 2.0 * np.spacing(abs(want))
     assert evaluate(glr, 0, x + rho).values[0] < 1.0  # lower endpoint, g < target
+
+
+def test_canonical_bracket_pads_by_one_below_two_to_the_53():
+    rng = np.random.default_rng(7)
+    space = binomial_tree(2)
+    for scale in (1.0, 1e3, 1e9, 2.0 ** 40, 2.0 ** 52):
+        for _ in range(50):
+            x = XVar(space, rng.uniform(-scale, scale, size=space.n_leaves))
+            fmin, fmax = x.finite_min(), x.finite_max()
+            assert _canonical_bracket(x) == (-fmax - 1.0, -fmin + 1.0)
+
+
+@pytest.mark.parametrize("v", [1e16, 1e17, -1e17])
+def test_equal_large_leaves_keep_a_two_point_bracket(space2, v):
+    # at |f| >= 2^53 a pad of 1.0 rounds away; the ulp pad keeps two points, so the
+    # search answers, and agrees with the closed form and the capital chain's sign
+    x = XVar(space2, [v, v])
+    lo, hi = _canonical_bracket(x)
+    assert lo < hi
+    m = GainLossRatio()
+    for z in (0.5, 1.0, 2.0):
+        got = induce_risk(m, 0, z, x).values.values
+        assert np.array_equal(got, glr_dual_risk(0, z, x).values.values)
+        assert np.array_equal(got, [-v])
+        fam = induced_family(m)
+        for s in (-2.0 * v, -v, 0.0, 2.0 * v):
+            assert np.array_equal(fam.raw(z, 0, x, stop_at=s) < s, got < s)
 
 
 def test_bisection_reaches_the_smallest_spacing_under_the_cap():
