@@ -36,21 +36,6 @@ from .report import CheckResult, Report
 from .util import derived_rng
 
 
-def _at_stage(space: FilteredSpace, r: int, xi: TVar) -> TVar:
-    """Re-express a variable known by stage r as a stage-r amount."""
-    if xi.stage > r:
-        raise ValueError(f"a stage-{xi.stage} variable is not known at {r}")
-    if xi.stage == r:
-        return xi if xi.kind == "bb" else TVar(space, r, xi.values, kind="bb")
-    firsts = [a[0] for a in space.atoms[r]]
-    return TVar(space, r, xi.promote().values[firsts], kind="bb")
-
-
-# A stream as arrays: present flags, one per stage, and pays, one leaf row per stage
-# holding that stage's payment (constant on its atoms, 0 where nothing is paid).  A
-# batch of streams is a (B, n_stages, n_leaves) pays array.
-
-
 def _aggregate(t: int, pays: np.ndarray) -> np.ndarray:
     """The aggregates from stage t of (..., n_stages, n_leaves) pays, as leaf rows.
 
@@ -86,45 +71,69 @@ def _paid_at_the_end(space: FilteredSpace, leaves: np.ndarray) -> np.ndarray:
     return pays
 
 
+def _on_atoms(space: FilteredSpace, r: int, row: np.ndarray) -> np.ndarray:
+    """A stage-r leaf row's value on each stage-r atom (at the atom's first leaf)."""
+    return row[[a[0] for a in space.atoms[r]]]
+
+
+def _valid_payment(row: np.ndarray) -> np.ndarray:
+    if not row.min() > -INF:  # one reduction: NaN propagates
+        raise ValueError("nan values are not allowed" if np.isnan(row).any()
+                         else "-inf not allowed in a bounded-below stage variable")
+    return row
+
+
+def _payment_row(space: FilteredSpace, r: int, pay: TVar | float) -> np.ndarray:
+    """A payment due at stage r as a leaf row: a number, or a stage variable on this
+    space known by stage r (an earlier one is paid as it stands), bounded below."""
+    if not isinstance(pay, TVar):
+        return _valid_payment(np.full(space.n_leaves, float(pay)))
+    if not pay.space.same_structure(space):
+        raise ValueError("payment lives on a different space")
+    if pay.stage > r:
+        raise ValueError(f"a stage-{pay.stage} variable is not known at {r}")
+    return _valid_payment(pay.values[space.atom_index[pay.stage]])
+
+
 class DividendProcess:
     """Adapted payment stream: a bounded-below amount at each stage.
 
     payments maps a stage to the amount paid there; each amount is a stage
     variable measurable no later than the payment date (earlier-stage
     variables are re-expressed at the date) or a plain number.  Stages with
-    no entry pay nothing.
+    no entry pay nothing.  The stream is held as the arrays the lift checkers
+    draw: ``present`` flags each paying stage and ``pays`` holds one leaf row per
+    stage, its payment (constant on the stage's atoms, 0 where nothing is paid);
+    both are read-only.
     """
 
-    __slots__ = ("space", "payments")
+    __slots__ = ("space", "present", "pays")
 
     def __init__(self, space: FilteredSpace, payments: Mapping[int, TVar | float]):
-        self.space = space
-        store: dict[int, TVar] = {}
+        present = np.zeros(len(space.times), dtype=bool)
+        pays = np.zeros((len(space.times), space.n_leaves))
         for t, pay in payments.items():
             t = space.check_stage(int(t))
-            if isinstance(pay, TVar):
-                if not pay.space.same_structure(space):
-                    raise ValueError("payment lives on a different space")
-                pay = _at_stage(space, t, pay)
-            else:
-                pay = TVar.constant(space, t, float(pay))
-            store[t] = pay
-        self.payments = dict(sorted(store.items()))
+            present[t], pays[t] = True, _payment_row(space, t, pay)
+        self._hold(space, present, pays)
+
+    def _hold(self, space: FilteredSpace, present: np.ndarray, pays: np.ndarray):
+        present.setflags(write=False)
+        pays.setflags(write=False)
+        self.space, self.present, self.pays = space, present, pays
 
     @classmethod
     def of_arrays(cls, space: FilteredSpace, present: np.ndarray,
                   pays: np.ndarray) -> "DividendProcess":
-        """The stream paying pays[r] at each stage r flagged present."""
-        return cls(space, {r: TVar(space, r, pays[r][[a[0] for a in space.atoms[r]]],
-                                   kind="bb") for r in np.flatnonzero(present).tolist()})
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The stream as present flags and pays."""
-        present = np.zeros(len(self.space.times), dtype=bool)
-        pays = np.zeros((len(self.space.times), self.space.n_leaves))
-        for r, pay in self.payments.items():
-            present[r], pays[r] = True, pay.promote().values
-        return present, pays
+        """The stream paying pays[r], read off the stage-r atoms, at each stage r
+        flagged present."""
+        present = np.array(present, dtype=bool)
+        rows = np.zeros((len(space.times), space.n_leaves))
+        for r in np.flatnonzero(present).tolist():
+            rows[r] = _valid_payment(_on_atoms(space, r, pays[r]))[space.atom_index[r]]
+        dp = cls.__new__(cls)
+        dp._hold(space, present, rows)
+        return dp
 
     @classmethod
     def terminal_only(cls, x: XVar) -> "DividendProcess":
@@ -132,40 +141,42 @@ class DividendProcess:
         present = np.arange(len(x.space.times)) == x.space.horizon
         return cls.of_arrays(x.space, present, _paid_at_the_end(x.space, x.values))
 
+    @property
+    def payments(self) -> dict[int, TVar]:
+        """The amount paid at each paying stage, in stage order."""
+        return {r: self.payment(r) for r in self.stages()}
+
     def stages(self) -> list[int]:
-        return list(self.payments)
+        return np.flatnonzero(self.present).tolist()
 
     def payment(self, t: int) -> TVar:
         t = self.space.check_stage(t)
-        pay = self.payments.get(t)
-        return pay if pay is not None else TVar.constant(self.space, t, 0.0)
+        return TVar(self.space, t, _on_atoms(self.space, t, self.pays[t]), kind="bb")
 
     def aggregate_from(self, t: int) -> XVar:
         """Total of the payments from t onward, as a terminal payoff: the one
         aggregation pass that the lift checker runs on its batches of streams."""
         t = self.space.check_stage(t)
-        return XVar(self.space, _aggregate(t, self.arrays()[1]), validate=False)
+        return XVar(self.space, _aggregate(t, self.pays), validate=False)
 
     def with_payment_added(self, r: int, amount: TVar | float) -> "DividendProcess":
         """A copy with amount added to the stage-r payment."""
         r = self.space.check_stage(r)
-        add = (_at_stage(self.space, r, amount) if isinstance(amount, TVar)
-               else TVar.constant(self.space, r, float(amount)))
-        return DividendProcess.of_arrays(
-            self.space, *_paid_more(*self.arrays(), r, add.promote().values))
+        return DividendProcess.of_arrays(self.space, *_paid_more(
+            self.present, self.pays, r, _payment_row(self.space, r, amount)))
 
     def scaled(self, c: float) -> "DividendProcess":
         if c < 0.0:
             raise ValueError("negative scaling flips the lower bound")
-        present, pays = self.arrays()
-        return DividendProcess.of_arrays(self.space, present, ext_mul(pays, c))
+        return DividendProcess.of_arrays(self.space, self.present,
+                                         ext_mul(self.pays, c))
 
     def mixed_with(self, other: "DividendProcess", lam: float) -> "DividendProcess":
         """Stagewise convex mix lam*self + (1-lam)*other."""
         if not 0.0 <= lam <= 1.0:
             raise ValueError("mixing weight must lie in [0, 1]")
-        (p1, a), (p2, b) = self.arrays(), other.arrays()
-        return DividendProcess.of_arrays(self.space, p1 | p2, _mix(a, b, lam))
+        return DividendProcess.of_arrays(self.space, self.present | other.present,
+                                         _mix(self.pays, other.pays, lam))
 
     def to_json(self) -> dict:
         return {"space": self.space.name or "",
@@ -178,17 +189,18 @@ class DividendProcess:
         ref = d.get("space", "")
         if ref and space.name and ref != space.name:
             raise ValueError(f"stream references space {ref!r}, got {space.name!r}")
-        pays = {}
+        present = np.zeros(len(space.times), dtype=bool)
+        pays = np.zeros((len(space.times), space.n_leaves))
         for key, row in d["payments"].items():
             t = space.check_stage(int(key))
             vals = np.zeros(space.n_atoms(t))
             for ak, v in row.items():
                 vals[space.atom_by_id(t, str(ak))] = num_from_json(v)
-            pays[t] = TVar(space, t, vals, kind="bb")
-        return cls(space, pays)
+            present[t], pays[t] = True, vals[space.atom_index[t]]
+        return cls.of_arrays(space, present, pays)
 
     def __repr__(self):
-        stages = ", ".join(str(t) for t in self.payments)
+        stages = ", ".join(str(t) for t in self.stages())
         return f"DividendProcess(stages: {stages or 'none'})"
 
 
@@ -398,14 +410,14 @@ def check_lift_time_consistency(d: DynamicMeasure, space: FilteredSpace, *,
                                 witness: dict | None = None) -> Report:
     """Compare consistency-over-time verdicts for payoffs and for streams.
 
-    Runs the payoff-level checker, then scans random streams for localized
-    stream-level violations (an F_s-atom at or below a level with every
-    F_t-child strictly above it, margins re-verified through the induced
-    risk at tolerance 1e-12).  Witnesses transport both ways: a payoff
-    witness becomes a single-terminal-payment stream with identical values,
-    and a stream witness aggregates from stage s into a payoff witness,
-    which is guaranteed when interim payments are nonnegative.  Sampling
-    with strictly negative interim payments documents the one-way gap
+    Runs the payoff-level checker, then scans random streams, drawn as arrays
+    (``draw_dividend``), for localized stream-level violations (an F_s-atom at
+    or below a level with every F_t-child strictly above it, margins re-verified
+    through the induced risk at tolerance 1e-12).  Witnesses transport both
+    ways: a payoff witness becomes a single-terminal-payment stream with
+    identical values, and a stream witness aggregates from stage s into a payoff
+    witness, which is guaranteed when interim payments are nonnegative.
+    Sampling with strictly negative interim payments documents the one-way gap
     instead of asserting agreement.
 
     A payoff-level ``witness`` found elsewhere (usually by the directed
@@ -420,25 +432,22 @@ def check_lift_time_consistency(d: DynamicMeasure, space: FilteredSpace, *,
                        "nonnegative_interim": nonnegative_interim})
     var_rep = check_time_consistency(d, space, z_grid=z_grid, trials=trials,
                                      rng_seed=rng_seed)
-    var_witness = var_rep.witness
-    var_verdict = var_rep.verdict
+    var_witness, var_verdict = var_rep.witness, var_rep.verdict
     injected = False
     if var_witness is None and witness is not None:
         ok, _ = verify_witness(d, space, witness)
         if ok:  # a verified witness is proof no matter where it came from
             var_witness, var_verdict, injected = witness, "counterexample", True
     levels = var_rep.meta["z_grid"]
-    times = list(space.times)
     pairs = _stage_pairs(space)
 
-    proc_witness = None
-    proc_candidates = 0
-    proc_verified = 0
+    proc_witness, proc_candidates, proc_verified = None, 0, 0
     for k in range(trials):
-        rng = derived_rng(rng_seed, 71, k)
-        dp = sample_dividend(space, rng, nonnegative_interim=nonnegative_interim)
-        aggs = {t: dp.aggregate_from(t) for t in times}
-        betas = {t: evaluate(d.measure, t, aggs[t]).values for t in times}
+        present, pays = draw_dividend(space, derived_rng(rng_seed, 71, k),
+                                      nonnegative_interim=nonnegative_interim)
+        aggs = {t: _aggregate(t, pays) for t in space.times}
+        betas = {t: evaluate_rows(d.measure, space, t, aggs[t][None])[0]
+                 for t in space.times}
         for s, t, z, a, bs, bt_min, verdict in _scan(d, space, pairs, levels,
                                                      aggs, betas):
             if verdict is None:  # ties carry no verdict
@@ -447,8 +456,9 @@ def check_lift_time_consistency(d: DynamicMeasure, space: FilteredSpace, *,
             if verdict[0]:
                 proc_verified += 1
                 if proc_witness is None:
-                    proc_witness = _make_witness(space, s, t, z, a, bs, bt_min,
-                                                 D=dp.to_json())
+                    proc_witness = _make_witness(
+                        space, s, t, z, a, bs, bt_min,
+                        D=DividendProcess.of_arrays(space, present, pays).to_json())
     proc_verdict = "counterexample" if proc_witness else "consistent-on-sample"
 
     rep.add(CheckResult("variable_level", None, var_rep.samples,
@@ -462,8 +472,7 @@ def check_lift_time_consistency(d: DynamicMeasure, space: FilteredSpace, *,
     to_process_ok = None
     if var_witness is not None:
         w = var_witness
-        x = XVar.from_json(w["x"], space)
-        dp = DividendProcess.terminal_only(x)
+        dp = DividendProcess.terminal_only(XVar.from_json(w["x"], space))
         s, t, z = w["s"], w["t"], w["z"]
         a = space.atom_by_id(s, w["atom"])
         bh_t_min = _child_min(space, s, t, lift_evaluate(d.measure, t, dp).values)[a]
@@ -477,12 +486,10 @@ def check_lift_time_consistency(d: DynamicMeasure, space: FilteredSpace, *,
         rep.add(CheckResult("transport_to_process", None,
                             note="no payoff-level witness to transport"))
 
-    gap_note = ""
     var_transport_ok = None
     if proc_witness is not None:
         w = proc_witness
-        dp = DividendProcess.from_json(w["D"], space)
-        x_star = dp.aggregate_from(w["s"])
+        x_star = DividendProcess.from_json(w["D"], space).aggregate_from(w["s"])
         shadow = dict(w, x=x_star.to_json())
         var_transport_ok, detail = verify_witness(d, space, shadow, x=x_star)
         note = (f"aggregate from stage {w['s']} re-verified: "
@@ -505,14 +512,8 @@ def check_lift_time_consistency(d: DynamicMeasure, space: FilteredSpace, *,
         # with nonnegative interim payments the two views certify each other:
         # when only one side found a witness, transport must bridge the gap
         var_found = var_witness is not None
-        if not var_found and proc_witness is None:
-            agree = True
-        elif var_found and proc_witness is not None:
-            agree = True
-        elif var_found:
-            agree = bool(to_process_ok)
-        else:
-            agree = bool(var_transport_ok)
+        agree = (var_found == (proc_witness is not None)
+                 or bool(to_process_ok if var_found else var_transport_ok))
         rep.add(CheckResult("verdict_agreement", agree, 1, 0 if agree else 1,
                             note=f"payoffs: {var_verdict}; "
                                  f"streams: {proc_verdict}"))

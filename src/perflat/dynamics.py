@@ -17,11 +17,11 @@ re-verification with explicit margins at tightened bisection tolerance.
 "consistent-on-sample" is a sampling verdict, never a proof.
 
 One localized scan (``_scan``) serves payoffs here and dividend streams in
-``dividends``: per stage pair, level and F_s-atom it compares the atom's
-value with the smallest value over its F_t-children (``_child_min``) and
-hands each candidate away from a tie to one verification core, which takes
-the stage values the scan already holds.  A certified violation clears the
-level by BETA_MARGIN on both sides.
+``dividends``, given as one leaf row per stage: per stage pair, level and
+F_s-atom it compares the atom's value with the smallest value over its
+F_t-children (``_child_min``) and hands each candidate away from a tie to one
+verification core, which takes the stage values the scan already holds.  A
+certified violation clears the level by BETA_MARGIN on both sides.
 """
 from __future__ import annotations
 
@@ -211,9 +211,11 @@ def _scan(d: DynamicMeasure, space: FilteredSpace, pairs, levels, xs: dict,
     A candidate is an F_s-atom at or below the level whose F_t-children all sit
     strictly above it.  Yields (s, t, z, k, beta_s, beta_t_min, verdict), where
     verdict is None for a tie (a gap under TIE_BETA) and otherwise the (ok, detail)
-    of the verification core.  xs maps each stage to the payoff valued there and
-    betas to its values.
+    of the verification core.  xs maps each stage to the payoff valued there, as a
+    leaf row, and betas to its values; only a candidate sent to the core builds its
+    payoffs as variables.
     """
+    claim = lambda r: XVar(space, xs[r], validate=False)
     for s, t in pairs:
         bs, bt_min = betas[s], _child_min(space, s, t, betas[t])
         for z in levels:
@@ -221,7 +223,7 @@ def _scan(d: DynamicMeasure, space: FilteredSpace, pairs, levels, xs: dict,
                 bs_k, bt_k = float(bs[k]), float(bt_min[k])
                 tie = min(bt_k - z, z - bs_k) < TIE_BETA
                 yield s, t, z, k, bs_k, bt_k, None if tie else _verify_localized(
-                    d, space, s, t, z, k, xs[s], xs[t], bs_k, bt_k)
+                    d, space, s, t, z, k, claim(s), claim(t), bs_k, bt_k)
 
 
 def globalize_witness(d: DynamicMeasure, space: FilteredSpace,
@@ -327,7 +329,7 @@ def check_time_consistency(d: DynamicMeasure, space: FilteredSpace,
                         agree_failed += 1
 
         for s, t, z, k, bs_k, bt_min, verdict in _scan(
-                d, space, pairs, z_grid, dict.fromkeys(space.times, x), betas):
+                d, space, pairs, z_grid, dict.fromkeys(space.times, x.values), betas):
             cand_total += 1
             if verdict is None:
                 cand_ties += 1

@@ -25,7 +25,6 @@ from .lattice import (INF, FilteredSpace, TVar, XVar, _validate_leaf_values,
                       draw_event_flags, draw_leaf_values, loss_order, num_from_json,
                       num_to_json)
 from .report import CheckResult, Report, TwoPhase, run_trials
-from .solvers import vector_monotone_inf
 
 EPS_STRICT = 1e-12
 DEFAULT_TOL = 1e-9
@@ -230,7 +229,6 @@ class PerformanceMeasure:
     z_d = -INF
     z_u = INF
     scale_invariant = False
-    eps_strict = EPS_STRICT
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -404,8 +402,7 @@ class GainLossRatio(PerformanceMeasure):
 
     def kernel(self, space, t, leaf_values):
         expect = atom_expector(space, t)
-        eps = self.eps_strict
-        return lambda y: _ratio(expect(y), expect(np.maximum(-y, 0.0)), eps)
+        return lambda y: _ratio(expect(y), expect(np.maximum(-y, 0.0)), EPS_STRICT)
 
 
 @dataclass
@@ -544,18 +541,17 @@ class RewardRiskRatio(PerformanceMeasure):
     def kernel(self, space, t, leaf_values):
         expect = atom_expector(space, t)
         u = self.utility
-        eps = self.eps_strict
         if self.infinite_when_risk_nonpositive:
             risk = self.denominator.risk_kernel(space, t, leaf_values)
 
             def f(y):
                 r = risk(y)
-                out = _ratio(expect(u(y)), np.maximum(r, 0.0), eps)
-                return np.where(r <= eps, INF, out)
+                out = _ratio(expect(u(y)), np.maximum(r, 0.0), EPS_STRICT)
+                return np.where(r <= EPS_STRICT, INF, out)
 
             return f
         den = self.denominator.kernel(space, t, leaf_values)
-        return lambda y: _ratio(expect(u(y)), den(y), eps)
+        return lambda y: _ratio(expect(u(y)), den(y), EPS_STRICT)
 
     def params_json(self, space=None):
         return {"utility": self.utility.to_json(),
@@ -871,7 +867,6 @@ def check_axioms(m: PerformanceMeasure, space: FilteredSpace, t: int,
 
     # 6. stage-measurable acceptance sets are uniformly bounded below
     thresholds = {}
-    ones = np.ones(space.n_atoms(t))
 
     def draw_acceptance_lower_bound(rng, k):
         xi = draw_atom_values(space, t, rng, low=-6.0, high=6.0)
@@ -886,16 +881,15 @@ def check_axioms(m: PerformanceMeasure, space: FilteredSpace, t: int,
         return {"note": "accepted stage claim below the floor",
                 "z": num_to_json(z), "xi": TVar(space, t, xi).to_json()}
 
-    for z in _interior_levels(m.z_d, m.z_u):
-        sol = vector_monotone_inf(lambda c: m.values(space, t, c[at]), -ones, ones,
-                                  z * ones)
-        if np.any(sol.hit_lower_cap):
+    from .risk_family import _induce_raw  # risk_family imports this module
+    for z in _interior_levels(m.z_d, m.z_u):  # the floor at z is rho_t^z(0)
+        thresholds[z], capped, _ = _induce_raw(m, t, z, XVar.constant(space, 0.0))
+        if np.any(capped):
             rep.add(CheckResult("acceptance_lower_bound", False, trials=trials,
                                 witness={"note": "no uniform floor for stage claims "
                                                  "at this level",
                                          "z": num_to_json(z)}))
             break
-        thresholds[z] = sol.values
     else:
         run("acceptance_lower_bound", 7, draw_acceptance_lower_bound,
             lambda vals, xis: np.logical_or.reduce(

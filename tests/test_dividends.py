@@ -6,7 +6,9 @@ from perflat import (INF, CustomMeasure, DividendProcess, DynamicMeasure,
                      atom_expect, binomial_tree, check_lift_axioms,
                      check_lift_time_consistency, evaluate, lift_evaluate,
                      lpm_ratio, sample_dividend)
+from perflat import dividends
 from perflat.dividends import _aggregate, draw_dividend
+from perflat.dynamics import check_time_consistency
 from perflat.lattice import EventMask, ext_add
 from perflat.measures import check_axioms
 from perflat.util import derived_rng
@@ -220,7 +222,7 @@ def test_sample_dividend_wraps_its_array_draw(tree2):
             present, pays = draw_dividend(tree2, b, nonnegative_interim=nonnegative_interim)
             assert a.bit_generator.state == b.bit_generator.state
             assert dp.stages() == np.flatnonzero(present).tolist()
-            assert np.array_equal(dp.arrays()[1], pays)
+            assert np.array_equal(dp.pays, pays)
             assert DividendProcess.of_arrays(tree2, present, pays).to_json() == dp.to_json()
 
 
@@ -239,6 +241,29 @@ def test_payment_added_to_a_stream(tree2):
         dp.with_payment_added(0, xi)  # xi is not known at stage 0
 
 
+def test_a_payment_from_another_space_is_refused(tree2):
+    # the constructor and with_payment_added check a payment alike
+    elsewhere = TVar(binomial_tree(2, p=0.3), 1, [1.0, 2.0])
+    dp = DividendProcess(tree2, {2: 1.0})
+    for build in (lambda: DividendProcess(tree2, {1: elsewhere}),
+                  lambda: dp.with_payment_added(1, elsewhere)):
+        with pytest.raises(ValueError, match="different space"):
+            build()
+
+
+@pytest.mark.parametrize("bad, message", [(np.nan, "nan"), (-INF, "-inf")])
+def test_of_arrays_rejects_nan_and_minus_inf(tree2, bad, message):
+    present = np.array([False, True, True])
+    pays = np.ones((len(tree2.times), tree2.n_leaves))
+    pays[1, 2:] = bad  # the second stage-1 atom
+    with pytest.raises(ValueError, match=message):
+        DividendProcess.of_arrays(tree2, present, pays)
+    # an absent stage is ignored, whatever its row holds
+    present[1] = False
+    dp = DividendProcess.of_arrays(tree2, present, pays)
+    assert dp.stages() == [2] and not dp.pays[1].any()
+
+
 def test_aggregate_from_is_the_batch_pass_bit_for_bit(tree2):
     rng = np.random.default_rng(5)
     streams = [sample_dividend(tree2, rng, nonnegative_interim=False) for _ in range(30)]
@@ -250,7 +275,7 @@ def test_aggregate_from_is_the_batch_pass_bit_for_bit(tree2):
         DividendProcess(tree2, {0: -1.7e308, 1: -1.7e308,
                                 2: TVar(tree2, 2, [INF, 1.0, 2.0, 3.0])})]
     assert any(len(dp.stages()) < len(tree2.times) for dp in streams)
-    pays = np.stack([dp.arrays()[1] for dp in streams])
+    pays = np.stack([dp.pays for dp in streams])
     for t in tree2.times:
         with np.errstate(over="ignore"):
             batch = _aggregate(t, pays)
@@ -265,13 +290,23 @@ def test_aggregate_from_is_the_batch_pass_bit_for_bit(tree2):
 
 
 def _constructions(monkeypatch):
-    """Count the constructions of every variable and stream class."""
+    """Count the constructions of every variable and stream class, streams made
+    through ``DividendProcess.of_arrays`` included."""
     counts = {}
+
+    def count(name):
+        counts[name] = counts.get(name, 0) + 1
+
     for cls in (XVar, TVar, EventMask, DividendProcess):
         def counted(self, *args, init=cls.__init__, name=cls.__name__, **kwargs):
-            counts[name] = counts.get(name, 0) + 1
+            count(name)
             init(self, *args, **kwargs)
         monkeypatch.setattr(cls, "__init__", counted)
+
+    def of_arrays(*args, built=DividendProcess.of_arrays, **kwargs):
+        count("DividendProcess")
+        return built(*args, **kwargs)
+    monkeypatch.setattr(DividendProcess, "of_arrays", staticmethod(of_arrays))
     return counts
 
 
@@ -288,3 +323,19 @@ def test_checkers_build_no_variables_per_trial(monkeypatch, tree2):
             assert check(n).passed
             built.append(dict(counts))
         assert built[0] == built[1]
+
+
+def test_stream_scan_builds_no_variables_per_trial(monkeypatch, tree2):
+    # the payoff-level check is held fixed, so what is counted is the stream scan:
+    # its streams are arrays, and no candidate of gain-loss reaches the core
+    d = DynamicMeasure(GainLossRatio())
+    fixed = check_time_consistency(d, tree2, trials=4, rng_seed=3)
+    monkeypatch.setattr(dividends, "check_time_consistency", lambda *a, **k: fixed)
+    counts = _constructions(monkeypatch)
+    built = []
+    for n in (30, 60):
+        counts.clear()
+        rep = check_lift_time_consistency(d, tree2, trials=n, rng_seed=3)
+        assert rep.meta["verdicts"]["process"] == "consistent-on-sample"
+        built.append(dict(counts))
+    assert built[0] == built[1]

@@ -339,7 +339,7 @@ def test_sign_query_matches_the_full_search(name):
     # full search's own values and their float neighbours
     rng = np.random.default_rng(29)
     capped_seen = False
-    for scale in (1e-8, 1e-4, 1.0, 1e4, 1e8):
+    for scale in (1e-8, 1e-4, 1.0, 1e4, 1e8, 1e12, 1e16, 1e17):
         for _ in range(2):
             space = random_tree(rng, periods=2, max_leaves=16)
             lam = {t: rng.uniform(0.5, 2.0, space.n_atoms(t)) for t in space.times}
@@ -405,11 +405,11 @@ def _chain_levels(m, t, x, s, tol, rng):
 
 def _chain_claims(rng):
     """(space, claim) pairs on a random tree of 1-3 periods and <= 16 leaves and on a
-    binomial tree of 2-6 steps, at a random payoff scale in 1e-8..1e8, +inf legs
+    binomial tree of 2-6 steps, at a random payoff scale in 1e-8..1e17, +inf legs
     included."""
     for space in (random_tree(rng, periods=int(rng.integers(1, 4)), max_leaves=16),
                   binomial_tree(int(rng.integers(2, 7)))):
-        scale = 10.0 ** float(rng.choice([-8, -4, 0, 4, 8]))
+        scale = 10.0 ** float(rng.choice([-8, -4, 0, 4, 8, 12, 16, 17]))
         yield space, XVar(space, sample_xvar(space, rng, inf_prob=0.15).values * scale)
 
 
@@ -1068,7 +1068,7 @@ def test_dual_matches_lp(tree3):
 # exceeds TOL_C; the measure's own rounding adds a few ulps of the payoff scale.
 # Hence |dual - bisection| <= TOL_C + 1e-14 max|X|: the absolute part binds below
 # payoffs of about 1e4, the relative part above.
-@given(seed=st.integers(0, 10_000), log_scale=st.floats(-8.0, 8.0))
+@given(seed=st.integers(0, 10_000), log_scale=st.floats(-8.0, 17.0))
 @settings(max_examples=80, deadline=None)
 def test_dual_matches_bisection(seed, log_scale):
     space = binomial_tree(2)
