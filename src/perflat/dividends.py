@@ -175,6 +175,8 @@ class DividendProcess:
         """Stagewise convex mix lam*self + (1-lam)*other."""
         if not 0.0 <= lam <= 1.0:
             raise ValueError("mixing weight must lie in [0, 1]")
+        if not other.space.same_structure(self.space):
+            raise ValueError("payment lives on a different space")
         return DividendProcess.of_arrays(self.space, self.present | other.present,
                                          _mix(self.pays, other.pays, lam))
 

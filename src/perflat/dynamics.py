@@ -262,7 +262,7 @@ def _stage_risks(d: DynamicMeasure, x: XVar, z_grid: list, tol: float) -> dict:
     (``_induce_raw``), so each row equals the one-level call bit for bit.
     """
     levels = np.array(z_grid, dtype=float)[:, None]
-    return {r: _induce_raw(d.measure, r, levels, x, tol=tol)[0] for r in x.space.times}
+    return {r: _induce_raw(d.measure, r, levels, x, tol=tol) for r in x.space.times}
 
 
 def check_time_consistency(d: DynamicMeasure, space: FilteredSpace,

@@ -883,8 +883,8 @@ def check_axioms(m: PerformanceMeasure, space: FilteredSpace, t: int,
 
     from .risk_family import _induce_raw  # risk_family imports this module
     for z in _interior_levels(m.z_d, m.z_u):  # the floor at z is rho_t^z(0)
-        thresholds[z], capped, _ = _induce_raw(m, t, z, XVar.constant(space, 0.0))
-        if np.any(capped):
+        thresholds[z] = _induce_raw(m, t, z, XVar.constant(space, 0.0))
+        if np.any(np.isneginf(thresholds[z])):
             rep.add(CheckResult("acceptance_lower_bound", False, trials=trials,
                                 witness={"note": "no uniform floor for stage claims "
                                                  "at this level",

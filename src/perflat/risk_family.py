@@ -42,8 +42,7 @@ from .lattice import (INF, FilteredSpace, TVar, XVar, atom_expect, close_or_both
                       sample_xvar)
 from .measures import ExponentialUtilityMeasure, PerformanceMeasure
 from .report import LEAF_VALUES_PER_CALL, CheckResult, Report, run_trials
-from .solvers import (BRACKET_CAP, BracketError, InfShiftResult, group_logsumexp,
-                      vector_monotone_inf)
+from .solvers import BRACKET_CAP, BracketError, group_logsumexp, vector_monotone_inf
 
 TOL_C = 1e-10   # capital tolerance for the per-atom bisection
 TOL_Z = 1e-8    # level tolerance (in atan coordinates) for reconstruction
@@ -55,13 +54,23 @@ TOL_Z = 1e-8    # level tolerance (in atan coordinates) for reconstruction
 
 @dataclass
 class RiskPoint:
-    """Per-atom risk at one level: stage, level(s), values (bounded above, -inf ok)."""
+    """Per-atom risk at one level: stage, level(s), values (bounded above, -inf ok),
+    and the capital tolerance ``tol`` that ``near_zero`` reads them at."""
 
     stage: int
     level: float | np.ndarray
     values: TVar
-    near_zero: np.ndarray
-    capped: np.ndarray
+    tol: float = TOL_C
+
+    @property
+    def near_zero(self) -> np.ndarray:
+        """|rho| <= tol: zero at the resolution of the search."""
+        return np.abs(self.values.values) <= self.tol
+
+    @property
+    def capped(self) -> np.ndarray:
+        """rho = -inf: the level is reached at every capital."""
+        return np.isneginf(self.values.values)
 
     def to_json(self) -> dict:
         lv = self.level
@@ -82,35 +91,22 @@ def _canonical_bracket(x: XVar) -> tuple[float, float]:
     return -fmax - max(1.0, math.ulp(fmax)), -fmin + max(1.0, math.ulp(fmin))
 
 
-def _search(g, shape, target, bracket, tol, stop_at) -> InfShiftResult:
-    """``vector_monotone_inf`` of the prepared g from ``bracket`` on the components of
-    one (n_atoms,) row or of (B, n_atoms) rows, with flat ``target`` and ``stop_at``."""
-    if len(shape) == 2:  # the search sees one flat vector of (row, atom) components
-        rows = g
-        g = lambda c: rows(c.reshape(shape)).ravel()
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return vector_monotone_inf(g, np.full(target.size, bracket[0]),
-                                       np.full(target.size, bracket[1]), target,
-                                       tol=tol, stop_at=stop_at)
-    except BracketError as e:
-        raise RuntimeError(
-            "shift bracket never reached the level from below; the measure's upper "
-            "threshold looks misdeclared") from e
+_UNREACHED_LEVEL = ("shift bracket never reached the level from below; the measure's "
+                   "upper threshold looks misdeclared")
 
 
 def _induce_raw(m: PerformanceMeasure, t: int, z, x: XVar, tol: float = TOL_C,
-                stop_at=None):
-    """Per-atom inf{c : beta_t(X + c) >= z}.
+                stop_at=None) -> np.ndarray:
+    """Per-atom inf{c : beta_t(X + c) >= z}, -inf where the search is capped below.
 
     z may be a scalar, a per-atom array or a (B, n_atoms) array of level rows; each
     (row, atom) is one independent component of the search, so a row equals the call
     made with that row alone, bit for bit.  The measure is prepared once per call.
     With ``stop_at`` each component stops once its bracket excludes that threshold
-    (``vector_monotone_inf``): only ``values < stop_at`` is then exact.  This is the
-    search itself; ``induced_family`` answers scalar sign queries from a
-    ``_CapitalChain``, which gives the same values by comparison, expanding brackets
-    included, and runs the search only for a level g misses at the cap, to raise.
+    (``vector_monotone_inf``): only ``values < stop_at`` is then exact.  No library
+    caller passes it: ``induced_family`` answers sign queries from a
+    ``_CapitalChain``, and the stopped search is the reference its tests compare
+    against bit for bit.
     """
     space = x.space
     n = space.n_atoms(t)
@@ -119,10 +115,18 @@ def _induce_raw(m: PerformanceMeasure, t: int, z, x: XVar, tol: float = TOL_C,
     target = np.broadcast_to(z, shape).ravel().copy()
     if stop_at is not None:
         stop_at = np.broadcast_to(np.asarray(stop_at, dtype=float), shape).ravel()
-    res = _search(m.prepare(space, t, x.values), shape, target, _canonical_bracket(x),
-                  tol, stop_at)
-    return (res.values.reshape(shape), res.hit_lower_cap.reshape(shape),
-            res.near_zero.reshape(shape))
+    rows = m.prepare(space, t, x.values)
+    # the search sees one flat vector of (row, atom) components
+    g = rows if len(shape) == 1 else lambda c: rows(c.reshape(shape)).ravel()
+    lo0, hi0 = _canonical_bracket(x)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = vector_monotone_inf(g, np.full(target.size, lo0),
+                                         np.full(target.size, hi0), target, tol=tol,
+                                         stop_at=stop_at)
+    except BracketError as e:
+        raise RuntimeError(_UNREACHED_LEVEL) from e
+    return values.reshape(shape)
 
 
 class _Points:
@@ -230,8 +234,9 @@ class _CapitalChain:
     built once per bracket and kept.  Each component is answered by comparing its
     level with g at those points; g is evaluated once per point, lazily, in blocks
     of at most ``LEAF_VALUES_PER_CALL`` leaf values.  These are the stopped
-    search's values bit for bit, so ``< s`` is exact.  Only a level that g does not
-    reach at the cap runs the search (``_search``), which raises there.
+    search's values bit for bit, so ``< s`` is exact.  A level that g does not reach
+    at the cap, g < z at every rung of the upward ladder, raises there, as the search
+    would.  The chain never runs the search.
     """
 
     def __init__(self, m: PerformanceMeasure, t: int, x: XVar, s: float, tol: float):
@@ -299,11 +304,8 @@ class _CapitalChain:
             up = np.flatnonzero(up)
             top[up] = self.rise.first(atom[up], level[up], lambda g, z, j, k: ~(g < z),
                                       start=1)
-            capped = top == len(self.rise.points)
-            if capped.any():  # g < z at the cap: the search raises there
-                row = level.reshape(-1, n)[np.argmax(capped) // n]
-                _search(self.g, (n,), row.copy(), self.bracket, self.tol,
-                        np.full(n, s))
+            if np.any(top == len(self.rise.points)):  # g < z at the cap
+                raise RuntimeError(_UNREACHED_LEVEL)
             hi = self.rise.points[top]
         down = np.flatnonzero(down & (hi >= s))
         bottom = np.zeros(level.size, dtype=np.intp)  # lo is fall.points[bottom]
@@ -340,12 +342,11 @@ def induce_risk(m: PerformanceMeasure, t: int, z: float, x: XVar,
     """
     t = x.space.check_stage(t)
     z_arr = np.asarray(z, dtype=float)
-    if np.any(z_arr <= m.z_d) or np.any(z_arr >= m.z_u):
+    if not np.all((z_arr > m.z_d) & (z_arr < m.z_u)):  # a NaN level fails too
         raise ValueError(f"level must lie strictly inside ({m.z_d}, {m.z_u})")
-    vals, capped, near = _induce_raw(m, t, z, x, tol=tol)
+    vals = _induce_raw(m, t, z, x, tol=tol)
     return RiskPoint(stage=t, level=(float(z) if np.ndim(z) == 0 else z_arr),
-                     values=TVar(x.space, t, vals, kind="ba"),
-                     near_zero=near, capped=capped)
+                     values=TVar(x.space, t, vals, kind="ba"), tol=tol)
 
 
 def _entropic_raw(m: ExponentialUtilityMeasure, t: int, z, x: XVar) -> np.ndarray:
@@ -370,9 +371,7 @@ def entropic_closed_form(lam, t: int, z: float, x: XVar) -> RiskPoint:
     if not np.all(np.asarray(z, dtype=float) < 1.0):
         raise ValueError("the exponential-utility interval is (-inf, 1): need z < 1")
     vals = _entropic_raw(ExponentialUtilityMeasure(lam), t, z, x)
-    near = np.abs(vals) <= TOL_C
-    return RiskPoint(stage=t, level=z, values=TVar(x.space, t, vals, kind="ba"),
-                     near_zero=near, capped=np.isneginf(vals))
+    return RiskPoint(stage=t, level=z, values=TVar(x.space, t, vals, kind="ba"))
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +389,9 @@ class StandardFamily:
     it asks for a tree of levels per call, and refuses a family whose answer has
     another shape.  A family written for scalar or per-atom levels only must be
     extended to level rows before ``reconstruct`` can use it.
-    ``stop_at=c`` (a scalar, or one threshold per value) lets a family stop each
-    search once ``< c`` is decided: only ``raw(z, t, x, stop_at=c) < c`` is then
-    exact, and it must equal ``raw(z, t, x) < c`` element for element.
+    ``stop_at=c``, one number, lets a family stop each search once ``< c`` is
+    decided: only ``raw(z, t, x, stop_at=c) < c`` is then exact, and it must equal
+    ``raw(z, t, x) < c`` element for element.
     ``reconstruct`` reads only that sign; a family with nothing to stop early takes
     the keyword and ignores it.  ``validate_standard_family`` checks the two agree.
     ``zero_log_level(space, t, L)`` optionally evaluates rho^z(0) at z = -e^L, for
@@ -410,22 +409,24 @@ class StandardFamily:
 def induced_family(m: PerformanceMeasure, tol: float = TOL_C) -> StandardFamily:
     """The family inf{c : beta_t(X+c) >= z} for z in (z_d, z_u).
 
-    With ``stop_at`` the search over c stops each component once its bracket
-    excludes the threshold.  A scalar threshold is answered from the claim's
-    ``_CapitalChain``: g is evaluated once at each point that such searches read
-    (the canonical ends, the expansion ladders and the halving chain of each
-    bracket), and each (row, atom) is decided by comparing its level with those
-    values, brackets that must expand included.  The family keeps the chain of its
-    last (stage, claim, threshold), so the probes of one ``reconstruct`` share it;
-    the answers are the stopped search's bit for bit, kept chain or not.
-    Per-value thresholds, and no threshold, run the search itself.
+    Without ``stop_at`` each call runs the search (``_induce_raw``).  A threshold
+    ``stop_at=s``, one number, is answered from the claim's ``_CapitalChain``: g is
+    evaluated once at each point that searches stopped at s read (the canonical
+    ends, the expansion ladders and the halving chain of each bracket), and each
+    (row, atom) is decided by comparing its level with those values, brackets that
+    must expand included.  The family keeps the chain of its last (stage, claim,
+    threshold), so the probes of one ``reconstruct`` share it; the answers are the
+    stopped search's bit for bit, kept chain or not.  An array of thresholds raises
+    ValueError.
     """
     chain, lock = None, threading.Lock()
 
     def raw(z, t, x, stop_at=None):
         nonlocal chain
-        if stop_at is None or np.ndim(stop_at):
-            return _induce_raw(m, t, z, x, tol=tol, stop_at=stop_at)[0]
+        if stop_at is None:
+            return _induce_raw(m, t, z, x, tol=tol)
+        if np.ndim(stop_at):
+            raise ValueError("stop_at takes one threshold, not one per value")
         s = float(stop_at)
         with lock:  # the kept chain is replaced, and grows, as it answers
             if chain is None or not chain.holds(t, x, s):
@@ -526,7 +527,7 @@ def risk_curve(m: PerformanceMeasure, t: int, x: XVar, z_grid,
     zs = np.asarray(z_grid, dtype=float)
     if zs.ndim != 1 or zs.size == 0 or np.any(np.diff(zs) <= 0):
         raise ValueError("grid must be one-dimensional and strictly increasing")
-    if zs[0] <= m.z_d or zs[-1] >= m.z_u:
+    if not np.all((zs > m.z_d) & (zs < m.z_u)):  # a NaN level fails too
         raise ValueError(f"grid must stay strictly inside ({m.z_d}, {m.z_u})")
     points = [induce_risk(m, t, float(z), x, tol=tol) for z in zs]
     curve = RiskCurve(stage=t, zs=zs, points=points, x=x)
@@ -736,7 +737,8 @@ def validate_standard_family(f: StandardFamily, space: FilteredSpace, t: int,
     invariant, local, continuous from below.  Across levels: per-atom paths
     nondecreasing and continuous, with rho^z(0) diverging when the interval is
     unbounded below.  On level rows, ``raw(..., stop_at=c) < c`` must equal
-    ``raw < c`` exactly.  Positive homogeneity (coherence) is detected and reported.
+    ``raw < c`` exactly, for thresholds c at and near 0 and at and just above one
+    value of raw.  Positive homogeneity (coherence) is detected and reported.
     """
     t = space.check_stage(t)
     tol = 1e-8
@@ -884,11 +886,11 @@ def validate_standard_family(f: StandardFamily, space: FilteredSpace, t: int,
         xv = sample_xvar(space, rng)
         z = np.repeat(zs[:, None], space.n_atoms(t), axis=1)
         rho = np.asarray(f.raw(z, t, xv), dtype=float)
-        for c in (-TOL_C, 0.0, rho, np.nextafter(rho, INF)):
+        picked = float(rho.flat[k % rho.size])
+        for c in (-TOL_C, 0.0, picked, float(np.nextafter(picked, INF))):
             stopped = np.asarray(f.raw(z, t, xv, stop_at=c), dtype=float)
             if not np.array_equal(stopped < c, rho < c):
-                return {"X": xv.to_json(), "c": [num_to_json(v) for v in
-                                                 np.broadcast_to(c, rho.shape).ravel()]}
+                return {"X": xv.to_json(), "c": num_to_json(c)}
 
     run_trials(rep, "sign_query_matches_raw", max(10, trials // 2), rng_seed, 29,
                sign_query_matches_raw)
@@ -940,7 +942,6 @@ def glr_dual_risk(t: int, z: float, x: XVar) -> RiskPoint:
         raise ValueError("the dual form needs a finite level z > 0")
     if not np.all(np.isfinite(x.values)):
         raise ValueError("the dual form needs a finite-valued claim")
-    n = space.n_atoms(t)
     loss = -x.values
     mean = atom_expect(space, t, loss)
     order, atom, starts = loss_order(space, t, loss)
@@ -961,8 +962,7 @@ def glr_dual_risk(t: int, z: float, x: XVar) -> RiskPoint:
     mass[last] += 1.0
     premium = np.maximum.reduceat(z * excess / (1.0 + z * mass), starts)
     out = mean + np.maximum(premium, 0.0)  # k = 0 contributes a zero premium
-    return RiskPoint(stage=t, level=z, values=TVar(space, t, out, kind="ba"),
-                     near_zero=np.abs(out) <= TOL_C, capped=np.zeros(n, dtype=bool))
+    return RiskPoint(stage=t, level=z, values=TVar(space, t, out, kind="ba"))
 
 
 @dataclass
@@ -1056,7 +1056,7 @@ def penalty_lower_bound(m: PerformanceMeasure, t: int, z: float, q: DualMeasure,
     best = np.full(q.space.n_atoms(t), -INF)
     for zk in probes:
         ev, mask = q.expect(t, -zk.values)
-        rho = _induce_raw(m, t, z, zk)[0]
+        rho = _induce_raw(m, t, z, zk)
         cand = np.where(mask, ev - rho, -INF)
         best = np.maximum(best, cand)
     return best
@@ -1073,7 +1073,7 @@ def weak_duality_probe(m: PerformanceMeasure, t: int, z: float, x: XVar,
     all_probes = list(probes) + [x]
     alpha_hat = penalty_lower_bound(m, t, z, q, all_probes)
     ev, mask = q.expect(t, -x.values)
-    rho = _induce_raw(m, t, z, x)[0]
+    rho = _induce_raw(m, t, z, x)
     lhs = np.where(mask, ev - rho, -INF)
     ok = bool(np.all(lhs <= alpha_hat + 1e-9))
     rep.add(CheckResult("weak_duality_consistency", ok, trials=1,
@@ -1097,8 +1097,8 @@ def truncation_limit_check(m: PerformanceMeasure, t: int, z: float, x: XVar) -> 
     fmax = x.finite_max()
     base = max(1.0, abs(fmax) if math.isfinite(fmax) else 1.0)
     caps = [base * (2.0 ** k) for k in range(0, 15, 2)]
-    rho_full = _induce_raw(m, t, z, x)[0]
-    seq = [_induce_raw(m, t, z, x.truncate(cap))[0] for cap in caps]
+    rho_full = _induce_raw(m, t, z, x)
+    seq = [_induce_raw(m, t, z, x.truncate(cap)) for cap in caps]
 
     mono = all(np.all(b <= a + 1e-9) for a, b in zip(seq, seq[1:]))
     rep.add(CheckResult("nonincreasing_in_cap", mono, trials=len(caps),
@@ -1133,12 +1133,12 @@ def closure_check(m: PerformanceMeasure, t: int, z: float, trials: int = 40,
 
     def interior_shift(rng, k):
         xv = sample_xvar(space, rng)
-        rho = _induce_raw(m, t, z, xv)[0]
+        rho = _induce_raw(m, t, z, xv)
         if np.any(np.isneginf(rho)):
             return
         y = xv + TVar(space, t, rho)  # boundary claim: rho(Y) = 0
-        rho_y = _induce_raw(m, t, z, y)[0]
-        shifted = [_induce_raw(m, t, z, y + inv)[0] for inv in inv_ns]
+        rho_y = _induce_raw(m, t, z, y)
+        shifted = [_induce_raw(m, t, z, y + inv) for inv in inv_ns]
         strict = all(np.all(s < 0.0) for s in shifted)
         back = np.all(np.abs(shifted[-1] - rho_y) <= 1e-6 + inv_ns[-1])
         if not (strict and back and np.all(np.abs(rho_y) <= 1e-8)):
@@ -1148,13 +1148,13 @@ def closure_check(m: PerformanceMeasure, t: int, z: float, trials: int = 40,
 
     def limits_stay_in_closed_set(rng, k):
         xv = sample_xvar(space, rng)
-        rho = _induce_raw(m, t, z, xv)[0]
+        rho = _induce_raw(m, t, z, xv)
         if np.any(np.isneginf(rho)):
             return
         y = xv + TVar(space, t, rho)  # limit of the interior sequence y + 1/n
-        seq_ok = all(np.all(_induce_raw(m, t, z, y + 1.0 / n)[0] < 0.0)
+        seq_ok = all(np.all(_induce_raw(m, t, z, y + 1.0 / n) < 0.0)
                      for n in (2, 8, 32))
-        lim = _induce_raw(m, t, z, y)[0]
+        lim = _induce_raw(m, t, z, y)
         if not (seq_ok and np.all(lim <= 1e-9)):
             return {"X": xv.to_json(), "rho_limit": [num_to_json(v) for v in lim]}
 
@@ -1162,7 +1162,7 @@ def closure_check(m: PerformanceMeasure, t: int, z: float, trials: int = 40,
                limits_stay_in_closed_set)
 
     zero = XVar.constant(space, 0.0)
-    rho0 = _induce_raw(m, t, z, zero)[0]
+    rho0 = _induce_raw(m, t, z, zero)
     beta0 = m.values(space, t, zero.values)
     if np.all(np.abs(rho0) <= 1e-9) and np.all(beta0 < z - 1e-9):
         rep.add(CheckResult("boundary_gap_at_zero", True, trials=1,

@@ -8,7 +8,6 @@ threshold searches cheap on a scenario tree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,15 +21,8 @@ class BracketError(RuntimeError):
     """g stays below target at +cap: the caller's monotone function is inconsistent."""
 
 
-@dataclass
-class InfShiftResult:
-    values: np.ndarray        # lower endpoint of the final bracket; -inf if capped below
-    hit_lower_cap: np.ndarray  # bool per component
-    near_zero: np.ndarray      # |value| <= tol flags
-
-
 def vector_monotone_inf(g, lo0: np.ndarray, hi0: np.ndarray, target: np.ndarray,
-                        tol: float = 1e-10, stop_at=None) -> InfShiftResult:
+                        tol: float = 1e-10, stop_at=None) -> np.ndarray:
     """Componentwise inf{c : g(c)_k >= target_k} for g nondecreasing in c.
 
     ``g`` maps a vector of candidate shifts (one per component) to a vector of values.
@@ -39,8 +31,10 @@ def vector_monotone_inf(g, lo0: np.ndarray, hi0: np.ndarray, target: np.ndarray,
     the infimum is reported as -inf; a component that never reaches target by +cap is
     an inconsistency in the caller's monotone function and raises BracketError.
 
-    Returns the lower bracket endpoint: within ``tol`` of the infimum and strictly on
-    the g < target side, so an exactly-probed threshold such as 0.0 survives intact.
+    Returns the (n,) array of lower bracket endpoints: within ``tol`` of the infimum
+    and strictly on the g < target side, so an exactly-probed threshold such as 0.0
+    survives intact.  A value is -inf exactly where the search was capped below, since
+    ``lo`` starts finite and moves only to ``max(lo - step, -cap)`` or to a midpoint.
     Where the float spacing at the infimum exceeds ``tol`` the bracket closes on two
     adjacent floats instead and the lower one is returned.  More than ``BISECT_CAP``
     halvings raise RuntimeError.
@@ -52,7 +46,8 @@ def vector_monotone_inf(g, lo0: np.ndarray, hi0: np.ndarray, target: np.ndarray,
     answer bit for bit, while ``values`` itself is only the lower endpoint of a wider
     bracket.  A component whose bracket already lies below the threshold skips the
     downward expansion: it reports its seed ``lo0`` where the full search may report
-    -inf, and ``hit_lower_cap`` and ``near_zero`` describe the stopped bracket.
+    -inf.  No library caller stops the search: it is the reference that the capital
+    chain of ``risk_family`` is tested against bit for bit.
     """
     cap = BRACKET_CAP
     lo = np.array(lo0, dtype=float)
@@ -130,9 +125,7 @@ def vector_monotone_inf(g, lo0: np.ndarray, hi0: np.ndarray, target: np.ndarray,
         hi = np.where(down, mid, hi)
         lo = np.where(down, lo, mid)
 
-    out = np.where(capped_below, -math.inf, lo)
-    near_zero = np.abs(out) <= tol
-    return InfShiftResult(values=out, hit_lower_cap=capped_below, near_zero=near_zero)
+    return np.where(capped_below, -math.inf, lo)
 
 
 def group_logsumexp(values: np.ndarray, index: np.ndarray, n_groups: int) -> np.ndarray:

@@ -43,6 +43,19 @@ def test_induce_prints_zero(files, capsys):
     assert capsys.readouterr().out.strip() == "0"
 
 
+@pytest.mark.parametrize("command, level, error", [
+    ("induce", ["--z", "nan"], "induction failed"),
+    ("curve", ["--z-list", "0.5,nan"], "curve failed")])
+def test_a_nan_level_prints_no_value(files, command, level, error, capsys):
+    out = files["dir"] / "artifact.json"
+    code = main([command, "--measure", files["glr"], "--space", files["space"],
+                 "--var", files["x"], "--t", "0", *level, "--out", str(out)])
+    assert code == 1
+    printed = capsys.readouterr().out
+    assert json.loads(printed)["error"]["error"] == error
+    assert not out.exists()
+
+
 def test_space_filename_is_not_its_identity(files, tmp_path, capsys):
     # exported variables reference the embedded space name, not the file stem
     renamed = tmp_path / "whatever.json"

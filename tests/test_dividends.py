@@ -3,7 +3,7 @@ import pytest
 
 from perflat import (INF, CustomMeasure, DividendProcess, DynamicMeasure,
                      ExponentialUtilityMeasure, GainLossRatio, TVar, XVar,
-                     atom_expect, binomial_tree, check_lift_axioms,
+                     atom_expect, binomial_tree, check_lift_axioms, coin2,
                      check_lift_time_consistency, evaluate, lift_evaluate,
                      lpm_ratio, sample_dividend)
 from perflat import dividends
@@ -54,6 +54,9 @@ def test_scaling_and_mixing(tree2):
     mix = dp.mixed_with(other, 0.25)
     want = 0.25 * dp.aggregate_from(0).values + 0.75 * other.aggregate_from(0).values
     assert np.allclose(mix.aggregate_from(0).values, want)
+    for elsewhere in (binomial_tree(2, p=0.3), coin2()):  # other probabilities, tree
+        with pytest.raises(ValueError, match="payment lives on a different space"):
+            dp.mixed_with(DividendProcess(elsewhere, {1: 1.0}), 0.5)
 
 
 def test_stream_json_round_trip(tree2):
