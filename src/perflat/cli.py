@@ -75,7 +75,7 @@ def _inputs(args, *names) -> tuple:
 
 def _check_tols(args) -> None:
     for name in ("tol_c", "tol_z"):
-        if hasattr(args, name) and getattr(args, name) <= 0.0:
+        if hasattr(args, name) and not getattr(args, name) > 0.0:  # NaN too
             raise CliError({"error": "tolerance misconfiguration",
                             "message": f"{name.replace('_', '-')} must be positive"})
 

@@ -481,6 +481,8 @@ def search_counterexample(d: DynamicMeasure, space: FilteredSpace,
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
+    if per_restart < 1:
+        raise ValueError("per_restart must be at least 1")
     rep = ConsistencyReport(seed=rng_seed)
     rep.meta = {"measure": d.name(), "budget": budget}
     if space.horizon < 1:

@@ -42,7 +42,8 @@ from .lattice import (INF, FilteredSpace, TVar, XVar, atom_expect, close_or_both
                       sample_xvar)
 from .measures import ExponentialUtilityMeasure, PerformanceMeasure
 from .report import LEAF_VALUES_PER_CALL, CheckResult, Report, run_trials
-from .solvers import BRACKET_CAP, BracketError, group_logsumexp, vector_monotone_inf
+from .solvers import (BracketError, check_tolerance, group_logsumexp, ladder,
+                      vector_monotone_inf)
 
 TOL_C = 1e-10   # capital tolerance for the per-atom bisection
 TOL_Z = 1e-8    # level tolerance (in atan coordinates) for reconstruction
@@ -102,8 +103,8 @@ def _induce_raw(m: PerformanceMeasure, t: int, z, x: XVar, tol: float = TOL_C,
     z may be a scalar, a per-atom array or a (B, n_atoms) array of level rows; each
     (row, atom) is one independent component of the search, so a row equals the call
     made with that row alone, bit for bit.  The measure is prepared once per call.
-    With ``stop_at`` each component stops once its bracket excludes that threshold
-    (``vector_monotone_inf``): only ``values < stop_at`` is then exact.  No library
+    With ``stop_at``, one threshold, each component stops once its bracket excludes
+    it (``vector_monotone_inf``): only ``values < stop_at`` is then exact.  No library
     caller passes it: ``induced_family`` answers sign queries from a
     ``_CapitalChain``, and the stopped search is the reference its tests compare
     against bit for bit.
@@ -113,17 +114,13 @@ def _induce_raw(m: PerformanceMeasure, t: int, z, x: XVar, tol: float = TOL_C,
     z = np.asarray(z, dtype=float)
     shape = (n,) if z.ndim < 2 else (z.shape[0], n)
     target = np.broadcast_to(z, shape).ravel().copy()
-    if stop_at is not None:
-        stop_at = np.broadcast_to(np.asarray(stop_at, dtype=float), shape).ravel()
     rows = m.prepare(space, t, x.values)
     # the search sees one flat vector of (row, atom) components
     g = rows if len(shape) == 1 else lambda c: rows(c.reshape(shape)).ravel()
     lo0, hi0 = _canonical_bracket(x)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            values = vector_monotone_inf(g, np.full(target.size, lo0),
-                                         np.full(target.size, hi0), target, tol=tol,
-                                         stop_at=stop_at)
+            values = vector_monotone_inf(g, lo0, hi0, target, tol=tol, stop_at=stop_at)
     except BracketError as e:
         raise RuntimeError(_UNREACHED_LEVEL) from e
     return values.reshape(shape)
@@ -225,9 +222,9 @@ class _Halving(_Points):
 class _CapitalChain:
     """The brackets that every search stopped at s walks on one (stage, claim).
 
-    The search first expands the canonical bracket [lo0, hi0]: up while g(hi) < z,
-    to hi0 + 1, + 2, + 4, ... capped at ``BRACKET_CAP``, then down while g(lo) >= z
-    and hi >= s, to lo0 - 1, - 2, - 4, ... floored at -cap, where it answers -inf.
+    The search first expands the canonical bracket [lo0, hi0]: up ``ladder(hi0, +1)``
+    while g(hi) < z, then down ``ladder(lo0, -1)`` while g(lo) >= z and hi >= s,
+    answering -inf past its last rung.
     Both ladders are the same for every level, so the chain reads g along each once,
     and finds where each component stops by the search's own comparisons.  From the
     expanded bracket the search halves along that bracket's ``_Halving`` chain,
@@ -259,29 +256,15 @@ class _CapitalChain:
 
     @functools.cached_property
     def rise(self) -> _Points:
-        """hi0, then the upper ends the search tries, summed as it sums them, up to
-        the cap."""
-        ends, hi, step = [self.bracket[1]], self.bracket[1], 1.0
-        while True:
-            hi += step
-            step *= 2.0
-            if hi > BRACKET_CAP:
-                ends.append(BRACKET_CAP)
-                break
-            ends.append(hi)
-        rise = _Points(self.g, self.n, self.per_call, ends)
+        """The upper ends the search tries, from hi0."""
+        rise = _Points(self.g, self.n, self.per_call, ladder(self.bracket[1], 1.0))
         rise.g_at = self.halvings[0, 0].g_at[:1]  # g(hi0) is read already
         return rise
 
     @functools.cached_property
     def fall(self) -> _Points:
-        """lo0, then the lower ends the search tries, down to -cap."""
-        ends, lo, step = [self.bracket[0]], self.bracket[0], 1.0
-        while lo > -BRACKET_CAP:
-            lo = max(lo - step, -BRACKET_CAP)
-            step *= 2.0
-            ends.append(lo)
-        fall = _Points(self.g, self.n, self.per_call, ends)
+        """The lower ends the search tries, from lo0."""
+        fall = _Points(self.g, self.n, self.per_call, ladder(self.bracket[0], -1.0))
         fall.g_at = self.halvings[0, 0].g_at[1:2]  # g(lo0) is read already
         return fall
 
@@ -312,7 +295,7 @@ class _CapitalChain:
         if down.size:
             bottom[down] = self.fall.first(atom[down], level[down],
                                            lambda g, z, j, k: ~(g >= z), start=1)
-        out = np.full(level.size, -INF)  # g >= z all the way down to -cap
+        out = np.full(level.size, -INF)  # g >= z down to the last lower rung
         span = len(self.fall.points) + 1
         key = top * span + bottom
         keys = sorted(set(key[bottom < span - 1].tolist()))
@@ -417,8 +400,9 @@ def induced_family(m: PerformanceMeasure, tol: float = TOL_C) -> StandardFamily:
     must expand included.  The family keeps the chain of its last (stage, claim,
     threshold), so the probes of one ``reconstruct`` share it; the answers are the
     stopped search's bit for bit, kept chain or not.  An array of thresholds raises
-    ValueError.
+    ValueError, and so does a tolerance that is not >= 0.
     """
+    check_tolerance("tol", tol)
     chain, lock = None, threading.Lock()
 
     def raw(z, t, x, stop_at=None):
@@ -652,8 +636,11 @@ def reconstruct(f: StandardFamily, t: int, x: XVar, tol_z: float = TOL_Z,
     Each bisection step probes every atom at once, and one family call answers the
     next d steps for all of them (``_bisect_levels``), with d set by the leaf count
     through ``PROBE_LEAF_ROWS``.  A bracket that closes on adjacent floats stops; one
-    still open after 200 atan or 80 polish halvings raises RuntimeError.
+    still open after 200 atan or 80 polish halvings raises RuntimeError.  A tolerance
+    that is not >= 0 raises ValueError.
     """
+    check_tolerance("tol_z", tol_z)
+    check_tolerance("tol_c", tol_c)
     space = x.space
     t = space.check_stage(t)
     z_d, z_u = f.interval

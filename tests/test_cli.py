@@ -160,6 +160,18 @@ def test_bad_tolerance_rejected(files, capsys):
     assert "tolerance" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("induce", "--tol-c"), ("reconstruct", "--tol-c"), ("reconstruct", "--tol-z")])
+def test_a_nan_tolerance_is_refused(files, command, flag, capsys):
+    # NaN is not <= 0 either: it must not run a search that stops at once
+    level = ["--z", "1"] if command == "induce" else []
+    code = main([command, "--measure", files["glr"], "--space", files["space"],
+                 "--var", files["x"], "--t", "0", *level, flag, "nan"])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out)["error"]["error"] == \
+        "tolerance misconfiguration"
+
+
 def test_unread_tolerance_flags_are_usage_errors(files, capsys):
     # check-axioms reads no tolerance, so the flag does not exist there
     assert main(["check-axioms", "--measure", files["glr"], "--space",

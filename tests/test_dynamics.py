@@ -60,6 +60,13 @@ def test_grid_must_stay_inside_interval(tree2):
         check_time_consistency(d, tree2, z_grid=[0.0, 1.0], trials=5)
 
 
+@pytest.mark.parametrize("per_restart", [0, -3])
+def test_search_refuses_an_empty_restart(tree2, per_restart):
+    with pytest.raises(ValueError, match="per_restart must be at least 1"):
+        search_counterexample(DynamicMeasure(lpm_ratio(2.0)), tree2, budget=10,
+                              per_restart=per_restart)
+
+
 # ---------------------------------------------------------------------------
 # the inconsistent family and its witness
 

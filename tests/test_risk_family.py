@@ -114,18 +114,43 @@ def test_equal_large_leaves_keep_a_two_point_bracket(space2, v):
             assert np.array_equal(fam.raw(z, 0, x, stop_at=s) < s, got < s)
 
 
+@pytest.mark.parametrize("v, z", [(1e19, -1e6), (-1e19, 1e6)])
+def test_claims_past_two_to_60_expand_on_ladders_of_their_scale(space2, v, z):
+    # the answer z - v lies outside the canonical bracket and beyond 2^60: the ladders
+    # run to max(2^60, 2|end|), so the search reaches it, and the chain's sign agrees
+    m = ConditionalExpectation()
+    x = XVar(space2, [v, v])
+    got = induce_risk(m, 0, z, x).values.values
+    assert abs(got[0] - (z - v)) <= 2.0 * math.ulp(v)
+    fam = induced_family(m)
+    for s in (-2.0 * abs(v), z - v, np.nextafter(got[0], INF), 0.0, 2.0 * abs(v)):
+        assert np.array_equal(fam.raw(z, 0, x, stop_at=s) < s, got < s)
+
+
+def test_a_tolerance_that_is_not_at_least_zero_is_refused():
+    # a NaN tolerance stops every bisection at once and answers a bracket end
+    m, x = GainLossRatio(), XVar(binomial_tree(2), [3.0, -1.0, 2.0, -2.0])
+    for tol in (np.nan, -1.0):
+        for ask in (lambda: induce_risk(m, 0, 1.0, x, tol=tol),
+                    lambda: induced_family(m, tol=tol),
+                    lambda: reconstruct(induced_family(m), 0, x, tol_z=tol),
+                    lambda: reconstruct(induced_family(m), 0, x, tol_c=tol)):
+            with pytest.raises(ValueError, match="must be >= 0"):
+                ask()
+
+
 def test_bisection_reaches_the_smallest_spacing_under_the_cap():
-    # about 1075 halvings from [-1, 1] down to a width of one subnormal step
-    res = vector_monotone_inf(lambda c: c, np.array([-1.0]), np.array([1.0]),
-                              np.array([0.0]), tol=5e-324)
-    assert res[0] == -5e-324
+    # about 1075 halvings from [-1, 1] down to a width of one subnormal step, and
+    # about 2070 from a bracket 1e300 wide, as the ladders of a claim that size give
+    for lo0 in (-1.0, -1e300):
+        res = vector_monotone_inf(lambda c: c, lo0, 1.0, np.array([0.0]), tol=5e-324)
+        assert res[0] == -5e-324
 
 
 def test_bisection_cap_raises(monkeypatch, space2):
     monkeypatch.setattr(solvers, "BISECT_CAP", 8)
     with pytest.raises(RuntimeError, match="halvings"):
-        vector_monotone_inf(lambda c: c, np.array([-1.0]), np.array([1.0]),
-                            np.array([0.3]), tol=1e-12)
+        vector_monotone_inf(lambda c: c, -1.0, 1.0, np.array([0.3]), tol=1e-12)
     # induce_risk passes the cap's message on, not the misdeclared-threshold one
     with pytest.raises(RuntimeError, match="halvings"):
         induce_risk(GainLossRatio(), 0, 1.0, XVar(space2, [3.0, -1.0]))
@@ -345,8 +370,8 @@ _SIGN_QUERY_MEASURES = {
 def test_sign_query_matches_the_full_search(name):
     # stopping once the c-bracket excludes the threshold answers "rho < c" exactly as
     # the search run to its close, at every payoff scale, +inf legs and -inf answers
-    # included, for thresholds at the probe's -tol_c, at 0, at random and at the
-    # full search's own values and their float neighbours
+    # included, for thresholds at the probe's -tol_c, at 0, at random and at one of
+    # the full search's own values and its float neighbour
     rng = np.random.default_rng(29)
     capped_seen = False
     for scale in (1e-8, 1e-4, 1.0, 1e4, 1e8, 1e12, 1e16, 1e17):
@@ -363,16 +388,12 @@ def test_sign_query_matches_the_full_search(name):
                 full = _induce_raw(m, t, levels, x)
                 capped = np.isneginf(full)
                 capped_seen |= bool(capped.any())
-                finite = np.where(capped, 0.0, full)
-                picked = float(rng.choice(finite.ravel()))
+                picked = float(rng.choice(np.where(capped, 0.0, full).ravel()))
                 for c in (-TOL_C, 0.0, rng.normal(0.0, scale), picked,
-                          np.nextafter(picked, INF), finite,
-                          np.nextafter(finite, INF), np.nextafter(finite, -INF)):
+                          np.nextafter(picked, INF)):
                     below = _induce_raw(m, t, levels, x, stop_at=c) < c
                     assert np.array_equal(below, full < c)
-                    if np.ndim(c) == 0:
-                        assert np.array_equal(fam.raw(levels, t, x, stop_at=c) < c,
-                                              below)
+                    assert np.array_equal(fam.raw(levels, t, x, stop_at=c) < c, below)
     assert capped_seen
 
 
