@@ -329,6 +329,12 @@ def cmd_paper_demo(args) -> int:
 # parser
 
 
+def _positive_int(text: str) -> int:
+    if int(text) < 1:  # a trial count: zero trials would pass every check vacuously
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return int(text)
+
+
 def _add_common(p, *, measure=True, var=False, stage=False, level=False,
                 randomized=False, tol_c=False):
     p.add_argument("--space", required=True, help="space JSON file")
@@ -341,7 +347,7 @@ def _add_common(p, *, measure=True, var=False, stage=False, level=False,
     if level:
         p.add_argument("--z", type=float, required=True, help="level")
     if randomized:
-        p.add_argument("--trials", type=int, default=200)
+        p.add_argument("--trials", type=_positive_int, default=200)
         p.add_argument("--seed", type=int, default=0)
     if tol_c:
         p.add_argument("--tol-c", dest="tol_c", type=float, default=1e-10,
@@ -411,7 +417,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lift", help="value of a dividend stream")
     _add_common(p, stage=True)
     p.add_argument("--dividend", required=True, help="stream JSON file")
-    p.add_argument("--check", type=int, metavar="TRIALS",
+    p.add_argument("--check", type=_positive_int, metavar="TRIALS",
                    help="also property-test the lift with this many trials")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_lift)

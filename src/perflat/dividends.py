@@ -427,8 +427,6 @@ def check_lift_time_consistency(d: DynamicMeasure, space: FilteredSpace, *,
     through the same transport machinery, so a deep search needs to run
     only once.
     """
-    if space.horizon < 1:
-        raise ValueError("need at least two stages")
     rep = Report(f"lift consistency for {d.name()}", seed=rng_seed,
                  meta={"trials": trials,
                        "nonnegative_interim": nonnegative_interim})

@@ -36,16 +36,14 @@ from .lattice import (INF, FilteredSpace, TVar, XVar, jsonable, paste, EventMask
 from .measures import (ExponentialUtilityMeasure, PerformanceMeasure, evaluate,
                        evaluate_rows)
 from .report import CheckResult, Report
-from .risk_family import (TOL_C, DualMeasure, _induce_raw, induce_risk,
+from .risk_family import (TOL_C, DualMeasure, induce_risk, induced_family,
                           sample_glr_density)
 from .util import derived_rng
 
 CRITERIA = ("measure-level", "strict-risk", "weak-risk")
 
-# level gaps below TIE_BETA carry no verdict; same for risks within TIE_RHO
-# of zero (the bisection cannot attest a sign that close to its tolerance)
+# level gaps below TIE_BETA carry no verdict
 TIE_BETA = 1e-6
-TIE_RHO = 10.0 * TOL_C
 # a certified violation keeps the level this far from beta on both sides
 BETA_MARGIN = 1e-9
 
@@ -254,15 +252,21 @@ def globalize_witness(d: DynamicMeasure, space: FilteredSpace,
                        "the level; the upper bound must sit at the level")
 
 
-def _stage_risks(d: DynamicMeasure, x: XVar, z_grid: list, tol: float) -> dict:
-    """rho_r^z(X) at every stage r and grid level z: row j of stage r holds the risks
-    at z_grid[j].
+def _risk_signs(f, x: XVar, levels: np.ndarray, tol: float) -> dict:
+    """Per stage, the (n_levels, n_atoms) flags rho < 0, rho <= 0 and |rho| < 10*tol,
+    a band where a search run to tol attests no sign.
 
-    One search over c per stage, with one row of per-atom levels per grid level
-    (``_induce_raw``), so each row equals the one-level call bit for bit.
+    Each is a sign query of f, the measure's induced family at tol: below(c), that is
+    ``f.raw(levels, r, x, stop_at=c) < c``, is the full search's rho < c bit for bit,
+    rho <= 0 is below(5e-324), -0.0 included, and |rho| < band is below(band) and not
+    below(nextafter(-band, inf)).
     """
-    levels = np.array(z_grid, dtype=float)[:, None]
-    return {r: _induce_raw(d.measure, r, levels, x, tol=tol) for r in x.space.times}
+    band, out = 10.0 * tol, {}
+    for r in x.space.times:
+        below = lambda c: f.raw(levels, r, x, stop_at=c) < c
+        out[r] = (below(0.0), below(5e-324),
+                  below(band) & ~below(np.nextafter(-band, INF)))
+    return out
 
 
 def check_time_consistency(d: DynamicMeasure, space: FilteredSpace,
@@ -272,16 +276,19 @@ def check_time_consistency(d: DynamicMeasure, space: FilteredSpace,
 
     Each sample is one (X, s, t, z) with s < t taken from all stage pairs
     (adjacent and transitive alike) and z from the grid.  All three readings
-    run on every sample; ties (level gap under 1e-6 or risk within 10*tol_c
+    run on every sample; ties (level gap under 1e-6 or risk within 10*tol
     of zero) carry no verdict and are skipped.  Away from ties the readings
     must agree, and disagreement fails the criteria_agreement entry.  The
     localized scan supplies counterexample candidates, accepted only after
     re-verification; the first accepted witness (in scan order) is reported.
-    A trial's risks come from one search per stage over all grid levels
-    (``_stage_risks``), each level equal to its own search bit for bit.
+    The risk readings are sign queries of the induced family at tol
+    (``_risk_signs``), each the full search's sign bit for bit, read per stage
+    pair as arrays over the grid.
     """
     if space.horizon < 1:
         raise ValueError("need at least two stages")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     z_d, z_u = d.interval
     if z_grid is None:
         z_grid = _level_grid(z_d, z_u)
@@ -290,47 +297,39 @@ def check_time_consistency(d: DynamicMeasure, space: FilteredSpace,
         if not z_d < z < z_u:
             raise ValueError(f"level {z:g} is outside ({z_d:g}, {z_u:g})")
     pairs = _stage_pairs(space)
+    f = induced_family(d.measure, tol=tol)
+    levels = np.array(z_grid)[:, None]
 
     rep = ConsistencyReport(seed=rng_seed, trials=trials)
-    viol = dict.fromkeys(CRITERIA, 0)
+    viol = np.zeros(len(CRITERIA), dtype=np.int64)
     ties_skipped = 0
     agree_checked = 0
     agree_failed = 0
-    cand_total = cand_ties = cand_rejected = cand_verified = 0
+    cand_ties = cand_rejected = cand_verified = 0
 
     for trial in range(trials):
         rng = derived_rng(rng_seed, 41, trial)
         x = sampler(space, rng) if sampler is not None else sample_xvar(space, rng)
         betas = {r: d.beta(r, x).values for r in space.times}
-        rhos = _stage_risks(d, x, z_grid, tol)
-
+        signs = _risk_signs(f, x, levels, tol)
+        # per stage and level: the readings beta > z, rho < 0 and rho <= 0 on every
+        # atom, and a tie on some atom
+        reads = {r: np.stack([betas[r] > levels, *signs[r][:2]]).all(axis=2)
+                 for r in space.times}
+        ties = {r: (np.abs(betas[r] - levels) < TIE_BETA).any(axis=1)
+                | signs[r][2].any(axis=1) for r in space.times}
         for s, t in pairs:
-            bs_all, bt_all = betas[s], betas[t]
-            for j, z in enumerate(z_grid):
-                rep.samples += 1
-                rt, rs = rhos[t][j], rhos[s][j]
-                prem = (bool(np.all(bt_all > z)), bool(np.all(rt < 0.0)),
-                        bool(np.all(rt <= 0.0)))
-                concl = (bool(np.all(bs_all > z)), bool(np.all(rs < 0.0)),
-                         bool(np.all(rs <= 0.0)))
-                tie = (np.min(np.abs(bt_all - z)) < TIE_BETA or
-                       np.min(np.abs(bs_all - z)) < TIE_BETA or
-                       np.min(np.abs(rt)) < TIE_RHO or
-                       np.min(np.abs(rs)) < TIE_RHO)
-                hit = [prem[i] and not concl[i] for i in range(3)]
-                if tie:
-                    ties_skipped += sum(hit)
-                else:
-                    for i, c in enumerate(CRITERIA):
-                        viol[c] += hit[i]
-                    agree_checked += 1
-                    if not ((prem[0], concl[0]) == (prem[1], concl[1])
-                            == (prem[2], concl[2])):
-                        agree_failed += 1
+            prem, concl, tie = reads[t], reads[s], ties[s] | ties[t]
+            hit = prem & ~concl
+            agree = (prem == prem[0]).all(axis=0) & (concl == concl[0]).all(axis=0)
+            viol += hit[:, ~tie].sum(axis=1)
+            ties_skipped += int(hit[:, tie].sum())
+            agree_checked += int((~tie).sum())
+            agree_failed += int((~agree & ~tie).sum())
+        rep.samples += len(pairs) * len(z_grid)
 
         for s, t, z, k, bs_k, bt_min, verdict in _scan(
                 d, space, pairs, z_grid, dict.fromkeys(space.times, x.values), betas):
-            cand_total += 1
             if verdict is None:
                 cand_ties += 1
             elif verdict[0]:
@@ -342,13 +341,13 @@ def check_time_consistency(d: DynamicMeasure, space: FilteredSpace,
             else:
                 cand_rejected += 1
 
-    for c in CRITERIA:
-        rep.add(CheckResult(f"eq_tc[{c}]", viol[c] == 0, rep.samples, viol[c]))
+    for c, v in zip(CRITERIA, viol.tolist()):
+        rep.add(CheckResult(f"eq_tc[{c}]", v == 0, rep.samples, v))
     rep.add(CheckResult("criteria_agreement", agree_failed == 0, agree_checked,
                         agree_failed,
                         note=f"{rep.samples - agree_checked} tie samples excluded"))
-    rep.add(CheckResult("localized_violations", cand_verified == 0, cand_total,
-                        cand_verified,
+    rep.add(CheckResult("localized_violations", cand_verified == 0,
+                        cand_ties + cand_rejected + cand_verified, cand_verified,
                         note=(f"{cand_ties} tie candidates discarded, "
                               f"{cand_rejected} failed re-verification")))
     if rep.witness is not None:
@@ -629,8 +628,7 @@ def check_penalty_inequality_coherent(z: float = 1.0, s: int = 0, t: int = 1,
 
     rep = Report("penalty aggregation (coherent family)", seed=rng_seed,
                  meta={"z": z, "s": s, "t": t, "n_measures": len(densities)})
-    n_checked = n_viol = 0
-    nest_checked = nest_viol = 0
+    n_viol = nest_viol = 0
     reverse_fail = []
     for name, g in densities:
         if np.any(g < -1e-12):
@@ -645,16 +643,14 @@ def check_penalty_inequality_coherent(z: float = 1.0, s: int = 0, t: int = 1,
         # and exceeds alpha_s only where that is zero, on the feasible atoms
         lhs_finite = _child_min(space, s, t, (feas_t | ~charged).astype(float)) > 0.0
         children_feasible = _child_min(space, s, t, feas_t.astype(float)) > 0.0
-        n_checked += space.n_atoms(s)
         n_viol += int(np.sum(feas_s & ~lhs_finite))
-        nest_checked += space.n_atoms(s)
         nest_viol += int(np.sum(feas_s & ~children_feasible))
         if np.all(feas_t) and not np.all(feas_s):
             reverse_fail.append(name)
 
-    rep.add(CheckResult("penalty_aggregation", n_viol == 0, n_checked, n_viol))
-    rep.add(CheckResult("ratio_polytope_nesting", nest_viol == 0, nest_checked,
-                        nest_viol,
+    checked = len(densities) * space.n_atoms(s)  # each F_s-atom under each measure
+    rep.add(CheckResult("penalty_aggregation", n_viol == 0, checked, n_viol))
+    rep.add(CheckResult("ratio_polytope_nesting", nest_viol == 0, checked, nest_viol,
                         note="parent-atom feasibility forces every child"))
     rep.add(CheckResult("reverse_nesting", None, len(densities), len(reverse_fail),
                         note=("child feasibility does not bound cross-child ratios; "

@@ -148,8 +148,10 @@ def run_trials(rep: Report, name: str, n: int, seed: int, key: int,
     ``LEAF_VALUES_PER_CALL`` values (or the last trial is drawn), values the batch
     with one call per stage and slice, judges each stage's trials with one call, and
     asks only the first failing trial for its witness.  Either way the result counts
-    the failures and keeps the first witness, as running the trials one by one would.
+    the failures and keeps the first witness, as one-by-one trials would.  n < 1 raises.
     """
+    if n < 1:
+        raise ValueError("trials must be at least 1")
     if isinstance(probe, TwoPhase):
         outcomes = _two_phase_outcomes(n, seed, key, probe)
     else:

@@ -183,14 +183,16 @@ class _Halving(_Points):
     otherwise, so from one bracket the search at every level walks one chain of
     nodes, set by s and ``tol``, until it closes (width <= tol, or adjacent floats)
     or the component's own decision at a node leaves it.  The points are ``head``,
-    then the nodes.
+    then the nodes.  On a ``wide`` claim (``vector_monotone_inf``) the midpoint halves
+    each end first.
     """
 
-    def __init__(self, g, n, per_call, lo, hi, s, tol, head=()):
+    def __init__(self, g, n, per_call, lo, hi, s, tol, wide, head=()):
         mids, los = [], []  # node j halves [los[j], hi] at mids[j]
+        lo, hi = float(lo), float(hi)  # a wide hi - lo is inf, without a warning
         if lo < s <= hi:
             while hi - lo > tol:
-                mid = 0.5 * (lo + hi)
+                mid = 0.5 * lo + 0.5 * hi if wide else 0.5 * (lo + hi)
                 if not lo < mid < hi:  # adjacent floats
                     break
                 mids.append(mid)
@@ -242,6 +244,7 @@ class _CapitalChain:
         self.n = space.n_atoms(t)
         self.g = m.prepare(space, t, x.values)
         self.bracket = lo, hi = _canonical_bracket(x)
+        self.wide = max(-lo, hi) > 2.0 ** 1021  # the search's own rule
         self.per_call = max(1, LEAF_VALUES_PER_CALL // space.n_leaves)
         # every query reads g at both canonical ends, the head of the canonical chain
         canonical = self._halving(lo, hi, head=(hi, lo))
@@ -252,7 +255,8 @@ class _CapitalChain:
         return t == self.t and x is self.x and s == self.s
 
     def _halving(self, lo, hi, head=()) -> _Halving:
-        return _Halving(self.g, self.n, self.per_call, lo, hi, self.s, self.tol, head)
+        return _Halving(self.g, self.n, self.per_call, lo, hi, self.s, self.tol,
+                        self.wide, head)
 
     @functools.cached_property
     def rise(self) -> _Points:

@@ -110,14 +110,17 @@ def vector_monotone_inf(g, lo0: float, hi0: float, target: np.ndarray,
     # exceeds tol; only past that point does a component need the stall test, so the
     # common path does no extra numpy work per step.  Where g(hi) is NaN the test runs
     # from the first step: a stalled midpoint can round onto hi, where g >= target is
-    # False, and would move lo onto hi.
-    widest = float(np.max(hi - lo, where=active, initial=0.0))
+    # False, and would move lo onto hi.  Rungs stay within +-max(2^60, 2|end|), so only
+    # an end beyond 2^1021 lets lo + hi or hi - lo overflow: such a wide bracket halves
+    # each end first and runs the stall test from the first step.
+    wide = max(-lo0, hi0) > 2.0 ** 1021
+    widest = 0.0 if wide else float(np.max(hi - lo, where=active, initial=0.0))
     free = math.ceil(math.log2(widest) - math.log2(tol)) if widest > tol > 0.0 else 0
     if np.isnan(g_hi).any():
         free = 0
     steps = 0
     while True:
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi if wide else 0.5 * (lo + hi)
         run = active & (hi - lo > tol)
         if stop_at is not None:  # the bracket still straddles the threshold
             run &= (lo < stop_at) & (stop_at <= hi)

@@ -104,6 +104,17 @@ def test_usage_errors_exit_two(files, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command, count", [
+    (["check-axioms", "--t", "0", "--trials"], "-5"),
+    (["check-consistency", "--trials"], "0"),
+    (["lift", "--t", "0", "--dividend", "d.json", "--check"], "0")])
+def test_a_trial_count_below_one_is_a_usage_error(files, command, count, capsys):
+    # no trial would run, so every property would pass on nothing
+    assert main([command[0], "--measure", files["glr"], "--space", files["space"],
+                 *command[1:], count]) == 2
+    assert "positive integer" in capsys.readouterr().err
+
+
 def test_missing_file_exit_one(files, capsys):
     code = main(["evaluate", "--measure", "nope.json", "--space",
                  files["space"], "--var", files["x"], "--t", "0"])

@@ -9,8 +9,8 @@ from perflat import (INF, CertaintyEquivalentMeasure, CustomMeasure, DynamicMeas
                      ExponentialUtilityMeasure, GainLossRatio, TVar, UtilitySpec,
                      XVar, binomial_tree, check_penalty_inequality_coherent,
                      check_riskaversion_monotone_consistency,
-                     check_time_consistency, evaluate, globalize_witness,
-                     induce_risk, lpm_ratio, random_tree, raroc,
+                     check_time_consistency, coin2, evaluate, globalize_witness,
+                     induce_risk, induced_family, lpm_ratio, random_tree, raroc,
                      search_counterexample, verify_witness)
 from perflat import dynamics
 from perflat.dynamics import (_best_separations, _child_min, _make_witness,
@@ -52,6 +52,15 @@ def test_sample_count_accounting(tree2):
     pairs = len(rep.meta["stage_pairs"])
     levels = len(rep.meta["z_grid"])
     assert rep.samples == 20 * pairs * levels
+
+
+def test_the_risk_tie_band_follows_the_tolerance():
+    # a search run to tol attests no sign for a risk within tol of zero; with a band
+    # fixed at 10 * TOL_C this tol = 1e-3 check failed agreement on 2 samples
+    space = random_tree(np.random.default_rng(5002), periods=2)
+    rep = check_time_consistency(DynamicMeasure(GainLossRatio()), space, trials=20,
+                                 rng_seed=3, tol=1e-3)
+    assert rep.result("criteria_agreement").passed
 
 
 def test_grid_must_stay_inside_interval(tree2):
@@ -266,7 +275,8 @@ def test_child_min_takes_rows():
 # The references keep the one-candidate, one-level code that the search and the
 # consistency check ran before they were batched: _search_sequential runs the
 # restarts one after another and scores one candidate per call, and
-# _consistency_per_level makes one induce_risk call per (stage, level).
+# _signs_per_level makes one induce_risk call (the full search) per (stage, level)
+# where the check asks its family sign queries.
 
 
 def _mid_level(lo, hi, z_d, z_u):
@@ -338,9 +348,16 @@ def _search_sequential(d, space, n_restarts, rng_seed, per_restart):
     return [one_restart(r) for r in range(n_restarts)]
 
 
-def _consistency_per_level(d, x, z_grid, tol):
-    return {r: [induce_risk(d.measure, r, z, x, tol=tol).values.values for z in z_grid]
-            for r in x.space.times}
+def _signs_per_level(m):
+    """_risk_signs for measure m, read from one full search per (stage, level)."""
+    def signs(f, x, levels, tol):
+        out = {}
+        for r in x.space.times:
+            rho = np.array([induce_risk(m, r, z, x, tol=tol).values.values
+                            for z in levels[:, 0]])
+            out[r] = (rho < 0.0, rho <= 0.0, np.abs(rho) < 10.0 * tol)
+        return out
+    return signs
 
 
 def _one_row_glr():
@@ -420,16 +437,32 @@ def test_level_rows_match_the_per_level_consistency_check(measure, space_name,
     for kw in ({"trials": 4, "rng_seed": 5}, {"z_grid": grid, "trials": 3},
                {"trials": 3, "rng_seed": 2, "sampler": with_inf_legs}):
         batched, sequential = _both_routes(
-            monkeypatch, "_stage_risks", _consistency_per_level,
+            monkeypatch, "_risk_signs", _signs_per_level(d.measure),
             lambda: check_time_consistency(d, space, **kw))
         assert batched == sequential, kw
+
+
+def test_risk_signs_match_the_full_search_at_zero_in_the_band_and_at_minus_inf():
+    # rho(0) = 0 exactly (weak but not strict, and a tie), [3, -1] at z = 2 sits
+    # inside the tie band, the +inf leaf gives -inf, and [1, -1] gives positive risks
+    m, space, levels = GainLossRatio(), coin2(), np.array([[1.0], [2.0]])
+    f, full = induced_family(m), _signs_per_level(m)
+    zero_risk = False
+    for leaves in ([0.0, 0.0], [3.0, -1.0], [INF, -1.0], [1.0, -1.0]):
+        x = XVar(space, leaves)
+        got, want = dynamics._risk_signs(f, x, levels, 1e-10), full(f, x, levels, 1e-10)
+        for r in space.times:
+            assert all(np.array_equal(a, b) for a, b in zip(got[r], want[r])), leaves
+            zero_risk |= bool((want[r][1] & ~want[r][0]).any())
+    assert zero_risk
 
 
 def test_level_rows_match_the_per_level_profile_check(monkeypatch):
     space = binomial_tree(3)
     lam = {t: np.linspace(0.5, 1.5, space.n_atoms(t)) for t in space.times}
     batched, sequential = _both_routes(
-        monkeypatch, "_stage_risks", _consistency_per_level,
+        monkeypatch, "_risk_signs",
+        _signs_per_level(ExponentialUtilityMeasure(risk_aversion=lam)),
         lambda: check_riskaversion_monotone_consistency(lam, space, trials=4))
     assert batched == sequential
 

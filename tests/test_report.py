@@ -1,6 +1,11 @@
 import numpy as np
+import pytest
 
-from perflat import report
+from perflat import (DynamicMeasure, GainLossRatio, binomial_tree, check_axioms,
+                     check_lift_axioms, check_lift_time_consistency,
+                     check_riskaversion_monotone_consistency, check_scale_invariance,
+                     check_time_consistency, closure_check, induced_family, report,
+                     validate_standard_family)
 from perflat.report import Report, TwoPhase, run_trials
 from perflat.util import derived_rng
 
@@ -24,6 +29,15 @@ def test_run_trials_seeds_counts_and_keeps_the_first_witness():
     ok = run_trials(rep, "quiet", 4, 5, 9, lambda rng, k: None)
     assert ok.to_json() == {"name": "quiet", "passed": True, "trials": 4, "failures": 0}
     assert rep.results == [res, ok]
+
+
+def test_run_trials_refuses_a_count_below_one():
+    # a property checked on no trial would pass vacuously
+    rep = Report("runner")
+    for n in (0, -5):
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            run_trials(rep, "prop", n, 5, 9, lambda rng, k: None)
+    assert rep.results == []
 
 
 def _two_phase(log, fails):
@@ -113,3 +127,21 @@ def test_two_phase_batches_hold_at_most_the_leaf_value_bound(monkeypatch):
                    ("values", 1, 2), ("values", 1, 1), ("judge", 1, [3]),
                    ("draw", 4), ("values", 0, 1), ("judge", 0, [4])]
     assert (res.failures, res.witness) == (2, {"k": 1})
+
+
+@pytest.mark.parametrize("check", [
+    lambda n: check_axioms(GainLossRatio(), binomial_tree(2), 1, trials=n),
+    lambda n: check_scale_invariance(GainLossRatio(), binomial_tree(2), 1, trials=n),
+    lambda n: check_lift_axioms(GainLossRatio(), binomial_tree(2), trials=n),
+    lambda n: validate_standard_family(induced_family(GainLossRatio()),
+                                       binomial_tree(2), 0, trials=n),
+    lambda n: closure_check(GainLossRatio(), 0, 1.0, trials=n, space=binomial_tree(2)),
+    lambda n: check_time_consistency(DynamicMeasure(GainLossRatio()), binomial_tree(2),
+                                     trials=n),
+    lambda n: check_lift_time_consistency(DynamicMeasure(GainLossRatio()),
+                                          binomial_tree(2), trials=n),
+    lambda n: check_riskaversion_monotone_consistency(1.0, binomial_tree(2), trials=n)])
+def test_every_checker_refuses_a_trial_count_below_one(check):
+    for n in (0, -5):
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            check(n)

@@ -127,6 +127,27 @@ def test_claims_past_two_to_60_expand_on_ladders_of_their_scale(space2, v, z):
         assert np.array_equal(fam.raw(z, 0, x, stop_at=s) < s, got < s)
 
 
+@pytest.mark.parametrize("leaves, z", [([1.7e308, 1.7e308], 8.5e307),
+                                       ([-1.7e308, -1.7e308], -8.5e307),
+                                       ([-1.7e308, 1.7e308], 0.0),
+                                       ([-1e308, 1e308], 0.5),
+                                       ([-1.7e308, -1.7e308], -1.6e308)])
+def test_claims_at_the_edge_of_the_float_range_halve_without_overflow(space2, leaves, z):
+    # a canonical end lies beyond 2^1021, where lo + hi and hi - lo overflow: the
+    # search and the chain halve each end first (the last claim also expands its
+    # bracket).  The answer is z - E[X] up to the leaves' own spacing, where X + c
+    # stops moving in floats, and the chain's sign is the search's
+    m = ConditionalExpectation()
+    x = XVar(space2, leaves)
+    got = induce_risk(m, 0, z, x).values.values
+    want = z - 0.5 * leaves[0] - 0.5 * leaves[1]
+    assert abs(got[0] - want) <= math.ulp(max(map(abs, leaves))), got
+    fam = induced_family(m)
+    for s in (-8.5e307, -1e300, 0.0, z, got[0], np.nextafter(got[0], INF), 1e300,
+              8.5e307):
+        assert np.array_equal(fam.raw(z, 0, x, stop_at=s) < s, got < s), s
+
+
 def test_a_tolerance_that_is_not_at_least_zero_is_refused():
     # a NaN tolerance stops every bisection at once and answers a bracket end
     m, x = GainLossRatio(), XVar(binomial_tree(2), [3.0, -1.0, 2.0, -2.0])
