@@ -33,7 +33,7 @@ from .measures import (DEFAULT_TOL, PerformanceMeasure, _drops, _escapes,
                        _missed_lower_bound, _mix_drops, _moved, _no_strict_gain,
                        _property_runner, evaluate, evaluate_rows)
 from .report import CheckResult, Report
-from .util import derived_rng
+from .util import trial_rngs
 
 
 def _aggregate(t: int, pays: np.ndarray) -> np.ndarray:
@@ -442,9 +442,8 @@ def check_lift_time_consistency(d: DynamicMeasure, space: FilteredSpace, *,
     pairs = _stage_pairs(space)
 
     proc_witness, proc_candidates, proc_verified = None, 0, 0
-    for k in range(trials):
-        present, pays = draw_dividend(space, derived_rng(rng_seed, 71, k),
-                                      nonnegative_interim=nonnegative_interim)
+    for rng in trial_rngs(rng_seed, 71, trials):
+        present, pays = draw_dividend(space, rng, nonnegative_interim=nonnegative_interim)
         aggs = {t: _aggregate(t, pays) for t in space.times}
         betas = {t: evaluate_rows(d.measure, space, t, aggs[t][None])[0]
                  for t in space.times}

@@ -38,7 +38,7 @@ from .measures import (ExponentialUtilityMeasure, PerformanceMeasure, evaluate,
 from .report import CheckResult, Report
 from .risk_family import (TOL_C, DualMeasure, induce_risk, induced_family,
                           sample_glr_density)
-from .util import derived_rng
+from .util import trial_rngs
 
 CRITERIA = ("measure-level", "strict-risk", "weak-risk")
 
@@ -307,8 +307,7 @@ def check_time_consistency(d: DynamicMeasure, space: FilteredSpace,
     agree_failed = 0
     cand_ties = cand_rejected = cand_verified = 0
 
-    for trial in range(trials):
-        rng = derived_rng(rng_seed, 41, trial)
+    for rng in trial_rngs(rng_seed, 41, trials):
         x = sampler(space, rng) if sampler is not None else sample_xvar(space, rng)
         betas = {r: d.beta(r, x).values for r in space.times}
         signs = _risk_signs(f, x, levels, tol)
@@ -417,8 +416,8 @@ def _lockstep_restarts(d: DynamicMeasure, space: FilteredSpace, n_restarts: int,
         betas = {r: evaluate_rows(d.measure, space, r, rows) for r in space.times}
         return _best_separations(space, pairs, betas, z_d, z_u)
 
-    best_x = np.array([derived_rng(rng_seed, 42, r).uniform(-4.0, 4.0, n)
-                       for r in range(n_restarts)])
+    best_x = np.array([rng.uniform(-4.0, 4.0, n)
+                       for rng in trial_rngs(rng_seed, 42, n_restarts)])
     best_m, best_col, best_lzh = score(best_x)
     used = np.ones(n_restarts, dtype=np.intp)
     step = np.full(n_restarts, 4.0)  # half the width of the draws
@@ -617,8 +616,7 @@ def check_penalty_inequality_coherent(z: float = 1.0, s: int = 0, t: int = 1,
     for i, q in enumerate(qs):
         densities.append((f"given[{i}]", np.asarray(q.density, dtype=float)
                           if isinstance(q, DualMeasure) else np.asarray(q, dtype=float)))
-    for i in range(n_random):
-        rng = derived_rng(rng_seed, 43, i)
+    for i, rng in enumerate(trial_rngs(rng_seed, 43, n_random)):
         densities.append((f"vertex_t[{i}]",
                           sample_glr_density(space, t, z, rng).density))
         densities.append((f"vertex_s[{i}]",

@@ -8,7 +8,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .util import derived_rng
+from .util import trial_rngs
 
 
 @dataclass
@@ -94,7 +94,8 @@ class TwoPhase:
     values(stage, rows) maps a batch of rows, each flattened, to (B, n_atoms) values.
     judge(vals, ctxs) gets one stage's (trials, r, n_atoms) values and ctx list, in
     draw order, and flags each failing trial; witness(rows, ctx, vals) builds one
-    failing trial's witness dict from its own (r, n_atoms) values.
+    failing trial's witness dict from its own (r, n_atoms) values.  The Generator
+    handed to draw is reused for the next trial: it is valid only until draw returns.
     """
 
     draw: Callable[[np.random.Generator, int], tuple[int, np.ndarray, Any]]
@@ -129,8 +130,8 @@ def _judged_batch(probe: TwoPhase, batch: list):
 
 def _two_phase_outcomes(n: int, seed: int, key: int, probe: TwoPhase):
     batch, held = [], 0
-    for k in range(n):
-        batch.append(probe.draw(derived_rng(seed, key, k), k))
+    for k, rng in enumerate(trial_rngs(seed, key, n)):
+        batch.append(probe.draw(rng, k))
         held += batch[-1][1].size
         if held >= LEAF_VALUES_PER_CALL or k == n - 1:
             yield _judged_batch(probe, batch)
@@ -142,8 +143,10 @@ def run_trials(rep: Report, name: str, n: int, seed: int, key: int,
                ) -> CheckResult:
     """Run n seeded trials of one property and add the outcome to rep.
 
-    Trial k draws from derived_rng(seed, key, k), so a shorter run checks a prefix of
-    a longer one.  A plain probe(rng, k) runs each trial whole and returns None or a
+    Trial k draws from derived_rng(seed, key, k)'s stream (seeded by ``trial_rngs``
+    for all k at once), so a shorter run checks a prefix of a longer one.  The
+    Generator handed to draw or probe is reused: it is valid only until that call
+    returns.  A plain probe(rng, k) runs each trial whole and returns None or a
     witness dict.  A ``TwoPhase`` probe draws trials until their rows hold
     ``LEAF_VALUES_PER_CALL`` values (or the last trial is drawn), values the batch
     with one call per stage and slice, judges each stage's trials with one call, and
@@ -156,7 +159,8 @@ def run_trials(rep: Report, name: str, n: int, seed: int, key: int,
         outcomes = _two_phase_outcomes(n, seed, key, probe)
     else:
         outcomes = ((int(w is not None), lambda w=w: w)
-                    for w in (probe(derived_rng(seed, key, k), k) for k in range(n)))
+                    for w in (probe(rng, k)
+                              for k, rng in enumerate(trial_rngs(seed, key, n))))
     res = CheckResult(name, True, trials=n)
     for failures, witness in outcomes:
         if failures:

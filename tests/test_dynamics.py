@@ -16,6 +16,7 @@ from perflat import dynamics
 from perflat.dynamics import (_best_separations, _child_min, _make_witness,
                               _ratio_feasible, _stage_pairs)
 from perflat.lattice import dump_json, sample_xvar
+from perflat.util import derived_rng
 
 
 def _load_pinned_witness():
@@ -317,7 +318,7 @@ def _search_sequential(d, space, n_restarts, rng_seed, per_restart):
         return _best_of(space, pairs, betas, *d.interval)
 
     def one_restart(r):
-        rng = dynamics.derived_rng(rng_seed, 42, r)
+        rng = derived_rng(rng_seed, 42, r)
         xv = rng.uniform(-4.0, 4.0, n)
         best_m, best_info = score(xv)
         best_x = xv.copy()

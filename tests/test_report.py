@@ -131,6 +131,30 @@ def test_two_phase_batches_hold_at_most_the_leaf_value_bound(monkeypatch):
 
 @pytest.mark.parametrize("check", [
     lambda n: check_axioms(GainLossRatio(), binomial_tree(2), 1, trials=n),
+    lambda n: check_lift_axioms(GainLossRatio(), binomial_tree(2), trials=n),
+    lambda n: check_time_consistency(DynamicMeasure(GainLossRatio()), binomial_tree(2),
+                                     trials=n),
+    lambda n: validate_standard_family(induced_family(GainLossRatio()),
+                                       binomial_tree(2), 0, trials=n)])
+def test_seeding_is_per_property_not_per_trial(check, monkeypatch):
+    # each property seeds its trials in one pass, so the Generators and SeedSequences
+    # constructed do not grow with the trial count
+    made = []
+    for name in ("default_rng", "SeedSequence"):
+        real = getattr(np.random, name)
+        monkeypatch.setattr(np.random, name,
+                            lambda *a, real=real, name=name, **kw:
+                            made.append(name) or real(*a, **kw))
+    counts = []
+    for n in (10, 40):
+        made.clear()
+        check(n)
+        counts.append(sorted(made))
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("check", [
+    lambda n: check_axioms(GainLossRatio(), binomial_tree(2), 1, trials=n),
     lambda n: check_scale_invariance(GainLossRatio(), binomial_tree(2), 1, trials=n),
     lambda n: check_lift_axioms(GainLossRatio(), binomial_tree(2), trials=n),
     lambda n: validate_standard_family(induced_family(GainLossRatio()),
