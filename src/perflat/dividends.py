@@ -73,7 +73,7 @@ def _paid_at_the_end(space: FilteredSpace, leaves: np.ndarray) -> np.ndarray:
 
 def _on_atoms(space: FilteredSpace, r: int, row: np.ndarray) -> np.ndarray:
     """A stage-r leaf row's value on each stage-r atom (at the atom's first leaf)."""
-    return row[[a[0] for a in space.atoms[r]]]
+    return row[space.atom_first[r]]
 
 
 def _valid_payment(row: np.ndarray) -> np.ndarray:

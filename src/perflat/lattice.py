@@ -11,6 +11,7 @@ XVar forbids -inf (bounded below); risk values may carry -inf and use the BA kin
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -119,20 +120,52 @@ def dump_json(obj, path=None) -> str:
 # the space
 
 
+def _stage_index(t: int, stage, n: int) -> tuple:
+    """Stage t's leaf -> atom ordinals over n leaves, and its atom count.
+
+    An integer array is taken as is; leaf groups become an ordinal list by list work,
+    which costs less than array calls on small spaces.  Raises unless every leaf gets
+    one ordinal and every ordinal below the count gets a leaf.
+    """
+    if isinstance(stage, np.ndarray) and stage.ndim == 1 and stage.dtype.kind in "iu":
+        idx = stage.astype(np.intp, copy=False)
+        if idx.shape != (n,) or idx.min() < 0:
+            raise ValueError(f"stage {t} atoms are not a partition of the leaves")
+        n_atoms = int(idx.max()) + 1
+        # n leaves fill at most n atoms, so a larger count leaves a gap
+        if n_atoms > n or not np.bincount(idx, minlength=n_atoms).all():
+            raise ValueError(f"stage {t} has an empty atom")
+        return idx, n_atoms
+    groups = [list(map(int, a)) for a in stage]
+    if sorted([i for a in groups for i in a]) != list(range(n)):
+        raise ValueError(f"stage {t} atoms are not a partition of the leaves")
+    if not all(groups):
+        raise ValueError(f"stage {t} has an empty atom")
+    index = [0] * n
+    for k, a in enumerate(groups):
+        for i in a:
+            index[i] = k
+    return index, len(groups)
+
+
 class FilteredSpace:
     """Scenario tree: leaves with probabilities plus one partition per stage.
 
-    atoms are stored as tuples of leaf indexes; ``atom_index[t]`` maps each leaf to the
-    ordinal of its stage-t atom.  Construction validates: strictly positive probabilities
-    summing to one, partitions refining in time, trivial partition at time 0, singletons
-    at the terminal date.
+    A stage's partition is stored as ``atom_index[t]``, which maps each leaf to the
+    ordinal of its stage-t atom, beside each atom's leaf count ``atom_size[t]``, first
+    leaf ``atom_first[t]`` and probability ``atom_mass[t]``.  ``atoms[t]``, the atoms as
+    sorted tuples of leaf indexes, is built on first use.  A stage is given either as
+    an integer array of atom ordinals, one per leaf, or as leaf groups, atom k being the
+    k-th group.  Construction validates: strictly positive probabilities summing to
+    one, partitions refining in time, trivial partition at time 0, singletons at the
+    terminal date.
     """
 
-    __slots__ = ("name", "times", "leaf_ids", "probs", "atoms", "atom_index",
-                 "atom_mass", "_leaf_pos")
+    __slots__ = ("name", "times", "leaf_ids", "probs", "atom_index", "atom_size",
+                 "atom_first", "atom_mass", "_atoms", "_leaf_pos")
 
     def __init__(self, times: Iterable[int], leaf_ids: Iterable[str],
-                 probs: Iterable[float], atoms_by_stage: Iterable[Iterable[Iterable[int]]],
+                 probs: Iterable[float], atoms_by_stage: Iterable,
                  name: str | None = None):
         self.name = name
         self.times = tuple(int(t) for t in times)
@@ -141,7 +174,7 @@ class FilteredSpace:
         self.leaf_ids = tuple(str(s) for s in leaf_ids)
         if len(set(self.leaf_ids)) != len(self.leaf_ids):
             raise ValueError("duplicate leaf ids")
-        p = np.asarray(list(probs), dtype=float)
+        p = np.array(probs if isinstance(probs, np.ndarray) else list(probs), dtype=float)
         if p.shape != (len(self.leaf_ids),):
             raise ValueError("probs shape mismatch")
         if not np.all(p > 0.0):
@@ -150,47 +183,33 @@ class FilteredSpace:
             raise ValueError(f"leaf probabilities sum to {float(p.sum())!r}, not 1")
         p.setflags(write=False)
         self.probs = p
-        self._leaf_pos = {s: i for i, s in enumerate(self.leaf_ids)}
+        self._atoms = self._leaf_pos = None
 
         n = len(self.leaf_ids)
-        self.atoms = []
-        self.atom_index = []
-        for t, stage_atoms in enumerate(atoms_by_stage):
-            atoms_t = [tuple(sorted(map(int, a))) for a in stage_atoms]
-            seen = [i for a in atoms_t for i in a]
-            if sorted(seen) != list(range(n)):
-                raise ValueError(f"stage {t} atoms are not a partition of the leaves")
-            index = [0] * n
-            for k, a in enumerate(atoms_t):
-                if not a:
-                    raise ValueError(f"stage {t} has an empty atom")
-                for i in a:
-                    index[i] = k
-            idx = np.array(index, dtype=np.intp)
-            idx.setflags(write=False)
-            self.atoms.append(tuple(atoms_t))
-            self.atom_index.append(idx)
-        if len(self.atoms) != len(self.times):
+        index, counts = [], []
+        for t, stage in enumerate(atoms_by_stage):
+            idx, n_atoms = _stage_index(t, stage, n)
+            index.append(idx)
+            counts.append(n_atoms)
+        if len(index) != len(self.times):
             raise ValueError("need one partition per stage")
-        if len(self.atoms[0]) != 1:
+        if counts[0] != 1:
             raise ValueError("time-0 partition must be trivial (single root atom)")
-        if len(self.atoms[-1]) != n:
+        if counts[-1] != n:
             raise ValueError("terminal partition must consist of singletons")
-        for t in range(1, len(self.times)):
-            # refinement: every stage-t atom sits inside one stage-(t-1) atom
-            coarse = self.atom_index[t - 1].tolist()  # Python ints, not numpy scalars
-            for a in self.atoms[t]:
-                if len({coarse[i] for i in a}) != 1:
-                    raise ValueError(f"stage {t} does not refine stage {t - 1}")
-        self.atoms = tuple(self.atoms)
-        self.atom_index = tuple(self.atom_index)
-        masses = []
-        for t in range(len(self.times)):
-            m = np.bincount(self.atom_index[t], weights=self.probs,
-                            minlength=len(self.atoms[t]))
-            m.setflags(write=False)
-            masses.append(m)
-        self.atom_mass = tuple(masses)
+        leaves, stages = np.arange(n), []
+        for t, idx in enumerate(index):
+            idx = index[t] = np.array(idx, dtype=np.intp)  # the space's own copy
+            first = np.full(counts[t], n)
+            np.minimum.at(first, idx, leaves)
+            # refinement: each stage-t atom lies in the stage-(t-1) atom of its first leaf
+            if t and (index[t - 1][first][idx] != index[t - 1]).any():
+                raise ValueError(f"stage {t} does not refine stage {t - 1}")
+            stages.append((idx, np.bincount(idx), first, np.bincount(idx, weights=p)))
+        for a in itertools.chain(*stages):
+            a.setflags(write=False)
+        self.atom_index, self.atom_size, self.atom_first, self.atom_mass = map(
+            tuple, zip(*stages))
 
     # -- shape helpers ------------------------------------------------------
 
@@ -203,7 +222,20 @@ class FilteredSpace:
         return self.times[-1]
 
     def n_atoms(self, t: int) -> int:
-        return len(self.atoms[t])
+        return len(self.atom_size[t])
+
+    @property
+    def atoms(self) -> tuple:
+        """Each stage's atoms as sorted tuples of leaf indexes, in ordinal order."""
+        if self._atoms is None:
+            stages = []
+            for idx, size in zip(self.atom_index, self.atom_size):
+                leaves = np.argsort(idx, kind="stable").tolist()
+                ends = np.cumsum(size).tolist()
+                stages.append(tuple(tuple(leaves[a:b])
+                                    for a, b in zip([0] + ends[:-1], ends)))
+            self._atoms = tuple(stages)
+        return self._atoms
 
     def check_stage(self, t: int) -> int:
         t = int(t)
@@ -212,6 +244,8 @@ class FilteredSpace:
         return t
 
     def leaf_pos(self, leaf_id: str) -> int:
+        if self._leaf_pos is None:
+            self._leaf_pos = {s: i for i, s in enumerate(self.leaf_ids)}
         try:
             return self._leaf_pos[leaf_id]
         except KeyError:
@@ -222,7 +256,7 @@ class FilteredSpace:
 
     def atom_id(self, t: int, k: int) -> str:
         # canonical representative: first leaf id of the atom
-        return self.leaf_ids[self.atoms[t][k][0]]
+        return self.leaf_ids[self.atom_first[t][k]]
 
     def atom_by_id(self, t: int, key: str) -> int:
         """Resolve an atom by any member leaf id."""
@@ -232,15 +266,17 @@ class FilteredSpace:
         """Stage-t atoms contained in stage-s atom k (s <= t)."""
         if s > t:
             raise ValueError("need s <= t")
-        return sorted({int(self.atom_index[t][i]) for i in self.atoms[s][k]})
+        return np.unique(self.atom_index[t][self.atom_index[s] == k]).tolist()
 
     def parent_atom(self, s: int, t: int, k: int) -> int:
         """Stage-s atom containing stage-t atom k (s <= t)."""
-        return int(self.atom_index[s][self.atoms[t][k][0]])
+        return int(self.atom_index[s][self.atom_first[t][k]])
 
     def fingerprint(self):
-        return (self.times, self.leaf_ids, tuple(self.probs.tolist()),
-                tuple(tuple(a) for a in self.atoms))
+        # equal index bytes are equal atoms in equal order; probs are positive floats,
+        # so equal bytes are equal values
+        return (self.times, self.leaf_ids, self.probs.tobytes(),
+                tuple(idx.tobytes() for idx in self.atom_index))
 
     def same_structure(self, other: "FilteredSpace") -> bool:
         return self is other or self.fingerprint() == other.fingerprint()
@@ -629,14 +665,13 @@ def binomial_tree(steps: int, p: float = 0.5, name: str | None = None) -> Filter
     # Each doubling appends one move, u before d, so a leaf's probability is the
     # product of its moves taken in path order and a stage-t atom is a block of
     # 2**(steps - t) consecutive leaves.
-    leaf_ids, probs = [""], [1.0]
+    leaf_ids, probs, moves = [""], np.ones(1), np.array([p, 1.0 - p])
     for _ in range(steps):
         leaf_ids = [s + ch for s in leaf_ids for ch in "ud"]
-        probs = [q * w for q in probs for w in (p, 1.0 - p)]
-    n = 2 ** steps
-    atoms_by_stage = [[range(k, k + (n >> t)) for k in range(0, n, n >> t)]
-                      for t in range(steps + 1)]
-    return FilteredSpace(list(range(steps + 1)), leaf_ids, probs, atoms_by_stage,
+        probs = (probs[:, None] * moves).ravel()
+    leaves = np.arange(2 ** steps)
+    return FilteredSpace(list(range(steps + 1)), leaf_ids, probs,
+                         (leaves >> (steps - t) for t in range(steps + 1)),
                          name=name or f"binomial{steps}")
 
 

@@ -882,9 +882,15 @@ def check_axioms(m: PerformanceMeasure, space: FilteredSpace, t: int,
                 "z": num_to_json(z), "xi": TVar(space, t, xi).to_json()}
 
     from .risk_family import _induce_raw  # risk_family imports this module
-    for z in _interior_levels(m.z_d, m.z_u):  # the floor at z is rho_t^z(0)
-        thresholds[z] = _induce_raw(m, t, z, XVar.constant(space, 0.0))
-        if np.any(np.isneginf(thresholds[z])):
+    levels = _interior_levels(m.z_d, m.z_u)  # the floor at z is rho_t^z(0)
+    zero = XVar.constant(space, 0.0)
+    try:  # one search for every level, each row the one-level search's
+        floors = _induce_raw(m, t, np.array(levels)[:, None], zero)
+    except RuntimeError:  # a level out of reach: search level by level, up to it
+        floors = (_induce_raw(m, t, z, zero) for z in levels)
+    for z, floor in zip(levels, floors):
+        thresholds[z] = floor
+        if np.any(np.isneginf(floor)):
             rep.add(CheckResult("acceptance_lower_bound", False, trials=trials,
                                 witness={"note": "no uniform floor for stage claims "
                                                  "at this level",

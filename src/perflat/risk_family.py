@@ -1019,10 +1019,11 @@ def sample_glr_density(space: FilteredSpace, t: int, z: float,
     if not 0.0 <= z < INF:
         raise ValueError("the dual polytope needs a finite level z >= 0")
     density = np.ones(space.n_leaves)
-    for k in range(space.n_atoms(t)):
-        idx = np.fromiter(space.atoms[t][k], dtype=np.intp)
-        if idx.size == 1:
-            continue
+    by_atom = np.argsort(space.atom_index[t], kind="stable")  # atom by atom, in order
+    size = space.atom_size[t]
+    ends = np.cumsum(size)
+    for k in np.flatnonzero(size > 1).tolist():
+        idx = by_atom[ends[k] - size[k]:ends[k]]
         c = rng.normal(size=idx.size)
         order = np.argsort(c, kind="stable")
         pb = space.probs[idx[order]] / space.atom_mass[t][k]

@@ -89,6 +89,10 @@ def _edit(pos, value):
      "stage 1 atoms are not a partition of the leaves"),  # a missing leaf
     (_edit_atoms(1, [[0, 1, 2, 3], [4, 5, 6, 7, 8]]),
      "stage 1 atoms are not a partition of the leaves"),  # an out-of-range index
+    (_edit_atoms(1, [[0, 1, 2, -1], [4, 5, 6, 7]]),
+     "stage 1 atoms are not a partition of the leaves"),  # -1 must not wrap to 7
+    (_edit_atoms(1, [[0, 1, 2, 3, 4], [5, 6, 8]]),
+     "stage 1 atoms are not a partition of the leaves"),  # 8 in place of 7
     (_edit_atoms(1, [[0, 1, 2, 3], [], [4, 5, 6, 7]]),
      "stage 1 has an empty atom"),
     (_edit_atoms(2, [[0, 1], [2, 4], [3, 5], [6, 7]]),
@@ -101,7 +105,8 @@ def _edit(pos, value):
     (_edit(0, [0, 1, 2]), "need one partition per stage"),
     (_edit(1, ["a"] * 8), "duplicate leaf ids"),
     (_edit(2, [0.25] * 4), "probs shape mismatch"),
-], ids=["leaf_in_two_atoms", "missing_leaf", "index_out_of_range", "empty_atom",
+], ids=["leaf_in_two_atoms", "missing_leaf", "index_out_of_range", "negative_index",
+        "index_past_the_end", "empty_atom",
         "not_refining", "nontrivial_start", "coarse_terminal", "bad_times",
         "partition_count", "duplicate_ids", "probs_shape"])
 def test_space_constructor_rejections(edit, message):
@@ -110,6 +115,94 @@ def test_space_constructor_rejections(edit, message):
     edit(args)
     with pytest.raises(ValueError, match=re.escape(message)):
         FilteredSpace(*args)
+
+
+@pytest.mark.parametrize("stage, message", [
+    ([0, 0, 0, 0, 2, 2, 2, 2], "stage 1 has an empty atom"),  # a gap in the ordinals
+    ([0, 0, 0, 0, 1, 1, 1, 9], "stage 1 has an empty atom"),  # ordinals 2..8 unused
+    ([0, 0, 0, 0, 1, 1, 1], "stage 1 atoms are not a partition of the leaves"),
+    ([0, 0, 0, 0, 1, 1, 1, 1, 1], "stage 1 atoms are not a partition of the leaves"),
+    ([0, 0, 0, 0, 1, 1, 1, -1], "stage 1 atoms are not a partition of the leaves"),
+], ids=["gap", "ordinal_past_the_leaves", "short", "long", "negative"])
+def test_integer_array_stage_rejections(stage, message):
+    args = list(_tree3_args())
+    args[3][1] = np.array([0, 0, 0, 0, 1, 1, 1, 1])
+    FilteredSpace(*args)
+    args[3][1] = np.array(stage)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        FilteredSpace(*args)
+
+
+def test_integer_array_stages_match_leaf_groups():
+    args = list(_tree3_args())
+    groups = FilteredSpace(*args)
+    args[3] = [np.arange(8, dtype=dtype) >> (3 - t)
+               for t, dtype in zip(range(4), (np.int64, np.int32, np.uint8, np.intp))]
+    arrays = FilteredSpace(*args)
+    assert arrays.same_structure(groups)
+    assert arrays.atoms == groups.atoms
+    for t in groups.times:
+        assert arrays.atom_index[t].dtype == np.intp
+        for name in ("atom_index", "atom_size", "atom_first", "atom_mass"):
+            assert getattr(arrays, name)[t].tobytes() == getattr(groups, name)[t].tobytes()
+    stage = np.arange(8) >> 1
+    space = FilteredSpace(args[0], args[1], args[2], args[3][:2] + [stage, args[3][3]])
+    stage[:] = 0  # the space keeps its own copy
+    assert space.n_atoms(2) == 4
+
+
+def test_leaf_groups_of_any_iterable_and_order_give_the_same_atoms():
+    args = list(_tree3_args())
+    want = FilteredSpace(*args).atoms
+    assert want[2] == ((0, 1), (2, 3), (4, 5), (6, 7))
+    args[3][1] = [range(4), range(4, 8)]
+    args[3][2] = [(1, 0), np.array([3, 2]), [5, 4], iter([7, 6])]
+    args[3][3] = [np.array([i], dtype=np.int32) for i in range(8)]
+    got = FilteredSpace(*args)
+    assert got.atoms == want
+    assert all(type(i) is int for stage in got.atoms for a in stage for i in a)
+
+
+def test_atom_ordinals_follow_the_group_order():
+    args = list(_tree3_args())
+    args[3][2] = [[6, 7], [2, 3], [4, 5], [0, 1]]
+    space = FilteredSpace(*args)
+    assert space.atoms[2] == ((6, 7), (2, 3), (4, 5), (0, 1))
+    assert space.atom_index[2].tolist() == [3, 3, 1, 1, 2, 2, 0, 0]
+    assert space.atom_first[2].tolist() == [6, 2, 4, 0]
+    assert [space.atom_id(2, k) for k in range(4)] == ["ddu", "udu", "duu", "uuu"]
+    assert [space.parent_atom(1, 2, k) for k in range(4)] == [1, 0, 1, 0]
+    assert space.subatoms(1, 2, 0) == [1, 3]
+    assert space.subatoms(0, 2, 0) == [0, 1, 2, 3]
+
+
+def test_same_structure_compares_atoms_in_order_and_probabilities():
+    space = binomial_tree(3)
+    assert FilteredSpace.from_json(space.to_json()).same_structure(space)
+    swapped = space.to_json()
+    a = swapped["atoms"]["2"]
+    a[0], a[1] = a[1], a[0]
+    swapped = FilteredSpace.from_json(swapped)
+    assert swapped.atoms[2] != space.atoms[2]
+    assert not swapped.same_structure(space)
+    moved = space.to_json()
+    moved["leaves"][0]["p"] = 0.125 + 2 ** -40
+    moved["leaves"][1]["p"] = 0.125 - 2 ** -40
+    assert not FilteredSpace.from_json(moved).same_structure(space)
+
+
+def test_wide_calls_read_the_index_arrays_not_the_atom_tuples(monkeypatch):
+    from perflat import (ExponentialUtilityMeasure, GainLossRatio,
+                         entropic_closed_form, evaluate, induce_risk, lpm_ratio)
+    space = binomial_tree(12)
+    x = XVar(space, np.random.default_rng(5).uniform(-4.0, 4.0, space.n_leaves))
+    monkeypatch.setattr(FilteredSpace, "atoms", property(
+        lambda self: pytest.fail("the atom tuples were built")))
+    for t in (0, 6, 11):
+        for m in (GainLossRatio(), lpm_ratio(2.0), ExponentialUtilityMeasure(1.0)):
+            evaluate(m, t, x)
+            induce_risk(m, t, 0.5, x)
+        entropic_closed_form(1.0, t, 0.5, x)
 
 
 def _binomial_by_paths(steps, p):
