@@ -16,16 +16,19 @@ payment recovers the measure exactly, and with nonnegative interim
 payments the consistency-over-time verdicts for payoffs and for streams
 coincide (streams with strictly negative interim payments can break the
 stream-to-payoff direction, which is why samplers default to nonnegative).
+Streams go through the payoff checker's trial loop, each stage's aggregate as the
+claim valued there, so the three readings are sampled on streams as well.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Mapping
+from dataclasses import replace
 
 import numpy as np
 
-from .dynamics import (BETA_MARGIN, DynamicMeasure, _child_min, _make_witness, _scan,
-                       _stage_pairs, check_time_consistency, verify_witness)
+from .dynamics import (BETA_MARGIN, CRITERIA, DynamicMeasure, _child_min,
+                       _consistency_pass, check_time_consistency, verify_witness)
 from .lattice import (INF, FilteredSpace, TVar, XVar, draw_atom_values,
                       draw_event_flags, draw_leaf_values, ext_add, ext_mul,
                       num_from_json, num_to_json)
@@ -33,7 +36,7 @@ from .measures import (DEFAULT_TOL, PerformanceMeasure, _drops, _escapes,
                        _missed_lower_bound, _mix_drops, _moved, _no_strict_gain,
                        _property_runner, evaluate, evaluate_rows)
 from .report import CheckResult, Report
-from .util import trial_rngs
+from .risk_family import TOL_C
 
 
 def _aggregate(t: int, pays: np.ndarray) -> np.ndarray:
@@ -412,13 +415,15 @@ def check_lift_time_consistency(d: DynamicMeasure, space: FilteredSpace, *,
                                 witness: dict | None = None) -> Report:
     """Compare consistency-over-time verdicts for payoffs and for streams.
 
-    Runs the payoff-level checker, then scans random streams, drawn as arrays
-    (``draw_dividend``), for localized stream-level violations (an F_s-atom at
-    or below a level with every F_t-child strictly above it, margins re-verified
-    through the induced risk at tolerance 1e-12).  Witnesses transport both
-    ways: a payoff witness becomes a single-terminal-payment stream with
-    identical values, and a stream witness aggregates from stage s into a payoff
-    witness, which is guaranteed when interim payments are nonnegative.
+    Runs the payoff-level checker, then its trial loop (``_consistency_pass``) on
+    random streams drawn as arrays (``draw_dividend``), with the aggregate from r as
+    the claim at stage r.  The process_eq_tc entries count stream violations without
+    asserting (a stream may break consistency); process_criteria_agreement is
+    asserted, since the sign equivalence holds for each stage's own claim.  Localized
+    stream violations are re-verified through the induced risk at tolerance 1e-12.
+    Witnesses transport both ways: a payoff witness becomes a single-terminal-payment
+    stream with identical values, and a stream witness aggregates from stage s into
+    a payoff witness, which is guaranteed when interim payments are nonnegative.
     Sampling with strictly negative interim payments documents the one-way gap
     instead of asserting agreement.
 
@@ -428,8 +433,7 @@ def check_lift_time_consistency(d: DynamicMeasure, space: FilteredSpace, *,
     only once.
     """
     rep = Report(f"lift consistency for {d.name()}", seed=rng_seed,
-                 meta={"trials": trials,
-                       "nonnegative_interim": nonnegative_interim})
+                 meta={"trials": trials, "nonnegative_interim": nonnegative_interim})
     var_rep = check_time_consistency(d, space, z_grid=z_grid, trials=trials,
                                      rng_seed=rng_seed)
     var_witness, var_verdict = var_rep.witness, var_rep.verdict
@@ -439,34 +443,24 @@ def check_lift_time_consistency(d: DynamicMeasure, space: FilteredSpace, *,
         if ok:  # a verified witness is proof no matter where it came from
             var_witness, var_verdict, injected = witness, "counterexample", True
     levels = var_rep.meta["z_grid"]
-    pairs = _stage_pairs(space)
 
-    proc_witness, proc_candidates, proc_verified = None, 0, 0
-    for rng in trial_rngs(rng_seed, 71, trials):
+    def draw(rng):
         present, pays = draw_dividend(space, rng, nonnegative_interim=nonnegative_interim)
-        aggs = {t: _aggregate(t, pays) for t in space.times}
-        betas = {t: evaluate_rows(d.measure, space, t, aggs[t][None])[0]
-                 for t in space.times}
-        for s, t, z, a, bs, bt_min, verdict in _scan(d, space, pairs, levels,
-                                                     aggs, betas):
-            if verdict is None:  # ties carry no verdict
-                continue
-            proc_candidates += 1
-            if verdict[0]:
-                proc_verified += 1
-                if proc_witness is None:
-                    proc_witness = _make_witness(
-                        space, s, t, z, a, bs, bt_min,
-                        D=DividendProcess.of_arrays(space, present, pays).to_json())
-    proc_verdict = "counterexample" if proc_witness else "consistent-on-sample"
+        return ({r: XVar(space, _aggregate(r, pays), validate=False) for r in space.times},
+                lambda: {"D": DividendProcess.of_arrays(space, present, pays).to_json()})
 
+    proc, decided = _consistency_pass(d, space, levels, trials, rng_seed, 71, draw, TOL_C)
     rep.add(CheckResult("variable_level", None, var_rep.samples,
                         0 if var_verdict == "consistent-on-sample" else 1,
-                        note=f"verdict: {var_verdict}" +
-                             (" (witness supplied and re-verified)" if injected
-                              else "")))
-    rep.add(CheckResult("process_level", None, proc_candidates, proc_verified,
-                        note=f"verdict: {proc_verdict}"))
+                        note=f"verdict: {var_verdict}"
+                        + (" (witness supplied and re-verified)" if injected else "")))
+    rep.add(CheckResult("process_level", None, decided,
+                        proc.result("localized_violations").failures,
+                        note=f"verdict: {proc.verdict}"))
+    # a stream violation is a verdict, not a defect; the readings must still agree
+    for r in proc.results[:len(CRITERIA)]:
+        rep.add(CheckResult(f"process_{r.name}", None, r.trials, r.failures))
+    rep.add(replace(proc.result("criteria_agreement"), name="process_criteria_agreement"))
 
     to_process_ok = None
     if var_witness is not None:
@@ -479,30 +473,23 @@ def check_lift_time_consistency(d: DynamicMeasure, space: FilteredSpace, *,
         to_process_ok = bool(bh_t_min > z + BETA_MARGIN and bh_s <= z - BETA_MARGIN)
         rep.add(CheckResult("transport_to_process", to_process_ok, 1,
                             0 if to_process_ok else 1,
-                            note="payoff witness re-checked as a single "
-                                 "terminal payment"))
+                            note="payoff witness re-checked as a single terminal payment"))
     else:
         rep.add(CheckResult("transport_to_process", None,
                             note="no payoff-level witness to transport"))
 
     var_transport_ok = None
-    if proc_witness is not None:
-        w = proc_witness
+    if proc.witness is not None:
+        w = proc.witness
         x_star = DividendProcess.from_json(w["D"], space).aggregate_from(w["s"])
-        shadow = dict(w, x=x_star.to_json())
-        var_transport_ok, detail = verify_witness(d, space, shadow, x=x_star)
-        note = (f"aggregate from stage {w['s']} re-verified: "
-                f"beta_s={detail['beta_s']:.6g}")
-        if nonnegative_interim:
-            rep.add(CheckResult("transport_to_variable", var_transport_ok, 1,
-                                0 if var_transport_ok else 1, note=note))
-        else:
-            gap_note = ("stream witness " +
-                        ("still transports" if var_transport_ok
-                         else "does not transport") +
-                        " despite negative interim payments")
-            rep.add(CheckResult("transport_to_variable", None, 1,
-                                0 if var_transport_ok else 1, note=gap_note))
+        var_transport_ok, detail = verify_witness(d, space, w, x=x_star)
+        note = (f"aggregate from stage {w['s']} re-verified: beta_s={detail['beta_s']:.6g}"
+                if nonnegative_interim else "stream witness " +
+                ("still transports" if var_transport_ok else "does not transport") +
+                " despite negative interim payments")
+        rep.add(CheckResult("transport_to_variable",
+                            var_transport_ok if nonnegative_interim else None, 1,
+                            0 if var_transport_ok else 1, note=note))
     else:
         rep.add(CheckResult("transport_to_variable", None,
                             note="no stream-level witness to transport"))
@@ -511,17 +498,16 @@ def check_lift_time_consistency(d: DynamicMeasure, space: FilteredSpace, *,
         # with nonnegative interim payments the two views certify each other:
         # when only one side found a witness, transport must bridge the gap
         var_found = var_witness is not None
-        agree = (var_found == (proc_witness is not None)
+        agree = (var_found == (proc.witness is not None)
                  or bool(to_process_ok if var_found else var_transport_ok))
         rep.add(CheckResult("verdict_agreement", agree, 1, 0 if agree else 1,
-                            note=f"payoffs: {var_verdict}; "
-                                 f"streams: {proc_verdict}"))
+                            note=f"payoffs: {var_verdict}; streams: {proc.verdict}"))
     else:
         rep.add(CheckResult("verdict_agreement", None,
-                            note=(f"payoffs: {var_verdict}; streams: "
-                                  f"{proc_verdict}; negative interim payments "
-                                  "break the stream-to-payoff direction, so "
-                                  "disagreement here is expected, not an error")))
-    rep.meta["verdicts"] = {"variable": var_verdict, "process": proc_verdict}
+                            note=(f"payoffs: {var_verdict}; streams: {proc.verdict}; "
+                                  "negative interim payments break the stream-to-payoff "
+                                  "direction, so disagreement here is expected, not an "
+                                  "error")))
+    rep.meta["verdicts"] = {"variable": var_verdict, "process": proc.verdict}
     rep.meta["z_grid"] = levels
     return rep

@@ -16,12 +16,13 @@ payoffs, track all three readings, and certify counterexamples by
 re-verification with explicit margins at tightened bisection tolerance.
 "consistent-on-sample" is a sampling verdict, never a proof.
 
-One localized scan (``_scan``) serves payoffs here and dividend streams in
-``dividends``, given as one leaf row per stage: per stage pair, level and
-F_s-atom it compares the atom's value with the smallest value over its
-F_t-children (``_child_min``) and hands each candidate away from a tie to one
-verification core, which takes the stage values the scan already holds.  A
-certified violation clears the level by BETA_MARGIN on both sides.
+One trial loop (``_consistency_pass``) serves payoffs here and dividend streams in
+``dividends``, given as the claim valued at each stage: per stage pair it reads the
+three criteria over the level grid and, with one mask over (level, F_s-atom), finds
+the atoms at or below a level whose F_t-children (``_child_min``) all sit above it.
+Each candidate away from a tie goes to one verification core, which takes the stage
+values the pass already holds.  A certified violation clears the level by
+BETA_MARGIN on both sides.
 """
 from __future__ import annotations
 
@@ -202,28 +203,6 @@ def _verify_localized(d: DynamicMeasure, space: FilteredSpace, s: int, t: int,
     return ok, detail
 
 
-def _scan(d: DynamicMeasure, space: FilteredSpace, pairs, levels, xs: dict,
-          betas: dict):
-    """The localized candidates of one sample, by stage pair, level and F_s-atom.
-
-    A candidate is an F_s-atom at or below the level whose F_t-children all sit
-    strictly above it.  Yields (s, t, z, k, beta_s, beta_t_min, verdict), where
-    verdict is None for a tie (a gap under TIE_BETA) and otherwise the (ok, detail)
-    of the verification core.  xs maps each stage to the payoff valued there, as a
-    leaf row, and betas to its values; only a candidate sent to the core builds its
-    payoffs as variables.
-    """
-    claim = lambda r: XVar(space, xs[r], validate=False)
-    for s, t in pairs:
-        bs, bt_min = betas[s], _child_min(space, s, t, betas[t])
-        for z in levels:
-            for k in np.flatnonzero((bt_min > z) & (z >= bs)).tolist():
-                bs_k, bt_k = float(bs[k]), float(bt_min[k])
-                tie = min(bt_k - z, z - bs_k) < TIE_BETA
-                yield s, t, z, k, bs_k, bt_k, None if tie else _verify_localized(
-                    d, space, s, t, z, k, claim(s), claim(t), bs_k, bt_k)
-
-
 def globalize_witness(d: DynamicMeasure, space: FilteredSpace,
                       witness: dict) -> XVar:
     """Paste a localized witness into a payoff violating the implication
@@ -252,9 +231,9 @@ def globalize_witness(d: DynamicMeasure, space: FilteredSpace,
                        "the level; the upper bound must sit at the level")
 
 
-def _risk_signs(f, x: XVar, levels: np.ndarray, tol: float) -> dict:
-    """Per stage, the (n_levels, n_atoms) flags rho < 0, rho <= 0 and |rho| < 10*tol,
-    a band where a search run to tol attests no sign.
+def _risk_signs(f, claims: dict, levels: np.ndarray, tol: float) -> dict:
+    """Per stage r, the (n_levels, n_atoms) flags rho < 0, rho <= 0 and |rho| < 10*tol
+    of claims[r], a band where a search run to tol attests no sign.
 
     Each is a sign query of f, the measure's induced family at tol: below(c), that is
     ``f.raw(levels, r, x, stop_at=c) < c``, is the full search's rho < c bit for bit,
@@ -262,11 +241,95 @@ def _risk_signs(f, x: XVar, levels: np.ndarray, tol: float) -> dict:
     below(nextafter(-band, inf)).
     """
     band, out = 10.0 * tol, {}
-    for r in x.space.times:
+    for r, x in claims.items():
         below = lambda c: f.raw(levels, r, x, stop_at=c) < c
         out[r] = (below(0.0), below(5e-324),
                   below(band) & ~below(np.nextafter(-band, INF)))
     return out
+
+
+def _consistency_pass(d: DynamicMeasure, space: FilteredSpace, z_grid, trials: int,
+                      rng_seed: int, key: int, draw, tol: float
+                      ) -> tuple[ConsistencyReport, int]:
+    """The trial loop of the time-consistency checks, for payoffs and streams alike.
+
+    draw(rng), on derived_rng(rng_seed, key, k)'s stream for trial k, returns the
+    claim valued at each stage (XVars keyed by stage) and a thunk for the witness
+    fields that name it.  Per stage pair the three readings fill the eq_tc and
+    criteria_agreement entries, and one mask picks the localized candidates in
+    (level, atom) order; each away from a tie goes to ``_verify_localized``, and the
+    first accepted one is the witness.  Returns the report and the number of
+    candidates away from a tie.
+    """
+    if space.horizon < 1:
+        raise ValueError("need at least two stages")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    z_d, z_u = d.interval
+    z_grid = [float(z) for z in (_level_grid(z_d, z_u) if z_grid is None else z_grid)]
+    if not z_grid:
+        raise ValueError("the level grid is empty")
+    for z in z_grid:
+        if not z_d < z < z_u:
+            raise ValueError(f"level {z:g} is outside ({z_d:g}, {z_u:g})")
+    pairs = _stage_pairs(space)
+    f = induced_family(d.measure, tol=tol)
+    levels = np.array(z_grid)[:, None]
+
+    rep = ConsistencyReport(seed=rng_seed, trials=trials)
+    viol = np.zeros(len(CRITERIA), dtype=np.int64)
+    ties_skipped = agree_checked = agree_failed = cand_ties = decided = verified = 0
+    for rng in trial_rngs(rng_seed, key, trials):
+        claims, named = draw(rng)
+        betas = {r: evaluate_rows(d.measure, space, r, x.values[None])[0]
+                 for r, x in claims.items()}
+        signs = _risk_signs(f, claims, levels, tol)
+        # per stage and level: the readings beta > z, rho < 0 and rho <= 0 on every
+        # atom, and a tie on some atom
+        reads = {r: np.stack([betas[r] > levels, *signs[r][:2]]).all(axis=2)
+                 for r in space.times}
+        ties = {r: (np.abs(betas[r] - levels) < TIE_BETA).any(axis=1)
+                | signs[r][2].any(axis=1) for r in space.times}
+        for s, t in pairs:
+            prem, concl, tie = reads[t], reads[s], ties[s] | ties[t]
+            hit = prem & ~concl
+            agree = (prem == prem[0]).all(axis=0) & (concl == concl[0]).all(axis=0)
+            viol += hit[:, ~tie].sum(axis=1)
+            ties_skipped += int(hit[:, tie].sum())
+            agree_checked += int((~tie).sum())
+            agree_failed += int((~agree & ~tie).sum())
+            # candidates: an F_s-atom at or below the level, its children all above
+            # it; one with a gap under TIE_BETA is a tie and carries no verdict
+            bs, bt_min = betas[s], _child_min(space, s, t, betas[t])
+            lv, ks = np.nonzero((bt_min > levels) & (levels >= bs))
+            far = np.minimum(bt_min[ks] - levels[lv, 0], levels[lv, 0] - bs[ks]) >= TIE_BETA
+            cand_ties += int(far.size - far.sum())
+            decided += int(far.sum())
+            lv, ks = lv[far], ks[far]
+            for z, k, bs_k, bt_k in zip(levels[lv, 0].tolist(), ks.tolist(),
+                                        bs[ks].tolist(), bt_min[ks].tolist()):
+                ok, detail = _verify_localized(d, space, s, t, z, k, claims[s],
+                                               claims[t], bs_k, bt_k)
+                verified += ok
+                if ok and rep.witness is None:
+                    rep.witness = {**_make_witness(space, s, t, z, k, bs_k, bt_k,
+                                                   **named()), **detail}
+        rep.samples += len(pairs) * len(z_grid)
+
+    for c, v in zip(CRITERIA, viol.tolist()):
+        rep.add(CheckResult(f"eq_tc[{c}]", v == 0, rep.samples, v))
+    rep.add(CheckResult("criteria_agreement", agree_failed == 0, agree_checked,
+                        agree_failed,
+                        note=f"{rep.samples - agree_checked} tie samples excluded"))
+    rep.add(CheckResult("localized_violations", verified == 0, cand_ties + decided,
+                        verified, note=(f"{cand_ties} tie candidates discarded, "
+                                        f"{decided - verified} failed re-verification")))
+    if rep.witness is not None:
+        rep.verdict = "counterexample"
+    rep.meta = {"measure": d.name(), "z_grid": z_grid,
+                "stage_pairs": [list(p) for p in pairs], "tol": tol,
+                "ties_skipped": ties_skipped}
+    return rep, decided
 
 
 def check_time_consistency(d: DynamicMeasure, space: FilteredSpace,
@@ -283,78 +346,13 @@ def check_time_consistency(d: DynamicMeasure, space: FilteredSpace,
     re-verification; the first accepted witness (in scan order) is reported.
     The risk readings are sign queries of the induced family at tol
     (``_risk_signs``), each the full search's sign bit for bit, read per stage
-    pair as arrays over the grid.
+    pair as arrays over the grid, in ``_consistency_pass``.
     """
-    if space.horizon < 1:
-        raise ValueError("need at least two stages")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    z_d, z_u = d.interval
-    if z_grid is None:
-        z_grid = _level_grid(z_d, z_u)
-    z_grid = [float(z) for z in z_grid]
-    for z in z_grid:
-        if not z_d < z < z_u:
-            raise ValueError(f"level {z:g} is outside ({z_d:g}, {z_u:g})")
-    pairs = _stage_pairs(space)
-    f = induced_family(d.measure, tol=tol)
-    levels = np.array(z_grid)[:, None]
-
-    rep = ConsistencyReport(seed=rng_seed, trials=trials)
-    viol = np.zeros(len(CRITERIA), dtype=np.int64)
-    ties_skipped = 0
-    agree_checked = 0
-    agree_failed = 0
-    cand_ties = cand_rejected = cand_verified = 0
-
-    for rng in trial_rngs(rng_seed, 41, trials):
+    def draw(rng):
         x = sampler(space, rng) if sampler is not None else sample_xvar(space, rng)
-        betas = {r: d.beta(r, x).values for r in space.times}
-        signs = _risk_signs(f, x, levels, tol)
-        # per stage and level: the readings beta > z, rho < 0 and rho <= 0 on every
-        # atom, and a tie on some atom
-        reads = {r: np.stack([betas[r] > levels, *signs[r][:2]]).all(axis=2)
-                 for r in space.times}
-        ties = {r: (np.abs(betas[r] - levels) < TIE_BETA).any(axis=1)
-                | signs[r][2].any(axis=1) for r in space.times}
-        for s, t in pairs:
-            prem, concl, tie = reads[t], reads[s], ties[s] | ties[t]
-            hit = prem & ~concl
-            agree = (prem == prem[0]).all(axis=0) & (concl == concl[0]).all(axis=0)
-            viol += hit[:, ~tie].sum(axis=1)
-            ties_skipped += int(hit[:, tie].sum())
-            agree_checked += int((~tie).sum())
-            agree_failed += int((~agree & ~tie).sum())
-        rep.samples += len(pairs) * len(z_grid)
+        return dict.fromkeys(space.times, x), lambda: {"x": x.to_json()}
 
-        for s, t, z, k, bs_k, bt_min, verdict in _scan(
-                d, space, pairs, z_grid, dict.fromkeys(space.times, x.values), betas):
-            if verdict is None:
-                cand_ties += 1
-            elif verdict[0]:
-                cand_verified += 1
-                if rep.witness is None:
-                    rep.witness = _make_witness(space, s, t, z, k, bs_k, bt_min,
-                                                x=x.to_json())
-                    rep.witness.update(verdict[1])
-            else:
-                cand_rejected += 1
-
-    for c, v in zip(CRITERIA, viol.tolist()):
-        rep.add(CheckResult(f"eq_tc[{c}]", v == 0, rep.samples, v))
-    rep.add(CheckResult("criteria_agreement", agree_failed == 0, agree_checked,
-                        agree_failed,
-                        note=f"{rep.samples - agree_checked} tie samples excluded"))
-    rep.add(CheckResult("localized_violations", cand_verified == 0,
-                        cand_ties + cand_rejected + cand_verified, cand_verified,
-                        note=(f"{cand_ties} tie candidates discarded, "
-                              f"{cand_rejected} failed re-verification")))
-    if rep.witness is not None:
-        rep.verdict = "counterexample"
-    rep.meta = {"measure": d.name(), "z_grid": z_grid,
-                "stage_pairs": [list(p) for p in pairs], "tol": tol,
-                "ties_skipped": ties_skipped}
-    return rep
+    return _consistency_pass(d, space, z_grid, trials, rng_seed, 41, draw, tol)[0]
 
 
 def _best_separations(space: FilteredSpace, pairs, betas: dict, z_d: float,

@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -272,14 +271,13 @@ class FilteredSpace:
         """Stage-s atom containing stage-t atom k (s <= t)."""
         return int(self.atom_index[s][self.atom_first[t][k]])
 
-    def fingerprint(self):
-        # equal index bytes are equal atoms in equal order; probs are positive floats,
-        # so equal bytes are equal values
-        return (self.times, self.leaf_ids, self.probs.tobytes(),
-                tuple(idx.tobytes() for idx in self.atom_index))
-
     def same_structure(self, other: "FilteredSpace") -> bool:
-        return self is other or self.fingerprint() == other.fingerprint()
+        # in place, stopping at the first difference; equal index arrays are equal
+        # atoms in equal order
+        return self is other or (
+            self.times == other.times and self.leaf_ids == other.leaf_ids
+            and np.array_equal(self.probs, other.probs)
+            and all(map(np.array_equal, self.atom_index, other.atom_index)))
 
     def __repr__(self):
         return (f"FilteredSpace({self.name or 'unnamed'}: {self.n_leaves} leaves, "

@@ -322,6 +322,14 @@ def test_consistency_consistent_measure_writes_nothing(files, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_consistency_refuses_an_empty_level_grid(files, capsys):
+    # "," names no level; "" falls back to the default grid
+    code = main(["check-consistency", "--measure", files["glr"], "--space",
+                 files["space"], "--trials", "2", "--z-grid", ","])
+    assert code == 1
+    assert "level grid is empty" in capsys.readouterr().out
+
+
 def test_paper_demo_passes(capsys):
     assert main(["paper-demo"]) == 0
     out = capsys.readouterr().out

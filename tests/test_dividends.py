@@ -204,6 +204,30 @@ def test_negative_interim_breaks_the_stream_direction(tree2):
     assert "negative interim" in agree.note
 
 
+_STREAM_MEASURES = {"glr": GainLossRatio, "lpm": lambda: lpm_ratio(2.0),
+                    "exp": lambda: ExponentialUtilityMeasure(risk_aversion=0.7)}
+
+
+@pytest.mark.parametrize("nonnegative_interim", [True, False])
+@pytest.mark.parametrize("measure", list(_STREAM_MEASURES))
+def test_streams_get_all_three_readings(measure, nonnegative_interim, tree2):
+    # time consistency is equivalent to the induced families' sign readings at each
+    # stage's own claim, so on streams the three readings agree as they do on
+    # payoffs; with nonnegative interim payments gain-loss streams stay consistent,
+    # and negative ones show violations, each counted alike by all three readings
+    rep = check_lift_time_consistency(DynamicMeasure(_STREAM_MEASURES[measure]()),
+                                      tree2, trials=40, rng_seed=1,
+                                      nonnegative_interim=nonnegative_interim)
+    assert rep.result("process_criteria_agreement").passed is True
+    counts = {rep.result(f"process_eq_tc[{c}]").failures
+              for c in ("measure-level", "strict-risk", "weak-risk")}
+    assert len(counts) == 1
+    if measure == "glr" and nonnegative_interim:
+        assert counts == {0}
+    if not nonnegative_interim:
+        assert counts != {0}  # this sample shows the one-way gap
+
+
 def test_sample_dividend_respects_sign_constraint(tree2):
     for k in range(30):
         rng = derived_rng(0, 61, k)
@@ -329,16 +353,16 @@ def test_checkers_build_no_variables_per_trial(monkeypatch, tree2):
 
 
 def test_stream_scan_builds_no_variables_per_trial(monkeypatch, tree2):
-    # the payoff-level check is held fixed, so what is counted is the stream scan:
-    # its streams are arrays, and no candidate of gain-loss reaches the core
+    # the payoff-level check is held fixed, so what is counted is the stream pass:
+    # its streams are arrays, each trial builds one XVar per stage (the aggregate
+    # that the sign queries take), and no candidate of gain-loss reaches the core,
+    # so no TVar, EventMask or DividendProcess is built
     d = DynamicMeasure(GainLossRatio())
     fixed = check_time_consistency(d, tree2, trials=4, rng_seed=3)
     monkeypatch.setattr(dividends, "check_time_consistency", lambda *a, **k: fixed)
     counts = _constructions(monkeypatch)
-    built = []
     for n in (30, 60):
         counts.clear()
         rep = check_lift_time_consistency(d, tree2, trials=n, rng_seed=3)
         assert rep.meta["verdicts"]["process"] == "consistent-on-sample"
-        built.append(dict(counts))
-    assert built[0] == built[1]
+        assert counts == {"XVar": n * len(tree2.times)}

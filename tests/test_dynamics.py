@@ -7,7 +7,8 @@ import pytest
 
 from perflat import (INF, CertaintyEquivalentMeasure, CustomMeasure, DynamicMeasure,
                      ExponentialUtilityMeasure, GainLossRatio, TVar, UtilitySpec,
-                     XVar, binomial_tree, check_penalty_inequality_coherent,
+                     XVar, binomial_tree, check_lift_time_consistency,
+                     check_penalty_inequality_coherent,
                      check_riskaversion_monotone_consistency,
                      check_time_consistency, coin2, evaluate, globalize_witness,
                      induce_risk, induced_family, lpm_ratio, random_tree, raroc,
@@ -351,9 +352,9 @@ def _search_sequential(d, space, n_restarts, rng_seed, per_restart):
 
 def _signs_per_level(m):
     """_risk_signs for measure m, read from one full search per (stage, level)."""
-    def signs(f, x, levels, tol):
+    def signs(f, claims, levels, tol):
         out = {}
-        for r in x.space.times:
+        for r, x in claims.items():
             rho = np.array([induce_risk(m, r, z, x, tol=tol).values.values
                             for z in levels[:, 0]])
             out[r] = (rho < 0.0, rho <= 0.0, np.abs(rho) < 10.0 * tol)
@@ -450,8 +451,9 @@ def test_risk_signs_match_the_full_search_at_zero_in_the_band_and_at_minus_inf()
     f, full = induced_family(m), _signs_per_level(m)
     zero_risk = False
     for leaves in ([0.0, 0.0], [3.0, -1.0], [INF, -1.0], [1.0, -1.0]):
-        x = XVar(space, leaves)
-        got, want = dynamics._risk_signs(f, x, levels, 1e-10), full(f, x, levels, 1e-10)
+        claims = dict.fromkeys(space.times, XVar(space, leaves))
+        got, want = (dynamics._risk_signs(f, claims, levels, 1e-10),
+                     full(f, claims, levels, 1e-10))
         for r in space.times:
             assert all(np.array_equal(a, b) for a, b in zip(got[r], want[r])), leaves
             zero_risk |= bool((want[r][1] & ~want[r][0]).any())
@@ -465,6 +467,17 @@ def test_level_rows_match_the_per_level_profile_check(monkeypatch):
         monkeypatch, "_risk_signs",
         _signs_per_level(ExponentialUtilityMeasure(risk_aversion=lam)),
         lambda: check_riskaversion_monotone_consistency(lam, space, trials=4))
+    assert batched == sequential
+
+
+@pytest.mark.parametrize("nonnegative_interim", [True, False])
+def test_level_rows_match_the_per_level_stream_check(monkeypatch, nonnegative_interim):
+    # a stream's claims differ from stage to stage (its aggregate from each stage)
+    d, space = DynamicMeasure(lpm_ratio(2.0)), binomial_tree(2)
+    batched, sequential = _both_routes(
+        monkeypatch, "_risk_signs", _signs_per_level(d.measure),
+        lambda: check_lift_time_consistency(d, space, trials=6, rng_seed=1,
+                                            nonnegative_interim=nonnegative_interim))
     assert batched == sequential
 
 

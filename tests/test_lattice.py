@@ -189,6 +189,12 @@ def test_same_structure_compares_atoms_in_order_and_probabilities():
     moved["leaves"][0]["p"] = 0.125 + 2 ** -40
     moved["leaves"][1]["p"] = 0.125 - 2 ** -40
     assert not FilteredSpace.from_json(moved).same_structure(space)
+    ids = list(space.leaf_ids)
+    ids[5] = "xyz"
+    renamed = FilteredSpace(space.times, ids, space.probs, space.atom_index)
+    assert FilteredSpace(space.times, space.leaf_ids, space.probs,
+                         space.atom_index).same_structure(space)
+    assert not renamed.same_structure(space) and not space.same_structure(renamed)
 
 
 def test_wide_calls_read_the_index_arrays_not_the_atom_tuples(monkeypatch):

@@ -169,3 +169,10 @@ def test_every_checker_refuses_a_trial_count_below_one(check):
     for n in (0, -5):
         with pytest.raises(ValueError, match="trials must be at least 1"):
             check(n)
+
+
+@pytest.mark.parametrize("check", [check_time_consistency, check_lift_time_consistency])
+def test_every_consistency_checker_refuses_an_empty_level_grid(check):
+    # no sample would run, so every entry would pass on nothing
+    with pytest.raises(ValueError, match="level grid is empty"):
+        check(DynamicMeasure(GainLossRatio()), binomial_tree(2), z_grid=[], trials=2)
