@@ -334,7 +334,7 @@ def _consistency_pass(d: DynamicMeasure, space: FilteredSpace, z_grid, trials: i
 
 def check_time_consistency(d: DynamicMeasure, space: FilteredSpace,
                            z_grid=None, trials: int = 200, rng_seed: int = 0,
-                           *, tol: float = TOL_C, sampler=None) -> ConsistencyReport:
+                           *, tol: float = TOL_C) -> ConsistencyReport:
     """Sample payoffs and test the level implications on every stage pair.
 
     Each sample is one (X, s, t, z) with s < t taken from all stage pairs
@@ -349,7 +349,7 @@ def check_time_consistency(d: DynamicMeasure, space: FilteredSpace,
     pair as arrays over the grid, in ``_consistency_pass``.
     """
     def draw(rng):
-        x = sampler(space, rng) if sampler is not None else sample_xvar(space, rng)
+        x = sample_xvar(space, rng)
         return dict.fromkeys(space.times, x), lambda: {"x": x.to_json()}
 
     return _consistency_pass(d, space, z_grid, trials, rng_seed, 41, draw, tol)[0]

@@ -725,11 +725,12 @@ def validate_standard_family(f: StandardFamily, space: FilteredSpace, t: int,
     """Property-based verification of the standard-family conditions.
 
     Per level: finite on bounded claims, convex, monotone nonincreasing, translation
-    invariant, local, continuous from below.  Across levels: per-atom paths
-    nondecreasing and continuous, with rho^z(0) diverging when the interval is
-    unbounded below.  On level rows, ``raw(..., stop_at=c) < c`` must equal
-    ``raw < c`` exactly, for thresholds c at and near 0 and at and just above one
-    value of raw.  Positive homogeneity (coherence) is detected and reported.
+    invariant, local, continuous from below.  Across levels, asked for as level rows
+    (which the family must answer, as ``reconstruct`` requires): per-atom paths
+    nondecreasing and continuous, and ``raw(..., stop_at=c) < c`` equal to ``raw < c``
+    exactly, for thresholds c at and near 0 and at and just above one value of raw.
+    rho^z(0) must diverge when the interval is unbounded below.  Positive
+    homogeneity (coherence) is detected and reported.
     """
     t = space.check_stage(t)
     tol = 1e-8
@@ -742,166 +743,134 @@ def validate_standard_family(f: StandardFamily, space: FilteredSpace, t: int,
                  meta={"space": space.name or "", "provenance": f.provenance,
                        "z_grid": [num_to_json(z) for z in zs]})
 
-    def rand_z(rng):
-        return float(zs[rng.integers(zs.size)])
+    def rho(z, leaves, **stop):
+        # one level, or a vector of levels asked for as (len(z), n_atoms) level rows
+        if np.ndim(z):
+            z = np.repeat(np.asarray(z)[:, None], space.n_atoms(t), axis=1)
+        x = XVar(space, leaves, validate=False)
+        return np.asarray(f.raw(z, t, x, **stop), dtype=float)
 
-    # a.1 finite values on bounded claims
-    def finite_on_bounded_claims(rng, k):
-        xv = sample_xvar(space, rng)
-        vals = np.asarray(f.raw(rand_z(rng), t, xv), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            return {"X": xv.to_json(), "rho": [num_to_json(v) for v in vals]}
+    def at_level(rng, *claims):
+        # a grid level z, drawn after the claims, and each claim's values at z
+        z = float(zs[rng.integers(zs.size)])
+        return z, [rho(z, leaves) for leaves in claims]
 
-    run_trials(rep, "finite_on_bounded_claims", trials, rng_seed, 21,
-               finite_on_bounded_claims)
+    def probe(name, key, n, prop, inf_legs=False):
+        # trial k draws X (+inf legs on every third trial if inf_legs), and prop(rng, X)
+        # returns the witness fields besides X where the property fails, else None
+        def trial(rng, k):
+            x = sample_xvar(space, rng, 0.05 if inf_legs and k % 3 == 0 else 0.0)
+            fields = prop(rng, x)
+            return None if fields is None else {"X": x.to_json(), **fields}
 
-    # a.2 convexity
-    def convexity(rng, k):
-        xv, yv = sample_xvar(space, rng), sample_xvar(space, rng)
-        c = float(rng.uniform())
-        z = rand_z(rng)
-        mix = XVar(space, c * xv.values + (1.0 - c) * yv.values, validate=False)
-        lhs = np.asarray(f.raw(z, t, mix), dtype=float)
-        rhs = c * np.asarray(f.raw(z, t, xv), dtype=float) + \
-            (1.0 - c) * np.asarray(f.raw(z, t, yv), dtype=float)
-        if np.any(lhs > rhs + 1e-8):
-            return {"X": xv.to_json(), "Y": yv.to_json(), "c": c, "z": num_to_json(z)}
+        return run_trials(rep, name, n, rng_seed, key, trial)
 
-    run_trials(rep, "convexity", trials, rng_seed, 22, convexity)
+    # a) the per-level properties
+    def finite_on_bounded_claims(rng, x):
+        _, (v,) = at_level(rng, x.values)
+        if not np.all(np.isfinite(v)):
+            return {"rho": [num_to_json(u) for u in v]}
 
-    # a.3 monotone nonincreasing
-    def monotone_nonincreasing(rng, k):
-        xv = sample_xvar(space, rng)
+    def convexity(rng, x):
+        y, c = sample_xvar(space, rng), float(rng.uniform())
+        mix = c * x.values + (1.0 - c) * y.values
+        z, (lhs, a, b) = at_level(rng, mix, x.values, y.values)
+        if np.any(lhs > c * a + (1.0 - c) * b + 1e-8):
+            return {"Y": y.to_json(), "c": c, "z": num_to_json(z)}
+
+    def monotone_nonincreasing(rng, x):
         bump = rng.uniform(0.0, 2.0, size=space.n_leaves)
-        z = rand_z(rng)
-        lo = np.asarray(f.raw(z, t, xv), dtype=float)
-        hi = np.asarray(f.raw(z, t, XVar(space, xv.values + bump, validate=False)),
-                        dtype=float)
+        z, (lo, hi) = at_level(rng, x.values, x.values + bump)
         if np.any(hi > lo + tol):
-            return {"X": xv.to_json(), "z": num_to_json(z)}
+            return {"z": num_to_json(z)}
 
-    run_trials(rep, "monotone_nonincreasing", trials, rng_seed, 23,
-               monotone_nonincreasing)
-
-    # a.4 translation invariance
-    def translation_invariance(rng, k):
-        xv = sample_xvar(space, rng)
+    def translation_invariance(rng, x):
         xi = sample_tvar(space, t, rng)
-        z = rand_z(rng)
-        base = np.asarray(f.raw(z, t, xv), dtype=float)
-        shifted = np.asarray(f.raw(z, t, xv + xi), dtype=float)
+        z, (base, shifted) = at_level(rng, x.values, (x + xi).values)
         if np.any(np.abs(shifted - (base - xi.values)) > tol):
-            return {"X": xv.to_json(), "xi": xi.to_json(), "z": num_to_json(z)}
+            return {"xi": xi.to_json(), "z": num_to_json(z)}
 
-    run_trials(rep, "translation_invariance", trials, rng_seed, 24,
-               translation_invariance)
-
-    # a.5 locality
-    def locality(rng, k):
-        xv = sample_xvar(space, rng)
+    def locality(rng, x):
         mask = sample_event(space, t, rng)
-        z = rand_z(rng)
-        lhs = np.asarray(f.raw(z, t, xv), dtype=float)
-        rhs = np.asarray(f.raw(z, t, xv.restrict(mask)), dtype=float)
+        z, (lhs, rhs) = at_level(rng, x.values, x.restrict(mask).values)
         if np.any(mask.flags & (np.abs(lhs - rhs) > tol)):
-            return {"X": xv.to_json(), "z": num_to_json(z)}
+            return {"z": num_to_json(z)}
 
-    run_trials(rep, "locality", trials, rng_seed, 25, locality)
-
-    # a.6 continuity from below: rho(X - delta) decreases to rho(X)
-    deltas = [2.0 ** -e for e in (0, 4, 8, 16, 24, 32, 40)]
-
-    def continuity_from_below(rng, k):
-        xv = sample_xvar(space, rng, inf_prob=0.05 if k % 3 == 0 else 0.0)
-        z = rand_z(rng)
-        target = np.asarray(f.raw(z, t, xv), dtype=float)
-        seq = [np.asarray(f.raw(z, t, XVar(space, xv.values - d, validate=False)),
-                          dtype=float) for d in deltas]
+    def continuity_from_below(rng, x):  # rho(X - delta) decreases to rho(X)
+        deltas = (2.0 ** -e for e in (0, 4, 8, 16, 24, 32, 40))
+        z, (target, *seq) = at_level(rng, x.values, *(x.values - d for d in deltas))
         mono_ok = all(np.all(b <= a + tol) for a, b in zip(seq, seq[1:]))
         lim_ok = np.all(np.where(np.isfinite(target), ext_gap(seq[-1], target) <= 1e-6,
                                  seq[-1] <= -1e6))
         if not (mono_ok and lim_ok):
-            return {"X": xv.to_json(), "z": num_to_json(z)}
+            return {"z": num_to_json(z)}
 
-    run_trials(rep, "continuity_from_below", max(10, trials // 2), rng_seed, 26,
-               continuity_from_below)
+    for key, prop in enumerate((finite_on_bounded_claims, convexity,
+                                monotone_nonincreasing, translation_invariance,
+                                locality), 21):
+        probe(prop.__name__, key, trials, prop)
+    half = max(10, trials // 2)
+    probe("continuity_from_below", 26, half, continuity_from_below, inf_legs=True)
 
     # b) per-atom paths nondecreasing and continuous in the level
-    worst = None  # (gap, z_lo, z_hi, X, atom) of the widest sampled increment
+    widest = []  # (gap, z_lo, z_hi, X, atom) of each trial's widest increment
 
-    def z_paths_monotone(rng, k):
-        nonlocal worst
-        xv = sample_xvar(space, rng)
-        mat = np.vstack([np.asarray(f.raw(float(z), t, xv), dtype=float) for z in zs])
-        gaps = np.abs(np.diff(mat, axis=0))
+    def z_paths_monotone(rng, x):
+        steps = np.diff(rho(zs, x.values), axis=0)
+        gaps = np.abs(steps)
         j, a = np.unravel_index(int(np.argmax(gaps)), gaps.shape)
-        if worst is None or gaps[j, a] > worst[0]:
-            worst = (float(gaps[j, a]), float(zs[j]), float(zs[j + 1]), xv, int(a))
-        drops = np.argwhere(np.diff(mat, axis=0) < -tol)
+        widest.append((float(gaps[j, a]), float(zs[j]), float(zs[j + 1]), x, int(a)))
+        drops = np.argwhere(steps < -tol)
         if drops.size:
             j, a = map(int, drops[0])
-            return {"X": xv.to_json(), "z_lo": num_to_json(float(zs[j])),
+            return {"z_lo": num_to_json(float(zs[j])),
                     "z_hi": num_to_json(float(zs[j + 1])), "atom": space.atom_id(t, a)}
 
-    run_trials(rep, "z_paths_monotone", max(10, trials // 2), rng_seed, 27,
-               z_paths_monotone)
+    probe("z_paths_monotone", 27, half, z_paths_monotone)
 
-    if worst is not None and worst[0] > 1e-6:
-        gap0, lo, hi, xv, a = worst
+    gap0, lo, hi, xv, a = max(widest, key=lambda w: w[0])  # the first of the widest
+    if gap0 > 1e-6:
         for _ in range(2):  # refine the worst interval; a genuine jump will not shrink
             mid = 0.5 * (lo + hi)
-            v_lo = float(np.asarray(f.raw(lo, t, xv), dtype=float)[a])
-            v_mid = float(np.asarray(f.raw(mid, t, xv), dtype=float)[a])
-            v_hi = float(np.asarray(f.raw(hi, t, xv), dtype=float)[a])
-            if abs(v_mid - v_lo) >= abs(v_hi - v_mid):
-                hi = mid
-            else:
-                lo = mid
+            v_lo, v_mid, v_hi = rho([lo, mid, hi], xv.values)[:, a]
+            lo, hi = (lo, mid) if abs(v_mid - v_lo) >= abs(v_hi - v_mid) else (mid, hi)
         sub = max(abs(v_mid - v_lo), abs(v_hi - v_mid))
         jump = sub > 0.7 * gap0 + 1e-7
         rep.add(CheckResult("z_paths_continuous", not jump, trials=1, witness={
-            "X": xv.to_json(), "atom": space.atom_id(t, a),
-            "bracket": [num_to_json(lo), num_to_json(hi)],
-            "jump": num_to_json(sub)} if jump else None))
+            "X": xv.to_json(), "atom": space.atom_id(t, a), "jump": num_to_json(sub),
+            "bracket": [num_to_json(lo), num_to_json(hi)]} if jump else None))
     else:
         rep.add(CheckResult("z_paths_continuous", True, trials=1,
                             note="all sampled increments already below 1e-6"))
 
     # c) divergence of rho(0) when the interval is unbounded below
     ok, note = _lower_divergence(space, t, f)
-    rep.add(CheckResult("lower_divergence", ok if ok is not None else None,
-                        trials=1, failures=0 if ok in (True, None) else 1, note=note))
+    rep.add(CheckResult("lower_divergence", ok, trials=1, failures=int(ok is False),
+                        note=note))
 
     # a search stopped at c answers exactly raw < c
     def sign_query_matches_raw(rng, k):
         xv = sample_xvar(space, rng)
-        z = np.repeat(zs[:, None], space.n_atoms(t), axis=1)
-        rho = np.asarray(f.raw(z, t, xv), dtype=float)
-        picked = float(rho.flat[k % rho.size])
+        values = rho(zs, xv.values)
+        picked = float(values.flat[k % values.size])
         for c in (-TOL_C, 0.0, picked, float(np.nextafter(picked, INF))):
-            stopped = np.asarray(f.raw(z, t, xv, stop_at=c), dtype=float)
-            if not np.array_equal(stopped < c, rho < c):
+            if not np.array_equal(rho(zs, xv.values, stop_at=c) < c, values < c):
                 return {"X": xv.to_json(), "c": num_to_json(c)}
 
-    run_trials(rep, "sign_query_matches_raw", max(10, trials // 2), rng_seed, 29,
+    run_trials(rep, "sign_query_matches_raw", half, rng_seed, 29,
                sign_query_matches_raw)
 
-    # coherence detection (informational): rho(kX) = k rho(X)
+    # coherence detection (informational): rho(cX) = c rho(X)
     homogeneous = True
 
-    def coherence(rng, k):
+    def coherence(rng, x):
         nonlocal homogeneous
-        if not homogeneous:  # one counterexample settles it
-            return
-        xv = sample_xvar(space, rng)
         c = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
-        z = rand_z(rng)
-        a = np.asarray(f.raw(z, t, XVar(space, c * xv.values, validate=False)),
-                       dtype=float)
-        b = c * np.asarray(f.raw(z, t, xv), dtype=float)
-        homogeneous = not np.any(np.abs(a - b) > 1e-7 * max(1.0, c))
+        if homogeneous:  # one counterexample settles it
+            _, (scaled, plain) = at_level(rng, c * x.values, x.values)
+            homogeneous = not np.any(np.abs(scaled - c * plain) > 1e-7 * max(1.0, c))
 
-    res = run_trials(rep, "coherence", min(trials, 30), rng_seed, 28, coherence)
+    res = probe("coherence", 28, min(trials, 30), coherence)
     res.note = ("positive homogeneity detected: coherent levels"
                 if homogeneous else "convex but not positively homogeneous")
     return rep

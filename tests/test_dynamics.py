@@ -100,14 +100,14 @@ def test_pinned_witness_still_verifies(tree2):
     assert w["margin"] >= 1e-3
 
 
-def test_sampling_check_also_catches_lpm(tree2):
+def test_sampling_check_also_catches_lpm(tree2, monkeypatch):
     # the witness level is fed back through the z grid to make the point
     w = _load_pinned_witness()
     d = DynamicMeasure(lpm_ratio(2.0))
     x = XVar.from_json(w["x"], tree2)
 
-    rep = check_time_consistency(d, tree2, z_grid=[w["z"]], trials=40,
-                                 rng_seed=0, sampler=lambda space, rng: x)
+    monkeypatch.setattr(dynamics, "sample_xvar", lambda space, rng: x)
+    rep = check_time_consistency(d, tree2, z_grid=[w["z"]], trials=40, rng_seed=0)
     assert rep.verdict == "counterexample"
 
 
@@ -139,16 +139,16 @@ def test_witness_below_the_root_verifies(tree3):
     assert detail["beta_t_min"] == w["beta_t_min"]
 
 
-def test_sampling_check_localizes_below_the_root(tree3):
+def test_sampling_check_localizes_below_the_root(tree3, monkeypatch):
     w, x = _embedded_witness(tree3)
     d = DynamicMeasure(lpm_ratio(2.0))
-    rep = check_time_consistency(d, tree3, z_grid=[w["z"]], trials=5,
-                                 rng_seed=0, sampler=lambda space, rng: x)
+    monkeypatch.setattr(dynamics, "sample_xvar", lambda space, rng: x)
+    rep = check_time_consistency(d, tree3, z_grid=[w["z"]], trials=5, rng_seed=0)
     assert rep.verdict == "counterexample"
     found = rep.witness
     assert (found["s"], found["t"], found["atom"]) == (1, 2, "uuu")
     assert abs(found["margin"] - 101.7425) <= 1e-4
-    # the sampler returns the same payoff, so each sample verifies one candidate
+    # every draw is the same payoff, so each sample verifies one candidate
     assert rep.result("localized_violations").failures == 5
 
 
@@ -436,8 +436,10 @@ def test_level_rows_match_the_per_level_consistency_check(measure, space_name,
     def with_inf_legs(space, rng):
         return sample_xvar(space, rng, inf_prob=0.25)
 
-    for kw in ({"trials": 4, "rng_seed": 5}, {"z_grid": grid, "trials": 3},
-               {"trials": 3, "rng_seed": 2, "sampler": with_inf_legs}):
+    for kw, draw in (({"trials": 4, "rng_seed": 5}, sample_xvar),
+                     ({"z_grid": grid, "trials": 3}, sample_xvar),
+                     ({"trials": 3, "rng_seed": 2}, with_inf_legs)):
+        monkeypatch.setattr(dynamics, "sample_xvar", draw)
         batched, sequential = _both_routes(
             monkeypatch, "_risk_signs", _signs_per_level(d.measure),
             lambda: check_time_consistency(d, space, **kw))

@@ -997,6 +997,34 @@ def test_a_replaced_raw_sees_every_reconstruct_probe(tree2):
             assert np.array_equal(got, reconstruct(fam, t, x).values)
 
 
+def test_family_validator_asks_for_each_path_in_one_call(tree2, monkeypatch):
+    # z_paths_monotone asks for a claim's path at all seven grid levels in one call,
+    # and each refinement step of z_paths_continuous for its three levels in one call
+    fam = induced_family(GainLossRatio())
+    calls, running = [], [None]
+    run_trials = risk_family.run_trials
+
+    def counted(z, t, x, stop_at=None):
+        calls.append((running[0], np.shape(z)))
+        return fam.raw(z, t, x, stop_at=stop_at)
+
+    def named(rep, name, *args):
+        running[0] = name
+        result = run_trials(rep, name, *args)
+        running[0] = f"after {name}"
+        return result
+
+    monkeypatch.setattr(risk_family, "run_trials", named)
+    rep = validate_standard_family(dataclasses.replace(fam, raw=counted), tree2, 1,
+                                   trials=20)
+    rows = (7, tree2.n_atoms(1))
+    assert [s for name, s in calls if name == "z_paths_monotone"] == [rows] * 10
+    assert not rep.result("z_paths_continuous").note  # the refinement ran
+    # the interval is bounded below, so no divergence probe runs in between
+    assert [s for name, s in calls if name == "after z_paths_monotone"] == \
+        [(3, rows[1])] * 2
+
+
 def test_entropic_family_validates(tree2):
     rep = validate_standard_family(entropic_family(0.8), tree2, 1, trials=40)
     failed = [r.name for r in rep.results if r.passed is False]
