@@ -9,6 +9,7 @@ for a deliberate report change, with
 """
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -16,7 +17,7 @@ from perflat import (CertaintyEquivalentMeasure, ConditionalExpectation, CustomM
                      ExpectedUtilityMeasure, ExponentialUtilityMeasure, GainLossRatio,
                      UtilitySpec, binomial_tree, check_axioms, check_lift_axioms,
                      check_scale_invariance, lpm_ratio, random_tree, raroc)
-from perflat import report
+from perflat import dividends, report
 from perflat.lattice import atom_expect, dump_json, jsonable
 from perflat.risk_family import (StandardFamily, closure_check, entropic_family,
                                  induced_family, validate_standard_family)
@@ -35,13 +36,28 @@ def _squared_mean(space, t, v):
     return np.square(mean)
 
 
+def _global_mean(space, t, v):
+    # every atom valued at the whole-space mean: not local
+    return np.full(space.n_atoms(t), space.probs @ v)
+
+
+def _floored_mean(space, t, v):
+    # the conditional mean in steps of 2^-52: not continuous from below, and a
+    # transfer's payment date can move it by a step
+    return np.floor(np.ldexp(atom_expect(space, t, v), 52))
+
+
 def _measures():
-    """Criterion 8's seven measures and a values-only one that fails some axioms."""
+    """Criterion 8's seven measures and three values-only ones that fail some axioms;
+    the floored mean declares a scale invariance that it does not have."""
     return [GainLossRatio(), ExponentialUtilityMeasure(risk_aversion=1.0),
             CertaintyEquivalentMeasure(UtilitySpec("exp", lam=1.0)),
             ExpectedUtilityMeasure(UtilitySpec("power", eta=0.5)),
             ConditionalExpectation(), lpm_ratio(2.0), raroc(0.5),
-            CustomMeasure(_squared_mean, z_d=0.0, z_u=np.inf, kind="squared_mean")]
+            CustomMeasure(_squared_mean, z_d=0.0, z_u=np.inf, kind="squared_mean"),
+            CustomMeasure(_global_mean, z_d=-np.inf, z_u=np.inf, kind="global_mean"),
+            CustomMeasure(_floored_mean, z_d=-np.inf, z_u=np.inf, kind="floored_mean",
+                          scale_invariant=True)]
 
 
 def _spaces():
@@ -65,6 +81,15 @@ def checker_reports() -> dict:
                         out[f"{name}/{where}/t={t}"] = dump_json(jsonable(rep.to_json()))
                 rep = check_lift_axioms(m, space, trials=TRIALS, rng_seed=seed)
                 out[f"lift/{where}"] = dump_json(jsonable(rep.to_json()))
+    # no measure breaks the lift's two identities, so a final-date payment one unit
+    # larger than asked for pins their witnesses
+    paid = dividends._paid_at_the_end
+    with mock.patch.object(dividends, "_paid_at_the_end",
+                           lambda space, leaves: paid(space, leaves + 1.0)):
+        rep = check_lift_axioms(ConditionalExpectation(), _spaces()["binomial2"],
+                                trials=TRIALS, rng_seed=SEEDS[0])
+    out[f"lift_paid_one_more/cond_expectation/binomial2/seed={SEEDS[0]}"] = \
+        dump_json(jsonable(rep.to_json()))
     return out
 
 
