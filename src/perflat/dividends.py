@@ -34,7 +34,7 @@ from .lattice import (INF, FilteredSpace, TVar, XVar, draw_atom_values,
                       num_from_json, num_to_json)
 from .measures import (DEFAULT_TOL, PerformanceMeasure, _drops, _escapes,
                        _missed_lower_bound, _mix_drops, _moved, _no_strict_gain,
-                       _property_runner, evaluate, evaluate_rows)
+                       _prober, evaluate, evaluate_rows)
 from .report import CheckResult, Report
 from .risk_family import TOL_C
 
@@ -258,19 +258,16 @@ def check_lift_axioms(m: PerformanceMeasure, space: FilteredSpace,
     rep = Report(f"lift axioms for {m.label()}", seed=rng_seed,
                  meta={"trials": trials, "space": space.name or ""})
     times = list(space.times)
-    run = _property_runner(rep, trials, rng_seed, lambda t, rows: evaluate_rows(
-        m, space, t, _aggregate(t, rows.reshape(len(rows), len(times), -1))))
+    stage = lambda rng: int(rng.choice(times))
+    shown = lambda t, streams: {"stage": t, **{
+        key: DividendProcess.of_arrays(space, *s).to_json()
+        for key, s in zip(("D", "D2"), streams)}}
+    probe = _prober(rep, space, trials, rng_seed, stage, lambda t, rows: evaluate_rows(
+        m, space, t, _aggregate(t, rows.reshape(len(rows), len(times), -1))), shown)
     stream = lambda rng: draw_dividend(space, rng, nonnegative_interim=False)
     promoted = lambda r, vals: vals[space.atom_index[r]]
 
-    def shown(note, t, streams, *presents, **extra):
-        """A witness: note, stage, extra fields, then streams D and D2 given flags."""
-        return {"note": note, "stage": t, **extra,
-                **{key: DividendProcess.of_arrays(space, present, pays).to_json()
-                   for key, present, pays in zip(("D", "D2"), presents, streams)}}
-
-    def draw_independence_of_past_and_locality(rng, k):
-        t = int(rng.choice(times))
+    def draw_independence_of_past_and_locality(rng, k, t):
         flags = draw_event_flags(space, t, rng)
         p1, pays1 = stream(rng)
         p2, pays2 = np.zeros_like(p1), np.zeros_like(pays1)
@@ -280,23 +277,19 @@ def check_lift_axioms(m: PerformanceMeasure, space: FilteredSpace,
                 p2[r], pays2[r] = True, np.where(promoted(t, flags), pays1[r], fresh)
             elif rng.uniform() < 0.5:  # anything may happen before t, payments included
                 p2[r], pays2[r] = True, fresh
-        return t, np.array((pays1, pays2)), (t, p1, p2, flags)
+        return np.array((pays1, pays2)), ((p1, pays1), (p2, pays2)), flags
 
-    run("independence_of_past_and_locality", 61,
-        draw_independence_of_past_and_locality,
-        lambda vals, ctxs: (np.array([c[3] for c in ctxs])
-                            & (vals[..., 0, :] != vals[..., 1, :])),
-        lambda rows, ctx, vals: shown("value moved on the unchanged event", ctx[0],
-                                      rows, ctx[1], ctx[2]))
+    probe("independence_of_past_and_locality", 61,
+          draw_independence_of_past_and_locality,
+          lambda vals, flags: np.array(flags) & (vals[..., 0, :] != vals[..., 1, :]),
+          "value moved on the unchanged event")
 
-    def draw_bounds_interval(rng, k):
-        t = int(rng.choice(times))
+    def draw_bounds_interval(rng, k, t):
         present, pays = stream(rng)
-        return t, pays[None], (t, present)
+        return pays[None], ((present, pays),), None
 
-    run("bounds_interval", 62, draw_bounds_interval,
-        lambda vals, _: _escapes(m, vals, 1e-12),
-        lambda rows, ctx, vals: shown("value left the bounds", ctx[0], rows, ctx[1]))
+    probe("bounds_interval", 62, draw_bounds_interval,
+          lambda vals, _: _escapes(m, vals, 1e-12), "value left the bounds")
 
     top = DividendProcess.terminal_only(XVar.constant(space, INF))
     missed = [t for t in times if not np.all(lift_evaluate(m, t, top).values == m.z_u)]
@@ -315,97 +308,83 @@ def check_lift_axioms(m: PerformanceMeasure, space: FilteredSpace,
                                          "value toward the lower bound",
                                  "stage": missed[0]} if missed else None))
 
-    def draw_monotonicity(rng, k):
-        t = int(rng.choice(times))
+    def draw_monotonicity(rng, k, t):
         p1, pays1 = stream(rng)
         p2, pays2 = p1, pays1
         for r in times[t:]:
             if rng.uniform() < 0.7:
                 bump = promoted(r, draw_atom_values(space, r, rng, 0.0, 2.0))
                 p2, pays2 = _paid_more(p2, pays2, r, bump)
-        return t, np.array((pays1, pays2)), (t, p1, p2)
+        return np.array((pays1, pays2)), ((p1, pays1), (p2, pays2)), None
 
-    run("monotonicity", 63, draw_monotonicity, lambda vals, _: _drops(vals, tol),
-        lambda rows, ctx, vals: shown("larger payments lowered the value", ctx[0],
-                                      rows, *ctx[1:]))
+    probe("monotonicity", 63, draw_monotonicity, lambda vals, _: _drops(vals, tol),
+          "larger payments lowered the value")
 
-    def draw_strict_shift(rng, k):
-        t = int(rng.choice(times))
+    def draw_strict_shift(rng, k, t):
         r_star = int(rng.choice(times[t:]))
         c = float(rng.uniform(0.05, 2.0))
         present, pays = stream(rng)
         paid = _paid_more(present, pays, r_star, np.full(space.n_leaves, c))[1]
-        return t, np.array((pays, paid)), (t, r_star, c, present)
+        return np.array((pays, paid)), ((present, pays),), (r_star, c)
 
-    run("strict_shift", 64, draw_strict_shift, lambda vals, _: _no_strict_gain(m, vals),
-        lambda rows, ctx, vals: shown(
-            "no strict gain from a positive payment", ctx[0], rows, ctx[3],
-            paid_at=ctx[1], shift=ctx[2],
-            atom=space.atom_id(ctx[0], int(np.argmax(_no_strict_gain(m, vals))))))
+    probe("strict_shift", 64, draw_strict_shift, lambda vals, _: _no_strict_gain(m, vals),
+          "no strict gain from a positive payment", lambda ctx, vals, atoms: {
+              "paid_at": ctx[0], "shift": ctx[1], "atom": atoms[0]})
 
-    def draw_quasi_concavity(rng, k):
-        t = int(rng.choice(times))
+    def draw_quasi_concavity(rng, k, t):
         lam = float(rng.uniform(0.001, 0.999))  # keep 0 * inf out of the mix
         (p1, pays1), (p2, pays2) = stream(rng), stream(rng)
-        return t, np.array((pays1, pays2, _mix(pays1, pays2, lam))), (t, lam, p1, p2)
+        return (np.array((pays1, pays2, _mix(pays1, pays2, lam))),
+                ((p1, pays1), (p2, pays2)), lam)
 
-    run("quasi_concavity", 65, draw_quasi_concavity,
-        lambda vals, _: _mix_drops(vals, tol),
-        lambda rows, ctx, vals: shown("mix fell below both endpoints", ctx[0], rows,
-                                      *ctx[2:], lam=ctx[1]))
+    probe("quasi_concavity", 65, draw_quasi_concavity,
+          lambda vals, _: _mix_drops(vals, tol), "mix fell below both endpoints",
+          lambda lam, vals, atoms: {"lam": lam})
 
-    def draw_timing_invariance(rng, k):
-        t = int(rng.choice(times))
+    def draw_timing_invariance(rng, k, t):
         r1, r2 = int(rng.choice(times[t:])), int(rng.choice(times[t:]))
         xi = promoted(t, draw_atom_values(space, t, rng))
         present, pays = stream(rng)
         paid = [_paid_more(present, pays, r, xi)[1] for r in (r1, r2)]
-        return t, np.array(paid), (t, r1, r2, present, pays)
+        return np.array(paid), ((present, pays),), [r1, r2]
 
-    run("timing_invariance", 66, draw_timing_invariance,
-        lambda vals, _: _moved(vals, tol),
-        lambda rows, ctx, vals: shown("payment date of a known transfer mattered",
-                                      ctx[0], ctx[4][None], ctx[3],
-                                      dates=[ctx[1], ctx[2]]))
+    probe("timing_invariance", 66, draw_timing_invariance,
+          lambda vals, _: _moved(vals, tol), "payment date of a known transfer mattered",
+          lambda dates, vals, atoms: {"dates": dates})
 
-    def draw_scale_invariance(rng, k):
-        t = int(rng.choice(times))
+    def draw_scale_invariance(rng, k, t):
         c = float(np.exp(rng.uniform(np.log(0.01), np.log(100.0))))
         present, pays = stream(rng)
-        return t, np.array((pays, ext_mul(pays, c))), (t, c, present)
+        return np.array((pays, ext_mul(pays, c))), ((present, pays),), c
 
     if m.scale_invariant:
-        run("scale_invariance", 67, draw_scale_invariance,
-            lambda vals, _: _moved(vals, tol),
-            lambda rows, ctx, vals: shown("scaling the stream moved the value", ctx[0],
-                                          rows, ctx[2], scale=ctx[1]))
+        probe("scale_invariance", 67, draw_scale_invariance,
+              lambda vals, _: _moved(vals, tol), "scaling the stream moved the value",
+              lambda c, vals, atoms: {"scale": c})
     else:
         rep.add(CheckResult("scale_invariance", None,
                             note="measure is not scale invariant; skipped"))
 
-    def draw_aggregation_identity(rng, k):
-        t = int(rng.choice(times))
+    def draw_aggregation_identity(rng, k, t):
         present, pays = stream(rng)
         bundled = _paid_at_the_end(space, _aggregate(t, pays))
-        return t, np.array((pays, bundled)), (t, present)
+        return np.array((pays, bundled)), ((present, pays),), None
 
-    run("aggregation_identity", 68, draw_aggregation_identity,
-        lambda vals, _: vals[..., 0, :] != vals[..., 1, :],
-        lambda rows, ctx, vals: shown("bundling the payments at the final date changed "
-                                      "the value", ctx[0], rows, ctx[1]))
+    probe("aggregation_identity", 68, draw_aggregation_identity,
+          lambda vals, _: vals[..., 0, :] != vals[..., 1, :],
+          "bundling the payments at the final date changed the value")
 
-    def draw_terminal_round_trip(rng, k):
-        t = int(rng.choice(times))
+    def draw_terminal_round_trip(rng, k, t):
         x = draw_leaf_values(space, rng)
-        return t, np.array((_aggregate(t, _paid_at_the_end(space, x)), x)), t
+        return np.array((_aggregate(t, _paid_at_the_end(space, x)), x)), (), x
 
     # these rows are leaf rows already: the lifted payoff and the payoff itself
-    _property_runner(rep, trials, rng_seed,
-                     lambda t, rows: evaluate_rows(m, space, t, rows))(
+    _prober(rep, space, trials, rng_seed, stage,
+            lambda t, rows: evaluate_rows(m, space, t, rows), shown)(
         "terminal_round_trip", 69, draw_terminal_round_trip,
         lambda vals, _: vals[..., 0, :] != vals[..., 1, :],
-        lambda rows, t, vals: shown("single terminal payment did not recover the "
-                                    "measure", t, rows, X=XVar(space, rows[1]).to_json()))
+        "single terminal payment did not recover the measure",
+        lambda x, vals, atoms: {"X": XVar(space, x).to_json()})
     return rep
 
 

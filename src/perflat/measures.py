@@ -682,8 +682,8 @@ def _escapes(m: PerformanceMeasure, vals: np.ndarray, gap: float) -> np.ndarray:
 
 
 def _drops(vals: np.ndarray, tol: float) -> np.ndarray:
-    """Rows before and after a nonnegative change: atoms where the value fell."""
-    return vals[..., 1, :] < vals[..., 0, :] - tol
+    """Rows of a nondecreasing sequence of claims: atoms where a value fell."""
+    return (vals[..., 1:, :] < vals[..., :-1, :] - tol).any(axis=-2)
 
 
 def _no_strict_gain(m: PerformanceMeasure, vals: np.ndarray) -> np.ndarray:
@@ -699,22 +699,43 @@ def _moved(vals: np.ndarray, tol: float) -> np.ndarray:
     return ~close_or_both_inf(vals[..., 0, :], vals[..., 1, :], tol)
 
 
-def _property_runner(rep: Report, trials: int, rng_seed: int, values):
-    """run(name, key, draw, bad, witness) runs one randomized property as a
-    ``TwoPhase`` probe valued by ``values``; bad(vals, ctxs) gives each trial's
-    failing atoms, and a trial fails where it gives any."""
-    def run(name, key, draw, bad, witness):
-        run_trials(rep, name, trials, rng_seed, key, TwoPhase(
-            draw, values, lambda vals, ctxs: bad(vals, ctxs).any(axis=-1), witness))
-    return run
+def _prober(rep: Report, space: FilteredSpace, trials: int, rng_seed: int,
+            head: Callable, values: Callable, show: Callable):
+    """probe(name, key, draw, bad, note, extra) runs one randomized property through
+    ``run_trials`` as a ``TwoPhase`` probe and adds its result to rep.
+
+    Trial k draws its stage head(rng), then draw(rng, k, stage) -> (rows, shown, ctx):
+    the rows that values(stage, rows) values, the claims its witness shows and what
+    its judge and extra fields read.  bad(vals, ctxs) gives each trial's failing
+    atoms.  The first failing trial's witness is the note, show(stage, shown), then
+    extra(ctx, vals, atoms), atoms the ids of its failing atoms (extra may set the note).
+    """
+    def probe(name, key, draw, bad, note, extra=lambda *_: {}):
+        def drawn(rng, k):
+            t = head(rng)
+            rows, shown, ctx = draw(rng, k, t)
+            return t, rows, (t, shown, ctx)
+
+        def witness(rows, trial, vals):
+            t, shown, ctx = trial
+            atoms = [space.atom_id(t, i)
+                     for i in np.flatnonzero(bad(vals[None], [ctx])[0]).tolist()]
+            return {"note": note, **show(t, shown), **extra(ctx, vals, atoms)}
+
+        judge = lambda vals, ctxs: bad(vals, [c for *_, c in ctxs]).any(axis=-1)
+        run_trials(rep, name, trials, rng_seed, key,
+                   TwoPhase(drawn, values, judge, witness))
+    return probe
 
 
-def _claims_runner(rep: Report, m: PerformanceMeasure, space: FilteredSpace,
+def _claims_prober(rep: Report, m: PerformanceMeasure, space: FilteredSpace, t: int,
                    trials: int, rng_seed: int):
-    """``_property_runner`` on leaf rows: a batch gets the NaN/-inf screen of ``XVar``
-    once, and m.values, not evaluate_rows, values it (-inf values get judged)."""
-    return _property_runner(rep, trials, rng_seed, lambda stage, rows: m.values(
-        space, stage, _validate_leaf_values(rows)))
+    """``_prober`` for claims at stage t: m.values, not evaluate_rows, values a batch
+    after one NaN/-inf screen (-inf values get judged); witnesses show X and Y."""
+    return _prober(rep, space, trials, rng_seed, lambda rng: t,
+                   lambda t, rows: m.values(space, t, _validate_leaf_values(rows)),
+                   lambda t, shown: {key: XVar(space, x).to_json()
+                                     for key, x in zip(("X", "Y"), shown)})
 
 
 def _missed_lower_bound(m: PerformanceMeasure, values_at) -> np.ndarray | None:
@@ -734,18 +755,13 @@ def _interior_levels(z_d: float, z_u: float, qs=(0.25, 0.5, 0.75)) -> list[float
     return [math.tan(u_lo + q * (u_hi - u_lo)) for q in qs]
 
 
-def _witness(space: FilteredSpace, leaves: np.ndarray, note: str, **extra) -> dict:
-    return {"note": note, "X": XVar(space, leaves).to_json(), **extra}
-
-
 def check_axioms(m: PerformanceMeasure, space: FilteredSpace, t: int,
                  trials: int = 200, rng_seed: int = 0) -> Report:
     """Randomized verification of the six defining properties at stage t.
 
-    Each randomized property runs its trials through ``run_trials`` with seeds derived
-    from (rng_seed, property, trial), so verdicts do not depend on scheduling.  Trials
-    draw bare arrays; a batch is screened, valued by one ``m.values`` call and judged
-    by one call, and only the first failing trial's witness builds variables.
+    Each randomized property is a ``_prober`` probe: trial k draws bare arrays from
+    derived_rng(rng_seed, property, k), a batch is screened, valued by one ``m.values``
+    call and judged by one call, and only the first failing trial builds variables.
     """
     t = space.check_stage(t)
     tol = DEFAULT_TOL
@@ -756,30 +772,29 @@ def check_axioms(m: PerformanceMeasure, space: FilteredSpace, t: int,
     raw = lambda x: m.values(space, t, x.values)
     rep = Report(title=f"axioms[{m.label()}] t={t}", seed=rng_seed,
                  meta={"space": space.name or "", "trials": trials})
-    run = _claims_runner(rep, m, space, trials, rng_seed)
-    atom_of = lambda bad: space.atom_id(t, int(np.argmax(bad)))
+    probe = _claims_prober(rep, m, space, t, trials, rng_seed)
 
     # 1. quasi concavity
-    def draw_quasi_concavity(rng, k):
+    def draw_quasi_concavity(rng, k, t):
         x, y = leaves(rng), leaves(rng)
         lam = float(rng.uniform(0.001, 0.999))  # keep 0 * inf out of the mix
-        return t, np.array((x, y, lam * x + (1.0 - lam) * y)), lam
+        return np.array((x, y, lam * x + (1.0 - lam) * y)), (x, y), lam
 
-    run("quasi_concavity", 1, draw_quasi_concavity,
-        lambda vals, _: _mix_drops(vals, tol),
-        lambda rows, lam, vals: _witness(
-            space, rows[0], "beta(mix) below min", Y=XVar(space, rows[1]).to_json(),
-            lam=lam, atom=atom_of(_mix_drops(vals, tol))))
+    probe("quasi_concavity", 1, draw_quasi_concavity,
+          lambda vals, _: _mix_drops(vals, tol), "beta(mix) below min",
+          lambda lam, vals, atoms: {"lam": lam, "atom": atoms[0]})
 
     # 2. non-random bounds: values inside [z_d, z_u], attained at +inf, approached below
-    run("bounds_interval", 2, lambda rng, k: (t, leaves(rng)[None], None),
-        lambda vals, _: _escapes(m, vals, tol),
-        lambda rows, _, vals: _witness(space, rows[0], "value escapes [z_d, z_u]"))
+    def draw_bounds_interval(rng, k, t):
+        x = leaves(rng)
+        return x[None], (x,), None
+
+    probe("bounds_interval", 2, draw_bounds_interval,
+          lambda vals, _: _escapes(m, vals, tol), "value escapes [z_d, z_u]")
 
     vals = raw(XVar.constant(space, INF))
     ok = bool(np.all(close_or_both_inf(vals, m.z_u, tol)))
-    rep.add(CheckResult("upper_bound_attained_at_inf", ok, trials=1,
-                        failures=0 if ok else 1,
+    rep.add(CheckResult("upper_bound_attained_at_inf", ok, 1, int(not ok),
                         witness=None if ok else {"values": vals.tolist()}))
 
     last = _missed_lower_bound(m, lambda c: raw(XVar.constant(space, c)))
@@ -794,7 +809,7 @@ def check_axioms(m: PerformanceMeasure, space: FilteredSpace, t: int,
                                  "divergence not confirmed"))
 
     # 3. monotone, and strictly so along constant positive shifts on the live event
-    def draw_monotonicity(rng, k):
+    def draw_monotonicity(rng, k, t):
         x = leaves(rng)
         style = rng.integers(3)
         if style == 0:
@@ -804,83 +819,60 @@ def check_axioms(m: PerformanceMeasure, space: FilteredSpace, t: int,
             bump[rng.integers(space.n_leaves)] = rng.uniform(0.0, 4.0)
         else:
             bump = np.full(space.n_leaves, rng.uniform(0.0, 2.0))
-        return t, np.array((x, x + bump)), bump
+        return np.array((x, x + bump)), (x,), bump
 
-    run("monotonicity", 3, draw_monotonicity, lambda vals, _: _drops(vals, tol),
-        lambda rows, bump, vals: _witness(
-            space, rows[0], "value dropped under a nonnegative bump", bump=bump.tolist()))
+    probe("monotonicity", 3, draw_monotonicity, lambda vals, _: _drops(vals, tol),
+          "value dropped under a nonnegative bump",
+          lambda bump, vals, atoms: {"bump": bump.tolist()})
 
-    def draw_strict_shift(rng, k):
+    def draw_strict_shift(rng, k, t):
         x = leaves(rng)
         c = float(rng.uniform(0.05, 2.0))
-        return t, np.array((x, x + c)), c
+        return np.array((x, x + c)), (x,), c
 
-    run("strict_shift", 4, draw_strict_shift, lambda vals, _: _no_strict_gain(m, vals),
-        lambda rows, c, vals: _witness(
-            space, rows[0], "no strict gain from a positive constant shift", shift=c,
-            atom=atom_of(_no_strict_gain(m, vals))))
+    probe("strict_shift", 4, draw_strict_shift, lambda vals, _: _no_strict_gain(m, vals),
+          "no strict gain from a positive constant shift",
+          lambda c, vals, atoms: {"shift": c, "atom": atoms[0]})
 
     # 4. continuity from below along increasing sequences
     deltas = [2.0 ** -e for e in (0, 5, 10, 20, 30, 40, 45)]
 
-    def draw_continuity_from_below(rng, k):
+    def draw_continuity_from_below(rng, k, t):
         x = leaves(rng)
         direction = np.ones(space.n_leaves) if k % 2 == 0 else rng.uniform(
             0.5, 2.0, size=space.n_leaves)
-        return t, np.array([x] + [x - d * direction for d in deltas]), None
+        return np.array([x] + [x - d * direction for d in deltas]), (x,), None
 
-    def continuity_misses(vals):
-        """Rows X, then X_n increasing to X: the atoms where the values along X_n
-        fall, and those where the last of them misses beta(X)."""
-        target, seq = vals[..., 0, :], vals[..., 1:, :]
-        falls = (seq[..., 1:, :] < seq[..., :-1, :] - tol).any(axis=-2)
-        last = seq[..., -1, :]
+    def misses_limit(vals):
+        """Rows X, then X_n increasing to X: atoms where the last X_n's value misses
+        beta(X)."""
+        target, last = vals[..., 0, :], vals[..., -1, :]
         with np.errstate(invalid="ignore"):
             near = np.abs(last - target) <= 1e-6
-        ok = np.where(np.isfinite(target), near,
-                      np.where(np.isposinf(target),
-                               (last >= 1e6) | np.isposinf(last),
-                               (last <= -1e6) | np.isneginf(last)))
-        return falls, ~ok
+        return ~np.where(np.isfinite(target), near,
+                         np.where(target > 0, last >= 1e6, last <= -1e6))
 
-    def continuity_witness(rows, _, vals):
-        if continuity_misses(vals)[0].any():
-            return _witness(space, rows[0], "sequence not monotone along X_n up")
-        return _witness(space, rows[0], "limit misses beta(X)",
-                        got=vals[-1].tolist(), want=vals[0].tolist())
+    def continuity_extra(_, vals, atoms):
+        if _drops(vals[1:], tol).any():
+            return {"note": "sequence not monotone along X_n up"}
+        return {"got": vals[-1].tolist(), "want": vals[0].tolist()}
 
-    run("continuity_from_below", 5, draw_continuity_from_below,
-        lambda vals, _: np.logical_or(*continuity_misses(vals)), continuity_witness)
+    probe("continuity_from_below", 5, draw_continuity_from_below,
+          lambda vals, _: _drops(vals[..., 1:, :], tol) | misses_limit(vals),
+          "limit misses beta(X)", continuity_extra)
 
     # 5. locality: 1_B beta(X) = 1_B beta(X 1_B)
-    def draw_locality(rng, k):
+    def draw_locality(rng, k, t):
         x = leaves(rng)
         flags = draw_event_flags(space, t, rng)
-        return t, np.array((x, np.where(flags[at], x, 0.0))), flags
+        return np.array((x, np.where(flags[at], x, 0.0))), (x,), flags
 
-    run("locality", 6, draw_locality,
-        lambda vals, flags: np.array(flags) & _moved(vals, tol),
-        lambda rows, flags, vals: _witness(
-            space, rows[0], "value on B depends on payoffs off B",
-            atoms=[space.atom_id(t, int(i))
-                   for i in np.flatnonzero(flags & _moved(vals, tol))]))
+    probe("locality", 6, draw_locality,
+          lambda vals, flags: np.array(flags) & _moved(vals, tol),
+          "value on B depends on payoffs off B",
+          lambda flags, vals, atoms: {"atoms": atoms})
 
     # 6. stage-measurable acceptance sets are uniformly bounded below
-    thresholds = {}
-
-    def draw_acceptance_lower_bound(rng, k):
-        xi = draw_atom_values(space, t, rng, low=-6.0, high=6.0)
-        return t, xi[at][None], xi
-
-    def accepted_below(z, vals, xi):
-        """Atoms where a stage claim reaches level z below its floor."""
-        return (vals[..., 0, :] >= z) & (xi < thresholds[z] - 1e-8)
-
-    def acceptance_witness(rows, xi, vals):
-        z = next(z for z in thresholds if accepted_below(z, vals, xi).any())
-        return {"note": "accepted stage claim below the floor",
-                "z": num_to_json(z), "xi": TVar(space, t, xi).to_json()}
-
     from .risk_family import _induce_raw  # risk_family imports this module
     levels = _interior_levels(m.z_d, m.z_u)  # the floor at z is rho_t^z(0)
     zero = XVar.constant(space, 0.0)
@@ -888,6 +880,7 @@ def check_axioms(m: PerformanceMeasure, space: FilteredSpace, t: int,
         floors = _induce_raw(m, t, np.array(levels)[:, None], zero)
     except RuntimeError:  # a level out of reach: search level by level, up to it
         floors = (_induce_raw(m, t, z, zero) for z in levels)
+    thresholds = {}
     for z, floor in zip(levels, floors):
         thresholds[z] = floor
         if np.any(np.isneginf(floor)):
@@ -895,12 +888,22 @@ def check_axioms(m: PerformanceMeasure, space: FilteredSpace, t: int,
                                 witness={"note": "no uniform floor for stage claims "
                                                  "at this level",
                                          "z": num_to_json(z)}))
-            break
-    else:
-        run("acceptance_lower_bound", 7, draw_acceptance_lower_bound,
-            lambda vals, xis: np.logical_or.reduce(
-                [accepted_below(z, vals, np.array(xis)) for z in thresholds]),
-            acceptance_witness)
+            return rep
+
+    def draw_acceptance_lower_bound(rng, k, t):
+        xi = draw_atom_values(space, t, rng, low=-6.0, high=6.0)
+        return xi[at][None], (), xi
+
+    def accepted_below(vals, xi):
+        """Per level: the atoms where a stage claim reaches it below its floor."""
+        return [(vals[..., 0, :] >= z) & (xi < floor - 1e-8)
+                for z, floor in thresholds.items()]
+
+    probe("acceptance_lower_bound", 7, draw_acceptance_lower_bound,
+          lambda vals, xis: np.logical_or.reduce(accepted_below(vals, np.array(xis))),
+          "accepted stage claim below the floor", lambda xi, vals, atoms: {
+              "z": num_to_json(next(z for z, bad in zip(thresholds, accepted_below(
+                  vals, xi)) if bad.any())), "xi": TVar(space, t, xi).to_json()})
     return rep
 
 
@@ -915,35 +918,33 @@ def check_scale_invariance(m: PerformanceMeasure, space: FilteredSpace, t: int,
     """
     t = space.check_stage(t)
     tol = DEFAULT_TOL
-    raw = lambda x: m.values(space, t, x.values)
     rep = Report(title=f"scale_invariance[{m.label()}] t={t}", seed=rng_seed,
                  meta={"space": space.name or "", "declared": m.scale_invariant})
-    run = _claims_runner(rep, m, space, trials, rng_seed)
+    probe = _claims_prober(rep, m, space, t, trials, rng_seed)
 
-    def draw_positive_scaling(rng, k):
+    def draw_positive_scaling(rng, k, t):
         x = draw_leaf_values(space, rng)
         c = float(np.exp(rng.uniform(np.log(0.01), np.log(100.0))))
-        return t, np.array((x, c * x)), c
+        return np.array((x, c * x)), (x,), c
 
-    run("positive_scaling", 11, draw_positive_scaling, lambda vals, _: _moved(vals, tol),
-        lambda rows, c, vals: _witness(
-            space, rows[0], "beta(cX) differs from beta(X)", c=c,
-            beta_x=[num_to_json(v) for v in vals[0]],
-            beta_cx=[num_to_json(v) for v in vals[1]]))
+    probe("positive_scaling", 11, draw_positive_scaling,
+          lambda vals, _: _moved(vals, tol), "beta(cX) differs from beta(X)",
+          lambda c, vals, atoms: {"c": c, "beta_x": [num_to_json(v) for v in vals[0]],
+                                  "beta_cx": [num_to_json(v) for v in vals[1]]})
 
-    beta_one = raw(XVar.constant(space, 1.0))
-    beta_zero = raw(XVar.constant(space, 0.0))
+    beta_one, beta_zero = (m.values(space, t, np.full(space.n_leaves, c))
+                           for c in (1.0, 0.0))
 
-    def draw_two_level_structure(rng, k):
+    def draw_two_level_structure(rng, k, t):
         xi = draw_atom_values(space, t, rng, low=-3.0, high=3.0)
         if rng.random() < 0.3:  # pin an exact zero to exercise the xi <= 0 branch
             xi[rng.integers(xi.shape[0])] = 0.0
-        return t, xi[space.atom_index[t]][None], xi
+        return xi[space.atom_index[t]][None], (), xi
 
-    run("two_level_structure", 12, draw_two_level_structure,
-        lambda vals, xis: ~close_or_both_inf(
-            vals[..., 0, :], np.where(np.array(xis) > 0.0, beta_one, beta_zero), tol),
-        lambda rows, xi, vals: {"note": "stage claim value escapes {beta(1), beta(0)}",
-                                "xi": [num_to_json(v) for v in xi],
-                                "got": [num_to_json(v) for v in vals[0]]})
+    probe("two_level_structure", 12, draw_two_level_structure,
+          lambda vals, xis: ~close_or_both_inf(
+              vals[..., 0, :], np.where(np.array(xis) > 0.0, beta_one, beta_zero), tol),
+          "stage claim value escapes {beta(1), beta(0)}",
+          lambda xi, vals, atoms: {"xi": [num_to_json(v) for v in xi],
+                                   "got": [num_to_json(v) for v in vals[0]]})
     return rep
