@@ -248,11 +248,11 @@ def check_lift_axioms(m: PerformanceMeasure, space: FilteredSpace,
 
     Alongside the structural properties this verifies the bundling identity
     (paying the aggregate at the final date changes nothing, bit for bit)
-    and the exact round trip through single terminal payments.  Each trial
-    picks its own stage and draws its streams as arrays (``draw_dividend``); per
-    batch and stage, one pass aggregates them, one ``evaluate_rows`` call values
-    them and one call judges them.  Only the first failing trial's witness
-    builds ``DividendProcess`` objects.
+    and the exact round trip through single terminal payments.  Each property is a
+    ``_prober`` probe: a trial picks its own stage, then draws its streams as arrays
+    (``draw_dividend``); per batch and stage, one pass aggregates them, one
+    ``evaluate_rows`` call values them and one call judges them.  Only the first
+    failing trial's witness builds ``DividendProcess`` objects.
     """
     tol = DEFAULT_TOL
     rep = Report(f"lift axioms for {m.label()}", seed=rng_seed,

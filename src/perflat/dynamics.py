@@ -516,10 +516,13 @@ def check_riskaversion_monotone_consistency(lam_process, space: FilteredSpace, *
     pathwise monotonicity of the risk-aversion profile.
 
     Which monotonicity direction helps depends on the sign of the level, so
-    the check runs three grids (negative levels, positive levels, both) and
+    the check reads three grids (negative levels, positive levels, both) and
     records the verdicts beside the detected profile instead of asserting a
     single orientation.  A constant profile reduces to one deterministic
-    utility and is asserted consistent outright.
+    utility and is asserted consistent outright.  Only the first two grids run:
+    the seed draws the same payoffs on any grid and each level is decided on its
+    own, so the union reads as both together (summed samples, and the negative
+    grid's witness or else the positive grid's).
     """
     m = ExponentialUtilityMeasure(risk_aversion=lam_process)
     d = DynamicMeasure(m)
@@ -544,11 +547,13 @@ def check_riskaversion_monotone_consistency(lam_process, space: FilteredSpace, *
 
     grids = {"negative-levels": [-10.0, -2.0, -0.5],
              "positive-levels": [0.1, 0.4, 0.8]}
-    grids["all-levels"] = grids["negative-levels"] + grids["positive-levels"]
+    neg, pos = (check_time_consistency(d, space, z_grid=grid, trials=trials,
+                                       rng_seed=rng_seed) for grid in grids.values())
+    witness = pos.witness if neg.witness is None else neg.witness
+    both = ConsistencyReport(samples=neg.samples + pos.samples, witness=witness,
+                             verdict=pos.verdict if neg.consistent else neg.verdict)
     verdicts = {}
-    for name, grid in grids.items():
-        sub = check_time_consistency(d, space, z_grid=grid, trials=trials,
-                                     rng_seed=rng_seed)
+    for name, sub in zip((*grids, "all-levels"), (neg, pos, both)):
         verdicts[name] = sub.verdict
         note = f"verdict: {sub.verdict}"
         if sub.witness is not None:

@@ -435,7 +435,8 @@ def entropic_family(lam) -> StandardFamily:
         return _entropic_raw(m, t, z, x)
 
     return StandardFamily(interval=(m.z_d, m.z_u), raw=raw, provenance="closed-form",
-                          label="entropic", zero_log_level=m.risk_at_zero_log_level)
+                          label="entropic" + m.label().removeprefix("exp_utility"),
+                          zero_log_level=m.risk_at_zero_log_level)
 
 
 def _lower_divergence(space: FilteredSpace, t: int,

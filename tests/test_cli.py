@@ -6,8 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from perflat import (DividendProcess, GainLossRatio, TVar, XVar, binomial_tree, coin2,
-                     lpm_ratio, random_tree, raroc)
+from perflat import (DividendProcess, ExponentialUtilityMeasure, GainLossRatio, TVar,
+                     XVar, binomial_tree, coin2, lpm_ratio, random_tree, raroc)
 from perflat.cli import main
 from perflat.lattice import dump_json
 
@@ -228,6 +228,22 @@ def test_curve_json_artifact(files, capsys):
     assert len(artifact["rho"]["u"]) == 3
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_curve_prints_its_artifact_without_out(files, fmt, capsys):
+    out = files["dir"] / f"curve.{fmt}"
+    args = ["curve", "--measure", files["glr"], "--space", files["space"], "--var",
+            files["x"], "--t", "0", "--z-list", "0.5,1,2", "--format", fmt]
+    assert main(args + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(args) == 0
+    printed = capsys.readouterr().out
+    assert printed == out.read_text()
+    if fmt == "json":
+        assert json.loads(printed)["z"] == [0.5, 1.0, 2.0]
+    else:
+        assert printed.splitlines()[0] == "atom_id,z,rho"
+
+
 def test_curve_without_grid_fails(files, capsys):
     code = main(["curve", "--measure", files["glr"], "--space", files["space"],
                  "--var", files["x"], "--t", "0"])
@@ -270,6 +286,28 @@ def test_dual_agrees_with_bisection(files, capsys):
     assert capsys.readouterr().out.splitlines()[0] == "0"
     artifact = json.loads(out.read_text())
     assert float(artifact["max_gap"]) <= 1e-6
+
+
+def test_evaluate_reports_a_value_below_float_range(tmp_path, capsys):
+    # exponential utility at a leaf of -1000 is 1 - e^1000: below float range
+    space = coin2()
+    paths = [tmp_path / name for name in ("space.json", "exp.json", "x.json")]
+    dump_json(space.to_json(), paths[0])
+    dump_json(ExponentialUtilityMeasure(1.0).to_json(), paths[1])
+    dump_json(XVar(space, [1.0, -1000.0]).to_json(), paths[2])
+    code = main(["evaluate", "--measure", str(paths[1]), "--space", str(paths[0]),
+                 "--var", str(paths[2]), "--t", "0"])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out)["error"]["error"] == "evaluation failed"
+
+
+def test_dual_at_level_zero_fails(files, capsys):
+    out = files["dir"] / "dual.json"
+    code = main(["dual", "--space", files["space"], "--var", files["x"],
+                 "--t", "0", "--z", "0", "--out", str(out)])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out)["error"]["error"] == "dual solve failed"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("check", [None, "20"])

@@ -196,6 +196,34 @@ def test_varying_profile_is_reported_not_asserted(tree2):
         assert r.passed is not False
 
 
+@pytest.mark.parametrize("periods, rise, seed, profile", [
+    (2, 0.5, 1, "nondecreasing in t"),  # a witness on the positive levels only
+    (3, -0.3, 2, "nonincreasing in t"),  # a witness on both grids
+])
+def test_profile_check_reads_the_union_grid_off_two_runs(monkeypatch, periods, rise,
+                                                         seed, profile):
+    space = binomial_tree(periods)
+    lam = {t: TVar(space, t, np.full(space.n_atoms(t), 1.0 + rise * t))
+           for t in space.times}
+    run, grids = dynamics.check_time_consistency, []
+    monkeypatch.setattr(dynamics, "check_time_consistency",
+                        lambda *a, **kw: grids.append(kw["z_grid"]) or run(*a, **kw))
+    rep = check_riskaversion_monotone_consistency(lam, space, trials=20, rng_seed=seed)
+    assert rep.meta["profile"] == profile
+    assert len(grids) == 2
+    neg, pos = grids
+    d = DynamicMeasure(ExponentialUtilityMeasure(risk_aversion=lam))
+    want = {name: run(d, space, z_grid=grid, trials=20, rng_seed=seed)
+            for name, grid in (("negative-levels", neg), ("positive-levels", pos),
+                               ("all-levels", neg + pos))}
+    assert "counterexample" in {w.verdict for w in want.values()}
+    for name, w in want.items():
+        got = rep.result(f"consistent[{name}]")
+        assert (rep.meta["verdicts"][name], got.trials) == (w.verdict, w.samples), name
+    first = next(w.witness for w in want.values() if w.witness is not None)
+    assert rep.result("consistent[all-levels]").witness == first
+
+
 # ---------------------------------------------------------------------------
 # penalty aggregation for the coherent family
 

@@ -366,6 +366,38 @@ def test_xvar_arithmetic(space2):
     assert x.truncate(2.0).values.tolist() == [2.0, -1.0]
 
 
+def test_xvar_scaling_negation_and_stage_differences(space2, tree2):
+    x = XVar(space2, [3.0, -1.0])
+    assert (x * 2.0).values.tolist() == (2.0 * x).values.tolist() == [6.0, -2.0]
+    assert (-x).values.tolist() == [-3.0, 1.0]
+    top = XVar(space2, [INF, 1.0])
+    assert (top * 0.5).values.tolist() == [INF, 0.5]
+    for negative in (lambda: top * -2.0, lambda: -2.0 * top, lambda: -top):
+        with pytest.raises(ValueError, match="negative scaling of \\+inf"):
+            negative()
+    eta, y = TVar(tree2, 1, [5.0, -2.0]), XVar(tree2, [1.0, 2.0, 3.0, -1.0])
+    assert isinstance(y - eta, XVar) and isinstance(eta - y, XVar)
+    assert (y - eta).values.tolist() == [-4.0, -3.0, 5.0, 1.0]
+    assert (eta - y).values.tolist() == [4.0, 3.0, -5.0, -1.0]
+
+
+def test_stage_variable_arithmetic(tree2):
+    a, b = TVar(tree2, 1, [5.0, -2.0]), TVar(tree2, 1, [1.0, INF])
+    for got, want in ((a + b, [6.0, INF]), (a - b, [4.0, -INF]), (a + 1.0, [6.0, -1.0]),
+                      (a - 1.0, [4.0, -3.0]), (-a, [-5.0, 2.0])):
+        assert (got.stage, got.kind, got.values.tolist()) == (1, None, want)
+    c = TVar.constant(tree2, 1, 2.5)
+    assert (c.stage, c.kind, c.values.tolist()) == (1, "bb", [2.5, 2.5])
+    assert TVar.constant(tree2, 0, -INF, kind="ba").values.tolist() == [-INF]
+    later, elsewhere = TVar.constant(tree2, 2, 0.0), TVar.constant(
+        binomial_tree(2, p=0.3), 1, 0.0)
+    for op in (lambda u, v: u + v, lambda u, v: u - v):
+        with pytest.raises(ValueError, match="stage mismatch"):
+            op(a, later)
+        with pytest.raises(ValueError, match="different spaces"):
+            op(a, elsewhere)
+
+
 @pytest.mark.parametrize("bad", [-INF, math.nan])
 def test_xvar_scalar_addition_rejects_minus_inf_and_nan(space2, bad):
     x = XVar(space2, [3.0, -1.0])

@@ -47,6 +47,21 @@ def test_exp_utility_is_expected_utility(space2):
     assert (m.z_d, m.z_u) == (-INF, 1.0)
 
 
+def test_exp_expected_utility_has_the_exp_utility_zero_claim_threshold(tree2):
+    # expected exp utility and exponential utility share the cash threshold of the
+    # zero claim; other utilities have no closed form for it
+    expected, exponential = (ExpectedUtilityMeasure(UtilitySpec("exp", lam=0.7)),
+                             ExponentialUtilityMeasure(0.7))
+    for t in tree2.times:
+        for log_level in (-3.0, 0.0, 50.0):
+            got = expected.risk_at_zero_log_level(tree2, t, log_level)
+            assert got.shape == (tree2.n_atoms(t),)
+            np.testing.assert_array_equal(
+                got, exponential.risk_at_zero_log_level(tree2, t, log_level))
+    power = ExpectedUtilityMeasure(UtilitySpec("power", eta=0.5))
+    assert power.risk_at_zero_log_level(tree2, 1, 0.0) is None
+
+
 def test_exp_utility_stagewise_risk_aversion(tree2):
     lam = {0: np.array([0.5]), 1: np.array([0.5, 2.0]),
            2: np.array([0.5, 0.5, 2.0, 2.0])}

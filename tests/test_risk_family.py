@@ -315,6 +315,13 @@ def test_entropic_divergence_beyond_float_range():
     assert np.all(vals < -1e6)
 
 
+def test_entropic_family_label_carries_lambda(space2):
+    titles = [validate_standard_family(entropic_family(lam), space2, 0, trials=2).title
+              for lam in (0.8, 2.0)]
+    assert titles == ["standard_family[entropic[lam=0.8]] t=0",
+                      "standard_family[entropic[lam=2]] t=0"]
+
+
 # ---------------------------------------------------------------------------
 # reconstruction
 
