@@ -16,25 +16,28 @@ payment recovers the measure exactly, and with nonnegative interim
 payments the consistency-over-time verdicts for payoffs and for streams
 coincide (streams with strictly negative interim payments can break the
 stream-to-payoff direction, which is why samplers default to nonnegative).
-Streams go through the payoff checker's trial loop, each stage's aggregate as the
-claim valued there, so the three readings are sampled on streams as well.
+Streams go through the payoff checkers with their aggregates as the claims: the
+consistency check runs its trial loop on each stage's aggregate, so the three
+readings are sampled on streams as well, and ``check_lift_axioms`` runs the
+properties that payoffs share through the payoff checkers' property table.  The
+exact round trip and the bundling of the aggregate at the final date are
+identities of the stream arithmetic, not of the measure, so unit tests check them.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Mapping
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
 from .dynamics import (BETA_MARGIN, CRITERIA, DynamicMeasure, _child_min,
                        _consistency_pass, check_time_consistency, verify_witness)
 from .lattice import (INF, FilteredSpace, TVar, XVar, draw_atom_values,
-                      draw_event_flags, draw_leaf_values, ext_add, ext_mul,
-                      num_from_json, num_to_json)
-from .measures import (DEFAULT_TOL, PerformanceMeasure, _drops, _escapes,
-                       _missed_lower_bound, _mix_drops, _moved, _no_strict_gain,
-                       _prober, evaluate, evaluate_rows)
+                      draw_event_flags, ext_add, ext_mul, num_from_json, num_to_json)
+from .measures import (DEFAULT_TOL, PerformanceMeasure, _claim_properties,
+                       _missed_lower_bound, _moved, _prober, evaluate, evaluate_rows)
 from .report import CheckResult, Report
 from .risk_family import TOL_C
 
@@ -59,11 +62,6 @@ def _paid_more(present: np.ndarray, pays: np.ndarray, r: int,
     pays[r] = ext_add(pays[r], amount) if present[r] else amount
     present[r] = True
     return present, pays
-
-
-def _mix(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
-    """Stagewise convex mix lam*a + (1-lam)*b of pays."""
-    return ext_add(ext_mul(a, lam), ext_mul(b, 1.0 - lam))
 
 
 def _paid_at_the_end(space: FilteredSpace, leaves: np.ndarray) -> np.ndarray:
@@ -158,7 +156,7 @@ class DividendProcess:
 
     def aggregate_from(self, t: int) -> XVar:
         """Total of the payments from t onward, as a terminal payoff: the one
-        aggregation pass that the lift checker runs on its batches of streams."""
+        aggregation pass that the lift checker runs on the streams it draws."""
         t = self.space.check_stage(t)
         return XVar(self.space, _aggregate(t, self.pays), validate=False)
 
@@ -180,8 +178,8 @@ class DividendProcess:
             raise ValueError("mixing weight must lie in [0, 1]")
         if not other.space.same_structure(self.space):
             raise ValueError("payment lives on a different space")
-        return DividendProcess.of_arrays(self.space, self.present | other.present,
-                                         _mix(self.pays, other.pays, lam))
+        mixed = ext_add(ext_mul(self.pays, lam), ext_mul(other.pays, 1.0 - lam))
+        return DividendProcess.of_arrays(self.space, self.present | other.present, mixed)
 
     def to_json(self) -> dict:
         return {"space": self.space.name or "",
@@ -246,26 +244,32 @@ def check_lift_axioms(m: PerformanceMeasure, space: FilteredSpace,
                       trials: int = 200, rng_seed: int = 0) -> Report:
     """Property tests for the lifted measure on random payment streams.
 
-    Alongside the structural properties this verifies the bundling identity
-    (paying the aggregate at the final date changes nothing, bit for bit)
-    and the exact round trip through single terminal payments.  Each property is a
-    ``_prober`` probe: a trial picks its own stage, then draws its streams as arrays
-    (``draw_dividend``); per batch and stage, one pass aggregates them, one
-    ``evaluate_rows`` call values them and one call judges them.  Only the first
-    failing trial's witness builds ``DividendProcess`` objects.
+    Each randomized property is a ``_prober`` probe: a trial picks its stage t, draws
+    its streams as arrays (``draw_dividend``) and aggregates them from t, and per batch
+    and stage one ``evaluate_rows`` call values the aggregates.  Bounds, monotonicity,
+    strict shift, quasi-concavity and scale invariance are the payoff properties of
+    ``measures._claim_properties`` on the aggregates; independence of the past with
+    locality and timing invariance are the lift's own.  Only the first failing trial's
+    witness builds ``DividendProcess`` objects.  The identities of the stream
+    arithmetic (bundling at the final date, the terminal round trip) are unit tests:
+    no measure can fail them.
     """
-    tol = DEFAULT_TOL
     rep = Report(f"lift axioms for {m.label()}", seed=rng_seed,
                  meta={"trials": trials, "space": space.name or ""})
     times = list(space.times)
-    stage = lambda rng: int(rng.choice(times))
     shown = lambda t, streams: {"stage": t, **{
         key: DividendProcess.of_arrays(space, *s).to_json()
         for key, s in zip(("D", "D2"), streams)}}
-    probe = _prober(rep, space, trials, rng_seed, stage, lambda t, rows: evaluate_rows(
-        m, space, t, _aggregate(t, rows.reshape(len(rows), len(times), -1))), shown)
+    probe = _prober(rep, space, trials, rng_seed, lambda rng: int(rng.choice(times)),
+                    partial(evaluate_rows, m, space), shown)
     stream = lambda rng: draw_dividend(space, rng, nonnegative_interim=False)
     promoted = lambda r, vals: vals[space.atom_index[r]]
+
+    def aggregated(rng, t):
+        present, pays = stream(rng)
+        return _aggregate(t, pays), (present, pays)
+
+    shared = _claim_properties(m, aggregated)
 
     def draw_independence_of_past_and_locality(rng, k, t):
         flags = draw_event_flags(space, t, rng)
@@ -277,19 +281,14 @@ def check_lift_axioms(m: PerformanceMeasure, space: FilteredSpace,
                 p2[r], pays2[r] = True, np.where(promoted(t, flags), pays1[r], fresh)
             elif rng.uniform() < 0.5:  # anything may happen before t, payments included
                 p2[r], pays2[r] = True, fresh
-        return np.array((pays1, pays2)), ((p1, pays1), (p2, pays2)), flags
+        return (_aggregate(t, np.array((pays1, pays2))), ((p1, pays1), (p2, pays2)),
+                flags)
 
     probe("independence_of_past_and_locality", 61,
           draw_independence_of_past_and_locality,
           lambda vals, flags: np.array(flags) & (vals[..., 0, :] != vals[..., 1, :]),
           "value moved on the unchanged event")
-
-    def draw_bounds_interval(rng, k, t):
-        present, pays = stream(rng)
-        return pays[None], ((present, pays),), None
-
-    probe("bounds_interval", 62, draw_bounds_interval,
-          lambda vals, _: _escapes(m, vals, 1e-12), "value left the bounds")
+    probe("bounds_interval", 62, *shared["bounds_interval"])
 
     top = DividendProcess.terminal_only(XVar.constant(space, INF))
     missed = [t for t in times if not np.all(lift_evaluate(m, t, top).values == m.z_u)]
@@ -307,84 +306,26 @@ def check_lift_axioms(m: PerformanceMeasure, space: FilteredSpace,
                         witness={"note": "deep negative payments never pushed the "
                                          "value toward the lower bound",
                                  "stage": missed[0]} if missed else None))
-
-    def draw_monotonicity(rng, k, t):
-        p1, pays1 = stream(rng)
-        p2, pays2 = p1, pays1
-        for r in times[t:]:
-            if rng.uniform() < 0.7:
-                bump = promoted(r, draw_atom_values(space, r, rng, 0.0, 2.0))
-                p2, pays2 = _paid_more(p2, pays2, r, bump)
-        return np.array((pays1, pays2)), ((p1, pays1), (p2, pays2)), None
-
-    probe("monotonicity", 63, draw_monotonicity, lambda vals, _: _drops(vals, tol),
-          "larger payments lowered the value")
-
-    def draw_strict_shift(rng, k, t):
-        r_star = int(rng.choice(times[t:]))
-        c = float(rng.uniform(0.05, 2.0))
-        present, pays = stream(rng)
-        paid = _paid_more(present, pays, r_star, np.full(space.n_leaves, c))[1]
-        return np.array((pays, paid)), ((present, pays),), (r_star, c)
-
-    probe("strict_shift", 64, draw_strict_shift, lambda vals, _: _no_strict_gain(m, vals),
-          "no strict gain from a positive payment", lambda ctx, vals, atoms: {
-              "paid_at": ctx[0], "shift": ctx[1], "atom": atoms[0]})
-
-    def draw_quasi_concavity(rng, k, t):
-        lam = float(rng.uniform(0.001, 0.999))  # keep 0 * inf out of the mix
-        (p1, pays1), (p2, pays2) = stream(rng), stream(rng)
-        return (np.array((pays1, pays2, _mix(pays1, pays2, lam))),
-                ((p1, pays1), (p2, pays2)), lam)
-
-    probe("quasi_concavity", 65, draw_quasi_concavity,
-          lambda vals, _: _mix_drops(vals, tol), "mix fell below both endpoints",
-          lambda lam, vals, atoms: {"lam": lam})
+    probe("monotonicity", 63, *shared["monotonicity"])
+    probe("strict_shift", 64, *shared["strict_shift"])
+    probe("quasi_concavity", 65, *shared["quasi_concavity"])
 
     def draw_timing_invariance(rng, k, t):
         r1, r2 = int(rng.choice(times[t:])), int(rng.choice(times[t:]))
-        xi = promoted(t, draw_atom_values(space, t, rng))
+        xi = draw_atom_values(space, t, rng)
         present, pays = stream(rng)
-        paid = [_paid_more(present, pays, r, xi)[1] for r in (r1, r2)]
-        return np.array(paid), ((present, pays),), [r1, r2]
+        paid = [_paid_more(present, pays, r, promoted(t, xi))[1] for r in (r1, r2)]
+        return _aggregate(t, np.array(paid)), ((present, pays),), ([r1, r2], t, xi)
 
     probe("timing_invariance", 66, draw_timing_invariance,
-          lambda vals, _: _moved(vals, tol), "payment date of a known transfer mattered",
-          lambda dates, vals, atoms: {"dates": dates})
-
-    def draw_scale_invariance(rng, k, t):
-        c = float(np.exp(rng.uniform(np.log(0.01), np.log(100.0))))
-        present, pays = stream(rng)
-        return np.array((pays, ext_mul(pays, c))), ((present, pays),), c
-
+          lambda vals, _: _moved(vals, DEFAULT_TOL),
+          "payment date of a known transfer mattered", lambda ctx, vals, atoms: {
+              "dates": ctx[0], "xi": TVar(space, *ctx[1:]).to_json()})
     if m.scale_invariant:
-        probe("scale_invariance", 67, draw_scale_invariance,
-              lambda vals, _: _moved(vals, tol), "scaling the stream moved the value",
-              lambda c, vals, atoms: {"scale": c})
+        probe("scale_invariance", 67, *shared["positive_scaling"])
     else:
         rep.add(CheckResult("scale_invariance", None,
                             note="measure is not scale invariant; skipped"))
-
-    def draw_aggregation_identity(rng, k, t):
-        present, pays = stream(rng)
-        bundled = _paid_at_the_end(space, _aggregate(t, pays))
-        return np.array((pays, bundled)), ((present, pays),), None
-
-    probe("aggregation_identity", 68, draw_aggregation_identity,
-          lambda vals, _: vals[..., 0, :] != vals[..., 1, :],
-          "bundling the payments at the final date changed the value")
-
-    def draw_terminal_round_trip(rng, k, t):
-        x = draw_leaf_values(space, rng)
-        return np.array((_aggregate(t, _paid_at_the_end(space, x)), x)), (), x
-
-    # these rows are leaf rows already: the lifted payoff and the payoff itself
-    _prober(rep, space, trials, rng_seed, stage,
-            lambda t, rows: evaluate_rows(m, space, t, rows), shown)(
-        "terminal_round_trip", 69, draw_terminal_round_trip,
-        lambda vals, _: vals[..., 0, :] != vals[..., 1, :],
-        "single terminal payment did not recover the measure",
-        lambda x, vals, atoms: {"X": XVar(space, x).to_json()})
     return rep
 
 

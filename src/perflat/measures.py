@@ -664,9 +664,9 @@ def measure_from_json(d: Mapping, space: FilteredSpace | None = None) -> Perform
 # axiom checker
 
 
-# Predicates over valued trials, shared by the axiom and lift checkers: vals[..., i, :]
-# holds the values of a trial's i-th row, and each predicate returns the failing atoms,
-# (..., n_atoms).
+# Predicates over valued trials, for the shared property table and the payoff checkers:
+# vals[..., i, :] holds the values of a trial's i-th row, and each predicate returns the
+# failing atoms, (..., n_atoms).
 
 
 def _mix_drops(vals: np.ndarray, tol: float) -> np.ndarray:
@@ -674,11 +674,6 @@ def _mix_drops(vals: np.ndarray, tol: float) -> np.ndarray:
     value.  A mix valued exactly 0 against a floor of at most 1e-6 counts as a tie."""
     got, floor = vals[..., 2, :], np.minimum(vals[..., 0, :], vals[..., 1, :])
     return (got < floor - tol) & ~((got == 0.0) & (floor <= 1e-6))
-
-
-def _escapes(m: PerformanceMeasure, vals: np.ndarray, gap: float) -> np.ndarray:
-    """Atoms where some row's value leaves [z_d - gap, z_u + gap]."""
-    return ((vals < m.z_d - gap) | (vals > m.z_u + gap)).any(axis=-2)
 
 
 def _drops(vals: np.ndarray, tol: float) -> np.ndarray:
@@ -738,6 +733,64 @@ def _claims_prober(rep: Report, m: PerformanceMeasure, space: FilteredSpace, t: 
                                      for key, x in zip(("X", "Y"), shown)})
 
 
+def _claim_properties(m: PerformanceMeasure, claim: Callable) -> dict:
+    """The randomized properties that payoffs and streams share, by name, each as the
+    (draw, bad, note, extra) of a ``_prober`` probe.  claim(rng, t) -> (row, shown)
+    draws a claim's leaf row to value at stage t and what its witness shows: a payoff
+    is both, a stream (``check_lift_axioms``) is valued at its aggregate from t."""
+    tol = DEFAULT_TOL
+
+    def quasi_concavity(rng, k, t):
+        (x, shown_x), (y, shown_y) = claim(rng, t), claim(rng, t)
+        lam = float(rng.uniform(0.001, 0.999))  # keep 0 * inf out of the mix
+        return np.array((x, y, lam * x + (1.0 - lam) * y)), (shown_x, shown_y), lam
+
+    def bounds_interval(rng, k, t):
+        x, shown = claim(rng, t)
+        return x[None], (shown,), None
+
+    def monotonicity(rng, k, t):
+        x, shown = claim(rng, t)
+        style = rng.integers(3)
+        if style == 0:
+            bump = rng.uniform(0.0, 2.0, size=len(x))
+        elif style == 1:
+            bump = np.zeros(len(x))
+            bump[rng.integers(len(x))] = rng.uniform(0.0, 4.0)
+        else:
+            bump = np.full(len(x), rng.uniform(0.0, 2.0))
+        return np.array((x, x + bump)), (shown,), bump
+
+    def strict_shift(rng, k, t):
+        x, shown = claim(rng, t)
+        c = float(rng.uniform(0.05, 2.0))
+        return np.array((x, x + c)), (shown,), c
+
+    def positive_scaling(rng, k, t):
+        x, shown = claim(rng, t)
+        c = float(np.exp(rng.uniform(np.log(0.01), np.log(100.0))))
+        return np.array((x, c * x)), (shown,), c
+
+    return {
+        "quasi_concavity": (quasi_concavity, lambda vals, _: _mix_drops(vals, tol),
+                            "beta(mix) below min",
+                            lambda lam, vals, atoms: {"lam": lam, "atom": atoms[0]}),
+        # the bounds are declared constants: a gap of rounding size, not tol
+        "bounds_interval": (bounds_interval, lambda vals, _: (
+            (vals < m.z_d - 1e-12) | (vals > m.z_u + 1e-12)).any(axis=-2),
+                            "value escapes [z_d, z_u]"),
+        "monotonicity": (monotonicity, lambda vals, _: _drops(vals, tol),
+                         "value dropped under a nonnegative bump",
+                         lambda bump, vals, atoms: {"bump": bump.tolist()}),
+        "strict_shift": (strict_shift, lambda vals, _: _no_strict_gain(m, vals),
+                         "no strict gain from a positive constant shift",
+                         lambda c, vals, atoms: {"shift": c, "atom": atoms[0]}),
+        "positive_scaling": (positive_scaling, lambda vals, _: _moved(vals, tol),
+                             "beta(cX) differs from beta(X)", lambda c, vals, atoms: {
+                                 "c": c, "beta_x": [num_to_json(v) for v in vals[0]],
+                                 "beta_cx": [num_to_json(v) for v in vals[1]]})}
+
+
 def _missed_lower_bound(m: PerformanceMeasure, values_at) -> np.ndarray | None:
     """values_at(c) at the constant claims c = -1, -10, ..., -1e8 in turn: None once
     they reach z_d (within 1e-6, or at most -1e6 where z_d = -inf), else the last."""
@@ -762,6 +815,8 @@ def check_axioms(m: PerformanceMeasure, space: FilteredSpace, t: int,
     Each randomized property is a ``_prober`` probe: trial k draws bare arrays from
     derived_rng(rng_seed, property, k), a batch is screened, valued by one ``m.values``
     call and judged by one call, and only the first failing trial builds variables.
+    Properties 1-3 come from the table that streams share, ``_claim_properties``, with
+    each drawn payoff as its own claim; ``check_lift_axioms`` runs them on aggregates.
     """
     t = space.check_stage(t)
     tol = DEFAULT_TOL
@@ -773,24 +828,13 @@ def check_axioms(m: PerformanceMeasure, space: FilteredSpace, t: int,
     rep = Report(title=f"axioms[{m.label()}] t={t}", seed=rng_seed,
                  meta={"space": space.name or "", "trials": trials})
     probe = _claims_prober(rep, m, space, t, trials, rng_seed)
+    shared = _claim_properties(m, lambda rng, t: (leaves(rng),) * 2)  # its own witness
 
     # 1. quasi concavity
-    def draw_quasi_concavity(rng, k, t):
-        x, y = leaves(rng), leaves(rng)
-        lam = float(rng.uniform(0.001, 0.999))  # keep 0 * inf out of the mix
-        return np.array((x, y, lam * x + (1.0 - lam) * y)), (x, y), lam
-
-    probe("quasi_concavity", 1, draw_quasi_concavity,
-          lambda vals, _: _mix_drops(vals, tol), "beta(mix) below min",
-          lambda lam, vals, atoms: {"lam": lam, "atom": atoms[0]})
+    probe("quasi_concavity", 1, *shared["quasi_concavity"])
 
     # 2. non-random bounds: values inside [z_d, z_u], attained at +inf, approached below
-    def draw_bounds_interval(rng, k, t):
-        x = leaves(rng)
-        return x[None], (x,), None
-
-    probe("bounds_interval", 2, draw_bounds_interval,
-          lambda vals, _: _escapes(m, vals, tol), "value escapes [z_d, z_u]")
+    probe("bounds_interval", 2, *shared["bounds_interval"])
 
     vals = raw(XVar.constant(space, INF))
     ok = bool(np.all(close_or_both_inf(vals, m.z_u, tol)))
@@ -809,30 +853,8 @@ def check_axioms(m: PerformanceMeasure, space: FilteredSpace, t: int,
                                  "divergence not confirmed"))
 
     # 3. monotone, and strictly so along constant positive shifts on the live event
-    def draw_monotonicity(rng, k, t):
-        x = leaves(rng)
-        style = rng.integers(3)
-        if style == 0:
-            bump = rng.uniform(0.0, 2.0, size=space.n_leaves)
-        elif style == 1:
-            bump = np.zeros(space.n_leaves)
-            bump[rng.integers(space.n_leaves)] = rng.uniform(0.0, 4.0)
-        else:
-            bump = np.full(space.n_leaves, rng.uniform(0.0, 2.0))
-        return np.array((x, x + bump)), (x,), bump
-
-    probe("monotonicity", 3, draw_monotonicity, lambda vals, _: _drops(vals, tol),
-          "value dropped under a nonnegative bump",
-          lambda bump, vals, atoms: {"bump": bump.tolist()})
-
-    def draw_strict_shift(rng, k, t):
-        x = leaves(rng)
-        c = float(rng.uniform(0.05, 2.0))
-        return np.array((x, x + c)), (x,), c
-
-    probe("strict_shift", 4, draw_strict_shift, lambda vals, _: _no_strict_gain(m, vals),
-          "no strict gain from a positive constant shift",
-          lambda c, vals, atoms: {"shift": c, "atom": atoms[0]})
+    probe("monotonicity", 3, *shared["monotonicity"])
+    probe("strict_shift", 4, *shared["strict_shift"])
 
     # 4. continuity from below along increasing sequences
     deltas = [2.0 ** -e for e in (0, 5, 10, 20, 30, 40, 45)]
@@ -914,7 +936,8 @@ def check_scale_invariance(m: PerformanceMeasure, space: FilteredSpace, t: int,
     For a scale-invariant measure the value of a stage-measurable claim xi can only be
     beta(1) where xi > 0 and beta(0) where xi <= 0; both identities are probed and the
     first counterexample is reported (expected for utility-based measures).  Both draw
-    bare arrays and are valued and judged a batch at a time, as in ``check_axioms``.
+    bare arrays and are valued and judged a batch at a time, as in ``check_axioms``;
+    positive scaling is the ``_claim_properties`` entry that the lift runs on streams.
     """
     t = space.check_stage(t)
     tol = DEFAULT_TOL
@@ -922,15 +945,8 @@ def check_scale_invariance(m: PerformanceMeasure, space: FilteredSpace, t: int,
                  meta={"space": space.name or "", "declared": m.scale_invariant})
     probe = _claims_prober(rep, m, space, t, trials, rng_seed)
 
-    def draw_positive_scaling(rng, k, t):
-        x = draw_leaf_values(space, rng)
-        c = float(np.exp(rng.uniform(np.log(0.01), np.log(100.0))))
-        return np.array((x, c * x)), (x,), c
-
-    probe("positive_scaling", 11, draw_positive_scaling,
-          lambda vals, _: _moved(vals, tol), "beta(cX) differs from beta(X)",
-          lambda c, vals, atoms: {"c": c, "beta_x": [num_to_json(v) for v in vals[0]],
-                                  "beta_cx": [num_to_json(v) for v in vals[1]]})
+    shared = _claim_properties(m, lambda rng, t: (draw_leaf_values(space, rng),) * 2)
+    probe("positive_scaling", 11, *shared["positive_scaling"])
 
     beta_one, beta_zero = (m.values(space, t, np.full(space.n_leaves, c))
                            for c in (1.0, 0.0))

@@ -12,14 +12,14 @@ from importlib import resources
 
 import numpy as np
 
-from perflat import (INF, CertaintyEquivalentMeasure, DynamicMeasure,
+from perflat import (INF, CertaintyEquivalentMeasure, DividendProcess, DynamicMeasure,
                      ExponentialUtilityMeasure, GainLossRatio, UtilitySpec,
                      XVar, binomial_tree, check_axioms, check_lift_axioms,
                      check_lift_time_consistency, check_scale_invariance,
                      check_time_consistency, coin2, entropic_closed_form,
                      entropic_family, evaluate, glr_dual_risk, induce_risk,
-                     induced_family, lpm_ratio, raroc, random_tree,
-                     reconstruct, risk_curve, search_counterexample,
+                     induced_family, lift_evaluate, lpm_ratio, raroc, random_tree,
+                     reconstruct, risk_curve, sample_xvar, search_counterexample,
                      verify_witness)
 from perflat.lattice import FilteredSpace
 from perflat.measures import ConditionalExpectation, ExpectedUtilityMeasure
@@ -259,10 +259,18 @@ def test_c09_risk_curve_structure(capsys):
 def test_c10_dividend_lift(capsys):
     tree = binomial_tree(2)
     bad = []
+    rng = np.random.default_rng(10)
     for m in (GainLossRatio(), ExponentialUtilityMeasure(risk_aversion=1.0)):
         rep = check_lift_axioms(m, tree, trials=300, rng_seed=10)
         bad += [f"{m.label()}:{r.name}" for r in rep.results
                 if r.passed is False]
+        # the round trip: a payoff paid at the final date alone is valued as the
+        # payoff itself, bit for bit, at every stage
+        payoffs = [sample_xvar(tree, rng, inf_prob=0.02) for _ in range(300)]
+        missed = sum(
+            lift_evaluate(m, t, DividendProcess.terminal_only(x)).values.tobytes()
+            != evaluate(m, t, x).values.tobytes() for x in payoffs for t in tree.times)
+        bad += [f"{m.label()}:round_trip ({missed} misses)"] if missed else []
     lift_rep = check_lift_time_consistency(DynamicMeasure(lpm_ratio(2.0)),
                                            tree, trials=60, rng_seed=0,
                                            witness=_pinned_witness())

@@ -9,7 +9,6 @@ for a deliberate report change, with
 """
 import json
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 
@@ -17,7 +16,7 @@ from perflat import (CertaintyEquivalentMeasure, ConditionalExpectation, CustomM
                      ExpectedUtilityMeasure, ExponentialUtilityMeasure, GainLossRatio,
                      UtilitySpec, binomial_tree, check_axioms, check_lift_axioms,
                      check_scale_invariance, lpm_ratio, random_tree, raroc)
-from perflat import dividends, report
+from perflat import report
 from perflat.lattice import atom_expect, dump_json, jsonable
 from perflat.risk_family import (StandardFamily, closure_check, entropic_family,
                                  induced_family, validate_standard_family)
@@ -81,15 +80,6 @@ def checker_reports() -> dict:
                         out[f"{name}/{where}/t={t}"] = dump_json(jsonable(rep.to_json()))
                 rep = check_lift_axioms(m, space, trials=TRIALS, rng_seed=seed)
                 out[f"lift/{where}"] = dump_json(jsonable(rep.to_json()))
-    # no measure breaks the lift's two identities, so a final-date payment one unit
-    # larger than asked for pins their witnesses
-    paid = dividends._paid_at_the_end
-    with mock.patch.object(dividends, "_paid_at_the_end",
-                           lambda space, leaves: paid(space, leaves + 1.0)):
-        rep = check_lift_axioms(ConditionalExpectation(), _spaces()["binomial2"],
-                                trials=TRIALS, rng_seed=SEEDS[0])
-    out[f"lift_paid_one_more/cond_expectation/binomial2/seed={SEEDS[0]}"] = \
-        dump_json(jsonable(rep.to_json()))
     return out
 
 
