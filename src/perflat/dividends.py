@@ -22,6 +22,10 @@ readings are sampled on streams as well, and ``check_lift_axioms`` runs the
 properties that payoffs share through the payoff checkers' property table.  The
 exact round trip and the bundling of the aggregate at the final date are
 identities of the stream arithmetic, not of the measure, so unit tests check them.
+Streams are drawn as arrays, n at a time (``draw_dividend``), each field as one
+array with a fixed width per stream, so the lift checker's trial k draws the same
+stream for any trial count and any chunking; the consistency check draws its
+streams one trial at a time, each on its own Generator.
 """
 from __future__ import annotations
 
@@ -34,34 +38,27 @@ import numpy as np
 
 from .dynamics import (BETA_MARGIN, CRITERIA, DynamicMeasure, _child_min,
                        _consistency_pass, check_time_consistency, verify_witness)
-from .lattice import (INF, FilteredSpace, TVar, XVar, draw_atom_values,
-                      draw_event_flags, ext_add, ext_mul, num_from_json, num_to_json)
+from .lattice import (INF, FilteredSpace, TVar, XVar, ext_add, ext_mul, num_from_json,
+                      num_to_json)
 from .measures import (DEFAULT_TOL, PerformanceMeasure, _claim_properties,
-                       _missed_lower_bound, _moved, _prober, evaluate, evaluate_rows)
+                       _event_flags, _missed_lower_bound, _moved, _prober, evaluate,
+                       evaluate_rows)
 from .report import CheckResult, Report
 from .risk_family import TOL_C
 
 
-def _aggregate(t: int, pays: np.ndarray) -> np.ndarray:
-    """The aggregates from stage t of (..., n_stages, n_leaves) pays, as leaf rows.
+def _aggregate(t, pays: np.ndarray) -> np.ndarray:
+    """The aggregates from stage t of (..., n_stages, n_leaves) pays, as leaf rows; t
+    is one stage, or one per stream of (n, ..., n_stages, n_leaves) pays.
 
-    Each stream totals its payments at stages t, t+1, ..., T in that order with
-    ``ext_add``.  A stage that pays nothing adds +0.0, which leaves every partial sum
-    as it is: a partial sum starts at +0.0 and is never -0.0.
-    """
+    Each stream totals its payments at stages 0, 1, ..., T in that order with
+    ``ext_add``; a stage before t, or paying nothing, adds +0.0, which leaves every
+    partial sum as it is (a partial sum starts at +0.0 and is never -0.0)."""
+    t = np.reshape(t, np.shape(t) + (1,) * (pays.ndim - 2))
     out = np.zeros(pays.shape[:-2] + pays.shape[-1:])
-    for r in range(t, pays.shape[-2]):
-        out = ext_add(out, pays[..., r, :])
+    for r in range(pays.shape[-2]):
+        out = ext_add(out, np.where(r < t, 0.0, pays[..., r, :]))
     return out
-
-
-def _paid_more(present: np.ndarray, pays: np.ndarray, r: int,
-               amount: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A copy of a stream's arrays with the leaf row amount added at stage r."""
-    present, pays = present.copy(), pays.copy()
-    pays[r] = ext_add(pays[r], amount) if present[r] else amount
-    present[r] = True
-    return present, pays
 
 
 def _paid_at_the_end(space: FilteredSpace, leaves: np.ndarray) -> np.ndarray:
@@ -163,8 +160,11 @@ class DividendProcess:
     def with_payment_added(self, r: int, amount: TVar | float) -> "DividendProcess":
         """A copy with amount added to the stage-r payment."""
         r = self.space.check_stage(r)
-        return DividendProcess.of_arrays(self.space, *_paid_more(
-            self.present, self.pays, r, _payment_row(self.space, r, amount)))
+        amount = _payment_row(self.space, r, amount)
+        present, pays = self.present.copy(), self.pays.copy()
+        pays[r] = ext_add(pays[r], amount) if present[r] else amount
+        present[r] = True
+        return DividendProcess.of_arrays(self.space, present, pays)
 
     def scaled(self, c: float) -> "DividendProcess":
         if c < 0.0:
@@ -207,32 +207,40 @@ class DividendProcess:
         return f"DividendProcess(stages: {stages or 'none'})"
 
 
-def draw_dividend(space: FilteredSpace, rng: np.random.Generator, *,
-                  nonnegative_interim: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Random stream with a terminal payment and occasional interim ones, as present
-    flags and pays.
+def _stage_rows(space: FilteredSpace, values: np.ndarray) -> np.ndarray:
+    """(n, stage-0 atoms + stage-1 atoms + ...) values as (n, stages, n_leaves) leaf
+    rows, constant on each stage's atoms."""
+    first = np.cumsum([0] + [space.n_atoms(t) for t in space.times[:-1]])
+    return values[:, [f + space.atom_index[t] for f, t in zip(first, space.times)]]
 
-    Aggregation is monotone in the evaluation stage exactly when nothing
-    strictly negative is paid in between, and the payoff/stream consistency
-    transport relies on that, so negative interim payments are opt-in.
+
+def _atom_draws(space: FilteredSpace, field, n: int) -> np.ndarray:
+    """One field's uniform [0, 1) draw per stage and atom, as ``_stage_rows``."""
+    return _stage_rows(space, field().random((n, sum(map(space.n_atoms, space.times)))))
+
+
+def draw_dividend(space: FilteredSpace, field, n: int, *,
+                  nonnegative_interim: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """n random streams with a terminal payment and occasional interim ones, as
+    (n, stages) present flags and (n, stages, n_leaves) pays.  field() is called for
+    the Generator of the paying dates, then of the amounts, and each draws one array
+    with a fixed width per stream.  Aggregation is monotone in the evaluation stage
+    exactly when nothing strictly negative is paid in between, and the payoff/stream
+    consistency transport relies on that, so negative interim payments are opt-in.
     """
-    last = space.times[-1]
-    present = np.zeros(len(space.times), dtype=bool)
-    pays = np.zeros((len(space.times), space.n_leaves))
-    for t in space.times:
-        if t != last and rng.uniform() < 0.35:
-            continue
-        lo = 0.0 if (nonnegative_interim and t != last) else -4.0
-        present[t] = True
-        pays[t] = draw_atom_values(space, t, rng, lo, 4.0)[space.atom_index[t]]
-    return present, pays
+    last = np.arange(len(space.times)) == space.horizon
+    present = (field().random((n, len(space.times))) >= 0.35) | last
+    lo = np.where(nonnegative_interim & ~last, 0.0, -4.0)[:, None]
+    amounts = lo + (4.0 - lo) * _atom_draws(space, field, n)
+    return present, np.where(present[..., None], amounts, 0.0)
 
 
 def sample_dividend(space: FilteredSpace, rng: np.random.Generator, *,
                     nonnegative_interim: bool = True) -> DividendProcess:
-    """``draw_dividend``'s stream as a ``DividendProcess``."""
-    return DividendProcess.of_arrays(
-        space, *draw_dividend(space, rng, nonnegative_interim=nonnegative_interim))
+    """One ``draw_dividend`` stream, every field from rng, as a ``DividendProcess``."""
+    present, pays = draw_dividend(space, lambda: rng, 1,
+                                  nonnegative_interim=nonnegative_interim)
+    return DividendProcess.of_arrays(space, present[0], pays[0])
 
 
 def lift_evaluate(m: PerformanceMeasure, t: int, dp: DividendProcess) -> TVar:
@@ -244,47 +252,52 @@ def check_lift_axioms(m: PerformanceMeasure, space: FilteredSpace,
                       trials: int = 200, rng_seed: int = 0) -> Report:
     """Property tests for the lifted measure on random payment streams.
 
-    Each randomized property is a ``_prober`` probe: a trial picks its stage t, draws
-    its streams as arrays (``draw_dividend``) and aggregates them from t, and per batch
-    and stage one ``evaluate_rows`` call values the aggregates.  Bounds, monotonicity,
-    strict shift, quasi-concavity and scale invariance are the payoff properties of
-    ``measures._claim_properties`` on the aggregates; independence of the past with
-    locality and timing invariance are the lift's own.  Only the first failing trial's
-    witness builds ``DividendProcess`` objects.  The identities of the stream
-    arithmetic (bundling at the final date, the terminal round trip) are unit tests:
-    no measure can fail them.
+    Each randomized property is a ``_prober`` probe: a chunk of trials draws each
+    trial's stage t from the first field, then its streams as arrays
+    (``draw_dividend``), and aggregates each from its own t; a draw whose width
+    depends on the stage (event flags, the transfer xi) is made for every stage and
+    each trial takes its own.  Per chunk and stage one ``evaluate_rows`` call values
+    the aggregates.  Bounds, monotonicity, strict shift, quasi-concavity and scale
+    invariance are the payoff properties of ``measures._claim_properties`` on the
+    aggregates; independence of the past with locality and timing invariance are
+    the lift's own.  Only the first failing trial's witness builds
+    ``DividendProcess`` objects.  The identities of the stream arithmetic (bundling
+    at the final date, the terminal round trip) are unit tests.
     """
     rep = Report(f"lift axioms for {m.label()}", seed=rng_seed,
                  meta={"trials": trials, "space": space.name or ""})
-    times = list(space.times)
+    times, sizes = list(space.times), [space.n_atoms(t) for t in space.times]
     shown = lambda t, streams: {"stage": t, **{
         key: DividendProcess.of_arrays(space, *s).to_json()
         for key, s in zip(("D", "D2"), streams)}}
-    probe = _prober(rep, space, trials, rng_seed, lambda rng: int(rng.choice(times)),
+    probe = _prober(rep, space, trials, rng_seed,
+                    lambda field, n: field().integers(len(times), size=n),
                     partial(evaluate_rows, m, space), shown)
-    stream = lambda rng: draw_dividend(space, rng, nonnegative_interim=False)
-    promoted = lambda r, vals: vals[space.atom_index[r]]
+    stream = lambda field, n: draw_dividend(space, field, n, nonnegative_interim=False)
 
-    def aggregated(rng, t):
-        present, pays = stream(rng)
-        return _aggregate(t, pays), (present, pays)
+    def aggregated(field, stages):
+        present, pays = stream(field, len(stages))
+        return _aggregate(stages, pays), zip(present, pays)
 
     shared = _claim_properties(m, aggregated)
 
-    def draw_independence_of_past_and_locality(rng, k, t):
-        flags = draw_event_flags(space, t, rng)
-        p1, pays1 = stream(rng)
-        p2, pays2 = np.zeros_like(p1), np.zeros_like(pays1)
-        for r in times:
-            fresh = promoted(r, draw_atom_values(space, r, rng, -4.0, 4.0))
-            if r >= t:  # from t on the streams agree on the event
-                p2[r], pays2[r] = True, np.where(promoted(t, flags), pays1[r], fresh)
-            elif rng.uniform() < 0.5:  # anything may happen before t, payments included
-                p2[r], pays2[r] = True, fresh
-        return (_aggregate(t, np.array((pays1, pays2))), ((p1, pays1), (p2, pays2)),
-                flags)
+    def draw_independence_of_past_and_locality(field, ks, stages):
+        n, trial = len(ks), np.arange(len(ks))
+        flags = _stage_rows(space, _event_flags(field, n, sizes))[trial, stages]
+        p1, pays1 = stream(field, n)
+        fresh = -4.0 + 8.0 * _atom_draws(space, field, n)
+        early = np.arange(len(times)) < stages[:, None]
+        # from t on the streams agree on the event; anything may happen before t,
+        # payments included
+        coin = field().random((n, len(times))) < 0.5
+        p2 = ~early | coin
+        pays2 = np.where(early[..., None], np.where(coin[..., None], fresh, 0.0),
+                         np.where(flags[:, None], pays1, fresh))
+        return (_aggregate(stages, np.stack((pays1, pays2), axis=1)),
+                zip(zip(p1, pays1), zip(p2, pays2)),
+                [_on_atoms(space, t, f) for t, f in zip(stages.tolist(), flags)])
 
-    probe("independence_of_past_and_locality", 61,
+    probe("independence_of_past_and_locality", 61, 2,
           draw_independence_of_past_and_locality,
           lambda vals, flags: np.array(flags) & (vals[..., 0, :] != vals[..., 1, :]),
           "value moved on the unchanged event")
@@ -310,14 +323,20 @@ def check_lift_axioms(m: PerformanceMeasure, space: FilteredSpace,
     probe("strict_shift", 64, *shared["strict_shift"])
     probe("quasi_concavity", 65, *shared["quasi_concavity"])
 
-    def draw_timing_invariance(rng, k, t):
-        r1, r2 = int(rng.choice(times[t:])), int(rng.choice(times[t:]))
-        xi = draw_atom_values(space, t, rng)
-        present, pays = stream(rng)
-        paid = [_paid_more(present, pays, r, promoted(t, xi))[1] for r in (r1, r2)]
-        return _aggregate(t, np.array(paid)), ((present, pays),), ([r1, r2], t, xi)
+    def draw_timing_invariance(field, ks, stages):
+        n, trial = len(ks), np.arange(len(ks))
+        dates = stages[:, None] + field().integers(len(times) - stages[:, None],
+                                                   size=(n, 2))
+        xi = (-2.0 + 4.0 * _atom_draws(space, field, n))[trial, stages]
+        present, pays = stream(field, n)
+        paid = np.repeat(pays[:, None], 2, axis=1)
+        for j, r in enumerate(dates.T):  # xi paid at date r, on top of any payment
+            paid[trial, j, r] = ext_add(pays[trial, r], xi)
+        return (_aggregate(stages, paid), zip(zip(present, pays)),
+                [(d, t, _on_atoms(space, t, x))
+                 for d, t, x in zip(dates.tolist(), stages.tolist(), xi)])
 
-    probe("timing_invariance", 66, draw_timing_invariance,
+    probe("timing_invariance", 66, 2, draw_timing_invariance,
           lambda vals, _: _moved(vals, DEFAULT_TOL),
           "payment date of a known transfer mattered", lambda ctx, vals, atoms: {
               "dates": ctx[0], "xi": TVar(space, *ctx[1:]).to_json()})
@@ -365,7 +384,8 @@ def check_lift_time_consistency(d: DynamicMeasure, space: FilteredSpace, *,
     levels = var_rep.meta["z_grid"]
 
     def draw(rng):
-        present, pays = draw_dividend(space, rng, nonnegative_interim=nonnegative_interim)
+        (present,), (pays,) = draw_dividend(space, lambda: rng, 1,
+                                            nonnegative_interim=nonnegative_interim)
         return ({r: XVar(space, _aggregate(r, pays), validate=False) for r in space.times},
                 lambda: {"D": DividendProcess.of_arrays(space, present, pays).to_json()})
 

@@ -39,7 +39,7 @@ from .measures import (ExponentialUtilityMeasure, PerformanceMeasure, evaluate,
 from .report import CheckResult, Report
 from .risk_family import (TOL_C, DualMeasure, induce_risk, induced_family,
                           sample_glr_density)
-from .util import trial_rngs
+from .util import derived_rng
 
 CRITERIA = ("measure-level", "strict-risk", "weak-risk")
 
@@ -279,8 +279,8 @@ def _consistency_pass(d: DynamicMeasure, space: FilteredSpace, z_grid, trials: i
     rep = ConsistencyReport(seed=rng_seed, trials=trials)
     viol = np.zeros(len(CRITERIA), dtype=np.int64)
     ties_skipped = agree_checked = agree_failed = cand_ties = decided = verified = 0
-    for rng in trial_rngs(rng_seed, key, trials):
-        claims, named = draw(rng)
+    for k in range(trials):
+        claims, named = draw(derived_rng(rng_seed, key, k))
         betas = {r: evaluate_rows(d.measure, space, r, x.values[None])[0]
                  for r, x in claims.items()}
         signs = _risk_signs(f, claims, levels, tol)
@@ -414,8 +414,8 @@ def _lockstep_restarts(d: DynamicMeasure, space: FilteredSpace, n_restarts: int,
         betas = {r: evaluate_rows(d.measure, space, r, rows) for r in space.times}
         return _best_separations(space, pairs, betas, z_d, z_u)
 
-    best_x = np.array([rng.uniform(-4.0, 4.0, n)
-                       for rng in trial_rngs(rng_seed, 42, n_restarts)])
+    best_x = np.array([derived_rng(rng_seed, 42, r).uniform(-4.0, 4.0, n)
+                       for r in range(n_restarts)])
     best_m, best_col, best_lzh = score(best_x)
     used = np.ones(n_restarts, dtype=np.intp)
     step = np.full(n_restarts, 4.0)  # half the width of the draws
@@ -619,7 +619,8 @@ def check_penalty_inequality_coherent(z: float = 1.0, s: int = 0, t: int = 1,
     for i, q in enumerate(qs):
         densities.append((f"given[{i}]", np.asarray(q.density, dtype=float)
                           if isinstance(q, DualMeasure) else np.asarray(q, dtype=float)))
-    for i, rng in enumerate(trial_rngs(rng_seed, 43, n_random)):
+    for i in range(n_random):
+        rng = derived_rng(rng_seed, 43, i)
         densities.append((f"vertex_t[{i}]",
                           sample_glr_density(space, t, z, rng).density))
         densities.append((f"vertex_s[{i}]",

@@ -21,9 +21,8 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .lattice import (INF, FilteredSpace, TVar, XVar, _validate_leaf_values,
-                      atom_expector, bin_sums, close_or_both_inf, draw_atom_values,
-                      draw_event_flags, draw_leaf_values, loss_order, num_from_json,
-                      num_to_json)
+                      atom_expector, bin_sums, close_or_both_inf, loss_order,
+                      num_from_json, num_to_json)
 from .report import CheckResult, Report, TwoPhase, run_trials
 
 EPS_STRICT = 1e-12
@@ -696,22 +695,24 @@ def _moved(vals: np.ndarray, tol: float) -> np.ndarray:
 
 def _prober(rep: Report, space: FilteredSpace, trials: int, rng_seed: int,
             head: Callable, values: Callable, show: Callable):
-    """probe(name, key, draw, bad, note, extra) runs one randomized property through
-    ``run_trials`` as a ``TwoPhase`` probe and adds its result to rep.
+    """probe(name, key, n_rows, draw, bad, note, extra) runs one randomized property
+    through ``run_trials`` as a ``TwoPhase`` probe and adds its result to rep.
 
-    Trial k draws its stage head(rng), then draw(rng, k, stage) -> (rows, shown, ctx):
-    the rows that values(stage, rows) values, the claims its witness shows and what
-    its judge and extra fields read.  bad(vals, ctxs) gives each trial's failing
-    atoms.  The first failing trial's witness is the note, show(stage, shown), then
-    extra(ctx, vals, atoms), atoms the ids of its failing atoms (extra may set the note).
+    A chunk of trials ks draws its stages head(field, n), then draw(field, ks,
+    stages) -> (rows, shown, ctx): the (n, n_rows, n_leaves) rows that values(stage,
+    rows) values, and per trial the claims its witness shows and what its judge and
+    extra fields read.  Both draw each field as one array over the chunk (see
+    ``TwoPhase``).  bad(vals, ctxs) gives each trial's failing atoms.  The first
+    failing trial's witness is the note, show(stage, shown), then extra(ctx, vals,
+    atoms), atoms the ids of its failing atoms (extra may set the note).
     """
-    def probe(name, key, draw, bad, note, extra=lambda *_: {}):
-        def drawn(rng, k):
-            t = head(rng)
-            rows, shown, ctx = draw(rng, k, t)
-            return t, rows, (t, shown, ctx)
+    def probe(name, key, n_rows, draw, bad, note, extra=lambda *_: {}):
+        def drawn(field, ks):
+            stages = head(field, len(ks))
+            claims, shown, ctx = draw(field, ks, stages)
+            return stages, claims, list(zip(stages.tolist(), shown, ctx))
 
-        def witness(rows, trial, vals):
+        def witness(_, trial, vals):
             t, shown, ctx = trial
             atoms = [space.atom_id(t, i)
                      for i in np.flatnonzero(bad(vals[None], [ctx])[0]).tolist()]
@@ -719,73 +720,87 @@ def _prober(rep: Report, space: FilteredSpace, trials: int, rng_seed: int,
 
         judge = lambda vals, ctxs: bad(vals, [c for *_, c in ctxs]).any(axis=-1)
         run_trials(rep, name, trials, rng_seed, key,
-                   TwoPhase(drawn, values, judge, witness))
+                   TwoPhase(drawn, values, judge, witness, n_rows * space.n_leaves))
     return probe
 
 
 def _claims_prober(rep: Report, m: PerformanceMeasure, space: FilteredSpace, t: int,
                    trials: int, rng_seed: int):
-    """``_prober`` for claims at stage t: m.values, not evaluate_rows, values a batch
+    """``_prober`` for claims at stage t: m.values, not evaluate_rows, values a chunk
     after one NaN/-inf screen (-inf values get judged); witnesses show X and Y."""
-    return _prober(rep, space, trials, rng_seed, lambda rng: t,
+    return _prober(rep, space, trials, rng_seed, lambda field, n: np.full(n, t),
                    lambda t, rows: m.values(space, t, _validate_leaf_values(rows)),
                    lambda t, shown: {key: XVar(space, x).to_json()
                                      for key, x in zip(("X", "Y"), shown)})
 
 
+def _event_flags(field, n: int, sizes: list) -> np.ndarray:
+    """n random events on each atom count of sizes, side by side as (n, sum) flags:
+    each atom is in with probability 1/2, and an event that is not proper (no atom,
+    or all of several) flips the atom that a second field picks; a lone atom is in."""
+    coins = field().random((n, sum(sizes))) < 0.5
+    picks = field().integers(sizes, size=(n, len(sizes)))
+    for flags, pick in zip(np.split(coins, np.cumsum(sizes)[:-1], axis=1), picks.T):
+        flips = np.flatnonzero(flags.all(axis=1) | ~flags.any(axis=1))
+        flags[flips, pick[flips]] = ~flags[flips, 0] | (flags.shape[1] == 1)
+    return coins
+
+
 def _claim_properties(m: PerformanceMeasure, claim: Callable) -> dict:
     """The randomized properties that payoffs and streams share, by name, each as the
-    (draw, bad, note, extra) of a ``_prober`` probe.  claim(rng, t) -> (row, shown)
-    draws a claim's leaf row to value at stage t and what its witness shows: a payoff
-    is both, a stream (``check_lift_axioms``) is valued at its aggregate from t."""
+    (n_rows, draw, bad, note, extra) of a ``_prober`` probe.  claim(field, stages) ->
+    (x, shown) draws one claim per trial: x its (n, n_leaves) leaf row to value at the
+    trial's stage and shown what its witness shows.  A payoff is both; a stream
+    (``check_lift_axioms``) is valued at its aggregate from the stage.  A draw makes
+    every alternative for every trial and then selects."""
     tol = DEFAULT_TOL
 
-    def quasi_concavity(rng, k, t):
-        (x, shown_x), (y, shown_y) = claim(rng, t), claim(rng, t)
-        lam = float(rng.uniform(0.001, 0.999))  # keep 0 * inf out of the mix
-        return np.array((x, y, lam * x + (1.0 - lam) * y)), (shown_x, shown_y), lam
+    def quasi_concavity(field, ks, stages):
+        (x, shown_x), (y, shown_y) = claim(field, stages), claim(field, stages)
+        lam = field().uniform(0.001, 0.999, (len(ks), 1))  # keep 0 * inf out of the mix
+        return (np.stack((x, y, lam * x + (1.0 - lam) * y), axis=1),
+                zip(shown_x, shown_y), lam[:, 0].tolist())
 
-    def bounds_interval(rng, k, t):
-        x, shown = claim(rng, t)
-        return x[None], (shown,), None
+    def bounds_interval(field, ks, stages):
+        x, shown = claim(field, stages)
+        return x[:, None], zip(shown), [None] * len(ks)
 
-    def monotonicity(rng, k, t):
-        x, shown = claim(rng, t)
-        style = rng.integers(3)
-        if style == 0:
-            bump = rng.uniform(0.0, 2.0, size=len(x))
-        elif style == 1:
-            bump = np.zeros(len(x))
-            bump[rng.integers(len(x))] = rng.uniform(0.0, 4.0)
-        else:
-            bump = np.full(len(x), rng.uniform(0.0, 2.0))
-        return np.array((x, x + bump)), (shown,), bump
+    def monotonicity(field, ks, stages):
+        x, shown = claim(field, stages)
+        (n, width), leaf = x.shape, np.arange(x.shape[1])
+        spread = field().uniform(0.0, 2.0, (n, width))
+        style, at = field().integers((3, width), size=(n, 2)).T
+        spike, level = field().uniform(0.0, (4.0, 2.0), (n, 2)).T
+        bump = np.select([style[:, None] == 0, style[:, None] == 1],
+                         [spread, np.where(leaf == at[:, None], spike[:, None], 0.0)],
+                         level[:, None])
+        return np.stack((x, x + bump), axis=1), zip(shown), bump
 
-    def strict_shift(rng, k, t):
-        x, shown = claim(rng, t)
-        c = float(rng.uniform(0.05, 2.0))
-        return np.array((x, x + c)), (shown,), c
+    def strict_shift(field, ks, stages):
+        x, shown = claim(field, stages)
+        c = field().uniform(0.05, 2.0, (len(ks), 1))
+        return np.stack((x, x + c), axis=1), zip(shown), c[:, 0].tolist()
 
-    def positive_scaling(rng, k, t):
-        x, shown = claim(rng, t)
-        c = float(np.exp(rng.uniform(np.log(0.01), np.log(100.0))))
-        return np.array((x, c * x)), (shown,), c
+    def positive_scaling(field, ks, stages):
+        x, shown = claim(field, stages)
+        c = np.exp(field().uniform(np.log(0.01), np.log(100.0), (len(ks), 1)))
+        return np.stack((x, c * x), axis=1), zip(shown), c[:, 0].tolist()
 
     return {
-        "quasi_concavity": (quasi_concavity, lambda vals, _: _mix_drops(vals, tol),
+        "quasi_concavity": (3, quasi_concavity, lambda vals, _: _mix_drops(vals, tol),
                             "beta(mix) below min",
                             lambda lam, vals, atoms: {"lam": lam, "atom": atoms[0]}),
         # the bounds are declared constants: a gap of rounding size, not tol
-        "bounds_interval": (bounds_interval, lambda vals, _: (
+        "bounds_interval": (1, bounds_interval, lambda vals, _: (
             (vals < m.z_d - 1e-12) | (vals > m.z_u + 1e-12)).any(axis=-2),
                             "value escapes [z_d, z_u]"),
-        "monotonicity": (monotonicity, lambda vals, _: _drops(vals, tol),
+        "monotonicity": (2, monotonicity, lambda vals, _: _drops(vals, tol),
                          "value dropped under a nonnegative bump",
                          lambda bump, vals, atoms: {"bump": bump.tolist()}),
-        "strict_shift": (strict_shift, lambda vals, _: _no_strict_gain(m, vals),
+        "strict_shift": (2, strict_shift, lambda vals, _: _no_strict_gain(m, vals),
                          "no strict gain from a positive constant shift",
                          lambda c, vals, atoms: {"shift": c, "atom": atoms[0]}),
-        "positive_scaling": (positive_scaling, lambda vals, _: _moved(vals, tol),
+        "positive_scaling": (2, positive_scaling, lambda vals, _: _moved(vals, tol),
                              "beta(cX) differs from beta(X)", lambda c, vals, atoms: {
                                  "c": c, "beta_x": [num_to_json(v) for v in vals[0]],
                                  "beta_cx": [num_to_json(v) for v in vals[1]]})}
@@ -812,23 +827,27 @@ def check_axioms(m: PerformanceMeasure, space: FilteredSpace, t: int,
                  trials: int = 200, rng_seed: int = 0) -> Report:
     """Randomized verification of the six defining properties at stage t.
 
-    Each randomized property is a ``_prober`` probe: trial k draws bare arrays from
-    derived_rng(rng_seed, property, k), a batch is screened, valued by one ``m.values``
-    call and judged by one call, and only the first failing trial builds variables.
-    Properties 1-3 come from the table that streams share, ``_claim_properties``, with
-    each drawn payoff as its own claim; ``check_lift_axioms`` runs them on aggregates.
+    Each randomized property is a ``_prober`` probe: a chunk of trials draws each
+    field as one array, the chunk is screened, valued by one ``m.values`` call and
+    judged by one call, and only the first failing trial builds variables.
+    Properties 1-3 come from the table that streams share, ``_claim_properties``,
+    with each drawn payoff as its own claim; ``check_lift_axioms`` runs them on
+    aggregates.
     """
     t = space.check_stage(t)
     tol = DEFAULT_TOL
     at = space.atom_index[t]
 
-    leaves = lambda rng: draw_leaf_values(
-        space, rng, inf_prob=0.02 if rng.random() < 0.25 else 0.0)
+    def leaves(field, n):  # on a quarter of the payoffs +inf legs, 2% of the leaves
+        x = field().uniform(-4.0, 4.0, (n, space.n_leaves))
+        legs = field().random((n, space.n_leaves + 1))
+        return np.where((legs[:, 1:] < 0.02) & (legs[:, :1] < 0.25), INF, x)
+
     raw = lambda x: m.values(space, t, x.values)
     rep = Report(title=f"axioms[{m.label()}] t={t}", seed=rng_seed,
                  meta={"space": space.name or "", "trials": trials})
     probe = _claims_prober(rep, m, space, t, trials, rng_seed)
-    shared = _claim_properties(m, lambda rng, t: (leaves(rng),) * 2)  # its own witness
+    shared = _claim_properties(m, lambda field, t: (leaves(field, len(t)),) * 2)
 
     # 1. quasi concavity
     probe("quasi_concavity", 1, *shared["quasi_concavity"])
@@ -857,13 +876,14 @@ def check_axioms(m: PerformanceMeasure, space: FilteredSpace, t: int,
     probe("strict_shift", 4, *shared["strict_shift"])
 
     # 4. continuity from below along increasing sequences
-    deltas = [2.0 ** -e for e in (0, 5, 10, 20, 30, 40, 45)]
+    deltas = np.array([2.0 ** -e for e in (0, 5, 10, 20, 30, 40, 45)])[:, None]
 
-    def draw_continuity_from_below(rng, k, t):
-        x = leaves(rng)
-        direction = np.ones(space.n_leaves) if k % 2 == 0 else rng.uniform(
-            0.5, 2.0, size=space.n_leaves)
-        return np.array([x] + [x - d * direction for d in deltas]), (x,), None
+    def draw_continuity_from_below(field, ks, stages):
+        x = leaves(field, len(ks))
+        direction = np.where(np.array(ks)[:, None] % 2 == 0, 1.0,
+                             field().uniform(0.5, 2.0, x.shape))[:, None]
+        return (np.concatenate((x[:, None], x[:, None] - deltas * direction), axis=1),
+                zip(x), [None] * len(ks))
 
     def misses_limit(vals):
         """Rows X, then X_n increasing to X: atoms where the last X_n's value misses
@@ -879,17 +899,17 @@ def check_axioms(m: PerformanceMeasure, space: FilteredSpace, t: int,
             return {"note": "sequence not monotone along X_n up"}
         return {"got": vals[-1].tolist(), "want": vals[0].tolist()}
 
-    probe("continuity_from_below", 5, draw_continuity_from_below,
+    probe("continuity_from_below", 5, 1 + len(deltas), draw_continuity_from_below,
           lambda vals, _: _drops(vals[..., 1:, :], tol) | misses_limit(vals),
           "limit misses beta(X)", continuity_extra)
 
     # 5. locality: 1_B beta(X) = 1_B beta(X 1_B)
-    def draw_locality(rng, k, t):
-        x = leaves(rng)
-        flags = draw_event_flags(space, t, rng)
-        return np.array((x, np.where(flags[at], x, 0.0))), (x,), flags
+    def draw_locality(field, ks, stages):
+        x = leaves(field, len(ks))
+        flags = _event_flags(field, len(ks), [space.n_atoms(t)])
+        return np.stack((x, np.where(flags[:, at], x, 0.0)), axis=1), zip(x), flags
 
-    probe("locality", 6, draw_locality,
+    probe("locality", 6, 2, draw_locality,
           lambda vals, flags: np.array(flags) & _moved(vals, tol),
           "value on B depends on payoffs off B",
           lambda flags, vals, atoms: {"atoms": atoms})
@@ -912,16 +932,16 @@ def check_axioms(m: PerformanceMeasure, space: FilteredSpace, t: int,
                                          "z": num_to_json(z)}))
             return rep
 
-    def draw_acceptance_lower_bound(rng, k, t):
-        xi = draw_atom_values(space, t, rng, low=-6.0, high=6.0)
-        return xi[at][None], (), xi
+    def draw_acceptance_lower_bound(field, ks, stages):
+        xi = field().uniform(-6.0, 6.0, (len(ks), space.n_atoms(t)))
+        return xi[:, None, at], [()] * len(ks), xi
 
     def accepted_below(vals, xi):
         """Per level: the atoms where a stage claim reaches it below its floor."""
         return [(vals[..., 0, :] >= z) & (xi < floor - 1e-8)
                 for z, floor in thresholds.items()]
 
-    probe("acceptance_lower_bound", 7, draw_acceptance_lower_bound,
+    probe("acceptance_lower_bound", 7, 1, draw_acceptance_lower_bound,
           lambda vals, xis: np.logical_or.reduce(accepted_below(vals, np.array(xis))),
           "accepted stage claim below the floor", lambda xi, vals, atoms: {
               "z": num_to_json(next(z for z, bad in zip(thresholds, accepted_below(
@@ -936,7 +956,7 @@ def check_scale_invariance(m: PerformanceMeasure, space: FilteredSpace, t: int,
     For a scale-invariant measure the value of a stage-measurable claim xi can only be
     beta(1) where xi > 0 and beta(0) where xi <= 0; both identities are probed and the
     first counterexample is reported (expected for utility-based measures).  Both draw
-    bare arrays and are valued and judged a batch at a time, as in ``check_axioms``;
+    arrays and are valued and judged a chunk at a time, as in ``check_axioms``;
     positive scaling is the ``_claim_properties`` entry that the lift runs on streams.
     """
     t = space.check_stage(t)
@@ -945,19 +965,22 @@ def check_scale_invariance(m: PerformanceMeasure, space: FilteredSpace, t: int,
                  meta={"space": space.name or "", "declared": m.scale_invariant})
     probe = _claims_prober(rep, m, space, t, trials, rng_seed)
 
-    shared = _claim_properties(m, lambda rng, t: (draw_leaf_values(space, rng),) * 2)
+    shared = _claim_properties(m, lambda field, stages: (field().uniform(
+        -4.0, 4.0, (len(stages), space.n_leaves)),) * 2)
     probe("positive_scaling", 11, *shared["positive_scaling"])
 
     beta_one, beta_zero = (m.values(space, t, np.full(space.n_leaves, c))
                            for c in (1.0, 0.0))
 
-    def draw_two_level_structure(rng, k, t):
-        xi = draw_atom_values(space, t, rng, low=-3.0, high=3.0)
-        if rng.random() < 0.3:  # pin an exact zero to exercise the xi <= 0 branch
-            xi[rng.integers(xi.shape[0])] = 0.0
-        return xi[space.atom_index[t]][None], (), xi
+    def draw_two_level_structure(field, ks, stages):
+        n, n_atoms = len(ks), space.n_atoms(t)
+        xi = field().uniform(-3.0, 3.0, (n, n_atoms))
+        pinned = field().random(n) < 0.3  # an exact zero exercises the xi <= 0 branch
+        at = field().integers(n_atoms, size=n)
+        xi[pinned, at[pinned]] = 0.0
+        return xi[:, None, space.atom_index[t]], [()] * n, xi
 
-    probe("two_level_structure", 12, draw_two_level_structure,
+    probe("two_level_structure", 12, 1, draw_two_level_structure,
           lambda vals, xis: ~close_or_both_inf(
               vals[..., 0, :], np.where(np.array(xis) > 0.0, beta_one, beta_zero), tol),
           "stage claim value escapes {beta(1), beta(0)}",

@@ -3,12 +3,14 @@ and the seeded trial runner behind the randomized ones."""
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
 
-from .util import trial_rngs
+from .util import derived_rng
 
 
 @dataclass
@@ -78,64 +80,57 @@ class Report:
 
 
 # Leaf values that one batched kernel call may hold (one row at least).  Two-phase
-# trials are drawn until their rows reach this many and valued in slices of this many;
-# an induced family's capital chain (``risk_family``) is evaluated in blocks of this
-# many.  2^18 floats are 2 MB, so a batch on 2^14 leaves is 16 rows, not the
-# 500 x 8 x 16384 floats of a whole property's trials.
+# trials are drawn in chunks whose rows hold at most this many (one trial at least)
+# and valued in slices of this many; an induced family's capital chain (``risk_family``)
+# is evaluated in blocks of this many.  2^18 floats are 2 MB, so a chunk on 2^14
+# leaves is 16 rows, not the 500 x 8 x 16384 floats of a whole property's trials.
 LEAF_VALUES_PER_CALL = 1 << 18
 
 
 @dataclass(frozen=True)
 class TwoPhase:
-    """A trial probe whose trials share ``values`` and judge calls, a batch at a time.
+    """A trial probe drawn, valued and judged a chunk of trials at a time.
 
-    draw(rng, k) -> (stage, rows, ctx) draws trial k as bare arrays: r rows to value at
-    the stage (r fixed per stage) and the few numbers ctx that judge and witness need.
-    values(stage, rows) maps a batch of rows, each flattened, to (B, n_atoms) values.
-    judge(vals, ctxs) gets one stage's (trials, r, n_atoms) values and ctx list, in
-    draw order, and flags each failing trial; witness(rows, ctx, vals) builds one
-    failing trial's witness dict from its own (r, n_atoms) values.  The Generator
-    handed to draw is reused for the next trial: it is valid only until draw returns.
+    draw(field, ks) -> (stages, rows, ctxs) draws the trials ks, a range of trial
+    indices: their stages (n,), the r rows each values at its stage (n, r, n_leaves)
+    and one ctx per trial for judge and witness.  The j-th call of field() in every
+    chunk gives field j, derived_rng(seed, key, j), continued from chunk to chunk; a
+    draw takes one array per field with a fixed width per trial, so trial k's draw
+    is the same for any trial count and any chunking.  width, r * n_leaves, sizes
+    the chunks.  values(stage, rows) maps rows, each flattened, to (B, n_atoms)
+    values.  judge(vals, ctxs) gets one stage's (trials, r, n_atoms) values and
+    ctxs, in trial order, and flags each failing trial; witness(rows, ctx, vals)
+    builds one failing trial's witness dict from its own (r, n_atoms) values.
     """
 
-    draw: Callable[[np.random.Generator, int], tuple[int, np.ndarray, Any]]
+    draw: Callable[[Callable[[], np.random.Generator], range], tuple]
     values: Callable[[int, np.ndarray], np.ndarray]
     judge: Callable[[np.ndarray, list], np.ndarray]
     witness: Callable[[np.ndarray, Any, np.ndarray], dict]
+    width: int
 
 
-def _judged_batch(probe: TwoPhase, batch: list):
-    """The number of failing trials in a drawn batch, and a thunk for the first one's
+def _judged_chunk(probe: TwoPhase, stages: np.ndarray, rows: np.ndarray, ctxs: list):
+    """The number of failing trials in a drawn chunk, and a thunk for the first one's
     witness: one ``values`` call per stage and slice, one judge call per stage."""
-    failed = np.zeros(len(batch), dtype=bool)
+    failed = np.zeros(len(stages), dtype=bool)
     groups = []
-    for stage in dict.fromkeys(s for s, _, _ in batch):
-        mine = [i for i, (s, _, _) in enumerate(batch) if s == stage]
-        rows = np.stack([batch[i][1] for i in mine])
-        flat = rows.reshape(len(mine) * rows.shape[1], -1)
+    for stage in dict.fromkeys(stages.tolist()):
+        mine = np.flatnonzero(stages == stage).tolist()
+        flat = rows[mine].reshape(-1, rows.shape[-1])
         step = max(1, LEAF_VALUES_PER_CALL // flat.shape[1])
         vals = np.concatenate([probe.values(stage, flat[j:j + step])
                                for j in range(0, len(flat), step)])
         vals = vals.reshape(len(mine), rows.shape[1], -1)
-        failed[mine] = probe.judge(vals, [batch[i][2] for i in mine])
+        failed[mine] = probe.judge(vals, [ctxs[i] for i in mine])
         groups.append((mine, vals))
 
     def witness():
         first = int(failed.argmax())
         mine, vals = next(g for g in groups if first in g[0])
-        return probe.witness(*batch[first][1:], vals[mine.index(first)])
+        return probe.witness(rows[first], ctxs[first], vals[mine.index(first)])
 
     return int(failed.sum()), witness
-
-
-def _two_phase_outcomes(n: int, seed: int, key: int, probe: TwoPhase):
-    batch, held = [], 0
-    for k, rng in enumerate(trial_rngs(seed, key, n)):
-        batch.append(probe.draw(rng, k))
-        held += batch[-1][1].size
-        if held >= LEAF_VALUES_PER_CALL or k == n - 1:
-            yield _judged_batch(probe, batch)
-            batch, held = [], 0
 
 
 def run_trials(rep: Report, name: str, n: int, seed: int, key: int,
@@ -143,24 +138,25 @@ def run_trials(rep: Report, name: str, n: int, seed: int, key: int,
                ) -> CheckResult:
     """Run n seeded trials of one property and add the outcome to rep.
 
-    Trial k draws from derived_rng(seed, key, k)'s stream (seeded by ``trial_rngs``
-    for all k at once), so a shorter run checks a prefix of a longer one.  The
-    Generator handed to draw or probe is reused: it is valid only until that call
-    returns.  A plain probe(rng, k) runs each trial whole and returns None or a
-    witness dict.  A ``TwoPhase`` probe draws trials until their rows hold
-    ``LEAF_VALUES_PER_CALL`` values (or the last trial is drawn), values the batch
-    with one call per stage and slice, judges each stage's trials with one call, and
-    asks only the first failing trial for its witness.  Either way the result counts
-    the failures and keeps the first witness, as one-by-one trials would.  n < 1 raises.
+    A plain probe(rng, k) runs trial k whole, on derived_rng(seed, key, k)'s stream,
+    and returns None or a witness dict.  A ``TwoPhase`` probe draws its trials in
+    chunks, each field from derived_rng(seed, key, field), values each chunk with
+    one call per stage and slice, judges each stage's trials with one call, and asks
+    only the first failing trial for its witness.  Either way a shorter run checks a
+    prefix of a longer one, and the result counts the failures and keeps the first
+    witness, as one-by-one trials would.  n < 1 raises.
     """
     if n < 1:
         raise ValueError("trials must be at least 1")
     if isinstance(probe, TwoPhase):
-        outcomes = _two_phase_outcomes(n, seed, key, probe)
+        made = functools.cache(lambda j: derived_rng(seed, key, j))
+        chunk = max(1, LEAF_VALUES_PER_CALL // probe.width)
+        outcomes = (_judged_chunk(probe, *probe.draw(
+            map(made, itertools.count()).__next__, range(k, min(n, k + chunk))))
+            for k in range(0, n, chunk))
     else:
         outcomes = ((int(w is not None), lambda w=w: w)
-                    for w in (probe(rng, k)
-                              for k, rng in enumerate(trial_rngs(seed, key, n))))
+                    for w in (probe(derived_rng(seed, key, k), k) for k in range(n)))
     res = CheckResult(name, True, trials=n)
     for failures, witness in outcomes:
         if failures:

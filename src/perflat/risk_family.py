@@ -244,7 +244,7 @@ class _CapitalChain:
         self.n = space.n_atoms(t)
         self.g = m.prepare(space, t, x.values)
         self.bracket = lo, hi = _canonical_bracket(x)
-        self.wide = max(-lo, hi) > 2.0 ** 1021  # the search's own rule
+        self.wide = abs(lo) > 2.0 ** 968  # the search's own rule
         self.per_call = max(1, LEAF_VALUES_PER_CALL // space.n_leaves)
         # every query reads g at both canonical ends, the head of the canonical chain
         canonical = self._halving(lo, hi, head=(hi, lo))

@@ -25,17 +25,24 @@ class BracketError(RuntimeError):
 def ladder(end: float, sign: float) -> np.ndarray:
     """The rungs a bracket end expands to: ``end``, then ``end + sign * step`` for
     steps s, 2s, 4s, ... summed one at a time, until a sum reaches the cap
-    ``sign * max(BRACKET_CAP, 2|end|)`` (clipped to the float range), which is the
-    last rung.  The first step s = max(1, ulp(end)) moves every rung off the one
-    before, and the cap carries the ladder past the claim's own scale.  Below 2^53
-    the step is 1, and up to 2^59 the cap is ``BRACKET_CAP``.
+    ``sign * max(BRACKET_CAP, 2|end|)`` (clipped to the float range), which is a
+    rung.  The first step s = max(1, ulp(end)) moves every rung off the one before,
+    and the cap carries the ladder past the claim's own scale.  Below 2^53 the step
+    is 1, and up to 2^59 the cap is ``BRACKET_CAP``.  The downward ladder ends at
+    the cap; the upward one goes on to the largest float, each rung crossing twice
+    as many binades as the one before (1, 2, 4, ...), about ten rungs more.
     """
-    cap = min(max(BRACKET_CAP, 2.0 * abs(end)), sys.float_info.max)
+    top = sys.float_info.max
+    cap = min(max(BRACKET_CAP, 2.0 * abs(end)), top)
     rungs, step = [end], sign * max(1.0, math.ulp(end))
     while sign * rungs[-1] < cap:  # a float step past the range is inf, not an error
         rungs.append(rungs[-1] + step)
         step *= 2.0
     rungs[-1] = sign * cap
+    binades = 1
+    while sign > 0 and rungs[-1] < top:
+        rungs.append(min(rungs[-1] * 2.0 ** binades, top))
+        binades *= 2
     return np.array(rungs)
 
 
@@ -110,10 +117,11 @@ def vector_monotone_inf(g, lo0: float, hi0: float, target: np.ndarray,
     # exceeds tol; only past that point does a component need the stall test, so the
     # common path does no extra numpy work per step.  Where g(hi) is NaN the test runs
     # from the first step: a stalled midpoint can round onto hi, where g >= target is
-    # False, and would move lo onto hi.  Rungs stay within +-max(2^60, 2|end|), so only
-    # an end beyond 2^1021 lets lo + hi or hi - lo overflow: such a wide bracket halves
-    # each end first and runs the stall test from the first step.
-    wide = max(-lo0, hi0) > 2.0 ** 1021
+    # False, and would move lo onto hi.  Upper rungs reach the largest float, lower
+    # ones stay within -max(2^60, 2|lo0|), so lo + hi and hi - lo round back into range
+    # (half its last spacing is 2^970) unless |lo0| > 2^968: such a wide bracket
+    # halves each end first and runs the stall test from the first step.
+    wide = abs(lo0) > 2.0 ** 968
     widest = 0.0 if wide else float(np.max(hi - lo, where=active, initial=0.0))
     free = math.ceil(math.log2(widest) - math.log2(tol)) if widest > tol > 0.0 else 0
     if np.isnan(g_hi).any():

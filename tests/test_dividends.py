@@ -267,7 +267,8 @@ def test_sample_dividend_wraps_its_array_draw(tree2):
         for seed in range(8):
             a, b = np.random.default_rng(seed), np.random.default_rng(seed)
             dp = sample_dividend(tree2, a, nonnegative_interim=nonnegative_interim)
-            present, pays = draw_dividend(tree2, b, nonnegative_interim=nonnegative_interim)
+            (present,), (pays,) = draw_dividend(tree2, lambda: b, 1,
+                                                nonnegative_interim=nonnegative_interim)
             assert a.bit_generator.state == b.bit_generator.state
             assert dp.stages() == np.flatnonzero(present).tolist()
             assert np.array_equal(dp.pays, pays)
@@ -342,8 +343,8 @@ def _drawn_streams(space, seed, n=100):
     atom of a random stage."""
     rng = np.random.default_rng(seed)
     streams = []
-    for k in range(n):
-        present, pays = draw_dividend(space, rng, nonnegative_interim=False)
+    for k, (present, pays) in enumerate(zip(*draw_dividend(
+            space, lambda: rng, n, nonnegative_interim=False))):
         if k % 5 == 0:
             r = int(rng.integers(len(space.times)))
             present[r] = True

@@ -127,6 +127,27 @@ def test_claims_past_two_to_60_expand_on_ladders_of_their_scale(space2, v, z):
         assert np.array_equal(fam.raw(z, 0, x, stop_at=s) < s, got < s)
 
 
+@pytest.mark.parametrize("leaves, z, want", [([0.0, 0.0], 1e30, 1e30),
+                                             ([5e307, -1000.0], 3e307, 5e306),
+                                             ([-1e307, -1e307], 1.6e308, 1.7e308)])
+def test_levels_past_the_cap_climb_the_ladder_to_the_largest_float(space2, leaves, z,
+                                                                   want):
+    # the capital z - E[X] lies past the old cap max(2^60, 2|hi0|): the upward ladder
+    # goes on to the largest float, so the search reaches it, and the chain's signs
+    # are the search's.  In the last case lo0 is about 1e307, and a midpoint
+    # lo + hi with hi at the largest float would overflow: the search and the chain
+    # halve each end first.  The answer is want up to the spacing of want and of the
+    # leaves, where X + c stops moving in floats
+    m = ConditionalExpectation()
+    x = XVar(space2, leaves)
+    got = induce_risk(m, 0, z, x).values.values
+    assert abs(got[0] - want) <= 2.0 * math.ulp(max(want, *map(abs, leaves))), got
+    fam = induced_family(m)
+    for s in (-1e300, 0.0, 1e20, want, got[0], np.nextafter(got[0], INF), 1e300,
+              sys.float_info.max):
+        assert np.array_equal(fam.raw(z, 0, x, stop_at=s) < s, got < s), s
+
+
 @pytest.mark.parametrize("leaves, z", [([1.7e308, 1.7e308], 8.5e307),
                                        ([-1.7e308, -1.7e308], -8.5e307),
                                        ([-1.7e308, 1.7e308], 0.0),
@@ -611,34 +632,42 @@ def test_capital_chain_climbs_the_upper_ladder_to_the_cap(tol):
     # levels past g(hi0) stop on the ladder hi0 + 1, + 2, + 4, ...: a few steps up,
     # deep up, past 2^59, and at BRACKET_CAP itself (claims above 1e3 put hi0 below
     # -998, so the last sum falls short of the cap and the cap is a point of its
-    # own); a level still above g at the cap raises as the search does
+    # own); past the cap the ladder goes on to the largest float, where a level above
+    # g still raises, as the search does
     space = binomial_tree(3)
     rng = np.random.default_rng(3)
     x = XVar(space, rng.uniform(1e3, 2e3, space.n_leaves))
     m, t = _mean(), 2
     n = space.n_atoms(t)
     g = m.prepare(space, t, x.values)
-    at_hi0, at_cap = (g(np.full(n, c))
-                      for c in (1.0 - x.values.min(), solvers.BRACKET_CAP))
+    at_hi0, at_cap, at_top = (g(np.full(n, c)) for c in (
+        1.0 - x.values.min(), solvers.BRACKET_CAP, sys.float_info.max))
     levels = np.array([at_hi0 + rng.uniform(1.0, 40.0, n), rng.uniform(1e6, 1e12, n),
                        rng.uniform(2.0 ** 59 + 1e4, 2.0 ** 60 - 1e4, n),
                        at_cap, np.nextafter(at_cap, -INF), rng.uniform(-4.0, 4.0, n)])
-    chains = _on_the_chain(m, t, x, levels, [-TOL_C, 0.0, 1e9, 2.0 ** 59, 2.0 ** 60],
-                           tol=tol)
+    thresholds = [-TOL_C, 0.0, 1e9, 2.0 ** 59, 2.0 ** 60]
+    chains = _on_the_chain(m, t, x, levels, thresholds, tol=tol)
     rise = chains[0].rise.points
+    cap = rise.tolist().index(solvers.BRACKET_CAP)
+    assert rise[cap - 1] < rise[cap] and len(rise) == cap + 11
+    assert rise[-1] == sys.float_info.max
     his = {rise[top] for chain in chains for top, _ in chain.halvings if top}
-    assert rise[-2] < rise[-1] == solvers.BRACKET_CAP
     assert solvers.BRACKET_CAP in his and len(his) > 3
+    # past the cap, up to the largest float: these brackets reach past 2^1021, where
+    # the search halves each end first, and the chain follows it
+    beyond = np.array([rng.uniform(1e20, 1e300, n), at_top, np.nextafter(at_top, -INF)])
+    _on_the_chain(m, t, x, beyond, thresholds + [1e100, sys.float_info.max], tol=tol)
+    capped = _mean(lambda e: np.minimum(e, 1e200))  # g never reaches 2e200
     unreachable = levels[:1].copy()
-    unreachable[0, 1] = np.nextafter(at_cap[1], INF)
-    for ask in (lambda: _induce_raw(m, t, unreachable, x, stop_at=0.0),
-                lambda: induced_family(m).raw(unreachable, t, x, stop_at=0.0)):
+    unreachable[0, 1] = 2e200
+    for ask in (lambda: _induce_raw(capped, t, unreachable, x, stop_at=0.0),
+                lambda: induced_family(capped).raw(unreachable, t, x, stop_at=0.0)):
         with pytest.raises(RuntimeError, match="never reached the level"):
             ask()
     with pytest.MonkeyPatch.context() as patch:  # the chain raises without the search
         patch.setattr(risk_family, "vector_monotone_inf", None)
         with pytest.raises(RuntimeError, match="never reached the level"):
-            induced_family(m).raw(unreachable, t, x, stop_at=0.0)
+            induced_family(capped).raw(unreachable, t, x, stop_at=0.0)
 
 
 @pytest.mark.parametrize("tol", [TOL_C, 0.0])

@@ -75,6 +75,17 @@ def _rise_by_loop(hi):
         ends.append(hi)
 
 
+def _tail_by_loop(cap):
+    """The upward rungs past the cap: cap * 2, then * 4, * 16, * 256, ..., each
+    product crossing twice the binades of the one before, up to the largest float."""
+    ends, binades = [], 1
+    while cap < sys.float_info.max:
+        cap = min(cap * 2.0 ** binades, sys.float_info.max)
+        binades *= 2
+        ends.append(cap)
+    return ends
+
+
 def _fall_by_loop(lo):
     """lo, then lo - 1, - 2, - 4, ... floored at -BRACKET_CAP, as a loop of its own."""
     ends, step = [lo], 1.0
@@ -97,7 +108,7 @@ def test_ladder_sums_as_the_loops_do_below_2_to_53():
         if rise[-2] == rise[-1]:
             repeats += 1
             rise.pop()
-        assert np.array_equal(ladder(end, 1.0), rise), end
+        assert np.array_equal(ladder(end, 1.0), rise + _tail_by_loop(BRACKET_CAP)), end
         assert np.array_equal(ladder(end, -1.0), _fall_by_loop(end)), end
     assert repeats > n / 10
 
@@ -105,16 +116,19 @@ def test_ladder_sums_as_the_loops_do_below_2_to_53():
 @pytest.mark.parametrize("end", [1e300, -1e300, 1.7e308, -1.7e308, -1e17 + 16.0, 3e19,
                                  2.0 ** 59, 2.0 ** 60])
 def test_ladder_follows_the_scale_of_its_end(end):
-    # every rung moves off the one before, the last is max(cap, 2|end|) clipped to
-    # the float range, and no sum overflows into a warning on the way
+    # every rung moves off the one before, the cap max(2^60, 2|end|) clipped to the
+    # float range is a rung, the last downward one, and the upward ladder goes on
+    # to the largest float; no sum or product overflows into a warning on the way
+    cap = min(max(BRACKET_CAP, 2.0 * abs(end)), sys.float_info.max)
     for sign in (1.0, -1.0):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rungs = ladder(end, sign)
         assert rungs[0] == end and np.all(sign * np.diff(rungs) > 0.0)
         assert rungs[1] == end + sign * max(1.0, math.ulp(end))
-        assert rungs[-1] == sign * min(max(BRACKET_CAP, 2.0 * abs(end)),
-                                      sys.float_info.max)
+        at = rungs.tolist().index(sign * cap)
+        assert rungs[at + 1:].tolist() == (_tail_by_loop(cap) if sign > 0 else [])
+    assert rungs[-1] == -cap and ladder(end, 1.0)[-1] == sys.float_info.max
 
 
 def test_search_refuses_a_tolerance_that_is_not_at_least_zero():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from perflat.util import derived_rng, trial_rngs
+from perflat.report import Report, TwoPhase, run_trials
+from perflat.util import derived_rng
 
 
 @pytest.mark.parametrize("word", [0, 2 ** 31 - 1, 2 ** 32 - 1, 2 ** 32, 2 ** 40])
@@ -26,26 +27,25 @@ KEYS = [0, *range(21, 33), 41, 42, 43, 71, 2 ** 32 - 1]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_trial_rngs_yield_the_streams_of_their_word_lists(seed):
-    # the one-pass seeding (and, from 2^32, the derived_rng fallback) must put every
-    # trial's Generator in the state np.random.default_rng([seed, key, k]) starts in
+def test_per_trial_seeding_draws_the_streams_of_the_word_lists(seed):
+    # a trial-by-trial loop hands trial k the Generator in the state
+    # np.random.default_rng([seed, key, k]) starts in, whether its words seed
+    # numpy as one uint32 array or, from 2^32, as the list
     for key in KEYS:
-        for k, rng in enumerate(trial_rngs(seed, key, 300)):
-            want = np.random.default_rng([int(seed), key, k])
-            assert rng.bit_generator.state == want.bit_generator.state, (seed, key, k)
-            assert np.array_equal(rng.random(3), want.random(3))
-            assert rng.integers(1 << 62) == want.integers(1 << 62)
-        assert k == 299
-
-
-def test_trial_rngs_yield_nothing_for_no_trial():
-    assert list(trial_rngs(3, 41, 0)) == []
+        states = []
+        run_trials(Report("seeding"), "prop", 100, seed, key,
+                   lambda rng, k: states.append(rng.bit_generator.state))
+        assert states == [np.random.default_rng([int(seed), key, k]).bit_generator.state
+                          for k in range(100)], (seed, key)
 
 
 @pytest.mark.parametrize("seed, key", [(-1, 41), (3, -1)])
-def test_trial_rngs_reject_a_negative_word_as_derived_rng_does(seed, key):
+def test_per_trial_seeding_rejects_a_negative_word_as_numpy_does(seed, key):
+    # trial by trial and field by field alike
     with pytest.raises(ValueError) as oracle:
-        derived_rng(seed, key, 0)
-    with pytest.raises(ValueError) as now:
-        next(trial_rngs(seed, key, 5))
-    assert str(now.value) == str(oracle.value)
+        np.random.default_rng([seed, key, 0])
+    two_phase = TwoPhase(lambda field, ks: field(), None, None, None, 1)
+    for probe in (lambda rng, k: None, two_phase):
+        with pytest.raises(ValueError) as now:
+            run_trials(Report("seeding"), "prop", 5, seed, key, probe)
+        assert str(now.value) == str(oracle.value)
