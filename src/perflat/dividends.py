@@ -297,7 +297,7 @@ def check_lift_axioms(m: PerformanceMeasure, space: FilteredSpace,
                 zip(zip(p1, pays1), zip(p2, pays2)),
                 [_on_atoms(space, t, f) for t, f in zip(stages.tolist(), flags)])
 
-    probe("independence_of_past_and_locality", 61, 2,
+    probe("independence_of_past_and_locality", 61,
           draw_independence_of_past_and_locality,
           lambda vals, flags: np.array(flags) & (vals[..., 0, :] != vals[..., 1, :]),
           "value moved on the unchanged event")
@@ -336,7 +336,7 @@ def check_lift_axioms(m: PerformanceMeasure, space: FilteredSpace,
                 [(d, t, _on_atoms(space, t, x))
                  for d, t, x in zip(dates.tolist(), stages.tolist(), xi)])
 
-    probe("timing_invariance", 66, 2, draw_timing_invariance,
+    probe("timing_invariance", 66, draw_timing_invariance,
           lambda vals, _: _moved(vals, DEFAULT_TOL),
           "payment date of a known transfer mattered", lambda ctx, vals, atoms: {
               "dates": ctx[0], "xi": TVar(space, *ctx[1:]).to_json()})

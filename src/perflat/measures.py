@@ -695,18 +695,18 @@ def _moved(vals: np.ndarray, tol: float) -> np.ndarray:
 
 def _prober(rep: Report, space: FilteredSpace, trials: int, rng_seed: int,
             head: Callable, values: Callable, show: Callable):
-    """probe(name, key, n_rows, draw, bad, note, extra) runs one randomized property
+    """probe(name, key, draw, bad, note, extra) runs one randomized property
     through ``run_trials`` as a ``TwoPhase`` probe and adds its result to rep.
 
     A chunk of trials ks draws its stages head(field, n), then draw(field, ks,
-    stages) -> (rows, shown, ctx): the (n, n_rows, n_leaves) rows that values(stage,
+    stages) -> (rows, shown, ctx): the (n, r, n_leaves) rows that values(stage,
     rows) values, and per trial the claims its witness shows and what its judge and
     extra fields read.  Both draw each field as one array over the chunk (see
     ``TwoPhase``).  bad(vals, ctxs) gives each trial's failing atoms.  The first
     failing trial's witness is the note, show(stage, shown), then extra(ctx, vals,
     atoms), atoms the ids of its failing atoms (extra may set the note).
     """
-    def probe(name, key, n_rows, draw, bad, note, extra=lambda *_: {}):
+    def probe(name, key, draw, bad, note, extra=lambda *_: {}):
         def drawn(field, ks):
             stages = head(field, len(ks))
             claims, shown, ctx = draw(field, ks, stages)
@@ -720,7 +720,7 @@ def _prober(rep: Report, space: FilteredSpace, trials: int, rng_seed: int,
 
         judge = lambda vals, ctxs: bad(vals, [c for *_, c in ctxs]).any(axis=-1)
         run_trials(rep, name, trials, rng_seed, key,
-                   TwoPhase(drawn, values, judge, witness, n_rows * space.n_leaves))
+                   TwoPhase(drawn, values, judge, witness))
     return probe
 
 
@@ -748,7 +748,7 @@ def _event_flags(field, n: int, sizes: list) -> np.ndarray:
 
 def _claim_properties(m: PerformanceMeasure, claim: Callable) -> dict:
     """The randomized properties that payoffs and streams share, by name, each as the
-    (n_rows, draw, bad, note, extra) of a ``_prober`` probe.  claim(field, stages) ->
+    (draw, bad, note, extra) of a ``_prober`` probe.  claim(field, stages) ->
     (x, shown) draws one claim per trial: x its (n, n_leaves) leaf row to value at the
     trial's stage and shown what its witness shows.  A payoff is both; a stream
     (``check_lift_axioms``) is valued at its aggregate from the stage.  A draw makes
@@ -787,20 +787,20 @@ def _claim_properties(m: PerformanceMeasure, claim: Callable) -> dict:
         return np.stack((x, c * x), axis=1), zip(shown), c[:, 0].tolist()
 
     return {
-        "quasi_concavity": (3, quasi_concavity, lambda vals, _: _mix_drops(vals, tol),
+        "quasi_concavity": (quasi_concavity, lambda vals, _: _mix_drops(vals, tol),
                             "beta(mix) below min",
                             lambda lam, vals, atoms: {"lam": lam, "atom": atoms[0]}),
         # the bounds are declared constants: a gap of rounding size, not tol
-        "bounds_interval": (1, bounds_interval, lambda vals, _: (
+        "bounds_interval": (bounds_interval, lambda vals, _: (
             (vals < m.z_d - 1e-12) | (vals > m.z_u + 1e-12)).any(axis=-2),
                             "value escapes [z_d, z_u]"),
-        "monotonicity": (2, monotonicity, lambda vals, _: _drops(vals, tol),
+        "monotonicity": (monotonicity, lambda vals, _: _drops(vals, tol),
                          "value dropped under a nonnegative bump",
                          lambda bump, vals, atoms: {"bump": bump.tolist()}),
-        "strict_shift": (2, strict_shift, lambda vals, _: _no_strict_gain(m, vals),
+        "strict_shift": (strict_shift, lambda vals, _: _no_strict_gain(m, vals),
                          "no strict gain from a positive constant shift",
                          lambda c, vals, atoms: {"shift": c, "atom": atoms[0]}),
-        "positive_scaling": (2, positive_scaling, lambda vals, _: _moved(vals, tol),
+        "positive_scaling": (positive_scaling, lambda vals, _: _moved(vals, tol),
                              "beta(cX) differs from beta(X)", lambda c, vals, atoms: {
                                  "c": c, "beta_x": [num_to_json(v) for v in vals[0]],
                                  "beta_cx": [num_to_json(v) for v in vals[1]]})}
@@ -899,7 +899,7 @@ def check_axioms(m: PerformanceMeasure, space: FilteredSpace, t: int,
             return {"note": "sequence not monotone along X_n up"}
         return {"got": vals[-1].tolist(), "want": vals[0].tolist()}
 
-    probe("continuity_from_below", 5, 1 + len(deltas), draw_continuity_from_below,
+    probe("continuity_from_below", 5, draw_continuity_from_below,
           lambda vals, _: _drops(vals[..., 1:, :], tol) | misses_limit(vals),
           "limit misses beta(X)", continuity_extra)
 
@@ -909,7 +909,7 @@ def check_axioms(m: PerformanceMeasure, space: FilteredSpace, t: int,
         flags = _event_flags(field, len(ks), [space.n_atoms(t)])
         return np.stack((x, np.where(flags[:, at], x, 0.0)), axis=1), zip(x), flags
 
-    probe("locality", 6, 2, draw_locality,
+    probe("locality", 6, draw_locality,
           lambda vals, flags: np.array(flags) & _moved(vals, tol),
           "value on B depends on payoffs off B",
           lambda flags, vals, atoms: {"atoms": atoms})
@@ -941,7 +941,7 @@ def check_axioms(m: PerformanceMeasure, space: FilteredSpace, t: int,
         return [(vals[..., 0, :] >= z) & (xi < floor - 1e-8)
                 for z, floor in thresholds.items()]
 
-    probe("acceptance_lower_bound", 7, 1, draw_acceptance_lower_bound,
+    probe("acceptance_lower_bound", 7, draw_acceptance_lower_bound,
           lambda vals, xis: np.logical_or.reduce(accepted_below(vals, np.array(xis))),
           "accepted stage claim below the floor", lambda xi, vals, atoms: {
               "z": num_to_json(next(z for z, bad in zip(thresholds, accepted_below(
@@ -980,7 +980,7 @@ def check_scale_invariance(m: PerformanceMeasure, space: FilteredSpace, t: int,
         xi[pinned, at[pinned]] = 0.0
         return xi[:, None, space.atom_index[t]], [()] * n, xi
 
-    probe("two_level_structure", 12, 1, draw_two_level_structure,
+    probe("two_level_structure", 12, draw_two_level_structure,
           lambda vals, xis: ~close_or_both_inf(
               vals[..., 0, :], np.where(np.array(xis) > 0.0, beta_one, beta_zero), tol),
           "stage claim value escapes {beta(1), beta(0)}",

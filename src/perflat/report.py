@@ -96,18 +96,17 @@ class TwoPhase:
     and one ctx per trial for judge and witness.  The j-th call of field() in every
     chunk gives field j, derived_rng(seed, key, j), continued from chunk to chunk; a
     draw takes one array per field with a fixed width per trial, so trial k's draw
-    is the same for any trial count and any chunking.  width, r * n_leaves, sizes
-    the chunks.  values(stage, rows) maps rows, each flattened, to (B, n_atoms)
-    values.  judge(vals, ctxs) gets one stage's (trials, r, n_atoms) values and
-    ctxs, in trial order, and flags each failing trial; witness(rows, ctx, vals)
-    builds one failing trial's witness dict from its own (r, n_atoms) values.
+    is the same for any trial count and any chunking; trial 0's rows size the
+    chunks.  values(stage, rows) maps rows, each flattened, to (B, n_atoms) values.
+    judge(vals, ctxs) gets one stage's (trials, r, n_atoms) values and ctxs, in
+    trial order, and flags each failing trial; witness(rows, ctx, vals) builds one
+    failing trial's witness dict from its own (r, n_atoms) values.
     """
 
     draw: Callable[[Callable[[], np.random.Generator], range], tuple]
     values: Callable[[int, np.ndarray], np.ndarray]
     judge: Callable[[np.ndarray, list], np.ndarray]
     witness: Callable[[np.ndarray, Any, np.ndarray], dict]
-    width: int
 
 
 def _judged_chunk(probe: TwoPhase, stages: np.ndarray, rows: np.ndarray, ctxs: list):
@@ -133,6 +132,16 @@ def _judged_chunk(probe: TwoPhase, stages: np.ndarray, rows: np.ndarray, ctxs: l
     return int(failed.sum()), witness
 
 
+def _chunk_outcomes(probe: TwoPhase, n: int, seed: int, key: int):
+    """Each chunk's ``_judged_chunk``: trial 0 alone, its rows sizing later chunks."""
+    made, k, chunk = functools.cache(lambda j: derived_rng(seed, key, j)), 0, 1
+    while k < n:
+        drawn = probe.draw(map(made, itertools.count()).__next__,
+                           range(k, min(n, k + chunk)))
+        yield _judged_chunk(probe, *drawn)
+        k, chunk = k + chunk, max(1, LEAF_VALUES_PER_CALL // drawn[1][0].size)
+
+
 def run_trials(rep: Report, name: str, n: int, seed: int, key: int,
                probe: Callable[[np.random.Generator, int], dict | None] | TwoPhase
                ) -> CheckResult:
@@ -149,11 +158,7 @@ def run_trials(rep: Report, name: str, n: int, seed: int, key: int,
     if n < 1:
         raise ValueError("trials must be at least 1")
     if isinstance(probe, TwoPhase):
-        made = functools.cache(lambda j: derived_rng(seed, key, j))
-        chunk = max(1, LEAF_VALUES_PER_CALL // probe.width)
-        outcomes = (_judged_chunk(probe, *probe.draw(
-            map(made, itertools.count()).__next__, range(k, min(n, k + chunk))))
-            for k in range(0, n, chunk))
+        outcomes = _chunk_outcomes(probe, n, seed, key)
     else:
         outcomes = ((int(w is not None), lambda w=w: w)
                     for w in (probe(derived_rng(seed, key, k), k) for k in range(n)))

@@ -42,7 +42,7 @@ from .lattice import (INF, FilteredSpace, TVar, XVar, atom_expect, close_or_both
                       sample_xvar)
 from .measures import ExponentialUtilityMeasure, PerformanceMeasure
 from .report import LEAF_VALUES_PER_CALL, CheckResult, Report, run_trials
-from .solvers import (BracketError, check_tolerance, group_logsumexp, ladder,
+from .solvers import (BracketError, check_tolerance, group_logsumexp, is_wide, ladder,
                       vector_monotone_inf)
 
 TOL_C = 1e-10   # capital tolerance for the per-atom bisection
@@ -183,7 +183,7 @@ class _Halving(_Points):
     otherwise, so from one bracket the search at every level walks one chain of
     nodes, set by s and ``tol``, until it closes (width <= tol, or adjacent floats)
     or the component's own decision at a node leaves it.  The points are ``head``,
-    then the nodes.  On a ``wide`` claim (``vector_monotone_inf``) the midpoint halves
+    then the nodes.  On a ``wide`` bracket (``solvers.is_wide``) the midpoint halves
     each end first.
     """
 
@@ -244,7 +244,6 @@ class _CapitalChain:
         self.n = space.n_atoms(t)
         self.g = m.prepare(space, t, x.values)
         self.bracket = lo, hi = _canonical_bracket(x)
-        self.wide = abs(lo) > 2.0 ** 968  # the search's own rule
         self.per_call = max(1, LEAF_VALUES_PER_CALL // space.n_leaves)
         # every query reads g at both canonical ends, the head of the canonical chain
         canonical = self._halving(lo, hi, head=(hi, lo))
@@ -256,7 +255,7 @@ class _CapitalChain:
 
     def _halving(self, lo, hi, head=()) -> _Halving:
         return _Halving(self.g, self.n, self.per_call, lo, hi, self.s, self.tol,
-                        self.wide, head)
+                        is_wide(self.bracket[0], hi), head)  # the search's own rule
 
     @functools.cached_property
     def rise(self) -> _Points:

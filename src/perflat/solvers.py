@@ -63,6 +63,11 @@ def _expand(g, n: int, end: float, sign: float, stays, moving=True):
     return c, g_c, moving
 
 
+def is_wide(lo0, hi):
+    """lo0 < -2^1021 or hi > 2^1021 (elementwise): lo + hi or hi - lo may overflow."""
+    return (-lo0 > 2.0 ** 1021) | (hi > 2.0 ** 1021)
+
+
 def check_tolerance(name: str, tol: float) -> None:
     """Refuse a tolerance that is not >= 0, NaN included."""
     if not tol >= 0.0:
@@ -117,18 +122,19 @@ def vector_monotone_inf(g, lo0: float, hi0: float, target: np.ndarray,
     # exceeds tol; only past that point does a component need the stall test, so the
     # common path does no extra numpy work per step.  Where g(hi) is NaN the test runs
     # from the first step: a stalled midpoint can round onto hi, where g >= target is
-    # False, and would move lo onto hi.  Upper rungs reach the largest float, lower
-    # ones stay within -max(2^60, 2|lo0|), so lo + hi and hi - lo round back into range
-    # (half its last spacing is 2^970) unless |lo0| > 2^968: such a wide bracket
-    # halves each end first and runs the stall test from the first step.
-    wide = abs(lo0) > 2.0 ** 968
-    widest = 0.0 if wide else float(np.max(hi - lo, where=active, initial=0.0))
+    # False, and would move lo onto hi.  Lower rungs stay within -max(2^60, 2|lo0|),
+    # and halving moves lo up and hi down, so only a bracket ``is_wide`` once expanded
+    # can overflow: it halves each end first and runs the stall test from step one.
+    wide = is_wide(lo0, hi)
+    widest = float(np.max(hi - lo, where=active & ~wide, initial=0.0))
     free = math.ceil(math.log2(widest) - math.log2(tol)) if widest > tol > 0.0 else 0
-    if np.isnan(g_hi).any():
+    if (halve_ends := wide.any()) or np.isnan(g_hi).any():
         free = 0
     steps = 0
     while True:
-        mid = 0.5 * lo + 0.5 * hi if wide else 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+        if halve_ends:
+            mid = np.where(wide, 0.5 * lo + 0.5 * hi, mid)
         run = active & (hi - lo > tol)
         if stop_at is not None:  # the bracket still straddles the threshold
             run &= (lo < stop_at) & (stop_at <= hi)

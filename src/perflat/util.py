@@ -23,11 +23,7 @@ def derived_rng(seed: int, *keys: int) -> np.random.Generator:
 
 
 def task_map(fn, items):
-    """Map fn over items, in order.
-
-    Nothing in perflat calls it: the search runs its restarts in lockstep.  It stays
-    defined only because ``benchmarks/tracer.py`` looks ``perflat.util.task_map`` up
-    by name when it installs its hooks, and its ``--trace 1`` run raises
-    AttributeError without it.
-    """
+    """Map fn over items, in order.  Nothing in perflat calls it; it stays because
+    ``benchmarks/tracer.py`` hooks it by name, and its ``--trace 1`` run raises
+    AttributeError without it."""
     return [fn(it) for it in items]

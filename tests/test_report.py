@@ -68,20 +68,21 @@ def _two_phase(log, fails, rows=2):
         assert vals.tolist() == (drawn.sum(axis=1, keepdims=True) + ctx[0] % 2).tolist()
         return {"k": ctx[0]}
 
-    return TwoPhase(draw, values, judge, witness, rows * 2)
+    return TwoPhase(draw, values, judge, witness)
 
 
 def test_two_phase_draws_every_trial_then_judges_in_order():
     log = []
     rep = Report("runner")
     res = run_trials(rep, "prop", 7, 5, 9, _two_phase(log, fails={2, 3, 5}))
-    # one chunk: every trial drawn at once, then one values call and one judge call
-    # per stage, in the order the stages first appear, each judge call with its
-    # stage's trials in order; then only the first failing trial is asked for its
-    # witness
-    assert log == [("draw", list(range(7))),
-                   ("values", 0, 4 * 2), ("judge", 0, [0, 2, 4, 6]),
+    # trial 0 alone, whose rows size the chunks, then one chunk: every other trial
+    # drawn at once, then one values call and one judge call per stage, in the order
+    # the stages first appear, each judge call with its stage's trials in order;
+    # then only the first failing trial is asked for its witness
+    assert log == [("draw", [0]), ("values", 0, 2), ("judge", 0, [0]),
+                   ("draw", list(range(1, 7))),
                    ("values", 1, 3 * 2), ("judge", 1, [1, 3, 5]),
+                   ("values", 0, 3 * 2), ("judge", 0, [2, 4, 6]),
                    ("witness", 2)]
     assert (res.passed, res.trials, res.failures, res.witness) == (False, 7, 3, {"k": 2})
 
@@ -105,10 +106,10 @@ def test_two_phase_field_j_draws_what_one_phase_trial_j_draws(monkeypatch):
 
         run_trials(Report("runner"), "prop", 6, 5, 9, TwoPhase(
             draw, lambda stage, rows: rows,
-            lambda vals, ctxs: np.zeros(len(ctxs), bool), lambda *_: {}, 6))
+            lambda vals, ctxs: np.zeros(len(ctxs), bool), lambda *_: {}))
         return [len(d) for d in drawn], np.concatenate(drawn).transpose(1, 0, 2)
 
-    for bound, chunks in ((1 << 18, [6]), (12, [2, 2, 2]), (1, [1] * 6)):
+    for bound, chunks in ((1 << 18, [1, 5]), (12, [1, 2, 2, 1]), (1, [1] * 6)):
         sizes, fields = fields_of(bound)
         assert sizes == chunks
         assert np.array_equal(fields, one_phase)
@@ -129,21 +130,22 @@ def test_one_and_two_phase_properties_share_a_report():
 
 
 def test_two_phase_batches_hold_at_most_the_leaf_value_bound(monkeypatch):
-    # a bound of 4 leaf values: a chunk holds as many trials as fit (one at least),
-    # and each values call at most two rows of two leaves; the witness comes from
-    # the first chunk that fails, and no later chunk is asked for one
+    # a bound of 4 leaf values: after trial 0, a chunk holds as many trials as fit
+    # (one at least), and each values call at most two rows of two leaves; the
+    # witness comes from the first chunk that fails, and no later chunk is asked
+    # for one
     monkeypatch.setattr(report, "LEAF_VALUES_PER_CALL", 4)
     log = []
     res = run_trials(Report("runner"), "prop", 5, 5, 9,
                      _two_phase(log, fails={1, 3}, rows=1))
-    assert log == [("draw", [0, 1]),
-                   ("values", 0, 1), ("judge", 0, [0]),
+    assert log == [("draw", [0]), ("values", 0, 1), ("judge", 0, [0]),
+                   ("draw", [1, 2]),
                    ("values", 1, 1), ("judge", 1, [1]),
-                   ("witness", 1),
-                   ("draw", [2, 3]),
                    ("values", 0, 1), ("judge", 0, [2]),
+                   ("witness", 1),
+                   ("draw", [3, 4]),
                    ("values", 1, 1), ("judge", 1, [3]),
-                   ("draw", [4]), ("values", 0, 1), ("judge", 0, [4])]
+                   ("values", 0, 1), ("judge", 0, [4])]
     assert (res.failures, res.witness) == (2, {"k": 1})
     # three rows of two leaves are over the bound: one trial a chunk, in two slices
     log.clear()
@@ -218,7 +220,7 @@ def test_a_run_drawn_in_chunks_draws_what_one_chunk_draws(name, monkeypatch):
     whole = _drawn(_CHECKS[name], 25, monkeypatch)
     monkeypatch.setattr(report, "LEAF_VALUES_PER_CALL", 8)
     chunked = _drawn(_CHECKS[name], 25, monkeypatch)
-    assert all(sizes == [25] for *_, sizes in whole)
+    assert all(sizes == [1, 24] for *_, sizes in whole)
     assert {size for *_, sizes in chunked for size in sizes} <= {1, 2}
     assert len(chunked) == len(whole)
     for (stages, rows, ctx, _), (stages2, rows2, ctx2, _) in zip(whole, chunked):

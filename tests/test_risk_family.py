@@ -129,23 +129,27 @@ def test_claims_past_two_to_60_expand_on_ladders_of_their_scale(space2, v, z):
 
 @pytest.mark.parametrize("leaves, z, want", [([0.0, 0.0], 1e30, 1e30),
                                              ([5e307, -1000.0], 3e307, 5e306),
-                                             ([-1e307, -1e307], 1.6e308, 1.7e308)])
+                                             ([-1e307, -1e307], 1.6e308, 1.7e308),
+                                             ([-1e308, 0.0], 4e307, 9e307),
+                                             ([0.0, 0.0], 1e308, 1e308)])
 def test_levels_past_the_cap_climb_the_ladder_to_the_largest_float(space2, leaves, z,
                                                                    want):
     # the capital z - E[X] lies past the old cap max(2^60, 2|hi0|): the upward ladder
     # goes on to the largest float, so the search reaches it, and the chain's signs
-    # are the search's.  In the last case lo0 is about 1e307, and a midpoint
-    # lo + hi with hi at the largest float would overflow: the search and the chain
-    # halve each end first.  The answer is want up to the spacing of want and of the
-    # leaves, where X + c stops moving in floats
+    # are the search's.  Where the expanded hi passes 2^1021 a midpoint lo + hi would
+    # overflow once halving has moved lo up, even from lo0 = -1 in the last two
+    # cases: the search and the chain halve each end first.  The answer is want up
+    # to the spacing of want and of the leaves, where X + c stops moving in floats
     m = ConditionalExpectation()
     x = XVar(space2, leaves)
     got = induce_risk(m, 0, z, x).values.values
     assert abs(got[0] - want) <= 2.0 * math.ulp(max(want, *map(abs, leaves))), got
     fam = induced_family(m)
-    for s in (-1e300, 0.0, 1e20, want, got[0], np.nextafter(got[0], INF), 1e300,
-              sys.float_info.max):
+    thresholds = (-1e300, 0.0, 1e20, want, got[0], np.nextafter(got[0], INF), 1e300,
+                  sys.float_info.max)
+    for s in thresholds:
         assert np.array_equal(fam.raw(z, 0, x, stop_at=s) < s, got < s), s
+    _on_the_chain(m, 0, x, np.array([z]), thresholds)
 
 
 @pytest.mark.parametrize("leaves, z", [([1.7e308, 1.7e308], 8.5e307),

@@ -44,7 +44,7 @@ def test_per_trial_seeding_rejects_a_negative_word_as_numpy_does(seed, key):
     # trial by trial and field by field alike
     with pytest.raises(ValueError) as oracle:
         np.random.default_rng([seed, key, 0])
-    two_phase = TwoPhase(lambda field, ks: field(), None, None, None, 1)
+    two_phase = TwoPhase(lambda field, ks: field(), None, None, None)
     for probe in (lambda rng, k: None, two_phase):
         with pytest.raises(ValueError) as now:
             run_trials(Report("seeding"), "prop", 5, seed, key, probe)
