@@ -18,8 +18,9 @@ re-verification with explicit margins at tightened bisection tolerance.
 
 One trial loop (``_consistency_pass``) serves payoffs here and dividend streams in
 ``dividends``, given as the claim valued at each stage: per stage pair it reads the
-three criteria over the level grid and, with one mask over (level, F_s-atom), finds
-the atoms at or below a level whose F_t-children (``_child_min``) all sit above it.
+three criteria over a chunk of trials and the level grid and, with one mask over
+(trial, level, F_s-atom), finds the atoms at or below a level whose F_t-children
+(``_child_min``) all sit above it.
 Each candidate away from a tie goes to one verification core, which takes the stage
 values the pass already holds.  A certified violation clears the level by
 BETA_MARGIN on both sides.
@@ -36,8 +37,9 @@ from .lattice import (INF, FilteredSpace, TVar, XVar, jsonable, paste, EventMask
                       sample_xvar)
 from .measures import (ExponentialUtilityMeasure, PerformanceMeasure, evaluate,
                        evaluate_rows)
+from . import report
 from .report import CheckResult, Report
-from .risk_family import (TOL_C, DualMeasure, induce_risk, induced_family,
+from .risk_family import (TOL_C, DualMeasure, _induce_raw, induce_risk,
                           sample_glr_density)
 from .util import derived_rng
 
@@ -231,20 +233,17 @@ def globalize_witness(d: DynamicMeasure, space: FilteredSpace,
                        "the level; the upper bound must sit at the level")
 
 
-def _risk_signs(f, claims: dict, levels: np.ndarray, tol: float) -> dict:
-    """Per stage r, the (n_levels, n_atoms) flags rho < 0, rho <= 0 and |rho| < 10*tol
-    of claims[r], a band where a search run to tol attests no sign.
-
-    Each is a sign query of f, the measure's induced family at tol: below(c), that is
-    ``f.raw(levels, r, x, stop_at=c) < c``, is the full search's rho < c bit for bit,
-    rho <= 0 is below(5e-324), -0.0 included, and |rho| < band is below(band) and not
-    below(nextafter(-band, inf)).
+def _risk_signs(m: PerformanceMeasure, claims: dict, levels: np.ndarray,
+                tol: float) -> dict:
+    """Per stage r, the (n_claims, n_levels, n_atoms) flags rho < 0, rho <= 0 and
+    |rho| < 10*tol of the claims in claims[r], a band where a search run to tol
+    attests no sign; rho is one full search at tol over all of them (``_induce_raw``
+    on claim rows), each claim's block bit for bit its own search.
     """
-    band, out = 10.0 * tol, {}
-    for r, x in claims.items():
-        below = lambda c: f.raw(levels, r, x, stop_at=c) < c
-        out[r] = (below(0.0), below(5e-324),
-                  below(band) & ~below(np.nextafter(-band, INF)))
+    out = {}
+    for r, xs in claims.items():
+        rho = _induce_raw(m, r, levels, xs, tol=tol)
+        out[r] = (rho < 0.0, rho <= 0.0, np.abs(rho) < 10.0 * tol)
     return out
 
 
@@ -255,10 +254,14 @@ def _consistency_pass(d: DynamicMeasure, space: FilteredSpace, z_grid, trials: i
 
     draw(rng), on derived_rng(rng_seed, key, k)'s stream for trial k, returns the
     claim valued at each stage (XVars keyed by stage) and a thunk for the witness
-    fields that name it.  Per stage pair the three readings fill the eq_tc and
-    criteria_agreement entries, and one mask picks the localized candidates in
-    (level, atom) order; each away from a tie goes to ``_verify_localized``, and the
-    first accepted one is the witness.  Returns the report and the number of
+    fields that name it.  A chunk of trials, whose (trial, level) search rows hold at
+    most ``report.LEAF_VALUES_PER_CALL`` leaf values, is valued with one
+    ``evaluate_rows`` call and one search (``_risk_signs``) per stage; where that
+    raises, trial by trial, so the first failing trial raises its own error.  Per
+    stage pair the three readings fill the eq_tc and criteria_agreement entries, and
+    one mask picks the localized candidates; each away from a tie goes to
+    ``_verify_localized`` in (trial, stage pair, level, atom) order, and the first
+    accepted one is the witness.  Returns the report and the number of
     candidates away from a tie.
     """
     if space.horizon < 1:
@@ -273,24 +276,35 @@ def _consistency_pass(d: DynamicMeasure, space: FilteredSpace, z_grid, trials: i
         if not z_d < z < z_u:
             raise ValueError(f"level {z:g} is outside ({z_d:g}, {z_u:g})")
     pairs = _stage_pairs(space)
-    f = induced_family(d.measure, tol=tol)
-    levels = np.array(z_grid)[:, None]
+    m, levels = d.measure, np.array(z_grid)[:, None]
+    chunk = max(1, report.LEAF_VALUES_PER_CALL // (len(z_grid) * space.n_leaves))
+
+    def readings(claims):
+        betas = {r: evaluate_rows(m, space, r, np.stack([x.values for x in xs]))
+                 for r, xs in claims.items()}
+        return betas, _risk_signs(m, claims, levels, tol)
 
     rep = ConsistencyReport(seed=rng_seed, trials=trials)
     viol = np.zeros(len(CRITERIA), dtype=np.int64)
     ties_skipped = agree_checked = agree_failed = cand_ties = decided = verified = 0
-    for k in range(trials):
-        claims, named = draw(derived_rng(rng_seed, key, k))
-        betas = {r: evaluate_rows(d.measure, space, r, x.values[None])[0]
-                 for r, x in claims.items()}
-        signs = _risk_signs(f, claims, levels, tol)
-        # per stage and level: the readings beta > z, rho < 0 and rho <= 0 on every
-        # atom, and a tie on some atom
-        reads = {r: np.stack([betas[r] > levels, *signs[r][:2]]).all(axis=2)
+    for start in range(0, trials, chunk):
+        drawn = [draw(derived_rng(rng_seed, key, k))
+                 for k in range(start, min(trials, start + chunk))]
+        claims = {r: [c[r] for c, _ in drawn] for r in space.times}
+        try:
+            betas, signs = readings(claims)
+        except (ValueError, OverflowError, RuntimeError):
+            for b in range(len(drawn)):
+                readings({r: xs[b:b + 1] for r, xs in claims.items()})
+            raise
+        # per stage, trial and level: the readings beta > z, rho < 0 and rho <= 0 on
+        # every atom, and a tie on some atom
+        reads = {r: np.stack([betas[r][:, None] > levels, *signs[r][:2]]).all(axis=-1)
                  for r in space.times}
-        ties = {r: (np.abs(betas[r] - levels) < TIE_BETA).any(axis=1)
-                | signs[r][2].any(axis=1) for r in space.times}
-        for s, t in pairs:
+        ties = {r: (np.abs(betas[r][:, None] - levels) < TIE_BETA).any(axis=-1)
+                | signs[r][2].any(axis=-1) for r in space.times}
+        found = []
+        for p, (s, t) in enumerate(pairs):
             prem, concl, tie = reads[t], reads[s], ties[s] | ties[t]
             hit = prem & ~concl
             agree = (prem == prem[0]).all(axis=0) & (concl == concl[0]).all(axis=0)
@@ -301,20 +315,22 @@ def _consistency_pass(d: DynamicMeasure, space: FilteredSpace, z_grid, trials: i
             # candidates: an F_s-atom at or below the level, its children all above
             # it; one with a gap under TIE_BETA is a tie and carries no verdict
             bs, bt_min = betas[s], _child_min(space, s, t, betas[t])
-            lv, ks = np.nonzero((bt_min > levels) & (levels >= bs))
-            far = np.minimum(bt_min[ks] - levels[lv, 0], levels[lv, 0] - bs[ks]) >= TIE_BETA
+            b, lv, ks = np.nonzero((bt_min[:, None] > levels) & (levels >= bs[:, None]))
+            bs, bt_min, z = bs[b, ks], bt_min[b, ks], levels[lv, 0]
+            far = np.minimum(bt_min - z, z - bs) >= TIE_BETA
             cand_ties += int(far.size - far.sum())
             decided += int(far.sum())
-            lv, ks = lv[far], ks[far]
-            for z, k, bs_k, bt_k in zip(levels[lv, 0].tolist(), ks.tolist(),
-                                        bs[ks].tolist(), bt_min[ks].tolist()):
-                ok, detail = _verify_localized(d, space, s, t, z, k, claims[s],
-                                               claims[t], bs_k, bt_k)
-                verified += ok
-                if ok and rep.witness is None:
-                    rep.witness = {**_make_witness(space, s, t, z, k, bs_k, bt_k,
-                                                   **named()), **detail}
-        rep.samples += len(pairs) * len(z_grid)
+            found += zip(*(v[far].tolist()
+                           for v in (b, np.full_like(b, p), lv, ks, z, bs, bt_min)))
+        for b, p, _, k, z, bs_k, bt_k in sorted(found):  # trial, pair, level, atom
+            (s, t), (claim, named) = pairs[p], drawn[b]
+            ok, detail = _verify_localized(d, space, s, t, z, k, claim[s], claim[t],
+                                           bs_k, bt_k)
+            verified += ok
+            if ok and rep.witness is None:
+                rep.witness = {**_make_witness(space, s, t, z, k, bs_k, bt_k,
+                                               **named()), **detail}
+        rep.samples += len(drawn) * len(pairs) * len(z_grid)
 
     for c, v in zip(CRITERIA, viol.tolist()):
         rep.add(CheckResult(f"eq_tc[{c}]", v == 0, rep.samples, v))
@@ -344,9 +360,9 @@ def check_time_consistency(d: DynamicMeasure, space: FilteredSpace,
     must agree, and disagreement fails the criteria_agreement entry.  The
     localized scan supplies counterexample candidates, accepted only after
     re-verification; the first accepted witness (in scan order) is reported.
-    The risk readings are sign queries of the induced family at tol
-    (``_risk_signs``), each the full search's sign bit for bit, read per stage
-    pair as arrays over the grid, in ``_consistency_pass``.
+    The risk signs come from one full search at tol per stage for a chunk of
+    trials (``_risk_signs``), read per stage pair as arrays over the trials and
+    the grid, in ``_consistency_pass``.
     """
     def draw(rng):
         x = sample_xvar(space, rng)

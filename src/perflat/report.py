@@ -82,7 +82,8 @@ class Report:
 # Leaf values that one batched kernel call may hold (one row at least).  Two-phase
 # trials are drawn in chunks whose rows hold at most this many (one trial at least)
 # and valued in slices of this many; an induced family's capital chain (``risk_family``)
-# is evaluated in blocks of this many.  2^18 floats are 2 MB, so a chunk on 2^14
+# is evaluated in blocks of this many, and the time-consistency pass searches chunks
+# of trials whose (trial, level) rows hold at most this many.  2^18 floats are 2 MB, so a chunk on 2^14
 # leaves is 16 rows, not the 500 x 8 x 16384 floats of a whole property's trials.
 LEAF_VALUES_PER_CALL = 1 << 18
 

@@ -96,34 +96,44 @@ _UNREACHED_LEVEL = ("shift bracket never reached the level from below; the measu
                    "upper threshold looks misdeclared")
 
 
-def _induce_raw(m: PerformanceMeasure, t: int, z, x: XVar, tol: float = TOL_C,
+def _induce_raw(m: PerformanceMeasure, t: int, z, x, tol: float = TOL_C,
                 stop_at=None) -> np.ndarray:
     """Per-atom inf{c : beta_t(X + c) >= z}, -inf where the search is capped below.
 
     z may be a scalar, a per-atom array or a (B, n_atoms) array of level rows; each
     (row, atom) is one independent component of the search, so a row equals the call
-    made with that row alone, bit for bit.  The measure is prepared once per call.
+    made with that row alone, bit for bit.  x is one claim, or a sequence of claims on
+    one space (claim rows) answered (n_claims, ...), each block bit for bit its
+    one-claim call.  The measure is prepared once per call.
     With ``stop_at``, one threshold, each component stops once its bracket excludes
     it (``vector_monotone_inf``): only ``values < stop_at`` is then exact.  No library
     caller passes it: ``induced_family`` answers sign queries from a
     ``_CapitalChain``, and the stopped search is the reference its tests compare
     against bit for bit.
     """
-    space = x.space
+    one = isinstance(x, XVar)
+    claims = [x] if one else list(x)
+    space = claims[0].space
     n = space.n_atoms(t)
     z = np.asarray(z, dtype=float)
     shape = (n,) if z.ndim < 2 else (z.shape[0], n)
-    target = np.broadcast_to(z, shape).ravel().copy()
-    rows = m.prepare(space, t, x.values)
-    # the search sees one flat vector of (row, atom) components
-    g = rows if len(shape) == 1 else lambda c: rows(c.reshape(shape)).ravel()
-    lo0, hi0 = _canonical_bracket(x)
+    per_claim = np.broadcast_to(z, shape).ravel()
+    target = np.tile(per_claim, len(claims))
+    if one:
+        rows, (lo0, hi0) = m.prepare(space, t, x.values), _canonical_bracket(x)
+    else:  # a leaf row per (claim, level row), the claim's bracket per component
+        rows = m.prepare(space, t, np.repeat([c.values for c in claims],
+                                             per_claim.size // n, axis=0))
+        lo0, hi0 = (np.repeat(ends, per_claim.size)
+                    for ends in zip(*map(_canonical_bracket, claims)))
+    # the search sees one flat vector of (claim, row, atom) components
+    g = rows if one and len(shape) == 1 else lambda c: rows(c.reshape(-1, n)).ravel()
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             values = vector_monotone_inf(g, lo0, hi0, target, tol=tol, stop_at=stop_at)
     except BracketError as e:
         raise RuntimeError(_UNREACHED_LEVEL) from e
-    return values.reshape(shape)
+    return values.reshape(shape if one else (len(claims), *shape))
 
 
 class _Points:
@@ -396,7 +406,8 @@ def induced_family(m: PerformanceMeasure, tol: float = TOL_C) -> StandardFamily:
     """The family inf{c : beta_t(X+c) >= z} for z in (z_d, z_u).
 
     Without ``stop_at`` each call runs the search (``_induce_raw``).  A threshold
-    ``stop_at=s``, one number, is answered from the claim's ``_CapitalChain``: g is
+    ``stop_at=s``, one number, is answered from the claim's ``_CapitalChain`` (for
+    ``reconstruct`` and ``validate_standard_family``, its only callers): g is
     evaluated once at each point that searches stopped at s read (the canonical
     ends, the expansion ladders and the halving chain of each bracket), and each
     (row, atom) is decided by comparing its level with those values, brackets that

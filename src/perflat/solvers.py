@@ -1,6 +1,6 @@
 """Monotone inversion by bracket expansion and bisection, plus a grouped logsumexp.
 
-The main entry point works on vectors: every component starts from one bracket and
+The main entry point works on vectors: every component starts from a bracket and
 moves it on its own, and all components share one function evaluation per iteration,
 which is what makes atomwise threshold searches cheap on a scenario tree.
 """
@@ -46,16 +46,24 @@ def ladder(end: float, sign: float) -> np.ndarray:
     return np.array(rungs)
 
 
-def _expand(g, n: int, end: float, sign: float, stays, moving=True):
-    """n components start at ``end`` and climb ``ladder(end, sign)``, one rung and one g
-    call at a time, while ``stays(g)`` holds (and ``moving``, at the start).  Returns
-    the points, g there and the components still staying on the last rung."""
-    c = np.full(n, float(end))
+def _expand(g, n: int, end, sign: float, stays, moving=True):
+    """n components start at ``end`` (one number, or one per component) and each climbs
+    its own end's ``ladder(end, sign)``, one rung and one g call at a time, while
+    ``stays(g)`` holds (and ``moving``, at the start).  Returns the points, g there and
+    the components still staying on their last rung."""
+    c = np.full(n, end, dtype=float)
     g_c = g(c)
     moving = stays(g_c) & moving
     if moving.any():
-        rungs, at = ladder(end, sign), np.zeros(n, dtype=np.intp)
-        while (climb := moving & (at < len(rungs) - 1)).any():
+        # the ladders of the distinct moving ends, after the start points
+        ends, row = (np.unique(c[moving], return_inverse=True) if np.ndim(end)
+                     else (np.array([end]), 0))
+        ladders = [ladder(e, sign) for e in ends.tolist()]
+        first = n + np.cumsum([0] + [len(r) for r in ladders])  # and one past the last
+        rungs = np.concatenate((c, *ladders))
+        at, last = np.arange(n), np.arange(n)
+        at[moving], last[moving] = first[row], first[row + 1] - 1
+        while (climb := moving & (at < last)).any():
             at += climb
             c = rungs[at]
             g_c = g(c)
@@ -74,17 +82,18 @@ def check_tolerance(name: str, tol: float) -> None:
         raise ValueError(f"{name} must be >= 0, got {tol}")
 
 
-def vector_monotone_inf(g, lo0: float, hi0: float, target: np.ndarray,
+def vector_monotone_inf(g, lo0, hi0, target: np.ndarray,
                         tol: float = 1e-10, stop_at: float | None = None) -> np.ndarray:
     """Componentwise inf{c : g(c)_k >= target_k} for g nondecreasing in c.
 
     ``g`` maps a vector of candidate shifts (one per component) to a vector of values.
-    Every component starts from the bracket [lo0, hi0].  One whose g(hi0) is below
-    target climbs ``ladder(hi0, +1)`` until g reaches target, and one whose g(lo0) is
-    at/above target descends ``ladder(lo0, -1)`` until g falls below it.  A component
-    still at/above target on the last lower rung reports -inf; one still below target
-    on the last upper rung is an inconsistency in the caller's monotone function and
-    raises BracketError.
+    Every component starts from the bracket [lo0, hi0], numbers or (n,) arrays of
+    per-component ends; each reads only its own, as the call with it alone would.
+    One whose g(hi0) is below target climbs ``ladder(hi0, +1)`` until g reaches
+    target, and one whose g(lo0) is at/above target descends ``ladder(lo0, -1)``
+    until g falls below it.  A component still at/above target on the last lower
+    rung reports -inf; one still below target on the last upper rung is an
+    inconsistency in the caller's monotone function and raises BracketError.
 
     Returns the (n,) array of lower bracket endpoints: within ``tol`` of the infimum
     and strictly on the g < target side, so an exactly-probed threshold such as 0.0
@@ -105,7 +114,7 @@ def vector_monotone_inf(g, lo0: float, hi0: float, target: np.ndarray,
     """
     target = np.asarray(target, dtype=float)
     n = target.shape[0]
-    if not lo0 < hi0:
+    if not np.all(lo0 < hi0):
         raise ValueError("need lo0 < hi0")
     check_tolerance("tol", tol)
 

@@ -5,18 +5,20 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from perflat import (INF, CertaintyEquivalentMeasure, CustomMeasure, DynamicMeasure,
+from perflat import (INF, CertaintyEquivalentMeasure, ConditionalExpectation,
+                     CustomMeasure, DynamicMeasure, ExpectedUtilityMeasure,
                      ExponentialUtilityMeasure, GainLossRatio, TVar, UtilitySpec,
                      XVar, binomial_tree, check_lift_time_consistency,
                      check_penalty_inequality_coherent,
                      check_riskaversion_monotone_consistency,
                      check_time_consistency, coin2, evaluate, globalize_witness,
-                     induce_risk, induced_family, lpm_ratio, random_tree, raroc,
+                     induce_risk, lpm_ratio, random_tree, raroc,
                      search_counterexample, verify_witness)
-from perflat import dynamics
+from perflat import dynamics, report
 from perflat.dynamics import (_best_separations, _child_min, _make_witness,
                               _ratio_feasible, _stage_pairs)
 from perflat.lattice import dump_json, sample_xvar
+from perflat.risk_family import _induce_raw
 from perflat.util import derived_rng
 
 
@@ -69,6 +71,64 @@ def test_grid_must_stay_inside_interval(tree2):
     d = DynamicMeasure(GainLossRatio())
     with pytest.raises(ValueError):
         check_time_consistency(d, tree2, z_grid=[0.0, 1.0], trials=5)
+
+
+def test_a_level_the_measure_cannot_reach_raises_the_search_error(tree2):
+    # gain-loss capped at 5 but declared unbounded above: no capital reaches level 7
+    def capped(space, t, v):
+        return np.minimum(GainLossRatio().values(space, t, v), 5.0)
+
+    d = DynamicMeasure(CustomMeasure(capped, z_d=0.0, z_u=INF))
+    with pytest.raises(RuntimeError, match="shift bracket never reached the level "
+                                           "from below"):
+        check_time_consistency(d, tree2, z_grid=[1.0, 7.0], trials=3)
+
+
+def test_the_first_failing_trial_raises_its_own_error(tree2, monkeypatch):
+    # trial 1 values to NaN at the last stage and trial 2 to -inf at the root: a
+    # chunk valued stage by stage meets trial 2 first, but trial 1 decides, as it
+    # does trial by trial
+    def fn(space, t, v):
+        out = GainLossRatio().values(space, t, v)
+        if v[0] == 111.0 and t == 2:
+            return np.full_like(out, np.nan)
+        return np.full_like(out, -INF) if v[0] == 222.0 and t == 0 else out
+
+    claims = iter([[1.0, -1.0, 2.0, -0.5], [111.0, -1.0, 2.0, -0.5],
+                   [222.0, -1.0, 2.0, -0.5]])
+    monkeypatch.setattr(dynamics, "sample_xvar",
+                        lambda space, rng: XVar(space, next(claims)))
+    d = DynamicMeasure(CustomMeasure(fn, z_d=0.0, z_u=INF))
+    with pytest.raises(ValueError, match="nan values are not allowed"):
+        check_time_consistency(d, tree2, trials=3)
+
+
+def test_chunks_within_the_leaf_value_bound_give_the_same_reports(monkeypatch):
+    # chunks of one, two and three trials give the one-chunk reports byte for byte,
+    # witnesses included, and no kernel call holds more than the bound, or one
+    # trial's search rows where the bound is smaller
+    d, space = DynamicMeasure(lpm_ratio(2.0)), binomial_tree(2)
+
+    def reports():
+        return [dump_json(rep.to_json()) for rep in (
+            check_time_consistency(d, space, trials=7, rng_seed=54),
+            check_lift_time_consistency(d, space, trials=7, rng_seed=54))]
+
+    want = reports()
+    assert '"counterexample"' in want[0]
+    sizes, kernel = [], type(d.measure).kernel
+
+    def recorded(self, space, t, leaf_values):
+        f = kernel(self, space, t, leaf_values)
+        return lambda y: sizes.append(y.size) or f(y)
+
+    monkeypatch.setattr(type(d.measure), "kernel", recorded)
+    rows = 5 * space.n_leaves  # one trial's search rows on the default grid
+    for bound in (1, rows, 2 * rows + 1, 3 * rows):
+        monkeypatch.setattr(report, "LEAF_VALUES_PER_CALL", bound)
+        sizes.clear()
+        assert reports() == want, bound
+        assert max(sizes) == max(bound - bound % rows, rows), bound
 
 
 @pytest.mark.parametrize("per_restart", [0, -3])
@@ -379,12 +439,12 @@ def _search_sequential(d, space, n_restarts, rng_seed, per_restart):
 
 
 def _signs_per_level(m):
-    """_risk_signs for measure m, read from one full search per (stage, level)."""
-    def signs(f, claims, levels, tol):
+    """_risk_signs for measure m, read from one full search per (stage, claim, level)."""
+    def signs(_, claims, levels, tol):
         out = {}
-        for r, x in claims.items():
-            rho = np.array([induce_risk(m, r, z, x, tol=tol).values.values
-                            for z in levels[:, 0]])
+        for r, xs in claims.items():
+            rho = np.array([[induce_risk(m, r, z, x, tol=tol).values.values
+                             for z in levels[:, 0]] for x in xs])
             out[r] = (rho < 0.0, rho <= 0.0, np.abs(rho) < 10.0 * tol)
         return out
     return signs
@@ -403,6 +463,37 @@ _MEASURES = {"lpm": lambda: lpm_ratio(2.0), "glr": GainLossRatio,
              "exp": lambda: ExponentialUtilityMeasure(0.7),
              "ce": lambda: CertaintyEquivalentMeasure(UtilitySpec("exp", lam=1.0)),
              "raroc": lambda: raroc(0.5), "one_row_glr": _one_row_glr}
+# every shipped measure, and one whose fn takes one row at a time
+_CLAIM_ROW_MEASURES = {
+    **_MEASURES, "cond_exp": ConditionalExpectation,
+    "power_utility": lambda: ExpectedUtilityMeasure(UtilitySpec("power", eta=0.5))}
+
+
+@pytest.mark.parametrize("measure", list(_CLAIM_ROW_MEASURES))
+def test_claim_rows_give_each_claim_its_own_search(measure):
+    # claims with +inf legs at scales 1, 1e6 and 1e300, searched in one call per
+    # stage (as the consistency pass does): each claim's block is its one-claim call
+    # bit for bit, at level rows, per-atom levels and one level, full or stopped;
+    # the levels far out make some brackets climb and some fall
+    m = _CLAIM_ROW_MEASURES[measure]()
+    z_d, z_u = m.z_d, m.z_u
+    grid = np.array([1e-9, 0.3, 1.1, 7.0, 1e9] if z_d == 0.0 else
+                    [-1e7, -3.0, -0.2, 0.5, 1.0 - 1e-12] if z_u == 1.0 else
+                    [-1e7, -3.0, 0.2, 1.5, 1e7])
+    space = random_tree(np.random.default_rng(5003), periods=2, max_leaves=8)
+    rng = np.random.default_rng(29)
+    xs = [XVar(space, sample_xvar(space, rng, inf_prob=0.25).values * scale)
+          for scale in (1.0, 1.0, 1e6, 1e300)]
+    for t in space.times:
+        n = space.n_atoms(t)
+        for z, stop_at in ((grid[:, None], None), (grid[:, None], 0.0),
+                           (rng.choice(grid, n), None), (grid[1], None)):
+            got = _induce_raw(m, t, z, xs, stop_at=stop_at)
+            for x, block in zip(xs, got):
+                want = _induce_raw(m, t, z, x, stop_at=stop_at)
+                assert np.array_equal(block, want), (t, z, stop_at, x.values)
+
+
 _SPACES = {"tree2": lambda: binomial_tree(2), "tree3": lambda: binomial_tree(3),
            "random1": lambda: random_tree(np.random.default_rng(1), periods=2,
                                           max_leaves=8),
@@ -477,17 +568,17 @@ def test_level_rows_match_the_per_level_consistency_check(measure, space_name,
 def test_risk_signs_match_the_full_search_at_zero_in_the_band_and_at_minus_inf():
     # rho(0) = 0 exactly (weak but not strict, and a tie), [3, -1] at z = 2 sits
     # inside the tie band, the +inf leaf gives -inf, and [1, -1] gives positive risks
+    # all four claims go through one search per stage, as the trials of a chunk do
     m, space, levels = GainLossRatio(), coin2(), np.array([[1.0], [2.0]])
-    f, full = induced_family(m), _signs_per_level(m)
-    zero_risk = False
-    for leaves in ([0.0, 0.0], [3.0, -1.0], [INF, -1.0], [1.0, -1.0]):
-        claims = dict.fromkeys(space.times, XVar(space, leaves))
-        got, want = (dynamics._risk_signs(f, claims, levels, 1e-10),
-                     full(f, claims, levels, 1e-10))
-        for r in space.times:
-            assert all(np.array_equal(a, b) for a, b in zip(got[r], want[r])), leaves
-            zero_risk |= bool((want[r][1] & ~want[r][0]).any())
-    assert zero_risk
+    xs = [XVar(space, leaves)
+          for leaves in ([0.0, 0.0], [3.0, -1.0], [INF, -1.0], [1.0, -1.0])]
+    claims = dict.fromkeys(space.times, xs)
+    got, want = (dynamics._risk_signs(m, claims, levels, 1e-10),
+                 _signs_per_level(m)(m, claims, levels, 1e-10))
+    for r in space.times:
+        assert all(np.array_equal(a, b) for a, b in zip(got[r], want[r])), r
+    assert want[0][0][2].all() and not want[0][2][2].any()  # -inf at the root
+    assert any((want[r][1] & ~want[r][0]).any() for r in space.times)
 
 
 def test_level_rows_match_the_per_level_profile_check(monkeypatch):

@@ -173,6 +173,27 @@ def test_claims_at_the_edge_of_the_float_range_halve_without_overflow(space2, le
         assert np.array_equal(fam.raw(z, 0, x, stop_at=s) < s, got < s), s
 
 
+@pytest.mark.parametrize("stop_at", [None, 0.0])
+def test_claim_rows_at_the_edge_of_the_float_range_give_each_claims_own_search(
+        space2, stop_at):
+    # the claims of the two tests above, and two small ones, at all of their levels
+    # in one call: brackets that climb past the cap and turn wide, canonical ends
+    # beyond 2^1021 and a fall to -inf, each claim's block its one-claim call bit
+    # for bit
+    m = ConditionalExpectation()
+    xs = [XVar(space2, leaves) for leaves in (
+        [0.0, 0.0], [5e307, -1000.0], [-1e307, -1e307], [-1e308, 0.0],
+        [1.7e308, 1.7e308], [-1.7e308, 1.7e308], [1.0, -1.0])]
+    z = np.array([[-1e25], [0.0], [1e30], [3e307], [4e307], [1e308]])
+    got = _induce_raw(m, 0, z, xs, stop_at=stop_at)
+    assert got.shape == (len(xs), len(z), 1)
+    for x, block in zip(xs, got):
+        assert np.array_equal(block, _induce_raw(m, 0, z, x, stop_at=stop_at)), x.values
+    lo0, hi0 = map(np.array, zip(*map(_canonical_bracket, xs)))
+    assert np.any(got[:, :, 0] > hi0[:, None]) and np.isneginf(got).any()
+    assert np.any(solvers.is_wide(lo0[:, None], np.maximum(got[:, :, 0], hi0[:, None])))
+
+
 def test_a_tolerance_that_is_not_at_least_zero_is_refused():
     # a NaN tolerance stops every bisection at once and answers a bracket end
     m, x = GainLossRatio(), XVar(binomial_tree(2), [3.0, -1.0, 2.0, -2.0])

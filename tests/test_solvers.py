@@ -136,3 +136,49 @@ def test_search_refuses_a_tolerance_that_is_not_at_least_zero():
         with pytest.raises(ValueError, match="must be >= 0"):
             vector_monotone_inf(lambda c: c, -1.0, 1.0, np.array([0.3]), tol=tol)
     assert vector_monotone_inf(lambda c: c, -1.0, 1.0, np.array([0.3]), tol=0.0) < 0.3
+
+
+# (lo0, hi0, target) under g(c) = c: inside the bracket; up past the 2^60 cap and
+# down to -inf below it; down and up by a few rungs at the scale of 1e6; brackets
+# of 1e300 and at the float range, which are wide (``is_wide``) once expanded or
+# from the start; and brackets shared by several components
+_BRACKETS = [(-1.0, 1.0, 0.3), (-1.0, 1.0, 1e30), (-1.0, 1.0, -1e25),
+             (-3e6, -1e6, -5e6), (-3e6, -1e6, 2.5e6), (-1e300, 2e300, 3e300),
+             (-1e300, 2e300, -1.5e300), (-1e307, 1e307, 1.6e308),
+             (-1e308, 0.0, 4e307), (-1.0, 1.0, -0.25), (-3e6, -1e6, -2e6)]
+
+
+@pytest.mark.parametrize("stop_at", [None, 0.0, 2e6])
+def test_a_bracket_per_component_gives_each_component_its_own_search(stop_at):
+    # each component reads only its own bracket and its own end's ladders: the call
+    # with one bracket per component gives what each bracket's scalar call gives
+    # (a wide hi - lo is inf, which the search's callers let pass without a warning)
+    lo0, hi0, target = map(np.array, zip(*_BRACKETS))
+    with np.errstate(over="ignore"):
+        got = vector_monotone_inf(lambda c: c, lo0, hi0, target, stop_at=stop_at)
+        for k, (lo, hi, z) in enumerate(_BRACKETS):
+            want = vector_monotone_inf(lambda c: c, lo, hi, np.array([z]),
+                                       stop_at=stop_at)
+            assert np.array_equal(got[k:k + 1], want), _BRACKETS[k]
+    if stop_at is None:
+        assert np.isneginf(got[2]) and got[1] > 2.0 ** 60 and got[7] > 1e308
+        assert np.allclose(got[np.isfinite(got)], target[np.isfinite(got)], rtol=1e-15)
+
+
+def test_a_scalar_bracket_searches_as_the_same_bracket_per_component():
+    # one bracket for all components takes the same path, g call for g call, as that
+    # bracket repeated per component
+    target = np.array([0.3, 1e30, -1e25, -0.25, 5e6, -7.5])
+
+    def run(lo0, hi0):
+        calls = []
+
+        def g(c):
+            calls.append(c.copy())
+            return c
+        return vector_monotone_inf(g, lo0, hi0, target), calls
+
+    (one, one_calls), (rows, row_calls) = (run(-1.0, 1.0),
+                                           run(np.full(6, -1.0), np.full(6, 1.0)))
+    assert np.array_equal(one, rows) and len(one_calls) == len(row_calls) > 60
+    assert all(np.array_equal(a, b) for a, b in zip(one_calls, row_calls))
