@@ -38,8 +38,7 @@ import numpy as np
 
 from .dynamics import (BETA_MARGIN, CRITERIA, DynamicMeasure, _child_min,
                        _consistency_pass, check_time_consistency, verify_witness)
-from .lattice import (INF, FilteredSpace, TVar, XVar, ext_add, ext_mul, num_from_json,
-                      num_to_json)
+from .lattice import INF, FilteredSpace, TVar, XVar, ext_add, num_from_json, num_to_json
 from .measures import (DEFAULT_TOL, PerformanceMeasure, _claim_properties,
                        _event_flags, _missed_lower_bound, _moved, _prober, evaluate,
                        evaluate_rows)
@@ -165,21 +164,6 @@ class DividendProcess:
         pays[r] = ext_add(pays[r], amount) if present[r] else amount
         present[r] = True
         return DividendProcess.of_arrays(self.space, present, pays)
-
-    def scaled(self, c: float) -> "DividendProcess":
-        if c < 0.0:
-            raise ValueError("negative scaling flips the lower bound")
-        return DividendProcess.of_arrays(self.space, self.present,
-                                         ext_mul(self.pays, c))
-
-    def mixed_with(self, other: "DividendProcess", lam: float) -> "DividendProcess":
-        """Stagewise convex mix lam*self + (1-lam)*other."""
-        if not 0.0 <= lam <= 1.0:
-            raise ValueError("mixing weight must lie in [0, 1]")
-        if not other.space.same_structure(self.space):
-            raise ValueError("payment lives on a different space")
-        mixed = ext_add(ext_mul(self.pays, lam), ext_mul(other.pays, 1.0 - lam))
-        return DividendProcess.of_arrays(self.space, self.present | other.present, mixed)
 
     def to_json(self) -> dict:
         return {"space": self.space.name or "",

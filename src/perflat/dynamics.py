@@ -129,11 +129,11 @@ def _witness_key(w: dict) -> str:
     return json.dumps(jsonable(w), sort_keys=True)
 
 
-def _level_grid(z_d: float, z_u: float, n: int = 5) -> list[float]:
-    """Interior levels spread evenly in arctan coordinates."""
+def _level_grid(z_d: float, z_u: float) -> list[float]:
+    """Five interior levels spread evenly in arctan coordinates."""
     lo = math.atan(max(z_d, -1e6))
     hi = math.atan(min(z_u, 1e6))
-    us = np.linspace(lo, hi, n + 2)[1:-1]
+    us = np.linspace(lo, hi, 7)[1:-1]
     return [float(np.tan(u)) for u in us]
 
 

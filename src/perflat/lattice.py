@@ -267,10 +267,6 @@ class FilteredSpace:
             raise ValueError("need s <= t")
         return np.unique(self.atom_index[t][self.atom_index[s] == k]).tolist()
 
-    def parent_atom(self, s: int, t: int, k: int) -> int:
-        """Stage-s atom containing stage-t atom k (s <= t)."""
-        return int(self.atom_index[s][self.atom_first[t][k]])
-
     def same_structure(self, other: "FilteredSpace") -> bool:
         # in place, stopping at the first difference; equal index arrays are equal
         # atoms in equal order
@@ -396,13 +392,6 @@ class XVar:
         """X ^ n, the pointwise minimum with the constant n."""
         return XVar(self.space, np.minimum(self.values, float(n)))
 
-    def neg_part(self) -> "XVar":
-        """X^- = max(-X, 0); finite because X is bounded below."""
-        return XVar(self.space, np.maximum(-self.values, 0.0))
-
-    def pos_part(self) -> "XVar":
-        return XVar(self.space, np.maximum(self.values, 0.0))
-
     def restrict(self, mask: "EventMask") -> "XVar":
         """X * 1_B with the 0 * inf = 0 convention (off-event values become 0)."""
         _check_same_space(self.space, mask.space)
@@ -467,11 +456,6 @@ class TVar:
         self.values = v
         self.kind = kind
 
-    @classmethod
-    def constant(cls, space: FilteredSpace, stage: int, c: float,
-                 kind: str | None = "bb") -> "TVar":
-        return cls(space, stage, np.full(space.n_atoms(stage), float(c)), kind=kind)
-
     def promote(self) -> XVar:
         """Expand to a leafwise variable, constant on each atom."""
         return XVar(self.space, self.values[self.space.atom_index[self.stage]],
@@ -529,10 +513,6 @@ class EventMask:
         self.flags = f
 
     @classmethod
-    def full(cls, space: FilteredSpace, stage: int) -> "EventMask":
-        return cls(space, stage, np.ones(space.n_atoms(stage), dtype=bool))
-
-    @classmethod
     def of_atoms(cls, space: FilteredSpace, stage: int, atoms: Iterable[int]) -> "EventMask":
         f = np.zeros(space.n_atoms(stage), dtype=bool)
         for k in atoms:
@@ -541,12 +521,6 @@ class EventMask:
 
     def leaf_values(self) -> np.ndarray:
         return self.flags[self.space.atom_index[self.stage]]
-
-    def complement(self) -> "EventMask":
-        return EventMask(self.space, self.stage, ~self.flags)
-
-    def is_empty(self) -> bool:
-        return not bool(self.flags.any())
 
     def __repr__(self):
         atoms = [self.space.atom_id(self.stage, k)
@@ -720,43 +694,29 @@ def random_tree(rng: np.random.Generator, periods: int = 2, max_leaves: int = 16
                          name=name)
 
 
-def draw_leaf_values(space: FilteredSpace, rng: np.random.Generator,
-                     inf_prob: float = 0.0) -> np.ndarray:
-    """Random leaf values, uniform on [-4, 4); inf_prob adds +inf legs."""
+def sample_xvar(space: FilteredSpace, rng: np.random.Generator,
+                inf_prob: float = 0.0) -> XVar:
+    """Random terminal variable, uniform on [-4, 4); inf_prob adds +inf legs.  Draws
+    ``rng.uniform(-4, 4, n)`` and, where inf_prob > 0, ``rng.random(n)`` (n leaves)."""
     v = rng.uniform(-4.0, 4.0, size=space.n_leaves)
     if inf_prob > 0.0:
         v[rng.random(space.n_leaves) < inf_prob] = INF
-    return v
+    return XVar(space, v)
 
 
-def draw_atom_values(space: FilteredSpace, t: int, rng: np.random.Generator,
-                     low: float = -2.0, high: float = 2.0) -> np.ndarray:
-    """Random stage-t atom values, uniform on [low, high)."""
-    return rng.uniform(low, high, size=space.n_atoms(t))
-
-
-def draw_event_flags(space: FilteredSpace, t: int, rng: np.random.Generator) -> np.ndarray:
-    """Random stage-t atom flags, proper (neither none nor all) where the stage allows."""
-    n = space.n_atoms(t)
-    flags = rng.random(n) < 0.5
-    if n == 1:
-        return np.ones(1, dtype=bool)
-    if flags.all() or not flags.any():  # flip one atom to make the event proper
-        flags[int(rng.integers(n))] = not flags[0]
-    return flags
-
-
-def sample_xvar(space: FilteredSpace, rng: np.random.Generator,
-                inf_prob: float = 0.0) -> XVar:
-    """``draw_leaf_values`` as a terminal variable."""
-    return XVar(space, draw_leaf_values(space, rng, inf_prob))
-
-
-def sample_tvar(space: FilteredSpace, t: int, rng: np.random.Generator,
-                low: float = -2.0, high: float = 2.0) -> TVar:
-    return TVar(space, t, draw_atom_values(space, t, rng, low, high))
+def sample_tvar(space: FilteredSpace, t: int, rng: np.random.Generator) -> TVar:
+    """Random stage-t variable: ``rng.uniform(-2, 2, n)`` on its n atoms."""
+    return TVar(space, t, rng.uniform(-2.0, 2.0, size=space.n_atoms(t)))
 
 
 def sample_event(space: FilteredSpace, t: int, rng: np.random.Generator) -> EventMask:
-    """``draw_event_flags`` as an F_t-event."""
-    return EventMask(space, t, draw_event_flags(space, t, rng))
+    """Random F_t-event, proper (neither none nor all) where the stage allows.  Draws
+    ``rng.random(n)`` (n stage-t atoms), even at one atom, where the event is the
+    whole space, and ``rng.integers(n)`` to flip one atom of an improper draw."""
+    n = space.n_atoms(t)
+    flags = rng.random(n) < 0.5
+    if n == 1:
+        flags[0] = True
+    elif flags.all() or not flags.any():
+        flags[int(rng.integers(n))] = not flags[0]
+    return EventMask(space, t, flags)

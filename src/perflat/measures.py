@@ -817,10 +817,10 @@ def _missed_lower_bound(m: PerformanceMeasure, values_at) -> np.ndarray | None:
     return vals
 
 
-def _interior_levels(z_d: float, z_u: float, qs=(0.25, 0.5, 0.75)) -> list[float]:
+def _interior_levels(z_d: float, z_u: float) -> list[float]:
     u_lo = math.atan(max(z_d, -1e12))
     u_hi = math.atan(min(z_u, 1e12))
-    return [math.tan(u_lo + q * (u_hi - u_lo)) for q in qs]
+    return [math.tan(u_lo + q * (u_hi - u_lo)) for q in (0.25, 0.5, 0.75)]
 
 
 def check_axioms(m: PerformanceMeasure, space: FilteredSpace, t: int,

@@ -55,8 +55,9 @@ TOL_Z = 1e-8    # level tolerance (in atan coordinates) for reconstruction
 
 @dataclass
 class RiskPoint:
-    """Per-atom risk at one level: stage, level(s), values (bounded above, -inf ok),
-    and the capital tolerance ``tol`` that ``near_zero`` reads them at."""
+    """Per-atom risk at one level: stage, level(s), values (bounded above; -inf where
+    the level is reached at every capital), and the capital tolerance ``tol`` that
+    ``near_zero`` reads them at."""
 
     stage: int
     level: float | np.ndarray
@@ -67,11 +68,6 @@ class RiskPoint:
     def near_zero(self) -> np.ndarray:
         """|rho| <= tol: zero at the resolution of the search."""
         return np.abs(self.values.values) <= self.tol
-
-    @property
-    def capped(self) -> np.ndarray:
-        """rho = -inf: the level is reached at every capital."""
-        return np.isneginf(self.values.values)
 
     def to_json(self) -> dict:
         lv = self.level
@@ -92,8 +88,9 @@ def _canonical_bracket(x: XVar) -> tuple[float, float]:
     return -fmax - max(1.0, math.ulp(fmax)), -fmin + max(1.0, math.ulp(fmin))
 
 
-_UNREACHED_LEVEL = ("shift bracket never reached the level from below; the measure's "
-                   "upper threshold looks misdeclared")
+_UNREACHED_LEVEL = ("shift bracket never reached the level from below: the level needs "
+                    "capital past the float range, or the measure's upper threshold is "
+                    "misdeclared")
 
 
 def _induce_raw(m: PerformanceMeasure, t: int, z, x, tol: float = TOL_C,

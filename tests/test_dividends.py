@@ -5,11 +5,11 @@ from perflat import (INF, CustomMeasure, DividendProcess, DynamicMeasure,
                      ExponentialUtilityMeasure, GainLossRatio, TVar, XVar,
                      atom_expect, binomial_tree, check_lift_axioms, coin2,
                      check_lift_time_consistency, evaluate, lift_evaluate,
-                     lpm_ratio, random_tree, sample_dividend)
+                     lpm_ratio, random_tree, sample_dividend, sample_xvar)
 from perflat import dividends
 from perflat.dividends import _aggregate, _paid_at_the_end, draw_dividend
 from perflat.dynamics import check_time_consistency
-from perflat.lattice import EventMask, draw_leaf_values, ext_add, num_from_json
+from perflat.lattice import EventMask, ext_add, num_from_json
 from perflat.measures import check_axioms
 from perflat.util import derived_rng
 
@@ -41,22 +41,6 @@ def test_aggregate_tail_sums(tree2):
     assert np.allclose(dp.aggregate_from(0).values, [3.5, 3.0, 0.0, 0.5])
     assert np.allclose(dp.aggregate_from(1).values, [2.5, 2.0, -1.0, -0.5])
     assert np.allclose(dp.aggregate_from(2).values, [0.5, 0.0, 0.0, 0.5])
-
-
-def test_scaling_and_mixing(tree2):
-    dp = DividendProcess(tree2, {1: TVar(tree2, 1, [2.0, -1.0]), 2: 1.0})
-    doubled = dp.scaled(2.0)
-    assert np.allclose(doubled.aggregate_from(0).values,
-                       2.0 * dp.aggregate_from(0).values)
-    with pytest.raises(ValueError):
-        dp.scaled(-1.0)
-    other = DividendProcess(tree2, {2: 3.0})
-    mix = dp.mixed_with(other, 0.25)
-    want = 0.25 * dp.aggregate_from(0).values + 0.75 * other.aggregate_from(0).values
-    assert np.allclose(mix.aggregate_from(0).values, want)
-    for elsewhere in (binomial_tree(2, p=0.3), coin2()):  # other probabilities, tree
-        with pytest.raises(ValueError, match="payment lives on a different space"):
-            dp.mixed_with(DividendProcess(elsewhere, {1: 1.0}), 0.5)
 
 
 def test_stream_json_round_trip(tree2):
@@ -363,7 +347,7 @@ def test_aggregate_of_a_final_payment_is_the_payment(space):
     streams = _drawn_streams(space, 68)
     pays = np.stack([p for _, p in streams])
     rng = np.random.default_rng(69)
-    payoffs = np.stack([draw_leaf_values(space, rng, inf_prob=0.1) for _ in range(100)])
+    payoffs = np.stack([sample_xvar(space, rng, inf_prob=0.1).values for _ in range(100)])
     assert np.isposinf(pays).any() and np.isposinf(payoffs).any()
     for t in space.times:
         agg = _aggregate(t, pays)
@@ -377,8 +361,7 @@ def test_aggregate_of_a_final_payment_is_the_payment(space):
 def test_terminal_only_round_trips_every_aggregate(space):
     # the same two identities through the stream objects
     rng = np.random.default_rng(69)
-    payoffs = [XVar(space, draw_leaf_values(space, rng, inf_prob=0.1))
-               for _ in range(100)]
+    payoffs = [sample_xvar(space, rng, inf_prob=0.1) for _ in range(100)]
     for present, pays in _drawn_streams(space, 68):
         dp = DividendProcess.of_arrays(space, present, pays)
         for t in space.times:

@@ -13,7 +13,6 @@ from perflat import (INF, EventMask, FilteredSpace, TVar, XVar, atom_expect,
                      dump_json, ess_inf, ess_sup, ext_add, ext_mul, ext_sub,
                      num_from_json, num_to_json, paste, random_tree,
                      sample_event, sample_tvar, sample_xvar)
-from perflat.lattice import draw_atom_values, draw_event_flags, draw_leaf_values
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +170,7 @@ def test_atom_ordinals_follow_the_group_order():
     assert space.atom_index[2].tolist() == [3, 3, 1, 1, 2, 2, 0, 0]
     assert space.atom_first[2].tolist() == [6, 2, 4, 0]
     assert [space.atom_id(2, k) for k in range(4)] == ["ddu", "udu", "duu", "uuu"]
-    assert [space.parent_atom(1, 2, k) for k in range(4)] == [1, 0, 1, 0]
+    assert space.atom_index[1][space.atom_first[2]].tolist() == [1, 0, 1, 0]
     assert space.subatoms(1, 2, 0) == [1, 3]
     assert space.subatoms(0, 2, 0) == [0, 1, 2, 3]
 
@@ -277,7 +276,7 @@ def test_atom_bookkeeping(tree2):
         assert tree2.atom_by_id(t_last, leaf) == k
     # every stage-2 atom sits inside its stage-1 parent
     for k in range(tree2.n_atoms(2)):
-        parent = tree2.parent_atom(1, 2, k)
+        parent = tree2.atom_index[1][tree2.atom_first[2][k]]
         assert k in tree2.subatoms(1, 2, parent)
 
 
@@ -361,8 +360,6 @@ def test_xvar_arithmetic(space2):
     y = x + 1.0
     assert y.values.tolist() == [4.0, 0.0]
     assert (x - 2.0).values.tolist() == [1.0, -3.0]
-    assert x.neg_part().values.tolist() == [0.0, 1.0]
-    assert x.pos_part().values.tolist() == [3.0, 0.0]
     assert x.truncate(2.0).values.tolist() == [2.0, -1.0]
 
 
@@ -386,11 +383,11 @@ def test_stage_variable_arithmetic(tree2):
     for got, want in ((a + b, [6.0, INF]), (a - b, [4.0, -INF]), (a + 1.0, [6.0, -1.0]),
                       (a - 1.0, [4.0, -3.0]), (-a, [-5.0, 2.0])):
         assert (got.stage, got.kind, got.values.tolist()) == (1, None, want)
-    c = TVar.constant(tree2, 1, 2.5)
+    c = TVar(tree2, 1, np.full(2, 2.5))
     assert (c.stage, c.kind, c.values.tolist()) == (1, "bb", [2.5, 2.5])
-    assert TVar.constant(tree2, 0, -INF, kind="ba").values.tolist() == [-INF]
-    later, elsewhere = TVar.constant(tree2, 2, 0.0), TVar.constant(
-        binomial_tree(2, p=0.3), 1, 0.0)
+    assert TVar(tree2, 0, np.full(1, -INF), kind="ba").values.tolist() == [-INF]
+    later, elsewhere = TVar(tree2, 2, np.full(4, 0.0)), TVar(
+        binomial_tree(2, p=0.3), 1, np.full(2, 0.0))
     for op in (lambda u, v: u + v, lambda u, v: u - v):
         with pytest.raises(ValueError, match="stage mismatch"):
             op(a, later)
@@ -465,12 +462,6 @@ def test_paste_is_local(tree2, rng):
     assert np.array_equal(z.values[~on], x2.values[~on])
 
 
-def test_event_mask_complement(tree2):
-    b = EventMask.of_atoms(tree2, 1, [1])
-    assert np.array_equal(b.complement().flags, ~b.flags)
-    assert not EventMask.full(tree2, 1).is_empty()
-
-
 # ---------------------------------------------------------------------------
 # conditional expectation
 
@@ -531,26 +522,54 @@ def test_dump_json_is_deterministic(tmp_path):
 # samplers
 
 
-def _same_draws(sample, draw, seed):
-    """sample and draw give equal values from equal generators and leave them in the
-    same state."""
+def _draws_like(sample, raw_calls, seed):
+    """sample's and raw_calls' results from two generators seeded alike, after
+    checking that both leave theirs in the same state: the sampler draws exactly the
+    raw calls."""
     a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-    got, want = sample(a), draw(b)
-    assert got.dtype == want.dtype and np.array_equal(got, want)
+    got, want = sample(a), raw_calls(b)
     assert a.bit_generator.state == b.bit_generator.state
-    return got
+    return got, want
 
 
-def test_each_sampler_wraps_its_array_draw():
+def test_each_sampler_draws_the_raw_calls_it_names():
     tree = binomial_tree(3)
-    legs = [_same_draws(lambda rng: sample_xvar(tree, rng, inf_prob=0.3).values,
-                        lambda rng: draw_leaf_values(tree, rng, inf_prob=0.3), seed)
-            for seed in range(5)]
-    assert any(np.isposinf(v).any() for v in legs)
-    for t in tree.times:  # stage 0 is one atom: the event must be the whole space
-        for seed in range(5):
-            flags = _same_draws(lambda rng: sample_event(tree, t, rng).flags,
-                                lambda rng: draw_event_flags(tree, t, rng), seed)
-            assert flags.any() and (t == 0 or not flags.all())
-            _same_draws(lambda rng: sample_tvar(tree, t, rng, low=-6.0).values,
-                        lambda rng: draw_atom_values(tree, t, rng, low=-6.0), seed)
+    n_leaves = tree.n_leaves
+
+    def leaf_calls(rng):
+        v = rng.uniform(-4.0, 4.0, size=n_leaves)
+        return np.where(rng.random(n_leaves) < 0.3, INF, v)
+
+    legs = []
+    for seed in range(5):
+        x, want = _draws_like(lambda rng: sample_xvar(tree, rng, inf_prob=0.3),
+                              leaf_calls, seed)
+        assert np.array_equal(x.values, want)
+        legs.append(np.isposinf(want).any())
+        x, want = _draws_like(lambda rng: sample_xvar(tree, rng),
+                              lambda rng: rng.uniform(-4.0, 4.0, size=n_leaves), seed)
+        assert np.array_equal(x.values, want)
+    assert any(legs)  # +inf legs at inf_prob=0.3
+    flipped = False
+    for t in tree.times:
+        n = tree.n_atoms(t)
+        for seed in range(20):
+            xi, want = _draws_like(lambda rng: sample_tvar(tree, t, rng),
+                                   lambda rng: rng.uniform(-2.0, 2.0, size=n), seed)
+            assert np.array_equal(xi.values, want)
+            first = np.random.default_rng(seed).random(n) < 0.5
+            improper = n > 1 and (first.all() or not first.any())
+            flipped |= improper
+
+            def event_calls(rng):  # at stage 0, one rng.random(1)
+                rng.random(n)
+                if improper:
+                    rng.integers(n)
+
+            event, _ = _draws_like(lambda rng: sample_event(tree, t, rng), event_calls,
+                                   seed)
+            # proper where the stage allows; stage 0 is one atom, the whole space
+            flags = event.flags
+            assert flags.any() and (flags.all() if n == 1 else not flags.all())
+            assert improper or n == 1 or np.array_equal(flags, first)
+    assert flipped  # some seed flipped an atom of an improper draw

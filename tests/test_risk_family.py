@@ -66,7 +66,6 @@ def test_induce_reports_minus_inf_when_already_acceptable(space2):
     x = XVar.constant(space2, INF)
     rp = induce_risk(m, 0, 0.5, x)
     assert np.all(np.isneginf(rp.values.values))
-    assert np.all(rp.capped)
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +228,18 @@ def test_induce_names_an_unreachable_level(space2):
                          kind="flat")
     with pytest.raises(RuntimeError, match="misdeclared"):
         induce_risk(flat, 0, 1.0, XVar(space2, [3.0, -1.0]))
+
+
+def test_induce_names_a_level_whose_capital_is_past_the_float_range():
+    # sqrt utility declares z_u = inf rightly, but level 1e160 needs capital of about
+    # 1e320 (1e154 needs 2.5e307): the error names the float range, not only the measure
+    m = ExpectedUtilityMeasure(UtilitySpec("power", eta=0.5))
+    x = XVar(coin2(), [1.0, 2.0])
+    assert induce_risk(m, 0, 1e154, x).values.values[0] > 1e307
+    for ask in (lambda: induce_risk(m, 0, 1e160, x),
+                lambda: induced_family(m).raw(1e160, 0, x, stop_at=0.0)):
+        with pytest.raises(RuntimeError, match="needs capital past the float range"):
+            ask()
 
 
 # ---------------------------------------------------------------------------
