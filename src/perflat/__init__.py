@@ -11,7 +11,7 @@ from .lattice import (INF, EventMask, FilteredSpace, TVar, XVar, atom_expect,
                       binomial_tree, close_or_both_inf, coin2, cond_expect,
                       dump_json, ess_inf, ess_sup, ext_add, ext_mul, ext_sub,
                       num_from_json, num_to_json, paste, random_tree,
-                      sample_event, sample_tvar, sample_xvar)
+                      sample_xvar)
 from .measures import (AVaRTruncDenominator, CertaintyEquivalentMeasure,
                        ConditionalExpectation, CustomMeasure,
                        ExpectedUtilityMeasure, ExponentialUtilityMeasure,
@@ -45,7 +45,7 @@ __all__ = [
     "atom_expect", "binomial_tree", "close_or_both_inf", "coin2",
     "cond_expect", "dump_json", "ess_inf", "ess_sup", "ext_add", "ext_mul",
     "ext_sub", "num_from_json", "num_to_json", "paste", "random_tree",
-    "sample_event", "sample_tvar", "sample_xvar",
+    "sample_xvar",
     "AVaRTruncDenominator", "CertaintyEquivalentMeasure",
     "ConditionalExpectation", "CustomMeasure", "ExpectedUtilityMeasure",
     "ExponentialUtilityMeasure", "GainLossRatio", "LPMDenominator",

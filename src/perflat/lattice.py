@@ -392,11 +392,6 @@ class XVar:
         """X ^ n, the pointwise minimum with the constant n."""
         return XVar(self.space, np.minimum(self.values, float(n)))
 
-    def restrict(self, mask: "EventMask") -> "XVar":
-        """X * 1_B with the 0 * inf = 0 convention (off-event values become 0)."""
-        _check_same_space(self.space, mask.space)
-        return XVar(self.space, np.where(mask.leaf_values(), self.values, 0.0))
-
     def finite_min(self) -> float:
         finite = self.values[np.isfinite(self.values)]
         return float(finite.min()) if finite.size else INF
@@ -702,21 +697,3 @@ def sample_xvar(space: FilteredSpace, rng: np.random.Generator,
     if inf_prob > 0.0:
         v[rng.random(space.n_leaves) < inf_prob] = INF
     return XVar(space, v)
-
-
-def sample_tvar(space: FilteredSpace, t: int, rng: np.random.Generator) -> TVar:
-    """Random stage-t variable: ``rng.uniform(-2, 2, n)`` on its n atoms."""
-    return TVar(space, t, rng.uniform(-2.0, 2.0, size=space.n_atoms(t)))
-
-
-def sample_event(space: FilteredSpace, t: int, rng: np.random.Generator) -> EventMask:
-    """Random F_t-event, proper (neither none nor all) where the stage allows.  Draws
-    ``rng.random(n)`` (n stage-t atoms), even at one atom, where the event is the
-    whole space, and ``rng.integers(n)`` to flip one atom of an improper draw."""
-    n = space.n_atoms(t)
-    flags = rng.random(n) < 0.5
-    if n == 1:
-        flags[0] = True
-    elif flags.all() or not flags.any():
-        flags[int(rng.integers(n))] = not flags[0]
-    return EventMask(space, t, flags)

@@ -694,33 +694,35 @@ def _moved(vals: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _prober(rep: Report, space: FilteredSpace, trials: int, rng_seed: int,
-            head: Callable, values: Callable, show: Callable):
-    """probe(name, key, draw, bad, note, extra) runs one randomized property
-    through ``run_trials`` as a ``TwoPhase`` probe and adds its result to rep.
+            head: Callable, values: Callable, show: Callable, stage: int | None = None):
+    """probe(name, key, draw, bad, note, extra) runs one randomized property through
+    ``run_trials`` as a ``TwoPhase`` probe, adds its result to rep and returns it.
 
-    A chunk of trials ks draws its stages head(field, n), then draw(field, ks,
-    stages) -> (rows, shown, ctx): the (n, r, n_leaves) rows that values(stage,
-    rows) values, and per trial the claims its witness shows and what its judge and
-    extra fields read.  Both draw each field as one array over the chunk (see
-    ``TwoPhase``).  bad(vals, ctxs) gives each trial's failing atoms.  The first
-    failing trial's witness is the note, show(stage, shown), then extra(ctx, vals,
-    atoms), atoms the ids of its failing atoms (extra may set the note).
+    A chunk of trials ks draws its keys head(field, n): each trial's stage, or where
+    ``stage`` fixes that, any key that values groups rows by (the family validator's
+    grid level).  Then draw(field, ks, keys) -> (rows, shown, ctx): the (n, r,
+    n_leaves) rows that values(key, rows) values, and per trial the claims its
+    witness shows and what its judge and extra fields read, each field drawn as one
+    array over the chunk (see ``TwoPhase``).  bad(vals, ctxs) gives each trial's
+    failing atoms.  The first failing trial's witness is the note, show(key, shown),
+    then extra(ctx, vals, atoms), atoms the ids of its failing atoms (extra may set
+    the note).
     """
     def probe(name, key, draw, bad, note, extra=lambda *_: {}):
         def drawn(field, ks):
-            stages = head(field, len(ks))
-            claims, shown, ctx = draw(field, ks, stages)
-            return stages, claims, list(zip(stages.tolist(), shown, ctx))
+            keys = head(field, len(ks))
+            claims, shown, ctx = draw(field, ks, keys)
+            return keys, claims, list(zip(keys.tolist(), shown, ctx))
 
         def witness(_, trial, vals):
-            t, shown, ctx = trial
-            atoms = [space.atom_id(t, i)
+            key, shown, ctx = trial
+            atoms = [space.atom_id(key if stage is None else stage, i)
                      for i in np.flatnonzero(bad(vals[None], [ctx])[0]).tolist()]
-            return {"note": note, **show(t, shown), **extra(ctx, vals, atoms)}
+            return {"note": note, **show(key, shown), **extra(ctx, vals, atoms)}
 
         judge = lambda vals, ctxs: bad(vals, [c for *_, c in ctxs]).any(axis=-1)
-        run_trials(rep, name, trials, rng_seed, key,
-                   TwoPhase(drawn, values, judge, witness))
+        return run_trials(rep, name, trials, rng_seed, key,
+                          TwoPhase(drawn, values, judge, witness))
     return probe
 
 
@@ -744,6 +746,44 @@ def _event_flags(field, n: int, sizes: list) -> np.ndarray:
         flips = np.flatnonzero(flags.all(axis=1) | ~flags.any(axis=1))
         flags[flips, pick[flips]] = ~flags[flips, 0] | (flags.shape[1] == 1)
     return coins
+
+
+def _payoffs(field, space: FilteredSpace, n: int, inf_legs: bool = True) -> np.ndarray:
+    """n payoff rows uniform on [-4, 4); inf_legs: +inf on 2% of a quarter's leaves."""
+    x = field().uniform(-4.0, 4.0, (n, space.n_leaves))
+    if inf_legs:
+        legs = field().random((n, space.n_leaves + 1))
+        x = np.where((legs[:, 1:] < 0.02) & (legs[:, :1] < 0.25), INF, x)
+    return x
+
+
+def _from_below(field, ks, x: np.ndarray) -> tuple:
+    """The draw of rows X, then X - delta d increasing to X, for payoff rows x: d is 1
+    on even trials and drawn on [0.5, 2) per leaf on odd ones, and delta runs 2^0,
+    2^-5, ..., 2^-45, 0, each raised to the row's float resolution, two ulps of its
+    largest finite |x|, so the last X_n is a few ulps below X at any scale."""
+    res = 2.0 * np.spacing(np.where(np.isfinite(x), np.abs(x), 0.0).max(axis=1))
+    deltas = np.maximum([2.0 ** -e for e in (0, 5, 10, 20, 30, 40, 45, INF)], res[:, None])
+    direction = np.where(np.array(ks)[:, None] % 2 == 0, 1.0,
+                         field().uniform(0.5, 2.0, x.shape))[:, None]
+    return (np.concatenate((x[:, None], x[:, None] - deltas[..., None] * direction),
+                           axis=1), zip(x), [None] * len(ks))
+
+
+def _localized(field, space: FilteredSpace, t: int, x: np.ndarray) -> tuple:
+    """The draw of rows X and X 1_B for payoff rows x, B a random F_t-event each."""
+    flags = _event_flags(field, len(x), [space.n_atoms(t)])
+    return (np.stack((x, np.where(flags[:, space.atom_index[t]], x, 0.0)), axis=1),
+            zip(x), flags)
+
+
+def _misses_limit(vals: np.ndarray) -> np.ndarray:
+    """Rows X, X_n up to X: atoms whose last value misses X's (by 1e-6; 1e6 at inf)."""
+    target, last = vals[..., 0, :], vals[..., -1, :]
+    with np.errstate(invalid="ignore"):
+        near = np.abs(last - target) <= 1e-6
+    return ~np.where(np.isfinite(target), near,
+                     np.where(target > 0, last >= 1e6, last <= -1e6))
 
 
 def _claim_properties(m: PerformanceMeasure, claim: Callable) -> dict:
@@ -838,16 +878,11 @@ def check_axioms(m: PerformanceMeasure, space: FilteredSpace, t: int,
     tol = DEFAULT_TOL
     at = space.atom_index[t]
 
-    def leaves(field, n):  # on a quarter of the payoffs +inf legs, 2% of the leaves
-        x = field().uniform(-4.0, 4.0, (n, space.n_leaves))
-        legs = field().random((n, space.n_leaves + 1))
-        return np.where((legs[:, 1:] < 0.02) & (legs[:, :1] < 0.25), INF, x)
-
     raw = lambda x: m.values(space, t, x.values)
     rep = Report(title=f"axioms[{m.label()}] t={t}", seed=rng_seed,
                  meta={"space": space.name or "", "trials": trials})
     probe = _claims_prober(rep, m, space, t, trials, rng_seed)
-    shared = _claim_properties(m, lambda field, t: (leaves(field, len(t)),) * 2)
+    shared = _claim_properties(m, lambda field, t: (_payoffs(field, space, len(t)),) * 2)
 
     # 1. quasi concavity
     probe("quasi_concavity", 1, *shared["quasi_concavity"])
@@ -876,40 +911,19 @@ def check_axioms(m: PerformanceMeasure, space: FilteredSpace, t: int,
     probe("strict_shift", 4, *shared["strict_shift"])
 
     # 4. continuity from below along increasing sequences
-    deltas = np.array([2.0 ** -e for e in (0, 5, 10, 20, 30, 40, 45)])[:, None]
-
-    def draw_continuity_from_below(field, ks, stages):
-        x = leaves(field, len(ks))
-        direction = np.where(np.array(ks)[:, None] % 2 == 0, 1.0,
-                             field().uniform(0.5, 2.0, x.shape))[:, None]
-        return (np.concatenate((x[:, None], x[:, None] - deltas * direction), axis=1),
-                zip(x), [None] * len(ks))
-
-    def misses_limit(vals):
-        """Rows X, then X_n increasing to X: atoms where the last X_n's value misses
-        beta(X)."""
-        target, last = vals[..., 0, :], vals[..., -1, :]
-        with np.errstate(invalid="ignore"):
-            near = np.abs(last - target) <= 1e-6
-        return ~np.where(np.isfinite(target), near,
-                         np.where(target > 0, last >= 1e6, last <= -1e6))
-
     def continuity_extra(_, vals, atoms):
         if _drops(vals[1:], tol).any():
             return {"note": "sequence not monotone along X_n up"}
         return {"got": vals[-1].tolist(), "want": vals[0].tolist()}
 
-    probe("continuity_from_below", 5, draw_continuity_from_below,
-          lambda vals, _: _drops(vals[..., 1:, :], tol) | misses_limit(vals),
+    probe("continuity_from_below", 5,
+          lambda field, ks, _: _from_below(field, ks, _payoffs(field, space, len(ks))),
+          lambda vals, _: _drops(vals[..., 1:, :], tol) | _misses_limit(vals),
           "limit misses beta(X)", continuity_extra)
 
     # 5. locality: 1_B beta(X) = 1_B beta(X 1_B)
-    def draw_locality(field, ks, stages):
-        x = leaves(field, len(ks))
-        flags = _event_flags(field, len(ks), [space.n_atoms(t)])
-        return np.stack((x, np.where(flags[:, at], x, 0.0)), axis=1), zip(x), flags
-
-    probe("locality", 6, draw_locality,
+    probe("locality", 6, lambda field, ks, stages: _localized(
+              field, space, t, _payoffs(field, space, len(ks))),
           lambda vals, flags: np.array(flags) & _moved(vals, tol),
           "value on B depends on payoffs off B",
           lambda flags, vals, atoms: {"atoms": atoms})
@@ -965,8 +979,8 @@ def check_scale_invariance(m: PerformanceMeasure, space: FilteredSpace, t: int,
                  meta={"space": space.name or "", "declared": m.scale_invariant})
     probe = _claims_prober(rep, m, space, t, trials, rng_seed)
 
-    shared = _claim_properties(m, lambda field, stages: (field().uniform(
-        -4.0, 4.0, (len(stages), space.n_leaves)),) * 2)
+    shared = _claim_properties(m, lambda field, stages: (
+        _payoffs(field, space, len(stages), inf_legs=False),) * 2)
     probe("positive_scaling", 11, *shared["positive_scaling"])
 
     beta_one, beta_zero = (m.values(space, t, np.full(space.n_leaves, c))

@@ -94,14 +94,15 @@ class TwoPhase:
 
     draw(field, ks) -> (stages, rows, ctxs) draws the trials ks, a range of trial
     indices: their stages (n,), the r rows each values at its stage (n, r, n_leaves)
-    and one ctx per trial for judge and witness.  The j-th call of field() in every
-    chunk gives field j, derived_rng(seed, key, j), continued from chunk to chunk; a
-    draw takes one array per field with a fixed width per trial, so trial k's draw
-    is the same for any trial count and any chunking; trial 0's rows size the
-    chunks.  values(stage, rows) maps rows, each flattened, to (B, n_atoms) values.
-    judge(vals, ctxs) gets one stage's (trials, r, n_atoms) values and ctxs, in
-    trial order, and flags each failing trial; witness(rows, ctx, vals) builds one
-    failing trial's witness dict from its own (r, n_atoms) values.
+    and one ctx per trial for judge and witness (a stage is any key that groups the
+    values calls: the family validator's is a grid level).  The j-th call of field()
+    in every chunk gives field j, derived_rng(seed, key, j), continued from chunk to
+    chunk; a draw takes one array per field with a fixed width per trial, so trial
+    k's draw is the same for any trial count and any chunking; trial 0's rows size
+    the chunks.  values(stage, rows) maps rows, each flattened, to (B, w) values, w
+    a multiple of n_atoms.  judge(vals, ctxs) gets one stage's (trials, r, w) values
+    and ctxs, in trial order, and flags each failing trial; witness(rows, ctx, vals)
+    builds one failing trial's witness dict from its own (r, w) values.
     """
 
     draw: Callable[[Callable[[], np.random.Generator], range], tuple]
@@ -133,40 +134,28 @@ def _judged_chunk(probe: TwoPhase, stages: np.ndarray, rows: np.ndarray, ctxs: l
     return int(failed.sum()), witness
 
 
-def _chunk_outcomes(probe: TwoPhase, n: int, seed: int, key: int):
-    """Each chunk's ``_judged_chunk``: trial 0 alone, its rows sizing later chunks."""
-    made, k, chunk = functools.cache(lambda j: derived_rng(seed, key, j)), 0, 1
-    while k < n:
-        drawn = probe.draw(map(made, itertools.count()).__next__,
-                           range(k, min(n, k + chunk)))
-        yield _judged_chunk(probe, *drawn)
-        k, chunk = k + chunk, max(1, LEAF_VALUES_PER_CALL // drawn[1][0].size)
-
-
 def run_trials(rep: Report, name: str, n: int, seed: int, key: int,
-               probe: Callable[[np.random.Generator, int], dict | None] | TwoPhase
-               ) -> CheckResult:
+               probe: TwoPhase) -> CheckResult:
     """Run n seeded trials of one property and add the outcome to rep.
 
-    A plain probe(rng, k) runs trial k whole, on derived_rng(seed, key, k)'s stream,
-    and returns None or a witness dict.  A ``TwoPhase`` probe draws its trials in
-    chunks, each field from derived_rng(seed, key, field), values each chunk with
-    one call per stage and slice, judges each stage's trials with one call, and asks
-    only the first failing trial for its witness.  Either way a shorter run checks a
-    prefix of a longer one, and the result counts the failures and keeps the first
+    The probe draws its trials in chunks, trial 0 alone and then as many as its rows
+    allow, each field from derived_rng(seed, key, field); each chunk is valued with
+    one call per stage and slice and judged with one call per stage, and only the
+    first failing trial is asked for its witness.  So a shorter run checks a prefix
+    of a longer one, and the result counts the failures and keeps the first
     witness, as one-by-one trials would.  n < 1 raises.
     """
     if n < 1:
         raise ValueError("trials must be at least 1")
-    if isinstance(probe, TwoPhase):
-        outcomes = _chunk_outcomes(probe, n, seed, key)
-    else:
-        outcomes = ((int(w is not None), lambda w=w: w)
-                    for w in (probe(derived_rng(seed, key, k), k) for k in range(n)))
     res = CheckResult(name, True, trials=n)
-    for failures, witness in outcomes:
+    made, k, chunk = functools.cache(lambda j: derived_rng(seed, key, j)), 0, 1
+    while k < n:
+        drawn = probe.draw(map(made, itertools.count()).__next__,
+                           range(k, min(n, k + chunk)))
+        failures, witness = _judged_chunk(probe, *drawn)
         if failures:
             res.passed, res.failures = False, res.failures + failures
             if res.witness is None:
                 res.witness = witness()
+        k, chunk = k + chunk, max(1, LEAF_VALUES_PER_CALL // drawn[1][0].size)
     return rep.add(res)

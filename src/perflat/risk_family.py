@@ -38,10 +38,11 @@ from typing import Callable
 import numpy as np
 
 from .lattice import (INF, FilteredSpace, TVar, XVar, atom_expect, close_or_both_inf,
-                      ext_gap, loss_order, num_to_json, sample_event, sample_tvar,
-                      sample_xvar)
-from .measures import ExponentialUtilityMeasure, PerformanceMeasure
-from .report import LEAF_VALUES_PER_CALL, CheckResult, Report, run_trials
+                      ext_gap, loss_order, num_to_json)
+from .measures import (ExponentialUtilityMeasure, PerformanceMeasure, _claim_properties,
+                       _drops, _from_below, _localized, _misses_limit, _moved, _payoffs,
+                       _prober)
+from .report import LEAF_VALUES_PER_CALL, CheckResult, Report
 from .solvers import (BracketError, check_tolerance, group_logsumexp, is_wide, ladder,
                       vector_monotone_inf)
 
@@ -326,6 +327,14 @@ class _CapitalChain:
         return chain
 
 
+def _check_level(m: PerformanceMeasure, z) -> np.ndarray:
+    """z as floats; ValueError unless every level, NaN none, is inside (z_d, z_u)."""
+    z = np.asarray(z, dtype=float)
+    if not np.all((z > m.z_d) & (z < m.z_u)):
+        raise ValueError(f"level must lie strictly inside ({m.z_d}, {m.z_u})")
+    return z
+
+
 def induce_risk(m: PerformanceMeasure, t: int, z: float, x: XVar,
                 tol: float = TOL_C) -> RiskPoint:
     """Smallest stage-t capital lifting X to level z, per atom.
@@ -334,9 +343,7 @@ def induce_risk(m: PerformanceMeasure, t: int, z: float, x: XVar,
     for arbitrarily negative capital reports -inf.
     """
     t = x.space.check_stage(t)
-    z_arr = np.asarray(z, dtype=float)
-    if not np.all((z_arr > m.z_d) & (z_arr < m.z_u)):  # a NaN level fails too
-        raise ValueError(f"level must lie strictly inside ({m.z_d}, {m.z_u})")
+    z_arr = _check_level(m, z)
     vals = _induce_raw(m, t, z, x, tol=tol)
     return RiskPoint(stage=t, level=(float(z) if np.ndim(z) == 0 else z_arr),
                      values=TVar(x.space, t, vals, kind="ba"), tol=tol)
@@ -380,11 +387,13 @@ class StandardFamily:
     defined — or a (B, n_atoms) array of level rows, which returns (B, n_atoms) with
     each row equal to its one-row call bit for bit.  ``reconstruct`` relies on that:
     it asks for a tree of levels per call, and refuses a family whose answer has
-    another shape.  A family written for scalar or per-atom levels only must be
-    extended to level rows before ``reconstruct`` can use it.
-    ``stop_at=c``, one number, lets a family stop each search once ``< c`` is
-    decided: only ``raw(z, t, x, stop_at=c) < c`` is then exact, and it must equal
-    ``raw(z, t, x) < c`` element for element.
+    another shape.  x is one claim, or a sequence of claims on one space (claim
+    rows, as ``validate_standard_family`` asks) answered (n_claims, ...), each block
+    its one-claim call bit for bit.  A family written for one level or one claim
+    must be extended to level rows and claim rows before these can use it.
+    ``stop_at=c``, one number, comes with one claim and lets a family stop each
+    search once ``< c`` is decided: only ``raw(z, t, x, stop_at=c) < c`` is then
+    exact, and it must equal ``raw(z, t, x) < c`` element for element.
     ``reconstruct`` reads only that sign; a family with nothing to stop early takes
     the keyword and ignores it.  ``validate_standard_family`` checks the two agree.
     ``zero_log_level(space, t, L)`` optionally evaluates rho^z(0) at z = -e^L, for
@@ -402,16 +411,16 @@ class StandardFamily:
 def induced_family(m: PerformanceMeasure, tol: float = TOL_C) -> StandardFamily:
     """The family inf{c : beta_t(X+c) >= z} for z in (z_d, z_u).
 
-    Without ``stop_at`` each call runs the search (``_induce_raw``).  A threshold
-    ``stop_at=s``, one number, is answered from the claim's ``_CapitalChain`` (for
-    ``reconstruct`` and ``validate_standard_family``, its only callers): g is
-    evaluated once at each point that searches stopped at s read (the canonical
-    ends, the expansion ladders and the halving chain of each bracket), and each
-    (row, atom) is decided by comparing its level with those values, brackets that
-    must expand included.  The family keeps the chain of its last (stage, claim,
-    threshold), so the probes of one ``reconstruct`` share it; the answers are the
-    stopped search's bit for bit, kept chain or not.  An array of thresholds raises
-    ValueError, and so does a tolerance that is not >= 0.
+    Without ``stop_at`` each call runs the search (``_induce_raw``), on one claim or
+    claim rows.  A threshold ``stop_at=s``, one number, is answered from the claim's
+    ``_CapitalChain`` (for ``reconstruct`` and ``validate_standard_family``, its only
+    callers): g is evaluated once at each point that searches stopped at s read (the
+    canonical ends, the expansion ladders and the halving chain of each bracket), and
+    each (row, atom) is decided by comparing its level with those values, brackets
+    that must expand included.  The family keeps the chain of its last (stage,
+    claim, threshold), so the probes of one ``reconstruct`` share it; the answers
+    are the stopped search's bit for bit, kept chain or not.  An array of thresholds
+    raises ValueError, and so does a tolerance that is not >= 0.
     """
     check_tolerance("tol", tol)
     chain, lock = None, threading.Lock()
@@ -435,11 +444,13 @@ def induced_family(m: PerformanceMeasure, tol: float = TOL_C) -> StandardFamily:
 
 
 def entropic_family(lam) -> StandardFamily:
-    """Closed-form exponential-utility family on (-inf, 1)."""
+    """Closed-form exponential-utility family on (-inf, 1), claim by claim on rows."""
     m = ExponentialUtilityMeasure(lam)
 
     def raw(z, t, x, stop_at=None):
-        return _entropic_raw(m, t, z, x)
+        if isinstance(x, XVar):
+            return _entropic_raw(m, t, z, x)
+        return np.array([_entropic_raw(m, t, z, claim) for claim in x])
 
     return StandardFamily(interval=(m.z_d, m.z_u), raw=raw, provenance="closed-form",
                           label="entropic" + m.label().removeprefix("exp_utility"),
@@ -523,8 +534,7 @@ def risk_curve(m: PerformanceMeasure, t: int, x: XVar, z_grid,
     zs = np.asarray(z_grid, dtype=float)
     if zs.ndim != 1 or zs.size == 0 or np.any(np.diff(zs) <= 0):
         raise ValueError("grid must be one-dimensional and strictly increasing")
-    if not np.all((zs > m.z_d) & (zs < m.z_u)):  # a NaN level fails too
-        raise ValueError(f"grid must stay strictly inside ({m.z_d}, {m.z_u})")
+    _check_level(m, zs)
     points = [induce_risk(m, t, float(z), x, tol=tol) for z in zs]
     curve = RiskCurve(stage=t, zs=zs, points=points, x=x)
     mat = curve.matrix()
@@ -733,155 +743,133 @@ def validate_standard_family(f: StandardFamily, space: FilteredSpace, t: int,
     """Property-based verification of the standard-family conditions.
 
     Per level: finite on bounded claims, convex, monotone nonincreasing, translation
-    invariant, local, continuous from below.  Across levels, asked for as level rows
-    (which the family must answer, as ``reconstruct`` requires): per-atom paths
+    invariant, local, continuous from below.  Across levels: per-atom paths
     nondecreasing and continuous, and ``raw(..., stop_at=c) < c`` equal to ``raw < c``
-    exactly, for thresholds c at and near 0 and at and just above one value of raw.
-    rho^z(0) must diverge when the interval is unbounded below.  Positive
-    homogeneity (coherence) is detected and reported.
+    exactly (``_stopped_differs``).  rho^z(0) must diverge when the interval is
+    unbounded below.  Positive homogeneity (coherence) is detected and reported.
+    Each randomized property is a ``measures._prober`` probe keyed by grid level and
+    drawn as the payoff checkers draw: ``raw`` answers a chunk's claim rows in one
+    call per level, or over the whole grid for the paths.
     """
     t = space.check_stage(t)
-    tol = 1e-8
-    z_d, z_u = f.interval
-    u_lo = math.atan(max(z_d, -1e6))
-    u_hi = math.atan(min(z_u, 1e6))
+    tol, n_atoms, at = 1e-8, space.n_atoms(t), space.atom_index[t]
+    u_lo, u_hi = math.atan(max(f.interval[0], -1e6)), math.atan(min(f.interval[1], 1e6))
     zs = np.array([math.tan(u_lo + q * (u_hi - u_lo))
                    for q in (0.08, 0.2, 0.35, 0.5, 0.65, 0.8, 0.92)])
+    grid = np.repeat(zs[:, None], n_atoms, axis=1)  # the seven levels as level rows
     rep = Report(title=f"standard_family[{f.label}] t={t}", seed=rng_seed,
                  meta={"space": space.name or "", "provenance": f.provenance,
                        "z_grid": [num_to_json(z) for z in zs]})
 
-    def rho(z, leaves, **stop):
-        # one level, or a vector of levels asked for as (len(z), n_atoms) level rows
-        if np.ndim(z):
-            z = np.repeat(np.asarray(z)[:, None], space.n_atoms(t), axis=1)
-        x = XVar(space, leaves, validate=False)
-        return np.asarray(f.raw(z, t, x, **stop), dtype=float)
+    def values(j, rows):  # grid level j, or at j = 7 the whole grid; rows as claims
+        claims = [XVar(space, row, validate=False) for row in rows]
+        vals = f.raw(zs[j] if j < zs.size else grid, t, claims)
+        return np.asarray(vals, dtype=float).reshape(len(rows), -1)
 
-    def at_level(rng, *claims):
-        # a grid level z, drawn after the claims, and each claim's values at z
-        z = float(zs[rng.integers(zs.size)])
-        return z, [rho(z, leaves) for leaves in claims]
+    def show(j, shown):
+        out = {key: XVar(space, x).to_json() for key, x in zip(("X", "Y"), shown)}
+        return {**out, "z": num_to_json(zs[j])} if j < zs.size else out
 
-    def probe(name, key, n, prop, inf_legs=False):
-        # trial k draws X (+inf legs on every third trial if inf_legs), and prop(rng, X)
-        # returns the witness fields besides X where the property fails, else None
-        def trial(rng, k):
-            x = sample_xvar(space, rng, 0.05 if inf_legs and k % 3 == 0 else 0.0)
-            fields = prop(rng, x)
-            return None if fields is None else {"X": x.to_json(), **fields}
+    def probe(name, key, n, draw, bad, note, on_grid=False):  # witness: + failing atoms
+        head = lambda field, k: (np.full(k, zs.size) if on_grid
+                                 else field().integers(zs.size, size=k))
+        return _prober(rep, space, n, rng_seed, head, values, show, stage=t)(
+            name, key, draw, bad, note, lambda _, vals, atoms: {"atoms": atoms})
 
-        return run_trials(rep, name, n, rng_seed, key, trial)
+    bounded = lambda field, ks: _payoffs(field, space, len(ks), inf_legs=False)
+    shared = {name: draw for name, (draw, *_) in _claim_properties(  # reads no measure
+        None, lambda field, ks: (bounded(field, ks),) * 2).items()}
 
-    # a) the per-level properties
-    def finite_on_bounded_claims(rng, x):
-        _, (v,) = at_level(rng, x.values)
-        if not np.all(np.isfinite(v)):
-            return {"rho": [num_to_json(u) for u in v]}
+    def alone(field, ks, _):  # X by itself, kept with its trial index
+        x = bounded(field, ks)
+        return x[:, None], zip(x), list(zip(x, ks))
 
-    def convexity(rng, x):
-        y, c = sample_xvar(space, rng), float(rng.uniform())
-        mix = c * x.values + (1.0 - c) * y.values
-        z, (lhs, a, b) = at_level(rng, mix, x.values, y.values)
-        if np.any(lhs > c * a + (1.0 - c) * b + 1e-8):
-            return {"Y": y.to_json(), "c": c, "z": num_to_json(z)}
+    def draw_translation_invariance(field, ks, _):
+        x, xi = bounded(field, ks), field().uniform(-2.0, 2.0, (len(ks), n_atoms))
+        return np.stack((x, x + xi[:, at]), axis=1), zip(x), xi
 
-    def monotone_nonincreasing(rng, x):
-        bump = rng.uniform(0.0, 2.0, size=space.n_leaves)
-        z, (lo, hi) = at_level(rng, x.values, x.values + bump)
-        if np.any(hi > lo + tol):
-            return {"z": num_to_json(z)}
-
-    def translation_invariance(rng, x):
-        xi = sample_tvar(space, t, rng)
-        z, (base, shifted) = at_level(rng, x.values, (x + xi).values)
-        if np.any(np.abs(shifted - (base - xi.values)) > tol):
-            return {"xi": xi.to_json(), "z": num_to_json(z)}
-
-    def locality(rng, x):
-        mask = sample_event(space, t, rng)
-        z, (lhs, rhs) = at_level(rng, x.values, x.restrict(mask).values)
-        if np.any(mask.flags & (np.abs(lhs - rhs) > tol)):
-            return {"z": num_to_json(z)}
-
-    def continuity_from_below(rng, x):  # rho(X - delta) decreases to rho(X)
-        deltas = (2.0 ** -e for e in (0, 4, 8, 16, 24, 32, 40))
-        z, (target, *seq) = at_level(rng, x.values, *(x.values - d for d in deltas))
-        mono_ok = all(np.all(b <= a + tol) for a, b in zip(seq, seq[1:]))
-        lim_ok = np.all(np.where(np.isfinite(target), ext_gap(seq[-1], target) <= 1e-6,
-                                 seq[-1] <= -1e6))
-        if not (mono_ok and lim_ok):
-            return {"z": num_to_json(z)}
-
-    for key, prop in enumerate((finite_on_bounded_claims, convexity,
-                                monotone_nonincreasing, translation_invariance,
-                                locality), 21):
-        probe(prop.__name__, key, trials, prop)
-    half = max(10, trials // 2)
-    probe("continuity_from_below", 26, half, continuity_from_below, inf_legs=True)
+    half, col = max(10, trials // 2), lambda c: np.array(c)[:, None]  # per-trial numbers
+    for name, key, n, draw, bad, note in (  # a) the per-level properties
+            ("finite_on_bounded_claims", 21, trials, alone,
+             lambda vals, _: ~np.isfinite(vals[..., 0, :]), "rho not finite"),
+            ("convexity", 22, trials, shared["quasi_concavity"],  # rows X, Y, their mix
+             lambda vals, lam: vals[..., 2, :] > col(lam) * vals[..., 0, :]
+             + (1 - col(lam)) * vals[..., 1, :] + tol, "rho(mix) above the chord"),
+            ("monotone_nonincreasing", 23, trials, shared["monotonicity"],
+             lambda vals, _: _drops(-vals, tol), "rho rose under a nonnegative bump"),
+            ("translation_invariance", 24, trials, draw_translation_invariance,
+             lambda v, xi: np.abs(v[..., 1, :] - v[..., 0, :] + np.array(xi)) > tol,
+             "rho(X + xi) differs from rho(X) - xi"),
+            ("locality", 25, trials, lambda field, ks, _: _localized(
+                field, space, t, bounded(field, ks)),
+             lambda vals, flags: np.array(flags) & _moved(vals, tol),
+             "rho on B depends on payoffs off B"),
+            ("continuity_from_below", 26, half, lambda field, ks, _: _from_below(
+                field, ks, _payoffs(field, space, len(ks))),  # check_axioms' X_n
+             lambda vals, _: _drops(-vals[..., 1:, :], tol) | _misses_limit(vals),
+             "limit misses rho(X)")):
+        probe(name, key, n, draw, bad, note)
 
     # b) per-atom paths nondecreasing and continuous in the level
-    widest = []  # (gap, z_lo, z_hi, X, atom) of each trial's widest increment
+    widest = [-INF, None, 0, 0]  # the first widest increment: gap, X, level step, atom
 
-    def z_paths_monotone(rng, x):
-        steps = np.diff(rho(zs, x.values), axis=0)
-        gaps = np.abs(steps)
-        j, a = np.unravel_index(int(np.argmax(gaps)), gaps.shape)
-        widest.append((float(gaps[j, a]), float(zs[j]), float(zs[j + 1]), x, int(a)))
-        drops = np.argwhere(steps < -tol)
-        if drops.size:
-            j, a = map(int, drops[0])
-            return {"z_lo": num_to_json(float(zs[j])),
-                    "z_hi": num_to_json(float(zs[j + 1])), "atom": space.atom_id(t, a)}
+    def path_drops(vals, ctxs):
+        steps = np.diff(vals.reshape(len(ctxs), zs.size, n_atoms), axis=1)
+        gaps = np.abs(steps).reshape(len(ctxs), -1)
+        i, j = np.unravel_index(int(np.argmax(gaps)), gaps.shape)
+        if gaps[i, j] > widest[0]:
+            widest[:] = gaps[i, j], ctxs[i][0], *divmod(int(j), n_atoms)
+        return (steps < -tol).any(axis=1)
 
-    probe("z_paths_monotone", 27, half, z_paths_monotone)
-
-    gap0, lo, hi, xv, a = max(widest, key=lambda w: w[0])  # the first of the widest
-    if gap0 > 1e-6:
-        for _ in range(2):  # refine the worst interval; a genuine jump will not shrink
-            mid = 0.5 * (lo + hi)
-            v_lo, v_mid, v_hi = rho([lo, mid, hi], xv.values)[:, a]
-            lo, hi = (lo, mid) if abs(v_mid - v_lo) >= abs(v_hi - v_mid) else (mid, hi)
-        sub = max(abs(v_mid - v_lo), abs(v_hi - v_mid))
-        jump = sub > 0.7 * gap0 + 1e-7
-        rep.add(CheckResult("z_paths_continuous", not jump, trials=1, witness={
-            "X": xv.to_json(), "atom": space.atom_id(t, a), "jump": num_to_json(sub),
-            "bracket": [num_to_json(lo), num_to_json(hi)]} if jump else None))
-    else:
-        rep.add(CheckResult("z_paths_continuous", True, trials=1,
-                            note="all sampled increments already below 1e-6"))
-
-    # c) divergence of rho(0) when the interval is unbounded below
-    ok, note = _lower_divergence(space, t, f)
+    probe("z_paths_monotone", 27, half, alone, path_drops, "rho fell as z rose", True)
+    rep.add(_refined_jump(f, space, t, zs, *widest))
+    ok, note = _lower_divergence(space, t, f)  # c) rho(0) diverges if unbounded below
     rep.add(CheckResult("lower_divergence", ok, trials=1, failures=int(ok is False),
                         note=note))
-
-    # a search stopped at c answers exactly raw < c
-    def sign_query_matches_raw(rng, k):
-        xv = sample_xvar(space, rng)
-        values = rho(zs, xv.values)
-        picked = float(values.flat[k % values.size])
-        for c in (-TOL_C, 0.0, picked, float(np.nextafter(picked, INF))):
-            if not np.array_equal(rho(zs, xv.values, stop_at=c) < c, values < c):
-                return {"X": xv.to_json(), "c": num_to_json(c)}
-
-    run_trials(rep, "sign_query_matches_raw", half, rng_seed, 29,
-               sign_query_matches_raw)
-
-    # coherence detection (informational): rho(cX) = c rho(X)
-    homogeneous = True
-
-    def coherence(rng, x):
-        nonlocal homogeneous
-        c = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
-        if homogeneous:  # one counterexample settles it
-            _, (scaled, plain) = at_level(rng, c * x.values, x.values)
-            homogeneous = not np.any(np.abs(scaled - c * plain) > 1e-7 * max(1.0, c))
-
-    res = probe("coherence", 28, min(trials, 30), coherence)
-    res.note = ("positive homogeneity detected: coherent levels"
-                if homogeneous else "convex but not positively homogeneous")
+    probe("sign_query_matches_raw", 29, half, alone,
+          lambda vals, ctxs: _stopped_differs(f, space, t, grid, vals, ctxs),
+          "raw(stop_at=c) < c differs from raw < c", True)
+    # coherence detection, informational: a trial with rho(cX) != c rho(X) is noted
+    res = probe("coherence", 28, min(trials, 30), shared["positive_scaling"],
+                lambda vals, c: np.abs(vals[..., 1, :] - col(c) * vals[..., 0, :])
+                > 1e-7 * np.maximum(1.0, col(c)), "")  # rows X and cX
+    res.note = ("convex but not positively homogeneous" if res.failures
+                else "positive homogeneity detected: coherent levels")
+    res.passed, res.failures, res.witness = True, 0, None
     return rep
+
+
+def _stopped_differs(f: StandardFamily, space: FilteredSpace, t: int, grid: np.ndarray,
+                     vals: np.ndarray, ctxs: list) -> np.ndarray:
+    """Per trial (claim row x, index k), the atoms where raw stopped at c, for c at
+    and near 0 and at and just above vals' k-th value, decides < c unlike vals."""
+    out = []
+    for v, (x, k) in zip(vals.reshape(len(ctxs), *grid.shape), ctxs):
+        claim, c = XVar(space, x, validate=False), float(v.flat[k % v.size])
+        out.append(np.logical_or.reduce([
+            (np.asarray(f.raw(grid, t, claim, stop_at=s), dtype=float) < s) != (v < s)
+            for s in (-TOL_C, 0.0, c, float(np.nextafter(c, INF)))]).any(axis=0))
+    return np.array(out)
+
+
+def _refined_jump(f: StandardFamily, space: FilteredSpace, t: int, zs: np.ndarray,
+                  gap0: float, x, j: int, a: int) -> CheckResult:
+    """z_paths_continuous: the widest increment, gap0 between levels j and j + 1 on
+    atom a of claim row x, refined twice; a genuine jump does not shrink."""
+    if not gap0 > 1e-6:
+        return CheckResult("z_paths_continuous", True, trials=1,
+                           note="all sampled increments already below 1e-6")
+    lo, hi, claim = zs[j], zs[j + 1], XVar(space, x)
+    for _ in range(2):
+        mid = 0.5 * (lo + hi)
+        levels = np.repeat([[lo], [mid], [hi]], space.n_atoms(t), axis=1)
+        v_lo, v_mid, v_hi = np.asarray(f.raw(levels, t, claim), dtype=float)[:, a]
+        lo, hi = (lo, mid) if abs(v_mid - v_lo) >= abs(v_hi - v_mid) else (mid, hi)
+    sub = max(abs(v_mid - v_lo), abs(v_hi - v_mid))
+    jump = sub > 0.7 * gap0 + 1e-7
+    return CheckResult("z_paths_continuous", not jump, trials=1, witness={
+        "X": claim.to_json(), "atom": space.atom_id(t, a), "jump": num_to_json(sub),
+        "bracket": [num_to_json(lo), num_to_json(hi)]} if jump else None)
 
 
 # ---------------------------------------------------------------------------
@@ -1022,12 +1010,10 @@ def penalty_lower_bound(m: PerformanceMeasure, t: int, z: float, q: DualMeasure,
     """
     if q.stage != t:
         raise ValueError("the weighting must agree with P at the evaluation stage")
-    best = np.full(q.space.n_atoms(t), -INF)
-    for zk in probes:
-        ev, mask = q.expect(t, -zk.values)
-        rho = _induce_raw(m, t, z, zk)
-        cand = np.where(mask, ev - rho, -INF)
-        best = np.maximum(best, cand)
+    best, probes = np.full(q.space.n_atoms(t), -INF), list(probes)
+    for zk, rho in zip(probes, _induce_raw(m, t, z, probes) if probes else []):
+        ev, mask = q.expect(t, -zk.values)  # the probes' risks in one claim-rows search
+        best = np.maximum(best, np.where(mask, ev - rho, -INF))
     return best
 
 
@@ -1062,12 +1048,12 @@ def truncation_limit_check(m: PerformanceMeasure, t: int, z: float, x: XVar) -> 
     """rho(X truncated at n) decreases to rho(X) as the cap rises."""
     space = x.space
     t = space.check_stage(t)
+    z = float(_check_level(m, z))
     rep = Report(title=f"truncation_limit[{m.label()}]", meta={"z": num_to_json(z)})
     fmax = x.finite_max()
     base = max(1.0, abs(fmax) if math.isfinite(fmax) else 1.0)
     caps = [base * (2.0 ** k) for k in range(0, 15, 2)]
-    rho_full = _induce_raw(m, t, z, x)
-    seq = [_induce_raw(m, t, z, x.truncate(cap)) for cap in caps]
+    rho_full, *seq = _induce_raw(m, t, z, [x, *(x.truncate(cap) for cap in caps)])
 
     mono = all(np.all(b <= a + 1e-9) for a, b in zip(seq, seq[1:]))
     rep.add(CheckResult("nonincreasing_in_cap", mono, trials=len(caps),
@@ -1092,43 +1078,41 @@ def closure_check(m: PerformanceMeasure, t: int, z: float, trials: int = 40,
     For claims on the boundary, adding 1/n gives rho = -1/n < 0 and the sequence
     returns to the boundary; limits of sampled points of {rho < 0} stay in
     {rho <= 0}.  When the level exceeds the value at 0 while rho(0) = 0, the claim 0
-    witnesses the gap between {rho <= 0} and the strict acceptance set.
+    witnesses the gap between {rho <= 0} and the strict acceptance set.  A chunk of
+    trials searches rho(X) as it draws and Y = X + rho(X) and its shifts in one more
+    search, each on claim rows; a trial with rho(X) = -inf somewhere passes.
     """
     t = space.check_stage(t)
+    z = float(_check_level(m, z))
     rep = Report(title=f"closure[{m.label()}] z={z:g}", seed=rng_seed,
                  meta={"space": space.name or ""})
+    search = lambda t, rows: _induce_raw(m, t, z, [XVar(space, row, validate=False)
+                                                   for row in rows])
+    probe = _prober(rep, space, trials, rng_seed, lambda field, n: np.full(n, t), search,
+                    lambda t, shown: {"X": XVar(space, shown[0]).to_json()})
 
-    inv_ns = [1.0 / n for n in (1, 4, 16, 64, 256)]
+    def boundary(*shifts):  # rows Y = X + rho(X), then Y + each shift
+        def draw(field, ks, _):
+            x = _payoffs(field, space, len(ks), inf_legs=False)
+            rho = search(t, x)
+            none = np.isneginf(rho).any(axis=1)  # no boundary claim
+            y = x + np.where(none[:, None], 0.0, rho)[:, space.atom_index[t]]
+            return y[:, None] + np.array((0.0, *shifts))[:, None], zip(x), none
+        return draw
 
-    def interior_shift(rng, k):
-        xv = sample_xvar(space, rng)
-        rho = _induce_raw(m, t, z, xv)
-        if np.any(np.isneginf(rho)):
-            return
-        y = xv + TVar(space, t, rho)  # boundary claim: rho(Y) = 0
-        rho_y = _induce_raw(m, t, z, y)
-        shifted = [_induce_raw(m, t, z, y + inv) for inv in inv_ns]
-        strict = all(np.all(s < 0.0) for s in shifted)
-        back = np.all(np.abs(shifted[-1] - rho_y) <= 1e-6 + inv_ns[-1])
-        if not (strict and back and np.all(np.abs(rho_y) <= 1e-8)):
-            return {"X": xv.to_json(), "rho_y": [num_to_json(v) for v in rho_y]}
+    def missed(near_zero):  # where rho(Y + shift) < 0 fails, or near_zero(rho(Y), last)
+        return lambda vals, none: ~np.array(none)[:, None] & ~(
+            (vals[..., 1:, :] < 0.0).all(axis=-2) & near_zero(vals[..., 0, :],
+                                                              vals[..., -1, :]))
 
-    run_trials(rep, "interior_shift", trials, rng_seed, 31, interior_shift)
-
-    def limits_stay_in_closed_set(rng, k):
-        xv = sample_xvar(space, rng)
-        rho = _induce_raw(m, t, z, xv)
-        if np.any(np.isneginf(rho)):
-            return
-        y = xv + TVar(space, t, rho)  # limit of the interior sequence y + 1/n
-        seq_ok = all(np.all(_induce_raw(m, t, z, y + 1.0 / n) < 0.0)
-                     for n in (2, 8, 32))
-        lim = _induce_raw(m, t, z, y)
-        if not (seq_ok and np.all(lim <= 1e-9)):
-            return {"X": xv.to_json(), "rho_limit": [num_to_json(v) for v in lim]}
-
-    run_trials(rep, "limits_stay_in_closed_set", trials, rng_seed, 32,
-               limits_stay_in_closed_set)
+    probe("interior_shift", 31, boundary(1.0, 1 / 4, 1 / 16, 1 / 64, 1 / 256),
+          missed(lambda rho, last: (np.abs(rho) <= 1e-8)
+                 & (np.abs(last - rho) <= 1e-6 + 1 / 256)),
+          "Y = X + rho(X) is not on the boundary",
+          lambda _, vals, atoms: {"rho_y": vals[0].tolist()})
+    probe("limits_stay_in_closed_set", 32, boundary(1 / 2, 1 / 8, 1 / 32),
+          missed(lambda rho, last: rho <= 1e-9), "limit Y of Y + 1/n leaves {rho <= 0}",
+          lambda _, vals, atoms: {"rho_limit": vals[0].tolist()})
 
     zero = XVar.constant(space, 0.0)
     rho0 = _induce_raw(m, t, z, zero)

@@ -14,7 +14,7 @@ import numpy as np
 
 from perflat import (CertaintyEquivalentMeasure, ConditionalExpectation, CustomMeasure,
                      ExpectedUtilityMeasure, ExponentialUtilityMeasure, GainLossRatio,
-                     UtilitySpec, binomial_tree, check_axioms, check_lift_axioms,
+                     UtilitySpec, XVar, binomial_tree, check_axioms, check_lift_axioms,
                      check_scale_invariance, lpm_ratio, random_tree, raroc)
 from perflat import report
 from perflat.lattice import atom_expect, dump_json, jsonable
@@ -159,8 +159,11 @@ def _atom_max(x, t):
 
 def _closed_form(label, rho, stopped=None):
     """A family on (-inf, inf) with raw = rho(z, t, x) on scalar levels and level
-    rows alike; ``stopped`` maps raw to the answer under any ``stop_at``."""
+    rows alike, and on claim rows one claim at a time; ``stopped`` maps raw to the
+    answer under any ``stop_at``."""
     def raw(z, t, x, stop_at=None):
+        if not isinstance(x, XVar):
+            return np.array([raw(z, t, claim, stop_at) for claim in x])
         v = rho(np.asarray(z, dtype=float), t, x)
         return v if stop_at is None or stopped is None else stopped(v)
 

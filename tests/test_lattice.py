@@ -12,7 +12,7 @@ from perflat import (INF, EventMask, FilteredSpace, TVar, XVar, atom_expect,
                      binomial_tree, close_or_both_inf, coin2, cond_expect,
                      dump_json, ess_inf, ess_sup, ext_add, ext_mul, ext_sub,
                      num_from_json, num_to_json, paste, random_tree,
-                     sample_event, sample_tvar, sample_xvar)
+                     sample_xvar)
 
 
 # ---------------------------------------------------------------------------
@@ -550,26 +550,3 @@ def test_each_sampler_draws_the_raw_calls_it_names():
                               lambda rng: rng.uniform(-4.0, 4.0, size=n_leaves), seed)
         assert np.array_equal(x.values, want)
     assert any(legs)  # +inf legs at inf_prob=0.3
-    flipped = False
-    for t in tree.times:
-        n = tree.n_atoms(t)
-        for seed in range(20):
-            xi, want = _draws_like(lambda rng: sample_tvar(tree, t, rng),
-                                   lambda rng: rng.uniform(-2.0, 2.0, size=n), seed)
-            assert np.array_equal(xi.values, want)
-            first = np.random.default_rng(seed).random(n) < 0.5
-            improper = n > 1 and (first.all() or not first.any())
-            flipped |= improper
-
-            def event_calls(rng):  # at stage 0, one rng.random(1)
-                rng.random(n)
-                if improper:
-                    rng.integers(n)
-
-            event, _ = _draws_like(lambda rng: sample_event(tree, t, rng), event_calls,
-                                   seed)
-            # proper where the stage allows; stage 0 is one atom, the whole space
-            flags = event.flags
-            assert flags.any() and (flags.all() if n == 1 else not flags.all())
-            assert improper or n == 1 or np.array_equal(flags, first)
-    assert flipped  # some seed flipped an atom of an improper draw

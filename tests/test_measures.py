@@ -13,8 +13,8 @@ from perflat import (INF, CertaintyEquivalentMeasure, ConditionalExpectation,
                      lpm_ratio, measure_from_json, paste, random_tree, raroc,
                      sample_xvar)
 from perflat.lattice import atom_expect
-from perflat.measures import (AVaRTruncDenominator, LPMDenominator, _interior_levels,
-                              evaluate_rows)
+from perflat.measures import (AVaRTruncDenominator, LPMDenominator, _event_flags,
+                              _from_below, _interior_levels, evaluate_rows)
 
 AXIOM_TRIALS = 120
 
@@ -453,6 +453,46 @@ def test_glr_continuity_from_below(space2):
         got = evaluate(glr, 0, x - 1.0 / n).values[0]
         assert abs(got - (n - 2.0)) < 1e-8
     assert evaluate(glr, 0, x).values[0] == INF
+
+
+def test_continuity_rows_end_at_the_claims_float_resolution():
+    # X, then X_n increasing to X; the last X_n sits one to four ulps of the row's
+    # largest finite |x| below X on that leaf (two ulps times a direction in
+    # [0.5, 2)), below X on every finite leaf, at any payoff scale; +inf legs stay
+    base = np.array([[3.0, -1.5, INF, 0.25], [-2.5, 1.0, 0.5, 3.9], [0.0, 0.0, 0.0, 1.0]])
+    for scale in (1e-300, 1e-3, 1.0, 1e12, 1e300):
+        fields = iter([np.random.default_rng(7)])
+        rows, _, _ = _from_below(lambda: next(fields), range(3), base * scale)
+        assert rows.shape == (3, 9, 4) and np.array_equal(rows[:, 0], base * scale)
+        seq = np.where(np.isfinite(rows), rows, 0.0)[:, 1:]
+        assert np.all(np.diff(seq, axis=1) >= 0.0)
+        for x, last in zip(rows[:, 0], rows[:, -1]):
+            top = np.argmax(np.where(np.isfinite(x), np.abs(x), 0.0))
+            assert np.all((last < x)[np.isfinite(x)]) and np.all(last[~np.isfinite(x)] == INF)
+            assert 1.0 <= (x[top] - last[top]) / np.spacing(abs(x[top])) <= 4.0
+
+
+@pytest.mark.parametrize("m", [raroc(0.5), lpm_ratio(2.0), GainLossRatio()],
+                         ids=lambda m: m.label())
+def test_continuity_from_below_holds_on_tiny_loss_legs(m):
+    # seeds whose draws hold a loss leg near 1e-4: a ratio's slope in delta is about
+    # beta / E[X^-], so a last step of 2^-45 left a gap of 4e-6 against 1e-6
+    tree = binomial_tree(2)
+    for seed in (108, 115, 190, 191, 248, 255):
+        rep = check_axioms(m, tree, 1, trials=500, rng_seed=seed)
+        assert rep.result("continuity_from_below").passed, seed
+
+
+def test_event_flags_draw_proper_events():
+    # an event is proper where its atom count allows, some atom in and not all; a
+    # lone atom is in
+    sizes = [1, 2, 3, 5]
+    fields = iter([np.random.default_rng(1), np.random.default_rng(2)])
+    flags = _event_flags(lambda: next(fields), 300, sizes)
+    lone, *parts = np.split(flags, np.cumsum(sizes)[:-1], axis=1)
+    assert lone.all()
+    for part in parts:
+        assert part.any(axis=1).all() and not part.all(axis=1).any()
 
 
 def test_strictness_fails_without_headroom(space2):

@@ -13,22 +13,29 @@ from perflat.util import derived_rng
 
 
 def test_run_trials_seeds_counts_and_keeps_the_first_witness():
+    # field j of every chunk is derived_rng(seed, key, j); the result counts the
+    # failing trials and keeps the first one's witness
     rep = Report("runner")
     seen = []
 
-    def probe(rng, k):
-        draw = float(rng.uniform())
-        seen.append((k, draw))
-        if k % 3 == 1:
-            return {"k": k, "draw": draw}
+    def draw(field, ks):
+        drawn = field().uniform(size=len(ks))
+        seen.extend(zip(ks, drawn.tolist()))
+        return np.zeros(len(ks), dtype=int), drawn[:, None, None], list(ks)
 
-    res = run_trials(rep, "prop", 7, 5, 9, probe)
+    def witness(rows, k, vals):
+        return {"k": k, "draw": float(rows[0, 0])}
+
+    res = run_trials(rep, "prop", 7, 5, 9, TwoPhase(
+        draw, lambda stage, rows: rows, lambda vals, ks: np.array(ks) % 3 == 1, witness))
     assert rep.results == [res]
-    assert seen == [(k, float(derived_rng(5, 9, k).uniform())) for k in range(7)]
+    field = derived_rng(5, 9, 0)
+    assert seen == [(0, float(field.uniform()))] + list(zip(
+        range(1, 7), field.uniform(size=6).tolist()))
     assert (res.name, res.passed, res.trials, res.failures) == ("prop", False, 7, 2)
     assert res.witness == {"k": 1, "draw": seen[1][1]}
 
-    ok = run_trials(rep, "quiet", 4, 5, 9, lambda rng, k: None)
+    ok = run_trials(rep, "quiet", 4, 5, 9, _two_phase([], fails=()))
     assert ok.to_json() == {"name": "quiet", "passed": True, "trials": 4, "failures": 0}
     assert rep.results == [res, ok]
 
@@ -38,7 +45,7 @@ def test_run_trials_refuses_a_count_below_one():
     rep = Report("runner")
     for n in (0, -5):
         with pytest.raises(ValueError, match="trials must be at least 1"):
-            run_trials(rep, "prop", n, 5, 9, lambda rng, k: None)
+            run_trials(rep, "prop", n, 5, 9, _two_phase([], fails=()))
     assert rep.results == []
 
 
@@ -87,13 +94,11 @@ def test_two_phase_draws_every_trial_then_judges_in_order():
     assert (res.passed, res.trials, res.failures, res.witness) == (False, 7, 3, {"k": 2})
 
 
-def test_two_phase_field_j_draws_what_one_phase_trial_j_draws(monkeypatch):
-    # field j of a two-phase property is derived_rng(seed, key, j), the stream of a
-    # one-phase trial j, and each chunk continues the same field Generators, so the
-    # trials' rows are the fields' streams however the trials are chunked
-    one_phase = []
-    run_trials(Report("runner"), "prop", 2, 5, 9,
-               lambda rng, k: one_phase.append(rng.uniform(size=(6, 3))))
+def test_two_phase_field_j_draws_derived_rng_seed_key_j(monkeypatch):
+    # field j of a two-phase property is derived_rng(seed, key, j), and each chunk
+    # continues the same field Generators, so the trials' rows are the fields'
+    # streams however the trials are chunked
+    streams = [derived_rng(5, 9, j).uniform(size=(6, 3)) for j in range(2)]
 
     def fields_of(bound):
         monkeypatch.setattr(report, "LEAF_VALUES_PER_CALL", bound)
@@ -112,12 +117,12 @@ def test_two_phase_field_j_draws_what_one_phase_trial_j_draws(monkeypatch):
     for bound, chunks in ((1 << 18, [1, 5]), (12, [1, 2, 2, 1]), (1, [1] * 6)):
         sizes, fields = fields_of(bound)
         assert sizes == chunks
-        assert np.array_equal(fields, one_phase)
+        assert np.array_equal(fields, streams)
 
 
-def test_one_and_two_phase_properties_share_a_report():
+def test_properties_share_a_report():
     rep = Report("mixed")
-    run_trials(rep, "one", 3, 1, 1, lambda rng, k: {"k": k} if k == 1 else None)
+    run_trials(rep, "one", 3, 1, 1, _two_phase([], fails={1}))
     run_trials(rep, "two", 5, 1, 2, _two_phase([], fails={4}))
     run_trials(rep, "quiet", 2, 1, 3, _two_phase([], fails=()))
     assert [r.to_json() for r in rep.results] == [
@@ -197,18 +202,25 @@ _CHECKS = {
                                         rng_seed=3),
     "lift_random16": lambda n: check_lift_axioms(
         GainLossRatio(), random_tree(np.random.default_rng(4), periods=3), trials=n,
-        rng_seed=3)}
+        rng_seed=3),
+    "family": lambda n: validate_standard_family(
+        induced_family(GainLossRatio()), binomial_tree(2), 1, trials=n, rng_seed=3),
+    "closure": lambda n: closure_check(GainLossRatio(), 1, 0.5, trials=n, rng_seed=3,
+                                       space=binomial_tree(2))}
 
 
 @pytest.mark.parametrize("name", list(_CHECKS))
 def test_a_shorter_run_draws_a_prefix_of_a_longer_one(name, monkeypatch):
-    # trial k's stage, rows and ctx do not depend on the trial count
+    # trial k's stage, rows and ctx do not depend on the trial count (the family
+    # validator runs some properties on half the trials)
     short, long = (_drawn(_CHECKS[name], n, monkeypatch) for n in (20, 40))
     assert len(short) == len(long) >= 2
     for (stages, rows, ctx, _), (stages2, rows2, ctx2, _) in zip(short, long):
-        assert np.array_equal(stages, stages2[:20])
-        assert rows.tobytes() == rows2[:20].tobytes()
-        assert ctx == ctx2[:20]
+        n = len(stages)
+        assert n < len(stages2)
+        assert np.array_equal(stages, stages2[:n])
+        assert rows.tobytes() == rows2[:n].tobytes()
+        assert ctx == ctx2[:n]
     if name.startswith("lift"):  # the lift's trials draw their own stages
         assert all(len(set(stages.tolist())) > 1 for stages, *_ in short)
 
@@ -220,7 +232,7 @@ def test_a_run_drawn_in_chunks_draws_what_one_chunk_draws(name, monkeypatch):
     whole = _drawn(_CHECKS[name], 25, monkeypatch)
     monkeypatch.setattr(report, "LEAF_VALUES_PER_CALL", 8)
     chunked = _drawn(_CHECKS[name], 25, monkeypatch)
-    assert all(sizes == [1, 24] for *_, sizes in whole)
+    assert all(sizes == [1, len(stages) - 1] for stages, *_, sizes in whole)
     assert {size for *_, sizes in chunked for size in sizes} <= {1, 2}
     assert len(chunked) == len(whole)
     for (stages, rows, ctx, _), (stages2, rows2, ctx2, _) in zip(whole, chunked):
@@ -231,7 +243,10 @@ def test_a_run_drawn_in_chunks_draws_what_one_chunk_draws(name, monkeypatch):
 
 @pytest.mark.parametrize("check", [
     lambda n: check_axioms(GainLossRatio(), binomial_tree(2), 1, trials=n),
-    lambda n: check_lift_axioms(GainLossRatio(), binomial_tree(2), trials=n)])
+    lambda n: check_lift_axioms(GainLossRatio(), binomial_tree(2), trials=n),
+    lambda n: validate_standard_family(induced_family(GainLossRatio()),
+                                       binomial_tree(2), 1, trials=n),
+    lambda n: closure_check(GainLossRatio(), 1, 0.5, trials=n, space=binomial_tree(2))])
 def test_seeding_is_per_property_not_per_trial(check, monkeypatch):
     # each two-phase property seeds one Generator per draw field, so the Generators
     # and SeedSequences constructed do not grow with the trial count

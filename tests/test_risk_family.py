@@ -23,7 +23,7 @@ from perflat import (INF, CertaintyEquivalentMeasure, ConditionalExpectation,
                      random_tree, raroc, reconstruct, risk_curve,
                      sample_glr_density, sample_xvar, truncation_limit_check,
                      validate_standard_family, weak_duality_probe)
-from perflat import risk_family, solvers
+from perflat import measures, risk_family, solvers
 from perflat.lattice import FilteredSpace, atom_expect, cond_expect, ext_gap, loss_order
 from perflat.report import LEAF_VALUES_PER_CALL
 from perflat.risk_family import (TOL_C, _canonical_bracket, _CapitalChain,
@@ -191,6 +191,51 @@ def test_claim_rows_at_the_edge_of_the_float_range_give_each_claims_own_search(
     lo0, hi0 = map(np.array, zip(*map(_canonical_bracket, xs)))
     assert np.any(got[:, :, 0] > hi0[:, None]) and np.isneginf(got).any()
     assert np.any(solvers.is_wide(lo0[:, None], np.maximum(got[:, :, 0], hi0[:, None])))
+
+
+_CRITERION8 = [GainLossRatio(), ExponentialUtilityMeasure(risk_aversion=1.0),
+               CertaintyEquivalentMeasure(UtilitySpec("exp", lam=1.0)),
+               ExpectedUtilityMeasure(UtilitySpec("power", eta=0.5)),
+               ConditionalExpectation(), lpm_ratio(2.0), raroc(0.5)]
+
+
+@pytest.mark.parametrize("make", [lambda m=m: induced_family(m) for m in _CRITERION8]
+                         + [lambda: entropic_family(0.8)],
+                         ids=[m.label() for m in _CRITERION8] + ["entropic"])
+def test_raw_on_claim_rows_stacks_the_one_claim_calls(make, tree2):
+    # the family contract: raw on a sequence of claims answers (n_claims, ...), each
+    # block its one-claim call bit for bit, at one level and at (B, n_atoms) rows
+    fam = make()
+    rng = np.random.default_rng(31)
+    xs = [XVar(tree2, rng.uniform(-4.0, 4.0, tree2.n_leaves)) for _ in range(5)]
+    xs.append(XVar(tree2, np.where(np.arange(tree2.n_leaves) == 1, INF, xs[0].values)))
+    z_lo, z_hi = fam.interval
+    levels = [z for z in (-3.0, 0.3, 0.5, 0.9, 2.0) if z_lo < z < z_hi]
+    for t in (0, 1):
+        rows = np.array(levels)[:, None] + np.linspace(0.0, 0.05, tree2.n_atoms(t))
+        for z in (levels[1], rows):
+            got = np.asarray(fam.raw(z, t, xs))
+            assert got.shape == (len(xs), *np.shape(fam.raw(z, t, xs[0])))
+            for x, block in zip(xs, got):
+                assert np.asarray(fam.raw(z, t, x)).tobytes() == block.tobytes()
+
+
+@pytest.mark.parametrize("m", [GainLossRatio(), ExponentialUtilityMeasure(1.0)],
+                         ids=lambda m: m.label())
+def test_every_level_caller_refuses_a_level_outside_the_interval(m, space2):
+    # induce_risk, risk_curve, closure_check and truncation_limit_check check the
+    # level alike: NaN, both infinities and an endpoint lie strictly inside nothing
+    x = XVar(space2, [3.0, -1.0])
+    for z in (math.nan, INF, -INF, m.z_d if math.isfinite(m.z_d) else m.z_u):
+        for ask in (lambda: induce_risk(m, 0, z, x),
+                    lambda: risk_curve(m, 0, x, [z]),
+                    lambda: closure_check(m, 0, z, trials=3, space=space2),
+                    lambda: truncation_limit_check(m, 0, z, x)):
+            with pytest.raises(ValueError, match="level must lie strictly inside"):
+                ask()
+    z = 0.5  # inside both intervals
+    assert closure_check(m, 0, z, trials=3, space=space2).passed
+    assert truncation_limit_check(m, 0, z, x).passed
 
 
 def test_a_tolerance_that_is_not_at_least_zero_is_refused():
@@ -1071,14 +1116,19 @@ def test_a_replaced_raw_sees_every_reconstruct_probe(tree2):
 
 
 def test_family_validator_asks_for_each_path_in_one_call(tree2, monkeypatch):
-    # z_paths_monotone asks for a claim's path at all seven grid levels in one call,
-    # and each refinement step of z_paths_continuous for its three levels in one call
+    # at 60 trials: a per-level property asks once for trial 0 and once per grid level
+    # drawn by the other trials, with every claim row of that level in the call;
+    # z_paths_monotone asks for all seven levels as level rows, once per chunk; each
+    # refinement step of z_paths_continuous asks for its three levels in one call;
+    # the sign query runs one full search per chunk and a stopped search per claim
+    # and threshold
     fam = induced_family(GainLossRatio())
     calls, running = [], [None]
-    run_trials = risk_family.run_trials
+    run_trials = measures.run_trials
 
     def counted(z, t, x, stop_at=None):
-        calls.append((running[0], np.shape(z)))
+        claims = 0 if isinstance(x, XVar) else len(x)
+        calls.append((running[0], np.shape(z), claims, stop_at is not None))
         return fam.raw(z, t, x, stop_at=stop_at)
 
     def named(rep, name, *args):
@@ -1087,15 +1137,30 @@ def test_family_validator_asks_for_each_path_in_one_call(tree2, monkeypatch):
         running[0] = f"after {name}"
         return result
 
-    monkeypatch.setattr(risk_family, "run_trials", named)
+    monkeypatch.setattr(measures, "run_trials", named)
     rep = validate_standard_family(dataclasses.replace(fam, raw=counted), tree2, 1,
-                                   trials=20)
+                                   trials=60)
+    assert rep.passed
+    assert len(calls) <= 250  # 1082 when each trial asked on its own
     rows = (7, tree2.n_atoms(1))
-    assert [s for name, s in calls if name == "z_paths_monotone"] == [rows] * 10
+    per_level = {"finite_on_bounded_claims": (60, 1), "convexity": (60, 3),
+                 "monotone_nonincreasing": (60, 2), "translation_invariance": (60, 2),
+                 "locality": (60, 2), "continuity_from_below": (30, 9),
+                 "coherence": (30, 2)}
+    for name, (trials, r) in per_level.items():
+        mine = [c for c in calls if c[0] == name]
+        assert 2 <= len(mine) <= 8 and mine[0][2] == r, name
+        assert all(c[1] == () and not c[3] for c in mine), name
+        assert sum(c[2] for c in mine) == trials * r, name
+    assert [c[1:] for c in calls if c[0] == "z_paths_monotone"] == \
+        [(rows, 1, False), (rows, 29, False)]
     assert not rep.result("z_paths_continuous").note  # the refinement ran
     # the interval is bounded below, so no divergence probe runs in between
-    assert [s for name, s in calls if name == "after z_paths_monotone"] == \
-        [(3, rows[1])] * 2
+    assert [c[1:] for c in calls if c[0] == "after z_paths_monotone"] == \
+        [((3, rows[1]), 0, False)] * 2
+    sign = [c[1:] for c in calls if c[0] == "sign_query_matches_raw"]
+    assert sorted(sign, key=str) == sorted(
+        [(rows, 1, False), (rows, 29, False)] + [(rows, 0, True)] * 4 * 30, key=str)
 
 
 def test_entropic_family_validates(tree2):
@@ -1119,6 +1184,8 @@ def test_family_validator_flags_a_stopped_search_that_disagrees_with_raw(space2)
 
 def test_family_validator_flags_wrong_z_direction(space2):
     def raw(z, t, x, stop_at=None):
+        if not isinstance(x, XVar):  # claim rows
+            return np.array([raw(z, t, claim) for claim in x])
         return -cond_expect(x, t).values - np.asarray(z, dtype=float)
 
     broken = StandardFamily(interval=(0.0, INF), raw=raw, label="wrong-slope")

@@ -28,24 +28,29 @@ KEYS = [0, *range(21, 33), 41, 42, 43, 71, 2 ** 32 - 1]
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_per_trial_seeding_draws_the_streams_of_the_word_lists(seed):
-    # a trial-by-trial loop hands trial k the Generator in the state
-    # np.random.default_rng([seed, key, k]) starts in, whether its words seed
-    # numpy as one uint32 array or, from 2^32, as the list
+    # a property's field j starts in the state np.random.default_rng([seed, key, j])
+    # starts in, whether its words seed numpy as one uint32 array or, from 2^32, as
+    # the list
     for key in KEYS:
         states = []
-        run_trials(Report("seeding"), "prop", 100, seed, key,
-                   lambda rng, k: states.append(rng.bit_generator.state))
-        assert states == [np.random.default_rng([int(seed), key, k]).bit_generator.state
-                          for k in range(100)], (seed, key)
+
+        def draw(field, ks):
+            states.extend(field().bit_generator.state for _ in range(100))
+            return np.zeros(len(ks), dtype=int), np.zeros((len(ks), 1, 1)), [None] * len(ks)
+
+        run_trials(Report("seeding"), "prop", 1, seed, key, TwoPhase(
+            draw, lambda stage, rows: rows, lambda vals, ctxs: np.zeros(len(ctxs), bool),
+            None))
+        assert states == [np.random.default_rng([int(seed), key, j]).bit_generator.state
+                          for j in range(100)], (seed, key)
 
 
 @pytest.mark.parametrize("seed, key", [(-1, 41), (3, -1)])
 def test_per_trial_seeding_rejects_a_negative_word_as_numpy_does(seed, key):
-    # trial by trial and field by field alike
+    # the first field a draw asks for raises numpy's error
     with pytest.raises(ValueError) as oracle:
         np.random.default_rng([seed, key, 0])
-    two_phase = TwoPhase(lambda field, ks: field(), None, None, None)
-    for probe in (lambda rng, k: None, two_phase):
-        with pytest.raises(ValueError) as now:
-            run_trials(Report("seeding"), "prop", 5, seed, key, probe)
-        assert str(now.value) == str(oracle.value)
+    with pytest.raises(ValueError) as now:
+        run_trials(Report("seeding"), "prop", 5, seed, key,
+                   TwoPhase(lambda field, ks: field(), None, None, None))
+    assert str(now.value) == str(oracle.value)
